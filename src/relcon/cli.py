@@ -16,7 +16,6 @@ import sys
 from .laws import (
     MonotonicCompanion,
     SampleDomain,
-    SymmetricMonotonicCompanion,
     check_laws,
     classify,
     law_names,
@@ -99,7 +98,7 @@ def make_oracle(spec: str):
     if spec == "identity":
         return IdentityOracle()
     if spec == "identity_m":
-        return SymmetricMonotonicCompanion(IdentityOracle())
+        return MonotonicCompanion(IdentityOracle())
     if spec.startswith("system:"):
         system = load_system(spec.split(":", 1)[1])
         if system.symmetric:
@@ -291,11 +290,9 @@ def cmd_laws(args) -> int:
         if bad:
             raise UsageError(f"unknown laws for this oracle kind: {', '.join(bad)}")
     results = check_laws(oracle, dom, wanted)
-    failed = False
     for name, r in results.items():
         status = {"passed": "PASS", "counterexample": "FAIL",
                   "inconclusive": "UNKNOWN"}[r.status]
-        failed = failed or r.status == "counterexample"
         mode = "exhaustive" if r.exhaustive else "sampled"
         line = f"LAW {name} {status} {r.witness_str()}".rstrip()
         print(f"{line}  [{mode}, {r.checked} instances]")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from types import FunctionType
 from typing import Callable, Iterator, Optional, Sequence
 
 from .multiset import FMultiset, submultisets
@@ -42,8 +43,10 @@ from .oracles import (
     HOLDS,
     UNKNOWN,
     ConsequenceOracle,
-    SymmetricOracle,
     Verdict,
+    all3,
+    any3,
+    memoised,
 )
 from .syntax import Formula, print_formula, print_multiset
 
@@ -96,8 +99,11 @@ def _show_part(v) -> str:
     return print_formula(v)
 
 
-# A law is a quantifier prefix ("M" multiset, "F" formula) plus a predicate
-# mapping the bound values and the oracle to HOLDS / FAILS / UNKNOWN.
+# A law is a quantifier prefix plus a predicate mapping the bound values and
+# the oracle to HOLDS / FAILS / UNKNOWN.  Each prefix letter names the pool of
+# one bound variable: "M" multisets, "F" formulas, "T" multisets of the
+# oracle's declared theorems.  "NFD" is RelevantCut's dependent prefix: a
+# nonempty multiset, a formula, and one multiset per element of the first.
 
 
 @dataclass(frozen=True)
@@ -120,23 +126,22 @@ ASYM_LAWS: dict[str, LawSpec] = {}
 SYM_LAWS: dict[str, LawSpec] = {}
 
 
+# calls a thunk from C, with no generator frame around it: _implies runs
+# once per law instance, and a generator there costs several percent
+_force = FunctionType.__call__
+
+
 def _implies(*antecedents, conclusion) -> Verdict:
     """Truth value of an instance of a conditional law.
 
     Antecedents are thunks evaluated left to right; a failing antecedent
     settles the instance without touching the conclusion.
     """
-    unknown = False
-    for ant in antecedents:
-        v = ant()
-        if v is FAILS:
-            return HOLDS  # antecedent fails, instance vacuously fine
-        if v is UNKNOWN:
-            unknown = True
+    ante = all3(map(_force, antecedents))
+    if ante is FAILS:
+        return HOLDS  # antecedent fails, instance vacuously fine
     out = conclusion()
-    if out is HOLDS:
-        return HOLDS
-    return UNKNOWN if unknown or out is UNKNOWN else FAILS
+    return out if ante is HOLDS or out is HOLDS else UNKNOWN
 
 
 @_law(ASYM_LAWS, "Reflexivity", False, "F", ("f",))
@@ -168,7 +173,7 @@ def _genrefl(o, G, f):
     return o.entails(G + FMultiset([f]), f)
 
 
-@_law(ASYM_LAWS, "RelevantCut", False, "special", ("G", "f", "Ds"))
+@_law(ASYM_LAWS, "RelevantCut", False, "NFD", ("G", "f", "Ds"))
 def _relcut(o, G, f, Ds):
     # G = [c1..cn] nonempty, Ds = one multiset per ci (in canonical order)
     parts = list(G)
@@ -180,7 +185,7 @@ def _relcut(o, G, f, Ds):
     return _implies(*ants, conclusion=lambda total=total: o.entails(total, f))
 
 
-@_law(ASYM_LAWS, "TheoremRemoval", False, "special", ("G", "D", "f"))
+@_law(ASYM_LAWS, "TheoremRemoval", False, "MTF", ("G", "D", "f"))
 def _thremoval(o, G, D, f):
     # D ranges over multisets drawn from the declared theorem basis
     return _implies(lambda: o.entails(G + D, f),
@@ -249,66 +254,46 @@ def law_names(symmetric: bool) -> list[str]:
     return list((SYM_LAWS if symmetric else ASYM_LAWS).keys())
 
 
-def _instances(law: LawSpec, oracle, dom: SampleDomain) -> tuple[Iterator[tuple], Optional[int]]:
-    """Canonical instance stream and its total count (None when unbounded)."""
+def _instances(law: LawSpec, oracle, dom: SampleDomain
+               ) -> tuple[Iterator[tuple], int, Callable[[random.Random], tuple]]:
+    """A law's instances over the domain, with every pool built once.
+
+    Returns the canonical instance stream, its length, and a sampler that
+    draws one instance from a seeded generator.
+    """
     multisets = dom.multisets()
     formulas = list(dom.formulas)
-    if law.prefix == "special":
-        if law.name == "RelevantCut":
-            def gen():
-                for G in multisets:
-                    parts = list(G)
-                    if not parts:
-                        continue
-                    for f in formulas:
-                        for Ds in itertools.product(multisets, repeat=len(parts)):
-                            yield (G, f, Ds)
-            count = sum(len(formulas) * len(multisets) ** G.size
-                        for G in multisets if G.size)
-            return gen(), count
-        if law.name == "TheoremRemoval":
+    if law.prefix == "NFD":
+        cores = [G for G in multisets if G.size]
+
+        def stream() -> Iterator[tuple]:
+            for G in cores:
+                for f in formulas:
+                    for Ds in itertools.product(multisets, repeat=G.size):
+                        yield (G, f, Ds)
+
+        def draw(rng: random.Random) -> tuple:
+            G = rng.choice(cores)
+            f = rng.choice(formulas)
+            return (G, f, tuple(rng.choice(multisets) for _ in range(G.size)))
+        count = sum(len(formulas) * len(multisets) ** G.size for G in cores)
+        return stream(), count, draw
+    pools = []
+    for c in law.prefix:
+        if c == "M":
+            pools.append(multisets)
+        elif c == "F":
+            pools.append(formulas)
+        else:  # "T"
             basis = tuple(getattr(oracle, "theorem_basis", None) or ())
-            theorem_dom = SampleDomain(basis, dom.max_size) if basis else None
-
-            def gen():
-                if theorem_dom is None:
-                    return
-                tms = theorem_dom.multisets()
-                for G in multisets:
-                    for D in tms:
-                        for f in formulas:
-                            yield (G, D, f)
-            count = (0 if theorem_dom is None
-                     else len(multisets) * len(theorem_dom.multisets()) * len(formulas))
-            return gen(), count
-        raise ValueError(f"unknown special law {law.name}")
-    pools = [multisets if c == "M" else formulas for c in law.prefix]
+            pools.append(SampleDomain(basis, dom.max_size).multisets() if basis else [])
     count = 1
-    for p in pools:
-        count *= len(p)
-    return itertools.product(*pools), count
+    for pool in pools:
+        count *= len(pool)
 
-
-def _sample_instances(law: LawSpec, oracle, dom: SampleDomain) -> Iterator[tuple]:
-    rng = random.Random(dom.seed)
-    multisets = dom.multisets()
-    formulas = list(dom.formulas)
-    for _ in range(dom.sample_count):
-        if law.prefix == "special":
-            if law.name == "RelevantCut":
-                G = rng.choice([m for m in multisets if len(list(m))])
-                f = rng.choice(formulas)
-                Ds = tuple(rng.choice(multisets) for _ in list(G))
-                yield (G, f, Ds)
-            else:  # TheoremRemoval
-                basis = tuple(getattr(oracle, "theorem_basis", None) or ())
-                if not basis:
-                    return
-                tms = SampleDomain(basis, dom.max_size).multisets()
-                yield (rng.choice(multisets), rng.choice(tms), rng.choice(formulas))
-        else:
-            yield tuple(rng.choice(multisets) if c == "M" else rng.choice(formulas)
-                        for c in law.prefix)
+    def draw(rng: random.Random) -> tuple:
+        return tuple(rng.choice(pool) for pool in pools)
+    return itertools.product(*pools), count, draw
 
 
 def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
@@ -320,10 +305,11 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
     if (law.name == "TheoremRemoval" and not law.symmetric
             and getattr(oracle, "theorem_basis", None) is None):
         return LawResult(law.name, "inconclusive", None, False, 0)
-    stream, count = _instances(law, oracle, dom)
-    exhaustive = count is not None and count <= dom.exhaustive_cap
+    stream, count, draw = _instances(law, oracle, dom)
+    exhaustive = count <= dom.exhaustive_cap
     if not exhaustive:
-        stream = _sample_instances(law, oracle, dom)
+        rng = random.Random(dom.seed)
+        stream = (draw(rng) for _ in range(dom.sample_count))
     checked = 0
     sawunknown = False
     for instance in stream:
@@ -348,48 +334,26 @@ def check_laws(oracle, dom: SampleDomain,
 # -- the monotonic companion ------------------------------------------------------
 
 
-def monotonic_companion(oracle: ConsequenceOracle, premises: FMultiset,
-                        conclusion: Formula) -> Verdict:
-    """The least monotone extension: some submultiset of the premises entails."""
-    saw_unknown = False
-    for sub in submultisets(premises):
-        v = oracle.entails(sub, conclusion)
-        if v is HOLDS:
-            return HOLDS
-        if v is UNKNOWN:
-            saw_unknown = True
-    return UNKNOWN if saw_unknown else FAILS
+def monotonic_companion(oracle, premises: FMultiset, conclusion) -> Verdict:
+    """The least monotone extension: some submultiset of the premises entails.
+
+    The oracle may be of either kind; the conclusion is passed through.
+    """
+    return any3(oracle.entails(sub, conclusion) for sub in submultisets(premises))
 
 
 class MonotonicCompanion(ConsequenceOracle):
-    def __init__(self, base: ConsequenceOracle):
+    """The monotonic companion of an oracle, of the same kind as its base."""
+
+    def __init__(self, base):
         self.base = base
         self.name = f"{base.name}_m"
-        self.theorem_basis = base.theorem_basis
-        self._cache: dict = {}
+        self.symmetric = base.symmetric
+        self.theorem_basis = getattr(base, "theorem_basis", None)
 
-    def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        key = (premises, conclusion)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = monotonic_companion(self.base, premises, conclusion)
-        return hit
-
-
-class SymmetricMonotonicCompanion(SymmetricOracle):
-    def __init__(self, base: SymmetricOracle):
-        self.base = base
-        self.name = f"{base.name}_m"
-
-    def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        saw_unknown = False
-        for sub in submultisets(premises):
-            v = self.base.entails(sub, conclusions)
-            if v is HOLDS:
-                return HOLDS
-            if v is UNKNOWN:
-                saw_unknown = True
-        return UNKNOWN if saw_unknown else FAILS
+    @memoised
+    def entails(self, premises: FMultiset, conclusion) -> Verdict:
+        return monotonic_companion(self.base, premises, conclusion)
 
 
 # -- classification -----------------------------------------------------------------

@@ -32,6 +32,7 @@ from .oracles import (
     ConsequenceOracle,
     SymmetricOracle,
     Verdict,
+    memoised,
     verdict,
 )
 from .syntax import (
@@ -177,16 +178,9 @@ class AbelianOracle(ConsequenceOracle):
         self.grid_bound = grid_bound
         self.name = kind
         self.monotone_contractive = kind in ("p", "leq")
-        self._cache: dict = {}
 
+    @memoised
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        key = (premises, conclusion)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = self._decide(premises, conclusion)
-        return hit
-
-    def _decide(self, premises: FMultiset, conclusion: Formula) -> Verdict:
         fs = list(premises)
         if self.kind == "z":
             return _sum_leq(fs, [conclusion], self.grid_bound)
@@ -225,15 +219,10 @@ class AbelianSymmetricOracle(SymmetricOracle):
 
     def __init__(self, grid_bound: int = 8):
         self.grid_bound = grid_bound
-        self._cache: dict = {}
 
+    @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        key = (premises, conclusions)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = _sum_leq(
-                list(premises), list(conclusions), self.grid_bound)
-        return hit
+        return _sum_leq(list(premises), list(conclusions), self.grid_bound)
 
 
 class SingleAtomThresholdOracle(SymmetricOracle):

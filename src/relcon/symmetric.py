@@ -30,22 +30,26 @@ from .oracles import (
     ConsequenceOracle,
     SymmetricOracle,
     Verdict,
+    all3,
+    any3,
+    memoised,
 )
 from .syntax import (
     AxiomaticSystem,
     Formula,
+    MissingBindingError,
     NamedRule,
     formula_size,
     match_into,
     match_multiset,
-    parse_formula,
+    metavars,
     parse_multiset,
     print_formula,
     print_multiset,
     subformulas,
     substitute,
 )
-from .treeproof import AxiomJust, PremiseJust, ProofTree, RuleJust
+from .treeproof import AxiomJust, PremiseJust, ProofTree, RuleJust, _subst_from
 
 
 class DerivationVerdict(IntEnum):
@@ -96,7 +100,7 @@ def _infer_step(rule: NamedRule, prev: FMultiset, cur: FMultiset,
         try:
             consumed = FMultiset(substitute(s, sigma) for s in rule.left)
             produced = FMultiset(substitute(s, sigma) for s in right_ms)
-        except Exception:
+        except MissingBindingError:
             return None
         if consumed <= prev and cur == (prev - consumed) + produced:
             return sigma
@@ -238,7 +242,7 @@ def _moves(sym: AxiomaticSystem, state: FMultiset, cands: list[Formula],
     for rule in sym.rules:
         right_ms = rule.right
         for sigma, consumed in match_into(rule.left, state):
-            free = sorted({v for s in right_ms for v in _schema_vars(s)} - set(sigma))
+            free = sorted({v for s in right_ms for v in metavars(s)} - set(sigma))
             for values in itertools.product(cands, repeat=len(free)):
                 full = dict(sigma)
                 full.update(zip(free, values))
@@ -247,12 +251,6 @@ def _moves(sym: AxiomaticSystem, state: FMultiset, cands: list[Formula],
                     pruned.add("formula-size")
                     continue
                 yield (state - consumed) + produced, RuleApp(rule.name, full)
-
-
-def _schema_vars(schema: Formula) -> set[str]:
-    from .syntax import metavars
-
-    return metavars(schema)
 
 
 # -- symmetrization ------------------------------------------------------------------
@@ -307,33 +305,12 @@ def symmetrize_query(oracle: ConsequenceOracle, premises: FMultiset,
         return oracle.entails_all_theorems(premises)
     targets = list(conclusions)
     if oracle.monotone_contractive:
-        out = HOLDS
-        for chi in targets:
-            v = oracle.entails(premises, chi)
-            if v is FAILS:
-                return FAILS
-            if v is UNKNOWN:
-                out = UNKNOWN
-        return out
+        return all3(oracle.entails(premises, chi) for chi in targets)
     n = len(targets)
     if partition_count(premises, n) > partition_cap:
         return UNKNOWN
-    blocked = False
-    for parts in _ordered_partitions(premises, n):
-        all_hold = True
-        none_failed = True
-        for part, chi in zip(parts, targets):
-            v = oracle.entails(part, chi)
-            if v is not HOLDS:
-                all_hold = False
-            if v is FAILS:
-                none_failed = False
-                break
-        if all_hold:
-            return HOLDS
-        if none_failed:
-            blocked = True
-    return UNKNOWN if blocked else FAILS
+    return any3(all3(oracle.entails(part, chi) for part, chi in zip(parts, targets))
+                for parts in _ordered_partitions(premises, n))
 
 
 class Symmetrization(SymmetricOracle):
@@ -344,15 +321,10 @@ class Symmetrization(SymmetricOracle):
         self.partition_cap = partition_cap
         self.name = f"{base.name}^s"
         self.monotone_contractive = base.monotone_contractive
-        self._cache: dict = {}
 
+    @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        key = (premises, conclusions)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._cache[key] = symmetrize_query(
-                self.base, premises, conclusions, self.partition_cap)
-        return hit
+        return symmetrize_query(self.base, premises, conclusions, self.partition_cap)
 
 
 def asymmetric_query(oracle: SymmetricOracle, premises: FMultiset,
@@ -399,23 +371,14 @@ class DerivationOracle(SymmetricOracle):
         self.max_steps = max_steps
         self.max_formula_size = max_formula_size
         self.name = f"derive:{system.name}"
-        self._cache: dict = {}
 
+    @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        key = (premises, conclusions)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         result = derive_search(self.system, premises, conclusions,
                                self.max_steps, self.max_formula_size)
         if result.found:
-            out = HOLDS
-        elif result.status == "exhausted":
-            out = FAILS
-        else:
-            out = UNKNOWN
-        self._cache[key] = out
-        return out
+            return HOLDS
+        return FAILS if result.status == "exhausted" else UNKNOWN
 
 
 class TreeSearchOracle(ConsequenceOracle):
@@ -434,18 +397,12 @@ class TreeSearchOracle(ConsequenceOracle):
         self.max_formula_size = max_formula_size
         self.name = f"search:{system.name}"
         self._search = search
-        self._cache: dict = {}
 
+    @memoised
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        key = (premises, conclusion)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         tree = self._search(self.system, premises, conclusion,
                             self.max_nodes, self.max_formula_size)
-        out = HOLDS if tree is not None else UNKNOWN
-        self._cache[key] = out
-        return out
+        return HOLDS if tree is not None else UNKNOWN
 
 
 # -- tree extraction -------------------------------------------------------------
@@ -615,18 +572,19 @@ def derivation_to_data(derivation: Derivation) -> list[dict]:
 
 
 def derivation_from_data(data: list[dict]) -> Derivation:
-    if not data:
-        raise ValueError("a derivation file needs at least one record")
+    if not isinstance(data, list) or not data:
+        raise ValueError("a derivation file needs a nonempty list of records")
+    for rec in data:
+        if not isinstance(rec, dict) or not isinstance(rec.get("multiset"), str):
+            raise ValueError(
+                'each derivation record must be an object with a "multiset" string')
     steps = [parse_multiset(rec["multiset"]) for rec in data]
     apps: list[RuleApp] = []
     for rec in data[1:]:
         by = rec.get("by")
-        if not isinstance(by, dict) or "rule" not in by:
+        if not isinstance(by, dict) or not isinstance(by.get("rule"), str):
             raise ValueError(f"record {rec!r} is missing its rule")
-        subst = by.get("subst")
-        parsed = ({v: parse_formula(s) for v, s in subst.items()}
-                  if subst is not None else None)
-        apps.append(RuleApp(by["rule"], parsed))
+        apps.append(RuleApp(by["rule"], _subst_from(by.get("subst"))))
     if "by" in data[0]:
         raise ValueError("the first record carries no rule")
     return Derivation(tuple(steps), tuple(apps))

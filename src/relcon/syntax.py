@@ -389,9 +389,17 @@ class _Parser:
             raise ParseError(f"unexpected trailing token {tok[1]!r}", pos=tok[2])
 
 
+# The parser recurses once per nesting level; input nested past the
+# interpreter's recursion limit is reported as a ParseError.
+_TOO_DEEP = "input nested too deeply"
+
+
 def parse_formula(text: str, schema: bool = False) -> Formula:
     p = _Parser(text, schema)
-    f = p.formula()
+    try:
+        f = p.formula()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     p.end()
     return f
 
@@ -399,16 +407,19 @@ def parse_formula(text: str, schema: bool = False) -> Formula:
 def parse_multiset(text: str, schema: bool = False) -> FMultiset:
     """Parse ``[f1, f2, ...]`` (brackets optional) into an FMultiset."""
     p = _Parser(text, schema)
-    if p.at("lbrack"):
-        p.next()
-        if p.at("rbrack"):
+    try:
+        if p.at("lbrack"):
             p.next()
-            p.end()
-            return FMultiset()
-        items = p.formula_list()
-        p.expect("rbrack")
-    else:
-        items = p.formula_list()
+            if p.at("rbrack"):
+                p.next()
+                p.end()
+                return FMultiset()
+            items = p.formula_list()
+            p.expect("rbrack")
+        else:
+            items = p.formula_list()
+    except RecursionError:
+        raise ParseError(_TOO_DEEP) from None
     p.end()
     return FMultiset(items)
 

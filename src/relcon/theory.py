@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .multiset import FMultiset
-from .oracles import FAILS, HOLDS, UNKNOWN, SymmetricOracle, Verdict
+from .oracles import HOLDS, SymmetricOracle, Verdict, all3
 from .laws import SampleDomain, check_law
 from .syntax import print_multiset
 
@@ -70,15 +70,7 @@ def th_leq(a: TheoryHandle, b: TheoryHandle) -> Verdict:
 def th_eq(a: TheoryHandle, b: TheoryHandle) -> Verdict:
     """Mutual derivability of the generators."""
     _same_oracle(a, b)
-    first = th_leq(a, b)
-    if first is FAILS:
-        return FAILS
-    second = th_leq(b, a)
-    if second is FAILS:
-        return FAILS
-    if first is UNKNOWN or second is UNKNOWN:
-        return UNKNOWN
-    return HOLDS
+    return all3(th_leq(x, y) for x, y in ((a, b), (b, a)))
 
 
 def interderivable(oracle: SymmetricOracle, a: FMultiset, b: FMultiset) -> Verdict:

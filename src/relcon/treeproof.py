@@ -39,6 +39,7 @@ from .syntax import (
     Formula,
     Fusion,
     Imp,
+    MissingBindingError,
     Neg,
     Var,
     _freeze,
@@ -174,7 +175,7 @@ def _rule_instance(system: AxiomaticSystem, just: RuleJust,
                 return None
             if FMultiset(substitute(s, sigma) for s in rule.left) != child_labels:
                 return None
-        except Exception:
+        except MissingBindingError:
             return None
         return sigma
     sigma0 = match(rule.right, conclusion)
@@ -261,7 +262,7 @@ def _leaf_axiom_ok(system: AxiomaticSystem, node: ProofTree) -> bool:
     if node.by.subst is not None:
         try:
             return substitute(ax.right, dict(node.by.subst)) == node.formula
-        except Exception:
+        except MissingBindingError:
             return False
     return match(ax.right, node.formula) is not None
 
@@ -565,16 +566,6 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
     return None
 
 
-def _vars_of(schema: Formula) -> set[str]:
-    if isinstance(schema, Var):
-        return {schema.name}
-    if isinstance(schema, Neg):
-        return _vars_of(schema.body)
-    if isinstance(schema, (Imp, Fusion, Conj, Disj)):
-        return _vars_of(schema.left) | _vars_of(schema.right)
-    return set()
-
-
 def _rename_vars(schema: Formula) -> Formula:
     """Push a schema's metavariables into a private namespace before unifying."""
     if isinstance(schema, Var):
@@ -594,6 +585,11 @@ class _SearchState:
         self._axiom_rights = [
             (ax, _rename_vars(ax.right)) for ax in system.axioms
             if not isinstance(ax.right, FMultiset)]
+        # each single-conclusion rule with the metavariables of its premises
+        self._rules = [
+            (rule, {v for s in rule.left for v in metavars(s)})
+            for rule in system.inference_rules
+            if not isinstance(rule.right, FMultiset)]
 
     def prove(self, goal: Formula, avail: FMultiset,
               budget: int) -> Iterator[tuple[ProofTree, FMultiset]]:
@@ -620,13 +616,11 @@ class _SearchState:
                 yield axiom_leaf(goal, ax.name, sigma), EMPTY
         if budget < 2:
             return
-        for rule in self.system.inference_rules:
-            if isinstance(rule.right, FMultiset):
-                continue
+        for rule, left_vars in self._rules:
             sigma0 = match(rule.right, goal)
             if sigma0 is None:
                 continue
-            free = sorted({v for s in rule.left for v in _vars_of(s)} - set(sigma0))
+            free = sorted(left_vars - set(sigma0))
             for sigma in self._instantiations(rule, sigma0, free, avail):
                 # most-constrained (largest) subgoal first fails fastest
                 subgoals = sorted((substitute(s, sigma) for s in rule.left),
@@ -712,23 +706,30 @@ def proof_to_data(tree: ProofTree) -> dict:
 
 
 def proof_from_data(data: dict) -> ProofTree:
+    if not isinstance(data, dict) or not isinstance(data.get("formula"), str):
+        raise ValueError('each proof node must be an object with a "formula" string')
     formula = parse_formula(data["formula"])
     by = data.get("by", "premise")
     if by == "premise":
         just: Justification = PremiseJust()
-    elif isinstance(by, dict) and "axiom" in by:
+    elif isinstance(by, dict) and isinstance(by.get("axiom"), str):
         just = AxiomJust(by["axiom"], _subst_from(by.get("subst")))
-    elif isinstance(by, dict) and "rule" in by:
+    elif isinstance(by, dict) and isinstance(by.get("rule"), str):
         just = RuleJust(by["rule"], _subst_from(by.get("subst")))
     else:
         raise ValueError(f"bad justification entry: {by!r}")
-    children = tuple(proof_from_data(c) for c in data.get("children", []))
-    return ProofTree(formula, just, children)
+    children = data.get("children", [])
+    if not isinstance(children, list):
+        raise ValueError('"children" must be a list of proof nodes')
+    return ProofTree(formula, just, tuple(proof_from_data(c) for c in children))
 
 
 def _subst_from(entry) -> Optional[dict]:
+    """A stored substitution: an object from metavariable to formula text."""
     if entry is None:
         return None
+    if not isinstance(entry, dict) or not all(isinstance(s, str) for s in entry.values()):
+        raise ValueError('"subst" must be an object of formula strings')
     return {v: parse_formula(s) for v, s in entry.items()}
 
 

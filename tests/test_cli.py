@@ -45,6 +45,12 @@ def test_parse_error_exit(capsys):
     assert "RESULT invalid" in out.out
 
 
+def test_deeply_nested_formula_is_a_parse_error(capsys):
+    code, out = run(capsys, "parse", "--formula", "(" * 3000 + "p" + ")" * 3000)
+    assert code == 1
+    assert result_line(out) == "invalid"
+
+
 def test_usage_error_exit(capsys):
     assert main(["parse"]) == 2
     capsys.readouterr()
@@ -82,6 +88,16 @@ def test_check_proof_invalid(capsys):
     assert code == 1
     assert result_line(out) == "invalid"
     assert "problem" in out or "surplus" in out
+
+
+def test_check_proof_node_without_formula(capsys, tmp_path):
+    proof = tmp_path / "bad.proof"
+    proof.write_text(json.dumps({"by": {"rule": "mp"},
+                                 "children": [{"formula": "p -> q"}, {"by": "premise"}]}))
+    code, out = run(capsys, "check-proof", "--system", f"{FIX}/bci.rcs",
+                    "--premises", "[p->q, p]", "--goal", "q", "--proof", str(proof))
+    assert code == 1
+    assert result_line(out) == "invalid"
 
 
 def test_check_proof_fusion_fixture(capsys):

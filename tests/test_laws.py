@@ -15,7 +15,8 @@ from relcon import (
     parse_multiset,
 )
 from relcon import submultisets
-from relcon.laws import ASYM_IMPLICATIONS, SYM_IMPLICATIONS, SymmetricMonotonicCompanion
+from relcon.laws import ASYM_IMPLICATIONS, SYM_IMPLICATIONS, SampleDomain
+from relcon.oracles import ConsequenceOracle, verdict
 from relcon.semantics import IdentityOracle
 from conftest import (
     make_p_oracle,
@@ -132,6 +133,34 @@ def test_sampling_above_cap(z_oracle):
     assert result.checked == 500
 
 
+class _PairOracle(ConsequenceOracle):
+    """Holds exactly when there are two premises, whatever the conclusion."""
+
+    name = "pair"
+
+    def __init__(self):
+        self.theorem_basis = [numeral(0), numeral(1)]
+
+    def entails(self, premises, conclusion):
+        return verdict(premises.size == 2)
+
+
+@pytest.mark.parametrize("seed, law, checked, witness", [
+    (0, "RelevantCut", 30, "G=[2, 3]; f=0; Ds=([-3, -3], [-3, 0])"),
+    (0, "TheoremRemoval", 78, "G=[3]; D=[1]; f=3"),
+    (3, "RelevantCut", 85, "G=[-2, -2]; f=-1; Ds=([-1, -2], [1, 3])"),
+    (3, "TheoremRemoval", 128, "G=[3]; D=[1]; f=-3"),
+])
+def test_sampled_draw_sequence(seed, law, checked, witness):
+    # pins the seeded draws: the pool order and the rng.choice calls per draw
+    dom = SampleDomain(tuple(numeral(k) for k in range(-3, 4)), max_size=3,
+                       seed=seed, exhaustive_cap=10)
+    result = check_law(_PairOracle(), law, dom)
+    assert not result.exhaustive
+    assert result.status == "counterexample"
+    assert (result.checked, result.witness_str()) == (checked, witness)
+
+
 # -- the monotonic companion ------------------------------------------------------
 
 
@@ -176,9 +205,24 @@ def test_companion_law_battery(z_oracle):
 
 def test_symmetric_companion():
     ident = IdentityOracle()
-    companion = SymmetricMonotonicCompanion(ident)
+    companion = MonotonicCompanion(ident)
     assert companion.entails(ms("[x, y]"), ms("[x]")) is HOLDS
     assert companion.entails(ms("[x]"), ms("[x, y]")) is FAILS
+
+
+def test_symmetric_companion_law_battery():
+    # identity's companion is D <= G: a monotone SCR that is not contractive
+    companion = MonotonicCompanion(IdentityOracle())
+    assert companion.symmetric and companion.name == "identity_m"
+    results = check_laws(companion, numeral_domain(max_size=2))
+    assert set(results) == set(law_names(True))
+    failing = {n for n, r in results.items() if not r.passed}
+    assert failing == {"Contraction"}
+    w = results["Contraction"].witness
+    assert w["D"] == FMultiset([w["g"], w["g"]])
+    report = classify(companion, numeral_domain(max_size=2))
+    assert report.is_consequence_relation and report.is_monotone
+    assert not report.is_contractive and not report.consistency_errors
 
 
 # -- classification -----------------------------------------------------------------

@@ -1,0 +1,134 @@
+import inspect
+import itertools
+
+import pytest
+
+from relcon import FAILS, HOLDS, UNKNOWN, parse_formula, parse_multiset
+from relcon.oracles import (
+    ConsequenceOracle,
+    SymmetricOracle,
+    all3,
+    any3,
+    memoised,
+)
+import relcon.laws
+import relcon.oracles
+import relcon.semantics
+import relcon.symmetric
+
+VERDICTS = (HOLDS, FAILS, UNKNOWN)
+ms = parse_multiset
+
+
+def _and(x, y):
+    if FAILS in (x, y):
+        return FAILS
+    return UNKNOWN if UNKNOWN in (x, y) else HOLDS
+
+
+def _or(x, y):
+    if HOLDS in (x, y):
+        return HOLDS
+    return UNKNOWN if UNKNOWN in (x, y) else FAILS
+
+
+class _Reader:
+    """An iterator over verdicts that records how many it handed out."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.read = 0
+
+    def __iter__(self):
+        for v in self.values:
+            self.read += 1
+            yield v
+
+
+# -- the Kleene folds ------------------------------------------------------------
+
+
+def test_fold_units():
+    assert all3([]) is HOLDS
+    assert any3([]) is FAILS
+
+
+@pytest.mark.parametrize("x, y", list(itertools.product(VERDICTS, repeat=2)))
+def test_fold_truth_tables(x, y):
+    assert all3([x, y]) is _and(x, y)
+    assert any3([x, y]) is _or(x, y)
+    assert all3([x]) is x and any3([x]) is x
+
+
+def test_all3_reads_past_unknown_and_stops_at_fails():
+    reader = _Reader([UNKNOWN, FAILS])
+    assert all3(reader) is FAILS
+    assert reader.read == 2
+    reader = _Reader([HOLDS, FAILS, UNKNOWN, HOLDS])
+    assert all3(reader) is FAILS
+    assert reader.read == 2
+
+
+def test_any3_reads_past_unknown_and_stops_at_holds():
+    reader = _Reader([UNKNOWN, HOLDS])
+    assert any3(reader) is HOLDS
+    assert reader.read == 2
+    reader = _Reader([FAILS, HOLDS, UNKNOWN, FAILS])
+    assert any3(reader) is HOLDS
+    assert reader.read == 2
+
+
+# -- the memo ------------------------------------------------------------------------
+
+
+class _Counting(ConsequenceOracle):
+    name = "counting"
+
+    def __init__(self):
+        self.decisions = 0
+
+    @memoised
+    def entails(self, premises, conclusion):
+        self.decisions += 1
+        return HOLDS if conclusion in premises.support else FAILS
+
+
+def test_memoised_repeat_skips_the_decision():
+    o = _Counting()
+    p, q = parse_formula("p"), parse_formula("q")
+    assert o.entails(ms("[p]"), p) is HOLDS
+    assert o.entails(ms("[p]"), p) is HOLDS
+    assert o.decisions == 1
+    assert o.entails(ms("[p]"), q) is FAILS
+    assert o.decisions == 2
+
+
+def test_memoised_tables_are_per_instance():
+    first, second = _Counting(), _Counting()
+    p = parse_formula("p")
+    first.entails(ms("[p]"), p)
+    second.entails(ms("[p]"), p)
+    assert (first.decisions, second.decisions) == (1, 1)
+    assert first._memo is not second._memo
+
+
+def _oracle_classes():
+    seen = set()
+    for module in (relcon.oracles, relcon.semantics, relcon.symmetric, relcon.laws):
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and issubclass(cls, (ConsequenceOracle, SymmetricOracle))):
+                seen.add(cls)
+    return seen
+
+
+def test_memoised_oracles_define_their_own_entails():
+    # the memo wraps each class's own entails, so a per-class tracer or
+    # profiler hook on entails still sees every query
+    memoising = {cls.__name__ for cls in _oracle_classes()
+                 if hasattr(cls.entails, "__wrapped__")}
+    assert memoising == {"AbelianOracle", "AbelianSymmetricOracle", "Symmetrization",
+                         "DerivationOracle", "TreeSearchOracle", "MonotonicCompanion"}
+    for cls in _oracle_classes():
+        if cls.__name__ in memoising:
+            assert "entails" in cls.__dict__, cls

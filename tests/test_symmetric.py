@@ -10,8 +10,11 @@ from relcon import (
     FAILS,
     UNKNOWN,
     Imp,
+    ProofTree,
     RelevanceVerdict,
     RuleApp,
+    RuleJust,
+    axiom_leaf,
     check_derivation,
     derive_search,
     dump_derivation,
@@ -19,6 +22,7 @@ from relcon import (
     load_derivation,
     parse_formula,
     parse_multiset,
+    premise_leaf,
     symmetrize_query,
     verify,
 )
@@ -94,6 +98,18 @@ def test_stored_subst_validated(bci):
     bad = Derivation((ms("[a]"), ms("[a, a -> a]")), (RuleApp("I", {"p": b}),))
     assert check_derivation(bad, bci, ms("[a]"),
                             ms("[a -> a, a]")) is DerivationVerdict.INVALID
+
+
+def test_stored_subst_missing_a_binding_is_rejected(bci):
+    # a stored substitution that leaves a rule metavariable unbound
+    d = Derivation((ms("[a]"), ms("[a, a -> a]")), (RuleApp("I", {}),))
+    assert check_derivation(d, bci, ms("[a]"),
+                            ms("[a -> a, a]")) is DerivationVerdict.INVALID
+    q = parse_formula("q")
+    node = ProofTree(q, RuleJust("mp", {"p": a}), (premise_leaf(Imp(a, q)), premise_leaf(a)))
+    assert verify(node, bci, ms("[a -> q, a]"), q) is RelevanceVerdict.INVALID
+    leaf = axiom_leaf(Imp(a, a), "I", {})
+    assert verify(leaf, bci, ms("[]"), Imp(a, a)) is RelevanceVerdict.INVALID
 
 
 def test_one_step_reflexivity(bci):
@@ -388,3 +404,16 @@ def test_derivation_json_rules_required():
         load_derivation('[{"multiset": "[a]"}, {"multiset": "[a, b]"}]')
     with pytest.raises(ValueError):
         load_derivation('[]')
+
+
+@pytest.mark.parametrize("text", [
+    '{"multiset": "[a]"}',
+    '[["a"]]',
+    '[{"multiset": 1}]',
+    '[{"multiset": "[a]"}, {"by": {"rule": "mp"}}]',
+    '[{"multiset": "[a]"}, {"multiset": "[a]", "by": {"rule": ["mp"]}}]',
+    '[{"multiset": "[a]"}, {"multiset": "[a]", "by": {"rule": "mp", "subst": "p"}}]',
+])
+def test_derivation_json_shape_errors(text):
+    with pytest.raises(ValueError):
+        load_derivation(text)

@@ -19,7 +19,7 @@ from relcon import (
     theory,
     union_theory_check,
 )
-from relcon.laws import SymmetricMonotonicCompanion
+from relcon.laws import MonotonicCompanion
 from relcon.semantics import IdentityOracle
 from relcon.theory import monotone_mapping_agrees
 from conftest import numeral_domain
@@ -106,7 +106,7 @@ def test_union_theory_tarskian(psym):
 
 
 def test_union_theory_identity_companion():
-    companion = SymmetricMonotonicCompanion(IdentityOracle())
+    companion = MonotonicCompanion(IdentityOracle())
     x = parse_formula("x")
     dom = SampleDomain((x,), max_size=1)
     handle = theory(companion, ms("[x]"))

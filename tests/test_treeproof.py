@@ -464,6 +464,21 @@ def test_proof_json_with_subst(bcio):
     assert dump_proof(again) == text
 
 
+@pytest.mark.parametrize("text", [
+    '["q"]',
+    '{"by": "premise"}',
+    '{"formula": 1}',
+    '{"formula": "q", "by": {"rule": "mp"}, "children": {"formula": "p"}}',
+    '{"formula": "q", "by": {"rule": "mp"}, "children": [{"formula": "p"}, "p"]}',
+    '{"formula": "p", "by": {"axiom": ["I"]}}',
+    '{"formula": "q", "by": {"rule": "mp", "subst": ["p"]}}',
+    '{"formula": "q", "by": {"rule": "mp", "subst": {"p": 1}}}',
+])
+def test_proof_json_shape_errors(text):
+    with pytest.raises(ValueError):
+        load_proof(text)
+
+
 def test_proof_json_shape(bci):
     data = dump_proof(mp_tree())
     assert '"by": "premise"' in data
