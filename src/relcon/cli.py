@@ -192,7 +192,14 @@ def cmd_check_derivation(args) -> int:
     premises = parse_multiset(args.premises)
     conclusions = parse_multiset(args.conclusions)
     with open(args.derivation, "r", encoding="utf-8") as fh:
-        derivation = load_derivation(fh.read())
+        text = fh.read()
+    try:
+        derivation = load_derivation(text)
+    except (ParseError, ValueError) as e:
+        # a malformed file is an invalid derivation: exit 2, not main's 1
+        print(f"error: {e}", file=sys.stderr)
+        _result("invalid")
+        return 2
     verdict = check_derivation(derivation, system, premises, conclusions)
     _result(str(verdict))
     return {DerivationVerdict.RELEVANT: 0, DerivationVerdict.PLAIN: 1,

@@ -18,6 +18,11 @@ def _default_key(x: Any) -> tuple[str, str]:
     return (str(x), x.__class__.__name__)
 
 
+def _canonical(counts: dict) -> list:
+    """The support in canonical order; a lone element is not keyed at all."""
+    return sorted(counts, key=_default_key) if len(counts) > 1 else list(counts)
+
+
 class FMultiset:
     """An immutable finite multiset over an ordered, hashable element type."""
 
@@ -76,14 +81,16 @@ class FMultiset:
         return x in self._counts
 
     def __iter__(self) -> Iterator:
-        """Yield elements with repetition, in canonical sorted order."""
-        for x in sorted(self._counts, key=_default_key):
-            for _ in range(self._counts[x]):
-                yield x
+        """Elements with repetition, in canonical sorted order."""
+        counts = self._counts
+        order = _canonical(counts)
+        if len(order) == sum(counts.values()):
+            return iter(order)
+        return iter([x for x in order for _ in range(counts[x])])
 
     def distinct(self) -> list:
         """Support elements in canonical sorted order."""
-        return sorted(self._counts, key=_default_key)
+        return _canonical(self._counts)
 
     # -- pointwise operations -----------------------------------------------
 

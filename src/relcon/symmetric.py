@@ -49,7 +49,7 @@ from .syntax import (
     subformulas,
     substitute,
 )
-from .treeproof import AxiomJust, PremiseJust, ProofTree, RuleJust, _subst_from
+from .treeproof import AxiomJust, PremiseJust, ProofTree, RuleJust, _json_loads, _subst_from
 
 
 class DerivationVerdict(IntEnum):
@@ -595,4 +595,4 @@ def dump_derivation(derivation: Derivation) -> str:
 
 
 def load_derivation(text: str) -> Derivation:
-    return derivation_from_data(json.loads(text))
+    return derivation_from_data(_json_loads(text))

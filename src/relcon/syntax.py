@@ -57,10 +57,35 @@ class MissingBindingError(Exception):
 
 
 # -- abstract syntax ---------------------------------------------------------
+#
+# Compound nodes cache what search and printing ask of them again and again:
+# the node count and numeral value, filled at construction from the
+# children's (so a numeral thousands deep builds without recursion); the hash,
+# the dataclass value (hash of the field tuple), on first use; and the printed
+# form, on first use (see _fill_str).  Leaves are one node each, no numeral
+# unless a constant says so, and print as their name.
+
+_set = object.__setattr__
+
+
+class _Node:
+    __slots__ = ()
+
+    def __reduce__(self):
+        # rebuild through the constructor: frozen slots refuse setattr
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class _Leaf(_Node):
+    __slots__ = ()
+    _size = 1
+    _num = None
+    _str = property(lambda self: self.name)  # always printed, for _fill_str
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Leaf):
+    __slots__ = ("name",)
     name: str
 
     def __str__(self) -> str:
@@ -68,65 +93,126 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Leaf):
     """A metavariable; occurs only in schemata."""
 
+    __slots__ = ("name",)
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
+_CONST_VALUES = {"0": 0, "1": 1}
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Leaf):
+    __slots__ = ("name",)
     name: str  # one of "0", "1", "t"
+
+    @property
+    def _num(self) -> Optional[int]:
+        return _CONST_VALUES.get(self.name)
 
     def __str__(self) -> str:
         return self.name
 
 
+def _children(f: "Formula") -> tuple:
+    """A compound node's fields, which are its children."""
+    return (f.body,) if type(f) is Neg else (f.left, f.right)
+
+
+def _cached_hash(self) -> int:
+    h = self._hash
+    if h is None:
+        h = hash(_children(self))
+        _set(self, "_hash", h)
+    return h
+
+
+def _cached_str(self) -> str:
+    return self._str or _fill_str(self)
+
+
+def _init_binary(self, left: "Formula", right: "Formula") -> None:
+    _set(self, "left", left)
+    _set(self, "right", right)
+    _set(self, "_size", left._size + right._size + 1)
+    _set(self, "_str", None)
+    _set(self, "_hash", None)
+
+
+_CACHE_SLOTS = ("_size", "_str", "_hash")
+
+
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
+    __slots__ = ("body", "_num") + _CACHE_SLOTS
     body: "Formula"
 
-    def __str__(self) -> str:
-        return _show(self)
+    def __init__(self, body: "Formula"):
+        _set(self, "body", body)
+        _set(self, "_size", body._size + 1)
+        n = body._num
+        _set(self, "_num", -n if n is not None and n > 0 else None)
+        _set(self, "_str", None)
+        _set(self, "_hash", None)
+
+    __hash__ = _cached_hash
+    __str__ = _cached_str
 
 
 @dataclass(frozen=True)
-class Imp:
+class Imp(_Node):
+    __slots__ = ("left", "right") + _CACHE_SLOTS
+    _num = None  # never a numeral
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return _show(self)
+    __init__ = _init_binary
+    __hash__ = _cached_hash
+    __str__ = _cached_str
 
 
 @dataclass(frozen=True)
-class Fusion:
+class Fusion(_Node):
+    __slots__ = ("left", "right", "_num") + _CACHE_SLOTS
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return _show(self)
+    def __init__(self, left: "Formula", right: "Formula"):
+        _init_binary(self, left, right)
+        n = left._num  # (n o 1) is n + 1; only ONE has the value 1
+        _set(self, "_num", n + 1 if n is not None and n > 0 and right._num == 1 else None)
+
+    __hash__ = _cached_hash
+    __str__ = _cached_str
 
 
 @dataclass(frozen=True)
-class Conj:
+class Conj(_Node):
+    __slots__ = ("left", "right") + _CACHE_SLOTS
+    _num = None  # never a numeral
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return _show(self)
+    __init__ = _init_binary
+    __hash__ = _cached_hash
+    __str__ = _cached_str
 
 
 @dataclass(frozen=True)
-class Disj:
+class Disj(_Node):
+    __slots__ = ("left", "right") + _CACHE_SLOTS
+    _num = None  # never a numeral
     left: "Formula"
     right: "Formula"
 
-    def __str__(self) -> str:
-        return _show(self)
+    __init__ = _init_binary
+    __hash__ = _cached_hash
+    __str__ = _cached_str
 
 
 Formula = Union[Atom, Var, Const, Neg, Imp, Fusion, Conj, Disj]
@@ -158,20 +244,7 @@ def numeral(n: int) -> Formula:
 
 def numeral_value(f: Formula) -> Optional[int]:
     """Inverse of numeral() on exactly the canonical expansions."""
-    if f == ZERO:
-        return 0
-    negative = False
-    if isinstance(f, Neg):
-        negative = True
-        f = f.body
-    count = 0
-    while isinstance(f, Fusion) and f.right == ONE:
-        count += 1
-        f = f.left
-    if f != ONE:
-        return None
-    value = count + 1
-    return -value if negative else value
+    return f._num
 
 
 def _walk_nodes(f: Formula) -> Iterator[Formula]:
@@ -189,7 +262,15 @@ def _walk_nodes(f: Formula) -> Iterator[Formula]:
 
 def formula_size(f: Formula) -> int:
     """Node count of the formula tree."""
-    return sum(1 for _ in _walk_nodes(f))
+    return f._size
+
+
+def _larger_first(formulas) -> list[Formula]:
+    """Sorted by (-formula_size(f), str(f)), printing only to break a size tie."""
+    out = sorted(formulas, key=formula_size, reverse=True)
+    if any(a._size == b._size for a, b in zip(out, out[1:])):
+        out.sort(key=lambda f: (-f._size, str(f)))
+    return out
 
 
 def subformulas(f: Formula) -> set:
@@ -208,41 +289,65 @@ def metavars(f: Formula) -> set[str]:
 
 # precedence levels: -> 1, \/ 2, /\ 3, o 4, ~ 5, primary 6
 _PREC = {Imp: 1, Disj: 2, Conj: 3, Fusion: 4, Neg: 5}
+_OPS = {Imp: "->", Disj: "\\/", Conj: "/\\", Fusion: "o"}
 
 
-def _show(f: Formula, prec: int = 0, schema: bool = False) -> str:
-    n = numeral_value(f)
+def _level(f: Formula) -> int:
+    """The precedence of f's printed form; numerals and leaves are primary."""
+    return 6 if f._num is not None else _PREC.get(type(f), 6)
+
+
+def _paren(f: Formula, prec: int, text) -> str:
+    s = text(f)
+    return f"({s})" if prec > _level(f) else s
+
+
+def _compose(f: Formula, text) -> str:
+    """A compound node's printed form, from its children's as given by text."""
+    n = f._num
     if n is not None:
         return str(n)
-    if isinstance(f, Atom):
-        return f"'{f.name}'" if schema else f.name
-    if isinstance(f, (Var, Const)):
-        return f.name
-    if isinstance(f, Neg):
-        s = "~" + _show(f.body, 5, schema)
-        return f"({s})" if prec > 5 else s
-    ops = {Imp: "->", Disj: "\\/", Conj: "/\\", Fusion: "o"}
+    if type(f) is Neg:
+        return "~" + _paren(f.body, 5, text)
     my = _PREC[type(f)]
-    if isinstance(f, Imp):
-        # grammar is right-associative, but nested implications print with
-        # explicit parentheses for readability
-        s = f"{_show(f.left, my + 1, schema)} {ops[Imp]} {_show(f.right, my + 1, schema)}"
-    else:  # left-associative
-        s = f"{_show(f.left, my, schema)} {ops[type(f)]} {_show(f.right, my + 1, schema)}"
-    return f"({s})" if prec > my else s
+    # the grammar is right-associative, but nested implications print with
+    # explicit parentheses for readability; the others are left-associative
+    left = _paren(f.left, my + 1 if type(f) is Imp else my, text)
+    return f"{left} {_OPS[type(f)]} {_paren(f.right, my + 1, text)}"
+
+
+def _fill_str(f: Formula) -> str:
+    """Print f and every unprinted node under it, children first, without
+    recursion, so a parent printed later reuses its children's strings."""
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if node._str is None and node._num is None:
+            todo = [c for c in _children(node) if c._str is None]
+            if todo:
+                stack.extend(todo)
+                continue
+        stack.pop()
+        if node._str is None:
+            _set(node, "_str", _compose(node, str))
+    return f._str
 
 
 def print_formula(f: Formula) -> str:
-    return _show(f)
+    return str(f)
 
 
 def print_schema(f: Formula) -> str:
     """Like print_formula, but concrete atoms are quoted (system-file form)."""
-    return _show(f, schema=True)
+    if isinstance(f, Atom):
+        return f"'{f.name}'"
+    if isinstance(f, _Leaf):
+        return f.name
+    return _compose(f, print_schema)
 
 
 def print_multiset(m: FMultiset, schema: bool = False) -> str:
-    return "[" + ", ".join(_show(f, schema=schema) for f in m) + "]"
+    return "[" + ", ".join(map(print_schema if schema else str, m)) + "]"
 
 
 # -- tokenizer / parser ------------------------------------------------------

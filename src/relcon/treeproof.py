@@ -42,7 +42,9 @@ from .syntax import (
     MissingBindingError,
     Neg,
     Var,
+    _TOO_DEEP,
     _freeze,
+    _larger_first,
     formula_size,
     match,
     match_multiset,
@@ -124,15 +126,25 @@ class ProofTree:
     def is_leaf(self) -> bool:
         return not self.children
 
+    # the walks below are iterative: a tree loaded from a file can be
+    # nested deeper than the interpreter's recursion limit
+
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
     def leaves(self) -> Iterator["ProofTree"]:
-        if self.is_leaf:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
+        """The leaves, left to right."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                stack.extend(reversed(node.children))
+            else:
+                yield node
 
 
 def premise_leaf(f: Formula) -> ProofTree:
@@ -198,38 +210,43 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
         problems.append(
             f"root is {print_formula(tree.formula)}, goal is {print_formula(goal)}")
 
-    def walk(node: ProofTree) -> None:
+    def check(node: ProofTree) -> bool:
+        """Report the node's own problems; whether to check its children."""
         if node.is_leaf:
             if isinstance(node.by, RuleJust):
                 problems.append(
                     f"leaf {print_formula(node.formula)} carries a rule justification")
-                return
+                return False
             if isinstance(node.by, AxiomJust):
                 inst = _leaf_axiom_ok(system, node)
                 if not inst:
                     problems.append(
                         f"leaf {print_formula(node.formula)} is not an instance "
                         f"of axiom {node.by.name}")
-                    return
+                    return False
             if not (system.is_axiom_instance(node.formula)
                     or node.formula in premises.support):
                 problems.append(
                     f"leaf {print_formula(node.formula)} is neither an axiom "
                     f"instance nor a premise")
-            return
+            return False
         if not isinstance(node.by, RuleJust):
             problems.append(
                 f"internal node {print_formula(node.formula)} lacks a rule justification")
-            return
+            return False
         child_labels = FMultiset(c.formula for c in node.children)
         if _rule_instance(system, node.by, node.formula, child_labels) is None:
             problems.append(
                 f"node {print_formula(node.formula)} does not instantiate rule "
                 f"{node.by.name} from {print_multiset(child_labels)}")
-        for c in node.children:
-            walk(c)
+        return True
 
-    walk(tree)
+    # depth first, left to right, without recursion
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if check(node):
+            stack.extend(reversed(node.children))
 
     # condition 4: non-axiom formulas label at most premises(f) leaves
     for f in leaves.support:
@@ -623,8 +640,7 @@ class _SearchState:
             free = sorted(left_vars - set(sigma0))
             for sigma in self._instantiations(rule, sigma0, free, avail):
                 # most-constrained (largest) subgoal first fails fastest
-                subgoals = sorted((substitute(s, sigma) for s in rule.left),
-                                  key=lambda f: (-formula_size(f), str(f)))
+                subgoals = _larger_first(substitute(s, sigma) for s in rule.left)
                 for children, used in self._prove_seq(subgoals, avail, budget - 1):
                     yield (ProofTree(goal, RuleJust(rule.name, sigma), children), used)
 
@@ -706,6 +722,26 @@ def proof_to_data(tree: ProofTree) -> dict:
 
 
 def proof_from_data(data: dict) -> ProofTree:
+    """Build a proof tree from its file form, without recursion.
+
+    Nodes are checked in file order (depth first), so the first malformed
+    node is the one reported; the tree is then assembled bottom-up.
+    """
+    parsed: list[tuple[Formula, Justification, int]] = []
+    stack = [data]
+    while stack:
+        formula, just, children = _node_from_data(stack.pop())
+        parsed.append((formula, just, len(children)))
+        stack.extend(reversed(children))
+    built: list[ProofTree] = []
+    for formula, just, arity in reversed(parsed):
+        children = tuple(built.pop() for _ in range(arity))
+        built.append(ProofTree(formula, just, children))
+    return built[0]
+
+
+def _node_from_data(data) -> tuple[Formula, Justification, list]:
+    """One proof node's formula and justification, and its children's data."""
     if not isinstance(data, dict) or not isinstance(data.get("formula"), str):
         raise ValueError('each proof node must be an object with a "formula" string')
     formula = parse_formula(data["formula"])
@@ -721,7 +757,7 @@ def proof_from_data(data: dict) -> ProofTree:
     children = data.get("children", [])
     if not isinstance(children, list):
         raise ValueError('"children" must be a list of proof nodes')
-    return ProofTree(formula, just, tuple(proof_from_data(c) for c in children))
+    return formula, just, children
 
 
 def _subst_from(entry) -> Optional[dict]:
@@ -737,5 +773,13 @@ def dump_proof(tree: ProofTree) -> str:
     return json.dumps(proof_to_data(tree), indent=2)
 
 
+def _json_loads(text: str):
+    """json.loads, reporting nesting past the recursion limit as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
+
+
 def load_proof(text: str) -> ProofTree:
-    return proof_from_data(json.loads(text))
+    return proof_from_data(_json_loads(text))

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from relcon import parse_matrix, parse_system, print_matrix, print_system
 from relcon.cli import main
@@ -100,6 +101,23 @@ def test_check_proof_node_without_formula(capsys, tmp_path):
     assert result_line(out) == "invalid"
 
 
+def _deep_proof_text(depth: int) -> str:
+    head = '{"formula": "q", "by": {"rule": "mp"}, "children": ['
+    return head * depth + '{"formula": "q"}' + "]}" * depth
+
+
+@pytest.mark.parametrize("text", [_deep_proof_text(3000), "[" * 100_000 + "]" * 100_000],
+                         ids=["children-3000", "json-100000"])
+def test_check_proof_too_deep_is_invalid(capsys, tmp_path, text):
+    proof = tmp_path / "deep.proof"
+    proof.write_text(text)
+    code = main(["check-proof", "--system", f"{FIX}/bci.rcs",
+                 "--premises", "[q]", "--goal", "q", "--proof", str(proof)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert result_line(captured.out) == "invalid"
+    assert "error: input nested too deeply" in captured.err
+
 def test_check_proof_fusion_fixture(capsys):
     code, out = run(capsys, "check-proof", "--system", f"{FIX}/t_fusion.rcs",
                     "--premises", "[a -> b]", "--goal", "(a o c) -> (b o c)",
@@ -142,6 +160,22 @@ def test_check_derivation_plain_exit(capsys):
     assert code == 1
     assert result_line(out) == "plain"
 
+
+@pytest.mark.parametrize("text", [
+    json.dumps([{"multiset": "[a]"}, {"by": {"rule": "mp"}}]),
+    json.dumps([{"multiset": "[a ->]"}]),
+    "[" * 100_000 + "]" * 100_000,
+], ids=["missing-multiset", "bad-formula", "json-100000"])
+def test_check_derivation_malformed_file_exits_two(capsys, tmp_path, text):
+    derivation = tmp_path / "bad.drv"
+    derivation.write_text(text)
+    code = main(["check-derivation", "--system", f"{FIX}/bci.rcs",
+                 "--premises", "[a]", "--conclusions", "[a]",
+                 "--derivation", str(derivation)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert result_line(captured.out) == "invalid"
+    assert captured.err.startswith("error: ")
 
 def test_derive_found(capsys):
     code, out = run(capsys, "derive", "--system", f"{FIX}/bci.rcs",

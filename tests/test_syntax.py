@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -27,7 +29,11 @@ from relcon import (
     substitute,
 )
 from relcon.syntax import (
+    TRUTH,
+    Const,
     MissingBindingError,
+    _larger_first,
+    _walk_nodes,
     alpha_variant,
     formula_size,
     match_multiset,
@@ -240,3 +246,166 @@ def test_system_errors_carry_line():
 @given(st.integers(min_value=-30, max_value=30))
 def test_numeral_value_inverse(k):
     assert numeral_value(numeral(k)) == k
+
+
+# -- the values each formula node caches ------------------------------------------
+
+FORMULA_CLASSES = (Atom, Var, Const, Neg, Imp, Fusion, Conj, Disj)
+
+
+def _formulas(leaves):
+    def extend(children):
+        return st.one_of(st.builds(Neg, children),
+                         *(st.builds(ctor, children, children)
+                           for ctor in (Imp, Fusion, Conj, Disj)))
+    numerals = st.integers(min_value=-5, max_value=5).map(numeral)
+    return st.recursive(st.one_of(leaves, numerals), extend, max_leaves=12)
+
+
+# query formulas print and parse back; schemata add metavariables
+query_formulas = _formulas(st.sampled_from([p, q, r, ZERO, ONE, TRUTH]))
+formulas = _formulas(st.sampled_from([p, q, Var("p"), Var("x"), ZERO, ONE, TRUTH]))
+
+
+def _rebuild(f):
+    """An equal formula made of fresh nodes, none of them printed yet."""
+    if isinstance(f, (Atom, Var, Const)):
+        return f
+    if isinstance(f, Neg):
+        return Neg(_rebuild(f.body))
+    return type(f)(_rebuild(f.left), _rebuild(f.right))
+
+
+def _ref_size(f):
+    return sum(1 for _ in _walk_nodes(f))
+
+
+def _ref_numeral_value(f):
+    # the canonical expansions, read off the tree without any cache
+    if f == ZERO:
+        return 0
+    negative = isinstance(f, Neg)
+    if negative:
+        f = f.body
+    count = 0
+    while isinstance(f, Fusion) and f.right == ONE:
+        count += 1
+        f = f.left
+    if f != ONE:
+        return None
+    return -(count + 1) if negative else count + 1
+
+
+class _Hashed:
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+def _ref_hash(f):
+    """The dataclass hash, the hash of the field tuple, computed from scratch."""
+    if isinstance(f, (Atom, Var, Const)):
+        return hash((f.name,))
+    kids = (f.body,) if isinstance(f, Neg) else (f.left, f.right)
+    return hash(tuple(_Hashed(_ref_hash(k)) for k in kids))
+
+
+_REF_PREC = {Imp: 1, Disj: 2, Conj: 3, Fusion: 4, Neg: 5}
+_REF_OPS = {Imp: "->", Disj: "\\/", Conj: "/\\", Fusion: "o"}
+
+
+def _ref_show(f, prec=0):
+    """The printer without caches: recursive, every call from scratch."""
+    n = _ref_numeral_value(f)
+    if n is not None:
+        return str(n)
+    if isinstance(f, (Atom, Var, Const)):
+        return f.name
+    if isinstance(f, Neg):
+        s = "~" + _ref_show(f.body, 5)
+        return f"({s})" if prec > 5 else s
+    my = _REF_PREC[type(f)]
+    left = _ref_show(f.left, my + 1 if isinstance(f, Imp) else my)
+    s = f"{left} {_REF_OPS[type(f)]} {_ref_show(f.right, my + 1)}"
+    return f"({s})" if prec > my else s
+
+
+@given(formulas)
+def test_cached_values_match_uncached_references(f):
+    f = _rebuild(f)
+    for node in _walk_nodes(f):
+        assert formula_size(node) == _ref_size(node)
+        assert numeral_value(node) == _ref_numeral_value(node)
+        assert hash(node) == _ref_hash(node)
+        assert str(node) == print_formula(node) == _ref_show(node)
+
+
+@given(formulas)
+def test_printing_order_does_not_change_the_text(f):
+    top_first, bottom_up = _rebuild(f), _rebuild(f)
+    top = str(top_first)
+    for node in reversed(list(_walk_nodes(bottom_up))):  # children first
+        str(node)
+    assert str(bottom_up) == top
+    assert ([str(n) for n in _walk_nodes(top_first)]
+            == [str(n) for n in _walk_nodes(bottom_up)])
+
+
+@given(query_formulas)
+def test_print_parse_roundtrip_property(f):
+    assert parse_formula(print_formula(f)) == f
+
+
+def test_large_numerals_build_and_print_without_recursion():
+    n = numeral(5000)
+    assert formula_size(n) == 9999
+    assert numeral_value(n) == 5000
+    assert str(n) == print_formula(n) == "5000"
+    m = numeral(-5000)
+    assert (formula_size(m), numeral_value(m), str(m)) == (10000, -5000, "-5000")
+
+
+def test_deep_formula_prints_without_recursion():
+    f = p
+    for _ in range(5000):
+        f = Neg(f)
+    assert str(f) == "~" * 5000 + "p"
+    assert formula_size(f) == 5001
+
+
+def test_formula_nodes_are_slotted():
+    for f in (p, Var("x"), ONE, Neg(p), Imp(p, q), Fusion(p, q), Conj(p, q), Disj(p, q)):
+        assert not hasattr(f, "__dict__"), type(f)
+    # the benchmark tracer wraps these on each class itself
+    for cls in FORMULA_CLASSES:
+        for attr in ("__init__", "__hash__", "__str__"):
+            assert attr in cls.__dict__, (cls, attr)
+
+
+def test_formula_copy_and_pickle():
+    f = parse_formula("(p -> ~q) o 3 /\\ t")
+    str(f)
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and hash(g) == hash(f) and str(g) == str(f)
+    assert repr(f).startswith("Conj(left=Fusion(left=Imp(left=Atom(name='p')")
+
+
+def _size_then_text(fs):
+    return sorted(fs, key=lambda f: (-formula_size(f), str(f)))
+
+
+@given(st.lists(formulas, max_size=6))
+def test_larger_first_matches_the_size_then_text_order(fs):
+    got = _larger_first(fs)
+    assert [id(f) for f in got] == [id(f) for f in _size_then_text(fs)]
+
+
+def test_larger_first_breaks_size_ties_by_text():
+    # sizes 1, 1, 1, 3, 3, 2 and a printed tie between an atom and a metavariable
+    fs = [Var("p"), q, p, Imp(q, p), Imp(p, q), Neg(r)]
+    for order in (fs, fs[::-1]):
+        got = _larger_first(order)
+        assert [id(f) for f in got] == [id(f) for f in _size_then_text(order)]
+    assert [str(f) for f in _larger_first(fs)] == ["p -> q", "q -> p", "~r", "p", "p", "q"]

@@ -31,6 +31,7 @@ from relcon import (
     verify,
     verify_report,
 )
+from relcon.treeproof import proof_from_data
 from conftest import random_relevant_proof
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -483,3 +484,222 @@ def test_proof_json_shape(bci):
     data = dump_proof(mp_tree())
     assert '"by": "premise"' in data
     assert '"rule": "mp"' in data
+
+
+# -- search witnesses --------------------------------------------------------------
+
+# The first witness of each 5-node BCIo shape, as ``dump_proof`` printed it
+# before formula nodes cached their printed form and size: the subgoal order
+# (largest first, ties by text) and so the witness must not move.
+FIVE_NODE_WITNESSES = [
+    ("[p->q, q->r, p]", "r", """\
+{
+  "formula": "r",
+  "by": {
+    "rule": "mp",
+    "subst": {
+      "p": "q",
+      "q": "r"
+    }
+  },
+  "children": [
+    {
+      "formula": "q -> r",
+      "by": "premise"
+    },
+    {
+      "formula": "q",
+      "by": {
+        "rule": "mp",
+        "subst": {
+          "p": "p",
+          "q": "q"
+        }
+      },
+      "children": [
+        {
+          "formula": "p -> q",
+          "by": "premise"
+        },
+        {
+          "formula": "p",
+          "by": "premise"
+        }
+      ]
+    }
+  ]
+}"""),
+    ("[p->(q->r), p, q]", "r", """\
+{
+  "formula": "r",
+  "by": {
+    "rule": "mp",
+    "subst": {
+      "p": "q",
+      "q": "r"
+    }
+  },
+  "children": [
+    {
+      "formula": "q -> r",
+      "by": {
+        "rule": "mp",
+        "subst": {
+          "p": "p",
+          "q": "q -> r"
+        }
+      },
+      "children": [
+        {
+          "formula": "p -> (q -> r)",
+          "by": "premise"
+        },
+        {
+          "formula": "p",
+          "by": "premise"
+        }
+      ]
+    },
+    {
+      "formula": "q",
+      "by": "premise"
+    }
+  ]
+}"""),
+    ("[p->q, q->r]", "p->r", """\
+{
+  "formula": "p -> r",
+  "by": {
+    "rule": "mp",
+    "subst": {
+      "p": "p -> q",
+      "q": "p -> r"
+    }
+  },
+  "children": [
+    {
+      "formula": "(p -> q) -> (p -> r)",
+      "by": {
+        "rule": "mp",
+        "subst": {
+          "p": "q -> r",
+          "q": "(p -> q) -> (p -> r)"
+        }
+      },
+      "children": [
+        {
+          "formula": "(q -> r) -> ((p -> q) -> (p -> r))",
+          "by": {
+            "axiom": "B",
+            "subst": {
+              "p": "q",
+              "q": "r",
+              "r": "p"
+            }
+          }
+        },
+        {
+          "formula": "q -> r",
+          "by": "premise"
+        }
+      ]
+    },
+    {
+      "formula": "p -> q",
+      "by": "premise"
+    }
+  ]
+}"""),
+    ("[p->(q->r), q]", "p->r", """\
+{
+  "formula": "p -> r",
+  "by": {
+    "rule": "mp",
+    "subst": {
+      "p": "q",
+      "q": "p -> r"
+    }
+  },
+  "children": [
+    {
+      "formula": "q -> (p -> r)",
+      "by": {
+        "rule": "mp",
+        "subst": {
+          "p": "p -> (q -> r)",
+          "q": "q -> (p -> r)"
+        }
+      },
+      "children": [
+        {
+          "formula": "(p -> (q -> r)) -> (q -> (p -> r))",
+          "by": {
+            "axiom": "C",
+            "subst": {
+              "p": "p",
+              "q": "q",
+              "r": "r"
+            }
+          }
+        },
+        {
+          "formula": "p -> (q -> r)",
+          "by": "premise"
+        }
+      ]
+    },
+    {
+      "formula": "q",
+      "by": "premise"
+    }
+  ]
+}"""),
+]
+
+
+@pytest.mark.parametrize("premises, goal, expected", FIVE_NODE_WITNESSES)
+def test_search_witness_text_is_pinned(bcio, premises, goal, expected):
+    tree = search(bcio, ms(premises), parse_formula(goal))
+    assert dump_proof(tree) == expected
+
+
+# -- deep trees ------------------------------------------------------------------
+
+
+def _chain_system():
+    return parse_system("system Chain\nrule id : p |- p\n")
+
+
+def test_deep_tree_walks_do_not_recurse():
+    tree = premise_leaf(p)
+    for _ in range(5000):
+        tree = ProofTree(p, RuleJust("id"), (tree,))
+    assert tree.node_count() == 5001
+    assert [leaf.formula for leaf in tree.leaves()] == [p]
+    assert verify(tree, _chain_system(), FMultiset([p]), p) is RelevanceVerdict.STRONGLY_RELEVANT
+    broken = ProofTree(p, RuleJust("id"), (tree, premise_leaf(q)))
+    report = verify_report(broken, _chain_system(), FMultiset([p]), p)
+    assert report.verdict is RelevanceVerdict.INVALID
+    assert report.problems[0].startswith("node p does not instantiate rule id")
+
+
+def test_leaves_and_node_count_keep_their_order():
+    tree = ProofTree(r, RuleJust("mp"), (
+        ProofTree(q, RuleJust("mp"), (premise_leaf(x), premise_leaf(y))),
+        premise_leaf(z)))
+    assert [leaf.formula for leaf in tree.leaves()] == [x, y, z]
+    assert tree.node_count() == 5
+
+
+def test_deep_proof_data_loads_without_recursion():
+    data = {"formula": "p"}
+    for _ in range(5000):
+        data = {"formula": "p", "by": {"rule": "id"}, "children": [data]}
+    tree = proof_from_data(data)
+    assert tree.node_count() == 5001
+    assert verify(tree, _chain_system(), FMultiset([p]), p) is RelevanceVerdict.STRONGLY_RELEVANT
+
+
+def test_deep_json_is_a_value_error():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_proof("[" * 100_000 + "]" * 100_000)
