@@ -187,19 +187,27 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def cmd_check_derivation(args) -> int:
-    system = load_system(args.system)
-    premises = parse_multiset(args.premises)
-    conclusions = parse_multiset(args.conclusions)
-    with open(args.derivation, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _derivation_inputs(args):
+    """A derivation command's system, premises, conclusions and derivation
+    file (if it takes one), or None once a malformed one is reported: that is
+    an invalid derivation, exit 2, where main's handler would exit 1 (plain)."""
     try:
-        derivation = load_derivation(text)
+        inputs = [load_system(args.system), parse_multiset(args.premises),
+                  parse_multiset(args.conclusions)]
+        if "derivation" in args:
+            with open(args.derivation, "r", encoding="utf-8") as fh:
+                inputs.append(load_derivation(fh.read()))
+        return inputs
     except (ParseError, ValueError) as e:
-        # a malformed file is an invalid derivation: exit 2, not main's 1
         print(f"error: {e}", file=sys.stderr)
         _result("invalid")
+        return None
+
+
+def cmd_check_derivation(args) -> int:
+    if (inputs := _derivation_inputs(args)) is None:
         return 2
+    system, premises, conclusions, derivation = inputs
     verdict = check_derivation(derivation, system, premises, conclusions)
     _result(str(verdict))
     return {DerivationVerdict.RELEVANT: 0, DerivationVerdict.PLAIN: 1,
@@ -207,9 +215,9 @@ def cmd_check_derivation(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    system = load_system(args.system)
-    premises = parse_multiset(args.premises)
-    conclusions = parse_multiset(args.conclusions)
+    if (inputs := _derivation_inputs(args)) is None:
+        return 2
+    system, premises, conclusions = inputs
     result = derive_search(system, premises, conclusions,
                            max_steps=args.max_steps,
                            max_formula_size=args.max_size,

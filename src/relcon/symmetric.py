@@ -107,12 +107,10 @@ def _infer_step(rule: NamedRule, prev: FMultiset, cur: FMultiset,
         return None
     for sigma, consumed in match_into(rule.left, prev):
         rest = prev - consumed
-        if not (rest <= cur):
-            continue
-        needed = cur - rest
-        for sigma2 in match_multiset(right_ms, needed, sigma):
-            produced = FMultiset(substitute(s, sigma2) for s in right_ms)
-            if cur == rest + produced:
+        if rest <= cur:
+            # a match is exact: it produces cur - rest, so rest + produced = cur
+            sigma2 = next(match_multiset(right_ms, cur - rest, sigma), None)
+            if sigma2 is not None:
                 return sigma2
     return None
 

@@ -60,10 +60,11 @@ class MissingBindingError(Exception):
 #
 # Compound nodes cache what search and printing ask of them again and again:
 # the node count and numeral value, filled at construction from the
-# children's (so a numeral thousands deep builds without recursion); the hash,
-# the dataclass value (hash of the field tuple), on first use; and the printed
-# form, on first use (see _fill_str).  Leaves are one node each, no numeral
-# unless a constant says so, and print as their name.
+# children's (so a numeral thousands deep builds without recursion); and the
+# hash, the dataclass value (hash of the field tuple), and the printed form,
+# each on first use (see _fill; a small formula hashes its children
+# recursively).  Leaves are one node each, no numeral unless a constant says
+# so, hash as their dataclass value and print as their name.
 
 _set = object.__setattr__
 
@@ -80,7 +81,9 @@ class _Leaf(_Node):
     __slots__ = ()
     _size = 1
     _num = None
-    _str = property(lambda self: self.name)  # always printed, for _fill_str
+    # filled from the start, so _fill never descends into a leaf
+    _hash = property(hash)
+    _str = property(lambda self: self.name)
 
 
 @dataclass(frozen=True)
@@ -124,16 +127,39 @@ def _children(f: "Formula") -> tuple:
     return (f.body,) if type(f) is Neg else (f.left, f.right)
 
 
+def _fill(f: "Formula", slot: str):
+    """Fill ``slot`` ("_hash" or "_str") on f and on every node under it that
+    lacks it, children first and without recursion (numerals can be deep), so
+    that each node's value is made from its children's."""
+    printing = slot == "_str"
+    stack = [f]
+    while stack:
+        node = stack[-1]
+        if getattr(node, slot) is None:
+            # a numeral prints as its value, without its children
+            todo = () if printing and node._num is not None else [
+                c for c in _children(node) if getattr(c, slot) is None]
+            if todo:
+                stack.extend(todo)
+                continue
+            _set(node, slot, _compose(node, str) if printing else hash(_children(node)))
+        stack.pop()
+    return getattr(f, slot)
+
+
 def _cached_hash(self) -> int:
     h = self._hash
     if h is None:
+        # recursing into unhashed children is cheaper, but only safe when small
+        if self._size > 256:
+            return _fill(self, "_hash")
         h = hash(_children(self))
         _set(self, "_hash", h)
     return h
 
 
 def _cached_str(self) -> str:
-    return self._str or _fill_str(self)
+    return self._str or _fill(self, "_str")
 
 
 def _init_binary(self, left: "Formula", right: "Formula") -> None:
@@ -253,11 +279,8 @@ def _walk_nodes(f: Formula) -> Iterator[Formula]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Neg):
-            stack.append(node.body)
-        elif isinstance(node, (Imp, Fusion, Conj, Disj)):
-            stack.append(node.left)
-            stack.append(node.right)
+        if not isinstance(node, _Leaf):
+            stack.extend(_children(node))
 
 
 def formula_size(f: Formula) -> int:
@@ -314,23 +337,6 @@ def _compose(f: Formula, text) -> str:
     # explicit parentheses for readability; the others are left-associative
     left = _paren(f.left, my + 1 if type(f) is Imp else my, text)
     return f"{left} {_OPS[type(f)]} {_paren(f.right, my + 1, text)}"
-
-
-def _fill_str(f: Formula) -> str:
-    """Print f and every unprinted node under it, children first, without
-    recursion, so a parent printed later reuses its children's strings."""
-    stack = [f]
-    while stack:
-        node = stack[-1]
-        if node._str is None and node._num is None:
-            todo = [c for c in _children(node) if c._str is None]
-            if todo:
-                stack.extend(todo)
-                continue
-        stack.pop()
-        if node._str is None:
-            _set(node, "_str", _compose(node, str))
-    return f._str
 
 
 def print_formula(f: Formula) -> str:
@@ -532,18 +538,30 @@ def parse_multiset(text: str, schema: bool = False) -> FMultiset:
 # -- substitution and matching ------------------------------------------------
 
 
+def _map_vars(schema: Formula, leaf) -> Formula:
+    """The schema with each metavariable v replaced by leaf(v), left to right;
+    a subtree in which leaf replaced nothing comes back as the same object."""
+    t = type(schema)
+    if t is Var:
+        return leaf(schema)
+    if t is Neg:
+        body = _map_vars(schema.body, leaf)
+        return schema if body is schema.body else Neg(body)
+    if t is Atom or t is Const:
+        return schema
+    left = _map_vars(schema.left, leaf)
+    right = _map_vars(schema.right, leaf)
+    return schema if left is schema.left and right is schema.right else t(left, right)
+
+
 def substitute(schema: Formula, subst: Mapping[str, Formula]) -> Formula:
     """Homomorphically replace metavariables; total on covered schemata."""
-    if isinstance(schema, Var):
-        if schema.name not in subst:
-            raise MissingBindingError(f"no binding for metavariable {schema.name}")
-        return subst[schema.name]
-    if isinstance(schema, (Atom, Const)):
-        return schema
-    if isinstance(schema, Neg):
-        return Neg(substitute(schema.body, subst))
-    ctor = type(schema)
-    return ctor(substitute(schema.left, subst), substitute(schema.right, subst))
+    def bound(v: Var) -> Formula:
+        if v.name not in subst:
+            raise MissingBindingError(f"no binding for metavariable {v.name}")
+        return subst[v.name]
+
+    return _map_vars(schema, bound)
 
 
 def match(schema: Formula, formula: Formula,
@@ -571,22 +589,9 @@ def match(schema: Formula, formula: Formula,
 def match_multiset(schemas: FMultiset, formulas: FMultiset,
                    subst: Optional[dict[str, Formula]] = None) -> Iterator[dict[str, Formula]]:
     """All substitutions matching a schema multiset onto a formula multiset exactly."""
-    if schemas.size != formulas.size:
-        return
-    base = dict(subst) if subst else {}
-
-    slist = list(schemas)
-
-    def go(i: int, remaining: FMultiset, sigma: dict) -> Iterator[dict]:
-        if i == len(slist):
-            yield dict(sigma)
-            return
-        for f in remaining.distinct():
-            s2 = match(slist[i], f, sigma)
-            if s2 is not None:
-                yield from go(i + 1, remaining - FMultiset([f]), s2)
-
-    yield from go(0, formulas, base)
+    if schemas.size == formulas.size:
+        for sigma, _ in match_into(schemas, formulas, subst):
+            yield sigma
 
 
 def match_into(schemas: FMultiset, pool: FMultiset,
@@ -600,11 +605,7 @@ def match_into(schemas: FMultiset, pool: FMultiset,
         if i == len(slist):
             yield dict(sigma), FMultiset(used)
             return
-        seen = set()
         for f in remaining.distinct():
-            if f in seen:
-                continue
-            seen.add(f)
             s2 = match(slist[i], f, sigma)
             if s2 is not None:
                 used.append(f)
@@ -616,15 +617,7 @@ def match_into(schemas: FMultiset, pool: FMultiset,
 
 def substitute_partial(schema: Formula, subst: Mapping[str, Formula]) -> Formula:
     """Like substitute, but unbound metavariables are left in place."""
-    if isinstance(schema, Var):
-        return subst.get(schema.name, schema)
-    if isinstance(schema, (Atom, Const)):
-        return schema
-    if isinstance(schema, Neg):
-        return Neg(substitute_partial(schema.body, subst))
-    ctor = type(schema)
-    return ctor(substitute_partial(schema.left, subst),
-                substitute_partial(schema.right, subst))
+    return _map_vars(schema, lambda v: subst.get(v.name, v))
 
 
 def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
@@ -669,14 +662,9 @@ def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
         return None
 
     def resolve(f: Formula) -> Formula:
-        f = walk(f)
-        if isinstance(f, (Var, Atom, Const)):
-            return f
-        if isinstance(f, Neg):
-            return Neg(resolve(f.body))
-        return type(f)(resolve(f.left), resolve(f.right))
+        return _map_vars(f, lambda v: resolve(subst[v.name]) if v.name in subst else v)
 
-    return {name: resolve(Var(name)) for name in subst}
+    return {name: resolve(subst[name]) for name in subst}
 
 
 def alpha_variant(schema_a: Formula, schema_b: Formula) -> bool:
@@ -688,13 +676,7 @@ def alpha_variant(schema_a: Formula, schema_b: Formula) -> bool:
 
 def _freeze(schema: Formula) -> Formula:
     # metavariables become atoms with reserved-ish names, for variant checks
-    if isinstance(schema, Var):
-        return Atom("\x00" + schema.name)
-    if isinstance(schema, (Atom, Const)):
-        return schema
-    if isinstance(schema, Neg):
-        return Neg(_freeze(schema.body))
-    return type(schema)(_freeze(schema.left), _freeze(schema.right))
+    return _map_vars(schema, lambda v: Atom("\x00" + v.name))
 
 
 # -- consecutions and axiomatic systems ---------------------------------------
@@ -741,6 +723,12 @@ class NamedRule:
         return self.consecution.left.is_empty()
 
 
+def _rule_schemata(rule: NamedRule) -> list[Formula]:
+    """A rule's schemata: its premises, then its conclusion or conclusions."""
+    rhs = rule.right
+    return list(rule.left) + (list(rhs) if isinstance(rhs, FMultiset) else [rhs])
+
+
 class AxiomaticSystem:
     """A named set of consecution schemata; axioms have empty left side."""
 
@@ -757,16 +745,9 @@ class AxiomaticSystem:
         self._check_name_discipline()
 
     def _check_name_discipline(self) -> None:
-        var_names: set[str] = set()
-        atom_names: set[str] = set()
-        for r in self.rules:
-            parts = list(r.left)
-            rhs = r.right
-            parts.extend(rhs if isinstance(rhs, FMultiset) else [rhs])
-            for f in parts:
-                var_names |= metavars(f)
-                atom_names |= atoms(f)
-        clash = var_names & atom_names
+        nodes = [n for r in self.rules for f in _rule_schemata(r) for n in _walk_nodes(f)]
+        clash = ({n.name for n in nodes if isinstance(n, Var)}
+                 & {n.name for n in nodes if isinstance(n, Atom)})
         if clash:
             raise ValueError(
                 f"system {self.name}: names used both as metavariable and atom: "
@@ -887,13 +868,9 @@ def print_system(system: AxiomaticSystem) -> str:
     for r in system.rules:
         label = "axiom" if r.is_axiom else "rule "
         rhs = r.right
-        if r.is_axiom:
-            body = (print_multiset(rhs, schema=True)
-                    if isinstance(rhs, FMultiset) else print_schema(rhs))
-        else:
-            rstr = (print_multiset(rhs, schema=True)
-                    if isinstance(rhs, FMultiset) else print_schema(rhs))
-            lefts = ", ".join(print_schema(f) for f in r.left)
-            body = f"{lefts} |- {rstr}"
+        body = (print_multiset(rhs, schema=True)
+                if isinstance(rhs, FMultiset) else print_schema(rhs))
+        if not r.is_axiom:
+            body = ", ".join(print_schema(f) for f in r.left) + " |- " + body
         lines.append(f"{label} {r.name:<{width}} : {body}")
     return "\n".join(lines) + "\n"

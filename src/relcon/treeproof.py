@@ -45,6 +45,10 @@ from .syntax import (
     _TOO_DEEP,
     _freeze,
     _larger_first,
+    _map_vars,
+    _rule_schemata,
+    _walk_nodes,
+    alpha_variant,
     formula_size,
     match,
     match_multiset,
@@ -193,9 +197,7 @@ def _rule_instance(system: AxiomaticSystem, just: RuleJust,
     sigma0 = match(rule.right, conclusion)
     if sigma0 is None:
         return None
-    for sigma in match_multiset(rule.left, child_labels, sigma0):
-        return sigma
-    return None
+    return next(match_multiset(rule.left, child_labels, sigma0), None)
 
 
 def verify_report(tree: ProofTree, system: AxiomaticSystem,
@@ -350,10 +352,8 @@ def rule_has_shape(rule, shape: tuple[FMultiset, Formula]) -> bool:
 
 
 def axiom_has_shape(rule, shape: Formula) -> bool:
-    if not rule.is_axiom or isinstance(rule.right, FMultiset):
-        return False
-    return (_one_way([], rule.right, [], shape)
-            and _one_way([], shape, [], rule.right))
+    return (rule.is_axiom and not isinstance(rule.right, FMultiset)
+            and alpha_variant(rule.right, shape))
 
 
 def _find_rule(system: AxiomaticSystem, shape, axiom: bool, what: str) -> str:
@@ -495,33 +495,22 @@ def _split_mp(node: ProofTree) -> tuple[int, int]:
 
 
 def _system_constructors(system: AxiomaticSystem, seed_formulas) -> list:
-    present = set()
-
-    def scan(f: Formula):
-        if isinstance(f, Neg):
-            present.add(Neg)
-            scan(f.body)
-        elif isinstance(f, (Imp, Fusion, Conj, Disj)):
-            present.add(type(f))
-            scan(f.left)
-            scan(f.right)
-
-    for r in system.rules:
-        for s in list(r.left) + (list(r.right) if isinstance(r.right, FMultiset)
-                                 else [r.right]):
-            scan(s)
-    for f in seed_formulas:
-        scan(f)
+    schemata = list(seed_formulas) + [s for r in system.rules for s in _rule_schemata(r)]
+    present = {type(n) for f in schemata for n in _walk_nodes(f)}
     return [c for c in (Neg, Imp, Fusion, Conj, Disj) if c in present]
 
 
+UNIVERSE_LAYERS = 1  # connective layers search grows over the subformula closure
+UNIVERSE_CAP = 600  # formulas kept in search's instantiation universe
+
+
 def _grow_universe(base: list[Formula], constructors, layers: int,
-                   max_size: int, cap: int = 3000) -> list[Formula]:
+                   max_size: int) -> list[Formula]:
     seen = set(base)
     ordered = list(base)
     frontier = list(base)
     for _ in range(layers):
-        if len(ordered) >= cap or not frontier:
+        if len(ordered) >= UNIVERSE_CAP or not frontier:
             break
         new: list[Formula] = []
         for ctor in constructors:
@@ -541,21 +530,20 @@ def _grow_universe(base: list[Formula], constructors, layers: int,
         new.sort(key=lambda f: (formula_size(f), str(f)))
         ordered.extend(new)
         frontier = new
-    return ordered[:cap]
+    return ordered[:UNIVERSE_CAP]
 
 
 def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
-           max_nodes: int = 16, max_formula_size: int = 12,
-           universe_layers: int = 1, universe_cap: int = 600) -> Optional[ProofTree]:
+           max_nodes: int = 16, max_formula_size: int = 12) -> Optional[ProofTree]:
     """Bounded search for a proof that verifies as relevant for (premises, goal).
 
     Iterative deepening over the tree node count; free rule metavariables are
     instantiated from the subformula closure of the premises and the goal,
     extended by one connective layer per deepening step (saturating at
-    ``universe_layers``) and capped by ``max_formula_size``.  The first witness
-    under the canonical branch order is returned, so the result is
-    deterministic and node-minimal.  ``None`` means no proof within the
-    bounds; it is not a disproof.
+    ``UNIVERSE_LAYERS``), capped by ``max_formula_size`` and cut to its first
+    ``UNIVERSE_CAP`` formulas.  The first witness under the canonical branch
+    order is returned, so the result is deterministic and node-minimal.
+    ``None`` means no proof within the bounds; it is not a disproof.
     """
     if system.symmetric:
         raise ValueError("search expects a single-conclusion system")
@@ -571,8 +559,7 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
     prev_universe: Optional[list[Formula]] = None
     for budget in range(1, max_nodes + 1):
         universe = _grow_universe(base_list, constructors,
-                                  min(budget - 1, universe_layers),
-                                  max_formula_size, universe_cap)
+                                  min(budget - 1, UNIVERSE_LAYERS), max_formula_size)
         if state is None or universe != prev_universe:
             # failure caching is only sound while the universe is unchanged
             state = _SearchState(system, universe)
@@ -585,13 +572,7 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
 
 def _rename_vars(schema: Formula) -> Formula:
     """Push a schema's metavariables into a private namespace before unifying."""
-    if isinstance(schema, Var):
-        return Var("\x02" + schema.name)
-    if isinstance(schema, Neg):
-        return Neg(_rename_vars(schema.body))
-    if isinstance(schema, (Imp, Fusion, Conj, Disj)):
-        return type(schema)(_rename_vars(schema.left), _rename_vars(schema.right))
-    return schema
+    return _map_vars(schema, lambda v: Var("\x02" + v.name))
 
 
 class _SearchState:

@@ -177,6 +177,37 @@ def test_check_derivation_malformed_file_exits_two(capsys, tmp_path, text):
     assert result_line(captured.out) == "invalid"
     assert captured.err.startswith("error: ")
 
+
+_DERIVATION_ARGS = {
+    "check-derivation": ["--system", f"{FIX}/bci.rcs", "--premises", "[a]",
+                         "--conclusions", "[a]", "--derivation", f"{FIX}/bci_sym.drv"],
+    "derive": ["--system", f"{FIX}/bci.rcs", "--premises", "[a]",
+               "--conclusions", "[a]", "--max-steps", "1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DERIVATION_ARGS))
+@pytest.mark.parametrize("flag, value", [
+    ("--premises", "[a ->"),
+    ("--conclusions", "[a ->"),
+    ("--system", "system S\naxiom I : p -> p\naxiom bad : p ->\n"),
+    ("--system", "system S\naxiom I : p -> 'p'\n"),  # p is metavariable and atom
+], ids=["premises", "conclusions", "system-bad-line", "system-name-clash"])
+def test_derivation_command_malformed_argument_exits_two(capsys, tmp_path,
+                                                         command, flag, value):
+    if flag == "--system":
+        path = tmp_path / "bad.rcs"
+        path.write_text(value)
+        value = str(path)
+    argv = list(_DERIVATION_ARGS[command])
+    argv[argv.index(flag) + 1] = value
+    code = main([command] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert result_line(captured.out) == "invalid"
+    assert captured.err.startswith("error: ")
+
+
 def test_derive_found(capsys):
     code, out = run(capsys, "derive", "--system", f"{FIX}/bci.rcs",
                     "--premises", "[a]", "--conclusions", "[a -> a, a]",
@@ -251,6 +282,14 @@ def test_laws_check_command(capsys):
     assert code == 0
     assert "LAW Reflexivity PASS" in out
     assert "LAW Monotonicity FAIL" in out
+
+
+def test_laws_check_on_a_numeral_past_the_recursion_limit(capsys):
+    # hashing numeral(1200) into the oracle's multisets must not recurse
+    code, out = run(capsys, "laws", "check", "--oracle", "z",
+                    "--dom", "numerals=1200..1200,size=1")
+    assert code == 0
+    assert result_line(out) == "ok"
 
 
 def test_laws_classify_command(capsys):

@@ -3,7 +3,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from relcon import (
     Atom,
@@ -32,6 +32,7 @@ from relcon.syntax import (
     TRUTH,
     Const,
     MissingBindingError,
+    _freeze,
     _larger_first,
     _walk_nodes,
     alpha_variant,
@@ -365,6 +366,19 @@ def test_large_numerals_build_and_print_without_recursion():
     assert str(n) == print_formula(n) == "5000"
     m = numeral(-5000)
     assert (formula_size(m), numeral_value(m), str(m)) == (10000, -5000, "-5000")
+    # the first hash fills the children's hashes without recursion too
+    assert hash(n) == hash(numeral(5000)) and hash(m) == hash(numeral(-5000))
+    assert FMultiset([n, m]).size == 2
+
+
+def test_deep_hash_stops_at_hashed_nodes():
+    f, g = numeral(3000), numeral(3000)
+    inner = g
+    for _ in range(1500):
+        inner = inner.left
+    hash(inner)  # g is now half hashed, f not at all
+    assert hash(g) == hash(f)
+    assert hash(Neg(g)) == hash(Neg(f))  # hashed children: one hash, no walk
 
 
 def test_deep_formula_prints_without_recursion():
@@ -409,3 +423,231 @@ def test_larger_first_breaks_size_ties_by_text():
         got = _larger_first(order)
         assert [id(f) for f in got] == [id(f) for f in _size_then_text(order)]
     assert [str(f) for f in _larger_first(fs)] == ["p -> q", "q -> p", "~r", "p", "p", "q"]
+
+
+# -- one metavariable map: differential checks against the recursive originals --
+#
+# Each _ref_* below is the hand-written recursion the shared metavariable map
+# replaced, kept verbatim as the reference.
+
+
+def _ref_substitute(schema, subst):
+    if isinstance(schema, Var):
+        if schema.name not in subst:
+            raise MissingBindingError(f"no binding for metavariable {schema.name}")
+        return subst[schema.name]
+    if isinstance(schema, (Atom, Const)):
+        return schema
+    if isinstance(schema, Neg):
+        return Neg(_ref_substitute(schema.body, subst))
+    ctor = type(schema)
+    return ctor(_ref_substitute(schema.left, subst), _ref_substitute(schema.right, subst))
+
+
+def _ref_substitute_partial(schema, subst):
+    if isinstance(schema, Var):
+        return subst.get(schema.name, schema)
+    if isinstance(schema, (Atom, Const)):
+        return schema
+    if isinstance(schema, Neg):
+        return Neg(_ref_substitute_partial(schema.body, subst))
+    ctor = type(schema)
+    return ctor(_ref_substitute_partial(schema.left, subst),
+                _ref_substitute_partial(schema.right, subst))
+
+
+def _ref_freeze(schema):
+    if isinstance(schema, Var):
+        return Atom("\x00" + schema.name)
+    if isinstance(schema, (Atom, Const)):
+        return schema
+    if isinstance(schema, Neg):
+        return Neg(_ref_freeze(schema.body))
+    return type(schema)(_ref_freeze(schema.left), _ref_freeze(schema.right))
+
+
+def _ref_rename_vars(schema):
+    if isinstance(schema, Var):
+        return Var("\x02" + schema.name)
+    if isinstance(schema, Neg):
+        return Neg(_ref_rename_vars(schema.body))
+    if isinstance(schema, (Imp, Fusion, Conj, Disj)):
+        return type(schema)(_ref_rename_vars(schema.left), _ref_rename_vars(schema.right))
+    return schema
+
+
+def _ref_unify(a, b):
+    subst = {}
+
+    def walk(f):
+        while isinstance(f, Var) and f.name in subst:
+            f = subst[f.name]
+        return f
+
+    def occurs(name, f):
+        f = walk(f)
+        if isinstance(f, Var):
+            return f.name == name
+        if isinstance(f, Neg):
+            return occurs(name, f.body)
+        if isinstance(f, (Imp, Fusion, Conj, Disj)):
+            return occurs(name, f.left) or occurs(name, f.right)
+        return False
+
+    def go(x, y):
+        x, y = walk(x), walk(y)
+        if isinstance(x, Var):
+            if isinstance(y, Var) and y.name == x.name:
+                return True
+            if occurs(x.name, y):
+                return False
+            subst[x.name] = y
+            return True
+        if isinstance(y, Var):
+            return go(y, x)
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (Atom, Const)):
+            return x == y
+        if isinstance(x, Neg):
+            return go(x.body, y.body)
+        return go(x.left, y.left) and go(x.right, y.right)
+
+    if not go(a, b):
+        return None
+
+    def resolve(f):
+        f = walk(f)
+        if isinstance(f, (Var, Atom, Const)):
+            return f
+        if isinstance(f, Neg):
+            return Neg(resolve(f.body))
+        return type(f)(resolve(f.left), resolve(f.right))
+
+    return {name: resolve(Var(name)) for name in subst}
+
+
+def _ref_match_multiset(schemas, formulas, subst=None):
+    if schemas.size != formulas.size:
+        return
+    base = dict(subst) if subst else {}
+    slist = list(schemas)
+
+    def go(i, remaining, sigma):
+        if i == len(slist):
+            yield dict(sigma)
+            return
+        for f in remaining.distinct():
+            s2 = match(slist[i], f, sigma)
+            if s2 is not None:
+                yield from go(i + 1, remaining - FMultiset([f]), s2)
+
+    yield from go(0, formulas, base)
+
+
+def _ref_one_way(left_a, right_a, left_b, right_b):
+    frozen_left = FMultiset(_ref_freeze(f) for f in left_b)
+    frozen_right = _ref_freeze(right_b)
+    sigma0 = match(right_a, frozen_right)
+    if sigma0 is None:
+        return False
+    return next(_ref_match_multiset(FMultiset(left_a), frozen_left, sigma0), None) is not None
+
+
+def _ref_axiom_has_shape(rule, shape):
+    if not rule.is_axiom or isinstance(rule.right, FMultiset):
+        return False
+    return _ref_one_way([], rule.right, [], shape) and _ref_one_way([], shape, [], rule.right)
+
+
+_NAMES = ["x", "y", "z"]
+_VARS = [Var(v) for v in _NAMES]
+schemata = _formulas(st.sampled_from([p, q] + _VARS + [ZERO, ONE, TRUTH]))
+substitutions = st.dictionaries(st.sampled_from(_NAMES), schemata, max_size=3)
+# small schemata, mostly metavariables: unifiers chain through several
+# bindings, and a multiset pattern matches a pool in several ways
+general = st.recursive(
+    st.sampled_from(_VARS + [p]),
+    lambda c: st.one_of(st.builds(Neg, c), st.builds(Imp, c, c), st.builds(Fusion, c, c)),
+    max_leaves=4)
+general_substitutions = st.dictionaries(st.sampled_from(_NAMES), general, max_size=3)
+
+
+def _outcome(fn, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return fn(*args)
+    except MissingBindingError as e:
+        return (MissingBindingError, str(e))
+
+
+@given(schemata, substitutions)
+@example(Imp(Var("x"), Var("y")), {})  # the leftmost missing binding is named
+def test_substitute_agrees_with_the_recursive_reference(schema, subst):
+    assert _outcome(substitute, schema, subst) == _outcome(_ref_substitute, schema, subst)
+    assert substitute_partial(schema, subst) == _ref_substitute_partial(schema, subst)
+
+
+@given(schemata)
+def test_schema_renamings_agree_with_the_recursive_reference(schema):
+    from relcon.treeproof import _rename_vars
+
+    assert _freeze(schema) == _ref_freeze(schema)
+    assert _rename_vars(schema) == _ref_rename_vars(schema)
+    # nothing to replace: the very same object comes back, subtrees and all
+    assert substitute_partial(schema, {}) is schema
+
+
+def _assert_same_unifier(a, b):
+    got, want = unify(a, b), _ref_unify(a, b)
+    assert got == want
+    if want is not None:
+        assert list(got.items()) == list(want.items())
+
+
+@given(schemata, schemata, general, general_substitutions, general_substitutions)
+@example(Imp(Var("y"), Var("x")), Imp(Var("x"), p), p, {}, {})  # y -> x -> p
+def test_unify_agrees_with_the_recursive_reference(a, b, shape, s1, s2):
+    _assert_same_unifier(a, b)
+    # two instances of one schema: often unifiable, through chained bindings
+    _assert_same_unifier(_ref_substitute_partial(shape, s1),
+                         _ref_substitute_partial(shape, s2))
+
+
+@given(st.lists(general, max_size=3), st.lists(general, max_size=2),
+       general_substitutions, general_substitutions)
+@example([Var("x"), Var("y")], [], {"x": p, "y": Imp(p, p)}, {})  # two matches
+def test_match_multiset_enumerates_as_the_reference(schemas, extra, sigma, start):
+    # instances of the schemata (where sigma covers them) plus stray formulas
+    instances = [_ref_substitute_partial(s, sigma) for s in schemas] + extra
+    pattern = FMultiset(schemas)
+    for pool in (FMultiset(instances[:len(schemas)]), FMultiset(instances[-len(schemas):])):
+        for subst in (None, start):
+            assert (list(match_multiset(pattern, pool, subst))
+                    == list(_ref_match_multiset(pattern, pool, subst)))
+
+
+def test_axiom_has_shape_agrees_with_the_two_way_reference(
+        bci, bcio, t_fusion, toy_xy, bci_weak):
+    from relcon.treeproof import B_SHAPE, C_SHAPE, I_SHAPE, axiom_has_shape
+
+    found = 0
+    for system in (bci, bcio, t_fusion, toy_xy, bci_weak):
+        for system_view in (system, system.lifted()):
+            for rule in system_view.rules:
+                for shape in (I_SHAPE, B_SHAPE, C_SHAPE):
+                    want = _ref_axiom_has_shape(rule, shape)
+                    assert axiom_has_shape(rule, shape) == want, (system.name, rule.name)
+                    found += want
+    assert found >= 3  # BCI's own I, B and C axioms are recognised
+
+
+@given(general, general)
+def test_axiom_has_shape_agrees_on_random_schemata(schema, other):
+    from relcon import Consecution, NamedRule
+    from relcon.treeproof import I_SHAPE, axiom_has_shape
+
+    rule = NamedRule("a", Consecution(FMultiset(), schema))
+    # a renamed copy is a variant; a more or less general schema is not
+    for shape in (_ref_rename_vars(schema), other, I_SHAPE):
+        assert axiom_has_shape(rule, shape) == _ref_axiom_has_shape(rule, shape)
