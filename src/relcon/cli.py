@@ -24,6 +24,7 @@ from .oracles import Verdict
 from .semantics import (
     AbelianOracle,
     AbelianSymmetricOracle,
+    EvalError,
     IdentityOracle,
     SingleAtomThresholdOracle,
     countermodel_search,
@@ -107,6 +108,13 @@ def make_oracle(spec: str):
     raise UsageError(f"unknown oracle {spec!r}")
 
 
+def _domain_int(key: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"domain key {key!r} needs an integer, not {text!r}") from None
+
+
 def make_domain(spec: str, seed: int) -> SampleDomain:
     """Domain spec: comma-separated key=value pairs.
 
@@ -124,17 +132,18 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
         key, value = key.strip(), value.strip()
         if key == "numerals":
             lo, _, hi = value.partition("..")
-            formulas.extend(numeral(k) for k in range(int(lo), int(hi) + 1))
+            lo, hi = _domain_int(key, lo), _domain_int(key, hi)
+            formulas.extend(numeral(k) for k in range(lo, hi + 1))
         elif key == "atoms":
             formulas.extend(Atom(a) for a in value.split("+") if a)
         elif key == "size":
-            size = int(value)
+            size = _domain_int(key, value)
         elif key == "seed":
-            seed = int(value)
+            seed = _domain_int(key, value)
         elif key == "cap":
-            cap = int(value)
+            cap = _domain_int(key, value)
         elif key == "samples":
-            samples = int(value)
+            samples = _domain_int(key, value)
         else:
             raise UsageError(f"unknown domain key {key!r}")
     if not formulas:
@@ -177,8 +186,7 @@ def cmd_search(args) -> int:
     system = load_system(args.system)
     premises = parse_multiset(args.premises)
     goal = parse_formula(args.goal)
-    tree = search(system, premises, goal,
-                  max_nodes=args.max_nodes, max_formula_size=args.max_size)
+    tree = search(system, premises, goal, max_nodes=args.max_nodes)
     if tree is None:
         _result("unknown")
         return EXIT_UNKNOWN
@@ -372,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--premises", required=True)
     p.add_argument("--goal", required=True)
     p.add_argument("--max-nodes", type=int, default=16)
-    p.add_argument("--max-size", type=int, default=12)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("check-derivation",
@@ -452,7 +459,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (ParseError, EvalError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         _result("invalid")
         return EXIT_FAIL

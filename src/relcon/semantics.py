@@ -283,6 +283,15 @@ class Matrix:
 
 def matrix_eval(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
     """Homomorphic evaluation of ``f`` under an atom valuation."""
+    for name, value in valuation.items():
+        if value not in matrix.values:
+            raise EvalError(f"value {value} of atom {name} is not in matrix {matrix.name}")
+    return _value(matrix, valuation, f)
+
+
+def _value(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
+    # matrix_eval on a valuation into the carrier, as the exhaustive
+    # searches below draw them
     if isinstance(f, Atom):
         if f.name not in valuation:
             raise EvalError(f"no value for atom {f.name}")
@@ -294,9 +303,9 @@ def matrix_eval(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
     if table is None:
         raise EvalError(f"matrix {matrix.name} has no table for {op}")
     if isinstance(f, Neg):
-        return table[(matrix_eval(matrix, valuation, f.body),)]
-    return table[(matrix_eval(matrix, valuation, f.left),
-                  matrix_eval(matrix, valuation, f.right))]
+        return table[(_value(matrix, valuation, f.body),)]
+    return table[(_value(matrix, valuation, f.left),
+                  _value(matrix, valuation, f.right))]
 
 
 def countermodel_search(matrix: Matrix, f: Formula) -> Optional[dict[str, str]]:
@@ -310,7 +319,7 @@ def countermodel_search(matrix: Matrix, f: Formula) -> Optional[dict[str, str]]:
     names = sorted(atoms(f))
     for values in itertools.product(matrix.values, repeat=len(names)):
         v = dict(zip(names, values))
-        if matrix_eval(matrix, v, f) not in matrix.designated:
+        if _value(matrix, v, f) not in matrix.designated:
             return v
     return None
 
@@ -330,9 +339,9 @@ class MatrixOracle(ConsequenceOracle):
             names |= atoms(f)
         for values in itertools.product(self.matrix.values, repeat=len(names)):
             v = dict(zip(sorted(names), values))
-            if all(matrix_eval(self.matrix, v, f) in self.matrix.designated
+            if all(_value(self.matrix, v, f) in self.matrix.designated
                    for f in premises.support):
-                if matrix_eval(self.matrix, v, conclusion) not in self.matrix.designated:
+                if _value(self.matrix, v, conclusion) not in self.matrix.designated:
                     return FAILS
         return HOLDS
 

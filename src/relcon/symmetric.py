@@ -49,7 +49,15 @@ from .syntax import (
     subformulas,
     substitute,
 )
-from .treeproof import AxiomJust, PremiseJust, ProofTree, RuleJust, _json_loads, _subst_from
+from .treeproof import (
+    AxiomJust,
+    PremiseJust,
+    ProofTree,
+    RuleJust,
+    _json_loads,
+    _subst_from,
+    search,
+)
 
 
 class DerivationVerdict(IntEnum):
@@ -380,26 +388,21 @@ class DerivationOracle(SymmetricOracle):
 
 
 class TreeSearchOracle(ConsequenceOracle):
-    """Relevant tree-provability in a single-conclusion system, within bounds.
+    """Relevant tree-provability in a single-conclusion system, within
+    ``max_nodes`` proof-tree nodes, the search's only bound.
 
-    Positive answers are exact (the witness verifies); negatives are UNKNOWN
-    because the node bound is not a disproof.
+    Positive answers are exact (the witness verifies); negatives are UNKNOWN,
+    because finding no proof within the node bound is not a disproof.
     """
 
-    def __init__(self, system: AxiomaticSystem, max_nodes: int = 9,
-                 max_formula_size: int = 12):
-        from .treeproof import search
-
+    def __init__(self, system: AxiomaticSystem, max_nodes: int = 9):
         self.system = system
         self.max_nodes = max_nodes
-        self.max_formula_size = max_formula_size
         self.name = f"search:{system.name}"
-        self._search = search
 
     @memoised
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        tree = self._search(self.system, premises, conclusion,
-                            self.max_nodes, self.max_formula_size)
+        tree = search(self.system, premises, conclusion, self.max_nodes)
         return HOLDS if tree is not None else UNKNOWN
 
 

@@ -288,11 +288,11 @@ def formula_size(f: Formula) -> int:
     return f._size
 
 
-def _larger_first(formulas) -> list[Formula]:
-    """Sorted by (-formula_size(f), str(f)), printing only to break a size tie."""
+def _larger_first(formulas, text=str) -> list[Formula]:
+    """Sorted by (-formula_size(f), text(f)), printing only to break a size tie."""
     out = sorted(formulas, key=formula_size, reverse=True)
     if any(a._size == b._size for a, b in zip(out, out[1:])):
-        out.sort(key=lambda f: (-f._size, str(f)))
+        out.sort(key=lambda f: (-f._size, text(f)))
     return out
 
 

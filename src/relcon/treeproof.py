@@ -25,7 +25,6 @@ Writing ``leaves`` for the leaf-label multiset, the tree is additionally
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -34,20 +33,16 @@ from typing import Iterator, Mapping, Optional
 from .multiset import EMPTY, FMultiset
 from .syntax import (
     AxiomaticSystem,
-    Conj,
-    Disj,
     Formula,
-    Fusion,
     Imp,
     MissingBindingError,
-    Neg,
+    NamedRule,
     Var,
     _TOO_DEEP,
     _freeze,
     _larger_first,
     _map_vars,
     _rule_schemata,
-    _walk_nodes,
     alpha_variant,
     formula_size,
     match,
@@ -58,7 +53,6 @@ from .syntax import (
     print_multiset,
     subformulas,
     substitute,
-    substitute_partial,
     unify,
 )
 
@@ -251,7 +245,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
             stack.extend(reversed(node.children))
 
     # condition 4: non-axiom formulas label at most premises(f) leaves
-    for f in leaves.support:
+    for f in leaves.distinct():
         if not system.is_axiom_instance(f) and leaves.count(f) > premises.count(f):
             problems.append(
                 f"{print_formula(f)} labels {leaves.count(f)} leaves but occurs "
@@ -494,189 +488,148 @@ def _split_mp(node: ProofTree) -> tuple[int, int]:
 # -- bounded backward search -----------------------------------------------------
 
 
-def _system_constructors(system: AxiomaticSystem, seed_formulas) -> list:
-    schemata = list(seed_formulas) + [s for r in system.rules for s in _rule_schemata(r)]
-    present = {type(n) for f in schemata for n in _walk_nodes(f)}
-    return [c for c in (Neg, Imp, Fusion, Conj, Disj) if c in present]
-
-
-UNIVERSE_LAYERS = 1  # connective layers search grows over the subformula closure
-UNIVERSE_CAP = 600  # formulas kept in search's instantiation universe
-
-
-def _grow_universe(base: list[Formula], constructors, layers: int,
-                   max_size: int) -> list[Formula]:
-    seen = set(base)
-    ordered = list(base)
-    frontier = list(base)
-    for _ in range(layers):
-        if len(ordered) >= UNIVERSE_CAP or not frontier:
-            break
-        new: list[Formula] = []
-        for ctor in constructors:
-            if ctor is Neg:
-                for f in frontier:
-                    g = Neg(f)
-                    if formula_size(g) <= max_size and g not in seen:
-                        seen.add(g)
-                        new.append(g)
-            else:
-                for f in ordered:
-                    for g in ordered:
-                        h = ctor(f, g)
-                        if formula_size(h) <= max_size and h not in seen:
-                            seen.add(h)
-                            new.append(h)
-        new.sort(key=lambda f: (formula_size(f), str(f)))
-        ordered.extend(new)
-        frontier = new
-    return ordered[:UNIVERSE_CAP]
-
-
 def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
-           max_nodes: int = 16, max_formula_size: int = 12) -> Optional[ProofTree]:
+           max_nodes: int = 16) -> Optional[ProofTree]:
     """Bounded search for a proof that verifies as relevant for (premises, goal).
 
-    Iterative deepening over the tree node count; free rule metavariables are
-    instantiated from the subformula closure of the premises and the goal,
-    extended by one connective layer per deepening step (saturating at
-    ``UNIVERSE_LAYERS``), capped by ``max_formula_size`` and cut to its first
-    ``UNIVERSE_CAP`` formulas.  The first witness under the canonical branch
-    order is returned, so the result is deterministic and node-minimal.
-    ``None`` means no proof within the bounds; it is not a disproof.
+    Iterative deepening over the tree node count, which is the only bound.
+    A rule metavariable the goal leaves open, such as the minor premise of
+    modus ponens, is a logic variable renamed apart for each rule use and
+    bound by unification when its subgoal closes against a premise, an axiom
+    or another rule's conclusion.  A variable still open when a proof closes
+    is grounded with the least subformula of the premises and goal (by size,
+    then text).  The first witness under the canonical branch order is
+    returned, so the result is deterministic and node-minimal.  ``None``
+    means no proof within ``max_nodes``; it is not a disproof.
     """
     if system.symmetric:
         raise ValueError("search expects a single-conclusion system")
-    base = set()
-    for f in list(premises) + [goal]:
-        base |= subformulas(f)
-    base_list = sorted(base, key=lambda f: (formula_size(f), str(f)))
-    constructors = _system_constructors(system, base_list)
-
     if premises.size > max_nodes:
         return None  # every premise occurrence needs its own leaf
-    state: Optional[_SearchState] = None
-    prev_universe: Optional[list[Formula]] = None
+    closure = subformulas(goal).union(*map(subformulas, premises.support))
+    state = _SearchState(system, min(closure, key=lambda f: (formula_size(f), str(f))))
     for budget in range(1, max_nodes + 1):
-        universe = _grow_universe(base_list, constructors,
-                                  min(budget - 1, UNIVERSE_LAYERS), max_formula_size)
-        if state is None or universe != prev_universe:
-            # failure caching is only sound while the universe is unchanged
-            state = _SearchState(system, universe)
-            prev_universe = universe
-        for tree, used in state.prove(goal, premises, budget):
+        for tree, used, theta in state.prove(goal, premises, budget, {}):
             if used == premises and tree.node_count() == budget:
-                return tree
+                return state.ground(tree, theta)
     return None
 
 
-def _rename_vars(schema: Formula) -> Formula:
-    """Push a schema's metavariables into a private namespace before unifying."""
-    return _map_vars(schema, lambda v: Var("\x02" + v.name))
+def _rename_vars(schema: Formula, tag: str = "") -> Formula:
+    """Push a schema's metavariables into a private namespace before unifying;
+    a distinct ``tag`` per rule use renames the uses apart."""
+    return _map_vars(schema, lambda v: Var("\x02" + v.name + tag))
+
+
+_HOLE = Var("?")
+
+
+def _masked(f: Formula) -> str:
+    # the printed form with every variable shown alike, so that a size tie
+    # between subgoals never turns on a fresh variable's name
+    return str(_map_vars(f, lambda v: _HOLE))
+
+
+def _vars_of(rule: NamedRule) -> list[Var]:
+    """The distinct metavariables of a rule, by name."""
+    return [Var(name) for name in sorted(set().union(*map(metavars, _rule_schemata(rule))))]
+
+
+def _resolve(f: Formula, theta: dict) -> Formula:
+    """The formula under the bindings ``theta``, followed to the end."""
+    if not theta:
+        return f
+    return _map_vars(f, lambda v: _resolve(theta[v.name], theta) if v.name in theta else v)
 
 
 class _SearchState:
-    def __init__(self, system: AxiomaticSystem, universe: list[Formula]):
-        self.system = system
-        self.universe = universe
-        self.fruitless: dict[tuple, int] = {}
-        self._axiom_rights = [
-            (ax, _rename_vars(ax.right)) for ax in system.axioms
-            if not isinstance(ax.right, FMultiset)]
-        # each single-conclusion rule with the metavariables of its premises
-        self._rules = [
-            (rule, {v for s in rule.left for v in metavars(s)})
-            for rule in system.inference_rules
-            if not isinstance(rule.right, FMultiset)]
+    """Proof search over one system; ``fruitless`` remembers, per ground
+    (goal, available premises), the largest budget that found nothing."""
 
-    def prove(self, goal: Formula, avail: FMultiset,
-              budget: int) -> Iterator[tuple[ProofTree, FMultiset]]:
+    def __init__(self, system: AxiomaticSystem, filler: Formula):
+        self.filler = filler
+        self.fruitless: dict[tuple, int] = {}
+        self._uses = 0
+        self._axioms = [(ax, _vars_of(ax)) for ax in system.axioms
+                        if not isinstance(ax.right, FMultiset)]
+        self._rules = [(rule, _vars_of(rule)) for rule in system.inference_rules
+                       if not isinstance(rule.right, FMultiset)]
+
+    def _fresh(self, variables: list[Var]) -> dict[str, Formula]:
+        """Each variable renamed apart from every earlier rule or axiom use."""
+        self._uses += 1
+        tag = "#" + str(self._uses)
+        return {v.name: _rename_vars(v, tag) for v in variables}
+
+    def ground(self, tree: ProofTree, theta: dict) -> ProofTree:
+        """The tree under ``theta``, with every variable left open filled."""
+        def fix(f: Formula) -> Formula:
+            return _map_vars(_resolve(f, theta), lambda v: self.filler)
+
+        by = tree.by
+        if not isinstance(by, PremiseJust):
+            by = type(by)(by.name, {v: fix(f) for v, f in by.subst.items()})
+        return ProofTree(fix(tree.formula), by,
+                         tuple(self.ground(c, theta) for c in tree.children))
+
+    def prove(self, goal: Formula, avail: FMultiset, budget: int,
+              theta: dict) -> Iterator[tuple[ProofTree, FMultiset, dict]]:
+        """Proofs of ``goal`` under ``theta`` from part of ``avail`` within
+        ``budget`` nodes, each with the premises it uses and the bindings."""
         if budget < 1:
+            return
+        goal = _resolve(goal, theta)
+        if metavars(goal):
+            # the failure table speaks only for ground goals
+            yield from self._prove_raw(goal, avail, budget, theta)
             return
         key = (goal, avail)
         if self.fruitless.get(key, 0) >= budget:
             return
         yielded = False
-        for result in self._prove_raw(goal, avail, budget):
+        for result in self._prove_raw(goal, avail, budget, theta):
             yielded = True
             yield result
         if not yielded:
             self.fruitless[key] = max(self.fruitless.get(key, 0), budget)
 
-    def _prove_raw(self, goal, avail, budget):
-        if goal in avail:
-            yield premise_leaf(goal), FMultiset([goal])
-        for ax in self.system.axioms:
-            if isinstance(ax.right, FMultiset):
-                continue
-            sigma = match(ax.right, goal)
-            if sigma is not None:
-                yield axiom_leaf(goal, ax.name, sigma), EMPTY
+    def _prove_raw(self, goal, avail, budget, theta):
+        """Close the goal against a premise, an axiom or a rule's conclusion,
+        in that order, binding variables by unification."""
+        for f in avail.distinct():
+            mgu = unify(goal, f)
+            if mgu is not None:
+                yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
+        for ax, variables in self._axioms:
+            sigma = self._fresh(variables)
+            mgu = unify(goal, substitute(ax.right, sigma))
+            if mgu is not None:
+                yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
         if budget < 2:
             return
-        for rule, left_vars in self._rules:
-            sigma0 = match(rule.right, goal)
-            if sigma0 is None:
+        for rule, variables in self._rules:
+            sigma = self._fresh(variables)
+            mgu = unify(goal, substitute(rule.right, sigma))
+            if mgu is None:
                 continue
-            free = sorted(left_vars - set(sigma0))
-            for sigma in self._instantiations(rule, sigma0, free, avail):
-                # most-constrained (largest) subgoal first fails fastest
-                subgoals = _larger_first(substitute(s, sigma) for s in rule.left)
-                for children, used in self._prove_seq(subgoals, avail, budget - 1):
-                    yield (ProofTree(goal, RuleJust(rule.name, sigma), children), used)
+            bound = {**theta, **mgu}
+            # most-constrained (largest) subgoal first fails fastest
+            subgoals = _larger_first(
+                [_resolve(substitute(s, sigma), bound) for s in rule.left], text=_masked)
+            for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1, bound):
+                yield ProofTree(goal, RuleJust(rule.name, sigma), children), used, theta2
 
-    def _instantiations(self, rule, sigma0: dict, free: list[str],
-                        avail: FMultiset) -> Iterator[dict]:
-        """Ground assignments for the rule metavariables the goal leaves open.
-
-        Candidate values are harvested, per variable, from matching the open
-        subgoal schemata against the available premises and unifying them
-        against axiom heads; the instantiation universe is the fallback tier.
-        """
-        if not free:
-            yield dict(sigma0)
-            return
-        candidates: dict[str, list[Formula]] = {v: [] for v in free}
-        seen: dict[str, set] = {v: set() for v in free}
-
-        def harvest(bindings: Optional[dict]) -> None:
-            if not bindings:
-                return
-            for v in free:
-                value = bindings.get(v)
-                if value is not None and not metavars(value) and value not in seen[v]:
-                    seen[v].add(value)
-                    candidates[v].append(value)
-
-        open_schemas = [substitute_partial(s, sigma0) for s in rule.left]
-        for schema in open_schemas:
-            if not metavars(schema):
-                continue
-            for f in avail.distinct():
-                harvest(match(schema, f))
-            for _, renamed in self._axiom_rights:
-                harvest(unify(schema, renamed))
-        for v in free:
-            for f in self.universe:
-                if f not in seen[v]:
-                    seen[v].add(f)
-                    candidates[v].append(f)
-        for values in itertools.product(*(candidates[v] for v in free)):
-            sigma = dict(sigma0)
-            sigma.update(zip(free, values))
-            yield sigma
-
-    def _prove_seq(self, subgoals: list[Formula], avail: FMultiset,
-                   budget: int) -> Iterator[tuple[tuple[ProofTree, ...], FMultiset]]:
+    def _prove_seq(self, subgoals: list[Formula], avail: FMultiset, budget: int,
+                   theta: dict) -> Iterator[tuple[tuple[ProofTree, ...], FMultiset, dict]]:
         if not subgoals:
-            yield (), EMPTY
+            yield (), EMPTY, theta
             return
         head, rest = subgoals[0], subgoals[1:]
         # reserve at least one node per remaining subgoal
-        for t1, u1 in self.prove(head, avail, budget - len(rest)):
+        for t1, u1, th1 in self.prove(head, avail, budget - len(rest), theta):
             n1 = t1.node_count()
-            for ts, u2 in self._prove_seq(rest, avail - u1, budget - n1):
-                yield (t1,) + ts, u1 + u2
+            for ts, u2, th2 in self._prove_seq(rest, avail - u1, budget - n1, th1):
+                yield (t1,) + ts, u1 + u2, th2
 
 
 # -- proof files -----------------------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,31 @@ def test_search_unknown(capsys):
     assert result_line(out) == "unknown"
 
 
+def test_search_has_no_formula_size_bound(capsys):
+    assert main(["search", "--system", f"{FIX}/bci.rcs", "--premises", "[p->q, p]",
+                 "--goal", "q", "--max-size", "12"]) == 2
+    capsys.readouterr()
+
+
+def test_check_proof_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # two non-axiom leaves, neither a premise: condition 4 reports both
+    proof = tmp_path / "b.proof"
+    proof.write_text(json.dumps({"formula": "b", "by": {"rule": "mp"}, "children": [
+        {"formula": "a -> b"}, {"formula": "a"}]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "relcon.cli", "check-proof", "--system", f"{FIX}/bci.rcs",
+             "--premises", "[]", "--goal", "b", "--proof", str(proof)],
+            capture_output=True, text=True, env=env, check=False)
+        assert done.returncode == 1 and result_line(done.stdout) == "invalid"
+        outs.append(done.stdout)
+    assert outs[0].count("labels 1 leaves") == 2
+    assert outs[0] == outs[1]
+
+
 def test_check_derivation(capsys):
     code, out = run(capsys, "check-derivation", "--system", f"{FIX}/bci.rcs",
                     "--premises", "[a->b, a->c, a, a, a]",
@@ -264,6 +293,21 @@ def test_matrix_refute_valid(capsys):
     assert result_line(out) == "valid"
 
 
+@pytest.mark.parametrize("argv", [
+    ["matrix-refute", "--formula", "~a"],  # T4 has no ~ table
+    ["matrix-eval", "--formula", "a -> b", "--valuation", "a=1"],  # b has no value
+    ["matrix-eval", "--formula", "a -> a", "--valuation", "a=zz"],  # zz is no T4 value
+    ["matrix-eval", "--formula", "a", "--valuation", "a=zz"],
+])
+def test_matrix_evaluation_errors_are_invalid_input(capsys, argv):
+    code = main(argv[:1] + ["--matrix", f"{FIX}/t4.mat"] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert result_line(captured.out) == "invalid"
+    assert captured.err.startswith("error: ")
+    assert "value zz" not in captured.out
+
+
 def test_abelian_command(capsys):
     code, out = run(capsys, "abelian", "--kind", "z",
                     "--premises", "[1,1]", "--goal", "1")
@@ -304,6 +348,16 @@ def test_laws_unknown_names(capsys):
                  "--dom", "numerals=-1..1,size=1",
                  "--laws", "Nonsense"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("dom", ["numerals=a..2", "numerals=0..1,size=x",
+                                 "numerals=0..1,cap="])
+def test_laws_domain_value_not_an_integer_is_a_usage_error(capsys, dom):
+    code = main(["laws", "check", "--oracle", "z", "--dom", dom])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert "needs an integer" in captured.err
 
 
 def test_theory_commands(capsys):

@@ -236,6 +236,8 @@ def test_matrix_eval_errors(fixtures_dir):
         matrix_eval(m, {}, a)
     with pytest.raises(EvalError):
         matrix_eval(m, {"a": "1"}, Neg(a))  # no table for negation
+    with pytest.raises(EvalError):
+        matrix_eval(m, {"a": "zz"}, a)  # zz is not a value of T4
 
 
 def test_matrix_eval_homomorphic(fixtures_dir):

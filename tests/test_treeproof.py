@@ -31,6 +31,7 @@ from relcon import (
     verify,
     verify_report,
 )
+from relcon.syntax import metavars
 from relcon.treeproof import proof_from_data
 from conftest import random_relevant_proof
 
@@ -308,13 +309,53 @@ def test_search_none_within_bounds(bci):
     assert search(bci, ms("[p]"), q, max_nodes=6) is None
 
 
+def assert_ground(tree):
+    """No metavariable is left in any formula or substitution of the tree."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        subst = getattr(node.by, "subst", None) or {}
+        assert not any(metavars(f) for f in [node.formula, *subst.values()]), node
+        stack.extend(node.children)
+
+
 def test_search_returns_relevant_witnesses(bci):
     rng = random.Random(9)
     for _ in range(20):
         tree, premises = random_relevant_proof(rng, bci, max_nodes=7)
-        found = search(bci, premises, tree.formula, max_nodes=7)
-        if found is not None:
-            assert verify(found, bci, premises, tree.formula) >= RelevanceVerdict.RELEVANT
+        found = search(bci, premises, tree.formula, max_nodes=tree.node_count())
+        assert found is not None and found.node_count() <= tree.node_count()
+        assert verify(found, bci, premises, tree.formula) >= RelevanceVerdict.RELEVANT
+        assert_ground(found)
+
+
+def test_search_three_link_chain(bci):
+    premises, goal = ms("[p->q, q->r, r->s]"), parse_formula("p -> s")
+    tree = search(bci, premises, goal, max_nodes=11)
+    assert tree is not None and tree.node_count() == 9
+    assert verify(tree, bci, premises, goal) >= RelevanceVerdict.RELEVANT
+    assert_ground(tree)
+
+
+def test_search_closes_subgoals_against_premises_in_canonical_order(bci):
+    # two 5-node witnesses: the one found first closes the major premise of
+    # the root against the first premise in canonical order
+    premises = ms("[(((r -> p) -> p) -> ((r -> p) -> p)) -> p, p -> p]")
+    tree = search(bci, premises, p)
+    assert [(str(leaf.formula), str(leaf.by)) for leaf in tree.leaves()] == [
+        ("(((r -> p) -> p) -> ((r -> p) -> p)) -> p", "premise"),
+        ("(p -> p) -> (((r -> p) -> p) -> ((r -> p) -> p))", "axiom B"),
+        ("p -> p", "premise")]
+
+
+def test_search_grounds_an_open_variable_with_the_least_subformula():
+    # r's premise is open, and the identity axiom closes it for any value
+    detour = parse_system("system Detour\naxiom I : p -> p\nrule r : p |- 'b'\n")
+    goal = Atom("b")
+    tree = search(detour, ms("[]"), goal, max_nodes=4)
+    assert tree == ProofTree(goal, RuleJust("r", {"p": Imp(goal, goal)}),
+                             (axiom_leaf(Imp(goal, goal), "I", {"p": goal}),))
+    assert verify(tree, detour, ms("[]"), goal) >= RelevanceVerdict.RELEVANT
 
 
 def _enumerate_conclusions(system, premises, max_nodes, instance_values):
