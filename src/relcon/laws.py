@@ -26,7 +26,8 @@ Symmetric laws (oracle between multisets):
 Each law is checked instance-by-instance over a finite sample domain,
 exhaustively when the instance count fits the cap and by seeded sampling
 above it.  A counterexample is a fully concrete violating instance; UNKNOWN
-oracle answers make a check inconclusive rather than failed.
+oracle answers make a check inconclusive rather than failed, and so does a
+check on no instances at all.
 """
 
 from __future__ import annotations
@@ -284,9 +285,9 @@ def _instances(law: LawSpec, oracle, dom: SampleDomain
             pools.append(multisets)
         elif c == "F":
             pools.append(formulas)
-        else:  # "T"
+        else:  # "T"; an empty basis still has the empty multiset of theorems
             basis = tuple(getattr(oracle, "theorem_basis", None) or ())
-            pools.append(SampleDomain(basis, dom.max_size).multisets() if basis else [])
+            pools.append(SampleDomain(basis, dom.max_size).multisets())
     count = 1
     for pool in pools:
         count *= len(pool)
@@ -306,7 +307,7 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
             and getattr(oracle, "theorem_basis", None) is None):
         return LawResult(law.name, "inconclusive", None, False, 0)
     stream, count, draw = _instances(law, oracle, dom)
-    exhaustive = count <= dom.exhaustive_cap
+    exhaustive = count <= dom.exhaustive_cap or not count  # nothing to sample
     if not exhaustive:
         rng = random.Random(dom.seed)
         stream = (draw(rng) for _ in range(dom.sample_count))
@@ -320,7 +321,7 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
             return LawResult(law.name, "counterexample", witness, exhaustive, checked)
         if v is UNKNOWN:
             sawunknown = True
-    if sawunknown:
+    if sawunknown or not checked:
         return LawResult(law.name, "inconclusive", None, exhaustive, checked)
     return LawResult(law.name, "passed", None, exhaustive, checked)
 
@@ -359,6 +360,17 @@ class MonotonicCompanion(ConsequenceOracle):
 # -- classification -----------------------------------------------------------------
 
 
+# the laws each property of a relation rests on: (asymmetric, symmetric)
+_PROPERTY_LAWS = {
+    "consequence": (("Reflexivity", "Cut"),
+                    ("Reflexivity", "Transitivity", "Compatibility")),
+    "monotone": (("Monotonicity",), ("Monotonicity",)),
+    "contractive": (("Contraction",), ("Contraction", "rContraction")),
+}
+_STATUS_VERDICT = {"passed": HOLDS, "counterexample": FAILS, "inconclusive": UNKNOWN}
+_ANSWER = {HOLDS: "yes", FAILS: "no", UNKNOWN: "unknown"}
+
+
 @dataclass
 class ClassifyReport:
     oracle_name: str
@@ -366,38 +378,36 @@ class ClassifyReport:
     results: dict[str, LawResult]
     consistency_errors: list[str] = field(default_factory=list)
 
-    def _ok(self, name: str) -> bool:
-        r = self.results.get(name)
-        return bool(r and r.passed)
+    def _verdict(self, prop: str) -> Verdict:
+        """Whether the relation has a property ("consequence", "monotone",
+        "contractive" or "tarskian", all three): HOLDS when every law it rests
+        on passed, FAILS when one has a counterexample, UNKNOWN otherwise."""
+        props = _PROPERTY_LAWS if prop == "tarskian" else (prop,)
+        names = [n for p in props for n in _PROPERTY_LAWS[p][self.symmetric]]
+        return all3(_STATUS_VERDICT[self.results[n].status] if n in self.results
+                    else UNKNOWN for n in names)
 
     @property
     def is_consequence_relation(self) -> bool:
-        if self.symmetric:
-            return (self._ok("Reflexivity") and self._ok("Transitivity")
-                    and self._ok("Compatibility"))
-        return self._ok("Reflexivity") and self._ok("Cut")
+        return self._verdict("consequence") is HOLDS
 
     @property
     def is_monotone(self) -> bool:
-        return self._ok("Monotonicity")
+        return self._verdict("monotone") is HOLDS
 
     @property
     def is_contractive(self) -> bool:
-        if self.symmetric:
-            return self._ok("Contraction") and self._ok("rContraction")
-        return self._ok("Contraction")
+        return self._verdict("contractive") is HOLDS
 
     @property
     def is_tarskian(self) -> bool:
-        return self.is_consequence_relation and self.is_monotone and self.is_contractive
+        return self._verdict("tarskian") is HOLDS
 
     def summary(self) -> str:
         kind = "SCR" if self.symmetric else "CR"
-        bits = [f"{kind}: {'yes' if self.is_consequence_relation else 'no'}",
-                f"monotone: {'yes' if self.is_monotone else 'no'}",
-                f"contractive: {'yes' if self.is_contractive else 'no'}",
-                f"tarskian: {'yes' if self.is_tarskian else 'no'}"]
-        return ", ".join(bits)
+        return ", ".join(f"{label}: {_ANSWER[self._verdict(prop)]}" for label, prop in (
+            (kind, "consequence"), ("monotone", "monotone"),
+            ("contractive", "contractive"), ("tarskian", "tarskian")))
 
 
 # The derived-law network: each entry says the conjunction of the premise

@@ -169,13 +169,18 @@ def _sum_leq(left: list[Formula], right: list[Formula], grid_bound: int) -> Verd
 
 
 class AbelianOracle(ConsequenceOracle):
-    """The p / leq / z relations of the integer semantics."""
+    """The p / leq / z relations of the integer semantics.
 
-    def __init__(self, kind: str, grid_bound: int = 8):
+    ``theorem_basis``, when given, is a finite list of theorems that the law
+    battery's TheoremRemoval instances draw from."""
+
+    def __init__(self, kind: str, grid_bound: int = 8,
+                 theorem_basis: Optional[list[Formula]] = None):
         if kind not in ("p", "leq", "z"):
             raise ValueError(f"unknown abelian relation kind {kind!r}")
         self.kind = kind
         self.grid_bound = grid_bound
+        self.theorem_basis = theorem_basis
         self.name = kind
         self.monotone_contractive = kind in ("p", "leq")
 

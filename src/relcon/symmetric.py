@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Mapping, Optional
@@ -39,10 +39,11 @@ from .syntax import (
     Formula,
     MissingBindingError,
     NamedRule,
+    Var,
+    _walk_nodes,
     formula_size,
     match_into,
     match_multiset,
-    metavars,
     parse_multiset,
     print_formula,
     print_multiset,
@@ -177,10 +178,12 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
     ``max_formula_size``, metavariables introduced by a rule's right side
     (axiom instantiations in particular) range over the subformula closure of
     the endpoints, and intermediate multisets stay within
-    ``max_multiset_size``.  ``exhausted`` means the whole fragment was
-    explored without finding the target: a genuine negative for the fragment;
-    ``pruned_by`` records which caps actually cut anything off.  ``truncated``
-    means the step or state budget ran out first and decides nothing.
+    ``max_multiset_size``.  Both size caps are checked by arithmetic on sizes
+    before a formula or multiset is built, so nothing over a cap is ever
+    made.  ``exhausted`` means the whole fragment was explored without
+    finding the target: a genuine negative for the fragment; ``pruned_by``
+    records which caps actually cut anything off.  ``truncated`` means the
+    step or state budget ran out first and decides nothing.
     """
     sym = system.lifted()
     if max_multiset_size is None:
@@ -191,6 +194,7 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
         universe |= subformulas(f)
     cands = sorted((f for f in universe if formula_size(f) <= max_formula_size),
                    key=lambda f: (formula_size(f), str(f)))
+    plans = [_RightPlan(rule) for rule in sym.rules]
 
     pruned: set[str] = set()
     visited = {premises}
@@ -207,10 +211,8 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
         depth += 1
         for _ in range(len(frontier)):
             state = frontier.popleft()
-            for nxt, app in _moves(sym, state, cands, max_formula_size, pruned):
-                if nxt.size > max_multiset_size:
-                    pruned.add("multiset-size")
-                    continue
+            for nxt, app in _moves(plans, state, cands, max_formula_size,
+                                   max_multiset_size, pruned):
                 if nxt in visited:
                     continue
                 if len(visited) >= max_states:
@@ -241,22 +243,99 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
     return DeriveResult(None, status, frozenset(pruned))
 
 
-def _moves(sym: AxiomaticSystem, state: FMultiset, cands: list[Formula],
-           max_formula_size: int, pruned: set) -> Iterator[tuple[FMultiset, RuleApp]]:
-    import itertools
+class _RightPlan:
+    """A lifted rule's right side, measured once per search: for each
+    distinct right schema its size and metavariable occurrence counts, and
+    the metavariables of the whole right side.  An instance of a schema has
+    the schema's size plus, per metavariable occurrence, the size of the
+    bound formula minus one (the metavariable's own node)."""
 
-    for rule in sym.rules:
-        right_ms = rule.right
+    __slots__ = ("rule", "shapes", "metavars")
+
+    def __init__(self, rule: NamedRule):
+        shapes = []
+        for schema in rule.right.distinct():
+            occ = Counter(v.name for v in _walk_nodes(schema) if type(v) is Var)
+            shapes.append((formula_size(schema), dict(occ)))
+        self.rule = rule
+        self.shapes = tuple(shapes)
+        self.metavars = frozenset(v for _, occ in shapes for v in occ)
+
+
+def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
+           max_formula_size: int, max_multiset_size: int,
+           pruned: set) -> Iterator[tuple[FMultiset, RuleApp]]:
+    """Every rule application to state whose products fit both caps, rules in
+    system order, each match's free right metavariables ranging over cands
+    (sorted by size) in product order.  An application that does not fit is
+    never built: its sizes are worked out first.  ``pruned`` gains a cap's
+    name once the enumeration passes an application that the cap cuts off,
+    never earlier; the multiset cap counts only applications that fit the
+    formula cap."""
+    smallest = formula_size(cands[0]) if cands else 0
+    extras = [formula_size(c) - smallest for c in cands]
+    spread = extras[-1] if cands else 0
+    for plan in plans:
+        rule = plan.rule
         for sigma, consumed in match_into(rule.left, state):
-            free = sorted({v for s in right_ms for v in metavars(s)} - set(sigma))
-            for values in itertools.product(cands, repeat=len(free)):
+            free = sorted(plan.metavars - sigma.keys())
+            if free and not cands:
+                continue
+            # per schema: the instance size with every free metavariable at
+            # the smallest candidate, and each free metavariable's count
+            lows, coeffs = [], []
+            for size, occ in plan.shapes:
+                for v, n in occ.items():
+                    size += n * ((formula_size(sigma[v]) if v in sigma else smallest) - 1)
+                lows.append(size)
+                coeffs.append([occ.get(v, 0) for v in free])
+            fits = max(lows, default=0) <= max_formula_size
+            if state.size - consumed.size + rule.right.size > max_multiset_size:
+                if fits:
+                    pruned.add("multiset-size")
+                if any(low + sum(co) * spread > max_formula_size
+                       for low, co in zip(lows, coeffs)):
+                    pruned.add("formula-size")
+                continue
+            if not fits:
+                pruned.add("formula-size")
+                continue
+            rest = state - consumed
+            for values in _fitting(cands, extras, lows, coeffs, len(free),
+                                   max_formula_size, pruned):
                 full = dict(sigma)
                 full.update(zip(free, values))
-                produced = FMultiset(substitute(s, full) for s in right_ms)
-                if any(formula_size(f) > max_formula_size for f in produced.support):
+                produced = FMultiset(substitute(s, full) for s in rule.right)
+                yield rest + produced, RuleApp(rule.name, full)
+
+
+def _fitting(cands: list[Formula], extras: list[int], lows: list[int],
+             coeffs: list[list[int]], k: int, cap: int,
+             pruned: set) -> Iterator[tuple[Formula, ...]]:
+    """The k-tuples over cands, in product order, whose instances all fit the
+    cap; ``extras[j]`` is cands[j]'s size over the smallest candidate's.  A
+    value that is over the cap with the later metavariables at the smallest
+    candidate stays over for every later value of its metavariable (cands is
+    sorted by size), so the loop breaks there."""
+    values: list[Formula] = []
+
+    def go(i: int, bounds: list[int]) -> Iterator[tuple[Formula, ...]]:
+        if i == k:
+            yield tuple(values)
+            return
+        for c, extra in zip(cands, extras):
+            if extra:
+                nb = [b + co[i] * extra for b, co in zip(bounds, coeffs)]
+                if max(nb) > cap:
                     pruned.add("formula-size")
-                    continue
-                yield (state - consumed) + produced, RuleApp(rule.name, full)
+                    break
+            else:
+                nb = bounds  # bounds fit already
+            values.append(c)
+            yield from go(i + 1, nb)
+            values.pop()
+
+    return go(0, lows)
 
 
 # -- symmetrization ------------------------------------------------------------------

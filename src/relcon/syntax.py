@@ -667,16 +667,34 @@ def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
     return {name: resolve(subst[name]) for name in subst}
 
 
-def alpha_variant(schema_a: Formula, schema_b: Formula) -> bool:
-    """Whether two schemata differ only by a renaming of metavariables."""
-    s1 = match(schema_a, _freeze(schema_b))
-    s2 = match(schema_b, _freeze(schema_a))
-    return s1 is not None and s2 is not None
+_FROZEN = "\x00"  # prefixes the atom that _freeze makes of a metavariable
+
+
+def alpha_variant(a: Formula | FMultiset, b: Formula | FMultiset) -> bool:
+    """Whether two schemata, or two schema multisets, differ only by a
+    renaming of metavariables.
+
+    One match of a onto b with b's metavariables frozen decides it.  If they
+    are variants, every such match is a renaming: a and b have as many
+    metavariable occurrences, so each one in a must go to a single frozen
+    leaf, and to a distinct one per metavariable.
+    """
+    if isinstance(a, FMultiset):
+        if a.size != b.size:
+            return False
+        sigma = next(match_multiset(a, FMultiset(_freeze(f) for f in b)), None)
+    else:
+        sigma = match(a, _freeze(b))
+    if sigma is None:
+        return False
+    images = set(sigma.values())
+    return len(images) == len(sigma) and all(
+        type(f) is Atom and f.name.startswith(_FROZEN) for f in images)
 
 
 def _freeze(schema: Formula) -> Formula:
-    # metavariables become atoms with reserved-ish names, for variant checks
-    return _map_vars(schema, lambda v: Atom("\x00" + v.name))
+    # metavariables become atoms with reserved names, for variant checks
+    return _map_vars(schema, lambda v: Atom(_FROZEN + v.name))
 
 
 # -- consecutions and axiomatic systems ---------------------------------------

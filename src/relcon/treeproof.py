@@ -32,6 +32,7 @@ from typing import Iterator, Mapping, Optional
 
 from .multiset import EMPTY, FMultiset
 from .syntax import (
+    Atom,
     AxiomaticSystem,
     Formula,
     Imp,
@@ -39,7 +40,6 @@ from .syntax import (
     NamedRule,
     Var,
     _TOO_DEEP,
-    _freeze,
     _larger_first,
     _map_vars,
     _rule_schemata,
@@ -328,21 +328,22 @@ B_SHAPE = Imp(Imp(_V0, _V1), Imp(Imp(_V2, _V0), Imp(_V2, _V1)))
 C_SHAPE = Imp(Imp(_V0, Imp(_V1, _V2)), Imp(_V1, Imp(_V0, _V2)))
 
 
-def _one_way(left_a, right_a, left_b, right_b) -> bool:
-    frozen_left = FMultiset(_freeze(f) for f in left_b)
-    frozen_right = _freeze(right_b)
-    sigma0 = match(right_a, frozen_right)
-    if sigma0 is None:
-        return False
-    return next(match_multiset(FMultiset(left_a), frozen_left, sigma0), None) is not None
+# marks a rule's conclusion among its premises; no parsed atom has this name
+_CONCLUSION = Atom("\x03")
+
+
+def _rule_as_multiset(left: FMultiset, right: Formula) -> FMultiset:
+    """A rule's schemata as one multiset, the conclusion marked, so that a
+    match can pair the conclusion with no premise."""
+    return FMultiset([*left, Imp(_CONCLUSION, right)])
 
 
 def rule_has_shape(rule, shape: tuple[FMultiset, Formula]) -> bool:
     """Whether a single-conclusion rule equals the shape up to renaming."""
     if isinstance(rule.right, FMultiset):
         return False
-    return (_one_way(list(rule.left), rule.right, list(shape[0]), shape[1])
-            and _one_way(list(shape[0]), shape[1], list(rule.left), rule.right))
+    return alpha_variant(_rule_as_multiset(rule.left, rule.right),
+                         _rule_as_multiset(*shape))
 
 
 def axiom_has_shape(rule, shape: Formula) -> bool:

@@ -65,15 +65,11 @@ NONNEG_NUMERALS = tuple(numeral(k) for k in range(0, 4))
 
 
 def make_z_oracle() -> AbelianOracle:
-    z = AbelianOracle("z")
-    z.theorem_basis = list(NONNEG_NUMERALS)
-    return z
+    return AbelianOracle("z", theorem_basis=list(NONNEG_NUMERALS))
 
 
 def make_p_oracle() -> AbelianOracle:
-    p = AbelianOracle("p")
-    p.theorem_basis = list(NONNEG_NUMERALS)
-    return p
+    return AbelianOracle("p", theorem_basis=list(NONNEG_NUMERALS))
 
 
 @pytest.fixture()

@@ -343,6 +343,22 @@ def test_laws_classify_command(capsys):
     assert "CR: yes" in out and "monotone: no" in out
 
 
+@pytest.mark.parametrize("dom", ["numerals=0..1,size=-1", "numerals=0..1,samples=-5,cap=0",
+                                 "numerals=0..1,size=-1,cap=-1"])
+def test_laws_on_no_instances_are_unknown(capsys, dom):
+    # no multiset of size -1, and no samples drawn: such checks decide nothing
+    code, out = run(capsys, "laws", "check", "--oracle", "z", "--dom", dom)
+    assert code == 0 and result_line(out) == "ok"
+    empty = [ln for ln in out.splitlines() if ln.endswith(", 0 instances]")]
+    assert len(empty) >= 6  # every law but, when exhaustive, Reflexivity
+    assert all(ln.split()[2] == "UNKNOWN" for ln in empty), empty
+
+    code, out = run(capsys, "laws", "classify", "--oracle", "z", "--dom", dom)
+    assert code == 0 and result_line(out) == "ok"
+    assert ("CR: unknown, monotone: unknown, contractive: unknown, tarskian: unknown"
+            in out.splitlines())
+
+
 def test_laws_unknown_names(capsys):
     assert main(["laws", "check", "--oracle", "z",
                  "--dom", "numerals=-1..1,size=1",

@@ -256,6 +256,33 @@ def test_classify_summary_strings(z_oracle):
     assert "monotone: no" in report.summary()
 
 
+def test_classify_summary_is_unknown_where_a_law_is_undecided():
+    from relcon.laws import ClassifyReport, LawResult
+
+    results = {n: LawResult(n, "passed") for n in ("Reflexivity", "Cut", "Contraction")}
+    results["Monotonicity"] = LawResult("Monotonicity", "inconclusive")
+    report = ClassifyReport("o", False, results)
+    assert report.summary() == ("CR: yes, monotone: unknown, contractive: yes, "
+                                "tarskian: unknown")
+    assert report.is_consequence_relation and not report.is_monotone
+    # a counterexample settles a property whatever else is undecided
+    results["Cut"] = LawResult("Cut", "counterexample")
+    assert report.summary() == "CR: no, monotone: unknown, contractive: yes, tarskian: no"
+
+
+def test_check_law_on_no_instances_is_inconclusive(z_oracle):
+    empty = numeral_domain(max_size=-1)
+    assert check_law(z_oracle, "Cut", empty).status == "inconclusive"
+    unsampled = numeral_domain(exhaustive_cap=0, sample_count=0)
+    assert check_law(z_oracle, "Cut", unsampled).status == "inconclusive"
+    # an empty theorem basis still has the empty multiset of theorems
+    from relcon.semantics import AbelianOracle
+
+    no_theorems = AbelianOracle("z", theorem_basis=[])
+    result = check_law(no_theorems, "TheoremRemoval", numeral_domain(max_size=1))
+    assert result.status == "passed" and result.checked > 0
+
+
 # -- the implication network ---------------------------------------------------------
 
 

@@ -1,4 +1,6 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +28,7 @@ from relcon import (
     symmetrize_query,
     verify,
 )
+from relcon import symmetric
 from relcon.semantics import AbelianSymmetricOracle
 from relcon.symmetric import (
     AsymmetricPart,
@@ -37,8 +40,11 @@ from relcon.symmetric import (
     partition_count,
     _ordered_partitions,
 )
+from relcon.syntax import formula_size, match_into, metavars, substitute
 from conftest import (
+    FIXTURES,
     random_concrete_system,
+    random_formula,
     random_relevant_derivation,
 )
 
@@ -166,6 +172,128 @@ def test_derive_truncation_reported(bci):
                            max_steps=1, max_formula_size=7)
     assert not result.found and result.status == "truncated"
     assert "steps" in result.pruned_by
+
+
+# -- derive_search against the move generator that built every instance ----------
+
+
+def _reference_moves(sym, state, cands, max_formula_size, pruned):
+    # the move generator before size-aware instantiation, kept as it was
+    for rule in sym.rules:
+        right_ms = rule.right
+        for sigma, consumed in match_into(rule.left, state):
+            free = sorted({v for s in right_ms for v in metavars(s)} - set(sigma))
+            for values in itertools.product(cands, repeat=len(free)):
+                full = dict(sigma)
+                full.update(zip(free, values))
+                produced = FMultiset(substitute(s, full) for s in right_ms)
+                if any(formula_size(f) > max_formula_size for f in produced.support):
+                    pruned.add("formula-size")
+                    continue
+                yield (state - consumed) + produced, RuleApp(rule.name, full)
+
+
+def _reference_derive_search(system, premises, conclusions, **bounds):
+    """derive_search with every move built first and then filtered by the
+    multiset cap, as derive_search once did it."""
+    def moves(plans, state, cands, max_formula_size, max_multiset_size, pruned):
+        sym = SimpleNamespace(rules=[plan.rule for plan in plans])
+        for nxt, app in _reference_moves(sym, state, cands, max_formula_size, pruned):
+            if nxt.size > max_multiset_size:
+                pruned.add("multiset-size")
+                continue
+            yield nxt, app
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmetric, "_moves", moves)
+        return derive_search(system, premises, conclusions, **bounds)
+
+
+def _outcome(result):
+    apps = result.derivation.step_rules if result.found else ()
+    return (result.status, str(result.derivation), [app.subst for app in apps],
+            result.pruned_by)
+
+
+def _assert_same_search(system, premises, conclusions, **bounds):
+    got = derive_search(system, premises, conclusions, **bounds)
+    want = _reference_derive_search(system, premises, conclusions, **bounds)
+    assert _outcome(got) == _outcome(want), (system.name, premises, conclusions, bounds)
+    return got
+
+
+def test_derive_search_matches_the_reference_on_the_fixtures(bci):
+    four, five, target = ms("[a->b, a->c, a, a]"), ms("[a->b, a->c, a, a, a]"), ms("[a, b, c]")
+    drv = load_derivation((FIXTURES / "bci_sym.drv").read_text())
+    cases = [(four, target, dict(max_steps=8, max_formula_size=7)),
+             (five, target, dict(max_steps=8, max_formula_size=7)),
+             (four, target, dict(max_steps=1, max_formula_size=7)),
+             (drv.steps[0], drv.steps[-1], dict(max_steps=4))]
+    statuses = [_assert_same_search(bci, p, c, **bounds).status for p, c, bounds in cases]
+    assert statuses == ["exhausted", "found", "truncated", "found"]
+
+
+def test_derive_search_matches_the_reference_on_random_searches(
+        bci, bcio, bci_weak, t_fusion):
+    rng = random.Random(6)
+    statuses, pruned = set(), set()
+    # each system meets every formula cap from 11 down to 3, each paired with
+    # one pair of the other caps; the largest formulas meet the smallest state
+    # budgets, which keeps the reference, which builds every instance, quick
+    for system in (bci, bcio, bci_weak, t_fusion):
+        fusion = system in (bcio, t_fusion)
+        for max_formula_size, (max_multiset_size, max_states) in zip(
+                range(11, 2, -1), itertools.product((None, 3, 5), (30, 300, 3000))):
+            premises = FMultiset(random_formula(rng, "ab", 2, fusion)
+                                 for _ in range(rng.randint(0, 3)))
+            conclusions = FMultiset(random_formula(rng, "ab", 2, fusion)
+                                    for _ in range(rng.randint(1, 2)))
+            result = _assert_same_search(
+                system, premises, conclusions, max_steps=rng.randint(1, 5),
+                max_formula_size=max_formula_size,
+                max_multiset_size=max_multiset_size, max_states=max_states)
+            statuses.add(result.status)
+            pruned |= result.pruned_by
+    assert statuses == {"found", "exhausted", "truncated"}
+    assert pruned == {"formula-size", "multiset-size", "states", "steps"}
+
+
+IDENTITY_SYSTEM = "system Id\naxiom I : p -> p\n"
+
+
+@pytest.mark.parametrize("premises, conclusions, bounds, status, pruned_by", [
+    # I at a->b is exactly at the formula cap, and it fits
+    ("[]", "[(a -> b) -> (a -> b)]", dict(max_formula_size=7), "found", None),
+    # no multiset fits, and no instance of I either: only the formula cap cut
+    ("[]", "[a]", dict(max_formula_size=2, max_multiset_size=0),
+     "exhausted", {"formula-size"}),
+    # I at a fits the formula cap and I at a -> a does not: both caps cut
+    ("[]", "[a -> a]", dict(max_formula_size=3, max_multiset_size=0),
+     "exhausted", {"formula-size", "multiset-size"}),
+    # the state budget runs out at I at a, before I at a -> a is reached
+    ("[a]", "[a -> a]", dict(max_formula_size=3, max_states=1),
+     "truncated", {"states"}),
+])
+def test_derive_search_records_a_cap_only_when_it_cuts(
+        premises, conclusions, bounds, status, pruned_by):
+    from relcon import parse_system
+
+    system = parse_system(IDENTITY_SYSTEM)
+    result = _assert_same_search(system, ms(premises), ms(conclusions),
+                                 max_steps=2, **bounds)
+    assert result.status == status
+    if pruned_by is not None:
+        assert result.pruned_by == pruned_by
+
+
+@pytest.mark.parametrize("max_formula_size", [0, 1, 3])
+def test_derive_search_matches_the_reference_with_few_candidates(bci, max_formula_size):
+    # no candidate fits at 0, and at 1 only atoms do: free metavariables
+    # have nothing or little to range over
+    _assert_same_search(bci, ms("[a->b, a]"), ms("[b]"), max_steps=3,
+                        max_formula_size=max_formula_size)
+    _assert_same_search(bci, ms("[]"), ms("[a -> a]"), max_steps=2,
+                        max_formula_size=max_formula_size, max_multiset_size=1)
 
 
 # -- symmetrization ----------------------------------------------------------------

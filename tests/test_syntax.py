@@ -554,6 +554,13 @@ def _ref_one_way(left_a, right_a, left_b, right_b):
     return next(_ref_match_multiset(FMultiset(left_a), frozen_left, sigma0), None) is not None
 
 
+def _ref_rule_has_shape(rule, shape):
+    if isinstance(rule.right, FMultiset):
+        return False
+    return (_ref_one_way(list(rule.left), rule.right, list(shape[0]), shape[1])
+            and _ref_one_way(list(shape[0]), shape[1], list(rule.left), rule.right))
+
+
 def _ref_axiom_has_shape(rule, shape):
     if not rule.is_axiom or isinstance(rule.right, FMultiset):
         return False
@@ -643,6 +650,8 @@ def test_axiom_has_shape_agrees_with_the_two_way_reference(
 
 
 @given(general, general)
+@example(Var("x"), p)  # an instance of x, but no variant of it
+@example(Imp(Var("x"), Var("y")), Imp(Var("z"), Var("z")))  # nor is z -> z
 def test_axiom_has_shape_agrees_on_random_schemata(schema, other):
     from relcon import Consecution, NamedRule
     from relcon.treeproof import I_SHAPE, axiom_has_shape
@@ -651,3 +660,36 @@ def test_axiom_has_shape_agrees_on_random_schemata(schema, other):
     # a renamed copy is a variant; a more or less general schema is not
     for shape in (_ref_rename_vars(schema), other, I_SHAPE):
         assert axiom_has_shape(rule, shape) == _ref_axiom_has_shape(rule, shape)
+
+
+def test_rule_has_shape_agrees_with_the_two_way_reference(
+        bci, bcio, t_fusion, toy_xy, bci_weak):
+    from relcon.treeproof import MP_SHAPE, WEAKENING_SHAPE, rule_has_shape
+
+    found = 0
+    for system in (bci, bcio, t_fusion, toy_xy, bci_weak):
+        for system_view in (system, system.lifted()):
+            for rule in system_view.rules:
+                for shape in (MP_SHAPE, WEAKENING_SHAPE):
+                    want = _ref_rule_has_shape(rule, shape)
+                    assert rule_has_shape(rule, shape) == want, (system.name, rule.name)
+                    found += want
+    assert found == 5  # each system's modus ponens, and BCIW's weakening
+
+
+@given(st.lists(general, max_size=3), general, st.lists(general, max_size=3), general)
+@example([Var("x")], Var("x"), [Var("y")], Var("x"))  # a premise may not pair
+@example([Var("x"), Imp(Var("x"), Var("y"))], Var("y"), [], p)  # with the conclusion
+def test_rule_has_shape_agrees_on_random_rules(left, right, other_left, other_right):
+    from relcon import Consecution, NamedRule
+    from relcon.treeproof import MP_SHAPE, WEAKENING_SHAPE, rule_has_shape
+
+    rule = NamedRule("r", Consecution(FMultiset(left), right))
+    renamed = (FMultiset(_ref_rename_vars(f) for f in left), _ref_rename_vars(right))
+    # a renamed copy is a variant; another rule, or a premise and the
+    # conclusion swapped, mostly is not
+    swapped = (FMultiset(left[1:] + [right]), left[0]) if left else MP_SHAPE
+    for shape in (renamed, (FMultiset(other_left), other_right), swapped,
+                  MP_SHAPE, WEAKENING_SHAPE):
+        assert rule_has_shape(rule, shape) == _ref_rule_has_shape(rule, shape)
+    assert rule_has_shape(rule, renamed)
