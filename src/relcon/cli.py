@@ -291,10 +291,11 @@ def cmd_abelian(args) -> int:
 def cmd_laws(args) -> int:
     oracle = make_oracle(args.oracle)
     dom = make_domain(args.dom, args.seed)
-    if args.oracle == "z":
-        # declare z's theorems up to the largest nonnegative numeral in the domain
+    if args.oracle in ("z", "p"):
+        # declare the theorems up to the largest nonnegative numeral in the domain
         hi = max((k for k in range(0, 9) if numeral(k) in dom.formulas), default=0)
-        oracle = AbelianOracle("z", theorem_basis=[numeral(k) for k in range(0, hi + 1)])
+        oracle = AbelianOracle(args.oracle,
+                               theorem_basis=[numeral(k) for k in range(0, hi + 1)])
     if args.action == "classify":
         report = classify(oracle, dom)
         for name in sorted(report.results):

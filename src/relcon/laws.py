@@ -305,7 +305,7 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
     law = registry[law_name]
     if (law.name == "TheoremRemoval" and not law.symmetric
             and getattr(oracle, "theorem_basis", None) is None):
-        return LawResult(law.name, "inconclusive", None, False, 0)
+        return LawResult(law.name, "inconclusive", None, True, 0)  # nothing sampled
     stream, count, draw = _instances(law, oracle, dom)
     exhaustive = count <= dom.exhaustive_cap or not count  # nothing to sample
     if not exhaustive:

@@ -10,19 +10,23 @@ relations are provided:
   leq  the minimum of the premises is below the conclusion;
   z    the *sum* of the premise multiset is below the conclusion.
 
-Sums of formulas in the {o, ~, ->, constants} fragment are affine in their
-atoms, so the z-relation (and its symmetric companion, sum <= sum) is decided
-exactly on that fragment: it holds iff both sides have identical atom
-coefficients and the premise constant is below the conclusion constant.
+One evaluator, _evaluate, folds a formula children first and without
+recursion under a table of operations: integer arithmetic, or a matrix's
+tables.  Sums of formulas in the {o, ~, ->, constants} fragment are affine in
+their atoms, and one signed walk, _affine, sums a whole consecution (premises
+negated) into atom coefficients and a constant.  So the z-relation (and its
+symmetric companion, sum <= sum) is decided exactly on that fragment: it
+holds iff every coefficient is zero and the constant is nonnegative.
 Formulas containing /\\ or \\/ are evaluated exactly when closed; open ones
 are only refuted over a bounded integer grid, with UNKNOWN on exhaustion.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .multiset import FMultiset
 from .oracles import (
@@ -46,7 +50,9 @@ from .syntax import (
     Neg,
     ParseError,
     Var,
+    ONE,
     ZERO,
+    atoms,
     numeral_value,
     print_formula,
 )
@@ -56,30 +62,82 @@ class EvalError(Exception):
     """A formula could not be evaluated (missing atom or missing table)."""
 
 
+def _evaluate(f: Formula, leaf: Callable, ops: dict) -> object:
+    """f folded children first, without recursion: ``leaf(node)`` at a leaf
+    or a numeral, ``ops[type(node)]`` on the tuple of the children's values
+    above them."""
+    values, todo = [], [f]
+    while todo:
+        node = todo.pop()
+        t = type(node)
+        if t is tuple:  # (op, arity), once the children are valued
+            op, arity = node
+            if arity == 1:
+                values[-1] = op((values[-1],))
+            else:
+                right = values.pop()
+                values[-1] = op((values[-1], right))
+        elif t in (Atom, Const, Var) or numeral_value(node) is not None:
+            values.append(leaf(node))
+        elif t is Neg:
+            todo += ((ops[Neg], 1), node.body)
+        else:
+            todo += ((ops[t], 2), node.right, node.left)
+    return values[0]
+
+
+def _affine(signed: Iterable[tuple[Formula, int]]) -> Optional[tuple[dict[str, int], int]]:
+    """The atom coefficients and constant of the sum of sign * f over the
+    (f, sign) pairs, or None when a lattice connective or a metavariable
+    occurs.  Coefficients may be zero."""
+    coeffs: dict[str, int] = {}
+    const = 0
+    todo = list(signed)
+    while todo:
+        f, sign = todo.pop()
+        t, n = type(f), numeral_value(f)
+        if n is not None:
+            const += sign * n
+        elif t is Atom:
+            coeffs[f.name] = coeffs.get(f.name, 0) + sign
+        elif t is Neg:
+            todo.append((f.body, -sign))
+        elif t is Fusion:
+            todo += ((f.left, sign), (f.right, sign))
+        elif t is Imp:
+            todo += ((f.left, -sign), (f.right, sign))
+        elif t is not Const:  # the constant t is 0; 0 and 1 are numerals
+            return None
+    return coeffs, const
+
+
+def _valuations(names: list[str], carrier: Iterable) -> Iterator[dict]:
+    """Every valuation of ``names`` into ``carrier``, in product order."""
+    return (dict(zip(names, values))
+            for values in itertools.product(carrier, repeat=len(names)))
+
+
+def _atoms_of(formulas: Iterable[Formula]) -> list[str]:
+    return sorted(set().union(*map(atoms, formulas)))
+
+
 # -- the integer semantics ------------------------------------------------------
+
+_INT_OPS = {Neg: lambda a: -a[0], Imp: lambda ab: ab[1] - ab[0], Fusion: sum,
+            Conj: min, Disj: max}
 
 
 def int_eval(f: Formula, valuation: dict[str, int]) -> int:
-    n = numeral_value(f)
-    if n is not None:
-        return n
-    if isinstance(f, Atom):
-        if f.name not in valuation:
-            raise EvalError(f"no value for atom {f.name}")
-        return valuation[f.name]
-    if isinstance(f, Const):
-        return {"0": 0, "1": 1, "t": 0}[f.name]
-    if isinstance(f, Neg):
-        return -int_eval(f.body, valuation)
-    if isinstance(f, Imp):
-        return int_eval(f.right, valuation) - int_eval(f.left, valuation)
-    if isinstance(f, Fusion):
-        return int_eval(f.left, valuation) + int_eval(f.right, valuation)
-    if isinstance(f, Conj):
-        return min(int_eval(f.left, valuation), int_eval(f.right, valuation))
-    if isinstance(f, Disj):
-        return max(int_eval(f.left, valuation), int_eval(f.right, valuation))
-    raise EvalError(f"cannot evaluate schema variable {f}")
+    def leaf(node: Formula) -> int:
+        if type(node) is Atom:
+            if node.name not in valuation:
+                raise EvalError(f"no value for atom {node.name}")
+            return valuation[node.name]
+        if type(node) is Var:
+            raise EvalError(f"cannot evaluate schema variable {node}")
+        return numeral_value(node) or 0  # a numeral, or t, the fusion unit
+
+    return _evaluate(f, leaf, _INT_OPS)
 
 
 @dataclass(frozen=True)
@@ -89,83 +147,37 @@ class LinearForm:
     coeffs: tuple[tuple[str, int], ...]
     const: int
 
-    @classmethod
-    def make(cls, coeffs: dict[str, int], const: int) -> "LinearForm":
-        clean = tuple(sorted((a, c) for a, c in coeffs.items() if c != 0))
-        return cls(clean, const)
-
     def coeff_map(self) -> dict[str, int]:
         return dict(self.coeffs)
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        coeffs = self.coeff_map()
-        for a, c in other.coeffs:
-            coeffs[a] = coeffs.get(a, 0) + c
-        return LinearForm.make(coeffs, self.const + other.const)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm.make({a: -c for a, c in self.coeffs}, -self.const)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-
-LF_ZERO = LinearForm((), 0)
 
 
 def linear_form(f: Formula) -> Optional[LinearForm]:
     """The affine normal form of a lattice-free formula, else None."""
-    n = numeral_value(f)
-    if n is not None:
-        return LinearForm((), n)
-    if isinstance(f, Atom):
-        return LinearForm.make({f.name: 1}, 0)
-    if isinstance(f, Const):
-        return LinearForm((), {"0": 0, "1": 1, "t": 0}[f.name])
-    if isinstance(f, Neg):
-        lf = linear_form(f.body)
-        return None if lf is None else -lf
-    if isinstance(f, Imp):
-        l, r = linear_form(f.left), linear_form(f.right)
-        return None if l is None or r is None else r - l
-    if isinstance(f, Fusion):
-        l, r = linear_form(f.left), linear_form(f.right)
-        return None if l is None or r is None else l + r
-    return None  # Conj/Disj (and schema variables) have no affine form
+    form = _affine([(f, 1)])
+    if form is None:
+        return None
+    return LinearForm(tuple(sorted((a, c) for a, c in form[0].items() if c)), form[1])
 
 
-def _atoms_of(formulas: Iterable[Formula]) -> list[str]:
-    from .syntax import atoms
-
-    out: set[str] = set()
-    for f in formulas:
-        out |= atoms(f)
-    return sorted(out)
-
-
-def _grid(names: list[str], bound: int):
-    return (dict(zip(names, values))
-            for values in itertools.product(range(-bound, bound + 1), repeat=len(names)))
+def _decide(names: list[str], holds_at: Callable[[dict], bool], grid_bound: int) -> Verdict:
+    """Exact on a closed input (no atoms); an open one is only refuted on the
+    grid -grid_bound..grid_bound, UNKNOWN when the grid finds nothing."""
+    for v in _valuations(names, range(-grid_bound, grid_bound + 1)):
+        if not holds_at(v):
+            return FAILS
+    return UNKNOWN if names else HOLDS
 
 
 def _sum_leq(left: list[Formula], right: list[Formula], grid_bound: int) -> Verdict:
     """Whether sum(left) <= sum(right) under every integer valuation."""
-    lfs_l = [linear_form(f) for f in left]
-    lfs_r = [linear_form(f) for f in right]
-    if all(lf is not None for lf in lfs_l + lfs_r):
-        total_l = sum(lfs_l, LF_ZERO)
-        total_r = sum(lfs_r, LF_ZERO)
-        diff = total_r - total_l
-        return verdict(not diff.coeffs and diff.const >= 0)
-    names = _atoms_of(left + right)
-    if not names:
-        v: dict[str, int] = {}
-        return verdict(sum(int_eval(f, v) for f in left)
-                       <= sum(int_eval(f, v) for f in right))
-    for v in _grid(names, grid_bound):
-        if sum(int_eval(f, v) for f in left) > sum(int_eval(f, v) for f in right):
-            return FAILS
-    return UNKNOWN
+    form = _affine([(f, -1) for f in left] + [(f, 1) for f in right])
+    if form is not None:
+        coeffs, const = form
+        return verdict(const >= 0 and not any(coeffs.values()))
+    return _decide(_atoms_of(left + right),
+                   lambda v: (sum(int_eval(f, v) for f in left)
+                              <= sum(int_eval(f, v) for f in right)),
+                   grid_bound)
 
 
 class AbelianOracle(ConsequenceOracle):
@@ -189,13 +201,8 @@ class AbelianOracle(ConsequenceOracle):
         fs = list(premises)
         if self.kind == "z":
             return _sum_leq(fs, [conclusion], self.grid_bound)
-        names = _atoms_of(fs + [conclusion])
-        if not names:
-            return verdict(self._holds_at(fs, conclusion, {}))
-        for v in _grid(names, self.grid_bound):
-            if not self._holds_at(fs, conclusion, v):
-                return FAILS
-        return UNKNOWN
+        return _decide(_atoms_of(fs + [conclusion]),
+                       lambda v: self._holds_at(fs, conclusion, v), self.grid_bound)
 
     def _holds_at(self, fs: list[Formula], conclusion: Formula,
                   v: dict[str, int]) -> bool:
@@ -211,10 +218,9 @@ class AbelianOracle(ConsequenceOracle):
             # theorems are the zero-coefficient forms with constant >= 0,
             # so entailing the least of them, 0, entails them all
             return self.entails(premises, ZERO)
-        if self.kind == "p":
-            # a theorem is >= 0 everywhere, so any premises p-entail it
-            return HOLDS
-        return HOLDS  # leq has no theorems; the quantifier is vacuous
+        # a theorem is >= 0 everywhere, so any premises p-entail it; leq has
+        # no theorems, so there the quantifier is vacuous
+        return HOLDS
 
 
 class AbelianSymmetricOracle(SymmetricOracle):
@@ -270,6 +276,7 @@ class Matrix:
     values: tuple[str, ...]
     designated: frozenset
     tables: dict[str, dict[tuple, str]] = field(default_factory=dict)
+    _ops: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.designated:
@@ -284,6 +291,14 @@ class Matrix:
             for args, out in table.items():
                 if not (set(args) <= carrier and out in carrier):
                     raise ValueError(f"table for {op} leaves the carrier")
+        # what _evaluate folds with: each connective's table lookup
+        self._ops = {t: (self.tables[op].__getitem__ if op in self.tables
+                         else functools.partial(_no_table, self.name, op))
+                     for t, op in _OP_OF_TYPE.items()}
+
+
+def _no_table(name: str, op: str, args: tuple):
+    raise EvalError(f"matrix {name} has no table for {op}")
 
 
 def matrix_eval(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
@@ -297,20 +312,16 @@ def matrix_eval(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
 def _value(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
     # matrix_eval on a valuation into the carrier, as the exhaustive
     # searches below draw them
-    if isinstance(f, Atom):
-        if f.name not in valuation:
-            raise EvalError(f"no value for atom {f.name}")
-        return valuation[f.name]
-    if isinstance(f, (Const, Var)):
-        raise EvalError(f"matrix has no interpretation for {print_formula(f)}")
-    op = _OP_OF_TYPE[type(f)]
-    table = matrix.tables.get(op)
-    if table is None:
-        raise EvalError(f"matrix {matrix.name} has no table for {op}")
-    if isinstance(f, Neg):
-        return table[(_value(matrix, valuation, f.body),)]
-    return table[(_value(matrix, valuation, f.left),
-                  _value(matrix, valuation, f.right))]
+    def leaf(node: Formula) -> str:
+        if type(node) is Atom:
+            if node.name not in valuation:
+                raise EvalError(f"no value for atom {node.name}")
+            return valuation[node.name]
+        # a numeral other than 0 is built on the constant 1
+        bad = node if isinstance(node, (Const, Var)) else ONE
+        raise EvalError(f"matrix has no interpretation for {print_formula(bad)}")
+
+    return _evaluate(f, leaf, matrix._ops)
 
 
 def countermodel_search(matrix: Matrix, f: Formula) -> Optional[dict[str, str]]:
@@ -319,11 +330,7 @@ def countermodel_search(matrix: Matrix, f: Formula) -> Optional[dict[str, str]]:
     Exhausts all |carrier|^|atoms| valuations, atoms in sorted order and
     values in carrier display order.
     """
-    from .syntax import atoms
-
-    names = sorted(atoms(f))
-    for values in itertools.product(matrix.values, repeat=len(names)):
-        v = dict(zip(names, values))
+    for v in _valuations(sorted(atoms(f)), matrix.values):
         if _value(matrix, v, f) not in matrix.designated:
             return v
     return None
@@ -337,17 +344,11 @@ class MatrixOracle(ConsequenceOracle):
         self.name = f"matrix:{matrix.name}"
 
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        from .syntax import atoms
-
-        names: set[str] = set(atoms(conclusion))
-        for f in premises.support:
-            names |= atoms(f)
-        for values in itertools.product(self.matrix.values, repeat=len(names)):
-            v = dict(zip(sorted(names), values))
-            if all(_value(self.matrix, v, f) in self.matrix.designated
-                   for f in premises.support):
-                if _value(self.matrix, v, conclusion) not in self.matrix.designated:
-                    return FAILS
+        m, support = self.matrix, premises.support
+        for v in _valuations(_atoms_of([conclusion, *support]), m.values):
+            if (all(_value(m, v, f) in m.designated for f in support)
+                    and _value(m, v, conclusion) not in m.designated):
+                return FAILS
         return HOLDS
 
 
@@ -426,17 +427,7 @@ def print_matrix(matrix: Matrix) -> str:
 
 def parse_int_valuation(text: str) -> dict[str, int]:
     """Parse 'a=2,b=0' into an integer valuation."""
-    out: dict[str, int] = {}
-    text = text.strip()
-    if not text:
-        return out
-    for part in text.split(","):
-        name, _, value = part.partition("=")
-        name, value = name.strip(), value.strip()
-        if not name or not value:
-            raise ParseError(f"bad valuation entry {part!r}")
-        out[name] = int(value)
-    return out
+    return {name: int(value) for name, value in parse_valuation(text).items()}
 
 
 def parse_valuation(text: str) -> dict[str, str]:

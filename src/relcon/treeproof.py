@@ -365,20 +365,14 @@ def _instance(system: AxiomaticSystem, name: str, f: Formula) -> ProofTree:
     return axiom_leaf(f, name, sigma)
 
 
-def pump_use(tree: ProofTree, extra: Formula, system: AxiomaticSystem,
-             mp_rule: Optional[str] = None,
-             weakening_rule: Optional[str] = None) -> ProofTree:
+def pump_use(tree: ProofTree, extra: Formula, system: AxiomaticSystem) -> ProofTree:
     """Grow a proof so that it also uses one new premise occurrence ``extra``.
 
     Requires modus ponens and weakening rules.  The root proves the same
     formula; the leaf multiset gains exactly one occurrence of ``extra``.
     """
-    mp = mp_rule or _find_rule(system, MP_SHAPE, False, "modus ponens rule")
-    wk = weakening_rule or _find_rule(system, WEAKENING_SHAPE, False, "weakening rule")
-    if not rule_has_shape(system.get(mp), MP_SHAPE):
-        raise RulesAbsentError(f"rule {mp} does not have the modus ponens shape")
-    if not rule_has_shape(system.get(wk), WEAKENING_SHAPE):
-        raise RulesAbsentError(f"rule {wk} does not have the weakening shape")
+    mp = _find_rule(system, MP_SHAPE, False, "modus ponens rule")
+    wk = _find_rule(system, WEAKENING_SHAPE, False, "weakening rule")
     goal = tree.formula
     weakened = ProofTree(Imp(extra, goal), RuleJust(wk), (tree,))
     return ProofTree(goal, RuleJust(mp), (weakened, premise_leaf(extra)))

@@ -359,6 +359,22 @@ def test_laws_on_no_instances_are_unknown(capsys, dom):
             in out.splitlines())
 
 
+def test_laws_p_has_a_theorem_basis(capsys):
+    # p gets the nonnegative numerals of the domain as theorems, as z does
+    code, out = run(capsys, "laws", "check", "--oracle", "p",
+                    "--dom", "numerals=-2..2,size=2", "--laws", "TheoremRemoval")
+    assert code == 0 and result_line(out) == "ok"
+    assert out.splitlines()[0] == "LAW TheoremRemoval PASS  [exhaustive, 1050 instances]"
+
+
+def test_laws_without_a_theorem_basis_ran_nothing(capsys):
+    # leq declares no theorems; a check that never ran is not labelled sampled
+    code, out = run(capsys, "laws", "check", "--oracle", "leq",
+                    "--dom", "numerals=-2..2,size=2", "--laws", "TheoremRemoval")
+    assert code == 0 and result_line(out) == "ok"
+    assert out.splitlines()[0] == "LAW TheoremRemoval UNKNOWN  [exhaustive, 0 instances]"
+
+
 def test_laws_unknown_names(capsys):
     assert main(["laws", "check", "--oracle", "z",
                  "--dom", "numerals=-1..1,size=1",
@@ -429,3 +445,41 @@ def test_fixture_proofs_roundtrip(fixtures_dir):
         text = path.read_text().strip()
         d = load_derivation(text)
         assert dump_derivation(load_derivation(dump_derivation(d))) == dump_derivation(d)
+
+
+# -- deep input: a 3000-operand chain, built by the parser without recursion --
+
+DEEP_FUSION = " o ".join(["p"] * 3000)
+DEEP_CONJ = " /\\ ".join(["p"] * 3000)
+
+
+@pytest.mark.parametrize("argv, code, result", [
+    (["abelian", "--kind", "z", "--premises", "[p]", "--goal", DEEP_FUSION], 1, "fails"),
+    (["abelian", "--kind", "z", "--premises", f"[{DEEP_FUSION}]", "--goal", DEEP_FUSION],
+     0, "holds"),
+    (["abelian", "--kind", "p", "--premises", "[p]", "--goal", DEEP_CONJ], 3, "unknown"),
+    (["symmetrize", "--oracle", "z", "--premises", f"[{DEEP_FUSION}]",
+      "--conclusions", "[p]"], 1, "fails"),
+    (["theory", "leq", "--oracle", "zsym", "--gens", f"[{DEEP_FUSION}]", "[p]"], 1, "fails"),
+    (["matrix-eval", "--matrix", f"{FIX}/t4.mat", "--formula", DEEP_FUSION,
+      "--valuation", "p=1"], 1, "1"),
+    (["matrix-refute", "--matrix", f"{FIX}/t4.mat", "--formula", DEEP_FUSION], 0, "refuted"),
+], ids=["abelian-z", "abelian-z-holds", "abelian-p-conj", "symmetrize-z", "theory-leq-zsym",
+        "matrix-eval", "matrix-refute"])
+def test_semantics_on_a_deep_chain(capsys, argv, code, result):
+    got, out = run(capsys, *argv)
+    assert got == code and result_line(out) == result
+
+
+# Equal deep formulas still compare through the recursive dataclass __eq__;
+# interned formulas, whose equality is identity, will mend these.
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="deep formulas compare recursively")
+@pytest.mark.parametrize("command", ["search", "check-proof"])
+def test_proof_commands_on_a_deep_chain(capsys, tmp_path, command):
+    proof = tmp_path / "deep.proof"
+    proof.write_text(json.dumps({"formula": DEEP_FUSION, "by": "premise"}))
+    extra = ["--proof", str(proof)] if command == "check-proof" else []
+    code, out = run(capsys, command, "--system", f"{FIX}/bci.rcs",
+                    "--premises", f"[{DEEP_FUSION}]", "--goal", DEEP_FUSION, *extra)
+    assert code in (0, 1, 2, 3) and result_line(out)

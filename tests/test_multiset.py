@@ -128,3 +128,12 @@ def test_submultiset_enumeration(m):
 @given(multisets)
 def test_hash_consistent(m):
     assert hash(m) == hash(FMultiset(list(m)))
+
+
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="equal deep formulas compare through the recursive dataclass __eq__")
+def test_equal_deep_formulas_in_one_multiset():
+    from relcon import numeral
+
+    m = FMultiset([numeral(5000), numeral(5000)])
+    assert m.count(numeral(5000)) == 2

@@ -1,10 +1,17 @@
 import itertools
 import random
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Optional
 
 import pytest
+from hypothesis import given, strategies as st
 
 from relcon import (
     Atom,
+    Conj,
+    Const,
+    Disj,
     EvalError,
     FAILS,
     FMultiset,
@@ -12,6 +19,7 @@ from relcon import (
     HOLDS,
     Imp,
     Neg,
+    Var,
     UNKNOWN,
     countermodel_search,
     int_eval,
@@ -28,9 +36,11 @@ from relcon.semantics import (
     AbelianOracle,
     AbelianSymmetricOracle,
     MatrixOracle,
+    _value,
     parse_int_valuation,
     parse_valuation,
 )
+from relcon.syntax import ONE, TRUTH, ZERO, atoms, numeral_value, print_formula
 
 ms = parse_multiset
 a, b, c = Atom("a"), Atom("b"), Atom("c")
@@ -332,3 +342,300 @@ def test_valuation_parsing():
     assert parse_int_valuation("a=-3,b=7") == {"a": -3, "b": 7}
     with pytest.raises(Exception):
         parse_valuation("a")
+
+
+# -- the recursive evaluators the iterative ones replaced -------------------------
+#
+# References for the differential properties below: the recursive int_eval,
+# LinearForm with its arithmetic, linear_form, _sum_leq and the matrix _value
+# as they stood before _evaluate and _affine, with their helpers.
+
+
+def _ref_int_eval(f, valuation):
+    n = numeral_value(f)
+    if n is not None:
+        return n
+    if isinstance(f, Atom):
+        if f.name not in valuation:
+            raise EvalError(f"no value for atom {f.name}")
+        return valuation[f.name]
+    if isinstance(f, Const):
+        return {"0": 0, "1": 1, "t": 0}[f.name]
+    if isinstance(f, Neg):
+        return -_ref_int_eval(f.body, valuation)
+    if isinstance(f, Imp):
+        return _ref_int_eval(f.right, valuation) - _ref_int_eval(f.left, valuation)
+    if isinstance(f, Fusion):
+        return _ref_int_eval(f.left, valuation) + _ref_int_eval(f.right, valuation)
+    if isinstance(f, Conj):
+        return min(_ref_int_eval(f.left, valuation), _ref_int_eval(f.right, valuation))
+    if isinstance(f, Disj):
+        return max(_ref_int_eval(f.left, valuation), _ref_int_eval(f.right, valuation))
+    raise EvalError(f"cannot evaluate schema variable {f}")
+
+
+@dataclass(frozen=True)
+class _RefLinearForm:
+    """An affine function of atom values: sum of coeff*atom plus a constant."""
+
+    coeffs: tuple[tuple[str, int], ...]
+    const: int
+
+    @classmethod
+    def make(cls, coeffs: dict[str, int], const: int) -> "_RefLinearForm":
+        clean = tuple(sorted((a, c) for a, c in coeffs.items() if c != 0))
+        return cls(clean, const)
+
+    def coeff_map(self) -> dict[str, int]:
+        return dict(self.coeffs)
+
+    def __add__(self, other: "_RefLinearForm") -> "_RefLinearForm":
+        coeffs = self.coeff_map()
+        for a, c in other.coeffs:
+            coeffs[a] = coeffs.get(a, 0) + c
+        return _RefLinearForm.make(coeffs, self.const + other.const)
+
+    def __neg__(self) -> "_RefLinearForm":
+        return _RefLinearForm.make({a: -c for a, c in self.coeffs}, -self.const)
+
+    def __sub__(self, other: "_RefLinearForm") -> "_RefLinearForm":
+        return self + (-other)
+
+
+_REF_LF_ZERO = _RefLinearForm((), 0)
+
+
+def _ref_linear_form(f) -> Optional[_RefLinearForm]:
+    """The affine normal form of a lattice-free formula, else None."""
+    n = numeral_value(f)
+    if n is not None:
+        return _RefLinearForm((), n)
+    if isinstance(f, Atom):
+        return _RefLinearForm.make({f.name: 1}, 0)
+    if isinstance(f, Const):
+        return _RefLinearForm((), {"0": 0, "1": 1, "t": 0}[f.name])
+    if isinstance(f, Neg):
+        lf = _ref_linear_form(f.body)
+        return None if lf is None else -lf
+    if isinstance(f, Imp):
+        l, r = _ref_linear_form(f.left), _ref_linear_form(f.right)
+        return None if l is None or r is None else r - l
+    if isinstance(f, Fusion):
+        l, r = _ref_linear_form(f.left), _ref_linear_form(f.right)
+        return None if l is None or r is None else l + r
+    return None  # Conj/Disj (and schema variables) have no affine form
+
+
+def _ref_atoms_of(formulas: Iterable) -> list[str]:
+    out: set[str] = set()
+    for f in formulas:
+        out |= atoms(f)
+    return sorted(out)
+
+
+def _ref_grid(names: list[str], bound: int):
+    return (dict(zip(names, values))
+            for values in itertools.product(range(-bound, bound + 1), repeat=len(names)))
+
+
+def _ref_sum_leq(left, right, grid_bound: int):
+    """Whether sum(left) <= sum(right) under every integer valuation."""
+    lfs_l = [_ref_linear_form(f) for f in left]
+    lfs_r = [_ref_linear_form(f) for f in right]
+    if all(lf is not None for lf in lfs_l + lfs_r):
+        total_l = sum(lfs_l, _REF_LF_ZERO)
+        total_r = sum(lfs_r, _REF_LF_ZERO)
+        diff = total_r - total_l
+        return HOLDS if not diff.coeffs and diff.const >= 0 else FAILS
+    names = _ref_atoms_of(left + right)
+    if not names:
+        v: dict[str, int] = {}
+        return (HOLDS if sum(_ref_int_eval(f, v) for f in left)
+                <= sum(_ref_int_eval(f, v) for f in right) else FAILS)
+    for v in _ref_grid(names, grid_bound):
+        if (sum(_ref_int_eval(f, v) for f in left)
+                > sum(_ref_int_eval(f, v) for f in right)):
+            return FAILS
+    return UNKNOWN
+
+
+def _ref_holds_at(kind, fs, conclusion, v) -> bool:
+    vals = [_ref_int_eval(f, v) for f in fs]
+    c = _ref_int_eval(conclusion, v)
+    if kind == "p":
+        return c >= 0 if all(x >= 0 for x in vals) else True
+    return bool(vals) and min(vals) <= c
+
+
+def _ref_entails(kind, grid_bound, premises, conclusion):
+    """AbelianOracle(kind).entails as it stood, for p and leq."""
+    fs = list(premises)
+    names = _ref_atoms_of(fs + [conclusion])
+    if not names:
+        return HOLDS if _ref_holds_at(kind, fs, conclusion, {}) else FAILS
+    for v in _ref_grid(names, grid_bound):
+        if not _ref_holds_at(kind, fs, conclusion, v):
+            return FAILS
+    return UNKNOWN
+
+
+_REF_OP_OF_TYPE = {Neg: "~", Imp: "->", Fusion: "o", Conj: "/\\", Disj: "\\/"}
+
+
+def _ref_value(matrix, valuation, f) -> str:
+    if isinstance(f, Atom):
+        if f.name not in valuation:
+            raise EvalError(f"no value for atom {f.name}")
+        return valuation[f.name]
+    if isinstance(f, (Const, Var)):
+        raise EvalError(f"matrix has no interpretation for {print_formula(f)}")
+    op = _REF_OP_OF_TYPE[type(f)]
+    table = matrix.tables.get(op)
+    if table is None:
+        raise EvalError(f"matrix {matrix.name} has no table for {op}")
+    if isinstance(f, Neg):
+        return table[(_ref_value(matrix, valuation, f.body),)]
+    return table[(_ref_value(matrix, valuation, f.left),
+                  _ref_value(matrix, valuation, f.right))]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the EvalError class when it raises one."""
+    try:
+        return fn(*args)
+    except EvalError:
+        return EvalError
+
+
+# -- differential properties against the references -------------------------------
+
+T4 = load_matrix(Path(__file__).resolve().parents[1] / "fixtures" / "t4.mat")
+
+
+def _semantic_formulas(leaves, lattice=True):
+    ctors = (Imp, Fusion, Conj, Disj) if lattice else (Imp, Fusion)
+
+    def extend(children):
+        return st.one_of(st.builds(Neg, children),
+                         *(st.builds(ctor, children, children) for ctor in ctors))
+    numerals = st.integers(min_value=-5, max_value=5).map(numeral)
+    return st.recursive(st.one_of(leaves, numerals), extend, max_leaves=8)
+
+
+_any_formulas = _semantic_formulas(
+    st.sampled_from([a, b, c, Var("x"), ZERO, ONE, TRUTH]))
+# what the matrix can evaluate: atoms, -> and o
+_t4_formulas = st.recursive(
+    st.sampled_from([a, b, c]),
+    lambda ch: st.one_of(st.builds(Imp, ch, ch), st.builds(Fusion, ch, ch)),
+    max_leaves=8)
+_lattice_free = _semantic_formulas(st.sampled_from([a, b, c, ZERO, ONE, TRUTH]),
+                                   lattice=False)
+_int_valuations = st.dictionaries(st.sampled_from("abc"),
+                                  st.integers(min_value=-4, max_value=4))
+_t4_valuations = st.dictionaries(st.sampled_from("abc"), st.sampled_from(T4.values))
+
+
+def _multisets(formulas):
+    return st.lists(formulas, max_size=3).map(FMultiset)
+
+
+@given(_any_formulas, _int_valuations)
+def test_int_eval_agrees_with_recursive_reference(f, v):
+    assert _outcome(int_eval, f, v) == _outcome(_ref_int_eval, f, v)
+
+
+@given(st.one_of(_any_formulas, _t4_formulas), _t4_valuations)
+def test_matrix_value_agrees_with_recursive_reference(f, v):
+    assert _outcome(_value, T4, v, f) == _outcome(_ref_value, T4, v, f)
+
+
+@given(_t4_formulas)
+def test_countermodel_is_the_references_least(f):
+    names = sorted(atoms(f))
+    least = next((v for v in (dict(zip(names, values)) for values in
+                              itertools.product(T4.values, repeat=len(names)))
+                  if _ref_value(T4, v, f) not in T4.designated), None)
+    assert countermodel_search(T4, f) == least
+
+
+@given(_multisets(_t4_formulas), _t4_formulas)
+def test_matrix_oracle_agrees_with_reference(premises, conclusion):
+    names = _ref_atoms_of(list(premises) + [conclusion])
+    refuted = any(
+        all(_ref_value(T4, v, f) in T4.designated for f in premises.support)
+        and _ref_value(T4, v, conclusion) not in T4.designated
+        for v in (dict(zip(names, values))
+                  for values in itertools.product(T4.values, repeat=len(names))))
+    assert MatrixOracle(T4).entails(premises, conclusion) is (FAILS if refuted else HOLDS)
+
+
+@given(_any_formulas)
+def test_linear_form_agrees_with_reference(f):
+    got, ref = linear_form(f), _ref_linear_form(f)
+    if ref is None:
+        assert got is None
+    else:
+        assert (got.coeffs, got.const, got.coeff_map()) == (ref.coeffs, ref.const,
+                                                           ref.coeff_map())
+
+
+@given(_multisets(_any_formulas), _multisets(_any_formulas))
+def test_sum_relations_agree_with_reference(left, right):
+    z, zsym = AbelianOracle("z", grid_bound=2), AbelianSymmetricOracle(grid_bound=2)
+    assert (_outcome(zsym.entails, left, right)
+            == _outcome(_ref_sum_leq, list(left), list(right), 2))
+    for conclusion in right:
+        assert (_outcome(z.entails, left, conclusion)
+                == _outcome(_ref_sum_leq, list(left), [conclusion], 2))
+
+
+@given(st.sampled_from(["p", "leq"]), _multisets(_any_formulas), _any_formulas)
+def test_p_and_leq_agree_with_reference(kind, premises, conclusion):
+    oracle = AbelianOracle(kind, grid_bound=2)
+    assert (_outcome(oracle.entails, premises, conclusion)
+            == _outcome(_ref_entails, kind, 2, premises, conclusion))
+
+
+@given(_multisets(_lattice_free), _multisets(_lattice_free))
+def test_zsym_agrees_with_brute_force_sums(left, right):
+    # sum(right) - sum(left) is affine in the atoms: the relation holds iff
+    # that difference is constant and nonnegative, which a grid of int_eval
+    # sums decides without any normal form
+    names = sorted(set().union(*map(atoms, [*left, *right])))
+    diffs = {sum(int_eval(f, v) for f in right) - sum(int_eval(f, v) for f in left)
+             for v in (dict(zip(names, values))
+                       for values in itertools.product(range(-2, 3), repeat=len(names)))}
+    holds = len(diffs) == 1 and min(diffs) >= 0
+    assert AbelianSymmetricOracle().entails(left, right) is (HOLDS if holds else FAILS)
+
+
+def test_numerals_are_leaves_of_the_evaluator():
+    assert int_eval(numeral(5000), {}) == 5000
+    assert int_eval(numeral(-5000), {}) == -5000
+    assert linear_form(numeral(-5000)).const == -5000
+
+
+def test_deep_formulas_evaluate_without_recursion():
+    chain = a
+    for _ in range(2999):
+        chain = Fusion(chain, a)
+    assert int_eval(chain, {"a": 2}) == 6000
+    assert linear_form(chain).coeffs == (("a", 3000),)
+    assert matrix_eval(T4, {"a": "2"}, chain) == "2"
+    assert countermodel_search(T4, chain) == {"a": "0"}
+    assert AbelianSymmetricOracle().entails(FMultiset([chain]), FMultiset([chain])) is HOLDS
+    assert MatrixOracle(T4).entails(FMultiset([a]), chain) is HOLDS
+    assert MatrixOracle(T4).entails(FMultiset([]), chain) is FAILS
+
+
+def test_matrix_eval_error_messages(fixtures_dir):
+    m = load_matrix(fixtures_dir / "t4.mat")
+    with pytest.raises(EvalError, match="no table for ~"):
+        matrix_eval(m, {"a": "1"}, Neg(a))
+    with pytest.raises(EvalError, match="no interpretation for 1"):
+        matrix_eval(m, {}, numeral(2))  # a numeral is built on the constant 1
+    with pytest.raises(EvalError, match="no interpretation for t"):
+        matrix_eval(m, {"a": "1"}, Imp(a, TRUTH))
+    with pytest.raises(EvalError, match="no value for atom b"):
+        matrix_eval(m, {"a": "1"}, Fusion(a, b))
