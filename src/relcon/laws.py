@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from types import FunctionType
 from typing import Callable, Iterator, Optional, Sequence
 
-from .multiset import FMultiset, submultisets
+from .multiset import EMPTY, FMultiset, submultisets
 from .oracles import (
     FAILS,
     HOLDS,
@@ -179,7 +179,7 @@ def _relcut(o, G, f, Ds):
     # G = [c1..cn] nonempty, Ds = one multiset per ci (in canonical order)
     parts = list(G)
     ants = [lambda: o.entails(G, f)]
-    total = FMultiset()
+    total = EMPTY
     for Di, ci in zip(Ds, parts):
         ants.append(lambda Di=Di, ci=ci: o.entails(Di, ci))
         total = total + Di
@@ -235,7 +235,7 @@ def _sgenrefl(o, G, D):
 
 @_law(SYM_LAWS, "TheoremReflexivity", True, "M", ("G",))
 def _sthrefl(o, G):
-    return o.entails(G, FMultiset())
+    return o.entails(G, EMPTY)
 
 
 @_law(SYM_LAWS, "MultiCut", True, "MMMM", ("G", "D", "P", "F"))
@@ -246,7 +246,7 @@ def _smulticut(o, G, D, P, F):
 
 @_law(SYM_LAWS, "TheoremRemoval", True, "MMM", ("D", "P", "F"))
 def _sthremoval(o, D, P, F):
-    return _implies(lambda: o.entails(FMultiset(), D),
+    return _implies(lambda: o.entails(EMPTY, D),
                     lambda: o.entails(D + P, F),
                     conclusion=lambda: o.entails(P, F))
 

@@ -5,11 +5,18 @@ operations are intersection (min of counts), union (max), sum (addition,
 ``+``), and truncated difference (``max(0, m - n)``, ``-``).  Values are
 immutable and kept in canonical zero-free form, so ``==`` is exact
 multiplicity agreement — which is what the relevance checks rely on.
+
+Each operation works directly on the element->count dicts and wraps its
+result with ``_trusted``, which skips validation: the result's counts are
+positive integers by construction.  Only ``__init__`` and ``from_counts``
+build from outside data, and only they validate.  Because values are
+immutable, an operation may return one of its operands unchanged (``m + EMPTY``
+is ``m``); no dict is ever shared between two values.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 
 def _default_key(x: Any) -> tuple[str, str]:
@@ -38,13 +45,15 @@ class FMultiset:
     @classmethod
     def from_counts(cls, counts: dict[Any, int]) -> "FMultiset":
         """Build from an element->count mapping; zero counts are dropped."""
-        m = cls()
+        result: dict[Any, int] = {}
         for x, c in counts.items():
+            if not isinstance(c, int):
+                raise ValueError(f"multiplicity for {x!r} is not an integer: {c!r}")
             if c < 0:
                 raise ValueError(f"negative multiplicity for {x!r}: {c}")
             if c > 0:
-                m._counts[x] = c
-        return m
+                result[x] = int(c)
+        return _trusted(result)
 
     # -- basic queries ------------------------------------------------------
 
@@ -94,33 +103,71 @@ class FMultiset:
 
     # -- pointwise operations -----------------------------------------------
 
-    def _merge(self, other: "FMultiset", op: Callable[[int, int], int]) -> "FMultiset":
-        result: dict[Any, int] = {}
-        for x in set(self._counts) | set(other._counts):
-            c = op(self.count(x), other.count(x))
-            if c > 0:
-                result[x] = c
-        return FMultiset.from_counts(result)
-
     def __add__(self, other: "FMultiset") -> "FMultiset":
         """Multiset sum: counts add."""
-        return self._merge(other, lambda a, b: a + b)
+        big, small = self._counts, other._counts
+        if not small:
+            return self
+        if not big:
+            return other
+        if len(big) < len(small):
+            big, small = small, big
+        counts = big.copy()
+        get = counts.get
+        for x, c in small.items():
+            counts[x] = get(x, 0) + c
+        return _trusted(counts)
 
     def __sub__(self, other: "FMultiset") -> "FMultiset":
         """Truncated difference: max(0, m - n) per element."""
-        return self._merge(other, lambda a, b: max(0, a - b))
+        if not other._counts or not self._counts:
+            return self
+        get = other._counts.get
+        counts = {}
+        for x, c in self._counts.items():
+            c -= get(x, 0)
+            if c > 0:
+                counts[x] = c
+        return _trusted(counts)
 
     def __and__(self, other: "FMultiset") -> "FMultiset":
         """Intersection: min of counts."""
-        return self._merge(other, min)
+        big, small = self._counts, other._counts
+        if len(big) < len(small):
+            big, small = small, big
+        get = big.get
+        counts = {}
+        for x, c in small.items():
+            d = get(x, 0)
+            if d:
+                counts[x] = c if c < d else d
+        return _trusted(counts)
 
     def __or__(self, other: "FMultiset") -> "FMultiset":
         """Union: max of counts."""
-        return self._merge(other, max)
+        big, small = self._counts, other._counts
+        if not small:
+            return self
+        if not big:
+            return other
+        if len(big) < len(small):
+            big, small = small, big
+        counts = big.copy()
+        get = counts.get
+        for x, c in small.items():
+            if c > get(x, 0):
+                counts[x] = c
+        return _trusted(counts)
 
     def __le__(self, other: "FMultiset") -> bool:
         """Submultiset order: every multiplicity is bounded by the other's."""
-        return all(c <= other.count(x) for x, c in self._counts.items())
+        if len(self._counts) > len(other._counts):
+            return False  # a support element of self is missing from other
+        get = other._counts.get
+        for x, c in self._counts.items():
+            if c > get(x, 0):
+                return False
+        return True
 
     def __lt__(self, other: "FMultiset") -> bool:
         return self <= other and self != other
@@ -131,11 +178,10 @@ class FMultiset:
         return self._counts == other._counts
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash(frozenset(self._counts.items()))
-            )
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(frozenset(self._counts.items()))
+        return h
 
     def __repr__(self) -> str:
         return f"FMultiset({list(self)!r})"
@@ -144,12 +190,20 @@ class FMultiset:
         return "[" + ", ".join(str(x) for x in self) + "]"
 
 
+def _trusted(counts: dict[Any, int]) -> FMultiset:
+    """Wrap ``counts`` unchecked: it must hold only positive ints and be unshared."""
+    m = object.__new__(FMultiset)
+    m._counts = counts
+    m._hash = None
+    return m
+
+
 EMPTY = FMultiset()
 
 
 def msum(*multisets: FMultiset) -> FMultiset:
     """Sum of any number of multisets; the empty multiset is the identity."""
-    total = FMultiset()
+    total = EMPTY
     for m in multisets:
         total = total + m
     return total
@@ -161,7 +215,7 @@ def submultisets(m: FMultiset) -> Iterator[FMultiset]:
 
     def rec(i: int, acc: dict) -> Iterator[FMultiset]:
         if i == len(elems):
-            yield FMultiset.from_counts(acc)
+            yield _trusted(acc.copy())
             return
         x = elems[i]
         for c in range(m.count(x) + 1):

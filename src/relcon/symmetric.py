@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Mapping, Optional
 
-from .multiset import FMultiset
+from .multiset import EMPTY, FMultiset, _trusted
 from .oracles import (
     FAILS,
     HOLDS,
@@ -354,7 +354,7 @@ def _ordered_partitions(gamma: FMultiset, n: int) -> Iterator[tuple[FMultiset, .
 
     def rec(i: int, parts: list[dict]) -> Iterator[tuple[FMultiset, ...]]:
         if i == len(elems):
-            yield tuple(FMultiset.from_counts(p) for p in parts)
+            yield tuple(_trusted(p.copy()) for p in parts)
             return
         x = elems[i]
         for split in compositions(gamma.count(x), n):
@@ -443,7 +443,7 @@ class AsymmetricPart(ConsequenceOracle):
         if self.theorem_basis is not None:
             return super().entails_all_theorems(premises)
         if self.empty_via_base:
-            return self.base.entails(premises, FMultiset())
+            return self.base.entails(premises, EMPTY)
         return UNKNOWN
 
 

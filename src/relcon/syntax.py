@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
-from .multiset import FMultiset
+from .multiset import EMPTY, FMultiset
 
 
 class ParseError(Exception):
@@ -524,7 +524,7 @@ def parse_multiset(text: str, schema: bool = False) -> FMultiset:
             if p.at("rbrack"):
                 p.next()
                 p.end()
-                return FMultiset()
+                return EMPTY
             items = p.formula_list()
             p.expect("rbrack")
         else:
@@ -860,9 +860,9 @@ def _parse_rule_body(kind: str, rule_name: str, body: str, symmetric: bool) -> N
     if kind == "axiom":
         if symmetric:
             right = parse_multiset(body, schema=True)
-            return NamedRule(rule_name, SymConsecution(FMultiset(), right))
+            return NamedRule(rule_name, SymConsecution(EMPTY, right))
         f = parse_formula(body, schema=True)
-        return NamedRule(rule_name, Consecution(FMultiset(), f))
+        return NamedRule(rule_name, Consecution(EMPTY, f))
     lhs, sep, rhs = body.partition("|-")
     if not sep:
         raise ParseError("rule line needs '|-'")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .multiset import FMultiset
+from .multiset import EMPTY, FMultiset
 from .oracles import HOLDS, SymmetricOracle, Verdict, all3
 from .laws import SampleDomain, check_law
 from .syntax import print_multiset
@@ -41,7 +41,7 @@ def theory(oracle: SymmetricOracle, generator: FMultiset) -> TheoryHandle:
 
 
 def th_zero(oracle: SymmetricOracle) -> TheoryHandle:
-    return TheoryHandle(FMultiset(), oracle)
+    return TheoryHandle(EMPTY, oracle)
 
 
 def _same_oracle(a: TheoryHandle, b: TheoryHandle) -> None:
@@ -178,9 +178,8 @@ def quotient_check(oracle: SymmetricOracle,
                              f"{print_multiset(b)}+{print_multiset(c)}")
 
     # monoid laws up to theory equality
-    empty = FMultiset()
     for a in reps:
-        if not equiv(a + empty, a):
+        if not equiv(a + EMPTY, a):
             report.monoid_ok = False
             fail("monoid", f"identity fails at {print_multiset(a)}")
         for b in reps:
