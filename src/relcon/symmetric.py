@@ -493,16 +493,6 @@ class ExtractionError(Exception):
 
 
 @dataclass
-class _Occurrence:
-    label: Formula
-    # how this occurrence came to be at its level:
-    #   ("start",)           level-1 premise occurrence
-    #   ("copy", j)          survived from position j of the previous level
-    #   ("rule", app, [js])  produced by the step's rule from positions js
-    origin: tuple = ("start",)
-
-
-@dataclass
 class Extraction:
     premises_used: FMultiset      # premises feeding the extracted tree
     tree: ProofTree               # relevant proof of the chosen formula
@@ -515,14 +505,16 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
                  phi: Formula) -> Extraction:
     """Split a relevant derivation at one conclusion occurrence.
 
-    Rebuilds the derivation as a forest over formula occurrences: rule edges
-    connect consumed occurrences to the produced one, copy edges track
-    survivors across steps.  The subtree rooted at the first final-level
-    occurrence of ``phi`` collapses (along copy edges) to a relevant tree
-    proof of phi from the level-1 leaves it touches; deleting the tree's
-    occurrences from every level and dropping stuttering steps leaves a
-    relevant derivation of the remaining conclusions from the remaining
-    premises.
+    Replays the derivation over a forest: for each label, the proof trees
+    whose roots stand in the current step, oldest first, starting with one
+    premise leaf per premise occurrence.  Each step takes, for every formula
+    its rule consumes (in canonical order), the oldest tree of that label,
+    and puts the produced formula's tree last among its label: a rule node
+    over the taken trees, or an axiom leaf when nothing was consumed.  The
+    oldest final tree of ``phi`` is a relevant tree proof of phi from the
+    premise leaves under it; deleting its nodes from every step and dropping
+    stuttering steps leaves a relevant derivation of the remaining
+    conclusions from the remaining premises.
     """
     if check_derivation(derivation, system, premises, conclusions) \
             is not DerivationVerdict.RELEVANT:
@@ -532,109 +524,41 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
             f"{print_formula(phi)} is not among the conclusions")
     if system.symmetric:
         raise ExtractionError("extraction expects a single-conclusion system")
-    sym = system.lifted()
 
-    levels: list[list[_Occurrence]] = [
-        [_Occurrence(f) for f in derivation.steps[0]]]
+    steps = derivation.steps
+    forest: dict[Formula, list[ProofTree]] = {}
+    for f in steps[0]:
+        forest.setdefault(f, []).append(ProofTree(f, PremiseJust()))
+    snapshots = [[t for trees in forest.values() for t in trees]]
     for i, app in enumerate(derivation.step_rules, start=1):
-        rule = sym.get(app.rule)
-        prev_ms, cur_ms = derivation.steps[i - 1], derivation.steps[i]
-        sigma = _infer_step(rule, prev_ms, cur_ms, app.subst)
-        consumed = FMultiset(substitute(s, sigma) for s in rule.left)
-        produced = FMultiset(substitute(s, sigma) for s in rule.right)
-        prev_list = [o.label for o in levels[-1]]
-        consumed_ix = _first_positions(prev_list, consumed)
-        cur_list = list(cur_ms)
-        produced_ix = _last_positions(cur_list, produced)
-        survivors_prev = [j for j in range(len(prev_list)) if j not in consumed_ix]
-        survivors_cur = [j for j in range(len(cur_list)) if j not in produced_ix]
-        pairing = _pair_by_label(prev_list, survivors_prev, cur_list, survivors_cur)
-        # lifted single-conclusion rules produce exactly one formula, so the
-        # produced occurrence is the unique parent of all consumed positions
-        level: list[Optional[_Occurrence]] = [None] * len(cur_list)
-        for j in produced_ix:
-            level[j] = _Occurrence(cur_list[j], ("rule", app, tuple(sorted(consumed_ix))))
-        for j_cur, j_prev in pairing.items():
-            level[j_cur] = _Occurrence(cur_list[j_cur], ("copy", j_prev))
-        assert all(o is not None for o in level)
-        levels.append(level)
+        rule = system.get(app.rule)
+        sigma = _infer_step(rule, steps[i - 1], steps[i], app.subst)
+        taken = tuple(forest[f].pop(0)
+                      for f in FMultiset(substitute(s, sigma) for s in rule.left))
+        label = substitute(rule.right, sigma)
+        by = RuleJust(rule.name, app.subst) if taken else AxiomJust(rule.name, app.subst)
+        forest.setdefault(label, []).append(ProofTree(label, by, taken))
+        snapshots.append([t for trees in forest.values() for t in trees])
 
-    last = len(levels) - 1
-    root_index = next(j for j, o in enumerate(levels[last])
-                      if o.label == phi)
+    tree = forest[phi][0]
+    in_tree: set[int] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        in_tree.add(id(node))
+        stack.extend(node.children)
 
-    in_tree: set[tuple[int, int]] = set()
-
-    def build(level_ix: int, pos: int) -> ProofTree:
-        in_tree.add((level_ix, pos))
-        occ = levels[level_ix][pos]
-        if occ.origin[0] == "start":
-            return ProofTree(occ.label, PremiseJust())
-        if occ.origin[0] == "copy":
-            return build(level_ix - 1, occ.origin[1])
-        _, app, consumed_ix = occ.origin
-        rule = sym.get(app.rule)
-        if not consumed_ix:
-            sigma = app.subst if app.subst is not None else None
-            return ProofTree(occ.label, AxiomJust(rule.name, sigma))
-        children = tuple(build(level_ix - 1, j) for j in consumed_ix)
-        return ProofTree(occ.label, RuleJust(rule.name, app.subst), children)
-
-    tree = build(last, root_index)
-
-    used = FMultiset(levels[0][j].label
-                     for j in range(len(levels[0])) if (0, j) in in_tree)
+    used = FMultiset(t.formula for t in snapshots[0] if id(t) in in_tree)
     rest = premises - used
-
-    residual_steps = [FMultiset(
-        o.label for j, o in enumerate(levels[0]) if (0, j) not in in_tree)]
+    residual_steps = [rest]
     residual_apps: list[RuleApp] = []
-    for i in range(1, len(levels)):
-        step = FMultiset(o.label for j, o in enumerate(levels[i])
-                         if (i, j) not in in_tree)
+    for app, snapshot in zip(derivation.step_rules, snapshots[1:]):
+        step = FMultiset(t.formula for t in snapshot if id(t) not in in_tree)
         if step != residual_steps[-1]:
             residual_steps.append(step)
-            residual_apps.append(derivation.step_rules[i - 1])
+            residual_apps.append(app)
     residual = Derivation(tuple(residual_steps), tuple(residual_apps))
     return Extraction(used, tree, rest, residual)
-
-
-def _first_positions(labels: list[Formula], wanted: FMultiset) -> set[int]:
-    need = wanted.counts()
-    out: set[int] = set()
-    for j, label in enumerate(labels):
-        if need.get(label, 0) > 0:
-            out.add(j)
-            need[label] -= 1
-    if any(c > 0 for c in need.values()):
-        raise ExtractionError("internal bookkeeping error: consumed not present")
-    return out
-
-
-def _last_positions(labels: list[Formula], wanted: FMultiset) -> set[int]:
-    need = wanted.counts()
-    out: set[int] = set()
-    for j in range(len(labels) - 1, -1, -1):
-        label = labels[j]
-        if need.get(label, 0) > 0:
-            out.add(j)
-            need[label] -= 1
-    if any(c > 0 for c in need.values()):
-        raise ExtractionError("internal bookkeeping error: produced not present")
-    return out
-
-
-def _pair_by_label(prev_list, survivors_prev, cur_list, survivors_cur) -> dict[int, int]:
-    by_label_prev: dict[Formula, list[int]] = {}
-    for j in survivors_prev:
-        by_label_prev.setdefault(prev_list[j], []).append(j)
-    pairing: dict[int, int] = {}
-    for j in survivors_cur:
-        bucket = by_label_prev.get(cur_list[j])
-        if not bucket:
-            raise ExtractionError("internal bookkeeping error: survivor mismatch")
-        pairing[j] = bucket.pop(0)
-    return pairing
 
 
 # -- derivation files ---------------------------------------------------------------

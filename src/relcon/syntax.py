@@ -59,12 +59,21 @@ class MissingBindingError(Exception):
 # -- abstract syntax ---------------------------------------------------------
 #
 # Compound nodes cache what search and printing ask of them again and again:
-# the node count and numeral value, filled at construction from the
-# children's (so a numeral thousands deep builds without recursion); and the
-# hash, the dataclass value (hash of the field tuple), and the printed form,
-# each on first use (see _fill; a small formula hashes its children
-# recursively).  Leaves are one node each, no numeral unless a constant says
-# so, hash as their dataclass value and print as their name.
+# the node count, the numeral value and whether the node is ground (free of
+# metavariables), filled at construction from the children's (so a numeral
+# thousands deep builds without recursion); and the hash, the dataclass value
+# (hash of the field tuple), and the printed form, each on first use (see
+# _fill; a small formula hashes its children recursively).  Leaves are one
+# node each, no numeral unless a constant says so, ground unless a
+# metavariable, hash as their dataclass value and print as their name.
+#
+# Compound equality (_equal) is one loop over a work list of node pairs, so
+# equal formulas nested past the recursion limit still compare; identical
+# pairs are never pushed, and a cached hash tells most unequal pairs apart at
+# once.  Formulas are not interned: the search builds fresh schema nodes at
+# every rule use, so a table would mostly miss.  Numerals are the exception:
+# numeral() builds each tower on the previous one, so equal numerals are one
+# object and compare by identity.
 
 _set = object.__setattr__
 
@@ -81,6 +90,7 @@ class _Leaf(_Node):
     __slots__ = ()
     _size = 1
     _num = None
+    _ground = True
     # filled from the start, so _fill never descends into a leaf
     _hash = property(hash)
     _str = property(lambda self: self.name)
@@ -100,6 +110,7 @@ class Var(_Leaf):
     """A metavariable; occurs only in schemata."""
 
     __slots__ = ("name",)
+    _ground = False
     name: str
 
     def __str__(self) -> str:
@@ -162,18 +173,49 @@ def _cached_str(self) -> str:
     return self._str or _fill(self, "_str")
 
 
+def _equal(self, other) -> bool:
+    """Structural equality, one node pair at a time from a work list; a
+    pair of identical nodes is never pushed."""
+    if self is other:
+        return True
+    if not isinstance(other, _Node):
+        return NotImplemented
+    pairs = [(self, other)]
+    while pairs:
+        a, b = pairs.pop()
+        t = type(a)
+        if t is not type(b):
+            return False
+        if isinstance(a, _Leaf):
+            if a.name != b.name:
+                return False
+        # the hash slot read directly; hash() only fills an empty one
+        elif (a._hash or hash(a)) != (b._hash or hash(b)):
+            return False
+        elif t is Neg:
+            if a.body is not b.body:
+                pairs.append((a.body, b.body))
+        else:
+            if a.right is not b.right:
+                pairs.append((a.right, b.right))
+            if a.left is not b.left:
+                pairs.append((a.left, b.left))
+    return True
+
+
 def _init_binary(self, left: "Formula", right: "Formula") -> None:
     _set(self, "left", left)
     _set(self, "right", right)
     _set(self, "_size", left._size + right._size + 1)
+    _set(self, "_ground", left._ground and right._ground)
     _set(self, "_str", None)
     _set(self, "_hash", None)
 
 
-_CACHE_SLOTS = ("_size", "_str", "_hash")
+_CACHE_SLOTS = ("_size", "_ground", "_str", "_hash")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neg(_Node):
     __slots__ = ("body", "_num") + _CACHE_SLOTS
     body: "Formula"
@@ -181,16 +223,18 @@ class Neg(_Node):
     def __init__(self, body: "Formula"):
         _set(self, "body", body)
         _set(self, "_size", body._size + 1)
+        _set(self, "_ground", body._ground)
         n = body._num
         _set(self, "_num", -n if n is not None and n > 0 else None)
         _set(self, "_str", None)
         _set(self, "_hash", None)
 
+    __eq__ = _equal
     __hash__ = _cached_hash
     __str__ = _cached_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Imp(_Node):
     __slots__ = ("left", "right") + _CACHE_SLOTS
     _num = None  # never a numeral
@@ -198,11 +242,12 @@ class Imp(_Node):
     right: "Formula"
 
     __init__ = _init_binary
+    __eq__ = _equal
     __hash__ = _cached_hash
     __str__ = _cached_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fusion(_Node):
     __slots__ = ("left", "right", "_num") + _CACHE_SLOTS
     left: "Formula"
@@ -213,11 +258,12 @@ class Fusion(_Node):
         n = left._num  # (n o 1) is n + 1; only ONE has the value 1
         _set(self, "_num", n + 1 if n is not None and n > 0 and right._num == 1 else None)
 
+    __eq__ = _equal
     __hash__ = _cached_hash
     __str__ = _cached_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Conj(_Node):
     __slots__ = ("left", "right") + _CACHE_SLOTS
     _num = None  # never a numeral
@@ -225,11 +271,12 @@ class Conj(_Node):
     right: "Formula"
 
     __init__ = _init_binary
+    __eq__ = _equal
     __hash__ = _cached_hash
     __str__ = _cached_str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Disj(_Node):
     __slots__ = ("left", "right") + _CACHE_SLOTS
     _num = None  # never a numeral
@@ -237,6 +284,7 @@ class Disj(_Node):
     right: "Formula"
 
     __init__ = _init_binary
+    __eq__ = _equal
     __hash__ = _cached_hash
     __str__ = _cached_str
 
@@ -257,15 +305,16 @@ RESERVED = {"o", "t"}
 MAX_NUMERAL = 200
 
 
+# _NUMERALS[k] is the numeral k; each tower is built on the one before
+_NUMERALS: list[Formula] = [ZERO, ONE]
+
+
 def numeral(n: int) -> Formula:
     """The defined numeral for an integer: 0, 1, n+1 = n o 1, -n = ~n."""
-    if n == 0:
-        return ZERO
-    negative = n < 0
-    out: Formula = ONE
-    for _ in range(abs(n) - 1):
-        out = Fusion(out, ONE)
-    return Neg(out) if negative else out
+    k = abs(n)
+    while len(_NUMERALS) <= k:
+        _NUMERALS.append(Fusion(_NUMERALS[-1], ONE))
+    return Neg(_NUMERALS[k]) if n < 0 else _NUMERALS[k]
 
 
 def numeral_value(f: Formula) -> Optional[int]:
@@ -541,14 +590,14 @@ def parse_multiset(text: str, schema: bool = False) -> FMultiset:
 def _map_vars(schema: Formula, leaf) -> Formula:
     """The schema with each metavariable v replaced by leaf(v), left to right;
     a subtree in which leaf replaced nothing comes back as the same object."""
+    if schema._ground:
+        return schema
     t = type(schema)
     if t is Var:
         return leaf(schema)
     if t is Neg:
         body = _map_vars(schema.body, leaf)
         return schema if body is schema.body else Neg(body)
-    if t is Atom or t is Const:
-        return schema
     left = _map_vars(schema.left, leaf)
     right = _map_vars(schema.right, leaf)
     return schema if left is schema.left and right is schema.right else t(left, right)
@@ -575,7 +624,7 @@ def match(schema: Formula, formula: Formula,
                 return out[s.name] == f
             out[s.name] = f
             return True
-        if isinstance(s, (Atom, Const)):
+        if s._ground:
             return s == f
         if type(s) is not type(f):
             return False
@@ -631,16 +680,18 @@ def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
 
     def occurs(name: str, f: Formula) -> bool:
         f = walk(f)
+        if f._ground:
+            return False
         if isinstance(f, Var):
             return f.name == name
         if isinstance(f, Neg):
             return occurs(name, f.body)
-        if isinstance(f, (Imp, Fusion, Conj, Disj)):
-            return occurs(name, f.left) or occurs(name, f.right)
-        return False
+        return occurs(name, f.left) or occurs(name, f.right)
 
     def go(x: Formula, y: Formula) -> bool:
         x, y = walk(x), walk(y)
+        if x._ground and y._ground:
+            return x == y
         if isinstance(x, Var):
             if isinstance(y, Var) and y.name == x.name:
                 return True
@@ -652,8 +703,6 @@ def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
             return go(y, x)
         if type(x) is not type(y):
             return False
-        if isinstance(x, (Atom, Const)):
-            return x == y
         if isinstance(x, Neg):
             return go(x.body, y.body)
         return go(x.left, y.left) and go(x.right, y.right)

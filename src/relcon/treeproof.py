@@ -169,14 +169,15 @@ class VerifyReport:
     surplus: FMultiset = EMPTY  # leaves - premises, shown in diagnostics
 
 
-def _rule_instance(system: AxiomaticSystem, just: RuleJust,
+def _rule_instance(system: AxiomaticSystem, just: AxiomJust | RuleJust,
                    conclusion: Formula, child_labels: FMultiset) -> Optional[dict]:
-    """A substitution making the named rule produce this node, if any."""
+    """A substitution making the named axiom or rule produce this node, if
+    any; an axiom produces a leaf, so its child labels are EMPTY."""
     try:
         rule = system.get(just.name)
     except KeyError:
         return None
-    if rule.is_axiom or isinstance(rule.right, FMultiset):
+    if rule.is_axiom != isinstance(just, AxiomJust) or isinstance(rule.right, FMultiset):
         return None
     if just.subst is not None:
         sigma = dict(just.subst)
@@ -213,13 +214,12 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
                 problems.append(
                     f"leaf {print_formula(node.formula)} carries a rule justification")
                 return False
-            if isinstance(node.by, AxiomJust):
-                inst = _leaf_axiom_ok(system, node)
-                if not inst:
-                    problems.append(
-                        f"leaf {print_formula(node.formula)} is not an instance "
-                        f"of axiom {node.by.name}")
-                    return False
+            if (isinstance(node.by, AxiomJust)
+                    and _rule_instance(system, node.by, node.formula, EMPTY) is None):
+                problems.append(
+                    f"leaf {print_formula(node.formula)} is not an instance "
+                    f"of axiom {node.by.name}")
+                return False
             if not (system.is_axiom_instance(node.formula)
                     or node.formula in premises.support):
                 problems.append(
@@ -263,21 +263,6 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
             if premises == leaves:
                 verdict = RelevanceVerdict.STRONGLY_RELEVANT
     return VerifyReport(verdict, [], leaves, surplus)
-
-
-def _leaf_axiom_ok(system: AxiomaticSystem, node: ProofTree) -> bool:
-    try:
-        ax = system.get(node.by.name)
-    except KeyError:
-        return False
-    if not ax.is_axiom or isinstance(ax.right, FMultiset):
-        return False
-    if node.by.subst is not None:
-        try:
-            return substitute(ax.right, dict(node.by.subst)) == node.formula
-        except MissingBindingError:
-            return False
-    return match(ax.right, node.formula) is not None
 
 
 def verify(tree: ProofTree, system: AxiomaticSystem,
@@ -574,7 +559,7 @@ class _SearchState:
         if budget < 1:
             return
         goal = _resolve(goal, theta)
-        if metavars(goal):
+        if not goal._ground:
             # the failure table speaks only for ground goals
             yield from self._prove_raw(goal, avail, budget, theta)
             return

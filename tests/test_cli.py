@@ -471,10 +471,8 @@ def test_semantics_on_a_deep_chain(capsys, argv, code, result):
     assert got == code and result_line(out) == result
 
 
-# Equal deep formulas still compare through the recursive dataclass __eq__;
-# interned formulas, whose equality is identity, will mend these.
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="deep formulas compare recursively")
+# premise and goal are equal, separately parsed deep chains: their equality
+# is a loop, not a recursion, so both commands reach their RESULT line
 @pytest.mark.parametrize("command", ["search", "check-proof"])
 def test_proof_commands_on_a_deep_chain(capsys, tmp_path, command):
     proof = tmp_path / "deep.proof"

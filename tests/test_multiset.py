@@ -139,8 +139,6 @@ def test_hash_consistent(m):
     assert hash(m) == hash(FMultiset(list(m)))
 
 
-@pytest.mark.xfail(strict=True, raises=RecursionError,
-                   reason="equal deep formulas compare through the recursive dataclass __eq__")
 def test_equal_deep_formulas_in_one_multiset():
     from relcon import numeral
 

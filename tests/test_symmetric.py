@@ -415,6 +415,35 @@ def test_extract_one_step(bci):
     assert ext.residual.steps == (FMultiset(),)
 
 
+OLDEST_FIRST_SYSTEM = """
+system OldestFirst
+axiom ax : 'a'
+rule  r  : 'a' |- 'b'
+"""
+
+
+def test_extract_consumes_the_oldest_equal_occurrence():
+    from relcon import parse_system
+
+    # the middle step holds two equal occurrences of a, the premise's and the
+    # axiom's; the rule consumes the older one, the premise
+    system = parse_system(OLDEST_FIRST_SYSTEM)
+    d = Derivation((ms("[a]"), ms("[a, a]"), ms("[a, b]")), (RuleApp("ax"), RuleApp("r")))
+    ext = extract_tree(d, system, ms("[a]"), ms("[a, b]"), b)
+    assert ext.tree == ProofTree(b, RuleJust("r"), (premise_leaf(a),))
+    assert ext.premises_used == ms("[a]") and ext.premises_rest == FMultiset()
+    assert str(ext.residual) == "[] --ax--> [a]"
+    ext = extract_tree(d, system, ms("[a]"), ms("[a, b]"), a)
+    assert ext.tree == axiom_leaf(a, "ax")
+    assert ext.premises_used == FMultiset() and ext.premises_rest == ms("[a]")
+    assert str(ext.residual) == "[a] --r--> [b]"
+    # of two equal final occurrences, the older one is extracted
+    d = Derivation((ms("[a]"), ms("[a, a]")), (RuleApp("ax"),))
+    ext = extract_tree(d, system, ms("[a]"), ms("[a, a]"), a)
+    assert ext.tree == premise_leaf(a) and ext.premises_used == ms("[a]")
+    assert str(ext.residual) == "[] --ax--> [a]"
+
+
 def test_extract_preconditions(bci):
     d = five_premise_derivation()
     premises, conclusions = ms("[a->b, a->c, a, a, a]"), ms("[a, b, c]")

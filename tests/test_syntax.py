@@ -38,6 +38,7 @@ from relcon.syntax import (
     alpha_variant,
     formula_size,
     match_multiset,
+    metavars,
     numeral_value,
     subformulas,
     substitute_partial,
@@ -341,6 +342,7 @@ def test_cached_values_match_uncached_references(f):
         assert numeral_value(node) == _ref_numeral_value(node)
         assert hash(node) == _ref_hash(node)
         assert str(node) == print_formula(node) == _ref_show(node)
+        assert node._ground == (not metavars(node))
 
 
 @given(formulas)
@@ -404,6 +406,79 @@ def test_formula_copy_and_pickle():
     for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert g == f and hash(g) == hash(f) and str(g) == str(f)
     assert repr(f).startswith("Conj(left=Fusion(left=Imp(left=Atom(name='p')")
+
+
+def _ref_equal(a, b):
+    """Structural equality, recursively and from scratch."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (Atom, Var, Const)):
+        return a.name == b.name
+    if isinstance(a, Neg):
+        return _ref_equal(a.body, b.body)
+    return _ref_equal(a.left, b.left) and _ref_equal(a.right, b.right)
+
+
+def _swap_kinds(f):
+    """f with each atom made the metavariable of its name and back: printed
+    and hashed alike, yet unequal whenever f has an atom or metavariable."""
+    if isinstance(f, Atom):
+        return Var(f.name)
+    if isinstance(f, Var):
+        return Atom(f.name)
+    if isinstance(f, Const):
+        return f
+    if isinstance(f, Neg):
+        return Neg(_swap_kinds(f.body))
+    return type(f)(_swap_kinds(f.left), _swap_kinds(f.right))
+
+
+@given(formulas, formulas)
+@example(Neg(p), Neg(Var("p")))  # equal hashes, unequal leaves
+@example(numeral(3), Fusion(Fusion(ONE, ONE), ONE))  # a numeral built apart
+def test_equality_agrees_with_the_recursive_reference(f, g):
+    for a, b in ((f, g), (f, _rebuild(f)), (_rebuild(f), f), (f, _swap_kinds(f)),
+                 (_rebuild(g), g)):
+        equal = _ref_equal(a, b)
+        assert (a == b) is equal and (a != b) is (not equal)
+        if equal:
+            assert hash(a) == hash(b)
+
+
+def test_equal_hashes_do_not_make_formulas_equal():
+    # a forced hash collision: equality still compares the leaves
+    a, b = Imp(p, q), Imp(p, r)
+    for f in (a, b):
+        object.__setattr__(f, "_hash", 7)
+    assert a != b and not a == b
+
+
+def test_numerals_share_their_towers():
+    for n in (2, 3, 57, 200):
+        assert numeral(n) is numeral(n)
+        assert numeral(n).left is numeral(n - 1)
+        assert numeral(-n).body is numeral(n)
+    assert numeral(1) is ONE and numeral(0) is ZERO
+
+
+def _tower(bottom, top, n):
+    """((bottom o top) o top) ... o top, n - 1 fusions, built by a loop."""
+    f = bottom
+    for _ in range(n - 1):
+        f = Fusion(f, top)
+    return f
+
+
+def test_deep_formulas_compare_without_recursion():
+    chain = " o ".join(["p"] * 3000)
+    a, b = parse_formula(chain), parse_formula(chain)
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    other = parse_formula(chain[:-1] + "q")
+    assert a != other and not a == other
+    # equal hashes all the way down: only the bottom leaf tells them apart
+    assert a != _tower(Var("p"), p, 3000)
+    assert _tower(ONE, ONE, 5000) == numeral(5000)
+    assert FMultiset([a, b]).count(a) == 2
 
 
 def _size_then_text(fs):
