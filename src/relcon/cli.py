@@ -9,7 +9,6 @@ last stdout line is always machine-parsable: ``RESULT <verdict>``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -197,8 +196,9 @@ def cmd_search(args) -> int:
 
 def _derivation_inputs(args):
     """A derivation command's system, premises, conclusions and derivation
-    file (if it takes one), or None once a malformed one is reported: that is
-    an invalid derivation, exit 2, where main's handler would exit 1 (plain)."""
+    file (if it takes one), or None once a malformed, missing or unreadable
+    one is reported: that is an invalid derivation, exit 2, where main's
+    handler would exit 1 (plain)."""
     try:
         inputs = [load_system(args.system), parse_multiset(args.premises),
                   parse_multiset(args.conclusions)]
@@ -206,7 +206,7 @@ def _derivation_inputs(args):
             with open(args.derivation, "r", encoding="utf-8") as fh:
                 inputs.append(load_derivation(fh.read()))
         return inputs
-    except (ParseError, ValueError) as e:
+    except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         _result("invalid")
         return None
@@ -461,7 +461,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, EvalError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (ParseError, EvalError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         _result("invalid")
         return EXIT_FAIL

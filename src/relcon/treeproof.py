@@ -26,6 +26,7 @@ Writing ``leaves`` for the leaf-label multiset, the tree is additionally
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Mapping, Optional
@@ -476,11 +477,14 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
     A rule metavariable the goal leaves open, such as the minor premise of
     modus ponens, is a logic variable renamed apart for each rule use and
     bound by unification when its subgoal closes against a premise, an axiom
-    or another rule's conclusion.  A variable still open when a proof closes
-    is grounded with the least subformula of the premises and goal (by size,
-    then text).  The first witness under the canonical branch order is
-    returned, so the result is deterministic and node-minimal.  ``None``
-    means no proof within ``max_nodes``; it is not a disproof.
+    or another rule's conclusion.  A use is renamed apart only once its
+    conclusion unifies with the goal, and the axiom and rule tables this
+    reads are built once per system, on its first search.  A variable still
+    open when a proof closes is grounded with the least subformula of the
+    premises and goal (by size, then text).  The first witness under the
+    canonical branch order is returned, so the result is deterministic and
+    node-minimal.  ``None`` means no proof within ``max_nodes``; it is not a
+    disproof.
     """
     if system.symmetric:
         raise ValueError("search expects a single-conclusion system")
@@ -515,6 +519,28 @@ def _vars_of(rule: NamedRule) -> list[Var]:
     return [Var(name) for name in sorted(set().union(*map(metavars, _rule_schemata(rule))))]
 
 
+# A rule table entry: the rule, its metavariables, and its conclusion with
+# them renamed into the private namespace untagged.  Every goal variable
+# carries a use tag, so a goal shares no variable with a head, and a goal
+# unifies with a head exactly when it unifies with a renamed-apart copy.
+_Entry = tuple[NamedRule, list[Var], Formula]
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _rule_tables(system: AxiomaticSystem) -> tuple[list[_Entry], list[_Entry]]:
+    """The system's single-conclusion axioms and inference rules as table
+    entries, built on first use and kept while the system lives."""
+    tables = _TABLES.get(system)
+    if tables is None:
+        def entries(rules):
+            return [(rule, _vars_of(rule), _rename_vars(rule.right)) for rule in rules
+                    if not isinstance(rule.right, FMultiset)]
+
+        tables = _TABLES[system] = (entries(system.axioms), entries(system.inference_rules))
+    return tables
+
+
 def _resolve(f: Formula, theta: dict) -> Formula:
     """The formula under the bindings ``theta``, followed to the end."""
     if not theta:
@@ -524,22 +550,32 @@ def _resolve(f: Formula, theta: dict) -> Formula:
 
 class _SearchState:
     """Proof search over one system; ``fruitless`` remembers, per ground
-    (goal, available premises), the largest budget that found nothing."""
+    (goal, available premises), the largest budget that found nothing.
+
+    The axiom and rule tables are the system's, built once.  A use is
+    renamed apart only after the goal unifies with the rule's untagged head,
+    so the ``#n`` tags count the uses that unify."""
 
     def __init__(self, system: AxiomaticSystem, filler: Formula):
         self.filler = filler
         self.fruitless: dict[tuple, int] = {}
         self._uses = 0
-        self._axioms = [(ax, _vars_of(ax)) for ax in system.axioms
-                        if not isinstance(ax.right, FMultiset)]
-        self._rules = [(rule, _vars_of(rule)) for rule in system.inference_rules
-                       if not isinstance(rule.right, FMultiset)]
+        self._axioms, self._rules = _rule_tables(system)
 
     def _fresh(self, variables: list[Var]) -> dict[str, Formula]:
         """Each variable renamed apart from every earlier rule or axiom use."""
         self._uses += 1
         tag = "#" + str(self._uses)
         return {v.name: _rename_vars(v, tag) for v in variables}
+
+    def _uses_of(self, table: list[_Entry], goal: Formula
+                 ) -> Iterator[tuple[NamedRule, dict[str, Formula], dict]]:
+        """Each entry whose head unifies with the goal, renamed apart, with
+        the renaming and the goal's unifier with the renamed conclusion."""
+        for rule, variables, head in table:
+            if unify(goal, head) is not None:
+                sigma = self._fresh(variables)
+                yield rule, sigma, unify(goal, substitute(rule.right, sigma))
 
     def ground(self, tree: ProofTree, theta: dict) -> ProofTree:
         """The tree under ``theta``, with every variable left open filled."""
@@ -580,18 +616,11 @@ class _SearchState:
             mgu = unify(goal, f)
             if mgu is not None:
                 yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
-        for ax, variables in self._axioms:
-            sigma = self._fresh(variables)
-            mgu = unify(goal, substitute(ax.right, sigma))
-            if mgu is not None:
-                yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
+        for ax, sigma, mgu in self._uses_of(self._axioms, goal):
+            yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
         if budget < 2:
             return
-        for rule, variables in self._rules:
-            sigma = self._fresh(variables)
-            mgu = unify(goal, substitute(rule.right, sigma))
-            if mgu is None:
-                continue
+        for rule, sigma, mgu in self._uses_of(self._rules, goal):
             bound = {**theta, **mgu}
             # most-constrained (largest) subgoal first fails fastest
             subgoals = _larger_first(

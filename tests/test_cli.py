@@ -237,6 +237,47 @@ def test_derivation_command_malformed_argument_exits_two(capsys, tmp_path,
     assert captured.err.startswith("error: ")
 
 
+# a directory and a missing path, each where a command reads a file
+_NOT_A_FILE = [FIX, f"{FIX}/missing.rcs"]
+
+
+@pytest.mark.parametrize("path", _NOT_A_FILE, ids=["directory", "missing"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["parse", "--system", "{}"], id="parse-system"),
+    pytest.param(["check-proof", "--system", "{}", "--premises", "[p->q, p]", "--goal", "q",
+                  "--proof", f"{FIX}/mp.proof"], id="check-proof-system"),
+    pytest.param(["check-proof", "--system", f"{FIX}/bci.rcs", "--premises", "[p->q, p]",
+                  "--goal", "q", "--proof", "{}"], id="check-proof-proof"),
+    pytest.param(["search", "--system", "{}", "--premises", "[p]", "--goal", "p"],
+                 id="search-system"),
+    pytest.param(["matrix-eval", "--matrix", "{}", "--formula", "p -> p"], id="matrix-eval"),
+    pytest.param(["matrix-refute", "--matrix", "{}", "--formula", "p -> p"],
+                 id="matrix-refute"),
+    pytest.param(["laws", "check", "--oracle", "system:{}", "--dom", "atoms=p,size=1"],
+                 id="laws-oracle-system"),
+])
+def test_unreadable_input_file_is_invalid(capsys, argv, path):
+    code = main([a.format(path) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert result_line(captured.out) == "invalid"
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("path", _NOT_A_FILE, ids=["directory", "missing"])
+@pytest.mark.parametrize("command, flag", [
+    ("check-derivation", "--system"), ("check-derivation", "--derivation"),
+    ("derive", "--system")])
+def test_derivation_command_unreadable_file_exits_two(capsys, command, flag, path):
+    argv = list(_DERIVATION_ARGS[command])
+    argv[argv.index(flag) + 1] = path
+    code = main([command] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert result_line(captured.out) == "invalid"
+    assert captured.err.startswith("error: ")
+
+
 def test_derive_found(capsys):
     code, out = run(capsys, "derive", "--system", f"{FIX}/bci.rcs",
                     "--premises", "[a]", "--conclusions", "[a -> a, a]",

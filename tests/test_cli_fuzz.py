@@ -1,8 +1,9 @@
 """A seeded fuzz of the command line.
 
 Every subcommand is called in process on random formula and multiset text
-and on random files (bytes, JSON of random shape, mangled fixtures), with
-tiny search bounds.  Whatever the input, the contract holds: the exit code
+and on random files (bytes, JSON of random shape, mangled fixtures, and
+directories and missing paths where a file should be), with tiny search
+bounds.  Whatever the input, the contract holds: the exit code
 is 0-3, and unless it is 2 (a usage error) the last stdout line starts with
 ``RESULT ``.
 """
@@ -86,15 +87,22 @@ def mangled(rng, text):
 
 
 def write(path, rng, fixture=None):
-    """Random bytes, random JSON, or a (possibly mangled) fixture, at path."""
+    """Random bytes, random JSON or a (possibly mangled) fixture at path, or
+    in place of a file a directory or a path that does not exist."""
     roll = rng.random()
     if fixture is not None and roll < 0.6:
         text = (FIXTURES / fixture).read_text()
         path.write_text(mangled(rng, text) if roll < 0.15 else text)
-    elif roll < 0.8:
+    elif roll < 0.75:
         path.write_text(json.dumps(json_value(rng)))
-    else:
+    elif roll < 0.9:
         path.write_bytes(rng.randbytes(rng.randint(0, 40)))
+    elif roll < 0.95:
+        directory = path.with_suffix(".d")
+        directory.mkdir(exist_ok=True)
+        return str(directory)
+    else:
+        return str(path.with_suffix(".missing"))
     return str(path)
 
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -31,8 +33,10 @@ from relcon import (
     verify,
     verify_report,
 )
-from relcon.syntax import metavars
-from relcon.treeproof import proof_from_data
+from relcon import treeproof
+from relcon.multiset import EMPTY
+from relcon.syntax import _larger_first, metavars, substitute, unify
+from relcon.treeproof import _masked, _resolve, proof_from_data
 from conftest import random_relevant_proof
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -744,3 +748,89 @@ def test_deep_proof_data_loads_without_recursion():
 def test_deep_json_is_a_value_error():
     with pytest.raises(ValueError, match="nested too deeply"):
         load_proof("[" * 100_000 + "]" * 100_000)
+
+
+# -- search against the rule use that renamed every rule apart -------------------
+
+
+def _reference_prove_raw(self, goal, avail, budget, theta):
+    # _prove_raw before the head filter: every axiom and rule use is renamed
+    # apart and its conclusion built before it is unified with the goal
+    for f in avail.distinct():
+        mgu = unify(goal, f)
+        if mgu is not None:
+            yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
+    for ax, variables, _ in self._axioms:
+        sigma = self._fresh(variables)
+        mgu = unify(goal, substitute(ax.right, sigma))
+        if mgu is not None:
+            yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
+    if budget < 2:
+        return
+    for rule, variables, _ in self._rules:
+        sigma = self._fresh(variables)
+        mgu = unify(goal, substitute(rule.right, sigma))
+        if mgu is None:
+            continue
+        bound = {**theta, **mgu}
+        subgoals = _larger_first(
+            [_resolve(substitute(s, sigma), bound) for s in rule.left], text=_masked)
+        for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1, bound):
+            yield ProofTree(goal, RuleJust(rule.name, sigma), children), used, theta2
+
+
+def _assert_same_witness(system, premises, goal, max_nodes=16):
+    got = search(system, premises, goal, max_nodes=max_nodes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treeproof._SearchState, "_prove_raw", _reference_prove_raw)
+        want = search(system, premises, goal, max_nodes=max_nodes)
+    assert (got and dump_proof(got)) == (want and dump_proof(want)), (system.name, premises, goal)
+    return got
+
+
+def test_search_matches_the_reference_on_random_goals(bci, bcio):
+    rng = random.Random(10)
+    found = 0
+    for system, fusion in ((bci, False), (bcio, True)):
+        # one-step goals (3-node proofs), then two-step goals (5 nodes)
+        for max_nodes, count in ((3, 60), (5, 20)):
+            for _ in range(count):
+                tree, premises = random_relevant_proof(rng, system, fusion, max_nodes)
+                found += _assert_same_witness(
+                    system, premises, tree.formula, tree.node_count()) is not None
+    assert found == 160
+
+
+def test_search_matches_the_reference_on_open_variables():
+    detour = parse_system("system Detour\naxiom I : p -> p\nrule r : p |- 'b'\n")
+    assert _assert_same_witness(detour, ms("[]"), Atom("b"), 4) is not None
+    # conclusions that are bare metavariables unify with every goal
+    bare = parse_system("system Bare\naxiom I : p -> p\nrule k : p, q |- p\n"
+                        "rule lift : p -> p |- q\n")
+    for premises, goal in [("[]", "q"), ("[q]", "q"), ("[p, q]", "p"), ("[p -> q, r]", "r")]:
+        _assert_same_witness(bare, ms(premises), parse_formula(goal), 4)
+
+
+@pytest.mark.parametrize("premises, goal, expected", FIVE_NODE_WITNESSES)
+def test_search_matches_the_reference_on_the_pinned_witnesses(bcio, premises, goal, expected):
+    assert dump_proof(_assert_same_witness(bcio, ms(premises), parse_formula(goal))) == expected
+
+
+def test_rule_tables_are_built_once_per_system(monkeypatch):
+    system = parse_system("system Fresh\naxiom I : p -> p\nrule mp : p -> q, p |- q\n")
+    calls = []
+
+    def counting(rule):
+        calls.append(rule.name)
+        return vars_of(rule)
+
+    vars_of = treeproof._vars_of
+    monkeypatch.setattr(treeproof, "_vars_of", counting)
+    for _ in range(2):
+        assert search(system, ms("[p -> q, p]"), q) is not None
+    assert sorted(calls) == ["I", "mp"]
+    # the table does not keep its system alive
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
