@@ -1,11 +1,15 @@
 import pytest
 
 from relcon import (
+    AbelianSymmetricOracle,
     Atom,
     FAILS,
     FMultiset,
     HOLDS,
     MonotonicCompanion,
+    SingleAtomThresholdOracle,
+    Symmetrization,
+    UNKNOWN,
     check_law,
     check_laws,
     classify,
@@ -159,6 +163,227 @@ def test_sampled_draw_sequence(seed, law, checked, witness):
     assert not result.exhaustive
     assert result.status == "counterexample"
     assert (result.checked, result.witness_str()) == (checked, witness)
+
+
+# -- the whole battery, pinned ---------------------------------------------------
+
+
+class _Patchy:
+    """A base oracle that answers UNKNOWN on every one-premise query."""
+
+    def __init__(self, base):
+        self.base = base
+        self.symmetric = base.symmetric
+        self.theorem_basis = getattr(base, "theorem_basis", None)
+
+    def entails(self, premises, conclusion):
+        if premises.size == 1:
+            return UNKNOWN
+        return self.base.entails(premises, conclusion)
+
+
+_PIN_ORACLES = {
+    "z": make_z_oracle,
+    "p": make_p_oracle,
+    "ex54": SingleAtomThresholdOracle,
+    "zsym": AbelianSymmetricOracle,
+    "psym": lambda: Symmetrization(make_p_oracle()),
+    "identity": IdentityOracle,
+    "z?": lambda: _Patchy(make_z_oracle()),
+    "zsym?": lambda: _Patchy(AbelianSymmetricOracle()),
+}
+
+# (law, status, exhaustive, checked, witness_str()) for every law, in
+# law_names order; "sampled" runs the same domain with a cap of 20
+_PINNED = {
+    ('z', 'exhaustive'): [
+        ('Reflexivity', 'passed', True, 4, ''),
+        ('Cut', 'passed', True, 3600, ''),
+        ('Monotonicity', 'counterexample', True, 19, 'G=[]; f=0; D=[1]'),
+        ('Contraction', 'counterexample', True, 49, 'G=[1]; g=-1; f=-1'),
+        ('GeneralizedReflexivity', 'counterexample', True, 13, 'G=[1]; f=-1'),
+        ('RelevantCut', 'passed', True, 9240, ''),
+        ('TheoremRemoval', 'passed', True, 900, ''),
+    ],
+    ('p', 'exhaustive'): [
+        ('Reflexivity', 'passed', True, 4, ''),
+        ('Cut', 'passed', True, 3600, ''),
+        ('Monotonicity', 'passed', True, 900, ''),
+        ('Contraction', 'passed', True, 240, ''),
+        ('GeneralizedReflexivity', 'passed', True, 60, ''),
+        ('RelevantCut', 'passed', True, 9240, ''),
+        ('TheoremRemoval', 'passed', True, 900, ''),
+    ],
+    ('ex54', 'exhaustive'): [
+        ('Reflexivity', 'passed', True, 4, ''),
+        ('Transitivity', 'passed', True, 64, ''),
+        ('Compatibility', 'passed', True, 64, ''),
+        ('Monotonicity', 'counterexample', True, 2, 'G=[]; D=[]; P=[x]'),
+        ('Contraction', 'counterexample', True, 3, 'G=[]; g=x; D=[x, x]'),
+        ('rContraction', 'counterexample', True, 9, 'G=[x, x]; g=x; D=[]'),
+        ('GeneralizedReflexivity', 'counterexample', True, 2, 'G=[]; D=[x]'),
+        ('TheoremReflexivity', 'counterexample', True, 2, 'G=[x]'),
+        ('MultiCut', 'passed', True, 256, ''),
+        ('TheoremRemoval', 'passed', True, 64, ''),
+    ],
+    ('zsym', 'exhaustive'): [
+        ('Reflexivity', 'passed', True, 15, ''),
+        ('Transitivity', 'passed', True, 3375, ''),
+        ('Compatibility', 'passed', True, 3375, ''),
+        ('Monotonicity', 'counterexample', True, 4, 'G=[]; D=[]; P=[1]'),
+        ('Contraction', 'counterexample', True, 6, 'G=[]; g=-1; D=[-1, -1]'),
+        ('rContraction', 'counterexample', True, 36, 'G=[]; g=1; D=[-1, -1]'),
+        ('GeneralizedReflexivity', 'counterexample', True, 4, 'G=[]; D=[1]'),
+        ('TheoremReflexivity', 'counterexample', True, 4, 'G=[1]'),
+        ('MultiCut', 'passed', True, 50625, ''),
+        ('TheoremRemoval', 'passed', True, 3375, ''),
+    ],
+    ('psym', 'exhaustive'): [
+        ('Reflexivity', 'passed', True, 15, ''),
+        ('Transitivity', 'passed', True, 3375, ''),
+        ('Compatibility', 'passed', True, 3375, ''),
+        ('Monotonicity', 'passed', True, 3375, ''),
+        ('Contraction', 'passed', True, 900, ''),
+        ('rContraction', 'passed', True, 900, ''),
+        ('GeneralizedReflexivity', 'passed', True, 225, ''),
+        ('TheoremReflexivity', 'passed', True, 15, ''),
+        ('MultiCut', 'passed', True, 50625, ''),
+        ('TheoremRemoval', 'passed', True, 3375, ''),
+    ],
+    ('identity', 'exhaustive'): [
+        ('Reflexivity', 'passed', True, 15, ''),
+        ('Transitivity', 'passed', True, 3375, ''),
+        ('Compatibility', 'passed', True, 3375, ''),
+        ('Monotonicity', 'counterexample', True, 2, 'G=[]; D=[]; P=[-1]'),
+        ('Contraction', 'counterexample', True, 6, 'G=[]; g=-1; D=[-1, -1]'),
+        ('rContraction', 'counterexample', True, 301, 'G=[-1, -1]; g=-1; D=[]'),
+        ('GeneralizedReflexivity', 'counterexample', True, 2, 'G=[]; D=[-1]'),
+        ('TheoremReflexivity', 'counterexample', True, 2, 'G=[-1]'),
+        ('MultiCut', 'passed', True, 50625, ''),
+        ('TheoremRemoval', 'passed', True, 3375, ''),
+    ],
+    ('z?', 'exhaustive'): [
+        ('Reflexivity', 'inconclusive', True, 4, ''),
+        ('Cut', 'inconclusive', True, 3600, ''),
+        ('Monotonicity', 'counterexample', True, 24, 'G=[]; f=0; D=[-1, 2]'),
+        ('Contraction', 'counterexample', True, 49, 'G=[1]; g=-1; f=-1'),
+        ('GeneralizedReflexivity', 'counterexample', True, 13, 'G=[1]; f=-1'),
+        ('RelevantCut', 'inconclusive', True, 9240, ''),
+        ('TheoremRemoval', 'inconclusive', True, 900, ''),
+    ],
+    ('zsym?', 'exhaustive'): [
+        ('Reflexivity', 'inconclusive', True, 15, ''),
+        ('Transitivity', 'inconclusive', True, 3375, ''),
+        ('Compatibility', 'inconclusive', True, 3375, ''),
+        ('Monotonicity', 'counterexample', True, 9, 'G=[]; D=[]; P=[-1, 2]'),
+        ('Contraction', 'counterexample', True, 126, 'G=[0]; g=-1; D=[-1, -1]'),
+        ('rContraction', 'counterexample', True, 36, 'G=[]; g=1; D=[-1, -1]'),
+        ('GeneralizedReflexivity', 'counterexample', True, 9, 'G=[]; D=[-1, 2]'),
+        ('TheoremReflexivity', 'counterexample', True, 9, 'G=[-1, 2]'),
+        ('MultiCut', 'inconclusive', True, 50625, ''),
+        ('TheoremRemoval', 'inconclusive', True, 3375, ''),
+    ],
+    ('z', 'sampled'): [
+        ('Reflexivity', 'passed', True, 4, ''),
+        ('Cut', 'passed', False, 200, ''),
+        ('Monotonicity', 'counterexample', False, 8, 'G=[-1, 1]; f=1; D=[0, 2]'),
+        ('Contraction', 'counterexample', False, 42, 'G=[1, 2]; g=-1; f=1'),
+        ('GeneralizedReflexivity', 'counterexample', False, 2, 'G=[2]; f=-1'),
+        ('RelevantCut', 'passed', False, 200, ''),
+        ('TheoremRemoval', 'passed', False, 200, ''),
+    ],
+    ('p', 'sampled'): [
+        ('Reflexivity', 'passed', True, 4, ''),
+        ('Cut', 'passed', False, 200, ''),
+        ('Monotonicity', 'passed', False, 200, ''),
+        ('Contraction', 'passed', False, 200, ''),
+        ('GeneralizedReflexivity', 'passed', False, 200, ''),
+        ('RelevantCut', 'passed', False, 200, ''),
+        ('TheoremRemoval', 'passed', False, 200, ''),
+    ],
+    ('ex54', 'sampled'): [
+        ('Reflexivity', 'passed', True, 4, ''),
+        ('Transitivity', 'passed', False, 200, ''),
+        ('Compatibility', 'passed', False, 200, ''),
+        ('Monotonicity', 'counterexample', False, 12, 'G=[x]; D=[x]; P=[x, x, x]'),
+        ('Contraction', 'counterexample', True, 3, 'G=[]; g=x; D=[x, x]'),
+        ('rContraction', 'counterexample', True, 9, 'G=[x, x]; g=x; D=[]'),
+        ('GeneralizedReflexivity', 'counterexample', True, 2, 'G=[]; D=[x]'),
+        ('TheoremReflexivity', 'counterexample', True, 2, 'G=[x]'),
+        ('MultiCut', 'passed', False, 200, ''),
+        ('TheoremRemoval', 'passed', False, 200, ''),
+    ],
+    ('zsym', 'sampled'): [
+        ('Reflexivity', 'passed', True, 15, ''),
+        ('Transitivity', 'passed', False, 200, ''),
+        ('Compatibility', 'passed', False, 200, ''),
+        ('Monotonicity', 'counterexample', False, 1, 'G=[0]; D=[0, 0]; P=[1, 2]'),
+        ('Contraction', 'counterexample', False, 42, 'G=[-1, 2]; g=-1; D=[-1, 0]'),
+        ('rContraction', 'counterexample', False, 6, 'G=[1, 2]; g=2; D=[-1, 0]'),
+        ('GeneralizedReflexivity', 'counterexample', False, 2, 'G=[1, 2]; D=[1, 1]'),
+        ('TheoremReflexivity', 'counterexample', True, 4, 'G=[1]'),
+        ('MultiCut', 'passed', False, 200, ''),
+        ('TheoremRemoval', 'passed', False, 200, ''),
+    ],
+    ('psym', 'sampled'): [
+        ('Reflexivity', 'passed', True, 15, ''),
+        ('Transitivity', 'passed', False, 200, ''),
+        ('Compatibility', 'passed', False, 200, ''),
+        ('Monotonicity', 'passed', False, 200, ''),
+        ('Contraction', 'passed', False, 200, ''),
+        ('rContraction', 'passed', False, 200, ''),
+        ('GeneralizedReflexivity', 'passed', False, 200, ''),
+        ('TheoremReflexivity', 'passed', True, 15, ''),
+        ('MultiCut', 'passed', False, 200, ''),
+        ('TheoremRemoval', 'passed', False, 200, ''),
+    ],
+    ('identity', 'sampled'): [
+        ('Reflexivity', 'passed', True, 15, ''),
+        ('Transitivity', 'passed', False, 200, ''),
+        ('Compatibility', 'passed', False, 200, ''),
+        ('Monotonicity', 'counterexample', False, 2, 'G=[1, 1]; D=[1, 1]; P=[-1]'),
+        ('Contraction', 'counterexample', False, 156, 'G=[]; g=1; D=[1, 1]'),
+        ('rContraction', 'counterexample', False, 133, 'G=[-1, -1]; g=-1; D=[]'),
+        ('GeneralizedReflexivity', 'counterexample', False, 1, 'G=[0]; D=[0, 0]'),
+        ('TheoremReflexivity', 'counterexample', True, 2, 'G=[-1]'),
+        ('MultiCut', 'passed', False, 200, ''),
+        ('TheoremRemoval', 'passed', False, 200, ''),
+    ],
+    ('z?', 'sampled'): [
+        ('Reflexivity', 'inconclusive', True, 4, ''),
+        ('Cut', 'inconclusive', False, 200, ''),
+        ('Monotonicity', 'counterexample', False, 8, 'G=[-1, 1]; f=1; D=[0, 2]'),
+        ('Contraction', 'counterexample', False, 42, 'G=[1, 2]; g=-1; f=1'),
+        ('GeneralizedReflexivity', 'counterexample', False, 2, 'G=[2]; f=-1'),
+        ('RelevantCut', 'inconclusive', False, 200, ''),
+        ('TheoremRemoval', 'inconclusive', False, 200, ''),
+    ],
+    ('zsym?', 'sampled'): [
+        ('Reflexivity', 'inconclusive', True, 15, ''),
+        ('Transitivity', 'inconclusive', False, 200, ''),
+        ('Compatibility', 'inconclusive', False, 200, ''),
+        ('Monotonicity', 'counterexample', False, 11, 'G=[0, 2]; D=[1, 1]; P=[1]'),
+        ('Contraction', 'counterexample', False, 42, 'G=[-1, 2]; g=-1; D=[-1, 0]'),
+        ('rContraction', 'counterexample', False, 6, 'G=[1, 2]; g=2; D=[-1, 0]'),
+        ('GeneralizedReflexivity', 'counterexample', False, 2, 'G=[1, 2]; D=[1, 1]'),
+        ('TheoremReflexivity', 'counterexample', True, 9, 'G=[-1, 2]'),
+        ('MultiCut', 'inconclusive', False, 200, ''),
+        ('TheoremRemoval', 'inconclusive', False, 200, ''),
+    ],
+}
+
+
+@pytest.mark.parametrize("oracle_name, mode", list(_PINNED))
+def test_battery_pinned(oracle_name, mode):
+    formulas = (x_domain().formulas if oracle_name == "ex54"
+                else tuple(numeral(k) for k in range(-1, 3)))
+    kw = {"max_size": 3 if oracle_name == "ex54" else 2}
+    if mode == "sampled":
+        kw.update(seed=1, exhaustive_cap=20, sample_count=200)
+    results = check_laws(_PIN_ORACLES[oracle_name](), SampleDomain(formulas, **kw))
+    got = [(n, r.status, r.exhaustive, r.checked, r.witness_str())
+           for n, r in results.items()]
+    assert got == _PINNED[oracle_name, mode]
 
 
 # -- the monotonic companion ------------------------------------------------------
