@@ -64,6 +64,9 @@ EXIT_UNKNOWN = 3
 _VERDICT_EXIT = {Verdict.HOLDS: EXIT_OK, Verdict.FAILS: EXIT_FAIL,
                  Verdict.UNKNOWN: EXIT_UNKNOWN}
 
+# a law result's status as the laws command prints it
+_LAW_STATUS = {"passed": "PASS", "counterexample": "FAIL", "inconclusive": "UNKNOWN"}
+
 
 class UsageError(Exception):
     pass
@@ -300,9 +303,7 @@ def cmd_laws(args) -> int:
         report = classify(oracle, dom)
         for name in sorted(report.results):
             r = report.results[name]
-            status = {"passed": "PASS", "counterexample": "FAIL",
-                      "inconclusive": "UNKNOWN"}[r.status]
-            print(f"LAW {name} {status} {r.witness_str()}".rstrip())
+            print(f"LAW {name} {_LAW_STATUS[r.status]} {r.witness_str()}".rstrip())
         for err in report.consistency_errors:
             print(f"INCONSISTENT {err}")
         print(report.summary())
@@ -316,10 +317,8 @@ def cmd_laws(args) -> int:
             raise UsageError(f"unknown laws for this oracle kind: {', '.join(bad)}")
     results = check_laws(oracle, dom, wanted)
     for name, r in results.items():
-        status = {"passed": "PASS", "counterexample": "FAIL",
-                  "inconclusive": "UNKNOWN"}[r.status]
         mode = "exhaustive" if r.exhaustive else "sampled"
-        line = f"LAW {name} {status} {r.witness_str()}".rstrip()
+        line = f"LAW {name} {_LAW_STATUS[r.status]} {r.witness_str()}".rstrip()
         print(f"{line}  [{mode}, {r.checked} instances]")
     _result("ok")
     return EXIT_OK

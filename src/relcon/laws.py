@@ -1,41 +1,22 @@
 """A law battery for consequence oracles.
 
-Asymmetric laws (oracle between multisets and formulas):
-
-    Reflexivity              [f] |- f
-    Cut                      G+[g] |- f  and  D |- g   =>   G+D |- f
-    Monotonicity             G |- f   =>   G+D |- f
-    Contraction              G+[g,g] |- f   =>   G+[g] |- f
-    GeneralizedReflexivity   G+[f] |- f
-    RelevantCut              [c1..cn] |- f and Di |- ci  =>  D1+..+Dn |- f
-    TheoremRemoval           G+D |- f  =>  G |- f   (D a multiset of theorems)
-
-Symmetric laws (oracle between multisets):
-
-    Reflexivity              G |- G
-    Transitivity             G |- D and D |- P   =>   G |- P
-    Compatibility            G |- D   =>   G+P |- D+P
-    Monotonicity             G |- D   =>   G+P |- D
-    Contraction              G+[g,g] |- D   =>   G+[g] |- D
-    rContraction             G |- D+[g,g]   =>   G |- D+[g]
-    GeneralizedReflexivity   G+D |- G
-    TheoremReflexivity       G |- []
-    MultiCut                 G |- D and D+P |- F   =>   G+P |- F
-    TheoremRemoval           [] |- D and D+P |- F   =>   P |- F
-
-Each law is checked instance-by-instance over a finite sample domain,
-exhaustively when the instance count fits the cap and by seeded sampling
-above it.  A counterexample is a fully concrete violating instance; UNKNOWN
-oracle answers make a check inconclusive rather than failed, and so does a
-check on no instances at all.
+The laws are the consecution templates of ``_ASYM_TABLE`` (oracles between
+multisets and formulas) and ``_SYM_TABLE`` (oracles between multisets), each
+written as the paper states it.  Each law is checked instance-by-instance
+over a finite sample domain, exhaustively when the instance count fits the
+cap and by seeded sampling above it.  A counterexample is a fully concrete
+violating instance; UNKNOWN oracle answers make a check inconclusive rather
+than failed, and so does a check on no instances at all.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
-from types import FunctionType
+from functools import reduce
+from operator import add, itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from .multiset import EMPTY, FMultiset, submultisets
@@ -100,155 +81,123 @@ def _show_part(v) -> str:
     return print_formula(v)
 
 
-# A law is a quantifier prefix plus a predicate mapping the bound values and
-# the oracle to HOLDS / FAILS / UNKNOWN.  Each prefix letter names the pool of
-# one bound variable: "M" multisets, "F" formulas, "T" multisets of the
-# oracle's declared theorems.  "NFD" is RelevantCut's dependent prefix: a
-# nonempty multiset, a formula, and one multiset per element of the first.
+# Each law as the paper states it: its name, its bound variables in the
+# order the canonical instance stream nests them, and its statement
+# "antecedent and antecedent => conclusion".  A capital letter is a multiset
+# and a lowercase letter a formula; "D:T" ranges over multisets of declared
+# theorems, "G:N" over nonempty multisets, and "Ds:G" is a family of
+# multisets, one per element of G.  A side of a consecution is a "+"-sum of
+# multiset variables and bracketed formula lists; a family antecedent
+# "Ds |- G" holds pointwise, and a family on a side stands for its sum.
+
+_ASYM_TABLE = (
+    ("Reflexivity", "f", "[f] |- f"),
+    ("Cut", "G D f g", "G+[g] |- f and D |- g => G+D |- f"),
+    ("Monotonicity", "G f D", "G |- f => G+D |- f"),
+    ("Contraction", "G g f", "G+[g,g] |- f => G+[g] |- f"),
+    ("GeneralizedReflexivity", "G f", "G+[f] |- f"),
+    ("RelevantCut", "G:N f Ds:G", "G |- f and Ds |- G => Ds |- f"),
+    ("TheoremRemoval", "G D:T f", "G+D |- f => G |- f"),
+)
+
+_SYM_TABLE = (
+    ("Reflexivity", "G", "G |- G"),
+    ("Transitivity", "G D P", "G |- D and D |- P => G |- P"),
+    ("Compatibility", "G D P", "G |- D => G+P |- D+P"),
+    ("Monotonicity", "G D P", "G |- D => G+P |- D"),
+    ("Contraction", "G g D", "G+[g,g] |- D => G+[g] |- D"),
+    ("rContraction", "G g D", "G |- D+[g,g] => G |- D+[g]"),
+    ("GeneralizedReflexivity", "G D", "G+D |- G"),
+    ("TheoremReflexivity", "G", "G |- []"),
+    ("MultiCut", "G D P F", "G |- D and D+P |- F => G+P |- F"),
+    ("TheoremRemoval", "D P F", "[] |- D and D+P |- F => P |- F"),
+)
+
+# the pools a variable can range over; any other kind names the variable
+# that a family is indexed by
+_POOLS = ("M", "F", "N", "T")
+
+# a query maps the oracle's entails and an instance tuple to a Verdict
+_Query = Callable[[Callable, tuple], Verdict]
 
 
 @dataclass(frozen=True)
 class LawSpec:
     name: str
-    symmetric: bool
-    prefix: str  # e.g. "MMFF": one letter per bound variable
-    names: tuple[str, ...]
-    predicate: Callable
+    names: tuple[str, ...]  # the bound variables, in stream order
+    kinds: tuple[str, ...]  # per variable: a pool or a family's index
+    antecedents: tuple[_Query, ...]
+    conclusion: _Query
 
 
-def _law(registry, name, symmetric, prefix, names):
-    def wrap(fn):
-        registry[name] = LawSpec(name, symmetric, prefix, tuple(names), fn)
-        return fn
-    return wrap
+def _side(text: str, names: list[str], kinds: list[str]) -> Callable[[tuple], object]:
+    """A reader of one side of a consecution from the instance tuple."""
+    readers = []
+    for term in text.split("+"):
+        if term.startswith("["):
+            at = [names.index(x) for x in term[1:-1].split(",") if x]
+            readers.append(
+                (lambda t, at=at: FMultiset(map(t.__getitem__, at))) if at
+                else (lambda t: EMPTY))
+        elif kinds[names.index(term)] not in _POOLS:  # a family, summed
+            family = itemgetter(names.index(term))
+            readers.append(lambda t: reduce(add, family(t), EMPTY))
+        else:
+            readers.append(itemgetter(names.index(term)))
+    reader = readers[0]
+    for term in readers[1:]:
+        reader = (lambda a, b: lambda t: a(t) + b(t))(reader, term)
+    return reader
 
 
-ASYM_LAWS: dict[str, LawSpec] = {}
-SYM_LAWS: dict[str, LawSpec] = {}
+def _query(text: str, names: list[str], kinds: list[str]) -> _Query:
+    """The query of one consecution "left |- right" of a statement."""
+    left, right = (side.strip() for side in text.split("|-"))
+    if left in names and kinds[names.index(left)] == right:
+        # Ds |- G: each multiset of the family entails its element of G
+        family, core = itemgetter(names.index(left)), itemgetter(names.index(right))
+        return lambda entails, t: all3(map(entails, family(t), core(t)))
+    lhs, rhs = _side(left, names, kinds), _side(right, names, kinds)
+    return lambda entails, t: entails(lhs(t), rhs(t))
 
 
-# calls a thunk from C, with no generator frame around it: _implies runs
-# once per law instance, and a generator there costs several percent
-_force = FunctionType.__call__
+def _compile(table) -> dict[str, LawSpec]:
+    laws = {}
+    for name, variables, statement in table:
+        names, kinds = [], []
+        for var in variables.split():
+            var, _, kind = var.partition(":")
+            names.append(var)
+            kinds.append(kind or ("M" if var[0].isupper() else "F"))
+        premises, _, conclusion = statement.rpartition(" => ")
+        antecedents = premises.split(" and ") if premises else []
+        laws[name] = LawSpec(
+            name, tuple(names), tuple(kinds),
+            tuple(_query(a, names, kinds) for a in antecedents),
+            _query(conclusion, names, kinds))
+    return laws
 
 
-def _implies(*antecedents, conclusion) -> Verdict:
-    """Truth value of an instance of a conditional law.
+ASYM_LAWS: dict[str, LawSpec] = _compile(_ASYM_TABLE)
+SYM_LAWS: dict[str, LawSpec] = _compile(_SYM_TABLE)
 
-    Antecedents are thunks evaluated left to right; a failing antecedent
-    settles the instance without touching the conclusion.
+
+def _holds(law: LawSpec, entails, instance: tuple) -> Verdict:
+    """Truth value of one instance of a law.
+
+    Antecedents are read left to right: a failing one settles the instance
+    (vacuously fine) without touching the conclusion, and an UNKNOWN one
+    leaves it UNKNOWN unless the conclusion holds.
     """
-    ante = all3(map(_force, antecedents))
-    if ante is FAILS:
-        return HOLDS  # antecedent fails, instance vacuously fine
-    out = conclusion()
+    ante = HOLDS
+    for query in law.antecedents:
+        v = query(entails, instance)
+        if v is FAILS:
+            return HOLDS
+        if v is UNKNOWN:
+            ante = UNKNOWN
+    out = law.conclusion(entails, instance)
     return out if ante is HOLDS or out is HOLDS else UNKNOWN
-
-
-@_law(ASYM_LAWS, "Reflexivity", False, "F", ("f",))
-def _refl(o, f):
-    return o.entails(FMultiset([f]), f)
-
-
-@_law(ASYM_LAWS, "Cut", False, "MMFF", ("G", "D", "f", "g"))
-def _cut(o, G, D, f, g):
-    return _implies(lambda: o.entails(G + FMultiset([g]), f),
-                    lambda: o.entails(D, g),
-                    conclusion=lambda: o.entails(G + D, f))
-
-
-@_law(ASYM_LAWS, "Monotonicity", False, "MFM", ("G", "f", "D"))
-def _mono(o, G, f, D):
-    return _implies(lambda: o.entails(G, f),
-                    conclusion=lambda: o.entails(G + D, f))
-
-
-@_law(ASYM_LAWS, "Contraction", False, "MFF", ("G", "g", "f"))
-def _contr(o, G, g, f):
-    return _implies(lambda: o.entails(G + FMultiset([g, g]), f),
-                    conclusion=lambda: o.entails(G + FMultiset([g]), f))
-
-
-@_law(ASYM_LAWS, "GeneralizedReflexivity", False, "MF", ("G", "f"))
-def _genrefl(o, G, f):
-    return o.entails(G + FMultiset([f]), f)
-
-
-@_law(ASYM_LAWS, "RelevantCut", False, "NFD", ("G", "f", "Ds"))
-def _relcut(o, G, f, Ds):
-    # G = [c1..cn] nonempty, Ds = one multiset per ci (in canonical order)
-    parts = list(G)
-    ants = [lambda: o.entails(G, f)]
-    total = EMPTY
-    for Di, ci in zip(Ds, parts):
-        ants.append(lambda Di=Di, ci=ci: o.entails(Di, ci))
-        total = total + Di
-    return _implies(*ants, conclusion=lambda total=total: o.entails(total, f))
-
-
-@_law(ASYM_LAWS, "TheoremRemoval", False, "MTF", ("G", "D", "f"))
-def _thremoval(o, G, D, f):
-    # D ranges over multisets drawn from the declared theorem basis
-    return _implies(lambda: o.entails(G + D, f),
-                    conclusion=lambda: o.entails(G, f))
-
-
-@_law(SYM_LAWS, "Reflexivity", True, "M", ("G",))
-def _srefl(o, G):
-    return o.entails(G, G)
-
-
-@_law(SYM_LAWS, "Transitivity", True, "MMM", ("G", "D", "P"))
-def _strans(o, G, D, P):
-    return _implies(lambda: o.entails(G, D), lambda: o.entails(D, P),
-                    conclusion=lambda: o.entails(G, P))
-
-
-@_law(SYM_LAWS, "Compatibility", True, "MMM", ("G", "D", "P"))
-def _scompat(o, G, D, P):
-    return _implies(lambda: o.entails(G, D),
-                    conclusion=lambda: o.entails(G + P, D + P))
-
-
-@_law(SYM_LAWS, "Monotonicity", True, "MMM", ("G", "D", "P"))
-def _smono(o, G, D, P):
-    return _implies(lambda: o.entails(G, D),
-                    conclusion=lambda: o.entails(G + P, D))
-
-
-@_law(SYM_LAWS, "Contraction", True, "MFM", ("G", "g", "D"))
-def _scontr(o, G, g, D):
-    return _implies(lambda: o.entails(G + FMultiset([g, g]), D),
-                    conclusion=lambda: o.entails(G + FMultiset([g]), D))
-
-
-@_law(SYM_LAWS, "rContraction", True, "MFM", ("G", "g", "D"))
-def _srcontr(o, G, g, D):
-    return _implies(lambda: o.entails(G, D + FMultiset([g, g])),
-                    conclusion=lambda: o.entails(G, D + FMultiset([g])))
-
-
-@_law(SYM_LAWS, "GeneralizedReflexivity", True, "MM", ("G", "D"))
-def _sgenrefl(o, G, D):
-    return o.entails(G + D, G)
-
-
-@_law(SYM_LAWS, "TheoremReflexivity", True, "M", ("G",))
-def _sthrefl(o, G):
-    return o.entails(G, EMPTY)
-
-
-@_law(SYM_LAWS, "MultiCut", True, "MMMM", ("G", "D", "P", "F"))
-def _smulticut(o, G, D, P, F):
-    return _implies(lambda: o.entails(G, D), lambda: o.entails(D + P, F),
-                    conclusion=lambda: o.entails(G + P, F))
-
-
-@_law(SYM_LAWS, "TheoremRemoval", True, "MMM", ("D", "P", "F"))
-def _sthremoval(o, D, P, F):
-    return _implies(lambda: o.entails(EMPTY, D),
-                    lambda: o.entails(D + P, F),
-                    conclusion=lambda: o.entails(P, F))
 
 
 def law_names(symmetric: bool) -> list[str]:
@@ -263,38 +212,32 @@ def _instances(law: LawSpec, oracle, dom: SampleDomain
     draws one instance from a seeded generator.
     """
     multisets = dom.multisets()
-    formulas = list(dom.formulas)
-    if law.prefix == "NFD":
-        cores = [G for G in multisets if G.size]
-
-        def stream() -> Iterator[tuple]:
-            for G in cores:
-                for f in formulas:
-                    for Ds in itertools.product(multisets, repeat=G.size):
-                        yield (G, f, Ds)
+    pools = {"M": multisets, "F": list(dom.formulas),
+             "N": [G for G in multisets if G.size]}
+    if "T" in law.kinds:  # an empty basis still has the empty multiset of theorems
+        basis = tuple(getattr(oracle, "theorem_basis", None) or ())
+        pools["T"] = SampleDomain(basis, dom.max_size).multisets()
+    *head, last = law.kinds
+    if last in _POOLS:
+        fixed = [pools[k] for k in law.kinds]
 
         def draw(rng: random.Random) -> tuple:
-            G = rng.choice(cores)
-            f = rng.choice(formulas)
-            return (G, f, tuple(rng.choice(multisets) for _ in range(G.size)))
-        count = sum(len(formulas) * len(multisets) ** G.size for G in cores)
-        return stream(), count, draw
-    pools = []
-    for c in law.prefix:
-        if c == "M":
-            pools.append(multisets)
-        elif c == "F":
-            pools.append(formulas)
-        else:  # "T"; an empty basis still has the empty multiset of theorems
-            basis = tuple(getattr(oracle, "theorem_basis", None) or ())
-            pools.append(SampleDomain(basis, dom.max_size).multisets())
-    count = 1
-    for pool in pools:
-        count *= len(pool)
+            return tuple(rng.choice(pool) for pool in fixed)
+        return itertools.product(*fixed), math.prod(map(len, fixed)), draw
+    # the last variable is a family: one multiset per element of an earlier one
+    fixed = [pools[k] for k in head]
+    at = law.names.index(last)
 
-    def draw(rng: random.Random) -> tuple:
-        return tuple(rng.choice(pool) for pool in pools)
-    return itertools.product(*pools), count, draw
+    def stream() -> Iterator[tuple]:
+        for start in itertools.product(*fixed):
+            for family in itertools.product(multisets, repeat=start[at].size):
+                yield start + (family,)
+
+    def draw_family(rng: random.Random) -> tuple:
+        start = tuple(rng.choice(pool) for pool in fixed)
+        return start + (tuple(rng.choice(multisets) for _ in range(start[at].size)),)
+    count = sum(len(multisets) ** start[at].size for start in itertools.product(*fixed))
+    return stream(), count, draw_family
 
 
 def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
@@ -303,8 +246,7 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
     if law_name not in registry:
         raise KeyError(f"no law named {law_name!r} for this oracle kind")
     law = registry[law_name]
-    if (law.name == "TheoremRemoval" and not law.symmetric
-            and getattr(oracle, "theorem_basis", None) is None):
+    if "T" in law.kinds and getattr(oracle, "theorem_basis", None) is None:
         return LawResult(law.name, "inconclusive", None, True, 0)  # nothing sampled
     stream, count, draw = _instances(law, oracle, dom)
     exhaustive = count <= dom.exhaustive_cap or not count  # nothing to sample
@@ -313,9 +255,10 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
         stream = (draw(rng) for _ in range(dom.sample_count))
     checked = 0
     sawunknown = False
+    entails = oracle.entails
     for instance in stream:
         checked += 1
-        v = law.predicate(oracle, *instance)
+        v = _holds(law, entails, instance)
         if v is FAILS:
             witness = dict(zip(law.names, instance))
             return LawResult(law.name, "counterexample", witness, exhaustive, checked)

@@ -218,20 +218,27 @@ def quotient_check(oracle: SymmetricOracle,
 
     # Th is a monotone mapping (submultiset to containment) iff the oracle
     # is monotone; report which way this sample decides it
-    for a in gens:
-        for b in gens:
-            if a <= b:
-                if th_leq(TheoryHandle(a, oracle), TheoryHandle(b, oracle)) is not HOLDS:
-                    report.th_monotone_mapping = False
-                    report.monotone_witness = (
-                        f"{print_multiset(a)} <= {print_multiset(b)} but "
-                        f"Th({print_multiset(a)}) is not contained in "
-                        f"Th({print_multiset(b)})")
-                    break
-        if not report.th_monotone_mapping:
-            break
+    pair = _monotone_mapping_breach(oracle, gens)
+    if pair is not None:
+        a, b = pair
+        report.th_monotone_mapping = False
+        report.monotone_witness = (
+            f"{print_multiset(a)} <= {print_multiset(b)} but "
+            f"Th({print_multiset(a)}) is not contained in "
+            f"Th({print_multiset(b)})")
 
     return report
+
+
+def _monotone_mapping_breach(oracle: SymmetricOracle, gens: Sequence[FMultiset]
+                             ) -> Optional[tuple[FMultiset, FMultiset]]:
+    """The first a <= b in gens with Th(a) not contained in Th(b), that is,
+    with b not deriving a; None when Th is monotone on gens."""
+    for a in gens:
+        for b in gens:
+            if a <= b and oracle.entails(b, a) is not HOLDS:
+                return a, b
+    return None
 
 
 @dataclass
@@ -282,13 +289,4 @@ def monotone_mapping_agrees(oracle: SymmetricOracle,
                             dom: SampleDomain) -> tuple[bool, bool]:
     """(oracle passes Monotonicity on dom, Th preserves submultiset order on dom)."""
     law = check_law(oracle, "Monotonicity", dom)
-    mapping_monotone = True
-    gens = dom.multisets()
-    for a in gens:
-        for b in gens:
-            if a <= b and oracle.entails(b, a) is not HOLDS:
-                mapping_monotone = False
-                break
-        if not mapping_monotone:
-            break
-    return law.passed, mapping_monotone
+    return law.passed, _monotone_mapping_breach(oracle, dom.multisets()) is None

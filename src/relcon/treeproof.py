@@ -282,27 +282,38 @@ def cut_compose(tree: ProofTree, sub: ProofTree, system: AxiomaticSystem,
     relevant proof for (G + D, goal): the leaf multiset loses one occurrence
     of the cut formula and gains all of sub's leaves.
     """
-    done = False
+    for path, leaf in _leaf_paths(tree):
+        if isinstance(leaf.by, PremiseJust) and leaf.formula == cut_formula:
+            return _graft(tree, path, sub)
+    raise NoPremiseLeafError(
+        f"no premise leaf labelled {print_formula(cut_formula)}")
 
-    def go(node: ProofTree) -> ProofTree:
-        nonlocal done
-        if done:
-            return node
-        if node.is_leaf:
-            if isinstance(node.by, PremiseJust) and node.formula == cut_formula:
-                done = True
-                return sub
-            return node
-        new_children = []
-        for c in node.children:
-            new_children.append(go(c))
-        return ProofTree(node.formula, node.by, tuple(new_children))
 
-    out = go(tree)
-    if not done:
-        raise NoPremiseLeafError(
-            f"no premise leaf labelled {print_formula(cut_formula)}")
-    return out
+# the two walks below are iterative, like ProofTree's own: a proof can be
+# nested deeper than the interpreter's recursion limit
+
+
+def _leaf_paths(tree: ProofTree) -> Iterator[tuple[tuple[int, ...], ProofTree]]:
+    """Each leaf with its path of child indexes from the root, left to right."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        if not node.children:
+            yield path, node
+        for i in reversed(range(len(node.children))):
+            stack.append((path + (i,), node.children[i]))
+
+
+def _graft(tree: ProofTree, path: tuple[int, ...], sub: ProofTree) -> ProofTree:
+    """The tree with the node at ``path`` replaced by ``sub``."""
+    spine = []
+    for i in path:
+        spine.append((tree, i))
+        tree = tree.children[i]
+    for node, i in reversed(spine):
+        sub = ProofTree(node.formula, node.by,
+                        node.children[:i] + (sub,) + node.children[i + 1:])
+    return sub
 
 
 # shapes used to recognise the rules pump_use and deduction_transform need
@@ -400,57 +411,52 @@ def deduction_transform(tree: ProofTree, system: AxiomaticSystem,
     if path is None:
         raise NotRelevantError(f"no leaf labelled {print_formula(phi)}")
 
-    def rebuild(node: ProofTree, path: tuple[int, ...]) -> ProofTree:
-        if not path:
-            return _instance(system, ax_i, Imp(phi, phi))
-        major_ix, minor_ix = _split_mp(node)
+    # descend to the occurrence, then rebuild the path bottom-up; ``out`` is
+    # the rebuilt subtree last finished, proving phi -> its node's formula
+    spine = []
+    node = tree
+    for branch in path:
+        spine.append((node, *_split_mp(node), branch))
+        node = node.children[branch]
+    out = None  # still at the occurrence itself
+    for node, major_ix, minor_ix, branch in reversed(spine):
         major, minor = node.children[major_ix], node.children[minor_ix]
         chi, psi = minor.formula, node.formula
-        branch, rest = path[0], path[1:]
-        if branch == minor_ix and not rest:
+        if branch == minor_ix and out is None:
             # identity case: the discharged occurrence is the whole minor
             # premise, so the major subtree already proves phi -> psi
-            return major
-        if branch == minor_ix:
-            # phi is used to prove the minor premise chi
-            lifted = rebuild(minor, rest)  # proves phi -> chi
+            out = major
+        elif branch == minor_ix:
+            # phi is used to prove the minor premise chi; out proves phi -> chi
             b_inst = _instance(
                 system, ax_b,
                 Imp(Imp(chi, psi), Imp(Imp(phi, chi), Imp(phi, psi))))
             step = ProofTree(Imp(Imp(phi, chi), Imp(phi, psi)),
                              RuleJust(mp), (b_inst, major))
-            return ProofTree(Imp(phi, psi), RuleJust(mp), (step, lifted))
-        # phi is used to prove the major premise chi -> psi
-        lifted = rebuild(major, rest)  # proves phi -> (chi -> psi)
-        c_inst = _instance(
-            system, ax_c,
-            Imp(Imp(phi, Imp(chi, psi)), Imp(chi, Imp(phi, psi))))
-        step = ProofTree(Imp(chi, Imp(phi, psi)), RuleJust(mp), (c_inst, lifted))
-        return ProofTree(Imp(phi, psi), RuleJust(mp), (step, minor))
-
-    return rebuild(tree, path)
+            out = ProofTree(Imp(phi, psi), RuleJust(mp), (step, out))
+        else:
+            # phi is used to prove the major premise chi -> psi
+            if out is None:
+                out = _instance(system, ax_i, Imp(phi, phi))
+            c_inst = _instance(
+                system, ax_c,
+                Imp(Imp(phi, Imp(chi, psi)), Imp(chi, Imp(phi, psi))))
+            step = ProofTree(Imp(chi, Imp(phi, psi)), RuleJust(mp), (c_inst, out))
+            out = ProofTree(Imp(phi, psi), RuleJust(mp), (step, minor))
+    return out if out is not None else _instance(system, ax_i, Imp(phi, phi))
 
 
 def _leftmost_occurrence(tree: ProofTree, phi: Formula) -> Optional[tuple[int, ...]]:
-    best_any = None
-
-    def go(node: ProofTree, path: tuple[int, ...]):
-        nonlocal best_any
-        if node.is_leaf:
-            if node.formula == phi:
-                if isinstance(node.by, PremiseJust):
-                    return path
-                if best_any is None:
-                    best_any = path
-            return None
-        for i, c in enumerate(node.children):
-            hit = go(c, path + (i,))
-            if hit is not None:
-                return hit
-        return None
-
-    found = go(tree, ())
-    return found if found is not None else best_any
+    """The path to the leftmost premise leaf labelled phi, or failing that
+    to the leftmost leaf labelled phi."""
+    fallback = None
+    for path, leaf in _leaf_paths(tree):
+        if leaf.formula == phi:
+            if isinstance(leaf.by, PremiseJust):
+                return path
+            if fallback is None:
+                fallback = path
+    return fallback
 
 
 def _split_mp(node: ProofTree) -> tuple[int, int]:

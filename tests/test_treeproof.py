@@ -745,6 +745,28 @@ def test_deep_proof_data_loads_without_recursion():
     assert verify(tree, _chain_system(), FMultiset([p]), p) is RelevanceVerdict.STRONGLY_RELEVANT
 
 
+def _mp_chain(depth):
+    """An mp chain proving p from [p, (p->p) x depth]: each node's minor
+    premise is the node below it."""
+    tree = premise_leaf(p)
+    for _ in range(depth):
+        tree = ProofTree(p, RuleJust("mp"), (premise_leaf(Imp(p, p)), tree))
+    return tree
+
+
+def test_deep_proofs_transform_without_recursion(bci):
+    identity = Imp(p, p)
+    tree = _mp_chain(2000)
+    premises = FMultiset([p] + [identity] * 2000)
+    assert verify(tree, bci, premises, p) is RelevanceVerdict.STRONGLY_RELEVANT
+    out = deduction_transform(tree, bci, premises, p)
+    assert verify(out, bci, FMultiset([identity] * 2000), identity) \
+        >= RelevanceVerdict.RELEVANT
+    composed = cut_compose(_mp_chain(3000), _mp_chain(1), bci, p)
+    assert verify(composed, bci, FMultiset([p] + [identity] * 3001), p) \
+        is RelevanceVerdict.STRONGLY_RELEVANT
+
+
 def test_deep_json_is_a_value_error():
     with pytest.raises(ValueError, match="nested too deeply"):
         load_proof("[" * 100_000 + "]" * 100_000)
