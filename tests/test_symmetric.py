@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -40,6 +41,7 @@ from relcon.symmetric import (
     partition_count,
     _ordered_partitions,
 )
+from relcon.multiset import msum, submultisets
 from relcon.syntax import formula_size, match_into, metavars, substitute
 from conftest import (
     FIXTURES,
@@ -305,6 +307,25 @@ def test_partition_enumeration():
     assert len(parts) == partition_count(gamma, 2) == 6
     for g1, g2 in parts:
         assert g1 + g2 == gamma
+
+
+@pytest.mark.parametrize("gamma", ["[]", "[x]", "[x, x, x]", "[x, y]", "[x, x, y]",
+                                   "[x, y, z]", "[x, x, y, z]"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ordered_partitions_against_brute_force(gamma, n):
+    gamma = ms(gamma)
+    # brute force: every n-tuple of submultisets, in product order, kept
+    # when it sums to gamma
+    reference = [parts for parts in itertools.product(submultisets(gamma), repeat=n)
+                 if msum(*parts) == gamma]
+    got = list(_ordered_partitions(gamma, n))
+    assert Counter(got) == Counter(reference)
+    assert max(Counter(got).values()) == 1
+    assert len(got) == partition_count(gamma, n)
+    # the order is pinned where the benchmark's verdicts could see it: up to
+    # two parts, and any number of parts over one distinct formula
+    if n <= 2 or len(gamma.support) <= 1:
+        assert got == reference
 
 
 def test_symmetrize_threshold_relation(ex54_asym):
