@@ -240,9 +240,7 @@ class SingleAtomThresholdOracle(SymmetricOracle):
     """The one-atom relation: G |- D iff G = D or G(x) > D(x) >= 2."""
 
     name = "ex54"
-
-    def __init__(self, atom_name: str = "x"):
-        self.atom = Atom(atom_name)
+    atom = Atom("x")
 
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
         if premises == conclusions:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Mapping, Optional
 
-from .multiset import EMPTY, FMultiset, _trusted
+from .multiset import EMPTY, FMultiset, submultisets
 from .oracles import (
     FAILS,
     HOLDS,
@@ -56,6 +56,7 @@ from .treeproof import (
     ProofTree,
     RuleJust,
     _json_loads,
+    _just_to_data,
     _subst_from,
     search,
 )
@@ -132,24 +133,28 @@ def check_derivation(derivation: Derivation, system: AxiomaticSystem,
     application, and the conclusion multiset is contained in the last step.
     RELEVANT: additionally the last step *equals* the conclusion multiset.
     """
-    sym = system.lifted()
-    if derivation.steps[0] != premises:
-        return DerivationVerdict.INVALID
+    return _replay(derivation, system, premises, conclusions)[0]
+
+
+def _replay(derivation: Derivation, system: AxiomaticSystem, premises: FMultiset,
+            conclusions: FMultiset) -> tuple[DerivationVerdict, list[tuple]]:
+    """The derivation's verdict, and each valid step's rule and substitution."""
+    steps, uses = derivation.steps, []
+    if steps[0] != premises:
+        return DerivationVerdict.INVALID, uses
     for i, app in enumerate(derivation.step_rules, start=1):
         try:
-            rule = sym.get(app.rule)
+            rule = system.get(app.rule)
         except KeyError:
-            return DerivationVerdict.INVALID
-        sigma = _infer_step(rule, derivation.steps[i - 1], derivation.steps[i],
-                            app.subst)
+            return DerivationVerdict.INVALID, uses
+        sigma = _infer_step(rule, steps[i - 1], steps[i], app.subst)
         if sigma is None:
-            return DerivationVerdict.INVALID
-    last = derivation.steps[-1]
-    if last == conclusions:
-        return DerivationVerdict.RELEVANT
-    if conclusions <= last:
-        return DerivationVerdict.PLAIN
-    return DerivationVerdict.INVALID
+            return DerivationVerdict.INVALID, uses
+        uses.append((rule, sigma))
+    last = steps[-1]
+    verdict = (DerivationVerdict.RELEVANT if last == conclusions else
+               DerivationVerdict.PLAIN if conclusions <= last else DerivationVerdict.INVALID)
+    return verdict, uses
 
 
 # -- bounded search ----------------------------------------------------------------
@@ -342,30 +347,13 @@ def _fitting(cands: list[Formula], extras: list[int], lows: list[int],
 
 
 def _ordered_partitions(gamma: FMultiset, n: int) -> Iterator[tuple[FMultiset, ...]]:
-    elems = gamma.distinct()
-
-    def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, slots - 1):
-                yield (first,) + rest
-
-    def rec(i: int, parts: list[dict]) -> Iterator[tuple[FMultiset, ...]]:
-        if i == len(elems):
-            yield tuple(_trusted(p.copy()) for p in parts)
-            return
-        x = elems[i]
-        for split in compositions(gamma.count(x), n):
-            for j, c in enumerate(split):
-                if c:
-                    parts[j][x] = c
-            yield from rec(i + 1, parts)
-            for j in range(n):
-                parts[j].pop(x, None)
-
-    yield from rec(0, [dict() for _ in range(n)])
+    """The n-tuples of multisets summing to gamma, first part outermost."""
+    if n == 1:
+        yield (gamma,)
+        return
+    for first in submultisets(gamma):
+        for rest in _ordered_partitions(gamma - first, n - 1):
+            yield (first,) + rest
 
 
 def partition_count(gamma: FMultiset, n: int) -> int:
@@ -383,8 +371,9 @@ def symmetrize_query(oracle: ConsequenceOracle, premises: FMultiset,
     conclusions componentwise.  For oracles declared monotone_contractive the
     componentwise rule uses the whole premise multiset for every conclusion
     (the appropriate definition for that case).  Empty conclusions delegate to
-    the oracle's entails-every-theorem test.  Exceeding the partition cap is
-    reported as UNKNOWN, never guessed.
+    the oracle's entails-every-theorem test.  Partitions are enumerated first
+    part outermost, each part's submultisets smallest first.  Exceeding the
+    partition cap is reported as UNKNOWN, never guessed.
     """
     if conclusions.is_empty():
         return oracle.entails_all_theorems(premises)
@@ -401,15 +390,14 @@ def symmetrize_query(oracle: ConsequenceOracle, premises: FMultiset,
 class Symmetrization(SymmetricOracle):
     """The symmetrized relation of an asymmetric oracle, as an oracle."""
 
-    def __init__(self, base: ConsequenceOracle, partition_cap: int = 10 ** 6):
+    def __init__(self, base: ConsequenceOracle):
         self.base = base
-        self.partition_cap = partition_cap
         self.name = f"{base.name}^s"
         self.monotone_contractive = base.monotone_contractive
 
     @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        return symmetrize_query(self.base, premises, conclusions, self.partition_cap)
+        return symmetrize_query(self.base, premises, conclusions)
 
 
 def asymmetric_query(oracle: SymmetricOracle, premises: FMultiset,
@@ -450,17 +438,14 @@ class AsymmetricPart(ConsequenceOracle):
 class DerivationOracle(SymmetricOracle):
     """Relevant derivability in an axiomatic system, within search bounds."""
 
-    def __init__(self, system: AxiomaticSystem, max_steps: int = 10,
-                 max_formula_size: int = 12):
+    def __init__(self, system: AxiomaticSystem, max_steps: int = 10):
         self.system = system
         self.max_steps = max_steps
-        self.max_formula_size = max_formula_size
         self.name = f"derive:{system.name}"
 
     @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        result = derive_search(self.system, premises, conclusions,
-                               self.max_steps, self.max_formula_size)
+        result = derive_search(self.system, premises, conclusions, self.max_steps)
         if result.found:
             return HOLDS
         return FAILS if result.status == "exhausted" else UNKNOWN
@@ -516,8 +501,8 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
     stuttering steps leaves a relevant derivation of the remaining
     conclusions from the remaining premises.
     """
-    if check_derivation(derivation, system, premises, conclusions) \
-            is not DerivationVerdict.RELEVANT:
+    verdict, uses = _replay(derivation, system, premises, conclusions)
+    if verdict is not DerivationVerdict.RELEVANT:
         raise ExtractionError("extraction needs a relevant derivation")
     if phi not in conclusions.support:
         raise ExtractionError(
@@ -530,9 +515,7 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
     for f in steps[0]:
         forest.setdefault(f, []).append(ProofTree(f, PremiseJust()))
     snapshots = [[t for trees in forest.values() for t in trees]]
-    for i, app in enumerate(derivation.step_rules, start=1):
-        rule = system.get(app.rule)
-        sigma = _infer_step(rule, steps[i - 1], steps[i], app.subst)
+    for (rule, sigma), app in zip(uses, derivation.step_rules):
         taken = tuple(forest[f].pop(0)
                       for f in FMultiset(substitute(s, sigma) for s in rule.left))
         label = substitute(rule.right, sigma)
@@ -567,11 +550,8 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
 def derivation_to_data(derivation: Derivation) -> list[dict]:
     out = [{"multiset": print_multiset(derivation.steps[0])}]
     for app, step in zip(derivation.step_rules, derivation.steps[1:]):
-        entry: dict = {"multiset": print_multiset(step), "by": {"rule": app.rule}}
-        if app.subst is not None:
-            entry["by"]["subst"] = {
-                v: print_formula(f) for v, f in sorted(app.subst.items())}
-        out.append(entry)
+        out.append({"multiset": print_multiset(step),
+                    "by": _just_to_data(RuleJust(app.rule, app.subst))})
     return out
 
 

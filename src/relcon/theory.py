@@ -121,14 +121,15 @@ def quotient_check(oracle: SymmetricOracle,
     def equiv(a: FMultiset, b: FMultiset) -> bool:
         return entails(a, b) and entails(b, a)
 
-    def fail(kind: str, msg: str) -> None:
+    def fail(flag: str, kind: str, msg: str) -> None:
+        setattr(report, flag, False)
         report.failures.append(f"{kind}: {msg}")
 
     # equivalence: reflexivity plus transitivity (symmetry is by construction)
     for g in gens:
         if not equiv(g, g):
-            report.equivalence_ok = False
-            fail("equivalence", f"{print_multiset(g)} not equivalent to itself")
+            fail("equivalence_ok", "equivalence",
+                 f"{print_multiset(g)} not equivalent to itself")
     classes: dict[FMultiset, list[FMultiset]] = {}
     reps: list[FMultiset] = []
     for g in gens:
@@ -143,8 +144,7 @@ def quotient_check(oracle: SymmetricOracle,
         for a in members:
             for b in members:
                 if not equiv(a, b):
-                    report.equivalence_ok = False
-                    fail("equivalence",
+                    fail("equivalence_ok", "equivalence",
                          f"class of {print_multiset(rep)} is not transitive at "
                          f"{print_multiset(a)} / {print_multiset(b)}")
 
@@ -155,13 +155,11 @@ def quotient_check(oracle: SymmetricOracle,
                 for b in mem_b:
                     report.checked_pairs += 1
                     if not equiv(rep_a + rep_b, a + b):
-                        report.congruence_ok = False
-                        fail("congruence",
+                        fail("congruence_ok", "congruence",
                              f"{print_multiset(rep_a)}+{print_multiset(rep_b)} vs "
                              f"{print_multiset(a)}+{print_multiset(b)}")
                     if entails(rep_a, rep_b) != entails(a, b):
-                        report.order_well_defined_ok = False
-                        fail("order",
+                        fail("order_well_defined_ok", "order",
                              f"order differs across class members: "
                              f"{print_multiset(a)} |- {print_multiset(b)}")
 
@@ -171,8 +169,7 @@ def quotient_check(oracle: SymmetricOracle,
             if entails(a, b):
                 for c in reps:
                     if not entails(a + c, b + c):
-                        report.order_compatible_ok = False
-                        fail("order-compatibility",
+                        fail("order_compatible_ok", "order-compatibility",
                              f"{print_multiset(a)} |- {print_multiset(b)} but not "
                              f"{print_multiset(a)}+{print_multiset(c)} |- "
                              f"{print_multiset(b)}+{print_multiset(c)}")
@@ -180,17 +177,14 @@ def quotient_check(oracle: SymmetricOracle,
     # monoid laws up to theory equality
     for a in reps:
         if not equiv(a + EMPTY, a):
-            report.monoid_ok = False
-            fail("monoid", f"identity fails at {print_multiset(a)}")
+            fail("monoid_ok", "monoid", f"identity fails at {print_multiset(a)}")
         for b in reps:
             if not equiv(a + b, b + a):
-                report.monoid_ok = False
-                fail("monoid", f"commutativity fails at {print_multiset(a)}, "
-                               f"{print_multiset(b)}")
+                fail("monoid_ok", "monoid", f"commutativity fails at "
+                     f"{print_multiset(a)}, {print_multiset(b)}")
             for c in reps:
                 if not equiv((a + b) + c, a + (b + c)):
-                    report.monoid_ok = False
-                    fail("monoid", "associativity fails")
+                    fail("monoid_ok", "monoid", "associativity fails")
 
     # three-way agreement: relation == membership == containment
     for a in gens:
@@ -200,8 +194,8 @@ def quotient_check(oracle: SymmetricOracle,
             member = th_contains(ta, b)
             contained = th_leq(tb, ta)
             if not (direct is member is contained):
-                report.three_way_ok = False
-                fail("three-way", f"{print_multiset(a)} |- {print_multiset(b)}")
+                fail("three_way_ok", "three-way",
+                     f"{print_multiset(a)} |- {print_multiset(b)}")
 
     # the class-to-theory map reverses the order and preserves sums
     for a in gens:
@@ -209,12 +203,11 @@ def quotient_check(oracle: SymmetricOracle,
             if entails(a, b):
                 # Th(b) must be contained in Th(a)
                 if th_leq(TheoryHandle(b, oracle), TheoryHandle(a, oracle)) is not HOLDS:
-                    report.antitone_ok = False
-                    fail("antitone", f"{print_multiset(a)} |- {print_multiset(b)}")
+                    fail("antitone_ok", "antitone",
+                         f"{print_multiset(a)} |- {print_multiset(b)}")
             if th_eq(th_add(TheoryHandle(a, oracle), TheoryHandle(b, oracle)),
                      TheoryHandle(a + b, oracle)) is not HOLDS:
-                report.hom_ok = False
-                fail("homomorphism", f"{print_multiset(a)} + {print_multiset(b)}")
+                fail("hom_ok", "homomorphism", f"{print_multiset(a)} + {print_multiset(b)}")
 
     # Th is a monotone mapping (submultiset to containment) iff the oracle
     # is monotone; report which way this sample decides it

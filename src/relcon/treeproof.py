@@ -115,7 +115,7 @@ class RuleJust:
 Justification = PremiseJust | AxiomJust | RuleJust
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProofTree:
     formula: Formula
     by: Justification
@@ -127,6 +127,25 @@ class ProofTree:
 
     # the walks below are iterative: a tree loaded from a file can be
     # nested deeper than the interpreter's recursion limit
+
+    def __eq__(self, other) -> bool:
+        """Structural equality, one node pair at a time from a work list."""
+        if not isinstance(other, ProofTree):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (a.formula != b.formula or a.by != b.by
+                    or len(a.children) != len(b.children)):
+                return False
+            pairs.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        # the root only: equal trees agree on it, and it costs no walk
+        return hash((self.formula, self.by, len(self.children)))
 
     def node_count(self) -> int:
         count, stack = 0, [self]
@@ -651,23 +670,27 @@ class _SearchState:
 
 
 def proof_to_data(tree: ProofTree) -> dict:
-    out: dict = {"formula": print_formula(tree.formula)}
-    by = tree.by
+    """The file form of a proof tree, built without recursion."""
+    root: dict = {}
+    stack = [(tree, root)]
+    while stack:
+        node, out = stack.pop()
+        out["formula"] = print_formula(node.formula)
+        out["by"] = _just_to_data(node.by)
+        if node.children:
+            out["children"] = [{} for _ in node.children]
+            stack.extend(zip(node.children, out["children"]))
+    return root
+
+
+def _just_to_data(by: Justification):
+    """A justification's file form: "premise" or {"axiom"|"rule": name, "subst": ...}."""
     if isinstance(by, PremiseJust):
-        out["by"] = "premise"
-    elif isinstance(by, AxiomJust):
-        entry: dict = {"axiom": by.name}
-        if by.subst is not None:
-            entry["subst"] = {v: print_formula(f) for v, f in sorted(by.subst.items())}
-        out["by"] = entry
-    else:
-        entry = {"rule": by.name}
-        if by.subst is not None:
-            entry["subst"] = {v: print_formula(f) for v, f in sorted(by.subst.items())}
-        out["by"] = entry
-    if tree.children:
-        out["children"] = [proof_to_data(c) for c in tree.children]
-    return out
+        return "premise"
+    entry: dict = {"axiom" if isinstance(by, AxiomJust) else "rule": by.name}
+    if by.subst is not None:
+        entry["subst"] = {v: print_formula(f) for v, f in sorted(by.subst.items())}
+    return entry
 
 
 def proof_from_data(data: dict) -> ProofTree:
@@ -719,7 +742,11 @@ def _subst_from(entry) -> Optional[dict]:
 
 
 def dump_proof(tree: ProofTree) -> str:
-    return json.dumps(proof_to_data(tree), indent=2)
+    """The proof file text; nesting past json's limit is a ValueError, as on loading."""
+    try:
+        return json.dumps(proof_to_data(tree), indent=2)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
 
 
 def _json_loads(text: str):

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from relcon import parse_matrix, parse_system, print_matrix, print_system
-from relcon.cli import main
+from relcon.cli import main, make_oracle
+from relcon.symmetric import DerivationOracle, TreeSearchOracle
 
 FIX = "fixtures"
 
@@ -367,6 +368,31 @@ def test_laws_check_command(capsys):
     assert code == 0
     assert "LAW Reflexivity PASS" in out
     assert "LAW Monotonicity FAIL" in out
+
+
+def test_laws_check_on_a_tree_search_system_oracle(capsys):
+    assert isinstance(make_oracle(f"system:{FIX}/bci.rcs"), TreeSearchOracle)
+    code, out = run(capsys, "laws", "check", "--oracle", f"system:{FIX}/bci.rcs",
+                    "--dom", "atoms=p,size=1", "--laws", "Reflexivity,Cut")
+    assert code == 0
+    assert "LAW Reflexivity PASS" in out
+    # a tree search that finds no proof within its node bound disproves nothing
+    assert "LAW Cut UNKNOWN" in out
+    assert result_line(out) == "ok"
+
+
+def test_laws_check_on_a_derivation_system_oracle(capsys, tmp_path):
+    path = tmp_path / "bci_sym.rcs"
+    path.write_text(print_system(parse_system(Path(FIX, "bci.rcs").read_text()).lifted()))
+    assert isinstance(make_oracle(f"system:{path}"), DerivationOracle)
+    code, out = run(capsys, "laws", "check", "--oracle", f"system:{path}",
+                    "--dom", "atoms=p,size=1", "--laws", "Reflexivity,Monotonicity")
+    assert code == 0
+    assert "LAW Reflexivity PASS" in out
+    # an exhausted derivation search is a negative: [p] |- [] has no
+    # relevant derivation, though [] |- [] has
+    assert "LAW Monotonicity FAIL G=[]; D=[]; P=[p]" in out
+    assert result_line(out) == "ok"
 
 
 def test_laws_check_on_a_numeral_past_the_recursion_limit(capsys):

@@ -327,6 +327,17 @@ def test_matrix_file_roundtrip(fixtures_dir):
     assert print_matrix(parse_matrix(print_matrix(m))) == print_matrix(m)
 
 
+def test_matrix_file_roundtrip_with_a_unary_table(fixtures_dir):
+    text = (fixtures_dir / "t4.mat").read_text() + "table ~ : 3 2 1 0\n"
+    m = parse_matrix(text)
+    assert m.tables["~"] == {("0",): "3", ("1",): "2", ("2",): "1", ("3",): "0"}
+    printed = print_matrix(m)
+    assert "table ~ : 3 2 1 0" in printed.splitlines()
+    assert parse_matrix(printed) == m
+    assert print_matrix(parse_matrix(printed)) == printed
+    assert matrix_eval(m, {"a": "1"}, Neg(a)) == "2"
+
+
 def test_matrix_file_errors():
     with pytest.raises(Exception):
         parse_matrix("values 0 1\ndesignated 1\n")  # no name

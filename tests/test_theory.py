@@ -20,6 +20,7 @@ from relcon import (
     union_theory_check,
 )
 from relcon.laws import MonotonicCompanion
+from relcon.oracles import SymmetricOracle, verdict
 from relcon.semantics import IdentityOracle
 from relcon.theory import monotone_mapping_agrees
 from conftest import numeral_domain
@@ -147,3 +148,44 @@ def test_three_way_agreement_sampled(zsym):
             member = th_contains(theory(zsym, a), b)
             contained = th_leq(theory(zsym, b), theory(zsym, a))
             assert direct is member is contained
+
+
+class _BrokenQuotient(SymmetricOracle):
+    """Identity on multisets, except that [w] does not derive itself, [x]
+    derives [y], [v] and [z], and [y] and [v] derive [x] but not each other."""
+
+    name = "broken"
+    extra = {(ms("[x]"), ms(s)) for s in ("[y]", "[v]", "[z]")} | {
+        (ms(s), ms("[x]")) for s in ("[y]", "[v]")}
+
+    def entails(self, premises, conclusions):
+        if premises == conclusions:
+            return verdict(premises != ms("[w]"))
+        return verdict((premises, conclusions) in self.extra)
+
+
+def test_quotient_check_reports_each_broken_structure():
+    gens = [ms(s) for s in ("[x]", "[y]", "[v]", "[z]", "[w]")]
+    report = quotient_check(_BrokenQuotient(), gens)
+    # [w] is not equivalent to itself, and the class of [x] holds [y] and
+    # [v], which are not equivalent to each other
+    assert not report.equivalence_ok
+    # [x]+[z] and [y]+[z] are not equivalent, though [x] and [y] are
+    assert not report.congruence_ok
+    # [x] |- [z] but not [y] |- [z]
+    assert not report.order_well_defined_ok
+    # [x] |- [z] but not [x]+[x] |- [z]+[x]
+    assert not report.order_compatible_ok
+    # [w]+[] is not equivalent to [w]
+    assert not report.monoid_ok
+    # the three-way, antitone and homomorphism checks read the relation
+    # through theory handles whose every reading is the same entails(a, b)
+    # call, so a deterministic oracle cannot fail the first two; and every
+    # sum of two generators here derives itself
+    assert report.three_way_ok and report.antitone_ok and report.hom_ok
+    assert not report.all_ok
+    kinds = {f.split(":")[0] for f in report.failures}
+    assert kinds == {"equivalence", "congruence", "order", "order-compatibility", "monoid"}
+    assert "equivalence: [w] not equivalent to itself" in report.failures
+    assert any(f.startswith("equivalence: class of [x] is not transitive")
+               for f in report.failures)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import sys
 import weakref
 
 import pytest
@@ -36,7 +37,7 @@ from relcon import (
 from relcon import treeproof
 from relcon.multiset import EMPTY
 from relcon.syntax import _larger_first, metavars, substitute, unify
-from relcon.treeproof import _masked, _resolve, proof_from_data
+from relcon.treeproof import _masked, _resolve, proof_from_data, proof_to_data
 from conftest import random_relevant_proof
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -770,6 +771,37 @@ def test_deep_proofs_transform_without_recursion(bci):
 def test_deep_json_is_a_value_error():
     with pytest.raises(ValueError, match="nested too deeply"):
         load_proof("[" * 100_000 + "]" * 100_000)
+
+
+def test_deep_proofs_compare_and_hash_without_recursion():
+    assert 3000 > sys.getrecursionlimit()
+    a, b = _mp_chain(3000), _mp_chain(3000)
+    assert a is not b and a == b and hash(a) == hash(b)
+    # the same chain over another bottom leaf
+    other = premise_leaf(q)
+    for _ in range(3000):
+        other = ProofTree(p, RuleJust("mp"), (premise_leaf(Imp(p, p)), other))
+    assert a != other and other != a
+
+
+def test_proof_tree_equality_and_hash_on_small_trees():
+    assert mp_tree() == mp_tree() and hash(mp_tree()) == hash(mp_tree())
+    assert mp_tree() != ProofTree(q, RuleJust("mp"), (premise_leaf(p), premise_leaf(Imp(p, q))))
+    assert mp_tree() != ProofTree(q, RuleJust("mp2"), mp_tree().children)
+    assert mp_tree() != ProofTree(q, RuleJust("mp"), mp_tree().children[:1])
+    assert mp_tree() != q
+    # a stored substitution is a dict, so the tree has no hash, as before
+    with pytest.raises(TypeError):
+        hash(ProofTree(q, RuleJust("mp", {"p": p}), mp_tree().children))
+
+
+def test_deep_proof_data_round_trips_and_dump_reports_too_deep():
+    tree = _mp_chain(3000)
+    assert proof_from_data(proof_to_data(tree)) == tree
+    with pytest.raises(ValueError, match="nested too deeply"):
+        dump_proof(tree)
+    shallow = _mp_chain(400)
+    assert load_proof(dump_proof(shallow)) == shallow
 
 
 # -- search against the rule use that renamed every rule apart -------------------
