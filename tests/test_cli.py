@@ -6,9 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from relcon import parse_matrix, parse_system, print_matrix, print_system
-from relcon.cli import main, make_oracle
+from relcon import Atom, parse_matrix, parse_system, print_matrix, print_system
+from relcon.cli import main, make_domain, make_oracle
+from relcon.laws import SampleDomain
 from relcon.symmetric import DerivationOracle, TreeSearchOracle
+from test_cli_fuzz import ORACLES
 
 FIX = "fixtures"
 
@@ -447,6 +449,25 @@ def test_laws_unknown_names(capsys):
                  "--dom", "numerals=-1..1,size=1",
                  "--laws", "Nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_every_named_oracle_builds_and_is_listed_in_the_laws_help(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep the help text on one line
+    assert main(["laws", "--help"]) == 0
+    help_text = capsys.readouterr().out
+    for name in ORACLES[:-1]:  # the last one is not an oracle name
+        assert make_oracle(name) is not None
+        assert name in help_text
+    assert "system:<file>" in help_text
+
+
+def test_domain_keys_set_their_own_sample_domain_fields():
+    x = (Atom("x"),)
+    assert make_domain("atoms=x", 5) == SampleDomain(x, seed=5)
+    assert make_domain("atoms=x,size=7", 5) == SampleDomain(x, max_size=7, seed=5)
+    assert make_domain("atoms=x,seed=9", 5) == SampleDomain(x, seed=9)
+    assert make_domain("atoms=x,cap=11", 5) == SampleDomain(x, seed=5, exhaustive_cap=11)
+    assert make_domain("atoms=x,samples=13", 5) == SampleDomain(x, seed=5, sample_count=13)
 
 
 @pytest.mark.parametrize("dom", ["numerals=a..2", "numerals=0..1,size=x",

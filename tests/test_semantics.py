@@ -35,6 +35,7 @@ from relcon import (
 from relcon.semantics import (
     AbelianOracle,
     AbelianSymmetricOracle,
+    Matrix,
     MatrixOracle,
     _value,
     parse_int_valuation,
@@ -319,6 +320,15 @@ def test_matrix_oracle(fixtures_dir):
     assert oracle.entails(ms("[a -> b]"), parse_formula("(a o c) -> (b o c)")) is HOLDS
     assert oracle.entails(ms("[]"),
                           parse_formula("(a -> b) -> ((a o c) -> (b o c))")) is FAILS
+
+
+def test_matrix_oracle_evaluates_the_premises_before_the_conclusion():
+    # ~ sends both values to the undesignated one and there is no -> table:
+    # the premise is never designated, so the conclusion is never evaluated
+    m = Matrix("neg", ("0", "1"), frozenset({"1"}), {"~": {("0",): "0", ("1",): "0"}})
+    assert MatrixOracle(m).entails(ms("[~a]"), parse_formula("b -> c")) is HOLDS
+    with pytest.raises(EvalError):
+        MatrixOracle(m).entails(ms("[]"), parse_formula("b -> c"))
 
 
 def test_matrix_file_roundtrip(fixtures_dir):
