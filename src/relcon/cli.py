@@ -76,32 +76,41 @@ def _result(line: str) -> None:
     print(f"RESULT {line}")
 
 
+def _verdict_result(verdict: Verdict) -> int:
+    _result(str(verdict))
+    return _VERDICT_EXIT[verdict]
+
+
+def _int(what: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} needs an integer, not {text!r}") from None
+
+
 def _default_seed() -> int:
     env = os.environ.get("RELCON_SEED")
-    return int(env) if env else 0
+    return _int("RELCON_SEED", env) if env else 0
+
+
+# the named oracles, each built fresh per call
+_ORACLES = {
+    "z": lambda: AbelianOracle("z"),
+    "p": lambda: AbelianOracle("p"),
+    "leq": lambda: AbelianOracle("leq"),
+    "z_m": lambda: MonotonicCompanion(AbelianOracle("z")),
+    "zsym": AbelianSymmetricOracle,
+    "psym": lambda: Symmetrization(AbelianOracle("p")),
+    "ex54": SingleAtomThresholdOracle,
+    "identity": IdentityOracle,
+    "identity_m": lambda: MonotonicCompanion(IdentityOracle()),
+}
 
 
 def make_oracle(spec: str):
-    """Named oracles: z | p | leq | z_m | zsym | psym | ex54 | identity |
-    identity_m | system:<file>."""
-    if spec == "z":
-        return AbelianOracle("z")
-    if spec == "p":
-        return AbelianOracle("p")
-    if spec == "leq":
-        return AbelianOracle("leq")
-    if spec == "z_m":
-        return MonotonicCompanion(AbelianOracle("z"))
-    if spec == "zsym":
-        return AbelianSymmetricOracle()
-    if spec == "psym":
-        return Symmetrization(AbelianOracle("p"))
-    if spec == "ex54":
-        return SingleAtomThresholdOracle()
-    if spec == "identity":
-        return IdentityOracle()
-    if spec == "identity_m":
-        return MonotonicCompanion(IdentityOracle())
+    """A named oracle (a key of ``_ORACLES``), or ``system:<file>``."""
+    if spec in _ORACLES:
+        return _ORACLES[spec]()
     if spec.startswith("system:"):
         system = load_system(spec.split(":", 1)[1])
         if system.symmetric:
@@ -110,11 +119,9 @@ def make_oracle(spec: str):
     raise UsageError(f"unknown oracle {spec!r}")
 
 
-def _domain_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"domain key {key!r} needs an integer, not {text!r}") from None
+# the integer domain keys and the SampleDomain fields they set
+_DOMAIN_FIELDS = {"size": "max_size", "seed": "seed", "cap": "exhaustive_cap",
+                  "samples": "sample_count"}
 
 
 def make_domain(spec: str, seed: int) -> SampleDomain:
@@ -123,34 +130,27 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
     Keys: numerals=LO..HI | atoms=x+y+z, size=N, seed=N, cap=N, samples=N.
     """
     formulas: list = []
-    size = 3
-    cap = 100_000
-    samples = 4000
+    fields = {"seed": seed}
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
         key, _, value = part.partition("=")
         key, value = key.strip(), value.strip()
+        what = f"domain key {key!r}"
         if key == "numerals":
             lo, _, hi = value.partition("..")
-            lo, hi = _domain_int(key, lo), _domain_int(key, hi)
+            lo, hi = _int(what, lo), _int(what, hi)
             formulas.extend(numeral(k) for k in range(lo, hi + 1))
         elif key == "atoms":
             formulas.extend(Atom(a) for a in value.split("+") if a)
-        elif key == "size":
-            size = _domain_int(key, value)
-        elif key == "seed":
-            seed = _domain_int(key, value)
-        elif key == "cap":
-            cap = _domain_int(key, value)
-        elif key == "samples":
-            samples = _domain_int(key, value)
+        elif key in _DOMAIN_FIELDS:
+            fields[_DOMAIN_FIELDS[key]] = _int(what, value)
         else:
             raise UsageError(f"unknown domain key {key!r}")
     if not formulas:
         raise UsageError("domain needs numerals=LO..HI or atoms=a+b")
-    return SampleDomain(tuple(formulas), size, seed, cap, samples)
+    return SampleDomain(tuple(formulas), **fields)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -197,28 +197,12 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _derivation_inputs(args):
-    """A derivation command's system, premises, conclusions and derivation
-    file (if it takes one), or None once a malformed, missing or unreadable
-    one is reported: that is an invalid derivation, exit 2, where main's
-    handler would exit 1 (plain)."""
-    try:
-        inputs = [load_system(args.system), parse_multiset(args.premises),
-                  parse_multiset(args.conclusions)]
-        if "derivation" in args:
-            with open(args.derivation, "r", encoding="utf-8") as fh:
-                inputs.append(load_derivation(fh.read()))
-        return inputs
-    except (ParseError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        _result("invalid")
-        return None
-
-
 def cmd_check_derivation(args) -> int:
-    if (inputs := _derivation_inputs(args)) is None:
-        return 2
-    system, premises, conclusions, derivation = inputs
+    system = load_system(args.system)
+    premises = parse_multiset(args.premises)
+    conclusions = parse_multiset(args.conclusions)
+    with open(args.derivation, "r", encoding="utf-8") as fh:
+        derivation = load_derivation(fh.read())
     verdict = check_derivation(derivation, system, premises, conclusions)
     _result(str(verdict))
     return {DerivationVerdict.RELEVANT: 0, DerivationVerdict.PLAIN: 1,
@@ -226,9 +210,9 @@ def cmd_check_derivation(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    if (inputs := _derivation_inputs(args)) is None:
-        return 2
-    system, premises, conclusions = inputs
+    system = load_system(args.system)
+    premises = parse_multiset(args.premises)
+    conclusions = parse_multiset(args.conclusions)
     result = derive_search(system, premises, conclusions,
                            max_steps=args.max_steps,
                            max_formula_size=args.max_size,
@@ -253,8 +237,7 @@ def cmd_symmetrize(args) -> int:
     conclusions = parse_multiset(args.conclusions)
     verdict = symmetrize_query(oracle, premises, conclusions,
                                partition_cap=args.cap)
-    _result(str(verdict))
-    return _VERDICT_EXIT[verdict]
+    return _verdict_result(verdict)
 
 
 def cmd_matrix_eval(args) -> int:
@@ -286,9 +269,7 @@ def cmd_abelian(args) -> int:
     oracle = AbelianOracle(args.kind, grid_bound=args.grid_bound)
     premises = parse_multiset(args.premises)
     goal = parse_formula(args.goal)
-    verdict = oracle.entails(premises, goal)
-    _result(str(verdict))
-    return _VERDICT_EXIT[verdict]
+    return _verdict_result(oracle.entails(premises, goal))
 
 
 def cmd_laws(args) -> int:
@@ -333,15 +314,11 @@ def cmd_theory(args) -> int:
     if args.op in ("eq", "leq"):
         if len(handles) != 2:
             raise UsageError(f"theory {args.op} needs two --gens")
-        verdict = (th_eq if args.op == "eq" else th_leq)(handles[0], handles[1])
-        _result(str(verdict))
-        return _VERDICT_EXIT[verdict]
+        return _verdict_result((th_eq if args.op == "eq" else th_leq)(handles[0], handles[1]))
     if args.op == "contains":
         if len(handles) != 1 or args.member is None:
             raise UsageError("theory contains needs one --gens and --member")
-        verdict = th_contains(handles[0], parse_multiset(args.member))
-        _result(str(verdict))
-        return _VERDICT_EXIT[verdict]
+        return _verdict_result(th_contains(handles[0], parse_multiset(args.member)))
     if args.op == "add":
         if len(handles) != 2:
             raise UsageError("theory add needs two --gens")
@@ -431,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", help="law battery over an oracle")
     p.add_argument("action", choices=["check", "classify"])
     p.add_argument("--oracle", required=True,
-                   help="z|p|leq|z_m|zsym|psym|ex54|identity|identity_m|system:<file>")
+                   help="|".join([*_ORACLES, "system:<file>"]))
     p.add_argument("--dom", required=True,
                    help="e.g. 'numerals=-3..3,size=3' or 'atoms=x,size=4'")
     p.add_argument("--laws", default="all", help="'all' or comma-separated names")
@@ -453,17 +430,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.fn(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, EvalError, OSError, ValueError) as e:
+        # malformed, missing or unreadable input: for the derivation
+        # commands that is an invalid derivation, exit 2
         print(f"error: {e}", file=sys.stderr)
         _result("invalid")
-        return EXIT_FAIL
+        return 2 if args.command in ("check-derivation", "derive") else EXIT_FAIL
 
 
 if __name__ == "__main__":

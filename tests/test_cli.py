@@ -451,6 +451,15 @@ def test_laws_unknown_names(capsys):
     capsys.readouterr()
 
 
+def test_malformed_relcon_seed_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RELCON_SEED", "abc")
+    code = main(["parse", "--formula", "p"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "usage error" in captured.err
+    assert "RESULT" not in captured.out
+
+
 def test_every_named_oracle_builds_and_is_listed_in_the_laws_help(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # keep the help text on one line
     assert main(["laws", "--help"]) == 0
