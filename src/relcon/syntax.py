@@ -669,6 +669,13 @@ def substitute_partial(schema: Formula, subst: Mapping[str, Formula]) -> Formula
     return _map_vars(schema, lambda v: subst.get(v.name, v))
 
 
+def _resolve(f: Formula, theta: dict) -> Formula:
+    """The formula under the bindings ``theta``, followed to the end."""
+    if not theta:
+        return f
+    return _map_vars(f, lambda v: _resolve(theta[v.name], theta) if v.name in theta else v)
+
+
 def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
     """Most general unifier of two schemata (shared metavariable namespace)."""
     subst: dict[str, Formula] = {}
@@ -709,11 +716,7 @@ def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
 
     if not go(a, b):
         return None
-
-    def resolve(f: Formula) -> Formula:
-        return _map_vars(f, lambda v: resolve(subst[v.name]) if v.name in subst else v)
-
-    return {name: resolve(subst[name]) for name in subst}
+    return {name: _resolve(subst[name], subst) for name in subst}
 
 
 _FROZEN = "\x00"  # prefixes the atom that _freeze makes of a metavariable

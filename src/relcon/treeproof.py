@@ -43,6 +43,7 @@ from .syntax import (
     _TOO_DEEP,
     _larger_first,
     _map_vars,
+    _resolve,
     _rule_schemata,
     alpha_variant,
     formula_size,
@@ -566,13 +567,6 @@ def _rule_tables(system: AxiomaticSystem) -> tuple[list[_Entry], list[_Entry]]:
     return tables
 
 
-def _resolve(f: Formula, theta: dict) -> Formula:
-    """The formula under the bindings ``theta``, followed to the end."""
-    if not theta:
-        return f
-    return _map_vars(f, lambda v: _resolve(theta[v.name], theta) if v.name in theta else v)
-
-
 class _SearchState:
     """Proof search over one system; ``fruitless`` remembers, per ground
     (goal, available premises), the largest budget that found nothing.
@@ -596,11 +590,19 @@ class _SearchState:
     def _uses_of(self, table: list[_Entry], goal: Formula
                  ) -> Iterator[tuple[NamedRule, dict[str, Formula], dict]]:
         """Each entry whose head unifies with the goal, renamed apart, with
-        the renaming and the goal's unifier with the renamed conclusion."""
+        the renaming and the goal's unifier with the renamed conclusion.
+
+        That unifier is the head's, renamed the same way: the renaming is
+        a bijection onto names no goal holds, so unifying again would bind
+        the same variables to the same terms in the same order."""
         for rule, variables, head in table:
-            if unify(goal, head) is not None:
+            mgu = unify(goal, head)
+            if mgu is not None:
                 sigma = self._fresh(variables)
-                yield rule, sigma, unify(goal, substitute(rule.right, sigma))
+                ren = {"\x02" + name: v for name, v in sigma.items()}
+                yield rule, sigma, {ren[k].name if k in ren else k:
+                                    _map_vars(f, lambda v: ren.get(v.name, v))
+                                    for k, f in mgu.items()}
 
     def ground(self, tree: ProofTree, theta: dict) -> ProofTree:
         """The tree under ``theta``, with every variable left open filled."""
