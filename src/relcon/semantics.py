@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .multiset import FMultiset
 from .oracles import (
@@ -111,10 +111,14 @@ def _affine(signed: Iterable[tuple[Formula, int]]) -> Optional[tuple[dict[str, i
     return coeffs, const
 
 
-def _valuations(names: list[str], carrier: Iterable) -> Iterator[dict]:
-    """Every valuation of ``names`` into ``carrier``, in product order."""
-    return (dict(zip(names, values))
-            for values in itertools.product(carrier, repeat=len(names)))
+def _refutation(names: list[str], carrier: Iterable,
+                holds_at: Callable[[dict], bool]) -> Optional[dict]:
+    """The first valuation of ``names`` into ``carrier``, in product order,
+    at which ``holds_at`` is false; None if it holds at every one."""
+    for values in itertools.product(carrier, repeat=len(names)):
+        if not holds_at(v := dict(zip(names, values))):
+            return v
+    return None
 
 
 def _atoms_of(formulas: Iterable[Formula]) -> list[str]:
@@ -162,9 +166,8 @@ def linear_form(f: Formula) -> Optional[LinearForm]:
 def _decide(names: list[str], holds_at: Callable[[dict], bool], grid_bound: int) -> Verdict:
     """Exact on a closed input (no atoms); an open one is only refuted on the
     grid -grid_bound..grid_bound, UNKNOWN when the grid finds nothing."""
-    for v in _valuations(names, range(-grid_bound, grid_bound + 1)):
-        if not holds_at(v):
-            return FAILS
+    if _refutation(names, range(-grid_bound, grid_bound + 1), holds_at) is not None:
+        return FAILS
     return UNKNOWN if names else HOLDS
 
 
@@ -328,10 +331,8 @@ def countermodel_search(matrix: Matrix, f: Formula) -> Optional[dict[str, str]]:
     Exhausts all |carrier|^|atoms| valuations, atoms in sorted order and
     values in carrier display order.
     """
-    for v in _valuations(sorted(atoms(f)), matrix.values):
-        if _value(matrix, v, f) not in matrix.designated:
-            return v
-    return None
+    return _refutation(sorted(atoms(f)), matrix.values,
+                       lambda v: _value(matrix, v, f) in matrix.designated)
 
 
 class MatrixOracle(ConsequenceOracle):
@@ -343,11 +344,11 @@ class MatrixOracle(ConsequenceOracle):
 
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
         m, support = self.matrix, premises.support
-        for v in _valuations(_atoms_of([conclusion, *support]), m.values):
-            if (all(_value(m, v, f) in m.designated for f in support)
-                    and _value(m, v, conclusion) not in m.designated):
-                return FAILS
-        return HOLDS
+        # the conclusion is evaluated only where every premise is designated
+        return verdict(_refutation(
+            _atoms_of([conclusion, *support]), m.values,
+            lambda v: (not all(_value(m, v, f) in m.designated for f in support)
+                       or _value(m, v, conclusion) in m.designated)) is None)
 
 
 # -- matrix files ------------------------------------------------------------------
