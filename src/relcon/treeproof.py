@@ -55,6 +55,7 @@ from .syntax import (
     print_multiset,
     subformulas,
     substitute,
+    substitute_partial,
     unify,
 )
 
@@ -600,8 +601,7 @@ class _SearchState:
             if mgu is not None:
                 sigma = self._fresh(variables)
                 ren = {"\x02" + name: v for name, v in sigma.items()}
-                yield rule, sigma, {ren[k].name if k in ren else k:
-                                    _map_vars(f, lambda v: ren.get(v.name, v))
+                yield rule, sigma, {ren[k].name if k in ren else k: substitute_partial(f, ren)
                                     for k, f in mgu.items()}
 
     def ground(self, tree: ProofTree, theta: dict) -> ProofTree:
