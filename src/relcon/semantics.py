@@ -40,6 +40,7 @@ from .oracles import (
     verdict,
 )
 from .syntax import (
+    _CONNECTIVES,
     Atom,
     Conj,
     Const,
@@ -264,9 +265,8 @@ class IdentityOracle(SymmetricOracle):
 
 # -- finite matrices --------------------------------------------------------------
 
-_UNARY_OPS = {"~"}
-_BINARY_OPS = {"->", "o", "/\\", "\\/"}
-_OP_OF_TYPE = {Neg: "~", Imp: "->", Fusion: "o", Conj: "/\\", Disj: "\\/"}
+# each connective's table: its symbol and the number of its arguments
+_ARITY = {sym: len(cls.__match_args__) for cls, sym in _CONNECTIVES.items()}
 
 
 @dataclass
@@ -283,19 +283,22 @@ class Matrix:
         if not self.designated:
             raise ValueError("designated set must be nonempty")
         carrier = set(self.values)
+        if len(carrier) != len(self.values):
+            raise ValueError("values must be distinct")
         if not self.designated <= carrier:
             raise ValueError("designated values must lie in the carrier")
         for op, table in self.tables.items():
-            arity = 1 if op in _UNARY_OPS else 2
-            if len(table) != len(self.values) ** arity:
+            if op not in _ARITY:
+                raise ValueError(f"unknown connective {op!r}")
+            # keyed by exactly the argument tuples over the carrier
+            if table.keys() != set(itertools.product(self.values, repeat=_ARITY[op])):
                 raise ValueError(f"table for {op} is not total")
-            for args, out in table.items():
-                if not (set(args) <= carrier and out in carrier):
-                    raise ValueError(f"table for {op} leaves the carrier")
+            if not set(table.values()) <= carrier:
+                raise ValueError(f"table for {op} leaves the carrier")
         # what _evaluate folds with: each connective's table lookup
         self._ops = {t: (self.tables[op].__getitem__ if op in self.tables
                          else functools.partial(_no_table, self.name, op))
-                     for t, op in _OP_OF_TYPE.items()}
+                     for t, op in _CONNECTIVES.items()}
 
 
 def _no_table(name: str, op: str, args: tuple):
@@ -375,26 +378,18 @@ def parse_matrix(text: str) -> Matrix:
             elif head == "table":
                 op, _, body = rest.partition(":")
                 op = op.strip()
-                if op not in _UNARY_OPS | _BINARY_OPS:
+                if op not in _ARITY:
                     raise ParseError(f"unknown connective {op!r}")
-                rows = [r.split() for r in body.split("|")]
                 if not values:
                     raise ParseError("'values' line must precede tables")
-                table: dict[tuple, str] = {}
-                if op in _UNARY_OPS:
-                    entries = [x for row in rows for x in row]
-                    if len(entries) != len(values):
-                        raise ParseError(f"table for {op} needs {len(values)} entries")
-                    for a, out in zip(values, entries):
-                        table[(a,)] = out
-                else:
-                    if len(rows) != len(values) or any(len(r) != len(values) for r in rows):
-                        raise ParseError(
-                            f"table for {op} needs {len(values)}x{len(values)} entries")
-                    for a, row in zip(values, rows):
-                        for b, out in zip(values, row):
-                            table[(a, b)] = out
-                tables[op] = table
+                # row-major; a binary table has one row per left argument
+                rows = [r.split() for r in body.split("|")]
+                entries = [x for row in rows for x in row]
+                n, arity = len(values), _ARITY[op]
+                if len(entries) != n ** arity or (arity > 1 and any(len(r) != n for r in rows)):
+                    raise ParseError(
+                        f"table for {op} needs {'x'.join([str(n)] * arity)} entries")
+                tables[op] = dict(zip(itertools.product(values, repeat=arity), entries))
             else:
                 raise ParseError(f"unknown directive {head!r}")
         except ParseError as e:
@@ -413,14 +408,11 @@ def print_matrix(matrix: Matrix) -> str:
     lines = [f"matrix {matrix.name}",
              "values " + " ".join(matrix.values),
              "designated " + " ".join(sorted(matrix.designated, key=matrix.values.index))]
+    n = len(matrix.values)
     for op, table in matrix.tables.items():
-        if op in _UNARY_OPS:
-            row = " ".join(table[(a,)] for a in matrix.values)
-            lines.append(f"table {op} : {row}")
-        else:
-            rows = " | ".join(
-                " ".join(table[(a, b)] for b in matrix.values) for a in matrix.values)
-            lines.append(f"table {op} : {rows}")
+        cells = [table[args] for args in itertools.product(matrix.values, repeat=_ARITY[op])]
+        rows = " | ".join(" ".join(cells[i:i + n]) for i in range(0, len(cells), n))
+        lines.append(f"table {op} : {rows}")
     return "\n".join(lines) + "\n"
 
 

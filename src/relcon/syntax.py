@@ -1,15 +1,12 @@
 """Formulas, schemata, parsing/printing, and axiomatic-system files.
 
-Grammar (ASCII):
+Grammar (ASCII), parsed by precedence climbing over the table _CONNECTIVES:
 
-    formula  :=  disj [ '->' formula ]          right-associative
-    disj     :=  conj { '\\/' conj }             left-associative
-    conj     :=  fus  { '/\\' fus }              left-associative
-    fus      :=  neg  { 'o' neg }                left-associative
-    neg      :=  '~' neg | primary
+    formula  :=  '~' formula | formula BINOP formula | primary
     primary  :=  '(' formula ')' | INT | 't' | IDENT | QUOTED
 
-Precedence: ~  >  o  >  /\\  >  \\/  >  ->, parentheses always accepted.
+Precedence: ~  >  o  >  /\\  >  \\/  >  ->, parentheses always accepted;
+-> is right-associative, o, /\\ and \\/ are left-associative.
 Integer literals are numerals: 0 and 1 are the primitive constants, n+1
 expands to (n o 1) and -n to ~n, so the core only ever sees primitive
 connectives.  ``t`` is the fusion-unit constant.  ``o`` and ``t`` are
@@ -138,24 +135,23 @@ def _children(f: "Formula") -> tuple:
     return (f.body,) if type(f) is Neg else (f.left, f.right)
 
 
-def _fill(f: "Formula", slot: str):
-    """Fill ``slot`` ("_hash" or "_str") on f and on every node under it that
-    lacks it, children first and without recursion (numerals can be deep), so
-    that each node's value is made from its children's."""
-    printing = slot == "_str"
+def _fill(f: "Formula", value, make, printing: bool = True):
+    """Call make(node) on f and on every node under it whose value(node) is
+    None, children first and without recursion (numerals can be deep), so
+    that each node's value is made from its children's; then value(f)."""
     stack = [f]
     while stack:
         node = stack[-1]
-        if getattr(node, slot) is None:
+        if value(node) is None:
             # a numeral prints as its value, without its children
             todo = () if printing and node._num is not None else [
-                c for c in _children(node) if getattr(c, slot) is None]
+                c for c in _children(node) if value(c) is None]
             if todo:
                 stack.extend(todo)
                 continue
-            _set(node, slot, _compose(node, str) if printing else hash(_children(node)))
+            make(node)
         stack.pop()
-    return getattr(f, slot)
+    return value(f)
 
 
 def _cached_hash(self) -> int:
@@ -163,14 +159,16 @@ def _cached_hash(self) -> int:
     if h is None:
         # recursing into unhashed children is cheaper, but only safe when small
         if self._size > 256:
-            return _fill(self, "_hash")
+            return _fill(self, lambda n: n._hash,
+                         lambda n: _set(n, "_hash", hash(_children(n))), printing=False)
         h = hash(_children(self))
         _set(self, "_hash", h)
     return h
 
 
 def _cached_str(self) -> str:
-    return self._str or _fill(self, "_str")
+    return self._str or _fill(self, lambda n: n._str,
+                              lambda n: _set(n, "_str", _compose(n, str)))
 
 
 def _equal(self, other) -> bool:
@@ -291,14 +289,18 @@ class Disj(_Node):
 
 Formula = Union[Atom, Var, Const, Neg, Imp, Fusion, Conj, Disj]
 
+# each connective's symbol, loosest first: the printer, the parser and the
+# matrix files read the connectives from here, and a connective's precedence
+# is its position (-> 1 ... ~ 5)
+_CONNECTIVES = {Imp: "->", Disj: "\\/", Conj: "/\\", Fusion: "o", Neg: "~"}
+_PREC = {cls: level for level, cls in enumerate(_CONNECTIVES, 1)}
+
 # a schema is a formula whose leaves may be metavariables
 Schema = Formula
 
 ZERO = Const("0")
 ONE = Const("1")
 TRUTH = Const("t")
-
-RESERVED = {"o", "t"}
 
 # numerals expand to fusion towers, so structural operations on them scale
 # with the magnitude; parsing caps the literal range to keep that safe
@@ -359,19 +361,10 @@ def metavars(f: Formula) -> set[str]:
 
 # -- printing ----------------------------------------------------------------
 
-# precedence levels: -> 1, \/ 2, /\ 3, o 4, ~ 5, primary 6
-_PREC = {Imp: 1, Disj: 2, Conj: 3, Fusion: 4, Neg: 5}
-_OPS = {Imp: "->", Disj: "\\/", Conj: "/\\", Fusion: "o"}
-
-
-def _level(f: Formula) -> int:
-    """The precedence of f's printed form; numerals and leaves are primary."""
-    return 6 if f._num is not None else _PREC.get(type(f), 6)
-
-
 def _paren(f: Formula, prec: int, text) -> str:
     s = text(f)
-    return f"({s})" if prec > _level(f) else s
+    # leaves and numerals are primary, never parenthesised
+    return f"({s})" if f._num is None and prec > _PREC.get(type(f), prec) else s
 
 
 def _compose(f: Formula, text) -> str:
@@ -379,13 +372,14 @@ def _compose(f: Formula, text) -> str:
     n = f._num
     if n is not None:
         return str(n)
-    if type(f) is Neg:
-        return "~" + _paren(f.body, 5, text)
-    my = _PREC[type(f)]
+    t = type(f)
+    my = _PREC[t]
+    if t is Neg:
+        return _CONNECTIVES[Neg] + _paren(f.body, my, text)
     # the grammar is right-associative, but nested implications print with
     # explicit parentheses for readability; the others are left-associative
-    left = _paren(f.left, my + 1 if type(f) is Imp else my, text)
-    return f"{left} {_OPS[type(f)]} {_paren(f.right, my + 1, text)}"
+    left = _paren(f.left, my + 1 if t is Imp else my, text)
+    return f"{left} {_CONNECTIVES[t]} {_paren(f.right, my + 1, text)}"
 
 
 def print_formula(f: Formula) -> str:
@@ -394,11 +388,14 @@ def print_formula(f: Formula) -> str:
 
 def print_schema(f: Formula) -> str:
     """Like print_formula, but concrete atoms are quoted (system-file form)."""
-    if isinstance(f, Atom):
-        return f"'{f.name}'"
-    if isinstance(f, _Leaf):
-        return f.name
-    return _compose(f, print_schema)
+    texts: dict[int, str] = {}  # by node id: f keeps every node alive
+
+    def text(node: Formula) -> Optional[str]:
+        if isinstance(node, _Leaf):
+            return f"'{node.name}'" if type(node) is Atom else node.name
+        return texts.get(id(node))
+
+    return _fill(f, text, lambda n: texts.__setitem__(id(n), _compose(n, text)))
 
 
 def print_multiset(m: FMultiset, schema: bool = False) -> str:
@@ -407,21 +404,23 @@ def print_multiset(m: FMultiset, schema: bool = False) -> str:
 
 # -- tokenizer / parser ------------------------------------------------------
 
+# one "op" token kind for every connective symbol; "o" only as a whole word
+_OP_RE = "|".join(re.escape(sym) + ("(?![A-Za-z0-9_])" if sym.isalpha() else "")
+                  for sym in _CONNECTIVES.values())
 _TOKEN_RE = re.compile(
     r"""\s*(?:
         (?P<lpar>\() | (?P<rpar>\)) |
         (?P<lbrack>\[) | (?P<rbrack>\]) |
         (?P<comma>,) | (?P<colon>:) |
         (?P<turnstile>\|-) |
-        (?P<arrow>->) |
-        (?P<conj>/\\) | (?P<disj>\\/) |
-        (?P<neg>~) |
+        (?P<op>""" + _OP_RE + r""") |
         (?P<int>-?\d+) |
         (?P<quoted>'[A-Za-z_][A-Za-z0-9_]*') |
         (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     )""",
     re.VERBOSE,
 )
+_CONNECTIVE_OF = {sym: cls for cls, sym in _CONNECTIVES.items()}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -469,51 +468,35 @@ class _Parser:
         tok = self.peek()
         return tok is not None and tok[0] == kind
 
-    # formula := disj ['->' formula]
-    def formula(self) -> Formula:
-        left = self.disj()
-        if self.at("arrow"):
-            self.next()
-            return Imp(left, self.formula())
-        return left
+    def connective(self) -> Optional[type]:
+        """The connective the next token spells, if it is an operator."""
+        tok = self.peek()
+        return _CONNECTIVE_OF[tok[1]] if tok is not None and tok[0] == "op" else None
 
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.at("disj"):
+    def formula(self, prec: int = 1) -> Formula:
+        """A formula whose binary connectives bind at least as tightly as
+        prec, by precedence climbing: -> is right-associative, the others
+        left-associative, and ~ takes the tightest operand."""
+        if self.at("lpar"):
             self.next()
-            f = Disj(f, self.conj())
+            f = self.formula()
+            self.expect("rpar")
+        elif self.connective() is Neg:
+            self.next()
+            f = Neg(self.formula(_PREC[Neg]))
+        else:
+            f = self.primary()
+        while (t := self.connective()) not in (None, Neg) and _PREC[t] >= prec:
+            self.next()
+            f = t(f, self.formula(_PREC[t] if t is Imp else _PREC[t] + 1))
         return f
-
-    def conj(self) -> Formula:
-        f = self.fus()
-        while self.at("conj"):
-            self.next()
-            f = Conj(f, self.fus())
-        return f
-
-    def fus(self) -> Formula:
-        f = self.neg()
-        while self.at("ident") and self.peek()[1] == "o":
-            self.next()
-            f = Fusion(f, self.neg())
-        return f
-
-    def neg(self) -> Formula:
-        if self.at("neg"):
-            self.next()
-            return Neg(self.neg())
-        return self.primary()
 
     def primary(self) -> Formula:
+        """An operand other than a parenthesised formula."""
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", pos=len(self.text))
         kind, value, pos = tok
-        if kind == "lpar":
-            self.next()
-            f = self.formula()
-            self.expect("rpar")
-            return f
         if kind == "int":
             self.next()
             k = int(value)
@@ -526,12 +509,12 @@ class _Parser:
             self.next()
             return Atom(value[1:-1])
         if kind == "ident":
-            if value == "o":
-                raise ParseError("'o' is the fusion operator, not an atom", pos=pos)
             self.next()
             if value == "t":
                 return TRUTH
             return Var(value) if self.schema else Atom(value)
+        if self.connective() is Fusion:
+            raise ParseError(f"{value!r} is the fusion operator, not an atom", pos=pos)
         raise ParseError(f"unexpected token {value!r}", pos=pos)
 
     def formula_list(self) -> list[Formula]:
@@ -543,45 +526,42 @@ class _Parser:
             out.append(self.formula())
         return out
 
+    def multiset(self) -> FMultiset:
+        if not self.at("lbrack"):
+            return FMultiset(self.formula_list())
+        self.next()
+        items = [] if self.at("rbrack") else self.formula_list()
+        self.expect("rbrack")
+        return FMultiset(items)
+
     def end(self) -> None:
         tok = self.peek()
         if tok is not None:
             raise ParseError(f"unexpected trailing token {tok[1]!r}", pos=tok[2])
 
 
-# The parser recurses once per nesting level; input nested past the
-# interpreter's recursion limit is reported as a ParseError.
+# The parser recurses once per parenthesis and per operand of ~ or ->; input
+# nested past the interpreter's recursion limit is reported as a ParseError.
 _TOO_DEEP = "input nested too deeply"
 
 
-def parse_formula(text: str, schema: bool = False) -> Formula:
+def _parse(text: str, schema: bool, read):
     p = _Parser(text, schema)
     try:
-        f = p.formula()
+        out = read(p)
     except RecursionError:
         raise ParseError(_TOO_DEEP) from None
     p.end()
-    return f
+    return out
+
+
+def parse_formula(text: str, schema: bool = False) -> Formula:
+    return _parse(text, schema, _Parser.formula)
 
 
 def parse_multiset(text: str, schema: bool = False) -> FMultiset:
     """Parse ``[f1, f2, ...]`` (brackets optional) into an FMultiset."""
-    p = _Parser(text, schema)
-    try:
-        if p.at("lbrack"):
-            p.next()
-            if p.at("rbrack"):
-                p.next()
-                p.end()
-                return EMPTY
-            items = p.formula_list()
-            p.expect("rbrack")
-        else:
-            items = p.formula_list()
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
-    p.end()
-    return FMultiset(items)
+    return _parse(text, schema, _Parser.multiset)
 
 
 # -- substitution and matching ------------------------------------------------

@@ -578,3 +578,13 @@ def test_proof_commands_on_a_deep_chain(capsys, tmp_path, command):
     code, out = run(capsys, command, "--system", f"{FIX}/bci.rcs",
                     "--premises", f"[{DEEP_FUSION}]", "--goal", DEEP_FUSION, *extra)
     assert code in (0, 1, 2, 3) and result_line(out)
+
+
+def test_parse_system_prints_a_400_link_axiom(capsys, tmp_path):
+    chain = " -> ".join(["p"] * 400)
+    path = tmp_path / "chain.rcs"
+    path.write_text(f"system Chain\naxiom a : {chain}\n")
+    code, out = run(capsys, "parse", "--system", str(path))
+    assert code == 0 and result_line(out) == "ok"
+    printed = parse_system(out.rsplit("RESULT", 1)[0])
+    assert printed.get("a").right == parse_system(path.read_text()).get("a").right

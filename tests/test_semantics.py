@@ -660,3 +660,45 @@ def test_matrix_eval_error_messages(fixtures_dir):
         matrix_eval(m, {"a": "1"}, Imp(a, TRUTH))
     with pytest.raises(EvalError, match="no value for atom b"):
         matrix_eval(m, {"a": "1"}, Fusion(a, b))
+
+
+def test_matrix_rejects_a_table_not_keyed_by_its_arity():
+    # a ~ table keyed by pairs has as many entries as a total one
+    with pytest.raises(ValueError, match="table for ~ is not total"):
+        Matrix("M", ("0", "1"), frozenset({"1"}), {"~": {("0", "0"): "1", ("1", "1"): "0"}})
+
+
+def test_matrix_rejects_an_unknown_connective():
+    with pytest.raises(ValueError, match="unknown connective '=>'"):
+        Matrix("M", ("0", "1"), frozenset({"1"}),
+               {"=>": {(x, y): "1" for x in "01" for y in "01"}})
+
+
+def test_matrix_rejects_repeated_values():
+    with pytest.raises(ValueError, match="values must be distinct"):
+        Matrix("M", ("0", "0"), frozenset({"0"}), {})
+
+
+_carriers = st.sampled_from([("0",), ("0", "1"), ("a", "b", "c")])
+
+
+@st.composite
+def _matrices(draw):
+    values = draw(_carriers)
+    designated = frozenset(draw(st.lists(st.sampled_from(values), min_size=1)))
+    tables = {}
+    for op, arity in (("~", 1), ("->", 2), ("o", 2), ("/\\", 2), ("\\/", 2)):
+        if draw(st.booleans()):
+            tables[op] = {args: draw(st.sampled_from(values))
+                          for args in itertools.product(values, repeat=arity)}
+    return Matrix("M", values, designated, tables)
+
+
+@given(_matrices())
+def test_matrix_file_roundtrip_property(m):
+    printed = print_matrix(m)
+    assert parse_matrix(printed) == m
+    for op in m.tables:  # a ~ table is one row, a binary table one row per value
+        row = next(line for line in printed.splitlines() if line.startswith(f"table {op} :"))
+        assert row.count("|") == (0 if op == "~" else len(m.values) - 1)
+

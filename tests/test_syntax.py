@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -768,3 +769,230 @@ def test_rule_has_shape_agrees_on_random_rules(left, right, other_left, other_ri
                   MP_SHAPE, WEAKENING_SHAPE):
         assert rule_has_shape(rule, shape) == _ref_rule_has_shape(rule, shape)
     assert rule_has_shape(rule, renamed)
+
+
+# -- the recursive-descent parser that precedence climbing replaced ----------
+#
+# A reference for the differential properties below: the tokenizer with one
+# token kind per connective and the parser with one method per precedence
+# level, as they stood before both read the connectives from one table.
+
+_REF_TOKEN_RE = re.compile(
+    r"""\s*(?:
+        (?P<lpar>\() | (?P<rpar>\)) |
+        (?P<lbrack>\[) | (?P<rbrack>\]) |
+        (?P<comma>,) | (?P<colon>:) |
+        (?P<turnstile>\|-) |
+        (?P<arrow>->) |
+        (?P<conj>/\\) | (?P<disj>\\/) |
+        (?P<neg>~) |
+        (?P<int>-?\d+) |
+        (?P<quoted>'[A-Za-z_][A-Za-z0-9_]*') |
+        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    )""",
+    re.VERBOSE,
+)
+
+
+class _RefParser:
+    def __init__(self, text, schema):
+        self.text, self.schema, self.i, self.tokens = text, schema, 0, []
+        pos = 0
+        while pos < len(text):
+            m = _REF_TOKEN_RE.match(text, pos)
+            if m is None or m.end() == pos:
+                rest = text[pos:].lstrip()
+                if not rest:
+                    break
+                raise ParseError(f"unexpected character {rest[0]!r}", pos=pos)
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+            pos = m.end()
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", pos=len(self.text))
+        self.i += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok is None or tok[0] != kind:
+            got = tok[1] if tok else "end of input"
+            raise ParseError(f"expected {kind}, found {got!r}",
+                             pos=tok[2] if tok else len(self.text))
+        return self.next()
+
+    def at(self, kind):
+        tok = self.peek()
+        return tok is not None and tok[0] == kind
+
+    def formula(self):
+        left = self.disj()
+        if self.at("arrow"):
+            self.next()
+            return Imp(left, self.formula())
+        return left
+
+    def _left_assoc(self, operand, is_op, ctor):
+        f = operand()
+        while is_op():
+            self.next()
+            f = ctor(f, operand())
+        return f
+
+    def disj(self):
+        return self._left_assoc(self.conj, lambda: self.at("disj"), Disj)
+
+    def conj(self):
+        return self._left_assoc(self.fus, lambda: self.at("conj"), Conj)
+
+    def fus(self):
+        return self._left_assoc(
+            self.neg, lambda: self.at("ident") and self.peek()[1] == "o", Fusion)
+
+    def neg(self):
+        if self.at("neg"):
+            self.next()
+            return Neg(self.neg())
+        return self.primary()
+
+    def primary(self):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", pos=len(self.text))
+        kind, value, pos = tok
+        if kind == "lpar":
+            self.next()
+            f = self.formula()
+            self.expect("rpar")
+            return f
+        if kind == "int":
+            self.next()
+            if abs(int(value)) > 200:
+                raise ParseError(
+                    f"numeral {int(value)} out of supported range (|n| <= 200)", pos=pos)
+            return numeral(int(value))
+        if kind == "quoted":
+            self.next()
+            return Atom(value[1:-1])
+        if kind == "ident":
+            if value == "o":
+                raise ParseError("'o' is the fusion operator, not an atom", pos=pos)
+            self.next()
+            if value == "t":
+                return TRUTH
+            return Var(value) if self.schema else Atom(value)
+        raise ParseError(f"unexpected token {value!r}", pos=pos)
+
+    def formula_list(self):
+        if self.peek() is None:
+            return []
+        out = [self.formula()]
+        while self.at("comma"):
+            self.next()
+            out.append(self.formula())
+        return out
+
+    def end(self):
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"unexpected trailing token {tok[1]!r}", pos=tok[2])
+
+
+def _ref_parse_formula(text, schema=False):
+    p = _RefParser(text, schema)
+    f = p.formula()
+    p.end()
+    return f
+
+
+def _ref_parse_multiset(text, schema=False):
+    p = _RefParser(text, schema)
+    if p.at("lbrack"):
+        p.next()
+        if p.at("rbrack"):
+            p.next()
+            p.end()
+            return FMultiset()
+        items = p.formula_list()
+        p.expect("rbrack")
+    else:
+        items = p.formula_list()
+    p.end()
+    return FMultiset(items)
+
+
+def _parsed(parse, text, schema):
+    """The value with its repr, or the message and position of the ParseError."""
+    try:
+        value = parse(text, schema=schema)
+    except ParseError as e:
+        return ("error", str(e), e.pos)
+    return ("ok", value, repr(value))
+
+
+_OPERANDS = ["p", "q", "x", "t", "0", "1", "-3", "201", "'a'", "'o'"]
+_BINARY_SYMBOLS = ["->", "/\\", "\\/", "o"]
+_TOKENS = (_OPERANDS + _BINARY_SYMBOLS
+           + ["~", "(", ")", "[", "]", ",", ":", "|-", "oo", "o1", "-", "$", "|"])
+
+
+def _token_text(tokens_and_spaces):
+    return "".join(tok + space for tok, space in tokens_and_spaces)
+
+
+# balanced expressions over the connectives, and near misses of them
+well_formed = st.recursive(
+    st.sampled_from(_OPERANDS).map(lambda tok: [tok]),
+    lambda inner: st.one_of(
+        st.builds(lambda a, op, b: a + [op] + b, inner, st.sampled_from(_BINARY_SYMBOLS), inner),
+        inner.map(lambda t: ["~"] + t),
+        inner.map(lambda t: ["("] + t + [")"])),
+    max_leaves=8)
+near_misses = st.builds(
+    lambda tokens, at, tok, drop: (tokens[:at] + tokens[at + 1:] if drop
+                                   else tokens[:at] + [tok] + tokens[at:]),
+    well_formed, st.integers(0, 20), st.sampled_from(_TOKENS), st.booleans())
+token_texts = st.one_of(
+    st.lists(st.tuples(st.sampled_from(_TOKENS), st.sampled_from(["", " "])),
+             max_size=12).map(_token_text),
+    st.one_of(well_formed, near_misses).flatmap(
+        lambda tokens: st.lists(st.sampled_from(["", " "]), min_size=len(tokens),
+                                max_size=len(tokens)).map(
+            lambda spaces: _token_text(zip(tokens, spaces)))),
+    query_formulas.map(str))
+
+
+@given(token_texts, st.booleans())
+@example("~p o q /\\ r \\/ s -> t -> u", False)
+@example("p o o q", False)  # an 'o' where an operand belongs
+@example("p ~ q", False)  # ~ is no binary connective
+@example("[]", True)
+@example("oo o1 -> o", True)
+def test_parser_agrees_with_the_recursive_descent_reference(text, schema):
+    got = _parsed(parse_formula, text, schema)
+    assert got == _parsed(_ref_parse_formula, text, schema)
+    assert _parsed(parse_multiset, text, schema) == _parsed(_ref_parse_multiset, text, schema)
+    if got[0] == "ok":
+        assert parse_formula(print_schema(got[1]), schema=schema) == got[1]
+
+
+def test_parenthesised_input_250_deep_parses():
+    assert parse_formula("(" * 250 + "p" + ")" * 250) == Atom("p")
+    with pytest.raises(ParseError, match="input nested too deeply"):
+        parse_formula("(" * 3000 + "p" + ")" * 3000)
+
+
+def test_deep_schema_prints_without_recursion():
+    f = Var("p")
+    for _ in range(900):
+        f = Neg(f)
+    assert print_schema(f) == "~" * 900 + "p"
+    chain = parse_formula(" -> ".join(["p"] * 400), schema=True)
+    assert parse_formula(print_schema(chain), schema=True) == chain
+    quoted = Imp(Atom("x"), Fusion(Var("y"), numeral(3)))
+    assert print_schema(quoted) == "'x' -> y o 3"
