@@ -37,13 +37,12 @@ from .oracles import (
 from .syntax import (
     AxiomaticSystem,
     Formula,
-    MissingBindingError,
     NamedRule,
     Var,
+    _rule_step,
     _walk_nodes,
     formula_size,
     match_into,
-    match_multiset,
     parse_multiset,
     print_formula,
     print_multiset,
@@ -100,31 +99,6 @@ class Derivation:
 # -- checking -------------------------------------------------------------------
 
 
-def _infer_step(rule: NamedRule, prev: FMultiset, cur: FMultiset,
-                stored: Optional[Mapping[str, Formula]]) -> Optional[dict]:
-    """A substitution under which the rule transforms prev into cur, if any."""
-    right = rule.right
-    right_ms = right if isinstance(right, FMultiset) else FMultiset([right])
-    if stored is not None:
-        sigma = dict(stored)
-        try:
-            consumed = FMultiset(substitute(s, sigma) for s in rule.left)
-            produced = FMultiset(substitute(s, sigma) for s in right_ms)
-        except MissingBindingError:
-            return None
-        if consumed <= prev and cur == (prev - consumed) + produced:
-            return sigma
-        return None
-    for sigma, consumed in match_into(rule.left, prev):
-        rest = prev - consumed
-        if rest <= cur:
-            # a match is exact: it produces cur - rest, so rest + produced = cur
-            sigma2 = next(match_multiset(right_ms, cur - rest, sigma), None)
-            if sigma2 is not None:
-                return sigma2
-    return None
-
-
 def check_derivation(derivation: Derivation, system: AxiomaticSystem,
                      premises: FMultiset, conclusions: FMultiset) -> DerivationVerdict:
     """Validate every transition and classify the derivation.
@@ -147,7 +121,7 @@ def _replay(derivation: Derivation, system: AxiomaticSystem, premises: FMultiset
             rule = system.get(app.rule)
         except KeyError:
             return DerivationVerdict.INVALID, uses
-        sigma = _infer_step(rule, steps[i - 1], steps[i], app.subst)
+        sigma = _rule_step(rule.left, rule.right, steps[i - 1], steps[i], app.subst)
         if sigma is None:
             return DerivationVerdict.INVALID, uses
         uses.append((rule, sigma))
@@ -228,6 +202,7 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
                 parent[nxt] = (state, app)
                 if nxt == conclusions:
                     found = True
+                    break
                 frontier.append(nxt)
             if found or truncated:
                 break

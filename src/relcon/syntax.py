@@ -67,8 +67,9 @@ class MissingBindingError(Exception):
 # Compound equality (_equal) is one loop over a work list of node pairs, so
 # equal formulas nested past the recursion limit still compare; identical
 # pairs are never pushed, and a cached hash tells most unequal pairs apart at
-# once.  Formulas are not interned: the search builds fresh schema nodes at
-# every rule use, so a table would mostly miss.  Numerals are the exception:
+# once.  Formulas are not interned: each interning table tried so far cost
+# up to 40 % of proof-search throughput (ROADMAP item 8 measures it again
+# now that the search builds few fresh nodes).  Numerals are the exception:
 # numeral() builds each tower on the previous one, so equal numerals are one
 # object and compare by identity.
 
@@ -699,29 +700,60 @@ def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
     return {name: _resolve(subst[name], subst) for name in subst}
 
 
+def _rule_step(left: FMultiset, right: Formula | FMultiset, before: FMultiset,
+               after: FMultiset, stored: Optional[Mapping[str, Formula]] = None
+               ) -> Optional[dict]:
+    """A substitution under which the rule ``left |- right`` turns ``before``
+    into ``after`` in context, if any: after = (before - consumed) + produced.
+
+    A stored substitution is checked as given; otherwise the left side is
+    matched first, and the right side onto what the step produced.  A proof
+    node is a step with no context: its children's labels before, its label
+    alone after.
+    """
+    right_ms = right if isinstance(right, FMultiset) else FMultiset([right])
+    if stored is not None:
+        sigma = dict(stored)
+        try:
+            consumed = FMultiset(substitute(s, sigma) for s in left)
+            produced = FMultiset(substitute(s, sigma) for s in right_ms)
+        except MissingBindingError:
+            return None
+        if consumed <= before and after == (before - consumed) + produced:
+            return sigma
+        return None
+    for sigma, consumed in match_into(left, before):
+        rest = before - consumed
+        if rest <= after:
+            # a match is exact: it produces after - rest, so rest + produced = after
+            sigma2 = next(match_multiset(right_ms, after - rest, sigma), None)
+            if sigma2 is not None:
+                return sigma2
+    return None
+
+
 _FROZEN = "\x00"  # prefixes the atom that _freeze makes of a metavariable
 
 
-def alpha_variant(a: Formula | FMultiset, b: Formula | FMultiset) -> bool:
-    """Whether two schemata, or two schema multisets, differ only by a
-    renaming of metavariables.
+def _renaming(sigma: Optional[dict]) -> bool:
+    """Whether ``sigma``, a match of schemata a onto schemata b with b's
+    metavariables frozen (see _freeze), shows a and b to differ only by a
+    renaming.
 
-    One match of a onto b with b's metavariables frozen decides it.  If they
-    are variants, every such match is a renaming: a and b have as many
-    metavariable occurrences, so each one in a must go to a single frozen
-    leaf, and to a distinct one per metavariable.
+    One match decides it.  If they are variants, every such match is a
+    renaming: a and b have as many metavariable occurrences, so each one in a
+    must go to a single frozen leaf, and to a distinct one per metavariable.
     """
-    if isinstance(a, FMultiset):
-        if a.size != b.size:
-            return False
-        sigma = next(match_multiset(a, FMultiset(_freeze(f) for f in b)), None)
-    else:
-        sigma = match(a, _freeze(b))
     if sigma is None:
         return False
     images = set(sigma.values())
     return len(images) == len(sigma) and all(
         type(f) is Atom and f.name.startswith(_FROZEN) for f in images)
+
+
+def alpha_variant(a: Formula, b: Formula) -> bool:
+    """Whether two schemata differ only by a renaming of metavariables."""
+    return _renaming(match(a, _freeze(b)))
 
 
 def _freeze(schema: Formula) -> Formula:
@@ -822,19 +854,11 @@ class AxiomaticSystem:
     def inference_rules(self) -> list[NamedRule]:
         return [r for r in self.rules if not r.is_axiom]
 
-    def axiom_instance(self, f: Formula) -> Optional[tuple[str, dict[str, Formula]]]:
-        """The first axiom schema (with its substitution) that ``f`` instantiates."""
-        for ax in self.axioms:
-            rhs = ax.right
-            if isinstance(rhs, FMultiset):
-                continue  # symmetric axioms are not single-formula instances
-            sigma = match(rhs, f)
-            if sigma is not None:
-                return ax.name, sigma
-        return None
-
     def is_axiom_instance(self, f: Formula) -> bool:
-        return self.axiom_instance(f) is not None
+        """Whether ``f`` instantiates an axiom schema (symmetric axioms,
+        multisets, are no single-formula instances)."""
+        return any(r.is_axiom and not isinstance(r.right, FMultiset)
+                   and match(r.right, f) is not None for r in self.rules)
 
     def lifted(self) -> "AxiomaticSystem":
         """The symmetric view: each rule Γ |- φ becomes Γ |- [φ]."""

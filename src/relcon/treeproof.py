@@ -7,9 +7,11 @@ single-conclusion system is a finite formula-labelled tree such that
 
   1. the root is labelled by ``goal``;
   2. every leaf label is an axiom instance or lies in the premise support;
-  3. every internal node instantiates a rule: its label is the instantiated
+  3. every internal node instantiates a rule, and every leaf justified by
+     an axiom instantiates that axiom: the node's label is the instantiated
      conclusion and its children's labels form the instantiated premise
-     multiset;
+     multiset.  Each node is checked as one application of its rule with no
+     context, the same check that derivation steps get;
   4. every formula that is *not* an axiom instance labels at most
      ``premises(f)`` leaves.
 
@@ -33,22 +35,22 @@ from typing import Iterator, Mapping, Optional
 
 from .multiset import EMPTY, FMultiset
 from .syntax import (
-    Atom,
     AxiomaticSystem,
     Formula,
     Imp,
-    MissingBindingError,
     NamedRule,
     Var,
     _TOO_DEEP,
+    _freeze,
     _larger_first,
     _map_vars,
+    _renaming,
     _resolve,
     _rule_schemata,
+    _rule_step,
     alpha_variant,
     formula_size,
     match,
-    match_multiset,
     metavars,
     parse_formula,
     print_formula,
@@ -191,30 +193,17 @@ class VerifyReport:
     surplus: FMultiset = EMPTY  # leaves - premises, shown in diagnostics
 
 
-def _rule_instance(system: AxiomaticSystem, just: AxiomJust | RuleJust,
-                   conclusion: Formula, child_labels: FMultiset) -> Optional[dict]:
-    """A substitution making the named axiom or rule produce this node, if
-    any; an axiom produces a leaf, so its child labels are EMPTY."""
+def _applies(system: AxiomaticSystem, node: ProofTree, before: FMultiset) -> bool:
+    """Whether the node is one application of its named axiom or rule with
+    no context: the step from ``before`` (its children's labels) to its own
+    label, the check a derivation step gets.  An axiom consumes nothing and a
+    rule something, so neither passes for the other."""
     try:
-        rule = system.get(just.name)
+        rule = system.get(node.by.name)
     except KeyError:
-        return None
-    if rule.is_axiom != isinstance(just, AxiomJust) or isinstance(rule.right, FMultiset):
-        return None
-    if just.subst is not None:
-        sigma = dict(just.subst)
-        try:
-            if substitute(rule.right, sigma) != conclusion:
-                return None
-            if FMultiset(substitute(s, sigma) for s in rule.left) != child_labels:
-                return None
-        except MissingBindingError:
-            return None
-        return sigma
-    sigma0 = match(rule.right, conclusion)
-    if sigma0 is None:
-        return None
-    return next(match_multiset(rule.left, child_labels, sigma0), None)
+        return False
+    return (not isinstance(rule.right, FMultiset) and _rule_step(
+        rule.left, rule.right, before, FMultiset([node.formula]), node.by.subst) is not None)
 
 
 def verify_report(tree: ProofTree, system: AxiomaticSystem,
@@ -236,8 +225,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
                 problems.append(
                     f"leaf {print_formula(node.formula)} carries a rule justification")
                 return False
-            if (isinstance(node.by, AxiomJust)
-                    and _rule_instance(system, node.by, node.formula, EMPTY) is None):
+            if isinstance(node.by, AxiomJust) and not _applies(system, node, EMPTY):
                 problems.append(
                     f"leaf {print_formula(node.formula)} is not an instance "
                     f"of axiom {node.by.name}")
@@ -253,7 +241,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
                 f"internal node {print_formula(node.formula)} lacks a rule justification")
             return False
         child_labels = FMultiset(c.formula for c in node.children)
-        if _rule_instance(system, node.by, node.formula, child_labels) is None:
+        if not _applies(system, node, child_labels):
             problems.append(
                 f"node {print_formula(node.formula)} does not instantiate rule "
                 f"{node.by.name} from {print_multiset(child_labels)}")
@@ -346,22 +334,14 @@ B_SHAPE = Imp(Imp(_V0, _V1), Imp(Imp(_V2, _V0), Imp(_V2, _V1)))
 C_SHAPE = Imp(Imp(_V0, Imp(_V1, _V2)), Imp(_V1, Imp(_V0, _V2)))
 
 
-# marks a rule's conclusion among its premises; no parsed atom has this name
-_CONCLUSION = Atom("\x03")
-
-
-def _rule_as_multiset(left: FMultiset, right: Formula) -> FMultiset:
-    """A rule's schemata as one multiset, the conclusion marked, so that a
-    match can pair the conclusion with no premise."""
-    return FMultiset([*left, Imp(_CONCLUSION, right)])
-
-
 def rule_has_shape(rule, shape: tuple[FMultiset, Formula]) -> bool:
-    """Whether a single-conclusion rule equals the shape up to renaming."""
+    """Whether a single-conclusion rule equals the shape up to renaming: the
+    shape, applied with no context, turns the rule's frozen premises into its
+    frozen conclusion by a renaming."""
     if isinstance(rule.right, FMultiset):
         return False
-    return alpha_variant(_rule_as_multiset(rule.left, rule.right),
-                         _rule_as_multiset(*shape))
+    frozen_left = FMultiset(_freeze(f) for f in rule.left)
+    return _renaming(_rule_step(*shape, frozen_left, FMultiset([_freeze(rule.right)])))
 
 
 def axiom_has_shape(rule, shape: Formula) -> bool:

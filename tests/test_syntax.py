@@ -192,6 +192,10 @@ def test_alpha_variant():
     c = Imp(Var("x"), Var("y"))
     assert alpha_variant(a, b)
     assert not alpha_variant(a, c)
+    # p -> p matches 'x' -> 'x', but by no renaming; nor does the converse match
+    ground = Imp(Atom("x"), Atom("x"))
+    assert not alpha_variant(Imp(Var("p"), Var("p")), ground)
+    assert not alpha_variant(ground, Imp(Var("p"), Var("p")))
 
 
 def test_subformulas_and_size():

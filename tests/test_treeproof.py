@@ -5,6 +5,7 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcon import (
     Atom,
@@ -25,6 +26,7 @@ from relcon import (
     dump_proof,
     leaf_multiset,
     load_proof,
+    load_system,
     parse_formula,
     parse_multiset,
     parse_system,
@@ -36,9 +38,18 @@ from relcon import (
 )
 from relcon import treeproof
 from relcon.multiset import EMPTY
-from relcon.syntax import _larger_first, metavars, substitute, unify
+from relcon.syntax import (
+    MissingBindingError,
+    _larger_first,
+    _rule_schemata,
+    match,
+    match_multiset,
+    metavars,
+    substitute,
+    unify,
+)
 from relcon.treeproof import _masked, _resolve, proof_from_data, proof_to_data
-from conftest import random_relevant_proof
+from conftest import FIXTURES, random_relevant_proof
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 x, y, z = Atom("x"), Atom("y"), Atom("z")
@@ -888,3 +899,118 @@ def test_rule_tables_are_built_once_per_system(monkeypatch):
     del system
     gc.collect()
     assert ref() is None
+
+
+# -- the node check that a derivation step's check replaced ----------------------
+#
+# A reference for the differential property below: the proof-node check as it
+# stood before a node was checked as a derivation step with no context, the
+# conclusion matched first and the premises onto the child labels.
+
+
+def _ref_rule_instance(system, just, conclusion, child_labels):
+    try:
+        rule = system.get(just.name)
+    except KeyError:
+        return None
+    if rule.is_axiom != isinstance(just, AxiomJust) or isinstance(rule.right, FMultiset):
+        return None
+    if just.subst is not None:
+        sigma = dict(just.subst)
+        try:
+            if substitute(rule.right, sigma) != conclusion:
+                return None
+            if FMultiset(substitute(s, sigma) for s in rule.left) != child_labels:
+                return None
+        except MissingBindingError:
+            return None
+        return sigma
+    sigma0 = match(rule.right, conclusion)
+    if sigma0 is None:
+        return None
+    return next(match_multiset(rule.left, child_labels, sigma0), None)
+
+
+_NODE_SYSTEMS = [load_system(FIXTURES / name) for name in
+                 ("bci.rcs", "bci_fusion.rcs", "t_fusion.rcs", "toy_xy.rcs", "bci_weak.rcs")]
+_node_formulas = st.recursive(
+    st.sampled_from([p, q, x]),
+    lambda c: st.one_of(st.builds(Imp, c, c), st.builds(Fusion, c, c)),
+    max_leaves=3)
+
+
+@st.composite
+def _rule_nodes(draw):
+    """A node built from a fixture system's rule: a correct instance, or one
+    with a child label or the conclusion perturbed, a child dropped or added,
+    the rule misnamed, or a stored substitution missing, right or wrong."""
+    system = draw(st.sampled_from(_NODE_SYSTEMS))
+    # half the draws take an inference rule: the fixtures are mostly axioms
+    rule = draw(st.sampled_from(draw(st.booleans()) and system.inference_rules
+                                or system.rules))
+    names = sorted(set().union(*(metavars(s) for s in _rule_schemata(rule))))
+    sigma = {v: draw(_node_formulas) for v in names}
+    conclusion = substitute(rule.right, sigma)
+    children = [substitute(s, sigma) for s in rule.left]
+    change = draw(st.sampled_from(["none"] * 4 + ["conclusion", "child", "drop", "add", "swap"]))
+    if change == "conclusion":
+        conclusion = draw(st.sampled_from([Imp(conclusion, p), p, draw(_node_formulas)]))
+    elif change == "child" and children:
+        children[draw(st.integers(0, len(children) - 1))] = draw(_node_formulas)
+    elif change == "drop" and children:
+        children.pop(draw(st.integers(0, len(children) - 1)))
+    elif change == "add":
+        children.append(draw(st.sampled_from([conclusion, p, draw(_node_formulas)])))
+    elif change == "swap" and children:
+        conclusion, children[0] = children[0], conclusion
+    stored = draw(st.sampled_from([None, None, "right", "right", "wrong", "missing", "extra"]))
+    if stored == "right":
+        stored = dict(sigma)
+    elif stored == "wrong":
+        stored = {**sigma, **({names[0]: Imp(sigma[names[0]], q)} if names else {})}
+    elif stored == "missing":
+        stored = dict(list(sigma.items())[1:])
+    elif stored == "extra":
+        stored = {**sigma, "unused": q}
+    name = draw(st.sampled_from([rule.name] * 4 + ["nope"]
+                                + [r.name for r in system.rules]))
+    by = RuleJust(name, stored) if children else AxiomJust(name, stored)
+    return system, ProofTree(conclusion, by, tuple(premise_leaf(c) for c in children))
+
+
+@given(_rule_nodes())
+@settings(max_examples=400)
+def test_node_check_agrees_with_the_conclusion_first_reference(case):
+    system, node = case
+    labels = FMultiset(c.formula for c in node.children)
+    want = _ref_rule_instance(system, node.by, node.formula, labels) is not None
+    assert treeproof._applies(system, node, labels) == want
+    report = verify_report(node, system, labels, node.formula)
+    node_problems = [m for m in report.problems
+                     if "does not instantiate" in m or "is not an instance of axiom" in m]
+    assert bool(node_problems) != want
+
+
+_PQ = {"p": p, "q": q}
+_ODD_NODES = [
+    ProofTree(q, RuleJust("mp"), (premise_leaf(p), premise_leaf(p))),
+    ProofTree(q, RuleJust("mp", _PQ), (premise_leaf(p),)),  # a premise missing
+    ProofTree(q, RuleJust("mp", _PQ), (premise_leaf(Imp(p, q)), premise_leaf(p),
+                                      premise_leaf(q))),  # and one too many
+    ProofTree(q, AxiomJust("mp", _PQ)),  # a rule as an axiom
+    ProofTree(Imp(p, p), RuleJust("I"), (premise_leaf(Imp(p, p)),)),  # and converse
+    ProofTree(Imp(p, p), RuleJust("I", {"p": p}), (premise_leaf(Imp(p, p)),)),
+]
+
+
+@pytest.mark.parametrize("node", _ODD_NODES)
+def test_node_check_rejects_what_no_rule_instance_makes(bci, node):
+    labels = FMultiset(c.formula for c in node.children)
+    assert _ref_rule_instance(bci, node.by, node.formula, labels) is None
+    assert not treeproof._applies(bci, node, labels)
+
+
+def test_node_check_names_the_node_and_its_children(bci):
+    # q from [p, p] by mp: p -> q is no child label
+    report = verify_report(_ODD_NODES[0], bci, ms("[p, p]"), q)
+    assert report.problems == ["node q does not instantiate rule mp from [p, p]"]
