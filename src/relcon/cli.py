@@ -9,6 +9,7 @@ last stdout line is always machine-parsable: ``RESULT <verdict>``.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -424,10 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call to main and reused: argparse keeps no state
+# between parses, and $RELCON_SEED and $COLUMNS are read per call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

@@ -7,6 +7,25 @@ over a finite sample domain, exhaustively when the instance count fits the
 cap and by seeded sampling above it.  A counterexample is a fully concrete
 violating instance; UNKNOWN oracle answers make a check inconclusive rather
 than failed, and so does a check on no instances at all.
+
+How a check runs:
+
+* **Plans, once, at import.**  ``_compile`` turns each statement into a
+  ``LawSpec``: each consecution's sides as terms over variable positions,
+  each side that is not a lone variable given a slot of its own, and each
+  antecedent's level, the deepest position it reads.
+* **Tables, per check.**  ``_Check`` builds each pool once and interns every
+  value it meets into one list, so an instance is a list of ints.  Sums and
+  bracket lists are looked up by their operands' indices, and verdicts by
+  their sides' indices, each table filled on first use: the oracle sees
+  each distinct query once per check, through its own memo.
+* **Pushdown.**  The exhaustive instances are a loop nest in the canonical
+  order, and each antecedent is tested (and each side computed) at the
+  shallowest level that binds it (Selinger et al., *Access Path Selection*,
+  1979).  A FAILS antecedent settles its whole subtree, whose instances
+  count as checked by arithmetic; an UNKNOWN one is carried down to the
+  leaf.  Sampling walks the same nest, one drawn instance at a time, with
+  the draws taken over index lists as long as the pools.
 """
 
 from __future__ import annotations
@@ -17,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .multiset import EMPTY, FMultiset, submultisets
 from .oracles import (
@@ -117,48 +136,42 @@ _SYM_TABLE = (
 # that a family is indexed by
 _POOLS = ("M", "F", "N", "T")
 
-# a query maps the oracle's entails and an instance tuple to a Verdict
-_Query = Callable[[Callable, tuple], Verdict]
+
+class _Query(NamedTuple):
+    """One consecution of a statement, over instance slots.
+
+    ``left`` and ``right`` are the slots of its sides; for a pointwise "Ds
+    |- G" they are the family's position and G's.  ``level`` is the deepest
+    variable position it reads.
+    """
+
+    left: int
+    right: int
+    level: int
+    pointwise: bool = False
 
 
-@dataclass(frozen=True)
-class LawSpec:
+class LawSpec(NamedTuple):
+    """A law compiled to a plan over instance slots.
+
+    An instance holds one slot per variable, in stream order, then one per
+    side that is not a lone variable.  A side is a tuple of terms, each a
+    variable's position (a family is summed) or a tuple of positions (a
+    bracket list; ``()`` is "[]").
+    """
+
     name: str
     names: tuple[str, ...]  # the bound variables, in stream order
     kinds: tuple[str, ...]  # per variable: a pool or a family's index
-    antecedents: tuple[_Query, ...]
+    sides: tuple[tuple, ...]  # the sides past the variables, in slot order
+    early: frozenset[int]  # side slots an antecedent at their level reads
+    antecedents: tuple[_Query, ...]  # in statement order
     conclusion: _Query
 
 
-def _side(text: str, names: list[str], kinds: list[str]) -> Callable[[tuple], object]:
-    """A reader of one side of a consecution from the instance tuple."""
-    readers = []
-    for term in text.split("+"):
-        if term.startswith("["):
-            at = [names.index(x) for x in term[1:-1].split(",") if x]
-            readers.append(
-                (lambda t, at=at: FMultiset(map(t.__getitem__, at))) if at
-                else (lambda t: EMPTY))
-        elif kinds[names.index(term)] not in _POOLS:  # a family, summed
-            family = itemgetter(names.index(term))
-            readers.append(lambda t: reduce(add, family(t), EMPTY))
-        else:
-            readers.append(itemgetter(names.index(term)))
-    reader = readers[0]
-    for term in readers[1:]:
-        reader = (lambda a, b: lambda t: a(t) + b(t))(reader, term)
-    return reader
-
-
-def _query(text: str, names: list[str], kinds: list[str]) -> _Query:
-    """The query of one consecution "left |- right" of a statement."""
-    left, right = (side.strip() for side in text.split("|-"))
-    if left in names and kinds[names.index(left)] == right:
-        # Ds |- G: each multiset of the family entails its element of G
-        family, core = itemgetter(names.index(left)), itemgetter(names.index(right))
-        return lambda entails, t: all3(map(entails, family(t), core(t)))
-    lhs, rhs = _side(left, names, kinds), _side(right, names, kinds)
-    return lambda entails, t: entails(lhs(t), rhs(t))
+def _positions(terms: tuple) -> tuple[int, ...]:
+    """The variable positions a side reads, in term order."""
+    return tuple(p for t in terms for p in (t if isinstance(t, tuple) else (t,)))
 
 
 def _compile(table) -> dict[str, LawSpec]:
@@ -169,12 +182,37 @@ def _compile(table) -> dict[str, LawSpec]:
             var, _, kind = var.partition(":")
             names.append(var)
             kinds.append(kind or ("M" if var[0].isupper() else "F"))
+        sides: list[tuple] = []
+        levels: list[int] = []  # per side: the deepest position it reads
+
+        def slot(text: str) -> tuple[int, int]:
+            """The slot of a side and the deepest position it reads."""
+            terms = tuple(tuple(names.index(x) for x in term[1:-1].split(",") if x)
+                          if term.startswith("[") else names.index(term)
+                          for term in text.split("+"))
+            if len(terms) == 1 and type(terms[0]) is int and kinds[terms[0]] in _POOLS:
+                return terms[0], terms[0]
+            if terms not in sides:
+                sides.append(terms)
+                levels.append(max(_positions(terms), default=-1))
+            at = sides.index(terms)
+            return len(names) + at, levels[at]
+
+        def consecution(text: str) -> _Query:
+            left, right = (side.strip() for side in text.split("|-"))
+            if left in names and kinds[names.index(left)] == right:  # Ds |- G
+                at = names.index(left), names.index(right)
+                return _Query(*at, max(at), pointwise=True)
+            (lhs, deep), (rhs, deeper) = slot(left), slot(right)
+            return _Query(lhs, rhs, max(deep, deeper, 0))
+
         premises, _, conclusion = statement.rpartition(" => ")
-        antecedents = premises.split(" and ") if premises else []
-        laws[name] = LawSpec(
-            name, tuple(names), tuple(kinds),
-            tuple(_query(a, names, kinds) for a in antecedents),
-            _query(conclusion, names, kinds))
+        antecedents = tuple(map(consecution, premises.split(" and ") if premises else ()))
+        last = consecution(conclusion)
+        early = frozenset(s for q in antecedents if not q.pointwise for s in q[:2]
+                          if s >= len(names) and levels[s - len(names)] == q.level)
+        laws[name] = LawSpec(name, tuple(names), tuple(kinds), tuple(sides), early,
+                             antecedents, last)
     return laws
 
 
@@ -182,62 +220,221 @@ ASYM_LAWS: dict[str, LawSpec] = _compile(_ASYM_TABLE)
 SYM_LAWS: dict[str, LawSpec] = _compile(_SYM_TABLE)
 
 
-def _holds(law: LawSpec, entails, instance: tuple) -> Verdict:
-    """Truth value of one instance of a law.
-
-    Antecedents are read left to right: a failing one settles the instance
-    (vacuously fine) without touching the conclusion, and an UNKNOWN one
-    leaves it UNKNOWN unless the conclusion holds.
-    """
-    ante = HOLDS
-    for query in law.antecedents:
-        v = query(entails, instance)
-        if v is FAILS:
-            return HOLDS
-        if v is UNKNOWN:
-            ante = UNKNOWN
-    out = law.conclusion(entails, instance)
-    return out if ante is HOLDS or out is HOLDS else UNKNOWN
-
-
 def law_names(symmetric: bool) -> list[str]:
     return list((SYM_LAWS if symmetric else ASYM_LAWS).keys())
 
 
-def _instances(law: LawSpec, oracle, dom: SampleDomain
-               ) -> tuple[Iterator[tuple], int, Callable[[random.Random], tuple]]:
-    """A law's instances over the domain, with every pool built once.
+class _Check:
+    """One law over one domain, on interned values.
 
-    Returns the canonical instance stream, its length, and a sampler that
-    draws one instance from a seeded generator.
+    Every value the check meets (pool elements, sums, bracket lists) is
+    interned once into ``values``, so an instance is a list of ints: one
+    index per variable (a tuple of them for a family), then one per side
+    that is not a lone variable.  The instances are the canonical loop nest,
+    one level per variable.  Each antecedent is tested at the shallowest
+    level that binds it, and each side is computed there too: before the
+    tests if one of them reads it, after them otherwise.  Sums are looked up
+    by their operands' indices and verdicts by their sides', each table
+    filled on first use, so the oracle sees each distinct query once,
+    through its own memo.
     """
-    multisets = dom.multisets()
-    pools = {"M": multisets, "F": list(dom.formulas),
-             "N": [G for G in multisets if G.size]}
-    if "T" in law.kinds:  # an empty basis still has the empty multiset of theorems
-        basis = tuple(getattr(oracle, "theorem_basis", None) or ())
-        pools["T"] = SampleDomain(basis, dom.max_size).multisets()
-    *head, last = law.kinds
-    if last in _POOLS:
-        fixed = [pools[k] for k in law.kinds]
 
-        def draw(rng: random.Random) -> tuple:
-            return tuple(rng.choice(pool) for pool in fixed)
-        return itertools.product(*fixed), math.prod(map(len, fixed)), draw
-    # the last variable is a family: one multiset per element of an earlier one
-    fixed = [pools[k] for k in head]
-    at = law.names.index(last)
+    def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
+        self.law, self.dom, self.oracle = law, dom, oracle
+        self.values: list = []
+        self.index: dict = {}  # value -> its index in values
+        kinds, n = law.kinds, len(law.kinds)
 
-    def stream() -> Iterator[tuple]:
-        for start in itertools.product(*fixed):
-            for family in itertools.product(multisets, repeat=start[at].size):
-                yield start + (family,)
+        # the pools, each built once, as index lists; a family, always last,
+        # has one multiset per element of the multiset at position ``at``
+        self.multisets = [self.intern(m) for m in dom.multisets()]
+        pools = {"M": self.multisets, "F": [self.intern(f) for f in dom.formulas],
+                 "N": [i for i in self.multisets if self.values[i]]}
+        if "T" in kinds:  # an empty basis still has the empty multiset of theorems
+            basis = tuple(oracle.theorem_basis)
+            pools["T"] = [self.intern(m)
+                          for m in SampleDomain(basis, dom.max_size).multisets()]
+        self.family = kinds[-1] not in _POOLS
+        self.fixed = [pools[k] for k in kinds[:n - self.family]]
+        self.at = law.names.index(kinds[-1]) if self.family else n
 
-    def draw_family(rng: random.Random) -> tuple:
-        start = tuple(rng.choice(pool) for pool in fixed)
-        return start + (tuple(rng.choice(multisets) for _ in range(start[at].size)),)
-    count = sum(len(multisets) ** start[at].size for start in itertools.product(*fixed))
-    return stream(), count, draw_family
+        self.sums: dict = {}  # per side shape: operand indices -> index of the sum
+        self.verdicts: dict = {}  # (premises, conclusion) indices -> Verdict
+        self.pointwise: dict = {}  # (family indices, multiset index) -> Verdict
+        # per level: the sides computed before its tests, the tests (in
+        # statement order), and the sides computed after them
+        self.inst: list = [None] * (n + len(law.sides))
+        self.early = [[] for _ in range(n)]
+        self.tests = [[] for _ in range(n)]
+        self.late = [[] for _ in range(n)]
+        for at, terms in enumerate(law.sides, n):
+            read = _positions(terms)
+            if not read:
+                self.inst[at] = self.intern(EMPTY)
+                continue
+            made = self.early if at in law.early else self.late
+            made[max(read)].append((at, self.side(terms, read)))
+        for q in law.antecedents:
+            self.tests[q.level].append(self.query(q))
+        self.conclusion = self.query(law.conclusion)
+
+    def intern(self, value) -> int:
+        i = self.index.get(value)
+        if i is None:
+            i = self.index[value] = len(self.values)
+            self.values.append(value)
+        return i
+
+    # -- the plan over indices ---------------------------------------------------
+
+    def query(self, q: _Query) -> tuple:
+        """(key, get, fill): the verdict is get(x), or fill(x) when that is
+        None, where x = key(instance)."""
+        if q.pointwise:
+            return itemgetter(q.left, q.right), self.pointwise.get, self.ask_each
+        return itemgetter(q.left, q.right), self.verdicts.get, self.ask
+
+    def side(self, terms: tuple, at: tuple) -> Callable[[list], int]:
+        """A reader of a side's value index, through the table of its shape."""
+        kinds, values = self.law.kinds, self.values
+        shape = tuple(len(t) if isinstance(t, tuple) else "v" if kinds[t] in _POOLS else "s"
+                      for t in terms)  # bracket lengths, variables and families
+        table = self.sums.setdefault(shape, {})
+        get, key = table.get, itemgetter(*at)
+
+        def fill(x) -> int:
+            operands = x if len(at) > 1 else (x,)
+            parts, j = [], 0
+            for t in terms:
+                if isinstance(t, tuple):  # a bracket list
+                    parts.append(FMultiset(map(values.__getitem__, operands[j:j + len(t)])))
+                    j += len(t)
+                else:  # a variable; a family is summed
+                    o = operands[j]
+                    parts.append(values[o] if kinds[t] in _POOLS
+                                 else reduce(add, map(values.__getitem__, o), EMPTY))
+                    j += 1
+            i = table[x] = self.intern(reduce(add, parts, EMPTY))
+            return i
+
+        def read(inst: list) -> int:
+            x = key(inst)
+            i = get(x)
+            return fill(x) if i is None else i
+        return read
+
+    def ask(self, key: tuple) -> Verdict:
+        v = self.verdicts.get(key)
+        if v is None:
+            v = self.verdicts[key] = self.oracle.entails(self.values[key[0]],
+                                                         self.values[key[1]])
+        return v
+
+    def ask_each(self, key: tuple) -> Verdict:
+        """Whether each multiset of a family entails its element of G."""
+        family, g = key
+        core = map(self.intern, self.values[g])
+        v = self.pointwise[key] = all3(map(self.ask, zip(family, core)))
+        return v
+
+    # -- the loop nest --------------------------------------------------------------
+
+    def run(self) -> LawResult:
+        law, dom, n = self.law, self.dom, len(self.law.kinds)
+        sizes = [len(pool) for pool in self.fixed]
+        if self.family:  # G's choices, each weighed by its families
+            m = len(self.multisets)
+            sizes[self.at] = sum(m ** self.values[g].size for g in self.fixed[self.at])
+        count = math.prod(sizes)
+        exhaustive = count <= dom.exhaustive_cap or not count  # nothing to sample
+        # per level, the instances a FAILS there skips: one per draw when
+        # sampling; None from G's level to the family's, where G's size
+        # decides it
+        self.tails = [math.prod(sizes[k + 1:]) for k in range(n)]
+        skips = ([None if self.at <= k < len(self.fixed) else self.tails[k] for k in range(n)]
+                 if exhaustive else [1] * n)
+        pools = self.fixed + [None] * self.family  # the family's, per choice of G
+        self.levels = list(zip(pools, self.early, self.tests, self.late, skips))
+        self.checked, self.sawunknown, self.drawn = 0, False, None
+        if exhaustive:
+            found = self.walk(0, False)
+        else:
+            # one instance per draw, drawn whole before any test, so the draws
+            # follow the pools whatever the verdicts
+            rng, found = random.Random(dom.seed), False
+            for _ in range(dom.sample_count):
+                self.drawn = [rng.choice(pool) for pool in self.fixed]
+                if self.family:
+                    size = self.values[self.drawn[self.at]].size
+                    self.drawn.append(tuple(rng.choice(self.multisets) for _ in range(size)))
+                if self.walk(0, False):
+                    found = True
+                    break
+        if found:
+            get = self.values.__getitem__
+            witness = {name: get(i) if kind in _POOLS else tuple(map(get, i))
+                       for name, kind, i in zip(law.names, law.kinds, self.inst)}
+            return LawResult(law.name, "counterexample", witness, exhaustive, self.checked)
+        status = "inconclusive" if self.sawunknown or not self.checked else "passed"
+        return LawResult(law.name, status, None, exhaustive, self.checked)
+
+    def below(self, k: int) -> int:
+        """The instances below the current choice at level k, which binds
+        the family's size."""
+        return self.tails[k] * len(self.multisets) ** self.values[self.inst[self.at]].size
+
+    def walk(self, k: int, unknown: bool) -> bool:
+        """Run the instances below level k; True at the first violating one.
+
+        A FAILS antecedent settles its whole subtree (vacuously fine), and an
+        UNKNOWN one is carried down: it leaves an instance UNKNOWN unless the
+        conclusion holds.
+        """
+        inst = self.inst
+        pool, early, tests, late, skip = self.levels[k]
+        if self.drawn:
+            pool = (self.drawn[k],)
+        elif pool is None:  # the family: one multiset per element of G
+            pool = itertools.product(self.multisets, repeat=self.values[inst[self.at]].size)
+        leaf = k == len(self.levels) - 1
+        if leaf:
+            key_c, get_c, fill_c = self.conclusion
+        checked, found = 0, False
+        for i in pool:
+            inst[k] = i
+            for at, read in early:
+                inst[at] = read(inst)
+            u = unknown
+            for key, get, fill in tests:
+                x = key(inst)
+                v = get(x)
+                if v is None:
+                    v = fill(x)
+                if v is FAILS:
+                    checked += self.below(k) if skip is None else skip
+                    break
+                if v is UNKNOWN:
+                    u = True
+            else:
+                for at, read in late:
+                    inst[at] = read(inst)
+                if not leaf:
+                    if self.walk(k + 1, u):
+                        found = True
+                        break
+                    continue
+                checked += 1
+                x = key_c(inst)
+                v = get_c(x)
+                if v is None:
+                    v = fill_c(x)
+                if v is FAILS and not u:
+                    found = True
+                    break
+                if v is not HOLDS:
+                    self.sawunknown = True
+        self.checked += checked
+        return found
 
 
 def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
@@ -248,25 +445,7 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
     law = registry[law_name]
     if "T" in law.kinds and getattr(oracle, "theorem_basis", None) is None:
         return LawResult(law.name, "inconclusive", None, True, 0)  # nothing sampled
-    stream, count, draw = _instances(law, oracle, dom)
-    exhaustive = count <= dom.exhaustive_cap or not count  # nothing to sample
-    if not exhaustive:
-        rng = random.Random(dom.seed)
-        stream = (draw(rng) for _ in range(dom.sample_count))
-    checked = 0
-    sawunknown = False
-    entails = oracle.entails
-    for instance in stream:
-        checked += 1
-        v = _holds(law, entails, instance)
-        if v is FAILS:
-            witness = dict(zip(law.names, instance))
-            return LawResult(law.name, "counterexample", witness, exhaustive, checked)
-        if v is UNKNOWN:
-            sawunknown = True
-    if sawunknown or not checked:
-        return LawResult(law.name, "inconclusive", None, exhaustive, checked)
-    return LawResult(law.name, "passed", None, exhaustive, checked)
+    return _Check(law, oracle, dom).run()
 
 
 def check_laws(oracle, dom: SampleDomain,

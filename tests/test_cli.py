@@ -460,6 +460,34 @@ def test_malformed_relcon_seed_is_a_usage_error(capsys, monkeypatch):
     assert "RESULT" not in captured.out
 
 
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    # main builds its parser once per process; no call may leak into the next
+    monkeypatch.delenv("RELCON_SEED", raising=False)
+    sampled = ["laws", "check", "--oracle", "identity", "--laws", "Monotonicity",
+               "--dom", "numerals=-1..1,size=2,cap=5,samples=60"]
+    seed0 = "LAW Monotonicity FAIL G=[1]; D=[1]; P=[1, 1]  [sampled, 35 instances]"
+    seed3 = "LAW Monotonicity FAIL G=[-1, 1]; D=[-1, 1]; P=[-1, 1]  [sampled, 13 instances]"
+    code, out = run(capsys, "--seed", "3", *sampled)
+    assert code == 0 and out.splitlines()[0] == seed3
+    code, out = run(capsys, *sampled)  # the seed given before is gone
+    assert code == 0 and out.splitlines()[0] == seed0
+    code, out = run(capsys, "parse", "--formula", "p -> q")
+    assert code == 0 and out == "p -> q\nRESULT ok\n"
+    assert main(["parse", "--nonsense"]) == 2  # a usage error in between
+    capsys.readouterr()
+    monkeypatch.setenv("RELCON_SEED", "3")
+    code, out = run(capsys, *sampled)
+    assert code == 0 and out.splitlines()[0] == seed3
+    code, out = run(capsys, "--seed", "0", *sampled)
+    assert code == 0 and out.splitlines()[0] == seed0
+    monkeypatch.delenv("RELCON_SEED")
+    code, out = run(capsys, "laws", "check", "--oracle", "z", "--laws", "Monotonicity",
+                    "--dom", "numerals=-2..2,size=2")
+    assert code == 0 and out.splitlines()[0].startswith("LAW Monotonicity FAIL ")
+    code, out = run(capsys, *sampled)
+    assert code == 0 and out.splitlines()[0] == seed0
+
+
 def test_every_named_oracle_builds_and_is_listed_in_the_laws_help(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # keep the help text on one line
     assert main(["laws", "--help"]) == 0

@@ -1,4 +1,11 @@
+import itertools
+import math
+import random
+from functools import reduce
+from operator import add
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcon import (
     AbelianSymmetricOracle,
@@ -19,8 +26,16 @@ from relcon import (
     parse_multiset,
 )
 from relcon import submultisets
-from relcon.laws import ASYM_IMPLICATIONS, SYM_IMPLICATIONS, SampleDomain
-from relcon.oracles import ConsequenceOracle, verdict
+from relcon.laws import (
+    ASYM_IMPLICATIONS,
+    SYM_IMPLICATIONS,
+    LawResult,
+    SampleDomain,
+    _ASYM_TABLE,
+    _SYM_TABLE,
+)
+from relcon.multiset import EMPTY
+from relcon.oracles import ConsequenceOracle, all3, verdict
 from relcon.semantics import IdentityOracle
 from conftest import (
     make_p_oracle,
@@ -383,6 +398,187 @@ def test_battery_pinned(oracle_name, mode):
     results = check_laws(_PIN_ORACLES[oracle_name](), SampleDomain(formulas, **kw))
     got = [(n, r.status, r.exhaustive, r.checked, r.witness_str())
            for n, r in results.items()]
+    assert got == _PINNED[oracle_name, mode]
+
+
+# -- against the instance-by-instance reference ----------------------------------
+
+# The reference reads each law's statement from the table and evaluates every
+# instance afresh, as a tuple of multisets and formulas, in the canonical
+# stream (or by the seeded draws above the cap); check_law must give the same
+# LawResult: status, witness, checked and exhaustive.
+
+_REF_POOLS = ("M", "F", "N", "T")
+
+
+def _ref_side(text, names, kinds, t):
+    parts = []
+    for term in text.split("+"):
+        if term.startswith("["):
+            parts.append(FMultiset(t[names.index(x)] for x in term[1:-1].split(",") if x))
+        elif kinds[names.index(term)] in _REF_POOLS:
+            parts.append(t[names.index(term)])
+        else:  # a family, summed
+            parts.append(reduce(add, t[names.index(term)], EMPTY))
+    return reduce(add, parts)
+
+
+def _ref_query(text, names, kinds, entails, t):
+    left, right = (side.strip() for side in text.split("|-"))
+    if left in names and kinds[names.index(left)] == right:  # Ds |- G, pointwise
+        return all3(map(entails, t[names.index(left)], t[names.index(right)]))
+    return entails(_ref_side(left, names, kinds, t), _ref_side(right, names, kinds, t))
+
+
+def _ref_holds(statement, names, kinds, entails, t):
+    premises, _, conclusion = statement.rpartition(" => ")
+    ante = HOLDS
+    for text in premises.split(" and ") if premises else []:
+        v = _ref_query(text, names, kinds, entails, t)
+        if v is FAILS:
+            return HOLDS
+        if v is UNKNOWN:
+            ante = UNKNOWN
+    out = _ref_query(conclusion, names, kinds, entails, t)
+    return out if ante is HOLDS or out is HOLDS else UNKNOWN
+
+
+def _ref_check_law(oracle, law_name, dom):
+    table = _SYM_TABLE if oracle.symmetric else _ASYM_TABLE
+    name, variables, statement = next(row for row in table if row[0] == law_name)
+    names = [v.partition(":")[0] for v in variables.split()]
+    kinds = [v.partition(":")[2] or ("M" if v[0].isupper() else "F")
+             for v in variables.split()]
+    if "T" in kinds and oracle.theorem_basis is None:
+        return LawResult(name, "inconclusive", None, True, 0)
+    multisets = dom.multisets()
+    pools = {"M": multisets, "F": list(dom.formulas),
+             "N": [G for G in multisets if G.size],
+             "T": SampleDomain(tuple(oracle.theorem_basis or ()), dom.max_size).multisets()}
+    if kinds[-1] in _REF_POOLS:
+        fixed = [pools[k] for k in kinds]
+        stream, count = itertools.product(*fixed), math.prod(map(len, fixed))
+
+        def draw(rng):
+            return tuple(rng.choice(pool) for pool in fixed)
+    else:  # the last variable is a family, one multiset per element of G
+        fixed, at = [pools[k] for k in kinds[:-1]], names.index(kinds[-1])
+        stream = (start + (family,) for start in itertools.product(*fixed)
+                  for family in itertools.product(multisets, repeat=start[at].size))
+        count = sum(len(multisets) ** start[at].size for start in itertools.product(*fixed))
+
+        def draw(rng):
+            start = tuple(rng.choice(pool) for pool in fixed)
+            return start + (tuple(rng.choice(multisets) for _ in range(start[at].size)),)
+    exhaustive = count <= dom.exhaustive_cap or not count
+    if not exhaustive:
+        rng = random.Random(dom.seed)
+        stream = (draw(rng) for _ in range(dom.sample_count))
+    checked, sawunknown = 0, False
+    for t in stream:
+        checked += 1
+        v = _ref_holds(statement, names, kinds, oracle.entails, t)
+        if v is FAILS:
+            return LawResult(name, "counterexample", dict(zip(names, t)), exhaustive, checked)
+        sawunknown = sawunknown or v is UNKNOWN
+    status = "inconclusive" if sawunknown or not checked else "passed"
+    return LawResult(name, status, None, exhaustive, checked)
+
+
+class _SeededOracle:
+    """A pure three-valued oracle: premises of more than ``big`` formulas
+    fail, and any other verdict is drawn from the query's printed form (or
+    its premises' alone) and a seed, with given weights."""
+
+    name = "seeded"
+
+    def __init__(self, symmetric, seed, weights, by_premises, big, theorem_basis):
+        self.symmetric, self.seed, self.weights = symmetric, seed, weights
+        self.by_premises, self.big, self.theorem_basis = by_premises, big, theorem_basis
+
+    def entails(self, premises, conclusion):
+        if self.big is not None and premises.size > self.big:
+            return FAILS
+        text = f"{self.seed}|{premises}" + ("" if self.by_premises else f"|{conclusion}")
+        return random.Random(text).choices((HOLDS, FAILS, UNKNOWN), self.weights)[0]
+
+
+class _AskedOnce:
+    """Passes queries on to a base oracle, and fails a test that asks one
+    distinct query twice."""
+
+    def __init__(self, base):
+        self.base, self.asked = base, set()
+        self.symmetric = getattr(base, "symmetric", False)
+        self.theorem_basis = getattr(base, "theorem_basis", None)
+
+    def entails(self, premises, conclusion):
+        assert (premises, conclusion) not in self.asked, (premises, conclusion)
+        self.asked.add((premises, conclusion))
+        return self.base.entails(premises, conclusion)
+
+
+@st.composite
+def _law_cases(draw):
+    symmetric = draw(st.booleans())
+    law = draw(st.sampled_from([row[0] for row in (_SYM_TABLE if symmetric else _ASYM_TABLE)]))
+    formulas = draw(st.sampled_from(
+        [tuple(map(numeral, ks)) for ks in ((-1, 0, 1), (0, 1, 2), (-2, 1), (1,))] * 2
+        + [(Atom("x"),), (Atom("x"), Atom("y"))]))
+    basis = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), max_size=2, unique=True).map(
+        lambda ks: [numeral(k) for k in ks])))
+    weights = draw(st.sampled_from([(1, 0, 0), (12, 1, 0), (6, 1, 1), (2, 1, 1), (1, 1, 1),
+                                    (4, 0, 1), (1, 2, 0)]))
+    oracle = _SeededOracle(symmetric, draw(st.integers(0, 9)), weights, draw(st.booleans()),
+                           draw(st.sampled_from([None, None, 2, 3])), basis)
+    dom = SampleDomain(formulas, max_size=draw(st.sampled_from([2, 2, 2, 1, 1, 0, -1])),
+                       seed=draw(st.integers(0, 5)),
+                       exhaustive_cap=draw(st.sampled_from([3000, 3000, 400, 20, 0])),
+                       sample_count=draw(st.sampled_from([40, 40, 5, 0])))
+    return oracle, law, dom
+
+
+@given(_law_cases())
+@settings(max_examples=300, deadline=None)
+def test_check_law_agrees_with_the_instance_by_instance_reference(case):
+    oracle, law, dom = case
+    assert check_law(_AskedOnce(oracle), law, dom) == _ref_check_law(oracle, law, dom)
+
+
+class _PairingOracle(ConsequenceOracle):
+    """Each formula entails itself, [0, 1] entails 0 and [2] entails 1."""
+
+    name = "pairing"
+
+    def entails(self, premises, conclusion):
+        return verdict(premises == FMultiset([conclusion])
+                       or (premises, conclusion) in {(ms("[0, 1]"), numeral(0)),
+                                                     (ms("[2]"), numeral(1))})
+
+
+def test_relevant_cut_pairs_each_family_member_with_its_element_of_g():
+    # G=[0, 1] entails 0, and [0] |- 0, [2] |- 1, but [0, 2] does not entail
+    # 0; with the family read against G in reverse, the witness would be
+    # Ds=([2], [0])
+    dom = SampleDomain(tuple(numeral(k) for k in range(3)), max_size=2)
+    result = check_law(_PairingOracle(), "RelevantCut", dom)
+    assert result.exhaustive and result.witness_str() == "G=[0, 1]; f=0; Ds=([0], [2])"
+    assert result == _ref_check_law(_PairingOracle(), "RelevantCut", dom)
+
+
+@pytest.mark.parametrize("oracle_name, mode", list(_PINNED))
+def test_check_law_asks_each_distinct_query_once(oracle_name, mode):
+    # the per-check verdict table stands in front of the oracle
+    formulas = (x_domain().formulas if oracle_name == "ex54"
+                else tuple(numeral(k) for k in range(-1, 3)))
+    kw = {"max_size": 3 if oracle_name == "ex54" else 2}
+    if mode == "sampled":
+        kw.update(seed=1, exhaustive_cap=20, sample_count=200)
+    oracle = _PIN_ORACLES[oracle_name]()
+    got = []
+    for law in law_names(getattr(oracle, "symmetric", False)):
+        r = check_law(_AskedOnce(oracle), law, SampleDomain(formulas, **kw))
+        got.append((law, r.status, r.exhaustive, r.checked, r.witness_str()))
     assert got == _PINNED[oracle_name, mode]
 
 
