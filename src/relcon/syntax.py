@@ -64,14 +64,15 @@ class MissingBindingError(Exception):
 # node each, no numeral unless a constant says so, ground unless a
 # metavariable, hash as their dataclass value and print as their name.
 #
-# Compound equality (_equal) is one loop over a work list of node pairs, so
+# Compound equality (_equal) recurses on a formula of at most 256 nodes, as
+# the hash does, and is otherwise one loop over a work list of node pairs, so
 # equal formulas nested past the recursion limit still compare; identical
-# pairs are never pushed, and a cached hash tells most unequal pairs apart at
-# once.  Formulas are not interned: each interning table tried so far cost
-# up to 40 % of proof-search throughput (ROADMAP item 8 measures it again
-# now that the search builds few fresh nodes).  Numerals are the exception:
-# numeral() builds each tower on the previous one, so equal numerals are one
-# object and compare by identity.
+# pairs are never compared further, and a cached hash tells most unequal
+# pairs apart at once.  Formulas are not interned: each interning table
+# tried so far cost up to 40 % of proof-search throughput (ROADMAP item 8
+# measures it again now that the search builds few fresh nodes).  Numerals
+# are the exception: numeral() builds each tower on the previous one, so
+# equal numerals are one object and compare by identity.
 
 _set = object.__setattr__
 
@@ -173,12 +174,17 @@ def _cached_str(self) -> str:
 
 
 def _equal(self, other) -> bool:
-    """Structural equality, one node pair at a time from a work list; a
-    pair of identical nodes is never pushed."""
+    """Structural equality: recursive on a formula of at most 256 nodes,
+    otherwise one node pair at a time from a work list, where a pair of
+    identical nodes is never pushed."""
     if self is other:
         return True
     if not isinstance(other, _Node):
         return NotImplemented
+    if self._size <= 256:
+        # two filled hash slots that differ settle it without a walk
+        h, g = self._hash, other._hash
+        return (h is None or g is None or h == g) and _same(self, other)
     pairs = [(self, other)]
     while pairs:
         a, b = pairs.pop()
@@ -200,6 +206,20 @@ def _equal(self, other) -> bool:
             if a.left is not b.left:
                 pairs.append((a.left, b.left))
     return True
+
+
+def _same(a, b) -> bool:
+    # _equal below its size threshold: a recursion no deeper than a's nodes
+    if a is b:
+        return True
+    t = type(a)
+    if t is not type(b):
+        return False
+    if t in _LEAVES:
+        return a.name == b.name
+    if t is Neg:
+        return _same(a.body, b.body)
+    return _same(a.left, b.left) and _same(a.right, b.right)
 
 
 def _init_binary(self, left: "Formula", right: "Formula") -> None:
@@ -289,6 +309,7 @@ class Disj(_Node):
 
 
 Formula = Union[Atom, Var, Const, Neg, Imp, Fusion, Conj, Disj]
+_LEAVES = frozenset((Atom, Var, Const))
 
 # each connective's symbol, loosest first: the printer, the parser and the
 # matrix files read the connectives from here, and a connective's precedence
@@ -627,22 +648,48 @@ def match_multiset(schemas: FMultiset, formulas: FMultiset,
 def match_into(schemas: FMultiset, pool: FMultiset,
                subst: Optional[dict[str, Formula]] = None
                ) -> Iterator[tuple[dict[str, Formula], FMultiset]]:
-    """All (subst, consumed) with consumed <= pool and substitute(schemas) = consumed."""
-    base = dict(subst) if subst else {}
+    """All (subst, consumed) with consumed <= pool and substitute(schemas) = consumed.
+
+    The schemas are matched in canonical order, each onto the pool's
+    distinct elements in canonical order, by backtracking over one list of
+    the pool's counts: a count drops while its element is consumed and comes
+    back on backtracking, and an element whose count is spent is skipped.
+    So the matches come in the order that matching each schema against the
+    pool minus what is consumed so far would give, and ``consumed`` is built
+    only per match.  The backtracking is a loop, not a recursive closure,
+    which would leave a reference cycle per call for the collector.
+    """
     slist = list(schemas)
-
-    def go(i: int, remaining: FMultiset, sigma: dict, used: list) -> Iterator:
-        if i == len(slist):
-            yield dict(sigma), FMultiset(used)
-            return
-        for f in remaining.distinct():
-            s2 = match(slist[i], f, sigma)
+    order = pool.distinct()
+    left = [pool.count(f) for f in order]
+    sigmas = [dict(subst) if subst else {}]
+    picks: list[int] = []  # the index into order consumed by each schema so far
+    j = 0  # the first index the next schema may take
+    while True:
+        depth = len(picks)
+        if depth == len(slist):
+            yield dict(sigmas[-1]), FMultiset([order[k] for k in picks])
+        else:
+            for k in range(j, len(order)):
+                if left[k]:
+                    s2 = match(slist[depth], order[k], sigmas[-1])
+                    if s2 is not None:
+                        break
+            else:
+                s2 = None
             if s2 is not None:
-                used.append(f)
-                yield from go(i + 1, remaining - FMultiset([f]), s2, used)
-                used.pop()
-
-    yield from go(0, pool, base, [])
+                left[k] -= 1
+                picks.append(k)
+                sigmas.append(s2)
+                j = 0
+                continue
+        # give the last pick back and try the next element in its place
+        if not picks:
+            return
+        j = picks.pop()
+        sigmas.pop()
+        left[j] += 1
+        j += 1
 
 
 def substitute_partial(schema: Formula, subst: Mapping[str, Formula]) -> Formula:
@@ -706,11 +753,19 @@ def _rule_step(left: FMultiset, right: Formula | FMultiset, before: FMultiset,
     """A substitution under which the rule ``left |- right`` turns ``before``
     into ``after`` in context, if any: after = (before - consumed) + produced.
 
-    A stored substitution is checked as given; otherwise the left side is
-    matched first, and the right side onto what the step produced.  A proof
-    node is a step with no context: its children's labels before, its label
-    alone after.
+    With no stored substitution, when the right side and ``after`` are one
+    formula each, the step has no context, so it consumes all of ``before``:
+    the conclusion is matched first, which fixes most metavariables at once,
+    and the left side onto ``before`` under that match.  A proof node is such
+    a step: its children's labels before, its label alone after.  A stored
+    substitution is checked as given.  Otherwise the left side is matched
+    first, and the right side onto what the step produced.  Both orders give
+    equal substitutions: the left-side matches come in the same order either
+    way, less those that disagree with the conclusion's one match.
     """
+    if stored is None and not isinstance(right, FMultiset) and after.size == 1:
+        sigma0 = match(right, next(iter(after)))
+        return None if sigma0 is None else next(match_multiset(left, before, sigma0), None)
     right_ms = right if isinstance(right, FMultiset) else FMultiset([right])
     if stored is not None:
         sigma = dict(stored)

@@ -31,7 +31,7 @@ import json
 import weakref
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .multiset import EMPTY, FMultiset
 from .syntax import (
@@ -213,6 +213,9 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
         raise ValueError("verify expects a single-conclusion system")
     problems: list[str] = []
     leaves = leaf_multiset(tree)
+    # each leaf label and each unused premise, classified once
+    axiomatic = {f for f in leaves.support | (premises - leaves).support
+                 if system.is_axiom_instance(f)}
 
     if tree.formula != goal:
         problems.append(
@@ -230,8 +233,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
                     f"leaf {print_formula(node.formula)} is not an instance "
                     f"of axiom {node.by.name}")
                 return False
-            if not (system.is_axiom_instance(node.formula)
-                    or node.formula in premises.support):
+            if not (node.formula in axiomatic or node.formula in premises):
                 problems.append(
                     f"leaf {print_formula(node.formula)} is neither an axiom "
                     f"instance nor a premise")
@@ -256,7 +258,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
 
     # condition 4: non-axiom formulas label at most premises(f) leaves
     for f in leaves.distinct():
-        if not system.is_axiom_instance(f) and leaves.count(f) > premises.count(f):
+        if f not in axiomatic and leaves.count(f) > premises.count(f):
             problems.append(
                 f"{print_formula(f)} labels {leaves.count(f)} leaves but occurs "
                 f"{premises.count(f)} times among the premises")
@@ -266,7 +268,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
         return VerifyReport(RelevanceVerdict.INVALID, problems, leaves, surplus)
 
     verdict = RelevanceVerdict.PLAIN
-    if all(system.is_axiom_instance(f) for f in (premises - leaves).support):
+    if all(f in axiomatic for f in (premises - leaves).support):
         verdict = RelevanceVerdict.WEAKLY_RELEVANT
         if premises <= leaves:
             verdict = RelevanceVerdict.RELEVANT
@@ -350,12 +352,18 @@ def axiom_has_shape(rule, shape: Formula) -> bool:
 
 
 def _find_rule(system: AxiomaticSystem, shape, axiom: bool, what: str) -> str:
-    for r in system.rules:
-        if axiom and axiom_has_shape(r, shape):
-            return r.name
-        if not axiom and not r.is_axiom and rule_has_shape(r, shape):
-            return r.name
-    raise RulesAbsentError(f"system {system.name} has no {what}")
+    """The name of the system's first axiom or rule of the shape, looked up
+    once per system; RulesAbsentError on every call when there is none."""
+    names = _rule_tables(system).names
+    key = (shape, axiom)
+    if key not in names:
+        names[key] = next((r.name for r in system.rules
+                           if (axiom_has_shape(r, shape) if axiom
+                               else not r.is_axiom and rule_has_shape(r, shape))), None)
+    name = names[key]
+    if name is None:
+        raise RulesAbsentError(f"system {system.name} has no {what}")
+    return name
 
 
 def _instance(system: AxiomaticSystem, name: str, f: Formula) -> ProofTree:
@@ -532,19 +540,32 @@ def _vars_of(rule: NamedRule) -> list[Var]:
 # unifies with a head exactly when it unifies with a renamed-apart copy.
 _Entry = tuple[NamedRule, list[Var], Formula]
 
+
+class _Tables(NamedTuple):
+    """What is worked out once per system: the search's single-conclusion
+    axioms and inference rules as table entries, and, per (shape, axiom)
+    asked of _find_rule, the name of the first rule of that shape, or None
+    when the system has none."""
+
+    axioms: list[_Entry]
+    rules: list[_Entry]
+    names: dict[tuple, Optional[str]]
+
+
+# one record per live system, dropped with the system
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _rule_tables(system: AxiomaticSystem) -> tuple[list[_Entry], list[_Entry]]:
-    """The system's single-conclusion axioms and inference rules as table
-    entries, built on first use and kept while the system lives."""
+def _rule_tables(system: AxiomaticSystem) -> _Tables:
+    """The system's record, built on first use and kept while the system lives."""
     tables = _TABLES.get(system)
     if tables is None:
         def entries(rules):
             return [(rule, _vars_of(rule), _rename_vars(rule.right)) for rule in rules
                     if not isinstance(rule.right, FMultiset)]
 
-        tables = _TABLES[system] = (entries(system.axioms), entries(system.inference_rules))
+        tables = _TABLES[system] = _Tables(
+            entries(system.axioms), entries(system.inference_rules), {})
     return tables
 
 
@@ -560,7 +581,7 @@ class _SearchState:
         self.filler = filler
         self.fruitless: dict[tuple, int] = {}
         self._uses = 0
-        self._axioms, self._rules = _rule_tables(system)
+        self._axioms, self._rules, _ = _rule_tables(system)
 
     def _fresh(self, variables: list[Var]) -> dict[str, Formula]:
         """Each variable renamed apart from every earlier rule or axiom use."""

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from relcon import (
     Atom,
@@ -35,9 +35,11 @@ from relcon.syntax import (
     MissingBindingError,
     _freeze,
     _larger_first,
+    _rule_step,
     _walk_nodes,
     alpha_variant,
     formula_size,
+    match_into,
     match_multiset,
     metavars,
     numeral_value,
@@ -607,22 +609,28 @@ def _ref_unify(a, b):
     return {name: resolve(Var(name)) for name in subst}
 
 
-def _ref_match_multiset(schemas, formulas, subst=None):
-    if schemas.size != formulas.size:
-        return
+def _ref_match_into(schemas, pool, subst=None):
     base = dict(subst) if subst else {}
     slist = list(schemas)
 
-    def go(i, remaining, sigma):
+    def go(i, remaining, sigma, used):
         if i == len(slist):
-            yield dict(sigma)
+            yield dict(sigma), FMultiset(used)
             return
         for f in remaining.distinct():
             s2 = match(slist[i], f, sigma)
             if s2 is not None:
-                yield from go(i + 1, remaining - FMultiset([f]), s2)
+                used.append(f)
+                yield from go(i + 1, remaining - FMultiset([f]), s2, used)
+                used.pop()
 
-    yield from go(0, formulas, base)
+    yield from go(0, pool, base, [])
+
+
+def _ref_match_multiset(schemas, formulas, subst=None):
+    if schemas.size == formulas.size:
+        for sigma, _ in _ref_match_into(schemas, formulas, subst):
+            yield sigma
 
 
 def _ref_one_way(left_a, right_a, left_b, right_b):
@@ -712,6 +720,145 @@ def test_match_multiset_enumerates_as_the_reference(schemas, extra, sigma, start
         for subst in (None, start):
             assert (list(match_multiset(pattern, pool, subst))
                     == list(_ref_match_multiset(pattern, pool, subst)))
+
+
+# -- match_into and _rule_step as they stood before the in-place pool ----------
+#
+# References for the differential properties below: match_into subtracting a
+# fresh multiset per consumed formula (_ref_match_into, above), and the rule
+# step matching the left side first in every case, the right side onto what
+# the step produced.
+
+
+def _ref_rule_step(left, right, before, after, stored=None):
+    right_ms = right if isinstance(right, FMultiset) else FMultiset([right])
+    if stored is not None:
+        sigma = dict(stored)
+        try:
+            consumed = FMultiset(substitute(s, sigma) for s in left)
+            produced = FMultiset(substitute(s, sigma) for s in right_ms)
+        except MissingBindingError:
+            return None
+        if consumed <= before and after == (before - consumed) + produced:
+            return sigma
+        return None
+    for sigma, consumed in _ref_match_into(left, before):
+        rest = before - consumed
+        if rest <= after:
+            sigma2 = next(_ref_match_multiset(right_ms, after - rest, sigma), None)
+            if sigma2 is not None:
+                return sigma2
+    return None
+
+
+# a handful of formulas, so that pools repeat them
+_pool_formulas = st.sampled_from([p, q, Imp(p, p), Imp(p, q), Imp(q, p), Neg(p),
+                                  Fusion(p, q), Imp(Imp(p, q), p)])
+
+
+@given(st.lists(general, max_size=3), st.lists(_pool_formulas, max_size=6),
+       general_substitutions)
+@example([Var("x"), Var("x")], [p, p, q], {})  # x taken twice from a repeat
+@example([Var("x"), Var("y")], [p, p, q, q], {"y": q})
+@example([Imp(Var("x"), Var("y")), Var("x")], [Imp(p, p), p, p, Imp(p, q)], {})
+def test_match_into_enumerates_as_the_subtracting_reference(schemas, pool, start):
+    pattern, pool = FMultiset(schemas), FMultiset(pool)
+    for subst in (None, start):
+        got = list(match_into(pattern, pool, subst))
+        want = list(_ref_match_into(pattern, pool, subst))
+        assert got == want
+        assert [list(s.items()) for s, _ in got] == [list(s.items()) for s, _ in want]
+
+
+@st.composite
+def _steps(draw):
+    """A rule step: a passing instance of a random rule, then perhaps the
+    conclusion, a premise or the context perturbed, and perhaps a stored
+    substitution, right, wrong or partial."""
+    left = draw(st.lists(general, max_size=3))
+    right = draw(general)
+    sigma = {v: draw(_pool_formulas) for v in _NAMES}
+    before = [substitute(s, sigma) for s in left]
+    after = [substitute(right, sigma)]
+    change = draw(st.sampled_from(["none"] * 3 + ["conclusion", "premise", "drop",
+                                                  "add", "context", "multiset"]))
+    if change == "conclusion":
+        after = [draw(_pool_formulas)]
+    elif change == "premise" and before:
+        before[draw(st.integers(0, len(before) - 1))] = draw(_pool_formulas)
+    elif change == "drop" and before:
+        before.pop()
+    elif change == "add":
+        before.append(draw(_pool_formulas))
+    elif change == "context":
+        extra = draw(st.lists(_pool_formulas, min_size=1, max_size=2))
+        before, after = before + extra, after + extra
+    elif change == "multiset":
+        right = FMultiset([right])
+    stored = draw(st.sampled_from([None, None, "right", "wrong", "partial"]))
+    if stored == "right":
+        stored = sigma
+    elif stored == "wrong":
+        stored = {**sigma, "x": Neg(sigma["x"])}
+    elif stored == "partial":
+        stored = {"x": sigma["x"]}
+    return FMultiset(left), right, FMultiset(before), FMultiset(after), stored
+
+
+@given(_steps())
+@settings(max_examples=400)
+@example((FMultiset([Imp(Var("x"), Var("y")), Var("x")]), Var("y"),
+          FMultiset([Imp(p, q), p]), FMultiset([q]), None))  # modus ponens
+@example((FMultiset([Var("x"), Var("x")]), Var("x"),
+          FMultiset([p, q]), FMultiset([p]), None))  # no match of the left side
+@example((FMultiset([Var("x")]), Imp(Var("y"), Var("x")),
+          FMultiset([p]), FMultiset([Imp(q, p)]), None))  # y bound by the right
+def test_rule_step_agrees_with_the_premises_first_reference(step):
+    got, want = _rule_step(*step), _ref_rule_step(*step)
+    assert got == want
+
+
+# -- equality on both sides of the recursion threshold ------------------------
+
+
+def _sized(n, bottom=p):
+    """A formula of n nodes over a left spine: Neg on top when n is even."""
+    f = _tower(bottom, q, (n + 1) // 2)
+    return Neg(f) if n % 2 == 0 else f
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("hashed", [False, True])
+def test_equality_around_the_recursion_threshold_agrees_with_the_reference(n, hashed):
+    a = _sized(n)
+    assert formula_size(a) == n
+    # the same text, the bottom leaf's kind swapped (equal hashes all the
+    # way up), another bottom leaf, one node more
+    others = [_sized(n), _sized(n, Var("p")), _sized(n, r), _sized(n + 1), q]
+    for b in others:
+        if hashed:
+            hash(a), hash(b)
+        for x, y in ((a, b), (b, a)):
+            assert (x == y) is _ref_equal(x, y)
+            assert (x != y) is (not _ref_equal(x, y))
+
+
+def test_equality_on_3000_deep_chains():
+    deep = _tower(p, q, 3000)
+    cases = [(_tower(p, q, 3000), True), (_tower(Var("p"), q, 3000), False),
+             (_tower(r, q, 3000), False), (_sized(255), False), (_sized(257), False)]
+    for b, equal in cases:
+        for x, y in ((deep, b), (b, deep)):
+            assert (x == y) is equal and (x != y) is (not equal)
+    # p -> p -> ... -> end, nested 3000 deep on the right
+
+    def chain(end):
+        f = end
+        for _ in range(3000):
+            f = Imp(p, f)
+        return f
+
+    assert chain(p) == chain(p) and chain(p) != chain(q) and chain(p) != chain(Var("p"))
 
 
 def test_axiom_has_shape_agrees_with_the_two_way_reference(

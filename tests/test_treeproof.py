@@ -1014,3 +1014,78 @@ def test_node_check_names_the_node_and_its_children(bci):
     # q from [p, p] by mp: p -> q is no child label
     report = verify_report(_ODD_NODES[0], bci, ms("[p, p]"), q)
     assert report.problems == ["node q does not instantiate rule mp from [p, p]"]
+
+
+# -- rule lookup by shape, once per system ----------------------------------------
+
+
+def test_missing_rule_is_reported_on_every_call():
+    system = parse_system("system NoWk\naxiom I : p -> p\nrule mp : p -> q, p |- q\n")
+    base = axiom_leaf(Imp(p, p), "I", {"p": p})
+    for _ in range(2):
+        with pytest.raises(RulesAbsentError) as e:
+            pump_use(base, q, system)
+        assert str(e.value) == "system NoWk has no weakening rule"
+
+
+def test_each_system_gets_its_own_rule_names():
+    text = "system {}\naxiom I : p -> p\nrule {} : p -> q, p |- q\nrule {} : p |- q -> p\n"
+    one = parse_system(text.format("One", "mp", "wk"))
+    two = parse_system(text.format("Two", "detach", "weaken"))
+    base = axiom_leaf(Imp(p, p), "I", {"p": p})
+    for system, mp, wk in ((one, "mp", "wk"), (two, "detach", "weaken"), (one, "mp", "wk")):
+        out = pump_use(base, q, system)
+        assert (out.by.name, out.children[0].by.name) == (mp, wk)
+        assert verify(out, system, ms("[q]"), Imp(p, p)) is RelevanceVerdict.RELEVANT
+
+
+def test_rule_names_are_dropped_with_their_system():
+    system = parse_system("system Gone\naxiom I : p -> p\nrule mp : p -> q, p |- q\n")
+    with pytest.raises(RulesAbsentError):
+        pump_use(premise_leaf(p), q, system)
+    assert treeproof._TABLES[system].names
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+    assert all(s.name != "Gone" for s in list(treeproof._TABLES.keys()))
+
+
+# -- verify_report's diagnostics, pinned --------------------------------------------
+
+
+_MP_PQ = ProofTree(q, RuleJust("mp"), (premise_leaf(Imp(p, q)), premise_leaf(p)))
+_DIAGNOSED = [
+    # a leaf that is neither an axiom instance nor a premise
+    (_MP_PQ, "[p -> q]", q, RelevanceVerdict.INVALID,
+     ["leaf p is neither an axiom instance nor a premise",
+      "p labels 1 leaves but occurs 0 times among the premises"], "[p]"),
+    # a premise used more often than it is listed
+    (ProofTree(q, RuleJust("mp"), (
+        ProofTree(Imp(p, q), RuleJust("mp"), (premise_leaf(Imp(p, Imp(p, q))),
+                                              premise_leaf(p))),
+        premise_leaf(p))), "[p -> p -> q, p]", q, RelevanceVerdict.INVALID,
+     ["p labels 2 leaves but occurs 1 times among the premises"], "[p]"),
+    # an mp node that does not instantiate mp
+    (ProofTree(q, RuleJust("mp"), (premise_leaf(Imp(p, r)), premise_leaf(p))),
+     "[p -> r, p]", q, RelevanceVerdict.INVALID,
+     ["node q does not instantiate rule mp from [p, p -> r]"], "[]"),
+    # an axiom leaf that is no instance of its axiom
+    (axiom_leaf(Imp(p, q), "I"), "[]", Imp(p, q), RelevanceVerdict.INVALID,
+     ["leaf p -> q is not an instance of axiom I",
+      "p -> q labels 1 leaves but occurs 0 times among the premises"], "[p -> q]"),
+    # an unused premise that is an axiom instance
+    (_MP_PQ, "[p -> q, p, r -> r]", q, RelevanceVerdict.WEAKLY_RELEVANT, [], "[]"),
+    # an axiom leaf beyond the premises
+    (ProofTree(q, RuleJust("mp"), (axiom_leaf(Imp(q, q), "I"), _MP_PQ)),
+     "[p -> q, p]", q, RelevanceVerdict.RELEVANT, [], "[q -> q]"),
+]
+
+
+@pytest.mark.parametrize("tree, premises, goal, verdict, problems, surplus", _DIAGNOSED)
+def test_verify_report_diagnostics_are_pinned(bci, tree, premises, goal, verdict,
+                                              problems, surplus):
+    report = verify_report(tree, bci, ms(premises), goal)
+    assert report.verdict is verdict
+    assert report.problems == problems
+    assert str(report.surplus) == surplus
