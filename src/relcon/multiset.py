@@ -16,6 +16,7 @@ is ``m``); no dict is ever shared between two values.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Any, Hashable, Iterable, Iterator
 
 
@@ -212,16 +213,5 @@ def msum(*multisets: FMultiset) -> FMultiset:
 def submultisets(m: FMultiset) -> Iterator[FMultiset]:
     """All submultisets of ``m``, smallest first within each element choice."""
     elems = m.distinct()
-
-    def rec(i: int, acc: dict) -> Iterator[FMultiset]:
-        if i == len(elems):
-            yield _trusted(acc.copy())
-            return
-        x = elems[i]
-        for c in range(m.count(x) + 1):
-            if c:
-                acc[x] = c
-            yield from rec(i + 1, acc)
-            acc.pop(x, None)
-
-    return rec(0, {})
+    for counts in product(*(range(m.count(x) + 1) for x in elems)):
+        yield _trusted({x: c for x, c in zip(elems, counts) if c})

@@ -57,6 +57,7 @@ from .treeproof import (
     _json_loads,
     _just_to_data,
     _subst_from,
+    _walk,
     search,
 )
 
@@ -289,33 +290,31 @@ def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
                 yield rest + produced, RuleApp(rule.name, full)
 
 
-def _fitting(cands: list[Formula], extras: list[int], lows: list[int],
-             coeffs: list[list[int]], k: int, cap: int,
-             pruned: set) -> Iterator[tuple[Formula, ...]]:
-    """The k-tuples over cands, in product order, whose instances all fit the
-    cap; ``extras[j]`` is cands[j]'s size over the smallest candidate's.  A
-    value that is over the cap with the later metavariables at the smallest
+def _fitting(cands: list[Formula], extras: list[int], bounds: list[int],
+             coeffs: list[list[int]], k: int, cap: int, pruned: set,
+             values: tuple[Formula, ...] = ()) -> Iterator[tuple[Formula, ...]]:
+    """The k-tuples over cands that extend ``values``, in product order, whose
+    instances all fit the cap; ``extras[j]`` is cands[j]'s size over the
+    smallest candidate's, and ``bounds`` the instance sizes with the
+    metavariables not yet in ``values`` at the smallest candidate.  A value
+    that is over the cap with the later metavariables at the smallest
     candidate stays over for every later value of its metavariable (cands is
-    sorted by size), so the loop breaks there."""
-    values: list[Formula] = []
-
-    def go(i: int, bounds: list[int]) -> Iterator[tuple[Formula, ...]]:
-        if i == k:
-            yield tuple(values)
-            return
-        for c, extra in zip(cands, extras):
-            if extra:
-                nb = [b + co[i] * extra for b, co in zip(bounds, coeffs)]
-                if max(nb) > cap:
-                    pruned.add("formula-size")
-                    break
-            else:
-                nb = bounds  # bounds fit already
-            values.append(c)
-            yield from go(i + 1, nb)
-            values.pop()
-
-    return go(0, lows)
+    sorted by size), so the loop breaks there.  The recursion is the
+    function itself, not a nested closure, which would leave a reference
+    cycle per call."""
+    i = len(values)
+    if i == k:
+        yield values
+        return
+    for c, extra in zip(cands, extras):
+        if extra:
+            nb = [b + co[i] * extra for b, co in zip(bounds, coeffs)]
+            if max(nb) > cap:
+                pruned.add("formula-size")
+                break
+        else:
+            nb = bounds  # bounds fit already
+        yield from _fitting(cands, extras, nb, coeffs, k, cap, pruned, values + (c,))
 
 
 # -- symmetrization ------------------------------------------------------------------
@@ -499,12 +498,7 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
         snapshots.append([t for trees in forest.values() for t in trees])
 
     tree = forest[phi][0]
-    in_tree: set[int] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        in_tree.add(id(node))
-        stack.extend(node.children)
+    in_tree = {id(node) for _, node in _walk(tree)}
 
     used = FMultiset(t.formula for t in snapshots[0] if id(t) in in_tree)
     rest = premises - used

@@ -619,22 +619,27 @@ def match(schema: Formula, formula: Formula,
           subst: Optional[dict[str, Formula]] = None) -> Optional[dict[str, Formula]]:
     """One-sided matching: the unique subst with substitute(schema)=formula, or None."""
     out = dict(subst) if subst else {}
+    return out if _match(schema, formula, out) else None
 
-    def go(s: Formula, f: Formula) -> bool:
-        if isinstance(s, Var):
-            if s.name in out:
-                return out[s.name] == f
-            out[s.name] = f
-            return True
-        if s._ground:
-            return s == f
-        if type(s) is not type(f):
-            return False
-        if isinstance(s, Neg):
-            return go(s.body, f.body)
-        return go(s.left, f.left) and go(s.right, f.right)
 
-    return out if go(schema, formula) else None
+# The recursions of match and unify are module-level functions: a nested
+# closure that calls itself leaves a reference cycle per call.
+
+
+def _match(s: Formula, f: Formula, out: dict[str, Formula]) -> bool:
+    """Extend ``out`` so that it matches s onto f; whether that succeeded."""
+    if isinstance(s, Var):
+        if s.name in out:
+            return out[s.name] == f
+        out[s.name] = f
+        return True
+    if s._ground:
+        return s == f
+    if type(s) is not type(f):
+        return False
+    if isinstance(s, Neg):
+        return _match(s.body, f.body, out)
+    return _match(s.left, f.left, out) and _match(s.right, f.right, out)
 
 
 def match_multiset(schemas: FMultiset, formulas: FMultiset,
@@ -707,44 +712,48 @@ def _resolve(f: Formula, theta: dict) -> Formula:
 def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
     """Most general unifier of two schemata (shared metavariable namespace)."""
     subst: dict[str, Formula] = {}
-
-    def walk(f: Formula) -> Formula:
-        while isinstance(f, Var) and f.name in subst:
-            f = subst[f.name]
-        return f
-
-    def occurs(name: str, f: Formula) -> bool:
-        f = walk(f)
-        if f._ground:
-            return False
-        if isinstance(f, Var):
-            return f.name == name
-        if isinstance(f, Neg):
-            return occurs(name, f.body)
-        return occurs(name, f.left) or occurs(name, f.right)
-
-    def go(x: Formula, y: Formula) -> bool:
-        x, y = walk(x), walk(y)
-        if x._ground and y._ground:
-            return x == y
-        if isinstance(x, Var):
-            if isinstance(y, Var) and y.name == x.name:
-                return True
-            if occurs(x.name, y):
-                return False
-            subst[x.name] = y
-            return True
-        if isinstance(y, Var):
-            return go(y, x)
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Neg):
-            return go(x.body, y.body)
-        return go(x.left, y.left) and go(x.right, y.right)
-
-    if not go(a, b):
+    if not _unify(a, b, subst):
         return None
     return {name: _resolve(subst[name], subst) for name in subst}
+
+
+def _bound(f: Formula, subst: dict[str, Formula]) -> Formula:
+    """f with its binding chain followed while it is a bound variable."""
+    while isinstance(f, Var) and f.name in subst:
+        f = subst[f.name]
+    return f
+
+
+def _occurs(name: str, f: Formula, subst: dict[str, Formula]) -> bool:
+    f = _bound(f, subst)
+    if f._ground:
+        return False
+    if isinstance(f, Var):
+        return f.name == name
+    if isinstance(f, Neg):
+        return _occurs(name, f.body, subst)
+    return _occurs(name, f.left, subst) or _occurs(name, f.right, subst)
+
+
+def _unify(x: Formula, y: Formula, subst: dict[str, Formula]) -> bool:
+    """Extend ``subst`` so that it unifies x and y; whether that succeeded."""
+    x, y = _bound(x, subst), _bound(y, subst)
+    if x._ground and y._ground:
+        return x == y
+    if isinstance(x, Var):
+        if isinstance(y, Var) and y.name == x.name:
+            return True
+        if _occurs(x.name, y, subst):
+            return False
+        subst[x.name] = y
+        return True
+    if isinstance(y, Var):
+        return _unify(y, x, subst)
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Neg):
+        return _unify(x.body, y.body, subst)
+    return _unify(x.left, y.left, subst) and _unify(x.right, y.right, subst)
 
 
 def _rule_step(left: FMultiset, right: Formula | FMultiset, before: FMultiset,

@@ -31,7 +31,7 @@ import json
 import weakref
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .multiset import EMPTY, FMultiset
 from .syntax import (
@@ -129,29 +129,21 @@ class ProofTree:
     def is_leaf(self) -> bool:
         return not self.children
 
-    # the walks below are iterative: a tree loaded from a file can be
-    # nested deeper than the interpreter's recursion limit
-
     def __eq__(self, other) -> bool:
-        """Structural equality, one node pair at a time from a work list."""
+        """Structural equality: the two walks agree node by node on formula,
+        justification and arity, which fixes each tree's shape."""
         if not isinstance(other, ProofTree):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if (a.formula != b.formula or a.by != b.by
-                    or len(a.children) != len(b.children)):
-                return False
-            pairs.extend(zip(a.children, b.children))
-        return True
+        return self is other or all(
+            a.formula == b.formula and a.by == b.by and len(a.children) == len(b.children)
+            for (_, a), (_, b) in zip(_walk(self), _walk(other)))
 
     def __hash__(self) -> int:
         # the root only: equal trees agree on it, and it costs no walk
         return hash((self.formula, self.by, len(self.children)))
 
     def node_count(self) -> int:
+        # its own loop, not the walk: search calls it per subtree, and the walk costs throughput
         count, stack = 0, [self]
         while stack:
             count += 1
@@ -160,13 +152,59 @@ class ProofTree:
 
     def leaves(self) -> Iterator["ProofTree"]:
         """The leaves, left to right."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(reversed(node.children))
-            else:
-                yield node
+        return (node for _, node in _walk(self) if not node.children)
+
+
+# Every walk over a proof tree of unbounded depth is one of the two below,
+# which use explicit stacks: a tree loaded from a file can be nested deeper
+# than the interpreter's recursion limit.
+
+
+def _walk(tree: ProofTree, into: Optional[Callable[[ProofTree], bool]] = None
+          ) -> Iterator[tuple[tuple, ProofTree]]:
+    """Each node with its path from the root, depth first and left to right;
+    below a node only when ``into(node)`` holds, if given.  A path is () at
+    the root and (the parent's path, child index) below it, one pair per
+    node at any depth; ``_indexes`` spells it out."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        children = node.children
+        if children and (into is None or into(node)):
+            i = len(children)
+            while i:
+                i -= 1
+                stack.append(((path, i), children[i]))
+
+
+def _indexes(path: tuple) -> tuple[int, ...]:
+    """A walk's path as the child indexes from the root."""
+    indexes = []
+    while path:
+        path, i = path
+        indexes.append(i)
+    return tuple(reversed(indexes))
+
+
+def _fold(root, expand: Callable, make: Callable):
+    """Fold a tree children first: ``expand(node)`` gives ``(value, children)``
+    and is called in pre-order, which is file order, so the first node it
+    rejects is the first in the file; then ``make(value, results)`` is called
+    on each node's value and the list of its children's results."""
+    order = []
+    stack = [root]
+    while stack:
+        value, children = expand(stack.pop())
+        order.append((value, len(children)))
+        stack.extend(reversed(children))
+    done: list = []  # results of finished subtrees, the leftmost last
+    for value, arity in reversed(order):
+        split = len(done) - arity
+        results = done[split:][::-1]
+        del done[split:]
+        done.append(make(value, results))
+    return done[0]
 
 
 def premise_leaf(f: Formula) -> ProofTree:
@@ -221,40 +259,29 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
         problems.append(
             f"root is {print_formula(tree.formula)}, goal is {print_formula(goal)}")
 
-    def check(node: ProofTree) -> bool:
-        """Report the node's own problems; whether to check its children."""
+    # below a node that is not a rule application nothing is checked
+    for _, node in _walk(tree, into=lambda n: isinstance(n.by, RuleJust)):
         if node.is_leaf:
             if isinstance(node.by, RuleJust):
                 problems.append(
                     f"leaf {print_formula(node.formula)} carries a rule justification")
-                return False
-            if isinstance(node.by, AxiomJust) and not _applies(system, node, EMPTY):
+            elif isinstance(node.by, AxiomJust) and not _applies(system, node, EMPTY):
                 problems.append(
                     f"leaf {print_formula(node.formula)} is not an instance "
                     f"of axiom {node.by.name}")
-                return False
-            if not (node.formula in axiomatic or node.formula in premises):
+            elif not (node.formula in axiomatic or node.formula in premises):
                 problems.append(
                     f"leaf {print_formula(node.formula)} is neither an axiom "
                     f"instance nor a premise")
-            return False
-        if not isinstance(node.by, RuleJust):
+        elif not isinstance(node.by, RuleJust):
             problems.append(
                 f"internal node {print_formula(node.formula)} lacks a rule justification")
-            return False
-        child_labels = FMultiset(c.formula for c in node.children)
-        if not _applies(system, node, child_labels):
-            problems.append(
-                f"node {print_formula(node.formula)} does not instantiate rule "
-                f"{node.by.name} from {print_multiset(child_labels)}")
-        return True
-
-    # depth first, left to right, without recursion
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if check(node):
-            stack.extend(reversed(node.children))
+        else:
+            child_labels = FMultiset(c.formula for c in node.children)
+            if not _applies(system, node, child_labels):
+                problems.append(
+                    f"node {print_formula(node.formula)} does not instantiate rule "
+                    f"{node.by.name} from {print_multiset(child_labels)}")
 
     # condition 4: non-axiom formulas label at most premises(f) leaves
     for f in leaves.distinct():
@@ -293,30 +320,17 @@ def cut_compose(tree: ProofTree, sub: ProofTree, system: AxiomaticSystem,
     relevant proof for (G + D, goal): the leaf multiset loses one occurrence
     of the cut formula and gains all of sub's leaves.
     """
-    for path, leaf in _leaf_paths(tree):
-        if isinstance(leaf.by, PremiseJust) and leaf.formula == cut_formula:
-            return _graft(tree, path, sub)
+    for path, node in _walk(tree):
+        if (not node.children and isinstance(node.by, PremiseJust)
+                and node.formula == cut_formula):
+            return _graft(tree, _indexes(path), sub)
     raise NoPremiseLeafError(
         f"no premise leaf labelled {print_formula(cut_formula)}")
 
 
-# the two walks below are iterative, like ProofTree's own: a proof can be
-# nested deeper than the interpreter's recursion limit
-
-
-def _leaf_paths(tree: ProofTree) -> Iterator[tuple[tuple[int, ...], ProofTree]]:
-    """Each leaf with its path of child indexes from the root, left to right."""
-    stack = [((), tree)]
-    while stack:
-        path, node = stack.pop()
-        if not node.children:
-            yield path, node
-        for i in reversed(range(len(node.children))):
-            stack.append((path + (i,), node.children[i]))
-
-
 def _graft(tree: ProofTree, path: tuple[int, ...], sub: ProofTree) -> ProofTree:
     """The tree with the node at ``path`` replaced by ``sub``."""
+    # one path down and back up: not a walk
     spine = []
     for i in path:
         spine.append((tree, i))
@@ -420,8 +434,9 @@ def deduction_transform(tree: ProofTree, system: AxiomaticSystem,
     if path is None:
         raise NotRelevantError(f"no leaf labelled {print_formula(phi)}")
 
-    # descend to the occurrence, then rebuild the path bottom-up; ``out`` is
-    # the rebuilt subtree last finished, proving phi -> its node's formula
+    # descend to the occurrence (one path: not a walk), then rebuild the path
+    # bottom-up; ``out`` is the rebuilt subtree last finished, proving
+    # phi -> its node's formula
     spine = []
     node = tree
     for branch in path:
@@ -459,12 +474,12 @@ def _leftmost_occurrence(tree: ProofTree, phi: Formula) -> Optional[tuple[int, .
     """The path to the leftmost premise leaf labelled phi, or failing that
     to the leftmost leaf labelled phi."""
     fallback = None
-    for path, leaf in _leaf_paths(tree):
-        if leaf.formula == phi:
-            if isinstance(leaf.by, PremiseJust):
-                return path
+    for path, node in _walk(tree):
+        if not node.children and node.formula == phi:
+            if isinstance(node.by, PremiseJust):
+                return _indexes(path)
             if fallback is None:
-                fallback = path
+                fallback = _indexes(path)
     return fallback
 
 
@@ -607,6 +622,7 @@ class _SearchState:
 
     def ground(self, tree: ProofTree, theta: dict) -> ProofTree:
         """The tree under ``theta``, with every variable left open filled."""
+        # recursive, not the fold: its depth is at most max_nodes, and the fold costs search time
         def fix(f: Formula) -> Formula:
             return _map_vars(_resolve(f, theta), lambda v: self.filler)
 
@@ -673,17 +689,14 @@ class _SearchState:
 
 
 def proof_to_data(tree: ProofTree) -> dict:
-    """The file form of a proof tree, built without recursion."""
-    root: dict = {}
-    stack = [(tree, root)]
-    while stack:
-        node, out = stack.pop()
-        out["formula"] = print_formula(node.formula)
-        out["by"] = _just_to_data(node.by)
-        if node.children:
-            out["children"] = [{} for _ in node.children]
-            stack.extend(zip(node.children, out["children"]))
-    return root
+    """The file form of a proof tree: formula, by and children, in that order."""
+    def make(node: ProofTree, children: list) -> dict:
+        out = {"formula": print_formula(node.formula), "by": _just_to_data(node.by)}
+        if children:
+            out["children"] = children
+        return out
+
+    return _fold(tree, lambda node: (node, node.children), make)
 
 
 def _just_to_data(by: Justification):
@@ -697,25 +710,13 @@ def _just_to_data(by: Justification):
 
 
 def proof_from_data(data: dict) -> ProofTree:
-    """Build a proof tree from its file form, without recursion.
-
-    Nodes are checked in file order (depth first), so the first malformed
-    node is the one reported; the tree is then assembled bottom-up.
-    """
-    parsed: list[tuple[Formula, Justification, int]] = []
-    stack = [data]
-    while stack:
-        formula, just, children = _node_from_data(stack.pop())
-        parsed.append((formula, just, len(children)))
-        stack.extend(reversed(children))
-    built: list[ProofTree] = []
-    for formula, just, arity in reversed(parsed):
-        children = tuple(built.pop() for _ in range(arity))
-        built.append(ProofTree(formula, just, children))
-    return built[0]
+    """Build a proof tree from its file form; the first malformed node in
+    file order is the one reported."""
+    return _fold(data, _node_from_data,
+                 lambda node, children: ProofTree(*node, tuple(children)))
 
 
-def _node_from_data(data) -> tuple[Formula, Justification, list]:
+def _node_from_data(data) -> tuple[tuple[Formula, Justification], list]:
     """One proof node's formula and justification, and its children's data."""
     if not isinstance(data, dict) or not isinstance(data.get("formula"), str):
         raise ValueError('each proof node must be an object with a "formula" string')
@@ -732,7 +733,7 @@ def _node_from_data(data) -> tuple[Formula, Justification, list]:
     children = data.get("children", [])
     if not isinstance(children, list):
         raise ValueError('"children" must be a list of proof nodes')
-    return formula, just, children
+    return (formula, just), children
 
 
 def _subst_from(entry) -> Optional[dict]:

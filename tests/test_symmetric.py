@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -42,7 +43,7 @@ from relcon.symmetric import (
     _ordered_partitions,
 )
 from relcon.multiset import msum, submultisets
-from relcon.syntax import formula_size, match_into, metavars, substitute
+from relcon.syntax import formula_size, match, match_into, metavars, substitute, unify
 from conftest import (
     FIXTURES,
     random_concrete_system,
@@ -141,6 +142,25 @@ def test_derive_axiom_in_context(bci):
     assert result.found
     assert check_derivation(result.derivation, bci, ms("[a]"),
                             ms("[a -> a, a]")) is DerivationVerdict.RELEVANT
+
+
+def test_matching_and_search_leave_no_reference_cycles(bci):
+    # a nested closure that calls itself is cyclic garbage after every call
+    schema, formula = parse_formula("(a -> b) -> a", schema=True), parse_formula("(p -> q) -> p")
+    left, right = (parse_formula("(a -> b) -> c", schema=True),
+                   parse_formula("(p -> d) -> d", schema=True))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(200):
+            assert match(schema, formula) is not None
+            assert unify(left, right) is not None
+            assert len(list(submultisets(ms("[a, a, b]")))) == 6
+        # axiom I's right side has a metavariable that no premise fixes
+        assert derive_search(bci, ms("[a]"), ms("[a -> a, a]")).found
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_derive_trivial_equality(toy_xy):

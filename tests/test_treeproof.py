@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import random
 import sys
 import weakref
@@ -15,6 +16,7 @@ from relcon import (
     Fusion,
     NoPremiseLeafError,
     NotRelevantError,
+    PremiseJust,
     ProofTree,
     RelevanceVerdict,
     RuleJust,
@@ -748,6 +750,86 @@ def test_leaves_and_node_count_keep_their_order():
     assert tree.node_count() == 5
 
 
+# the walks against recursive references, on trees that share subtrees
+
+_WALK_LABELS = (p, q, Imp(p, q))
+_WALK_JUSTS = (PremiseJust(), AxiomJust("I"), AxiomJust("I", {"p": q}), RuleJust("mp"),
+               RuleJust("mp", {"p": p, "q": q}))
+
+
+@st.composite
+def _shared_trees(draw):
+    """A tree whose nodes take 0-3 children among the earlier nodes, so that
+    one subtree can stand in several places."""
+    nodes: list[ProofTree] = []
+    for _ in range(draw(st.integers(1, 7))):
+        children = draw(st.lists(st.sampled_from(nodes), max_size=3)) if nodes else []
+        nodes.append(ProofTree(draw(st.sampled_from(_WALK_LABELS)),
+                               draw(st.sampled_from(_WALK_JUSTS)), tuple(children)))
+    return nodes[-1]
+
+
+def _ref_nodes(tree, path=()):
+    yield path, tree
+    for i, child in enumerate(tree.children):
+        yield from _ref_nodes(child, path + (i,))
+
+
+def _ref_equal(a, b):
+    return (a.formula == b.formula and a.by == b.by and len(a.children) == len(b.children)
+            and all(map(_ref_equal, a.children, b.children)))
+
+
+def _ref_data(tree):
+    out = {"formula": str(tree.formula), "by": treeproof._just_to_data(tree.by)}
+    if tree.children:
+        out["children"] = [_ref_data(c) for c in tree.children]
+    return out
+
+
+def _ref_replace(tree, path, node):
+    if not path:
+        return node
+    i = path[0]
+    return ProofTree(tree.formula, tree.by, tree.children[:i]
+                     + (_ref_replace(tree.children[i], path[1:], node),)
+                     + tree.children[i + 1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_trees(), st.data())
+def test_walks_agree_with_recursive_references(bci, tree, data):
+    nodes = list(_ref_nodes(tree))
+    assert [(treeproof._indexes(path), id(n)) for path, n in treeproof._walk(tree)] == [
+        (path, id(n)) for path, n in nodes]
+    assert [id(leaf) for leaf in tree.leaves()] == [id(n) for _, n in nodes if not n.children]
+
+    copy = proof_from_data(proof_to_data(tree))
+    assert json.dumps(proof_to_data(tree)) == json.dumps(_ref_data(tree))
+    assert _ref_equal(copy, tree) and copy == tree and tree == copy
+
+    path, node = data.draw(st.sampled_from(nodes))
+    change = data.draw(st.sampled_from(["label", "by", "arity"]))
+    if change == "label":
+        node = ProofTree(data.draw(st.sampled_from(_WALK_LABELS)), node.by, node.children)
+    elif change == "by":
+        node = ProofTree(node.formula, data.draw(st.sampled_from(_WALK_JUSTS)), node.children)
+    else:
+        node = ProofTree(node.formula, node.by, node.children[:-1] or (premise_leaf(q),))
+    changed = _ref_replace(copy, path, node)
+    assert (tree == changed) is (changed == tree) is _ref_equal(tree, changed)
+
+    cut = data.draw(st.sampled_from(_WALK_LABELS))
+    sub = axiom_leaf(r, "marker")
+    at = next((path for path, n in nodes if not n.children
+               and isinstance(n.by, PremiseJust) and n.formula == cut), None)
+    if at is None:
+        with pytest.raises(NoPremiseLeafError):
+            cut_compose(tree, sub, bci, cut)
+    else:
+        assert _ref_equal(cut_compose(tree, sub, bci, cut), _ref_replace(tree, at, sub))
+
+
 def test_deep_proof_data_loads_without_recursion():
     data = {"formula": "p"}
     for _ in range(5000):
@@ -1079,6 +1161,16 @@ _DIAGNOSED = [
     # an axiom leaf beyond the premises
     (ProofTree(q, RuleJust("mp"), (axiom_leaf(Imp(q, q), "I"), _MP_PQ)),
      "[p -> q, p]", q, RelevanceVerdict.RELEVANT, [], "[q -> q]"),
+    # a leaf justified by a rule
+    (ProofTree(q, RuleJust("mp"), (premise_leaf(Imp(p, q)), ProofTree(p, RuleJust("mp")))),
+     "[p -> q, p]", q, RelevanceVerdict.INVALID,
+     ["leaf p carries a rule justification"], "[]"),
+    # an internal node that is no rule application: the bad mp node below it
+    # is not checked
+    (ProofTree(q, PremiseJust(), (
+        ProofTree(q, RuleJust("mp"), (premise_leaf(Imp(p, r)), premise_leaf(p))),)),
+     "[p -> r, p]", q, RelevanceVerdict.INVALID,
+     ["internal node q lacks a rule justification"], "[]"),
 ]
 
 
