@@ -276,11 +276,14 @@ def cmd_abelian(args) -> int:
 def cmd_laws(args) -> int:
     oracle = make_oracle(args.oracle)
     dom = make_domain(args.dom, args.seed)
-    if args.oracle in ("z", "p"):
-        # declare the theorems up to the largest nonnegative numeral in the domain
+    if args.oracle in ("z", "p", "z_m"):
+        # declare the theorems up to the largest nonnegative numeral in the
+        # domain; z_m has z's, since the only submultiset of [] is []
         hi = max((k for k in range(0, 9) if numeral(k) in dom.formulas), default=0)
-        oracle = AbelianOracle(args.oracle,
+        oracle = AbelianOracle(args.oracle.removesuffix("_m"),
                                theorem_basis=[numeral(k) for k in range(0, hi + 1)])
+        if args.oracle == "z_m":
+            oracle = MonotonicCompanion(oracle)
     if args.action == "classify":
         report = classify(oracle, dom)
         for name in sorted(report.results):

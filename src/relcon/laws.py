@@ -11,14 +11,16 @@ than failed, and so does a check on no instances at all.
 How a check runs:
 
 * **Plans, once, at import.**  ``_compile`` turns each statement into a
-  ``LawSpec``: each consecution's sides as terms over variable positions,
-  each side that is not a lone variable given a slot of its own, and each
-  antecedent's level, the deepest position it reads.
-* **Tables, per check.**  ``_Check`` builds each pool once and interns every
-  value it meets into one list, so an instance is a list of ints.  Sums and
-  bracket lists are looked up by their operands' indices, and verdicts by
-  their sides' indices, each table filled on first use: the oracle sees
-  each distinct query once per check, through its own memo.
+  ``LawSpec`` that holds its whole plan as data: each side that is not a
+  lone variable gets a slot of its own, and each variable level lists the
+  sides it computes and the antecedents it tests, each as the item getter
+  of the slots it reads.
+* **Pools and tables, per check.**  ``_Check`` builds only these: each pool
+  once, interning every value it meets into one list, so an instance is a
+  list of ints; one sum table per side shape, keyed by operand indices; and
+  one verdict table, keyed by the sides' indices.  Each table is filled on
+  first use, so the oracle sees each distinct query once per check, through
+  its own memo.  Nothing the check holds refers back to it.
 * **Pushdown.**  The exhaustive instances are a loop nest in the canonical
   order, and each antecedent is tested (and each side computed) at the
   shallowest level that binds it (Selinger et al., *Access Path Selection*,
@@ -36,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add, itemgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .multiset import EMPTY, FMultiset, submultisets
 from .oracles import (
@@ -137,36 +139,28 @@ _SYM_TABLE = (
 _POOLS = ("M", "F", "N", "T")
 
 
-class _Query(NamedTuple):
-    """One consecution of a statement, over instance slots.
-
-    ``left`` and ``right`` are the slots of its sides; for a pointwise "Ds
-    |- G" they are the family's position and G's.  ``level`` is the deepest
-    variable position it reads.
-    """
-
-    left: int
-    right: int
-    level: int
-    pointwise: bool = False
-
-
 class LawSpec(NamedTuple):
     """A law compiled to a plan over instance slots.
 
     An instance holds one slot per variable, in stream order, then one per
-    side that is not a lone variable.  A side is a tuple of terms, each a
-    variable's position (a family is summed) or a tuple of positions (a
-    bracket list; ``()`` is "[]").
+    side that is not a lone variable.  Each level of the plan (one per
+    variable) lists the sides computed before its tests, the tests in
+    statement order, and the sides computed after them.  A side is ``(slot,
+    key, shape, terms)``: ``key`` reads its operands' slots, ``shape``
+    numbers its sum table, and each term is a variable's position (a family
+    is summed) or a tuple of positions (a bracket list).  A test, like the
+    conclusion, is the key of its two sides' slots; a pointwise "Ds |- G"
+    reads the family's and G's.  A side "[]" has no step: its slot keeps the
+    empty multiset's index, 0, from the start.
     """
 
     name: str
     names: tuple[str, ...]  # the bound variables, in stream order
     kinds: tuple[str, ...]  # per variable: a pool or a family's index
-    sides: tuple[tuple, ...]  # the sides past the variables, in slot order
-    early: frozenset[int]  # side slots an antecedent at their level reads
-    antecedents: tuple[_Query, ...]  # in statement order
-    conclusion: _Query
+    slots: int  # the length of an instance
+    shapes: int  # the number of sum tables
+    levels: tuple[tuple[tuple, tuple, tuple], ...]  # per variable: early, tests, late
+    conclusion: itemgetter
 
 
 def _positions(terms: tuple) -> tuple[int, ...]:
@@ -182,37 +176,52 @@ def _compile(table) -> dict[str, LawSpec]:
             var, _, kind = var.partition(":")
             names.append(var)
             kinds.append(kind or ("M" if var[0].isupper() else "F"))
-        sides: list[tuple] = []
-        levels: list[int] = []  # per side: the deepest position it reads
+        n = len(names)
+        sides: list[tuple] = []  # the sides past the variables, in slot order
 
-        def slot(text: str) -> tuple[int, int]:
-            """The slot of a side and the deepest position it reads."""
+        def slot(text: str) -> int:
+            """A lone variable's position, or the slot of a side past them."""
             terms = tuple(tuple(names.index(x) for x in term[1:-1].split(",") if x)
                           if term.startswith("[") else names.index(term)
                           for term in text.split("+"))
             if len(terms) == 1 and type(terms[0]) is int and kinds[terms[0]] in _POOLS:
-                return terms[0], terms[0]
+                return terms[0]
             if terms not in sides:
                 sides.append(terms)
-                levels.append(max(_positions(terms), default=-1))
-            at = sides.index(terms)
-            return len(names) + at, levels[at]
+            return n + sides.index(terms)
 
-        def consecution(text: str) -> _Query:
+        def consecution(text: str) -> tuple[int, int]:
             left, right = (side.strip() for side in text.split("|-"))
             if left in names and kinds[names.index(left)] == right:  # Ds |- G
-                at = names.index(left), names.index(right)
-                return _Query(*at, max(at), pointwise=True)
-            (lhs, deep), (rhs, deeper) = slot(left), slot(right)
-            return _Query(lhs, rhs, max(deep, deeper, 0))
+                return names.index(left), names.index(right)
+            return slot(left), slot(right)
+
+        def level(*slots: int) -> int:
+            """The deepest variable position the slots read."""
+            return max((p for s in slots
+                        for p in (_positions(sides[s - n]) if s >= n else (s,))), default=0)
 
         premises, _, conclusion = statement.rpartition(" => ")
-        antecedents = tuple(map(consecution, premises.split(" and ") if premises else ()))
+        tests = [consecution(c) for c in premises.split(" and ")] if premises else []
         last = consecution(conclusion)
-        early = frozenset(s for q in antecedents if not q.pointwise for s in q[:2]
-                          if s >= len(names) and levels[s - len(names)] == q.level)
-        laws[name] = LawSpec(name, tuple(names), tuple(kinds), tuple(sides), early,
-                             antecedents, last)
+        early = {s for q in tests for s in q if s >= n and level(s) == level(*q)}
+        plan: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
+        shapes: list[tuple] = []
+        for at, terms in enumerate(sides, n):
+            read = _positions(terms)
+            if not read:
+                continue
+            shape = tuple(len(t) if isinstance(t, tuple) else "v" if kinds[t] in _POOLS
+                          else "s" for t in terms)  # bracket lengths, variables, families
+            if shape not in shapes:
+                shapes.append(shape)
+            step = (at, itemgetter(*read), shapes.index(shape), terms)
+            plan[max(read)][0 if at in early else 2].append(step)
+        for q in tests:
+            plan[level(*q)][1].append(itemgetter(*q))
+        laws[name] = LawSpec(name, tuple(names), tuple(kinds), n + len(sides), len(shapes),
+                             tuple(tuple(map(tuple, steps)) for steps in plan),
+                             itemgetter(*last))
     return laws
 
 
@@ -231,18 +240,17 @@ class _Check:
     interned once into ``values``, so an instance is a list of ints: one
     index per variable (a tuple of them for a family), then one per side
     that is not a lone variable.  The instances are the canonical loop nest,
-    one level per variable.  Each antecedent is tested at the shallowest
-    level that binds it, and each side is computed there too: before the
-    tests if one of them reads it, after them otherwise.  Sums are looked up
-    by their operands' indices and verdicts by their sides', each table
-    filled on first use, so the oracle sees each distinct query once,
-    through its own memo.
+    one level per variable, and each level runs its steps of the law's plan.
+    Sums are looked up by their operands' indices and verdicts by their
+    sides', each table filled on first use, so the oracle sees each distinct
+    query once, through its own memo.  The check holds only its pools and
+    tables, none of which refers back to it.
     """
 
     def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
         self.law, self.dom, self.oracle = law, dom, oracle
-        self.values: list = []
-        self.index: dict = {}  # value -> its index in values
+        self.values: list = [EMPTY]  # index 0, the value of every side "[]"
+        self.index: dict = {EMPTY: 0}  # value -> its index in values
         kinds, n = law.kinds, len(law.kinds)
 
         # the pools, each built once, as index lists; a family, always last,
@@ -257,26 +265,9 @@ class _Check:
         self.family = kinds[-1] not in _POOLS
         self.fixed = [pools[k] for k in kinds[:n - self.family]]
         self.at = law.names.index(kinds[-1]) if self.family else n
-
-        self.sums: dict = {}  # per side shape: operand indices -> index of the sum
-        self.verdicts: dict = {}  # (premises, conclusion) indices -> Verdict
-        self.pointwise: dict = {}  # (family indices, multiset index) -> Verdict
-        # per level: the sides computed before its tests, the tests (in
-        # statement order), and the sides computed after them
-        self.inst: list = [None] * (n + len(law.sides))
-        self.early = [[] for _ in range(n)]
-        self.tests = [[] for _ in range(n)]
-        self.late = [[] for _ in range(n)]
-        for at, terms in enumerate(law.sides, n):
-            read = _positions(terms)
-            if not read:
-                self.inst[at] = self.intern(EMPTY)
-                continue
-            made = self.early if at in law.early else self.late
-            made[max(read)].append((at, self.side(terms, read)))
-        for q in law.antecedents:
-            self.tests[q.level].append(self.query(q))
-        self.conclusion = self.query(law.conclusion)
+        self.sums: list[dict] = [{} for _ in range(law.shapes)]  # operands -> sum
+        # (left, right) indices -> Verdict; a family's key is (its indices, G)
+        self.verdicts: dict = {}
 
     def intern(self, value) -> int:
         i = self.index.get(value)
@@ -285,56 +276,32 @@ class _Check:
             self.values.append(value)
         return i
 
-    # -- the plan over indices ---------------------------------------------------
-
-    def query(self, q: _Query) -> tuple:
-        """(key, get, fill): the verdict is get(x), or fill(x) when that is
-        None, where x = key(instance)."""
-        if q.pointwise:
-            return itemgetter(q.left, q.right), self.pointwise.get, self.ask_each
-        return itemgetter(q.left, q.right), self.verdicts.get, self.ask
-
-    def side(self, terms: tuple, at: tuple) -> Callable[[list], int]:
-        """A reader of a side's value index, through the table of its shape."""
-        kinds, values = self.law.kinds, self.values
-        shape = tuple(len(t) if isinstance(t, tuple) else "v" if kinds[t] in _POOLS else "s"
-                      for t in terms)  # bracket lengths, variables and families
-        table = self.sums.setdefault(shape, {})
-        get, key = table.get, itemgetter(*at)
-
-        def fill(x) -> int:
-            operands = x if len(at) > 1 else (x,)
-            parts, j = [], 0
-            for t in terms:
-                if isinstance(t, tuple):  # a bracket list
-                    parts.append(FMultiset(map(values.__getitem__, operands[j:j + len(t)])))
-                    j += len(t)
-                else:  # a variable; a family is summed
-                    o = operands[j]
-                    parts.append(values[o] if kinds[t] in _POOLS
-                                 else reduce(add, map(values.__getitem__, o), EMPTY))
-                    j += 1
-            i = table[x] = self.intern(reduce(add, parts, EMPTY))
-            return i
-
-        def read(inst: list) -> int:
+    def place(self, steps: tuple) -> None:
+        """Compute sides into the instance, each through its shape's table."""
+        inst, values, kinds = self.inst, self.values, self.law.kinds
+        for at, key, shape, terms in steps:
             x = key(inst)
-            i = get(x)
-            return fill(x) if i is None else i
-        return read
+            table = self.sums[shape]
+            i = table.get(x)
+            if i is None:
+                parts = [FMultiset([values[inst[p]] for p in t]) if type(t) is tuple
+                         else values[inst[t]] if kinds[t] in _POOLS
+                         else reduce(add, map(values.__getitem__, inst[t]), EMPTY)
+                         for t in terms]
+                i = table[x] = self.intern(reduce(add, parts, EMPTY))
+            inst[at] = i
 
     def ask(self, key: tuple) -> Verdict:
+        """The verdict on a pair of indices; a family's holds when each of
+        its multisets entails its element of G."""
         v = self.verdicts.get(key)
         if v is None:
-            v = self.verdicts[key] = self.oracle.entails(self.values[key[0]],
-                                                         self.values[key[1]])
-        return v
-
-    def ask_each(self, key: tuple) -> Verdict:
-        """Whether each multiset of a family entails its element of G."""
-        family, g = key
-        core = map(self.intern, self.values[g])
-        v = self.pointwise[key] = all3(map(self.ask, zip(family, core)))
+            left, right = key
+            if type(left) is tuple:
+                v = all3(map(self.ask, zip(left, map(self.intern, self.values[right]))))
+            else:
+                v = self.oracle.entails(self.values[left], self.values[right])
+            self.verdicts[key] = v
         return v
 
     # -- the loop nest --------------------------------------------------------------
@@ -354,7 +321,8 @@ class _Check:
         skips = ([None if self.at <= k < len(self.fixed) else self.tails[k] for k in range(n)]
                  if exhaustive else [1] * n)
         pools = self.fixed + [None] * self.family  # the family's, per choice of G
-        self.levels = list(zip(pools, self.early, self.tests, self.late, skips))
+        self.levels = list(zip(pools, law.levels, skips))
+        self.inst = [0] * law.slots
         self.checked, self.sawunknown, self.drawn = 0, False, None
         if exhaustive:
             found = self.walk(0, False)
@@ -390,44 +358,42 @@ class _Check:
         UNKNOWN one is carried down: it leaves an instance UNKNOWN unless the
         conclusion holds.
         """
-        inst = self.inst
-        pool, early, tests, late, skip = self.levels[k]
+        inst, get = self.inst, self.verdicts.get
+        pool, (early, tests, late), skip = self.levels[k]
         if self.drawn:
             pool = (self.drawn[k],)
         elif pool is None:  # the family: one multiset per element of G
             pool = itertools.product(self.multisets, repeat=self.values[inst[self.at]].size)
-        leaf = k == len(self.levels) - 1
-        if leaf:
-            key_c, get_c, fill_c = self.conclusion
+        leaf, conclusion = k == len(self.levels) - 1, self.law.conclusion
         checked, found = 0, False
         for i in pool:
             inst[k] = i
-            for at, read in early:
-                inst[at] = read(inst)
+            if early:
+                self.place(early)
             u = unknown
-            for key, get, fill in tests:
+            for key in tests:
                 x = key(inst)
                 v = get(x)
                 if v is None:
-                    v = fill(x)
+                    v = self.ask(x)
                 if v is FAILS:
                     checked += self.below(k) if skip is None else skip
                     break
                 if v is UNKNOWN:
                     u = True
             else:
-                for at, read in late:
-                    inst[at] = read(inst)
+                if late:
+                    self.place(late)
                 if not leaf:
                     if self.walk(k + 1, u):
                         found = True
                         break
                     continue
                 checked += 1
-                x = key_c(inst)
-                v = get_c(x)
+                x = conclusion(inst)
+                v = get(x)
                 if v is None:
-                    v = fill_c(x)
+                    v = self.ask(x)
                 if v is FAILS and not u:
                     found = True
                     break

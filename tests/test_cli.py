@@ -428,9 +428,11 @@ def test_laws_on_no_instances_are_unknown(capsys, dom):
             in out.splitlines())
 
 
-def test_laws_p_has_a_theorem_basis(capsys):
-    # p gets the nonnegative numerals of the domain as theorems, as z does
-    code, out = run(capsys, "laws", "check", "--oracle", "p",
+@pytest.mark.parametrize("oracle", ["p", "z_m"])
+def test_laws_p_has_a_theorem_basis(capsys, oracle):
+    # p and z_m get the nonnegative numerals of the domain as theorems, as z
+    # does; z_m's theorems are z's
+    code, out = run(capsys, "laws", "check", "--oracle", oracle,
                     "--dom", "numerals=-2..2,size=2", "--laws", "TheoremRemoval")
     assert code == 0 and result_line(out) == "ok"
     assert out.splitlines()[0] == "LAW TheoremRemoval PASS  [exhaustive, 1050 instances]"

@@ -20,6 +20,7 @@ from relcon import (
     RuleJust,
     axiom_leaf,
     check_derivation,
+    check_law,
     derive_search,
     dump_derivation,
     extract_tree,
@@ -46,6 +47,8 @@ from relcon.multiset import msum, submultisets
 from relcon.syntax import formula_size, match, match_into, metavars, substitute, unify
 from conftest import (
     FIXTURES,
+    make_z_oracle,
+    numeral_domain,
     random_concrete_system,
     random_formula,
     random_relevant_derivation,
@@ -145,10 +148,12 @@ def test_derive_axiom_in_context(bci):
 
 
 def test_matching_and_search_leave_no_reference_cycles(bci):
-    # a nested closure that calls itself is cyclic garbage after every call
+    # a nested closure that calls itself, or an object that holds its own
+    # bound methods, is cyclic garbage after every call
     schema, formula = parse_formula("(a -> b) -> a", schema=True), parse_formula("(p -> q) -> p")
     left, right = (parse_formula("(a -> b) -> c", schema=True),
                    parse_formula("(p -> d) -> d", schema=True))
+    z = make_z_oracle()
     gc.collect()
     gc.disable()
     try:
@@ -159,6 +164,14 @@ def test_matching_and_search_leave_no_reference_cycles(bci):
         # axiom I's right side has a metavariable that no premise fixes
         assert derive_search(bci, ms("[a]"), ms("[a -> a, a]")).found
         assert gc.collect() == 0
+        # a law check, exhaustive, sampled and over a family variable
+        for law, dom, exhaustive in (
+                ("Cut", numeral_domain(2), True),
+                ("Cut", numeral_domain(2, exhaustive_cap=100, sample_count=50), False),
+                ("RelevantCut", numeral_domain(1), True)):
+            result = check_law(z, law, dom)
+            assert result.passed and result.exhaustive is exhaustive
+            assert gc.collect() == 0
     finally:
         gc.enable()
 
