@@ -48,6 +48,7 @@ from .syntax import (
     ParseError,
     load_system,
     numeral,
+    numeral_value,
     parse_formula,
     parse_multiset,
     print_formula,
@@ -274,16 +275,19 @@ def cmd_abelian(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    oracle = make_oracle(args.oracle)
     dom = make_domain(args.dom, args.seed)
     if args.oracle in ("z", "p", "z_m"):
-        # declare the theorems up to the largest nonnegative numeral in the
-        # domain; z_m has z's, since the only submultiset of [] is []
-        hi = max((k for k in range(0, 9) if numeral(k) in dom.formulas), default=0)
+        # the theorems are 0 and the domain's nonnegative numerals, so the
+        # basis never outgrows the domain; z_m has z's, since the only
+        # submultiset of [] is []
+        values = {0} | {n for f in dom.formulas
+                         if (n := numeral_value(f)) is not None and n >= 0}
         oracle = AbelianOracle(args.oracle.removesuffix("_m"),
-                               theorem_basis=[numeral(k) for k in range(0, hi + 1)])
+                               theorem_basis=[numeral(k) for k in sorted(values)])
         if args.oracle == "z_m":
             oracle = MonotonicCompanion(oracle)
+    else:
+        oracle = make_oracle(args.oracle)
     if args.action == "classify":
         report = classify(oracle, dom)
         for name in sorted(report.results):

@@ -55,24 +55,23 @@ class MissingBindingError(Exception):
 
 # -- abstract syntax ---------------------------------------------------------
 #
-# Compound nodes cache what search and printing ask of them again and again:
-# the node count, the numeral value and whether the node is ground (free of
-# metavariables), filled at construction from the children's (so a numeral
-# thousands deep builds without recursion); and the hash, the dataclass value
-# (hash of the field tuple), and the printed form, each on first use (see
-# _fill; a small formula hashes its children recursively).  Leaves are one
-# node each, no numeral unless a constant says so, ground unless a
-# metavariable, hash as their dataclass value and print as their name.
+# Every value a node caches except its printed form is fixed when the node is
+# built, from the values already stored in its children: the node count, the
+# numeral value, whether the node is ground (free of metavariables) and the
+# hash, the dataclass value (hash of the field tuple).  So a numeral
+# thousands deep builds and hashes without recursion.  The printed form is
+# made on first use (see _fill).  Leaves are one node each, no numeral unless
+# a constant says so, ground unless a metavariable, and print as their name.
 #
-# Compound equality (_equal) recurses on a formula of at most 256 nodes, as
-# the hash does, and is otherwise one loop over a work list of node pairs, so
-# equal formulas nested past the recursion limit still compare; identical
-# pairs are never compared further, and a cached hash tells most unequal
-# pairs apart at once.  Formulas are not interned: each interning table
-# tried so far cost up to 40 % of proof-search throughput (ROADMAP item 8
-# measures it again now that the search builds few fresh nodes).  Numerals
-# are the exception: numeral() builds each tower on the previous one, so
-# equal numerals are one object and compare by identity.
+# Compound equality (_equal) recurses on a formula of at most 256 nodes and
+# is otherwise one loop over a work list of node pairs, so equal formulas
+# nested past the recursion limit still compare; identical pairs are never
+# compared further, and the hash tells most unequal pairs apart at once.
+# Formulas are not interned: each interning table tried so far cost
+# proof-search throughput, because every renamed-apart search variable is a
+# table miss (ROADMAP item 8).  Numerals are the exception: numeral() builds
+# each tower on the previous one, so equal numerals are one object and
+# compare by identity.
 
 _set = object.__setattr__
 
@@ -85,35 +84,49 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
+def _cached_hash(self) -> int:
+    return self._hash
+
+
+def _init_leaf(self, name: str) -> None:
+    _set(self, "name", name)
+    _set(self, "_hash", hash((name,)))
+
+
+def _name(self) -> str:
+    return self.name
+
+
 class _Leaf(_Node):
-    __slots__ = ()
+    __slots__ = ("name", "_hash")
     _size = 1
     _num = None
     _ground = True
-    # filled from the start, so _fill never descends into a leaf
-    _hash = property(hash)
-    _str = property(lambda self: self.name)
+    # printed from the start, so _fill never descends into a leaf
+    _str = property(_name)
 
 
 @dataclass(frozen=True)
 class Atom(_Leaf):
-    __slots__ = ("name",)
+    __slots__ = ()
     name: str
 
-    def __str__(self) -> str:
-        return self.name
+    __init__ = _init_leaf
+    __hash__ = _cached_hash
+    __str__ = _name
 
 
 @dataclass(frozen=True)
 class Var(_Leaf):
     """A metavariable; occurs only in schemata."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
     _ground = False
     name: str
 
-    def __str__(self) -> str:
-        return self.name
+    __init__ = _init_leaf
+    __hash__ = _cached_hash
+    __str__ = _name
 
 
 _CONST_VALUES = {"0": 0, "1": 1}
@@ -121,15 +134,16 @@ _CONST_VALUES = {"0": 0, "1": 1}
 
 @dataclass(frozen=True)
 class Const(_Leaf):
-    __slots__ = ("name",)
+    __slots__ = ()
     name: str  # one of "0", "1", "t"
+
+    __init__ = _init_leaf
+    __hash__ = _cached_hash
+    __str__ = _name
 
     @property
     def _num(self) -> Optional[int]:
         return _CONST_VALUES.get(self.name)
-
-    def __str__(self) -> str:
-        return self.name
 
 
 def _children(f: "Formula") -> tuple:
@@ -137,16 +151,16 @@ def _children(f: "Formula") -> tuple:
     return (f.body,) if type(f) is Neg else (f.left, f.right)
 
 
-def _fill(f: "Formula", value, make, printing: bool = True):
-    """Call make(node) on f and on every node under it whose value(node) is
-    None, children first and without recursion (numerals can be deep), so
-    that each node's value is made from its children's; then value(f)."""
+def _fill(f: "Formula", value, make):
+    """Call make(node) on f and on every node under it whose text value(node)
+    is None, children first and without recursion (numerals can be deep), so
+    that each node's text is made from its children's; then value(f)."""
     stack = [f]
     while stack:
         node = stack[-1]
         if value(node) is None:
             # a numeral prints as its value, without its children
-            todo = () if printing and node._num is not None else [
+            todo = () if node._num is not None else [
                 c for c in _children(node) if value(c) is None]
             if todo:
                 stack.extend(todo)
@@ -154,18 +168,6 @@ def _fill(f: "Formula", value, make, printing: bool = True):
             make(node)
         stack.pop()
     return value(f)
-
-
-def _cached_hash(self) -> int:
-    h = self._hash
-    if h is None:
-        # recursing into unhashed children is cheaper, but only safe when small
-        if self._size > 256:
-            return _fill(self, lambda n: n._hash,
-                         lambda n: _set(n, "_hash", hash(_children(n))), printing=False)
-        h = hash(_children(self))
-        _set(self, "_hash", h)
-    return h
 
 
 def _cached_str(self) -> str:
@@ -182,21 +184,17 @@ def _equal(self, other) -> bool:
     if not isinstance(other, _Node):
         return NotImplemented
     if self._size <= 256:
-        # two filled hash slots that differ settle it without a walk
-        h, g = self._hash, other._hash
-        return (h is None or g is None or h == g) and _same(self, other)
+        # two hashes that differ settle it without a walk
+        return self._hash == other._hash and _same(self, other)
     pairs = [(self, other)]
     while pairs:
         a, b = pairs.pop()
         t = type(a)
-        if t is not type(b):
+        if t is not type(b) or a._hash != b._hash:
             return False
         if isinstance(a, _Leaf):
             if a.name != b.name:
                 return False
-        # the hash slot read directly; hash() only fills an empty one
-        elif (a._hash or hash(a)) != (b._hash or hash(b)):
-            return False
         elif t is Neg:
             if a.body is not b.body:
                 pairs.append((a.body, b.body))
@@ -228,7 +226,7 @@ def _init_binary(self, left: "Formula", right: "Formula") -> None:
     _set(self, "_size", left._size + right._size + 1)
     _set(self, "_ground", left._ground and right._ground)
     _set(self, "_str", None)
-    _set(self, "_hash", None)
+    _set(self, "_hash", hash((left, right)))
 
 
 _CACHE_SLOTS = ("_size", "_ground", "_str", "_hash")
@@ -246,7 +244,7 @@ class Neg(_Node):
         n = body._num
         _set(self, "_num", -n if n is not None and n > 0 else None)
         _set(self, "_str", None)
-        _set(self, "_hash", None)
+        _set(self, "_hash", hash((body,)))
 
     __eq__ = _equal
     __hash__ = _cached_hash

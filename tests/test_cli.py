@@ -438,6 +438,14 @@ def test_laws_p_has_a_theorem_basis(capsys, oracle):
     assert out.splitlines()[0] == "LAW TheoremRemoval PASS  [exhaustive, 1050 instances]"
 
 
+def test_laws_theorem_basis_reaches_the_largest_numeral(capsys):
+    # the basis is 0 and every nonnegative numeral of the domain: 0..10 here
+    code, out = run(capsys, "laws", "check", "--oracle", "z",
+                    "--dom", "numerals=0..10,size=1", "--laws", "TheoremRemoval")
+    assert code == 0 and result_line(out) == "ok"
+    assert out.splitlines()[0] == "LAW TheoremRemoval PASS  [exhaustive, 1584 instances]"
+
+
 def test_laws_without_a_theorem_basis_ran_nothing(capsys):
     # leq declares no theorems; a check that never ran is not labelled sampled
     code, out = run(capsys, "laws", "check", "--oracle", "leq",

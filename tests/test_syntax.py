@@ -353,6 +353,14 @@ def test_cached_values_match_uncached_references(f):
 
 
 @given(formulas)
+def test_every_node_is_hashed_when_built(f):
+    # the slots are read straight after building, before any hash() call
+    f = _rebuild(f)
+    slots = [node._hash for node in _walk_nodes(f)]
+    assert slots == [_ref_hash(node) for node in _walk_nodes(f)]
+
+
+@given(formulas)
 def test_printing_order_does_not_change_the_text(f):
     top_first, bottom_up = _rebuild(f), _rebuild(f)
     top = str(top_first)
@@ -375,17 +383,20 @@ def test_large_numerals_build_and_print_without_recursion():
     assert str(n) == print_formula(n) == "5000"
     m = numeral(-5000)
     assert (formula_size(m), numeral_value(m), str(m)) == (10000, -5000, "-5000")
-    # the first hash fills the children's hashes without recursion too
+    # each node's hash was fixed as the tower was built, without recursion
     assert hash(n) == hash(numeral(5000)) and hash(m) == hash(numeral(-5000))
     assert FMultiset([n, m]).size == 2
 
 
 def test_deep_hash_stops_at_hashed_nodes():
-    f, g = numeral(3000), numeral(3000)
+    # every node is hashed when it is built, so hashing any node of a deep
+    # tower reads its own slot and nothing below it; f is the numeral 3000
+    # built apart from numeral()'s shared tower
+    f, g = _tower(ONE, ONE, 3000), numeral(3000)
     inner = g
     for _ in range(1500):
         inner = inner.left
-    hash(inner)  # g is now half hashed, f not at all
+    hash(inner)  # a node halfway down the tower
     assert hash(g) == hash(f)
     assert hash(Neg(g)) == hash(Neg(f))  # hashed children: one hash, no walk
 
@@ -828,15 +839,17 @@ def _sized(n, bottom=p):
 
 
 @pytest.mark.parametrize("n", [255, 256, 257])
-@pytest.mark.parametrize("hashed", [False, True])
-def test_equality_around_the_recursion_threshold_agrees_with_the_reference(n, hashed):
+@pytest.mark.parametrize("hash_first", [False, True])
+def test_equality_around_the_recursion_threshold_agrees_with_the_reference(n, hash_first):
     a = _sized(n)
     assert formula_size(a) == n
     # the same text, the bottom leaf's kind swapped (equal hashes all the
     # way up), another bottom leaf, one node more
     others = [_sized(n), _sized(n, Var("p")), _sized(n, r), _sized(n + 1), q]
     for b in others:
-        if hashed:
+        # hash() only reads the slots filled at construction: calling it
+        # first changes no verdict
+        if hash_first:
             hash(a), hash(b)
         for x, y in ((a, b), (b, a)):
             assert (x == y) is _ref_equal(x, y)
