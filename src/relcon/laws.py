@@ -508,10 +508,15 @@ SYM_IMPLICATIONS: tuple[tuple[tuple[str, ...], str], ...] = (
     (("MultiCut",), "TheoremRemoval"),
     (("MultiCut", "Reflexivity"), "Compatibility"),
     (("Transitivity", "Compatibility"), "MultiCut"),
+    (("GeneralizedReflexivity",), "Reflexivity"),  # G+D |- G with D = []
+    (("GeneralizedReflexivity",), "TheoremReflexivity"),  # G+D |- G with G = []
+    # [] |- [] by Reflexivity, then Monotonicity adds P on the left
+    (("Reflexivity", "Monotonicity"), "TheoremReflexivity"),
 )
 
 ASYM_IMPLICATIONS: tuple[tuple[tuple[str, ...], str], ...] = (
-    (("Reflexivity", "Cut", "Monotonicity"), "GeneralizedReflexivity"),
+    (("Reflexivity", "Monotonicity"), "GeneralizedReflexivity"),
+    (("GeneralizedReflexivity",), "Reflexivity"),  # G+[P] |- P with G = []
     (("Reflexivity", "Cut", "GeneralizedReflexivity"), "Monotonicity"),
     (("Reflexivity", "Cut"), "RelevantCut"),
     (("Reflexivity", "Cut"), "TheoremRemoval"),

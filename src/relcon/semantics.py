@@ -10,13 +10,14 @@ relations are provided:
   leq  the minimum of the premises is below the conclusion;
   z    the *sum* of the premise multiset is below the conclusion.
 
-One evaluator, _evaluate, folds a formula children first and without
-recursion under a table of operations: integer arithmetic, or a matrix's
-tables.  Sums of formulas in the {o, ~, ->, constants} fragment are affine in
-their atoms, and one signed walk, _affine, sums a whole consecution (premises
-negated) into atom coefficients and a constant.  So the z-relation (and its
-symmetric companion, sum <= sum) is decided exactly on that fragment: it
-holds iff every coefficient is zero and the constant is nonnegative.
+Each query is compiled once (_compile) into a program over the distinct
+subformulas of its formulas, with integer arithmetic or a matrix's tables as
+its operations, and run per valuation as one straight loop (_run).  Sums of
+formulas in the {o, ~, ->, constants} fragment are affine in their atoms,
+and one signed walk, _affine, sums a whole consecution (premises negated)
+into atom coefficients and a constant.  So the z-relation (and its symmetric
+companion, sum <= sum) is decided exactly on that fragment: it holds iff
+every coefficient is zero and the constant is nonnegative.
 Formulas containing /\\ or \\/ are evaluated exactly when closed; open ones
 are only refuted over a bounded integer grid, with UNKNOWN on exhaustion.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .multiset import FMultiset
 from .oracles import (
@@ -41,6 +42,7 @@ from .oracles import (
 )
 from .syntax import (
     _CONNECTIVES,
+    _LEAVES,
     Atom,
     Conj,
     Const,
@@ -53,7 +55,6 @@ from .syntax import (
     Var,
     ONE,
     ZERO,
-    atoms,
     numeral_value,
     print_formula,
 )
@@ -63,28 +64,69 @@ class EvalError(Exception):
     """A formula could not be evaluated (missing atom or missing table)."""
 
 
-def _evaluate(f: Formula, leaf: Callable, ops: dict) -> object:
-    """f folded children first, without recursion: ``leaf(node)`` at a leaf
-    or a numeral, ``ops[type(node)]`` on the tuple of the children's values
-    above them."""
-    values, todo = [], [f]
-    while todo:
-        node = todo.pop()
-        t = type(node)
-        if t is tuple:  # (op, arity), once the children are valued
-            op, arity = node
-            if arity == 1:
-                values[-1] = op((values[-1],))
-            else:
-                right = values.pop()
-                values[-1] = op((values[-1], right))
-        elif t in (Atom, Const, Var) or numeral_value(node) is not None:
-            values.append(leaf(node))
-        elif t is Neg:
-            todo += ((ops[Neg], 1), node.body)
-        else:
-            todo += ((ops[t], 2), node.right, node.left)
-    return values[0]
+def _fail(message: str, *args):
+    raise EvalError(message)
+
+
+def _compile(formulas: list[Formula], valuation: Optional[dict], leaf: Callable,
+             ops: dict) -> tuple[list[str], list, list[tuple[list[tuple], int]]]:
+    """The sorted atom names, the constants, and per formula the steps that
+    first compute its nodes, left to right, with the slot of its value.  An
+    atom is read from ``valuation``, or with None from _run's values; another
+    leaf, or a numeral, is the constant ``leaf(node)``, and one for which
+    leaf raises EvalError a step that raises it when reached, as a missing
+    table does, so errors come in evaluation order."""
+    index: dict = {}  # each distinct node's number; its slot is fixed last
+    number = itertools.count()
+    consts, const_nos, atom_nos, step_nos, segments = [], [], {}, [], []
+    for f in formulas:
+        steps, todo, done = [], [f], []  # done: the numbers of the nodes finished
+        while todo:
+            node = todo.pop()
+            t = type(node)
+            if t is tuple:  # (node,), once its children are on done
+                node = node[0]
+                t, j = type(node), done.pop()
+                steps.append((ops[t], j if t is Neg else done.pop(), j))
+                step_nos.append(no := next(number))
+                index[node] = no
+            elif (no := index.get(node)) is None:
+                if numeral_value(node) is None and t not in _LEAVES:  # a compound, not a numeral
+                    todo += ((node,), node.body) if t is Neg else ((node,), node.right, node.left)
+                    continue
+                no = index[node] = next(number)
+                if t is Atom and valuation is None:
+                    atom_nos[node.name] = no
+                else:
+                    try:
+                        if t is Atom and node.name not in valuation:
+                            raise EvalError(f"no value for atom {node.name}")
+                        consts.append(valuation[node.name] if t is Atom else leaf(node))
+                        const_nos.append(no)
+                    except EvalError as e:
+                        consts.append(None)  # what the raising step reads
+                        const_nos.append(arg := next(number))
+                        steps.append((functools.partial(_fail, str(e)), arg, arg))
+                        step_nos.append(no)
+            done.append(no)
+        segments.append((steps, done.pop()))
+    # the fold's layout: the constants, the atoms by name, then the steps
+    names = sorted(atom_nos)
+    slot = dict(zip([*const_nos, *map(atom_nos.get, names), *step_nos], itertools.count()))
+    return names, consts, [([(op, slot[i], slot[j]) for op, i, j in steps], slot[out])
+                           for steps, out in segments]
+
+
+def _run(consts: list, segments: list, values: tuple = ()) -> Iterator:
+    """Each formula's value in turn, from registers that hold the constants,
+    the atoms' ``values``, then op((regs[i], regs[j])) for each step
+    (op, i, j) in order, where a unary step has i == j; a formula's steps run
+    only once the value of the one before it has been taken."""
+    regs = [*consts, *values]
+    for steps, out in segments:
+        for op, i, j in steps:
+            regs.append(op((regs[i], regs[j])))
+        yield regs[out]
 
 
 def _affine(signed: Iterable[tuple[Formula, int]]) -> Optional[tuple[dict[str, int], int]]:
@@ -113,17 +155,14 @@ def _affine(signed: Iterable[tuple[Formula, int]]) -> Optional[tuple[dict[str, i
 
 
 def _refutation(names: list[str], carrier: Iterable,
-                holds_at: Callable[[dict], bool]) -> Optional[dict]:
+                holds_at: Callable[[tuple], bool]) -> Optional[dict]:
     """The first valuation of ``names`` into ``carrier``, in product order,
-    at which ``holds_at`` is false; None if it holds at every one."""
+    at which ``holds_at`` (given the values in ``names`` order) is false;
+    None if it holds at every one."""
     for values in itertools.product(carrier, repeat=len(names)):
-        if not holds_at(v := dict(zip(names, values))):
-            return v
+        if not holds_at(values):
+            return dict(zip(names, values))
     return None
-
-
-def _atoms_of(formulas: Iterable[Formula]) -> list[str]:
-    return sorted(set().union(*map(atoms, formulas)))
 
 
 # -- the integer semantics ------------------------------------------------------
@@ -132,17 +171,15 @@ _INT_OPS = {Neg: lambda a: -a[0], Imp: lambda ab: ab[1] - ab[0], Fusion: sum,
             Conj: min, Disj: max}
 
 
-def int_eval(f: Formula, valuation: dict[str, int]) -> int:
-    def leaf(node: Formula) -> int:
-        if type(node) is Atom:
-            if node.name not in valuation:
-                raise EvalError(f"no value for atom {node.name}")
-            return valuation[node.name]
-        if type(node) is Var:
-            raise EvalError(f"cannot evaluate schema variable {node}")
-        return numeral_value(node) or 0  # a numeral, or t, the fusion unit
+def _int_leaf(node: Formula) -> int:
+    if type(node) is Var:
+        raise EvalError(f"cannot evaluate schema variable {node}")
+    return numeral_value(node) or 0  # a numeral, or t, the fusion unit
 
-    return _evaluate(f, leaf, _INT_OPS)
+
+def int_eval(f: Formula, valuation: dict[str, int]) -> int:
+    _, consts, segments = _compile([f], valuation, _int_leaf, _INT_OPS)
+    return next(_run(consts, segments))
 
 
 @dataclass(frozen=True)
@@ -164,10 +201,14 @@ def linear_form(f: Formula) -> Optional[LinearForm]:
     return LinearForm(tuple(sorted((a, c) for a, c in form[0].items() if c)), form[1])
 
 
-def _decide(names: list[str], holds_at: Callable[[dict], bool], grid_bound: int) -> Verdict:
-    """Exact on a closed input (no atoms); an open one is only refuted on the
-    grid -grid_bound..grid_bound, UNKNOWN when the grid finds nothing."""
-    if _refutation(names, range(-grid_bound, grid_bound + 1), holds_at) is not None:
+def _decide(formulas: list[Formula], holds: Callable[[list[int]], bool],
+            grid_bound: int) -> Verdict:
+    """Whether ``holds`` is true of the formulas' values under every integer
+    valuation: exact on a closed input (no atoms); an open one is only refuted
+    on the grid -grid_bound..grid_bound, UNKNOWN when it finds nothing."""
+    names, consts, segments = _compile(formulas, None, _int_leaf, _INT_OPS)
+    if _refutation(names, range(-grid_bound, grid_bound + 1),
+                   lambda values: holds(list(_run(consts, segments, values)))) is not None:
         return FAILS
     return UNKNOWN if names else HOLDS
 
@@ -178,9 +219,7 @@ def _sum_leq(left: list[Formula], right: list[Formula], grid_bound: int) -> Verd
     if form is not None:
         coeffs, const = form
         return verdict(const >= 0 and not any(coeffs.values()))
-    return _decide(_atoms_of(left + right),
-                   lambda v: (sum(int_eval(f, v) for f in left)
-                              <= sum(int_eval(f, v) for f in right)),
+    return _decide(left + right, lambda vals: sum(vals[:len(left)]) <= sum(vals[len(left):]),
                    grid_bound)
 
 
@@ -202,20 +241,17 @@ class AbelianOracle(ConsequenceOracle):
 
     @memoised
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        fs = list(premises)
         if self.kind == "z":
-            return _sum_leq(fs, [conclusion], self.grid_bound)
-        return _decide(_atoms_of(fs + [conclusion]),
-                       lambda v: self._holds_at(fs, conclusion, v), self.grid_bound)
+            return _sum_leq(list(premises), [conclusion], self.grid_bound)
+        # p and leq ignore multiplicities
+        return _decide([*premises.distinct(), conclusion], self._holds_at, self.grid_bound)
 
-    def _holds_at(self, fs: list[Formula], conclusion: Formula,
-                  v: dict[str, int]) -> bool:
-        vals = [int_eval(f, v) for f in fs]
-        c = int_eval(conclusion, v)
+    def _holds_at(self, vals: list[int]) -> bool:
+        *vals, c = vals  # the premises' values, then the conclusion's
         if self.kind == "p":
-            return c >= 0 if all(x >= 0 for x in vals) else True
+            return c >= 0 or any(x < 0 for x in vals)
         # leq; the empty minimum never sits below anything
-        return bool(vals) and min(vals) <= c
+        return any(x <= c for x in vals)
 
     def entails_all_theorems(self, premises: FMultiset) -> Verdict:
         if self.kind == "z":
@@ -295,14 +331,20 @@ class Matrix:
                 raise ValueError(f"table for {op} is not total")
             if not set(table.values()) <= carrier:
                 raise ValueError(f"table for {op} leaves the carrier")
-        # what _evaluate folds with: each connective's table lookup
-        self._ops = {t: (self.tables[op].__getitem__ if op in self.tables
-                         else functools.partial(_no_table, self.name, op))
+        # the program's ops: each connective's table lookup, a bound
+        # __getitem__ so that a Matrix still pickles; a unary table is keyed
+        # again by (x, x), the pair a unary step reads
+        self._ops = {t: (self.tables[op] if _ARITY[op] == 2 else
+                         {(x, x): v for (x,), v in self.tables[op].items()}).__getitem__
+                     if op in self.tables else
+                     functools.partial(_fail, f"matrix {self.name} has no table for {op}")
                      for t, op in _CONNECTIVES.items()}
 
 
-def _no_table(name: str, op: str, args: tuple):
-    raise EvalError(f"matrix {name} has no table for {op}")
+def _matrix_leaf(node: Formula) -> str:
+    # a numeral other than 0 is built on the constant 1
+    bad = node if isinstance(node, (Const, Var)) else ONE
+    raise EvalError(f"matrix has no interpretation for {print_formula(bad)}")
 
 
 def matrix_eval(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
@@ -314,18 +356,9 @@ def matrix_eval(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
 
 
 def _value(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
-    # matrix_eval on a valuation into the carrier, as the exhaustive
-    # searches below draw them
-    def leaf(node: Formula) -> str:
-        if type(node) is Atom:
-            if node.name not in valuation:
-                raise EvalError(f"no value for atom {node.name}")
-            return valuation[node.name]
-        # a numeral other than 0 is built on the constant 1
-        bad = node if isinstance(node, (Const, Var)) else ONE
-        raise EvalError(f"matrix has no interpretation for {print_formula(bad)}")
-
-    return _evaluate(f, leaf, matrix._ops)
+    # matrix_eval on a valuation into the carrier
+    _, consts, segments = _compile([f], valuation, _matrix_leaf, matrix._ops)
+    return next(_run(consts, segments))
 
 
 def countermodel_search(matrix: Matrix, f: Formula) -> Optional[dict[str, str]]:
@@ -334,8 +367,10 @@ def countermodel_search(matrix: Matrix, f: Formula) -> Optional[dict[str, str]]:
     Exhausts all |carrier|^|atoms| valuations, atoms in sorted order and
     values in carrier display order.
     """
-    return _refutation(sorted(atoms(f)), matrix.values,
-                       lambda v: _value(matrix, v, f) in matrix.designated)
+    names, consts, segments = _compile([f], None, _matrix_leaf, matrix._ops)
+    designated = matrix.designated
+    return _refutation(names, matrix.values,
+                       lambda values: next(_run(consts, segments, values)) in designated)
 
 
 class MatrixOracle(ConsequenceOracle):
@@ -346,12 +381,18 @@ class MatrixOracle(ConsequenceOracle):
         self.name = f"matrix:{matrix.name}"
 
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        m, support = self.matrix, premises.support
-        # the conclusion is evaluated only where every premise is designated
-        return verdict(_refutation(
-            _atoms_of([conclusion, *support]), m.values,
-            lambda v: (not all(_value(m, v, f) in m.designated for f in support)
-                       or _value(m, v, conclusion) in m.designated)) is None)
+        m, designated = self.matrix, self.matrix.designated
+        names, consts, segments = _compile([*premises.support, conclusion], None,
+                                           _matrix_leaf, m._ops)
+
+        def holds_at(values: tuple) -> bool:
+            # each premise is evaluated only where those before it are
+            # designated, and the conclusion, last, only where all of them are
+            for k, value in enumerate(_run(consts, segments, values), 1):
+                if value not in designated:
+                    return k < len(segments)  # a premise is not designated
+            return True
+        return verdict(_refutation(names, m.values, holds_at) is None)
 
 
 # -- matrix files ------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -702,3 +703,121 @@ def test_matrix_file_roundtrip_property(m):
         row = next(line for line in printed.splitlines() if line.startswith(f"table {op} :"))
         assert row.count("|") == (0 if op == "~" else len(m.values) - 1)
 
+
+
+# -- the compiled program: laziness, sharing and depth ------------------------------
+
+
+def _ref_matrix_entails(m, premises, conclusion):
+    """MatrixOracle.entails by the recursive _ref_value: at each valuation in
+    product order, the premises in support order, each evaluated only where
+    those before it are designated, and the conclusion last."""
+    support = premises.support
+    names = _ref_atoms_of([*support, conclusion])
+    for values in itertools.product(m.values, repeat=len(names)):
+        v = dict(zip(names, values))
+        if (all(_ref_value(m, v, f) in m.designated for f in support)
+                and _ref_value(m, v, conclusion) not in m.designated):
+            return FAILS
+    return HOLDS
+
+
+def _ref_countermodel(m, f):
+    names = sorted(atoms(f))
+    for values in itertools.product(m.values, repeat=len(names)):
+        if _ref_value(m, v := dict(zip(names, values)), f) not in m.designated:
+            return v
+    return None
+
+
+def _with_shared_nodes(children):
+    # a node over the same subformula twice, and one over an equal copy of it
+    return st.one_of(st.builds(Neg, children),
+                     *(st.builds(ctor, children, children) for ctor in (Imp, Fusion, Conj, Disj)),
+                     children.map(lambda f: Imp(f, f)),
+                     children.map(lambda f: Fusion(f, parse_formula(print_formula(f)))))
+
+
+# mostly atoms, now and then a constant, which a matrix cannot interpret
+_shared_formulas = st.recursive(st.sampled_from([a, b, c] * 6 + [ZERO, TRUTH]),
+                                _with_shared_nodes, max_leaves=6)
+
+
+@st.composite
+def _partial_matrices(draw):
+    # 2 or 3 values, every table but at most one, so that most queries evaluate
+    values = draw(st.sampled_from([("0", "1"), ("a", "b", "c")]))
+    designated = frozenset(draw(st.lists(st.sampled_from(values), min_size=1)))
+    missing = draw(st.sampled_from([None, None, "~", "->", "o", "/\\", "\\/"]))
+    tables = {op: {args: draw(st.sampled_from(values))
+                   for args in itertools.product(values, repeat=arity)}
+              for op, arity in (("~", 1), ("->", 2), ("o", 2), ("/\\", 2), ("\\/", 2))
+              if op != missing}
+    return Matrix("M", values, designated, tables)
+
+
+@given(_partial_matrices(), _multisets(_shared_formulas), _shared_formulas, st.booleans())
+def test_compiled_matrix_queries_agree_with_the_lazy_reference(m, premises, conclusion, reuse):
+    if reuse and premises:
+        conclusion = next(iter(premises.support))
+    assert (_outcome(MatrixOracle(m).entails, premises, conclusion)
+            == _outcome(_ref_matrix_entails, m, premises, conclusion))
+    assert (_outcome(countermodel_search, m, conclusion)
+            == _outcome(_ref_countermodel, m, conclusion))
+
+
+def test_queries_whose_conclusion_is_a_premise_or_shares_subformulas():
+    ab = parse_formula("a -> b")
+    # verdicts of the matrix, p and leq oracles, as evaluated one formula at a time
+    cases = [(ms("[a -> b]"), ab, (HOLDS, UNKNOWN, UNKNOWN)),
+             (ms("[a -> b, a]"), ab, (HOLDS, UNKNOWN, UNKNOWN)),
+             (ms("[a -> b, a -> b, b]"), ab, (HOLDS, UNKNOWN, UNKNOWN)),
+             (ms("[(a -> b) o c, c]"), parse_formula("(a -> b) -> ((a -> b) o c)"),
+              (HOLDS, UNKNOWN, UNKNOWN)),
+             (ms("[(a -> b) o c]"), parse_formula("c -> ((a -> b) o c)"), (HOLDS, FAILS, FAILS)),
+             (FMultiset([Imp(ab, ab)]), Fusion(ab, parse_formula("a -> b")), (FAILS, FAILS, FAILS)),
+             (ms("[a o a]"), parse_formula("(a o a) -> (a o a)"), (HOLDS, UNKNOWN, FAILS))]
+    for premises, conclusion, (matrix, p, leq) in cases:
+        assert MatrixOracle(T4).entails(premises, conclusion) is matrix
+        assert _ref_matrix_entails(T4, premises, conclusion) is matrix
+        for kind, expected in (("p", p), ("leq", leq)):
+            assert AbelianOracle(kind, grid_bound=2).entails(premises, conclusion) is expected
+            assert _ref_entails(kind, 2, premises, conclusion) is expected
+    # a sum counts a formula once per occurrence, though it is evaluated once
+    meet = parse_formula("a /\\ b")
+    for left, right, expected in [([meet, meet], [meet], FAILS), ([meet], [meet, meet], FAILS),
+                                  ([meet, Neg(meet)], [Neg(meet)], FAILS),
+                                  ([meet, meet], [meet, meet], UNKNOWN)]:
+        zsym = AbelianSymmetricOracle(grid_bound=2)
+        assert zsym.entails(FMultiset(left), FMultiset(right)) is expected
+        assert _ref_sum_leq(left, right, 2) is expected
+
+
+def test_grids_fold_deep_open_formulas_without_recursion():
+    chain = a
+    for _ in range(2999):
+        chain = Fusion(chain, a)
+    f = Conj(chain, b)
+    for kind in ("p", "leq"):
+        assert AbelianOracle(kind, grid_bound=1).entails(FMultiset([f]), f) is UNKNOWN
+    assert AbelianOracle("p", grid_bound=1).entails(FMultiset(), f) is FAILS
+    zsym = AbelianSymmetricOracle(grid_bound=1)
+    assert zsym.entails(FMultiset([f]), FMultiset([f])) is UNKNOWN
+    assert zsym.entails(FMultiset([f]), FMultiset([f, Neg(f)])) is FAILS
+
+
+def test_a_pickled_matrix_evaluates_and_refutes_as_the_original():
+    flip = Matrix("F", ("0", "1"), frozenset({"1"}),
+                  {"~": {("0",): "1", ("1",): "0"}, "->": {(x, y): max(y, str(1 - int(x)))
+                                                         for x in "01" for y in "01"}})
+    f, g = parse_formula("(a->b)->((a o c)->(b o c))"), parse_formula("~a -> (a -> b)")
+    for m in (T4, flip):
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy == m
+        for h in (f, g, Neg(a)):
+            assert _outcome(countermodel_search, copy, h) == _outcome(countermodel_search, m, h)
+            assert (_outcome(matrix_eval, copy, {"a": m.values[0], "b": m.values[-1]}, h)
+                    == _outcome(matrix_eval, m, {"a": m.values[0], "b": m.values[-1]}, h))
+        assert (MatrixOracle(copy).entails(ms("[a -> b, a]"), b)
+                is MatrixOracle(m).entails(ms("[a -> b, a]"), b))
+    assert countermodel_search(pickle.loads(pickle.dumps(T4)), f) == {"a": "2", "b": "0", "c": "1"}

@@ -1145,6 +1145,40 @@ def test_parser_agrees_with_the_recursive_descent_reference(text, schema):
         assert parse_formula(print_schema(got[1]), schema=schema) == got[1]
 
 
+def _quoted(f):
+    """f with every atom renamed to its quoted name, so that _ref_show prints
+    it as print_schema does."""
+    if isinstance(f, Atom):
+        return Atom(f"'{f.name}'")
+    if isinstance(f, (Var, Const)):
+        return f
+    if isinstance(f, Neg):
+        return Neg(_quoted(f.body))
+    return type(f)(_quoted(f.left), _quoted(f.right))
+
+
+@given(formulas, st.integers(min_value=0, max_value=40))
+def test_print_schema_agrees_with_the_recursive_reference(f, copies):
+    # formulas mixes atoms, metavariables, constants and numerals; a fusion of
+    # many copies shares its nodes, which _fill prints once each
+    assert print_schema(f) == _ref_show(_quoted(f))
+    big = f
+    for _ in range(copies):
+        big = Fusion(big, f)
+    assert print_schema(big) == _ref_show(_quoted(big))
+
+
+def test_3000_deep_schema_prints_without_recursion():
+    f = Atom("x")
+    for _ in range(2999):
+        f = Fusion(f, Var("y"))
+    assert print_schema(f) == "'x'" + " o y" * 2999
+    g = Atom("x")
+    for _ in range(3000):
+        g = Neg(g)
+    assert print_schema(g) == "~" * 3000 + "'x'"
+
+
 def test_parenthesised_input_250_deep_parses():
     assert parse_formula("(" * 250 + "p" + ")" * 250) == Atom("p")
     with pytest.raises(ParseError, match="input nested too deeply"):
