@@ -382,12 +382,13 @@ class MatrixOracle(ConsequenceOracle):
 
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
         m, designated = self.matrix, self.matrix.designated
-        names, consts, segments = _compile([*premises.support, conclusion], None,
+        names, consts, segments = _compile([*premises.distinct(), conclusion], None,
                                            _matrix_leaf, m._ops)
 
         def holds_at(values: tuple) -> bool:
-            # each premise is evaluated only where those before it are
-            # designated, and the conclusion, last, only where all of them are
+            # each premise, in canonical order, is evaluated only where those
+            # before it are designated, and the conclusion, last, only where
+            # all of them are
             for k, value in enumerate(_run(consts, segments, values), 1):
                 if value not in designated:
                     return k < len(segments)  # a premise is not designated

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Mapping, Optional
@@ -153,75 +153,61 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
                   max_states: int = 200_000) -> DeriveResult:
     """Breadth-first search for a relevant derivation of the conclusions.
 
-    States are multisets, deduplicated, explored level by level.  The search
-    space is the fragment in which every formula has size at most
-    ``max_formula_size``, metavariables introduced by a rule's right side
-    (axiom instantiations in particular) range over the subformula closure of
-    the endpoints, and intermediate multisets stay within
-    ``max_multiset_size``.  Both size caps are checked by arithmetic on sizes
-    before a formula or multiset is built, so nothing over a cap is ever
-    made.  ``exhausted`` means the whole fragment was explored without
-    finding the target: a genuine negative for the fragment; ``pruned_by``
-    records which caps actually cut anything off.  ``truncated`` means the
-    step or state budget ran out first and decides nothing.
+    States are multisets, explored level by level, each kept once with the
+    step that first reached it.  The search space is the fragment in which
+    every formula has size at most ``max_formula_size``, metavariables
+    introduced by a rule's right side (axiom instantiations in particular)
+    range over the subformula closure of the endpoints, and intermediate
+    multisets stay within ``max_multiset_size``.  Both size caps are checked
+    by arithmetic on sizes before a formula or multiset is built, so nothing
+    over a cap is ever made.  ``exhausted`` means the whole fragment was
+    explored without finding the target: a genuine negative for the
+    fragment; ``pruned_by`` records which caps actually cut anything off.
+    ``truncated`` means the step or state budget ran out first and decides
+    nothing; the state budget ends the search at once.
     """
     sym = system.lifted()
     if max_multiset_size is None:
         max_multiset_size = max(premises.size, conclusions.size) + 2
 
-    universe: set[Formula] = set()
-    for f in list(premises) + list(conclusions):
-        universe |= subformulas(f)
+    universe = set().union(*map(subformulas, [*premises, *conclusions]))
     cands = sorted((f for f in universe if formula_size(f) <= max_formula_size),
                    key=lambda f: (formula_size(f), str(f)))
     plans = [_RightPlan(rule) for rule in sym.rules]
 
     pruned: set[str] = set()
-    visited = {premises}
-    parent: dict[FMultiset, tuple[FMultiset, RuleApp]] = {}
-    frontier = deque([premises])
-    depth = 0
-    found = premises == conclusions
-    truncated = False
-    while frontier and not found and not truncated:
-        if depth >= max_steps:
-            pruned.add("steps")
-            truncated = True
+    parent: dict[FMultiset, Optional[tuple[FMultiset, RuleApp]]] = {premises: None}
+    level = [premises]
+    for _ in range(max_steps):
+        if not level or conclusions in parent or "states" in pruned:
             break
-        depth += 1
-        for _ in range(len(frontier)):
-            state = frontier.popleft()
+        frontier, level = level, []
+        for state in frontier:
             for nxt, app in _moves(plans, state, cands, max_formula_size,
                                    max_multiset_size, pruned):
-                if nxt in visited:
+                if nxt in parent:
                     continue
-                if len(visited) >= max_states:
+                if len(parent) >= max_states:
                     pruned.add("states")
-                    truncated = True
                     break
-                visited.add(nxt)
                 parent[nxt] = (state, app)
                 if nxt == conclusions:
-                    found = True
                     break
-                frontier.append(nxt)
-            if found or truncated:
+                level.append(nxt)
+            if "states" in pruned or conclusions in parent:
                 break
+    if level and conclusions not in parent and "states" not in pruned:
+        pruned.add("steps")  # a level was left to expand
 
-    if found:
-        steps = [conclusions]
-        apps: list[RuleApp] = []
-        cur = conclusions
-        while cur != premises:
-            prev, app = parent[cur]
-            apps.append(app)
-            steps.append(prev)
-            cur = prev
-        steps.reverse()
-        apps.reverse()
-        return DeriveResult(Derivation(tuple(steps), tuple(apps)), "found")
-    status = "truncated" if truncated else "exhausted"
-    return DeriveResult(None, status, frozenset(pruned))
+    if conclusions not in parent:
+        status = "truncated" if {"steps", "states"} & pruned else "exhausted"
+        return DeriveResult(None, status, frozenset(pruned))
+    steps, apps = [conclusions], []
+    while parent[steps[-1]] is not None:
+        state, app = parent[steps[-1]]
+        steps.append(state)
+        apps.append(app)
+    return DeriveResult(Derivation(tuple(reversed(steps)), tuple(reversed(apps))), "found")
 
 
 class _RightPlan:
@@ -471,9 +457,10 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
     and puts the produced formula's tree last among its label: a rule node
     over the taken trees, or an axiom leaf when nothing was consumed.  The
     oldest final tree of ``phi`` is a relevant tree proof of phi from the
-    premise leaves under it; deleting its nodes from every step and dropping
-    stuttering steps leaves a relevant derivation of the remaining
-    conclusions from the remaining premises.
+    premise leaves under it.  Each step's tree, with all the trees it took,
+    lies wholly inside that tree or wholly outside it, so replaying the
+    steps outside it on the remaining premises, less stutters, leaves a
+    relevant derivation of the remaining conclusions.
     """
     verdict, uses = _replay(derivation, system, premises, conclusions)
     if verdict is not DerivationVerdict.RELEVANT:
@@ -484,28 +471,29 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
     if system.symmetric:
         raise ExtractionError("extraction expects a single-conclusion system")
 
-    steps = derivation.steps
     forest: dict[Formula, list[ProofTree]] = {}
-    for f in steps[0]:
+    for f in derivation.steps[0]:
         forest.setdefault(f, []).append(ProofTree(f, PremiseJust()))
-    snapshots = [[t for trees in forest.values() for t in trees]]
+    made: list[tuple[FMultiset, ProofTree]] = []  # each step's consumed formulas and tree
     for (rule, sigma), app in zip(uses, derivation.step_rules):
-        taken = tuple(forest[f].pop(0)
-                      for f in FMultiset(substitute(s, sigma) for s in rule.left))
+        consumed = FMultiset(substitute(s, sigma) for s in rule.left)
+        taken = tuple(forest[f].pop(0) for f in consumed)
         label = substitute(rule.right, sigma)
         by = RuleJust(rule.name, app.subst) if taken else AxiomJust(rule.name, app.subst)
         forest.setdefault(label, []).append(ProofTree(label, by, taken))
-        snapshots.append([t for trees in forest.values() for t in trees])
+        made.append((consumed, forest[label][-1]))
 
     tree = forest[phi][0]
-    in_tree = {id(node) for _, node in _walk(tree)}
-
-    used = FMultiset(t.formula for t in snapshots[0] if id(t) in in_tree)
+    nodes = [node for _, node in _walk(tree)]
+    in_tree = set(map(id, nodes))
+    used = FMultiset(node.formula for node in nodes if isinstance(node.by, PremiseJust))
     rest = premises - used
     residual_steps = [rest]
     residual_apps: list[RuleApp] = []
-    for app, snapshot in zip(derivation.step_rules, snapshots[1:]):
-        step = FMultiset(t.formula for t in snapshot if id(t) not in in_tree)
+    for app, (consumed, node) in zip(derivation.step_rules, made):
+        if id(node) in in_tree:
+            continue
+        step = residual_steps[-1] - consumed + FMultiset([node.formula])
         if step != residual_steps[-1]:
             residual_steps.append(step)
             residual_apps.append(app)

@@ -880,18 +880,16 @@ class AxiomaticSystem:
         self.name = name
         self.rules = tuple(rules)
         self.symmetric = symmetric
-        seen = set()
+        self._by_name: dict[str, NamedRule] = {}
         for r in rules:
-            if r.name in seen:
+            if r.name in self._by_name:
                 raise ValueError(f"duplicate rule name {r.name!r} in system {name}")
-            seen.add(r.name)
-        self._by_name = {r.name: r for r in rules}
+            self._by_name[r.name] = r
         self._check_name_discipline()
 
     def _check_name_discipline(self) -> None:
-        nodes = [n for r in self.rules for f in _rule_schemata(r) for n in _walk_nodes(f)]
-        clash = ({n.name for n in nodes if isinstance(n, Var)}
-                 & {n.name for n in nodes if isinstance(n, Atom)})
+        schemata = [f for r in self.rules for f in _rule_schemata(r)]
+        clash = set().union(*map(metavars, schemata)) & set().union(*map(atoms, schemata))
         if clash:
             raise ValueError(
                 f"system {self.name}: names used both as metavariable and atom: "

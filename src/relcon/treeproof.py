@@ -48,7 +48,6 @@ from .syntax import (
     _resolve,
     _rule_schemata,
     _rule_step,
-    alpha_variant,
     formula_size,
     match,
     metavars,
@@ -361,20 +360,18 @@ def rule_has_shape(rule, shape: tuple[FMultiset, Formula]) -> bool:
 
 
 def axiom_has_shape(rule, shape: Formula) -> bool:
-    return (rule.is_axiom and not isinstance(rule.right, FMultiset)
-            and alpha_variant(rule.right, shape))
+    """Whether an axiom, a rule with no premises, equals the shape up to renaming."""
+    return rule_has_shape(rule, (EMPTY, shape))
 
 
-def _find_rule(system: AxiomaticSystem, shape, axiom: bool, what: str) -> str:
-    """The name of the system's first axiom or rule of the shape, looked up
-    once per system; RulesAbsentError on every call when there is none."""
+def _find_rule(system: AxiomaticSystem, shape: tuple[FMultiset, Formula], what: str) -> str:
+    """The name of the system's first rule of the shape, looked up once per
+    system; RulesAbsentError on every call when there is none.  A shape with
+    no premises finds only axioms, and any other only inference rules."""
     names = _rule_tables(system).names
-    key = (shape, axiom)
-    if key not in names:
-        names[key] = next((r.name for r in system.rules
-                           if (axiom_has_shape(r, shape) if axiom
-                               else not r.is_axiom and rule_has_shape(r, shape))), None)
-    name = names[key]
+    if shape not in names:
+        names[shape] = next((r.name for r in system.rules if rule_has_shape(r, shape)), None)
+    name = names[shape]
     if name is None:
         raise RulesAbsentError(f"system {system.name} has no {what}")
     return name
@@ -391,8 +388,8 @@ def pump_use(tree: ProofTree, extra: Formula, system: AxiomaticSystem) -> ProofT
     Requires modus ponens and weakening rules.  The root proves the same
     formula; the leaf multiset gains exactly one occurrence of ``extra``.
     """
-    mp = _find_rule(system, MP_SHAPE, False, "modus ponens rule")
-    wk = _find_rule(system, WEAKENING_SHAPE, False, "weakening rule")
+    mp = _find_rule(system, MP_SHAPE, "modus ponens rule")
+    wk = _find_rule(system, WEAKENING_SHAPE, "weakening rule")
     goal = tree.formula
     weakened = ProofTree(Imp(extra, goal), RuleJust(wk), (tree,))
     return ProofTree(goal, RuleJust(mp), (weakened, premise_leaf(extra)))
@@ -421,10 +418,10 @@ def deduction_transform(tree: ProofTree, system: AxiomaticSystem,
     if report.verdict < RelevanceVerdict.RELEVANT:
         raise NotRelevantError(
             f"input proof verifies as {report.verdict}; surplus {report.surplus}")
-    mp = _find_rule(system, MP_SHAPE, False, "modus ponens rule")
-    ax_i = _find_rule(system, I_SHAPE, True, "identity axiom")
-    ax_b = _find_rule(system, B_SHAPE, True, "prefixing axiom")
-    ax_c = _find_rule(system, C_SHAPE, True, "permutation axiom")
+    mp = _find_rule(system, MP_SHAPE, "modus ponens rule")
+    ax_i = _find_rule(system, (EMPTY, I_SHAPE), "identity axiom")
+    ax_b = _find_rule(system, (EMPTY, B_SHAPE), "prefixing axiom")
+    ax_c = _find_rule(system, (EMPTY, C_SHAPE), "permutation axiom")
     for rule in system.inference_rules:
         if rule.name != mp:
             raise UnsupportedSystemError(
@@ -558,9 +555,9 @@ _Entry = tuple[NamedRule, list[Var], Formula]
 
 class _Tables(NamedTuple):
     """What is worked out once per system: the search's single-conclusion
-    axioms and inference rules as table entries, and, per (shape, axiom)
-    asked of _find_rule, the name of the first rule of that shape, or None
-    when the system has none."""
+    axioms and inference rules as table entries, and, per shape asked of
+    _find_rule, the name of the first rule of that shape, or None when the
+    system has none."""
 
     axioms: list[_Entry]
     rules: list[_Entry]

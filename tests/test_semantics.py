@@ -332,6 +332,14 @@ def test_matrix_oracle_evaluates_the_premises_before_the_conclusion():
         MatrixOracle(m).entails(ms("[]"), parse_formula("b -> c"))
 
 
+def test_matrix_oracle_evaluates_the_premises_in_canonical_order():
+    # b -> b comes before ~c in canonical order and has no table, so the
+    # answer cannot follow the hash seed's order of the premises' support
+    m = Matrix("neg", ("0", "1"), frozenset({"1"}), {"~": {("0",): "0", ("1",): "0"}})
+    with pytest.raises(EvalError, match="no table for ->"):
+        MatrixOracle(m).entails(ms("[~c, b -> b]"), parse_formula("d"))
+
+
 def test_matrix_file_roundtrip(fixtures_dir):
     text = (fixtures_dir / "t4.mat").read_text()
     m = parse_matrix(text)
@@ -710,13 +718,13 @@ def test_matrix_file_roundtrip_property(m):
 
 def _ref_matrix_entails(m, premises, conclusion):
     """MatrixOracle.entails by the recursive _ref_value: at each valuation in
-    product order, the premises in support order, each evaluated only where
+    product order, the premises in canonical order, each evaluated only where
     those before it are designated, and the conclusion last."""
-    support = premises.support
-    names = _ref_atoms_of([*support, conclusion])
+    distinct = premises.distinct()
+    names = _ref_atoms_of([*distinct, conclusion])
     for values in itertools.product(m.values, repeat=len(names)):
         v = dict(zip(names, values))
-        if (all(_ref_value(m, v, f) in m.designated for f in support)
+        if (all(_ref_value(m, v, f) in m.designated for f in distinct)
                 and _ref_value(m, v, conclusion) not in m.designated):
             return FAILS
     return HOLDS

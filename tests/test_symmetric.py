@@ -5,8 +5,10 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relcon import (
+    AxiomJust,
     Derivation,
     DerivationVerdict,
     FMultiset,
@@ -14,6 +16,7 @@ from relcon import (
     FAILS,
     UNKNOWN,
     Imp,
+    PremiseJust,
     ProofTree,
     RelevanceVerdict,
     RuleApp,
@@ -23,6 +26,7 @@ from relcon import (
     check_law,
     derive_search,
     dump_derivation,
+    dump_proof,
     extract_tree,
     load_derivation,
     parse_formula,
@@ -31,7 +35,7 @@ from relcon import (
     symmetrize_query,
     verify,
 )
-from relcon import symmetric
+from relcon import symmetric, treeproof
 from relcon.semantics import AbelianSymmetricOracle
 from relcon.symmetric import (
     AsymmetricPart,
@@ -209,6 +213,27 @@ def test_derive_truncation_reported(bci):
     assert "steps" in result.pruned_by
 
 
+# small BCI queries: implications over two atoms, at most three per side
+_bci_formulas = st.recursive(st.sampled_from([a, b]), lambda c: st.builds(Imp, c, c),
+                             max_leaves=3)
+_bci_multisets = st.lists(_bci_formulas, max_size=3).map(FMultiset)
+
+
+@given(_bci_multisets, _bci_multisets)
+@example(ms("[a->b, a]"), ms("[b]"))  # found
+@example(ms("[a]"), ms("[b]"))  # refuted by zsym
+@settings(max_examples=200, deadline=None)
+def test_derive_search_never_contradicts_zsym(bci, premises, conclusions):
+    # the integer-sum relation contains lifted BCI, so what derive_search
+    # finds zsym holds, and what zsym refutes derive_search never finds
+    result = derive_search(bci, premises, conclusions, max_steps=3,
+                           max_formula_size=5, max_states=2000)
+    if result.found:
+        assert AbelianSymmetricOracle().entails(premises, conclusions) is HOLDS
+        assert check_derivation(result.derivation, bci, premises,
+                                conclusions) is DerivationVerdict.RELEVANT
+
+
 # -- derive_search against the move generator that built every instance ----------
 
 
@@ -308,6 +333,9 @@ IDENTITY_SYSTEM = "system Id\naxiom I : p -> p\n"
     # the state budget runs out at I at a, before I at a -> a is reached
     ("[a]", "[a -> a]", dict(max_formula_size=3, max_states=1),
      "truncated", {"states"}),
+    # the budget runs out inside the second level, which ends the search:
+    # no further level runs out of steps
+    ("[a]", "[b]", dict(max_formula_size=3, max_states=4), "truncated", {"states"}),
 ])
 def test_derive_search_records_a_cap_only_when_it_cuts(
         premises, conclusions, bounds, status, pruned_by):
@@ -525,6 +553,54 @@ def test_extract_random_derivations():
                                 conclusions - FMultiset([phi])) is DerivationVerdict.RELEVANT
         done += 1
     assert done >= 100
+
+
+def _reference_extract_tree(derivation, system, premises, conclusions, phi):
+    """extract_tree as it was when it copied the whole forest after every
+    step, and read each residual step off the copy: (premises used, tree,
+    premises left, residual).  Called on valid input only."""
+    _, uses = symmetric._replay(derivation, system, premises, conclusions)
+    steps = derivation.steps
+    forest = {}
+    for f in steps[0]:
+        forest.setdefault(f, []).append(ProofTree(f, PremiseJust()))
+    snapshots = [[t for trees in forest.values() for t in trees]]
+    for (rule, sigma), app in zip(uses, derivation.step_rules):
+        taken = tuple(forest[f].pop(0)
+                      for f in FMultiset(substitute(s, sigma) for s in rule.left))
+        label = substitute(rule.right, sigma)
+        by = RuleJust(rule.name, app.subst) if taken else AxiomJust(rule.name, app.subst)
+        forest.setdefault(label, []).append(ProofTree(label, by, taken))
+        snapshots.append([t for trees in forest.values() for t in trees])
+
+    tree = forest[phi][0]
+    in_tree = {id(node) for _, node in treeproof._walk(tree)}
+    used = FMultiset(t.formula for t in snapshots[0] if id(t) in in_tree)
+    rest = premises - used
+    residual_steps, residual_apps = [rest], []
+    for app, snapshot in zip(derivation.step_rules, snapshots[1:]):
+        step = FMultiset(t.formula for t in snapshot if id(t) not in in_tree)
+        if step != residual_steps[-1]:
+            residual_steps.append(step)
+            residual_apps.append(app)
+    return used, tree, rest, Derivation(tuple(residual_steps), tuple(residual_apps))
+
+
+def test_extract_tree_matches_the_snapshot_reference():
+    rng = random.Random(31)
+    done = 0
+    for i in range(400):
+        system = random_concrete_system(rng, f"S{i}")
+        d = random_relevant_derivation(rng, system)
+        premises, conclusions = d.steps[0], d.steps[-1]
+        for phi in conclusions.distinct():
+            ext = extract_tree(d, system, premises, conclusions, phi)
+            used, tree, rest, residual = _reference_extract_tree(
+                d, system, premises, conclusions, phi)
+            assert (ext.premises_used, ext.premises_rest, str(ext.residual),
+                    dump_proof(ext.tree)) == (used, rest, str(residual), dump_proof(tree))
+            done += 1
+    assert done >= 1000
 
 
 # -- genuinely symmetric systems -----------------------------------------------------

@@ -446,6 +446,16 @@ def test_deduction_identity_case(bci):
     assert verify(out, bci, ms("[p->q]"), Imp(p, q)) >= RelevanceVerdict.RELEVANT
 
 
+def test_deduction_on_an_mp_node_that_lists_its_minor_premise_first(bci):
+    tree = ProofTree(q, RuleJust("mp"), (premise_leaf(p), premise_leaf(Imp(p, q))))
+    premises = ms("[p -> q, p]")
+    assert verify(tree, bci, premises, q) >= RelevanceVerdict.RELEVANT
+    for phi in (p, Imp(p, q)):
+        out = deduction_transform(tree, bci, premises, phi)
+        rest = premises - FMultiset([phi])
+        assert verify(out, bci, rest, Imp(phi, q)) >= RelevanceVerdict.RELEVANT
+
+
 def test_deduction_base_case(bci):
     out = deduction_transform(premise_leaf(p), bci, ms("[p]"), p)
     assert isinstance(out.by, AxiomJust) and out.by.name == "I"
