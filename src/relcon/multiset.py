@@ -102,6 +102,11 @@ class FMultiset:
         """Support elements in canonical sorted order."""
         return _canonical(self._counts)
 
+    def items(self) -> Iterable[tuple[Any, int]]:
+        """The (element, multiplicity) pairs, unsorted: each support element
+        once, in no canonical order."""
+        return self._counts.items()
+
     # -- pointwise operations -----------------------------------------------
 
     def __add__(self, other: "FMultiset") -> "FMultiset":

@@ -10,16 +10,21 @@ relations are provided:
   leq  the minimum of the premises is below the conclusion;
   z    the *sum* of the premise multiset is below the conclusion.
 
-Each query is compiled once (_compile) into a program over the distinct
-subformulas of its formulas, with integer arithmetic or a matrix's tables as
-its operations, and run per valuation as one straight loop (_run).  Sums of
-formulas in the {o, ~, ->, constants} fragment are affine in their atoms,
-and one signed walk, _affine, sums a whole consecution (premises negated)
-into atom coefficients and a constant.  So the z-relation (and its symmetric
-companion, sum <= sum) is decided exactly on that fragment: it holds iff
-every coefficient is zero and the constant is nonnegative.
-Formulas containing /\\ or \\/ are evaluated exactly when closed; open ones
-are only refuted over a bounded integer grid, with UNKNOWN on exhaustion.
+Formulas in the {o, ~, ->, constants} fragment are affine in their atoms,
+and one walk, _affine, sums (formula, weight) pairs into atom coefficients
+and a constant.  Two kinds of integer query are decided from these affine
+forms alone.  A lattice-free sum query (z, and its symmetric companion,
+sum <= sum) is one walk over each distinct formula of the consecution,
+weighted by its multiplicity (negated on the premise side): it holds iff
+every coefficient is zero and the constant is nonnegative.  A p or leq query
+whose formulas are all closed and lattice-free compares their constants.
+
+Only the rest are compiled (_compile) into a program over the distinct
+subformulas of their formulas, with integer arithmetic or a matrix's tables
+as its operations, and run per valuation as one straight loop (_run); so are
+all matrix queries.  Integer formulas containing /\\ or \\/ are evaluated
+exactly when closed; open ones, and open p or leq queries, are only refuted
+over a bounded integer grid, with UNKNOWN on exhaustion.
 """
 
 from __future__ import annotations
@@ -129,26 +134,26 @@ def _run(consts: list, segments: list, values: tuple = ()) -> Iterator:
         yield regs[out]
 
 
-def _affine(signed: Iterable[tuple[Formula, int]]) -> Optional[tuple[dict[str, int], int]]:
-    """The atom coefficients and constant of the sum of sign * f over the
-    (f, sign) pairs, or None when a lattice connective or a metavariable
+def _affine(weighted: Iterable[tuple[Formula, int]]) -> Optional[tuple[dict[str, int], int]]:
+    """The atom coefficients and constant of the sum of w * f over the
+    (f, w) pairs, or None when a lattice connective or a metavariable
     occurs.  Coefficients may be zero."""
     coeffs: dict[str, int] = {}
     const = 0
-    todo = list(signed)
+    todo = list(weighted)
     while todo:
-        f, sign = todo.pop()
+        f, w = todo.pop()
         t, n = type(f), numeral_value(f)
         if n is not None:
-            const += sign * n
+            const += w * n
         elif t is Atom:
-            coeffs[f.name] = coeffs.get(f.name, 0) + sign
+            coeffs[f.name] = coeffs.get(f.name, 0) + w
         elif t is Neg:
-            todo.append((f.body, -sign))
+            todo.append((f.body, -w))
         elif t is Fusion:
-            todo += ((f.left, sign), (f.right, sign))
+            todo += ((f.left, w), (f.right, w))
         elif t is Imp:
-            todo += ((f.left, -sign), (f.right, sign))
+            todo += ((f.left, -w), (f.right, w))
         elif t is not Const:  # the constant t is 0; 0 and 1 are numerals
             return None
     return coeffs, const
@@ -213,18 +218,36 @@ def _decide(formulas: list[Formula], holds: Callable[[list[int]], bool],
     return UNKNOWN if names else HOLDS
 
 
-def _sum_leq(left: list[Formula], right: list[Formula], grid_bound: int) -> Verdict:
-    """Whether sum(left) <= sum(right) under every integer valuation."""
-    form = _affine([(f, -1) for f in left] + [(f, 1) for f in right])
-    if form is not None:
-        coeffs, const = form
-        return verdict(const >= 0 and not any(coeffs.values()))
+def _affine_sum_leq(left: FMultiset, right: list[tuple[Formula, int]]) -> Optional[Verdict]:
+    """Whether sum(left) <= sum(right) under every integer valuation, decided
+    from the affine form of the whole consecution, with ``right`` given as
+    (formula, multiplicity) pairs; None when a lattice connective or a
+    metavariable occurs."""
+    form = _affine([(f, -n) for f, n in left.items()] + right)
+    if form is None:
+        return None
+    coeffs, const = form
+    return verdict(const >= 0 and not any(coeffs.values()))
+
+
+def _grid_sum_leq(left: list[Formula], right: list[Formula], grid_bound: int) -> Verdict:
+    """Whether sum(left) <= sum(right) under every integer valuation, by _decide."""
     return _decide(left + right, lambda vals: sum(vals[:len(left)]) <= sum(vals[len(left):]),
                    grid_bound)
 
 
+def _closed_value(f: Formula) -> Optional[int]:
+    """The value of a closed, lattice-free formula, else None."""
+    form = _affine([(f, 1)])
+    return None if form is None or form[0] else form[1]
+
+
 class AbelianOracle(ConsequenceOracle):
     """The p / leq / z relations of the integer semantics.
+
+    A lattice-free z query, and a p or leq query whose formulas are all
+    closed and lattice-free, is decided from affine forms; any other query
+    is compiled and run on the grid.
 
     ``theorem_basis``, when given, is a finite list of theorems that the law
     battery's TheoremRemoval instances draw from."""
@@ -242,8 +265,13 @@ class AbelianOracle(ConsequenceOracle):
     @memoised
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
         if self.kind == "z":
-            return _sum_leq(list(premises), [conclusion], self.grid_bound)
+            v = _affine_sum_leq(premises, [(conclusion, 1)])
+            return _grid_sum_leq(list(premises), [conclusion], self.grid_bound) if v is None else v
         # p and leq ignore multiplicities
+        vals = [_closed_value(f) for f, _ in premises.items()]
+        vals.append(_closed_value(conclusion))
+        if None not in vals:
+            return verdict(self._holds_at(vals))
         return _decide([*premises.distinct(), conclusion], self._holds_at, self.grid_bound)
 
     def _holds_at(self, vals: list[int]) -> bool:
@@ -273,7 +301,8 @@ class AbelianSymmetricOracle(SymmetricOracle):
 
     @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        return _sum_leq(list(premises), list(conclusions), self.grid_bound)
+        v = _affine_sum_leq(premises, [*conclusions.items()])
+        return _grid_sum_leq(list(premises), list(conclusions), self.grid_bound) if v is None else v
 
 
 class SingleAtomThresholdOracle(SymmetricOracle):

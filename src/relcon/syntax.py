@@ -880,6 +880,7 @@ class AxiomaticSystem:
         self.name = name
         self.rules = tuple(rules)
         self.symmetric = symmetric
+        self._lifted: Optional["AxiomaticSystem"] = None  # lifted()'s value
         self._by_name: dict[str, NamedRule] = {}
         for r in rules:
             if r.name in self._by_name:
@@ -921,14 +922,16 @@ class AxiomaticSystem:
                    and match(r.right, f) is not None for r in self.rules)
 
     def lifted(self) -> "AxiomaticSystem":
-        """The symmetric view: each rule Γ |- φ becomes Γ |- [φ]."""
+        """The symmetric view: each rule Γ |- φ becomes Γ |- [φ].  Built
+        once per system, since a system's rules never change."""
         if self.symmetric:
             return self
-        lifted_rules = [
-            NamedRule(r.name, SymConsecution(r.left, FMultiset([r.right])))
-            for r in self.rules
-        ]
-        return AxiomaticSystem(self.name, lifted_rules, symmetric=True)
+        if self._lifted is None:
+            self._lifted = AxiomaticSystem(self.name, [
+                NamedRule(r.name, SymConsecution(r.left, FMultiset([r.right])))
+                for r in self.rules
+            ], symmetric=True)
+        return self._lifted
 
 
 # -- system files --------------------------------------------------------------

@@ -172,6 +172,8 @@ def agrees(m, ref):
     assert m.size == sum(ref.values()) == len(m)
     assert list(m) == canonical_list(ref)
     assert m.distinct() == sorted(+ref, key=lambda x: (str(x), type(x).__name__))
+    pairs = list(m.items())
+    assert len(pairs) == len(+ref) and dict(pairs) == dict((+ref).items())
     for x in FORMULAS:
         assert m.count(x) == ref[x]
     assert hash(m) == hash(FMultiset(canonical_list(ref)))

@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from relcon import (
     Atom,
@@ -611,6 +611,12 @@ def test_linear_form_agrees_with_reference(f):
 
 
 @given(_multisets(_any_formulas), _multisets(_any_formulas))
+@example(ms("[a, a, ~a]"), ms("[a, ~a]"))  # repeated premises
+@example(ms("[1, 1, ~2]"), ms("[0, 0]"))
+@example(ms("[1 o 2, ~1]"), ms("[2, 0 -> 1]"))  # closed and lattice-free
+@example(ms("[1 /\\ ~1]"), ms("[0]"))  # closed, with a lattice connective
+@example(ms("[]"), ms("[a -> a]"))  # an atom with coefficient 0
+@example(FMultiset([Var("y"), a]), FMultiset([Var("x")]))  # a metavariable on each side
 def test_sum_relations_agree_with_reference(left, right):
     z, zsym = AbelianOracle("z", grid_bound=2), AbelianSymmetricOracle(grid_bound=2)
     assert (_outcome(zsym.entails, left, right)
@@ -621,6 +627,13 @@ def test_sum_relations_agree_with_reference(left, right):
 
 
 @given(st.sampled_from(["p", "leq"]), _multisets(_any_formulas), _any_formulas)
+@example("p", ms("[a, a, ~a]"), a)  # repeated premises
+@example("leq", ms("[1, 1, ~2]"), ZERO)
+@example("p", ms("[1 o ~2, 0 -> 1]"), parse_formula("~1"))  # closed and lattice-free
+@example("leq", ms("[]"), ONE)  # the empty minimum
+@example("p", ms("[1 /\\ ~1]"), ZERO)  # closed, with a lattice connective
+@example("p", ms("[]"), parse_formula("a -> a"))  # an atom with coefficient 0
+@example("leq", FMultiset([Var("y"), ONE]), Var("x"))  # a metavariable on each side
 def test_p_and_leq_agree_with_reference(kind, premises, conclusion):
     oracle = AbelianOracle(kind, grid_bound=2)
     assert (_outcome(oracle.entails, premises, conclusion)

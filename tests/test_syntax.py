@@ -228,6 +228,13 @@ rule  r1 : p, q |- q, p
     assert print_system(parse_system(print_system(system))) == print_system(system)
 
 
+def test_system_is_lifted_once(bci):
+    sym = bci.lifted()
+    assert sym is bci.lifted() and sym.symmetric and sym.lifted() is sym
+    assert [r.name for r in sym.rules] == [r.name for r in bci.rules]
+    assert [r.right for r in sym.rules] == [FMultiset([r.right]) for r in bci.rules]
+
+
 def test_system_concrete_atoms(toy_xy):
     assert toy_xy.is_axiom_instance(Atom("x"))
     assert toy_xy.is_axiom_instance(Atom("y"))
