@@ -95,24 +95,25 @@ def _default_seed() -> int:
     return _int("RELCON_SEED", env) if env else 0
 
 
-# the named oracles, each built fresh per call
+# the named oracles, each built fresh per call from a theorem basis or None;
+# only z, p and z_m use it (z_m's is z's: []'s only submultiset is [])
 _ORACLES = {
-    "z": lambda: AbelianOracle("z"),
-    "p": lambda: AbelianOracle("p"),
-    "leq": lambda: AbelianOracle("leq"),
-    "z_m": lambda: MonotonicCompanion(AbelianOracle("z")),
-    "zsym": AbelianSymmetricOracle,
-    "psym": lambda: Symmetrization(AbelianOracle("p")),
-    "ex54": SingleAtomThresholdOracle,
-    "identity": IdentityOracle,
-    "identity_m": lambda: MonotonicCompanion(IdentityOracle()),
+    "z": lambda basis: AbelianOracle("z", theorem_basis=basis),
+    "p": lambda basis: AbelianOracle("p", theorem_basis=basis),
+    "leq": lambda _: AbelianOracle("leq"),
+    "z_m": lambda basis: MonotonicCompanion(AbelianOracle("z", theorem_basis=basis)),
+    "zsym": lambda _: AbelianSymmetricOracle(),
+    "psym": lambda _: Symmetrization(AbelianOracle("p")),
+    "ex54": lambda _: SingleAtomThresholdOracle(),
+    "identity": lambda _: IdentityOracle(),
+    "identity_m": lambda _: MonotonicCompanion(IdentityOracle()),
 }
 
 
-def make_oracle(spec: str):
-    """A named oracle (a key of ``_ORACLES``), or ``system:<file>``."""
+def make_oracle(spec: str, basis=None):
+    """A named oracle (a key of ``_ORACLES``) built from ``basis``, or ``system:<file>``."""
     if spec in _ORACLES:
-        return _ORACLES[spec]()
+        return _ORACLES[spec](basis)
     if spec.startswith("system:"):
         system = load_system(spec.split(":", 1)[1])
         if system.symmetric:
@@ -276,18 +277,11 @@ def cmd_abelian(args) -> int:
 
 def cmd_laws(args) -> int:
     dom = make_domain(args.dom, args.seed)
-    if args.oracle in ("z", "p", "z_m"):
-        # the theorems are 0 and the domain's nonnegative numerals, so the
-        # basis never outgrows the domain; z_m has z's, since the only
-        # submultiset of [] is []
-        values = {0} | {n for f in dom.formulas
-                         if (n := numeral_value(f)) is not None and n >= 0}
-        oracle = AbelianOracle(args.oracle.removesuffix("_m"),
-                               theorem_basis=[numeral(k) for k in sorted(values)])
-        if args.oracle == "z_m":
-            oracle = MonotonicCompanion(oracle)
-    else:
-        oracle = make_oracle(args.oracle)
+    # the theorems are 0 and the domain's nonnegative numerals, so the basis
+    # never outgrows the domain
+    values = {0} | {n for f in dom.formulas
+                     if (n := numeral_value(f)) is not None and n >= 0}
+    oracle = make_oracle(args.oracle, [numeral(k) for k in sorted(values)])
     if args.action == "classify":
         report = classify(oracle, dom)
         for name in sorted(report.results):
@@ -445,15 +439,24 @@ def main(argv=None) -> int:
     try:
         if args.seed is None:
             args.seed = _default_seed()
-        return args.fn(args)
+        code = args.fn(args)
+        # a failing write surfaces here, not at exit; print skips a closed stdout
+        print(end="", flush=True)
+        return code
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, EvalError, OSError, ValueError) as e:
-        # malformed, missing or unreadable input: for the derivation
-        # commands that is an invalid derivation, exit 2
+        # malformed, missing or unreadable input, or an unwritable stdout:
+        # for the derivation commands that is an invalid derivation, exit 2
         print(f"error: {e}", file=sys.stderr)
-        _result("invalid")
+        try:
+            print("RESULT invalid", flush=True)
+        except OSError:
+            # stdout is unwritable: the exit flush goes to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
         return 2 if args.command in ("check-derivation", "derive") else EXIT_FAIL
 
 

@@ -58,8 +58,10 @@ from .syntax import Formula, print_formula, print_multiset
 class SampleDomain:
     """A finite formula universe with a multiset size bound.
 
-    Enumeration is canonical (sizes ascending, elements in universe order)
-    and reproducible; sampling above the cap draws from the seeded generator.
+    The universe holds each formula once: a repeat is dropped, and the first
+    occurrence keeps its place.  Enumeration is canonical (sizes ascending,
+    elements in universe order) and reproducible; sampling above the cap
+    draws from the seeded generator.
     """
 
     formulas: tuple[Formula, ...]
@@ -67,6 +69,9 @@ class SampleDomain:
     seed: int = 0
     exhaustive_cap: int = 100_000
     sample_count: int = 4000
+
+    def __post_init__(self):
+        self.formulas = tuple(dict.fromkeys(self.formulas))
 
     def multisets(self) -> list[FMultiset]:
         out = []

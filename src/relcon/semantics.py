@@ -218,21 +218,18 @@ def _decide(formulas: list[Formula], holds: Callable[[list[int]], bool],
     return UNKNOWN if names else HOLDS
 
 
-def _affine_sum_leq(left: FMultiset, right: list[tuple[Formula, int]]) -> Optional[Verdict]:
-    """Whether sum(left) <= sum(right) under every integer valuation, decided
-    from the affine form of the whole consecution, with ``right`` given as
-    (formula, multiplicity) pairs; None when a lattice connective or a
-    metavariable occurs."""
-    form = _affine([(f, -n) for f, n in left.items()] + right)
-    if form is None:
-        return None
-    coeffs, const = form
-    return verdict(const >= 0 and not any(coeffs.values()))
-
-
-def _grid_sum_leq(left: list[Formula], right: list[Formula], grid_bound: int) -> Verdict:
-    """Whether sum(left) <= sum(right) under every integer valuation, by _decide."""
-    return _decide(left + right, lambda vals: sum(vals[:len(left)]) <= sum(vals[len(left):]),
+def _sum_leq(left: FMultiset, right: FMultiset | Formula, grid_bound: int) -> Verdict:
+    """Whether sum(left) <= sum(right) under every integer valuation, a lone
+    formula on the right read as [right]: by the affine walk, and else (a
+    lattice connective or a metavariable occurs) by _decide on the canonical lists."""
+    many = isinstance(right, FMultiset)
+    form = _affine([(f, -n) for f, n in left.items()]
+                   + (list(right.items()) if many else [(right, 1)]))
+    if form is not None:
+        coeffs, const = form
+        return verdict(const >= 0 and not any(coeffs.values()))
+    lhs, rhs = list(left), (list(right) if many else [right])
+    return _decide(lhs + rhs, lambda vals: sum(vals[:len(lhs)]) <= sum(vals[len(lhs):]),
                    grid_bound)
 
 
@@ -265,8 +262,7 @@ class AbelianOracle(ConsequenceOracle):
     @memoised
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
         if self.kind == "z":
-            v = _affine_sum_leq(premises, [(conclusion, 1)])
-            return _grid_sum_leq(list(premises), [conclusion], self.grid_bound) if v is None else v
+            return _sum_leq(premises, conclusion, self.grid_bound)
         # p and leq ignore multiplicities
         vals = [_closed_value(f) for f, _ in premises.items()]
         vals.append(_closed_value(conclusion))
@@ -301,8 +297,7 @@ class AbelianSymmetricOracle(SymmetricOracle):
 
     @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        v = _affine_sum_leq(premises, [*conclusions.items()])
-        return _grid_sum_leq(list(premises), list(conclusions), self.grid_bound) if v is None else v
+        return _sum_leq(premises, conclusions, self.grid_bound)
 
 
 class SingleAtomThresholdOracle(SymmetricOracle):

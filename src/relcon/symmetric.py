@@ -39,6 +39,7 @@ from .syntax import (
     Formula,
     NamedRule,
     Var,
+    _lift,
     _rule_step,
     _walk_nodes,
     formula_size,
@@ -166,14 +167,13 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
     ``truncated`` means the step or state budget ran out first and decides
     nothing; the state budget ends the search at once.
     """
-    sym = system.lifted()
     if max_multiset_size is None:
         max_multiset_size = max(premises.size, conclusions.size) + 2
 
     universe = set().union(*map(subformulas, [*premises, *conclusions]))
     cands = sorted((f for f in universe if formula_size(f) <= max_formula_size),
                    key=lambda f: (formula_size(f), str(f)))
-    plans = [_RightPlan(rule) for rule in sym.rules]
+    plans = [_RightPlan(_lift(rule)) for rule in system.rules]
 
     pruned: set[str] = set()
     parent: dict[FMultiset, Optional[tuple[FMultiset, RuleApp]]] = {premises: None}
@@ -211,11 +211,11 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
 
 
 class _RightPlan:
-    """A lifted rule's right side, measured once per search: for each
-    distinct right schema its size and metavariable occurrence counts, and
-    the metavariables of the whole right side.  An instance of a schema has
-    the schema's size plus, per metavariable occurrence, the size of the
-    bound formula minus one (the metavariable's own node)."""
+    """A rule lifted by syntax._lift, and its right side measured once per
+    search: for each distinct right schema its size and metavariable
+    occurrence counts, and the metavariables of the whole right side.  An
+    instance of a schema has the schema's size plus, per metavariable
+    occurrence, the size of the bound formula minus one (its own node)."""
 
     __slots__ = ("rule", "shapes", "metavars")
 

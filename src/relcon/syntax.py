@@ -880,7 +880,6 @@ class AxiomaticSystem:
         self.name = name
         self.rules = tuple(rules)
         self.symmetric = symmetric
-        self._lifted: Optional["AxiomaticSystem"] = None  # lifted()'s value
         self._by_name: dict[str, NamedRule] = {}
         for r in rules:
             if r.name in self._by_name:
@@ -922,16 +921,17 @@ class AxiomaticSystem:
                    and match(r.right, f) is not None for r in self.rules)
 
     def lifted(self) -> "AxiomaticSystem":
-        """The symmetric view: each rule Γ |- φ becomes Γ |- [φ].  Built
-        once per system, since a system's rules never change."""
+        """The symmetric view: each rule Γ |- φ becomes Γ |- [φ] (see _lift)."""
         if self.symmetric:
             return self
-        if self._lifted is None:
-            self._lifted = AxiomaticSystem(self.name, [
-                NamedRule(r.name, SymConsecution(r.left, FMultiset([r.right])))
-                for r in self.rules
-            ], symmetric=True)
-        return self._lifted
+        return AxiomaticSystem(self.name, list(map(_lift, self.rules)), symmetric=True)
+
+
+def _lift(rule: NamedRule) -> NamedRule:
+    """Γ |- φ as Γ |- [φ], same name; a symmetric rule comes back unchanged."""
+    if isinstance(rule.right, FMultiset):
+        return rule
+    return NamedRule(rule.name, SymConsecution(rule.left, FMultiset([rule.right])))
 
 
 # -- system files --------------------------------------------------------------

@@ -175,6 +175,34 @@ def test_check_proof_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv, code", [
+    (["parse", "--formula", "p"], 1),
+    (["derive", "--system", f"{FIX}/bci.rcs", "--premises", "[a]",
+      "--conclusions", "[a->a, a]"], 2),
+])
+def test_unwritable_stdout_is_one_error_line(argv, code, unbuffered):
+    # a full device: the write fails however stdout is buffered
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "relcon.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, check=False)
+    assert done.returncode == code
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+def test_closed_stdout_is_no_error():
+    # with fd 1 closed, sys.stdout is None and print writes nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(["sh", "-c", 'exec "$0" -m relcon.cli parse --formula p >&-',
+                           sys.executable], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=False)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
 def test_check_derivation(capsys):
     code, out = run(capsys, "check-derivation", "--system", f"{FIX}/bci.rcs",
                     "--premises", "[a->b, a->c, a, a, a]",
@@ -370,6 +398,16 @@ def test_laws_check_command(capsys):
     assert code == 0
     assert "LAW Reflexivity PASS" in out
     assert "LAW Monotonicity FAIL" in out
+
+
+@pytest.mark.parametrize("oracle, dom, law, checked", [
+    ("ex54", "atoms=x+x,size=2", "Reflexivity", 3),
+    ("z", "numerals=0..1,numerals=1..1", "Cut", 400),
+])
+def test_laws_domain_counts_a_repeated_formula_once(capsys, oracle, dom, law, checked):
+    code, out = run(capsys, "laws", "check", "--oracle", oracle, "--dom", dom, "--laws", law)
+    assert code == 0
+    assert f"LAW {law} PASS  [exhaustive, {checked} instances]" in out
 
 
 def test_laws_check_on_a_tree_search_system_oracle(capsys):

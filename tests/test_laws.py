@@ -152,6 +152,13 @@ def test_sampling_above_cap(z_oracle):
     assert result.checked == 500
 
 
+def test_sample_domain_holds_each_formula_once():
+    x, y = Atom("x"), Atom("y")
+    dom = SampleDomain((x, x), max_size=2)
+    assert dom.formulas == (x,) and len(dom.multisets()) == 3
+    assert SampleDomain((y, x, y)).formulas == (y, x)
+
+
 class _PairOracle(ConsequenceOracle):
     """Holds exactly when there are two premises, whatever the conclusion."""
 

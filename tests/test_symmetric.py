@@ -279,6 +279,9 @@ def _assert_same_search(system, premises, conclusions, **bounds):
     got = derive_search(system, premises, conclusions, **bounds)
     want = _reference_derive_search(system, premises, conclusions, **bounds)
     assert _outcome(got) == _outcome(want), (system.name, premises, conclusions, bounds)
+    # the search lifts each rule itself, so the lifted system searches alike
+    lifted = derive_search(system.lifted(), premises, conclusions, **bounds)
+    assert _outcome(lifted) == _outcome(got), (system.name, premises, conclusions, bounds)
     return got
 
 

@@ -228,9 +228,9 @@ rule  r1 : p, q |- q, p
     assert print_system(parse_system(print_system(system))) == print_system(system)
 
 
-def test_system_is_lifted_once(bci):
+def test_lifted_view(bci):
     sym = bci.lifted()
-    assert sym is bci.lifted() and sym.symmetric and sym.lifted() is sym
+    assert sym.symmetric and sym.lifted() is sym
     assert [r.name for r in sym.rules] == [r.name for r in bci.rules]
     assert [r.right for r in sym.rules] == [FMultiset([r.right]) for r in bci.rules]
 
