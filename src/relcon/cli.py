@@ -127,6 +127,16 @@ _DOMAIN_FIELDS = {"size": "max_size", "seed": "seed", "cap": "exhaustive_cap",
                   "samples": "sample_count"}
 
 
+def _atom(name: str) -> Atom:
+    """The atom ``name``, which must read back as itself in a formula."""
+    try:
+        if parse_formula(name) == Atom(name):
+            return Atom(name)
+    except ParseError:
+        pass
+    raise UsageError(f"domain atom {name!r} does not parse as an atom")
+
+
 def make_domain(spec: str, seed: int) -> SampleDomain:
     """Domain spec: comma-separated key=value pairs.
 
@@ -146,7 +156,7 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
             lo, hi = _int(what, lo), _int(what, hi)
             formulas.extend(numeral(k) for k in range(lo, hi + 1))
         elif key == "atoms":
-            formulas.extend(Atom(a) for a in value.split("+") if a)
+            formulas.extend(_atom(a) for a in value.split("+") if a)
         elif key in _DOMAIN_FIELDS:
             fields[_DOMAIN_FIELDS[key]] = _int(what, value)
         else:
@@ -432,14 +442,18 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    args = None
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
-    try:
-        if args.seed is None:
-            args.seed = _default_seed()
-        code = args.fn(args)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:
+            if e.code not in (0, None):
+                return EXIT_USAGE
+            code = 0  # --help has written its text
+        else:
+            if args.seed is None:
+                args.seed = _default_seed()
+            code = args.fn(args)
         # a failing write surfaces here, not at exit; print skips a closed stdout
         print(end="", flush=True)
         return code
@@ -457,7 +471,7 @@ def main(argv=None) -> int:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-        return 2 if args.command in ("check-derivation", "derive") else EXIT_FAIL
+        return 2 if getattr(args, "command", None) in ("check-derivation", "derive") else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -620,8 +620,8 @@ def match(schema: Formula, formula: Formula,
     return out if _match(schema, formula, out) else None
 
 
-# The recursions of match and unify are module-level functions: a nested
-# closure that calls itself leaves a reference cycle per call.
+# The recursions of match, match_into and unify are module-level functions:
+# a nested closure that calls itself leaves a reference cycle per call.
 
 
 def _match(s: Formula, f: Formula, out: dict[str, Formula]) -> bool:
@@ -659,40 +659,27 @@ def match_into(schemas: FMultiset, pool: FMultiset,
     back on backtracking, and an element whose count is spent is skipped.
     So the matches come in the order that matching each schema against the
     pool minus what is consumed so far would give, and ``consumed`` is built
-    only per match.  The backtracking is a loop, not a recursive closure,
-    which would leave a reference cycle per call for the collector.
+    only per match.
     """
-    slist = list(schemas)
     order = pool.distinct()
-    left = [pool.count(f) for f in order]
-    sigmas = [dict(subst) if subst else {}]
-    picks: list[int] = []  # the index into order consumed by each schema so far
-    j = 0  # the first index the next schema may take
-    while True:
-        depth = len(picks)
-        if depth == len(slist):
-            yield dict(sigmas[-1]), FMultiset([order[k] for k in picks])
-        else:
-            for k in range(j, len(order)):
-                if left[k]:
-                    s2 = match(slist[depth], order[k], sigmas[-1])
-                    if s2 is not None:
-                        break
-            else:
-                s2 = None
-            if s2 is not None:
-                left[k] -= 1
-                picks.append(k)
-                sigmas.append(s2)
-                j = 0
-                continue
-        # give the last pick back and try the next element in its place
-        if not picks:
-            return
-        j = picks.pop()
-        sigmas.pop()
-        left[j] += 1
-        j += 1
+    yield from _match_rest(list(schemas), order, [pool.count(f) for f in order], [],
+                           dict(subst) if subst else {})
+
+
+def _match_rest(slist: list, order: list, left: list[int], picks: list[int], sigma: dict):
+    """match_into from schema ``len(picks)`` on; ``picks[i]`` is the index into
+    ``order`` that schema i consumed, ``left`` the counts not yet consumed."""
+    if len(picks) == len(slist):
+        yield dict(sigma), FMultiset([order[k] for k in picks])
+        return
+    schema = slist[len(picks)]
+    for k, f in enumerate(order):
+        if left[k] and (s2 := match(schema, f, sigma)) is not None:
+            left[k] -= 1
+            picks.append(k)
+            yield from _match_rest(slist, order, left, picks, s2)
+            picks.pop()
+            left[k] += 1
 
 
 def substitute_partial(schema: Formula, subst: Mapping[str, Formula]) -> Formula:
@@ -874,7 +861,8 @@ def _rule_schemata(rule: NamedRule) -> list[Formula]:
 
 
 class AxiomaticSystem:
-    """A named set of consecution schemata; axioms have empty left side."""
+    """A named set of consecution schemata; axioms have empty left side, and
+    a rule's right side is a multiset exactly when the system is symmetric."""
 
     def __init__(self, name: str, rules: list[NamedRule], symmetric: bool = False):
         self.name = name
@@ -884,6 +872,9 @@ class AxiomaticSystem:
         for r in rules:
             if r.name in self._by_name:
                 raise ValueError(f"duplicate rule name {r.name!r} in system {name}")
+            if isinstance(r.right, FMultiset) != symmetric:
+                kind = "symmetric" if symmetric else "single-conclusion"
+                raise ValueError(f"rule {r.name!r} does not fit {kind} system {name}")
             self._by_name[r.name] = r
         self._check_name_discipline()
 

@@ -526,10 +526,10 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
     return None
 
 
-def _rename_vars(schema: Formula, tag: str = "") -> Formula:
-    """Push a schema's metavariables into a private namespace before unifying;
-    a distinct ``tag`` per rule use renames the uses apart."""
-    return _map_vars(schema, lambda v: Var("\x02" + v.name + tag))
+def _rename_vars(schema: Formula) -> Formula:
+    """Push a schema's metavariables into a private namespace before unifying
+    (``_SearchState._fresh`` renames each use further apart)."""
+    return _map_vars(schema, lambda v: Var("\x02" + v.name))
 
 
 _HOLE = Var("?")
@@ -541,16 +541,16 @@ def _masked(f: Formula) -> str:
     return str(_map_vars(f, lambda v: _HOLE))
 
 
-def _vars_of(rule: NamedRule) -> list[Var]:
-    """The distinct metavariables of a rule, by name."""
-    return [Var(name) for name in sorted(set().union(*map(metavars, _rule_schemata(rule))))]
+def _vars_of(rule: NamedRule) -> list[str]:
+    """The names of a rule's distinct metavariables, sorted."""
+    return sorted(set().union(*map(metavars, _rule_schemata(rule))))
 
 
-# A rule table entry: the rule, its metavariables, and its conclusion with
-# them renamed into the private namespace untagged.  Every goal variable
+# A rule table entry: the rule, its metavariables' names, and its conclusion
+# with them renamed into the private namespace untagged.  Every goal variable
 # carries a use tag, so a goal shares no variable with a head, and a goal
 # unifies with a head exactly when it unifies with a renamed-apart copy.
-_Entry = tuple[NamedRule, list[Var], Formula]
+_Entry = tuple[NamedRule, list[str], Formula]
 
 
 class _Tables(NamedTuple):
@@ -595,11 +595,11 @@ class _SearchState:
         self._uses = 0
         self._axioms, self._rules, _ = _rule_tables(system)
 
-    def _fresh(self, variables: list[Var]) -> dict[str, Formula]:
-        """Each variable renamed apart from every earlier rule or axiom use."""
+    def _fresh(self, names: list[str]) -> dict[str, Formula]:
+        """Each named variable renamed apart from every earlier rule or axiom use."""
         self._uses += 1
         tag = "#" + str(self._uses)
-        return {v.name: _rename_vars(v, tag) for v in variables}
+        return {name: Var("\x02" + name + tag) for name in names}
 
     def _uses_of(self, table: list[_Entry], goal: Formula
                  ) -> Iterator[tuple[NamedRule, dict[str, Formula], dict]]:
@@ -609,10 +609,10 @@ class _SearchState:
         That unifier is the head's, renamed the same way: the renaming is
         a bijection onto names no goal holds, so unifying again would bind
         the same variables to the same terms in the same order."""
-        for rule, variables, head in table:
+        for rule, names, head in table:
             mgu = unify(goal, head)
             if mgu is not None:
-                sigma = self._fresh(variables)
+                sigma = self._fresh(names)
                 ren = {"\x02" + name: v for name, v in sigma.items()}
                 yield rule, sigma, {ren[k].name if k in ren else k: substitute_partial(f, ren)
                                     for k, f in mgu.items()}
@@ -632,23 +632,20 @@ class _SearchState:
     def prove(self, goal: Formula, avail: FMultiset, budget: int,
               theta: dict) -> Iterator[tuple[ProofTree, FMultiset, dict]]:
         """Proofs of ``goal`` under ``theta`` from part of ``avail`` within
-        ``budget`` nodes, each with the premises it uses and the bindings."""
+        ``budget`` nodes, each with the premises it uses and the bindings;
+        only a ground goal reads and writes ``fruitless``."""
         if budget < 1:
             return
         goal = _resolve(goal, theta)
-        if not goal._ground:
-            # the failure table speaks only for ground goals
-            yield from self._prove_raw(goal, avail, budget, theta)
-            return
-        key = (goal, avail)
-        if self.fruitless.get(key, 0) >= budget:
+        key = (goal, avail) if goal._ground else None
+        if key is not None and self.fruitless.get(key, 0) >= budget:
             return
         yielded = False
         for result in self._prove_raw(goal, avail, budget, theta):
             yielded = True
             yield result
-        if not yielded:
-            self.fruitless[key] = max(self.fruitless.get(key, 0), budget)
+        if key is not None and not yielded:
+            self.fruitless[key] = budget
 
     def _prove_raw(self, goal, avail, budget, theta):
         """Close the goal against a premise, an axiom or a rule's conclusion,

@@ -181,6 +181,7 @@ def test_check_proof_output_does_not_depend_on_the_hash_seed(tmp_path):
     (["parse", "--formula", "p"], 1),
     (["derive", "--system", f"{FIX}/bci.rcs", "--premises", "[a]",
       "--conclusions", "[a->a, a]"], 2),
+    (["--help"], 1),
 ])
 def test_unwritable_stdout_is_one_error_line(argv, code, unbuffered):
     # a full device: the write fails however stdout is buffered
@@ -563,6 +564,16 @@ def test_laws_domain_value_not_an_integer_is_a_usage_error(capsys, dom):
     assert code == 2
     assert "RESULT" not in captured.out
     assert "needs an integer" in captured.err
+
+
+@pytest.mark.parametrize("name", ["o", "t", "1", "a-b", "'x'"])
+def test_domain_atom_that_parses_otherwise_is_a_usage_error(capsys, name):
+    # o is fusion, t and 1 are constants: atoms=o+t once gave the witness P=[o]
+    code = main(["laws", "check", "--oracle", "ex54", "--dom", f"atoms={name},size=1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("usage error: domain atom ")
+    assert "RESULT" not in captured.out
 
 
 def test_theory_commands(capsys):

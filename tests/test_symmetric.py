@@ -157,6 +157,7 @@ def test_matching_and_search_leave_no_reference_cycles(bci):
     schema, formula = parse_formula("(a -> b) -> a", schema=True), parse_formula("(p -> q) -> p")
     left, right = (parse_formula("(a -> b) -> c", schema=True),
                    parse_formula("(p -> d) -> d", schema=True))
+    schemas, pool = ms("[x, y -> x]", schema=True), ms("[a, a, b, b -> a, a -> b]")
     z = make_z_oracle()
     gc.collect()
     gc.disable()
@@ -165,6 +166,11 @@ def test_matching_and_search_leave_no_reference_cycles(bci):
             assert match(schema, formula) is not None
             assert unify(left, right) is not None
             assert len(list(submultisets(ms("[a, a, b]")))) == 6
+            # match_into's backtracking, abandoned after one match and run out
+            assert next(match_into(schemas, pool)) is not None
+            assert len(list(match_into(schemas, pool))) == 2
+        # a search whose witness is grounded
+        assert treeproof.search(bci, ms("[p -> q, p]"), parse_formula("q")) is not None
         # axiom I's right side has a metavariable that no premise fixes
         assert derive_search(bci, ms("[a]"), ms("[a -> a, a]")).found
         assert gc.collect() == 0

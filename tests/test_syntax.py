@@ -7,15 +7,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relcon import (
+    EMPTY,
     Atom,
+    AxiomaticSystem,
     Conj,
+    Consecution,
     Disj,
     FMultiset,
     Fusion,
     Imp,
+    NamedRule,
     Neg,
     ONE,
     ParseError,
+    SymConsecution,
     Var,
     ZERO,
     match,
@@ -242,6 +247,17 @@ def test_system_concrete_atoms(toy_xy):
     # bare identifiers in system files are metavariables: this one matches all
     schematic = parse_system("system S\naxiom a : p\n")
     assert schematic.is_axiom_instance(Imp(p, q))
+
+
+@pytest.mark.parametrize("symmetric, rule", [
+    (False, SymConsecution(FMultiset([Atom("a")]), FMultiset([Atom("b"), Atom("b")]))),
+    (True, Consecution(EMPTY, Atom("a"))),
+])
+def test_system_rejects_a_rule_of_the_other_kind(symmetric, rule):
+    # print_system would write either in a form that parse_system rejects or
+    # reads as the other kind
+    with pytest.raises(ValueError, match="rule 'r' does not fit .* system S"):
+        AxiomaticSystem("S", [NamedRule("r", rule)], symmetric=symmetric)
 
 
 def test_system_name_discipline():
