@@ -233,6 +233,22 @@ rule  r1 : p, q |- q, p
     assert print_system(parse_system(print_system(system))) == print_system(system)
 
 
+def test_symmetric_system_text_is_pinned():
+    # no fixture is symmetric, so the writer's exact text is pinned here
+    system = parse_system("system Split   symmetric\n"
+                          "axiom id:A->A\n"
+                          "rule fuse :  A o B|-B,A\n")
+    text = print_system(system)
+    assert text == ("system Split symmetric\n"
+                    "axiom id   : [A -> A]\n"
+                    "rule  fuse : A o B |- [A, B]\n")
+    again = parse_system(text)
+    assert again.symmetric and again.rules == system.rules
+    A, B = Var("A"), Var("B")
+    assert [(r.left, r.right) for r in again.rules] == [
+        (EMPTY, FMultiset([Imp(A, A)])), (FMultiset([Fusion(A, B)]), FMultiset([A, B]))]
+
+
 def test_lifted_view(bci):
     sym = bci.lifted()
     assert sym.symmetric and sym.lifted() is sym
