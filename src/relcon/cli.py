@@ -96,11 +96,12 @@ def _default_seed() -> int:
 
 
 # the named oracles, each built fresh per call from a theorem basis or None;
-# only z, p and z_m use it (z_m's is z's: []'s only submultiset is [])
+# only z, p and z_m use it (z_m's is z's: []'s only submultiset is []); leq
+# has no theorems, so its basis is empty
 _ORACLES = {
     "z": lambda basis: AbelianOracle("z", theorem_basis=basis),
     "p": lambda basis: AbelianOracle("p", theorem_basis=basis),
-    "leq": lambda _: AbelianOracle("leq"),
+    "leq": lambda _: AbelianOracle("leq", theorem_basis=[]),
     "z_m": lambda basis: MonotonicCompanion(AbelianOracle("z", theorem_basis=basis)),
     "zsym": lambda _: AbelianSymmetricOracle(),
     "psym": lambda _: Symmetrization(AbelianOracle("p")),
@@ -158,7 +159,9 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
         elif key == "atoms":
             formulas.extend(_atom(a) for a in value.split("+") if a)
         elif key in _DOMAIN_FIELDS:
-            fields[_DOMAIN_FIELDS[key]] = _int(what, value)
+            n = fields[_DOMAIN_FIELDS[key]] = _int(what, value)
+            if n < 0 and key != "seed":
+                raise UsageError(f"{what} needs a count of at least 0, not {n}")
         else:
             raise UsageError(f"unknown domain key {key!r}")
     if not formulas:

@@ -428,6 +428,7 @@ def parse_matrix(text: str) -> Matrix:
     values: tuple[str, ...] = ()
     designated: frozenset = frozenset()
     tables: dict[str, dict[tuple, str]] = {}
+    seen: set[str] = set()  # the header lines read so far
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -435,8 +436,15 @@ def parse_matrix(text: str) -> Matrix:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         try:
+            if head in ("matrix", "values", "designated"):
+                if head in seen:
+                    raise ParseError(f"repeated {head!r} line")
+                seen.add(head)
             if head == "matrix":
-                name = rest.split()[0]
+                fields = rest.split()
+                if len(fields) != 1:
+                    raise ParseError("expected: matrix NAME")
+                name = fields[0]
             elif head == "values":
                 values = tuple(rest.split())
             elif head == "designated":
@@ -446,6 +454,8 @@ def parse_matrix(text: str) -> Matrix:
                 op = op.strip()
                 if op not in _ARITY:
                     raise ParseError(f"unknown connective {op!r}")
+                if op in tables:
+                    raise ParseError(f"repeated table for {op}")
                 if not values:
                     raise ParseError("'values' line must precede tables")
                 # row-major; a binary table has one row per left argument

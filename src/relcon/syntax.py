@@ -815,31 +815,19 @@ def _freeze(schema: Formula) -> Formula:
 
 @dataclass(frozen=True)
 class Consecution:
-    """A premise multiset and a single conclusion (single-conclusion form)."""
+    """A premise multiset and its conclusion or conclusions: ``right`` is a
+    formula in a single-conclusion system and a multiset in a symmetric one."""
 
     left: FMultiset
-    right: Formula
-
-    def __str__(self) -> str:
-        return f"{print_multiset(self.left, schema=True)} |- {print_schema(self.right)}"
-
-
-@dataclass(frozen=True)
-class SymConsecution:
-    """A premise multiset and a conclusion multiset (symmetric form)."""
-
-    left: FMultiset
-    right: FMultiset
-
-    def __str__(self) -> str:
-        return (f"{print_multiset(self.left, schema=True)} |- "
-                f"{print_multiset(self.right, schema=True)}")
+    right: Formula | FMultiset
 
 
 @dataclass(frozen=True)
 class NamedRule:
+    """A named consecution schema, of the kind its system states."""
+
     name: str
-    consecution: Consecution | SymConsecution
+    consecution: Consecution
 
     @property
     def left(self) -> FMultiset:
@@ -856,8 +844,7 @@ class NamedRule:
 
 def _rule_schemata(rule: NamedRule) -> list[Formula]:
     """A rule's schemata: its premises, then its conclusion or conclusions."""
-    rhs = rule.right
-    return list(rule.left) + (list(rhs) if isinstance(rhs, FMultiset) else [rhs])
+    return list(rule.left) + list(_lift(rule).right)
 
 
 class AxiomaticSystem:
@@ -908,8 +895,8 @@ class AxiomaticSystem:
     def is_axiom_instance(self, f: Formula) -> bool:
         """Whether ``f`` instantiates an axiom schema (symmetric axioms,
         multisets, are no single-formula instances)."""
-        return any(r.is_axiom and not isinstance(r.right, FMultiset)
-                   and match(r.right, f) is not None for r in self.rules)
+        return not self.symmetric and any(
+            r.is_axiom and match(r.right, f) is not None for r in self.rules)
 
     def lifted(self) -> "AxiomaticSystem":
         """The symmetric view: each rule Γ |- φ becomes Γ |- [φ] (see _lift)."""
@@ -922,7 +909,7 @@ def _lift(rule: NamedRule) -> NamedRule:
     """Γ |- φ as Γ |- [φ], same name; a symmetric rule comes back unchanged."""
     if isinstance(rule.right, FMultiset):
         return rule
-    return NamedRule(rule.name, SymConsecution(rule.left, FMultiset([rule.right])))
+    return NamedRule(rule.name, Consecution(rule.left, FMultiset([rule.right])))
 
 
 # -- system files --------------------------------------------------------------
@@ -939,6 +926,8 @@ def parse_system(text: str) -> AxiomaticSystem:
         try:
             head, _, rest = line.partition(" ")
             if head == "system":
+                if name is not None:
+                    raise ParseError("repeated 'system' line")
                 fields = rest.split()
                 if not fields or len(fields) > 2:
                     raise ParseError("expected: system NAME [symmetric]")
@@ -967,21 +956,18 @@ def parse_system(text: str) -> AxiomaticSystem:
 
 
 def _parse_rule_body(kind: str, rule_name: str, body: str, symmetric: bool) -> NamedRule:
+    """An axiom or rule line's body as a rule; its right side is read as a
+    multiset in a symmetric system and as one formula otherwise."""
+    side = parse_multiset if symmetric else parse_formula
     if kind == "axiom":
-        if symmetric:
-            right = parse_multiset(body, schema=True)
-            return NamedRule(rule_name, SymConsecution(EMPTY, right))
-        f = parse_formula(body, schema=True)
-        return NamedRule(rule_name, Consecution(EMPTY, f))
+        return NamedRule(rule_name, Consecution(EMPTY, side(body, schema=True)))
     lhs, sep, rhs = body.partition("|-")
     if not sep:
         raise ParseError("rule line needs '|-'")
     left = parse_multiset(lhs.strip(), schema=True)
     if left.is_empty():
         raise ParseError("a rule needs at least one premise; use 'axiom' instead")
-    if symmetric:
-        return NamedRule(rule_name, SymConsecution(left, parse_multiset(rhs.strip(), schema=True)))
-    return NamedRule(rule_name, Consecution(left, parse_formula(rhs.strip(), schema=True)))
+    return NamedRule(rule_name, Consecution(left, side(rhs.strip(), schema=True)))
 
 
 def load_system(path) -> AxiomaticSystem:
@@ -990,14 +976,15 @@ def load_system(path) -> AxiomaticSystem:
 
 
 def print_system(system: AxiomaticSystem) -> str:
+    """The system as the text parse_system reads back: right sides as
+    multisets in a symmetric system and as single schemata otherwise."""
     header = f"system {system.name} symmetric" if system.symmetric else f"system {system.name}"
     lines = [header]
     width = max((len(r.name) for r in system.rules), default=0)
     for r in system.rules:
         label = "axiom" if r.is_axiom else "rule "
-        rhs = r.right
-        body = (print_multiset(rhs, schema=True)
-                if isinstance(rhs, FMultiset) else print_schema(rhs))
+        body = (print_multiset(r.right, schema=True) if system.symmetric
+                else print_schema(r.right))
         if not r.is_axiom:
             body = ", ".join(print_schema(f) for f in r.left) + " |- " + body
         lines.append(f"{label} {r.name:<{width}} : {body}")

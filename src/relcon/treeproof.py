@@ -239,8 +239,8 @@ def _applies(system: AxiomaticSystem, node: ProofTree, before: FMultiset) -> boo
         rule = system.get(node.by.name)
     except KeyError:
         return False
-    return (not isinstance(rule.right, FMultiset) and _rule_step(
-        rule.left, rule.right, before, FMultiset([node.formula]), node.by.subst) is not None)
+    return _rule_step(rule.left, rule.right, before, FMultiset([node.formula]),
+                      node.by.subst) is not None
 
 
 def verify_report(tree: ProofTree, system: AxiomaticSystem,
@@ -573,8 +573,8 @@ def _rule_tables(system: AxiomaticSystem) -> _Tables:
     tables = _TABLES.get(system)
     if tables is None:
         def entries(rules):
-            return [(rule, _vars_of(rule), _rename_vars(rule.right)) for rule in rules
-                    if not isinstance(rule.right, FMultiset)]
+            return [] if system.symmetric else [
+                (rule, _vars_of(rule), _rename_vars(rule.right)) for rule in rules]
 
         tables = _TABLES[system] = _Tables(
             entries(system.axioms), entries(system.inference_rules), {})

@@ -359,6 +359,20 @@ def test_matrix_refute_command(capsys):
     assert "a = 2" in out and "b = 0" in out and "c = 1" in out
 
 
+@pytest.mark.parametrize("text, error", [
+    ("matrix\n", "error: expected: matrix NAME (line 1)"),
+    ("matrix A B\n", "error: expected: matrix NAME (line 1)"),
+    ("matrix A\nvalues 0 1\ndesignated 1\nmatrix B\n", "error: repeated 'matrix' line (line 4)"),
+], ids=["nameless", "two-names", "second-matrix"])
+def test_matrix_file_header_errors_are_invalid_input(capsys, tmp_path, text, error):
+    path = tmp_path / "m.mat"
+    path.write_text(text)
+    code = main(["matrix-refute", "--matrix", str(path), "--formula", "p -> p"])
+    captured = capsys.readouterr()
+    assert code == 1 and result_line(captured.out) == "invalid"
+    assert captured.err.splitlines() == [error]
+
+
 def test_matrix_refute_valid(capsys):
     code, out = run(capsys, "matrix-refute", "--matrix", f"{FIX}/t4.mat",
                     "--formula", "a -> a")
@@ -451,10 +465,9 @@ def test_laws_classify_command(capsys):
     assert "CR: yes" in out and "monotone: no" in out
 
 
-@pytest.mark.parametrize("dom", ["numerals=0..1,size=-1", "numerals=0..1,samples=-5,cap=0",
-                                 "numerals=0..1,size=-1,cap=-1"])
+@pytest.mark.parametrize("dom", ["numerals=0..1,samples=0,cap=0"])
 def test_laws_on_no_instances_are_unknown(capsys, dom):
-    # no multiset of size -1, and no samples drawn: such checks decide nothing
+    # every check samples and no sample is drawn: such checks decide nothing
     code, out = run(capsys, "laws", "check", "--oracle", "z", "--dom", dom)
     assert code == 0 and result_line(out) == "ok"
     empty = [ln for ln in out.splitlines() if ln.endswith(", 0 instances]")]
@@ -486,11 +499,20 @@ def test_laws_theorem_basis_reaches_the_largest_numeral(capsys):
 
 
 def test_laws_without_a_theorem_basis_ran_nothing(capsys):
-    # leq declares no theorems; a check that never ran is not labelled sampled
-    code, out = run(capsys, "laws", "check", "--oracle", "leq",
+    # a system oracle declares no theorems; a check that never ran is not
+    # labelled sampled
+    code, out = run(capsys, "laws", "check", "--oracle", f"system:{FIX}/bci.rcs",
                     "--dom", "numerals=-2..2,size=2", "--laws", "TheoremRemoval")
     assert code == 0 and result_line(out) == "ok"
     assert out.splitlines()[0] == "LAW TheoremRemoval UNKNOWN  [exhaustive, 0 instances]"
+
+
+def test_laws_on_leq_remove_from_the_empty_theorem_basis(capsys):
+    # leq has no theorems, so its basis is empty and TheoremRemoval is decided
+    code, out = run(capsys, "laws", "check", "--oracle", "leq",
+                    "--dom", "numerals=-2..2,size=2", "--laws", "TheoremRemoval")
+    assert code == 0 and result_line(out) == "ok"
+    assert out.splitlines()[0] == "LAW TheoremRemoval PASS  [exhaustive, 105 instances]"
 
 
 def test_laws_unknown_names(capsys):
@@ -554,6 +576,21 @@ def test_domain_keys_set_their_own_sample_domain_fields():
     assert make_domain("atoms=x,seed=9", 5) == SampleDomain(x, seed=9)
     assert make_domain("atoms=x,cap=11", 5) == SampleDomain(x, seed=5, exhaustive_cap=11)
     assert make_domain("atoms=x,samples=13", 5) == SampleDomain(x, seed=5, sample_count=13)
+
+
+@pytest.mark.parametrize("dom", ["numerals=0..1,size=-1", "numerals=0..1,samples=-5,cap=0",
+                                 "numerals=0..1,size=-1,cap=-1", "atoms=x,cap=-1"])
+def test_laws_domain_negative_count_is_a_usage_error(capsys, dom):
+    code = main(["laws", "check", "--oracle", "z", "--dom", dom])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert "needs a count of at least 0" in captured.err
+
+
+def test_domain_counts_may_be_zero():
+    assert make_domain("atoms=x,size=0,cap=0,samples=0", 5) == SampleDomain(
+        (Atom("x"),), max_size=0, seed=5, exhaustive_cap=0, sample_count=0)
 
 
 @pytest.mark.parametrize("dom", ["numerals=a..2", "numerals=0..1,size=x",

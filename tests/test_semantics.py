@@ -20,6 +20,7 @@ from relcon import (
     HOLDS,
     Imp,
     Neg,
+    ParseError,
     Var,
     UNKNOWN,
     countermodel_search,
@@ -365,6 +366,22 @@ def test_matrix_file_errors():
     with pytest.raises(Exception):
         parse_matrix("matrix M\nvalues 0 1\ndesignated 2\n"
                      "table -> : 1 1 | 0 1\n")  # designated outside carrier
+
+
+@pytest.mark.parametrize("text, error", [
+    ("matrix\n", "expected: matrix NAME (line 1)"),
+    ("matrix A B\n", "expected: matrix NAME (line 1)"),
+    ("matrix A\nmatrix B\n", "repeated 'matrix' line (line 2)"),
+    ("matrix A\nvalues 0 1\nvalues 0 1\n", "repeated 'values' line (line 3)"),
+    ("matrix A\nvalues 0 1\ndesignated 1\ndesignated 0\n",
+     "repeated 'designated' line (line 4)"),
+    ("matrix A\nvalues 0 1\ntable ~ : 1 0\ntable -> : 1 1 | 0 1\ntable ~ : 0 1\n",
+     "repeated table for ~ (line 5)"),
+], ids=["nameless", "two-names", "matrix", "values", "designated", "table"])
+def test_matrix_file_header_lines_are_read_once(text, error):
+    with pytest.raises(ParseError) as e:
+        parse_matrix(text)
+    assert str(e.value) == error
 
 
 def test_valuation_parsing():

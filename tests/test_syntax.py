@@ -20,7 +20,6 @@ from relcon import (
     Neg,
     ONE,
     ParseError,
-    SymConsecution,
     Var,
     ZERO,
     match,
@@ -266,7 +265,7 @@ def test_system_concrete_atoms(toy_xy):
 
 
 @pytest.mark.parametrize("symmetric, rule", [
-    (False, SymConsecution(FMultiset([Atom("a")]), FMultiset([Atom("b"), Atom("b")]))),
+    (False, Consecution(FMultiset([Atom("a")]), FMultiset([Atom("b"), Atom("b")]))),
     (True, Consecution(EMPTY, Atom("a"))),
 ])
 def test_system_rejects_a_rule_of_the_other_kind(symmetric, rule):
@@ -274,6 +273,17 @@ def test_system_rejects_a_rule_of_the_other_kind(symmetric, rule):
     # reads as the other kind
     with pytest.raises(ValueError, match="rule 'r' does not fit .* system S"):
         AxiomaticSystem("S", [NamedRule("r", rule)], symmetric=symmetric)
+
+
+@pytest.mark.parametrize("text", [
+    "system A\nsystem B\n",
+    # a second header once left the system symmetric: this rule read as p |- [p]
+    "system A symmetric\nsystem A\nrule r : p |- p\n",
+], ids=["renamed", "symmetric-then-not"])
+def test_system_header_line_is_read_once(text):
+    with pytest.raises(ParseError) as e:
+        parse_system(text)
+    assert str(e.value) == "repeated 'system' line (line 2)"
 
 
 def test_system_name_discipline():
