@@ -441,10 +441,9 @@ def parse_matrix(text: str) -> Matrix:
                     raise ParseError(f"repeated {head!r} line")
                 seen.add(head)
             if head == "matrix":
-                fields = rest.split()
-                if len(fields) != 1:
+                if len(rest.split()) != 1:
                     raise ParseError("expected: matrix NAME")
-                name = fields[0]
+                name = rest
             elif head == "values":
                 values = tuple(rest.split())
             elif head == "designated":

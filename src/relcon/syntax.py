@@ -815,8 +815,7 @@ def _freeze(schema: Formula) -> Formula:
 
 @dataclass(frozen=True)
 class Consecution:
-    """A premise multiset and its conclusion or conclusions: ``right`` is a
-    formula in a single-conclusion system and a multiset in a symmetric one."""
+    """Premises and a conclusion: a formula, or in a symmetric system a multiset."""
 
     left: FMultiset
     right: Formula | FMultiset
@@ -956,8 +955,7 @@ def parse_system(text: str) -> AxiomaticSystem:
 
 
 def _parse_rule_body(kind: str, rule_name: str, body: str, symmetric: bool) -> NamedRule:
-    """An axiom or rule line's body as a rule; its right side is read as a
-    multiset in a symmetric system and as one formula otherwise."""
+    """A rule from its line's body; the right side is a multiset if ``symmetric``."""
     side = parse_multiset if symmetric else parse_formula
     if kind == "axiom":
         return NamedRule(rule_name, Consecution(EMPTY, side(body, schema=True)))
@@ -976,15 +974,13 @@ def load_system(path) -> AxiomaticSystem:
 
 
 def print_system(system: AxiomaticSystem) -> str:
-    """The system as the text parse_system reads back: right sides as
-    multisets in a symmetric system and as single schemata otherwise."""
+    """The text parse_system reads back; right sides are multisets if symmetric."""
     header = f"system {system.name} symmetric" if system.symmetric else f"system {system.name}"
     lines = [header]
     width = max((len(r.name) for r in system.rules), default=0)
     for r in system.rules:
         label = "axiom" if r.is_axiom else "rule "
-        body = (print_multiset(r.right, schema=True) if system.symmetric
-                else print_schema(r.right))
+        body = print_multiset(r.right, schema=True) if system.symmetric else print_schema(r.right)
         if not r.is_axiom:
             body = ", ".join(print_schema(f) for f in r.left) + " |- " + body
         lines.append(f"{label} {r.name:<{width}} : {body}")
