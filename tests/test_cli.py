@@ -576,6 +576,8 @@ def test_domain_keys_set_their_own_sample_domain_fields():
     assert make_domain("atoms=x,seed=9", 5) == SampleDomain(x, seed=9)
     assert make_domain("atoms=x,cap=11", 5) == SampleDomain(x, seed=5, exhaustive_cap=11)
     assert make_domain("atoms=x,samples=13", 5) == SampleDomain(x, seed=5, sample_count=13)
+    assert make_domain("atoms=x,size=0,cap=0,samples=0", 5) == SampleDomain(
+        x, max_size=0, seed=5, exhaustive_cap=0, sample_count=0)
 
 
 @pytest.mark.parametrize("dom", ["numerals=0..1,size=-1", "numerals=0..1,samples=-5,cap=0",
@@ -586,11 +588,6 @@ def test_laws_domain_negative_count_is_a_usage_error(capsys, dom):
     assert code == 2
     assert "RESULT" not in captured.out
     assert "needs a count of at least 0" in captured.err
-
-
-def test_domain_counts_may_be_zero():
-    assert make_domain("atoms=x,size=0,cap=0,samples=0", 5) == SampleDomain(
-        (Atom("x"),), max_size=0, seed=5, exhaustive_cap=0, sample_count=0)
 
 
 @pytest.mark.parametrize("dom", ["numerals=a..2", "numerals=0..1,size=x",
