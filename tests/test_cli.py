@@ -359,18 +359,14 @@ def test_matrix_refute_command(capsys):
     assert "a = 2" in out and "b = 0" in out and "c = 1" in out
 
 
-@pytest.mark.parametrize("text, error", [
-    ("matrix\n", "error: expected: matrix NAME (line 1)"),
-    ("matrix A B\n", "error: expected: matrix NAME (line 1)"),
-    ("matrix A\nvalues 0 1\ndesignated 1\nmatrix B\n", "error: repeated 'matrix' line (line 4)"),
-], ids=["nameless", "two-names", "second-matrix"])
-def test_matrix_file_header_errors_are_invalid_input(capsys, tmp_path, text, error):
+def test_nameless_matrix_file_is_invalid_input(capsys, tmp_path):
+    # a bare 'matrix' line once raised IndexError out of the CLI
     path = tmp_path / "m.mat"
-    path.write_text(text)
+    path.write_text("matrix\n")
     code = main(["matrix-refute", "--matrix", str(path), "--formula", "p -> p"])
     captured = capsys.readouterr()
     assert code == 1 and result_line(captured.out) == "invalid"
-    assert captured.err.splitlines() == [error]
+    assert captured.err.splitlines() == ["error: expected: matrix NAME (line 1)"]
 
 
 def test_matrix_refute_valid(capsys):
