@@ -141,10 +141,11 @@ def _atom(name: str) -> Atom:
 def make_domain(spec: str, seed: int) -> SampleDomain:
     """Domain spec: comma-separated key=value pairs.
 
-    Keys: numerals=LO..HI | atoms=x+y+z, size=N, seed=N, cap=N, samples=N.
+    Keys: numerals=LO..HI | atoms=x+y+z, size=N, seed=N, cap=N, samples=N;
+    numerals and atoms add up, and the other keys may each appear once.
     """
     formulas: list = []
-    fields = {"seed": seed}
+    fields: dict = {}
     for part in spec.split(","):
         part = part.strip()
         if not part:
@@ -159,6 +160,8 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
         elif key == "atoms":
             formulas.extend(_atom(a) for a in value.split("+") if a)
         elif key in _DOMAIN_FIELDS:
+            if _DOMAIN_FIELDS[key] in fields:
+                raise UsageError(f"repeated {what}")
             n = fields[_DOMAIN_FIELDS[key]] = _int(what, value)
             if n < 0 and key != "seed":
                 raise UsageError(f"{what} needs a count of at least 0, not {n}")
@@ -166,7 +169,7 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
             raise UsageError(f"unknown domain key {key!r}")
     if not formulas:
         raise UsageError("domain needs numerals=LO..HI or atoms=a+b")
-    return SampleDomain(tuple(formulas), **fields)
+    return SampleDomain(tuple(formulas), **{"seed": seed, **fields})
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -334,14 +337,13 @@ def cmd_theory(args) -> int:
         if len(handles) != 1 or args.member is None:
             raise UsageError("theory contains needs one --gens and --member")
         return _verdict_result(th_contains(handles[0], parse_multiset(args.member)))
-    if args.op == "add":
-        if len(handles) != 2:
-            raise UsageError("theory add needs two --gens")
-        total = th_add(handles[0], handles[1])
-        print(f"generator {print_multiset(total.generator)}")
-        _result("ok")
-        return EXIT_OK
-    raise UsageError(f"unknown theory operation {args.op!r}")
+    # add, the one op the parser's choices leave
+    if len(handles) != 2:
+        raise UsageError("theory add needs two --gens")
+    total = th_add(handles[0], handles[1])
+    print(f"generator {print_multiset(total.generator)}")
+    _result("ok")
+    return EXIT_OK
 
 
 # -- wiring ------------------------------------------------------------------------

@@ -421,7 +421,7 @@ def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:
 
 def check_laws(oracle, dom: SampleDomain,
                names: Optional[Sequence[str]] = None) -> dict[str, LawResult]:
-    selected = names or law_names(getattr(oracle, "symmetric", False))
+    selected = law_names(getattr(oracle, "symmetric", False)) if names is None else names
     return {n: check_law(oracle, n, dom) for n in selected}
 
 
@@ -535,11 +535,8 @@ def classify(oracle, dom: SampleDomain) -> ClassifyReport:
     report = ClassifyReport(getattr(oracle, "name", "oracle"), symmetric, results)
     network = SYM_IMPLICATIONS if symmetric else ASYM_IMPLICATIONS
     for premises_names, conclusion_name in network:
-        rs = [results[n] for n in premises_names if n in results]
-        conc = results.get(conclusion_name)
-        if conc is None or len(rs) != len(premises_names):
-            continue
-        if all(r.passed for r in rs) and conc.status == "counterexample":
+        conc = results[conclusion_name]
+        if all(results[n].passed for n in premises_names) and conc.status == "counterexample":
             report.consistency_errors.append(
                 f"{' & '.join(premises_names)} passed but {conclusion_name} "
                 f"failed at {conc.witness_str()}")

@@ -60,6 +60,7 @@ from .syntax import (
     Var,
     ONE,
     ZERO,
+    _one_token,
     numeral_value,
     print_formula,
 )
@@ -340,6 +341,11 @@ class Matrix:
     _ops: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not _one_token(self.name):
+            raise ValueError(f"matrix name {self.name!r} must be one token without '#'")
+        for v in self.values:
+            if not _one_token(v) or "|" in v:
+                raise ValueError(f"matrix value {v!r} must be one token without '#' or '|'")
         if not self.designated:
             raise ValueError("designated set must be nonempty")
         carrier = set(self.values)
@@ -376,11 +382,6 @@ def matrix_eval(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
     for name, value in valuation.items():
         if value not in matrix.values:
             raise EvalError(f"value {value} of atom {name} is not in matrix {matrix.name}")
-    return _value(matrix, valuation, f)
-
-
-def _value(matrix: Matrix, valuation: dict[str, str], f: Formula) -> str:
-    # matrix_eval on a valuation into the carrier
     _, consts, segments = _compile([f], valuation, _matrix_leaf, matrix._ops)
     return next(_run(consts, segments))
 
@@ -491,11 +492,6 @@ def print_matrix(matrix: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_int_valuation(text: str) -> dict[str, int]:
-    """Parse 'a=2,b=0' into an integer valuation."""
-    return {name: int(value) for name, value in parse_valuation(text).items()}
-
-
 def parse_valuation(text: str) -> dict[str, str]:
     """Parse 'a=2,b=0' into a matrix valuation (values stay textual)."""
     out: dict[str, str] = {}
@@ -507,5 +503,7 @@ def parse_valuation(text: str) -> dict[str, str]:
         name, value = name.strip(), value.strip()
         if not name or not value:
             raise ParseError(f"bad valuation entry {part!r}")
+        if name in out:
+            raise ParseError(f"atom {name} is valued twice")
         out[name] = value
     return out

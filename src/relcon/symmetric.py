@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from .multiset import EMPTY, FMultiset, submultisets
 from .oracles import (
@@ -72,10 +72,7 @@ class DerivationVerdict(IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class RuleApp:
-    rule: str
-    subst: Optional[Mapping[str, Formula]] = None
+RuleApp = RuleJust  # a derivation step names its rule as a proof node does
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class Derivation:
     """A nonempty multiset sequence with one rule application per transition."""
 
     steps: tuple[FMultiset, ...]
-    step_rules: tuple[RuleApp, ...] = ()
+    step_rules: tuple[RuleJust, ...] = ()
 
     def __post_init__(self):
         if not self.steps:
@@ -94,7 +91,7 @@ class Derivation:
     def __str__(self) -> str:
         parts = [print_multiset(self.steps[0])]
         for app, step in zip(self.step_rules, self.steps[1:]):
-            parts.append(f"--{app.rule}--> {print_multiset(step)}")
+            parts.append(f"--{app.name}--> {print_multiset(step)}")
         return " ".join(parts)
 
 
@@ -120,7 +117,7 @@ def _replay(derivation: Derivation, system: AxiomaticSystem, premises: FMultiset
         return DerivationVerdict.INVALID, uses
     for i, app in enumerate(derivation.step_rules, start=1):
         try:
-            rule = system.get(app.rule)
+            rule = system.get(app.name)
         except KeyError:
             return DerivationVerdict.INVALID, uses
         sigma = _rule_step(rule.left, rule.right, steps[i - 1], steps[i], app.subst)
@@ -176,7 +173,7 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
     plans = [_RightPlan(_lift(rule)) for rule in system.rules]
 
     pruned: set[str] = set()
-    parent: dict[FMultiset, Optional[tuple[FMultiset, RuleApp]]] = {premises: None}
+    parent: dict[FMultiset, Optional[tuple[FMultiset, RuleJust]]] = {premises: None}
     level = [premises]
     for _ in range(max_steps):
         if not level or conclusions in parent or "states" in pruned:
@@ -231,7 +228,7 @@ class _RightPlan:
 
 def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
            max_formula_size: int, max_multiset_size: int,
-           pruned: set) -> Iterator[tuple[FMultiset, RuleApp]]:
+           pruned: set) -> Iterator[tuple[FMultiset, RuleJust]]:
     """Every rule application to state whose products fit both caps, rules in
     system order, each match's free right metavariables ranging over cands
     (sorted by size) in product order.  An application that does not fit is
@@ -273,7 +270,7 @@ def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
                 full = dict(sigma)
                 full.update(zip(free, values))
                 produced = FMultiset(substitute(s, full) for s in rule.right)
-                yield rest + produced, RuleApp(rule.name, full)
+                yield rest + produced, RuleJust(rule.name, full)
 
 
 def _fitting(cands: list[Formula], extras: list[int], bounds: list[int],
@@ -388,11 +385,9 @@ class AsymmetricPart(ConsequenceOracle):
         return self.base.entails(premises, FMultiset([conclusion]))
 
     def entails_all_theorems(self, premises: FMultiset) -> Verdict:
-        if self.theorem_basis is not None:
-            return super().entails_all_theorems(premises)
-        if self.empty_via_base:
+        if self.empty_via_base and self.theorem_basis is None:
             return self.base.entails(premises, EMPTY)
-        return UNKNOWN
+        return super().entails_all_theorems(premises)
 
 
 class DerivationOracle(SymmetricOracle):
@@ -479,7 +474,7 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
         consumed = FMultiset(substitute(s, sigma) for s in rule.left)
         taken = tuple(forest[f].pop(0) for f in consumed)
         label = substitute(rule.right, sigma)
-        by = RuleJust(rule.name, app.subst) if taken else AxiomJust(rule.name, app.subst)
+        by = app if taken else AxiomJust(app.name, app.subst)
         forest.setdefault(label, []).append(ProofTree(label, by, taken))
         made.append((consumed, forest[label][-1]))
 
@@ -489,7 +484,7 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
     used = FMultiset(node.formula for node in nodes if isinstance(node.by, PremiseJust))
     rest = premises - used
     residual_steps = [rest]
-    residual_apps: list[RuleApp] = []
+    residual_apps: list[RuleJust] = []
     for app, (consumed, node) in zip(derivation.step_rules, made):
         if id(node) in in_tree:
             continue
@@ -507,8 +502,7 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
 def derivation_to_data(derivation: Derivation) -> list[dict]:
     out = [{"multiset": print_multiset(derivation.steps[0])}]
     for app, step in zip(derivation.step_rules, derivation.steps[1:]):
-        out.append({"multiset": print_multiset(step),
-                    "by": _just_to_data(RuleJust(app.rule, app.subst))})
+        out.append({"multiset": print_multiset(step), "by": _just_to_data(app)})
     return out
 
 
@@ -520,12 +514,12 @@ def derivation_from_data(data: list[dict]) -> Derivation:
             raise ValueError(
                 'each derivation record must be an object with a "multiset" string')
     steps = [parse_multiset(rec["multiset"]) for rec in data]
-    apps: list[RuleApp] = []
+    apps: list[RuleJust] = []
     for rec in data[1:]:
         by = rec.get("by")
         if not isinstance(by, dict) or not isinstance(by.get("rule"), str):
             raise ValueError(f"record {rec!r} is missing its rule")
-        apps.append(RuleApp(by["rule"], _subst_from(by.get("subst"))))
+        apps.append(RuleJust(by["rule"], _subst_from(by.get("subst"))))
     if "by" in data[0]:
         raise ValueError("the first record carries no rule")
     return Derivation(tuple(steps), tuple(apps))

@@ -846,16 +846,26 @@ def _rule_schemata(rule: NamedRule) -> list[Formula]:
     return list(rule.left) + list(_lift(rule).right)
 
 
+def _one_token(text: str) -> bool:
+    """Whether ``text`` reads back as one field of a system or matrix file."""
+    return text.split() == [text] and "#" not in text
+
+
 class AxiomaticSystem:
     """A named set of consecution schemata; axioms have empty left side, and
     a rule's right side is a multiset exactly when the system is symmetric."""
 
     def __init__(self, name: str, rules: list[NamedRule], symmetric: bool = False):
+        if not _one_token(name):
+            raise ValueError(f"system name {name!r} must be one token without '#'")
         self.name = name
         self.rules = tuple(rules)
         self.symmetric = symmetric
         self._by_name: dict[str, NamedRule] = {}
         for r in rules:
+            if r.name.strip().splitlines() != [r.name] or set(r.name) & {":", "#"}:
+                raise ValueError(f"rule name {r.name!r} must be one nonempty line, "
+                                 "unpadded, without ':' or '#'")
             if r.name in self._by_name:
                 raise ValueError(f"duplicate rule name {r.name!r} in system {name}")
             if isinstance(r.right, FMultiset) != symmetric:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from relcon import Atom, parse_matrix, parse_system, print_matrix, print_system
+from relcon import Atom, numeral, parse_matrix, parse_system, print_matrix, print_system
 from relcon.cli import main, make_domain, make_oracle
 from relcon.laws import SampleDomain
 from relcon.symmetric import DerivationOracle, TreeSearchOracle
@@ -391,6 +391,16 @@ def test_matrix_evaluation_errors_are_invalid_input(capsys, argv):
     assert "value zz" not in captured.out
 
 
+def test_matrix_eval_repeated_atom_is_invalid_input(capsys):
+    code = main(["matrix-eval", "--matrix", f"{FIX}/t4.mat", "--formula", "a",
+                 "--valuation", "a=0,a=3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert result_line(captured.out) == "invalid"
+    assert captured.err.startswith("error: atom a is valued twice")
+    assert "value" not in captured.out
+
+
 def test_abelian_command(capsys):
     code, out = run(capsys, "abelian", "--kind", "z",
                     "--premises", "[1,1]", "--goal", "1")
@@ -584,6 +594,20 @@ def test_laws_domain_negative_count_is_a_usage_error(capsys, dom):
     assert code == 2
     assert "RESULT" not in captured.out
     assert "needs a count of at least 0" in captured.err
+
+
+@pytest.mark.parametrize("key", ["size", "seed", "cap", "samples"])
+def test_laws_domain_repeated_key_is_a_usage_error(capsys, key):
+    code = main(["laws", "check", "--oracle", "z", "--dom", f"numerals=0..1,{key}=1,{key}=2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert f"repeated domain key '{key}'" in captured.err
+
+
+def test_domain_numerals_and_atoms_add_up():
+    assert make_domain("numerals=0..1,atoms=x,numerals=3..3,atoms=y+z", 5).formulas == (
+        numeral(0), numeral(1), Atom("x"), numeral(3), Atom("y"), Atom("z"))
 
 
 @pytest.mark.parametrize("dom", ["numerals=a..2", "numerals=0..1,size=x",

@@ -99,6 +99,11 @@ def test_z_generalized_reflexivity_fails(z_oracle):
     assert result.status == "counterexample"
 
 
+def test_check_laws_on_no_names_runs_no_law(z_oracle):
+    assert check_laws(z_oracle, numeral_domain(), []) == {}
+    assert len(check_laws(z_oracle, numeral_domain(max_size=1))) == 7
+
+
 def test_theorem_removal_needs_basis():
     from relcon.semantics import AbelianOracle
 

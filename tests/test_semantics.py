@@ -39,8 +39,6 @@ from relcon.semantics import (
     AbelianSymmetricOracle,
     Matrix,
     MatrixOracle,
-    _value,
-    parse_int_valuation,
     parse_valuation,
 )
 from relcon.syntax import ONE, TRUTH, ZERO, atoms, numeral_value, print_formula
@@ -384,11 +382,44 @@ def test_matrix_file_header_lines_are_read_once(text, error):
     assert str(e.value) == error
 
 
+@pytest.mark.parametrize("text, error", [
+    ("matrix A\nvalues 0 1\ntable => : 1 1 | 0 1\n", "unknown connective '=>' (line 3)"),
+    ("matrix A\ntable ~ : 1 0\nvalues 0 1\n",
+     "'values' line must precede tables (line 2)"),
+], ids=["connective", "table-first"])
+def test_matrix_file_table_errors(text, error):
+    with pytest.raises(ParseError) as e:
+        parse_matrix(text)
+    assert str(e.value) == error
+
+
+def test_matrix_file_skips_blank_and_comment_lines():
+    text = "# a comment\nmatrix A\n\n   \n  # indented comment\nvalues 0 1\ndesignated 1\n"
+    assert parse_matrix(text) == Matrix("A", ("0", "1"), frozenset({"1"}))
+
+
+@pytest.mark.parametrize("name", ["M#", "M N", "", "M\n"])
+def test_matrix_name_must_read_back_as_one_token(name):
+    # print_matrix would write 'matrix M#', a matrix named M
+    with pytest.raises(ValueError, match="matrix name"):
+        Matrix(name, ("0", "1"), frozenset({"1"}))
+
+
+@pytest.mark.parametrize("value", ["0|1", "0#", "0 1", ""])
+def test_matrix_value_must_read_back_as_one_token(value):
+    with pytest.raises(ValueError, match="matrix value"):
+        Matrix("M", ("2", value), frozenset({"2"}))
+
+
 def test_valuation_parsing():
     assert parse_valuation("a=2, b=0") == {"a": "2", "b": "0"}
-    assert parse_int_valuation("a=-3,b=7") == {"a": -3, "b": 7}
     with pytest.raises(Exception):
         parse_valuation("a")
+
+
+def test_valuation_repeated_atom_is_a_parse_error():
+    with pytest.raises(ParseError, match="atom a is valued twice"):
+        parse_valuation("a=0,b=1, a=3")
 
 
 # -- the recursive evaluators the iterative ones replaced -------------------------
@@ -594,7 +625,7 @@ def test_int_eval_agrees_with_recursive_reference(f, v):
 
 @given(st.one_of(_any_formulas, _t4_formulas), _t4_valuations)
 def test_matrix_value_agrees_with_recursive_reference(f, v):
-    assert _outcome(_value, T4, v, f) == _outcome(_ref_value, T4, v, f)
+    assert _outcome(matrix_eval, T4, v, f) == _outcome(_ref_value, T4, v, f)
 
 
 @given(_t4_formulas)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from relcon import (
+    EMPTY,
     AxiomJust,
     Derivation,
     DerivationVerdict,
@@ -29,6 +30,7 @@ from relcon import (
     dump_proof,
     extract_tree,
     load_derivation,
+    numeral,
     parse_formula,
     parse_multiset,
     premise_leaf,
@@ -36,7 +38,8 @@ from relcon import (
     verify,
 )
 from relcon import symmetric, treeproof
-from relcon.semantics import AbelianSymmetricOracle
+from relcon.laws import MonotonicCompanion
+from relcon.semantics import AbelianOracle, AbelianSymmetricOracle
 from relcon.symmetric import (
     AsymmetricPart,
     DerivationOracle,
@@ -448,6 +451,16 @@ def test_asymmetric_part(zsym, z_oracle):
             z_oracle.entails(ms(premises), parse_formula(conclusion))
 
 
+@pytest.mark.parametrize("oracle, premises, expected", [
+    (MonotonicCompanion(AbelianOracle("z", theorem_basis=[numeral(-1)])), "[]", FAILS),
+    (MonotonicCompanion(AbelianOracle("z", theorem_basis=[numeral(-1)])), "[-1]", HOLDS),
+    (AsymmetricPart(AbelianSymmetricOracle(), theorem_basis=[numeral(1)]), "[]", HOLDS),
+    (AsymmetricPart(AbelianSymmetricOracle(), theorem_basis=[numeral(1)]), "[2]", FAILS),
+], ids=["companion-empty", "companion-minus-one", "part-empty", "part-two"])
+def test_symmetrize_empty_conclusions_folds_the_theorem_basis(oracle, premises, expected):
+    assert symmetrize_query(oracle, ms(premises), EMPTY) is expected
+
+
 def test_asymmetric_part_reflexive_on_every_scr(zsym, psym, ex54):
     # [f] |- f holds for the asymmetric part of each bundled symmetric oracle
     for oracle, formulas in [(zsym, ["1", "-2", "p", "p -> q"]),
@@ -693,6 +706,26 @@ def test_derivation_json_roundtrip(bci):
     again = load_derivation(text)
     assert again == d
     assert dump_derivation(again) == text
+
+
+def test_derivation_steps_are_rule_nodes():
+    # a derivation step names its rule as a proof node does
+    assert symmetric.RuleApp is treeproof.RuleJust
+
+
+@pytest.mark.parametrize("steps, rules, error", [
+    ((), (), "a derivation has at least one step"),
+    ((ms("[a]"),), (RuleApp("I"),), "need exactly one rule application per transition"),
+    ((ms("[a]"), ms("[a, a -> a]")), (), "need exactly one rule application per transition"),
+], ids=["empty", "extra-rule", "missing-rule"])
+def test_derivation_shape_is_checked(steps, rules, error):
+    with pytest.raises(ValueError, match=error):
+        Derivation(steps, rules)
+
+
+def test_derivation_json_first_record_has_no_rule():
+    with pytest.raises(ValueError, match="the first record carries no rule"):
+        load_derivation('[{"multiset": "[a]", "by": {"rule": "I"}}]')
 
 
 def test_derivation_json_rules_required():

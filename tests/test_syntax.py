@@ -301,6 +301,40 @@ def test_system_errors_carry_line():
         parse_system("system S\naxiom a : p\naxiom a : q\n")
 
 
+@pytest.mark.parametrize("text, error", [
+    ("system\n", "expected: system NAME [symmetric] (line 1)"),
+    ("system A symmetric more\n", "expected: system NAME [symmetric] (line 1)"),
+    ("system A sym\n", "unknown system modifier 'sym' (line 1)"),
+    ("system A\naxiom : p\n", "axiom line is missing a name (line 2)"),
+    ("system A\nrule  : p |- p\n", "rule line is missing a name (line 2)"),
+    ("system A\nrule r : |- p\n",
+     "a rule needs at least one premise; use 'axiom' instead (line 2)"),
+], ids=["bare", "three-fields", "modifier", "nameless-axiom", "nameless-rule", "no-premise"])
+def test_system_file_errors(text, error):
+    with pytest.raises(ParseError) as e:
+        parse_system(text)
+    assert str(e.value) == error
+
+
+@pytest.mark.parametrize("name", ["x symmetric", "a b", "a#b", "", " ", "a\nb"])
+def test_system_name_must_read_back_as_one_token(bci, name):
+    # print_system would write 'system x symmetric', a symmetric system named x
+    with pytest.raises(ValueError, match="system name"):
+        AxiomaticSystem(name, bci.rules)
+
+
+@pytest.mark.parametrize("name", ["a:b", "a#b", "", " ", " a", "a ", "a\nb", "a\n"])
+def test_rule_name_must_read_back(name):
+    with pytest.raises(ValueError, match="rule name"):
+        AxiomaticSystem("S", [NamedRule(name, Consecution(EMPTY, Var("p")))])
+
+
+def test_rule_name_with_inner_spaces_reads_back():
+    system = AxiomaticSystem("S", [NamedRule("my rule", Consecution(EMPTY, Var("p")))])
+    again = parse_system(print_system(system))
+    assert again.name == "S" and again.rules == system.rules
+
+
 @given(st.integers(min_value=-30, max_value=30))
 def test_numeral_value_inverse(k):
     assert numeral_value(numeral(k)) == k
