@@ -1,9 +1,9 @@
 """relcon: command-line front end.
 
-Exit codes: 0 holds/valid, 1 fails/invalid, 2 usage error, 3 unknown or
-out-of-bounds.  The derivation commands (check-derivation, derive) use the
-derivation-specific mapping 0 relevant, 1 plain, 2 invalid, 3 unknown.  The
-last stdout line is always machine-parsable: ``RESULT <verdict>``.
+Each command prints its body and returns its RESULT word and exit code;
+``main`` prints the last stdout line, ``RESULT <word>``.  README "The CLI"
+tables each command's words and exit codes.  A usage error exits 2 with no
+RESULT line.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .semantics import (
 )
 from .symmetric import (
     DerivationOracle,
-    DerivationVerdict,
     Symmetrization,
     TreeSearchOracle,
     check_derivation,
@@ -66,6 +65,9 @@ EXIT_UNKNOWN = 3
 _VERDICT_EXIT = {Verdict.HOLDS: EXIT_OK, Verdict.FAILS: EXIT_FAIL,
                  Verdict.UNKNOWN: EXIT_UNKNOWN}
 
+# the derivation commands' exit codes, by RESULT word
+_DERIVATION_EXIT = {"relevant": 0, "plain": 1, "invalid": 2, "unknown": 3}
+
 # a law result's status as the laws command prints it
 _LAW_STATUS = {"passed": "PASS", "counterexample": "FAIL", "inconclusive": "UNKNOWN"}
 
@@ -74,13 +76,8 @@ class UsageError(Exception):
     pass
 
 
-def _result(line: str) -> None:
-    print(f"RESULT {line}")
-
-
-def _verdict_result(verdict: Verdict) -> int:
-    _result(str(verdict))
-    return _VERDICT_EXIT[verdict]
+def _verdict(verdict: Verdict) -> tuple[str, int]:
+    return str(verdict), _VERDICT_EXIT[verdict]
 
 
 def _int(what: str, text: str) -> int:
@@ -93,6 +90,32 @@ def _int(what: str, text: str) -> int:
 def _default_seed() -> int:
     env = os.environ.get("RELCON_SEED")
     return _int("RELCON_SEED", env) if env else 0
+
+
+def _bound(text: str) -> int:
+    """The argparse type of a search or grid bound: an integer of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:  # argparse's own message for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"needs a bound of at least 0, not {n}")
+    return n
+
+
+def _inputs(args) -> list:
+    """Read the input flags the command was given, in the table's order."""
+    # built per call, so it holds this module's current names: perfbench's
+    # tracer wraps the readers in place
+    readers = {"system": load_system, "premises": parse_multiset,
+               "goal": parse_formula, "conclusions": parse_multiset}
+    return [read(getattr(args, flag)) for flag, read in readers.items()
+            if getattr(args, flag, None) is not None]
+
+
+def _read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 # the named oracles, each built fresh per call from a theorem basis or None;
@@ -175,91 +198,66 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> tuple[str, int]:
     if args.formula is not None:
         print(print_formula(parse_formula(args.formula)))
     elif args.multiset is not None:
         print(print_multiset(parse_multiset(args.multiset)))
     elif args.system is not None:
-        print(print_system(load_system(args.system)), end="")
+        print(print_system(*_inputs(args)), end="")
     else:
         raise UsageError("parse needs --formula, --multiset, or --system")
-    _result("ok")
-    return EXIT_OK
+    return "ok", EXIT_OK
 
 
-def cmd_check_proof(args) -> int:
-    system = load_system(args.system)
-    premises = parse_multiset(args.premises)
-    goal = parse_formula(args.goal)
-    with open(args.proof, "r", encoding="utf-8") as fh:
-        tree = load_proof(fh.read())
-    report = verify_report(tree, system, premises, goal)
+def cmd_check_proof(args) -> tuple[str, int]:
+    system, premises, goal = _inputs(args)
+    report = verify_report(load_proof(_read(args.proof)), system, premises, goal)
     for problem in report.problems:
         print(f"problem: {problem}")
     if report.verdict is RelevanceVerdict.INVALID:
         print(f"leaf surplus beyond premises: {print_multiset(report.surplus)}")
-    _result(str(report.verdict))
-    return EXIT_OK if report.verdict >= RelevanceVerdict.PLAIN else EXIT_FAIL
+    return str(report.verdict), EXIT_OK if report.verdict >= RelevanceVerdict.PLAIN else EXIT_FAIL
 
 
-def cmd_search(args) -> int:
-    system = load_system(args.system)
-    premises = parse_multiset(args.premises)
-    goal = parse_formula(args.goal)
-    tree = search(system, premises, goal, max_nodes=args.max_nodes)
+def cmd_search(args) -> tuple[str, int]:
+    tree = search(*_inputs(args), max_nodes=args.max_nodes)
     if tree is None:
-        _result("unknown")
-        return EXIT_UNKNOWN
+        return "unknown", EXIT_UNKNOWN
     print(dump_proof(tree))
-    _result("found")
-    return EXIT_OK
+    return "found", EXIT_OK
 
 
-def cmd_check_derivation(args) -> int:
-    system = load_system(args.system)
-    premises = parse_multiset(args.premises)
-    conclusions = parse_multiset(args.conclusions)
-    with open(args.derivation, "r", encoding="utf-8") as fh:
-        derivation = load_derivation(fh.read())
-    verdict = check_derivation(derivation, system, premises, conclusions)
-    _result(str(verdict))
-    return {DerivationVerdict.RELEVANT: 0, DerivationVerdict.PLAIN: 1,
-            DerivationVerdict.INVALID: 2}[verdict]
+def cmd_check_derivation(args) -> tuple[str, int]:
+    system, premises, conclusions = _inputs(args)
+    derivation = load_derivation(_read(args.derivation))
+    word = str(check_derivation(derivation, system, premises, conclusions))
+    return word, _DERIVATION_EXIT[word]
 
 
-def cmd_derive(args) -> int:
-    system = load_system(args.system)
-    premises = parse_multiset(args.premises)
-    conclusions = parse_multiset(args.conclusions)
-    result = derive_search(system, premises, conclusions,
-                           max_steps=args.max_steps,
+def cmd_derive(args) -> tuple[str, int]:
+    result = derive_search(*_inputs(args), max_steps=args.max_steps,
                            max_formula_size=args.max_size,
                            max_multiset_size=args.max_multiset)
     if result.found:
         print(dump_derivation(result.derivation))
-        _result("relevant")
-        return 0
-    if result.status == "exhausted":
-        _result("invalid")
-        return 2
-    print(f"search truncated by: {', '.join(sorted(result.pruned_by))}")
-    _result("unknown")
-    return 3
+        word = "relevant"
+    elif result.status == "exhausted":
+        word = "invalid"
+    else:
+        print(f"search truncated by: {', '.join(sorted(result.pruned_by))}")
+        word = "unknown"
+    return word, _DERIVATION_EXIT[word]
 
 
-def cmd_symmetrize(args) -> int:
+def cmd_symmetrize(args) -> tuple[str, int]:
     oracle = make_oracle(args.oracle)
-    if getattr(oracle, "symmetric", False):
+    if oracle.symmetric:
         raise UsageError("symmetrize expects an asymmetric oracle")
-    premises = parse_multiset(args.premises)
-    conclusions = parse_multiset(args.conclusions)
-    verdict = symmetrize_query(oracle, premises, conclusions,
-                               partition_cap=args.cap)
-    return _verdict_result(verdict)
+    return _verdict(symmetrize_query(oracle, *_inputs(args), partition_cap=args.cap))
 
 
-def cmd_matrix_eval(args) -> int:
+def cmd_matrix_eval(args) -> tuple[str, int]:
     matrix = load_matrix(args.matrix)
     formula = parse_formula(args.formula)
     valuation = parse_valuation(args.valuation or "")
@@ -267,31 +265,29 @@ def cmd_matrix_eval(args) -> int:
     designated = value in matrix.designated
     print(f"value {value}")
     print(f"designated {'yes' if designated else 'no'}")
-    _result(str(value))
-    return EXIT_OK if designated else EXIT_FAIL
+    return str(value), EXIT_OK if designated else EXIT_FAIL
 
 
-def cmd_matrix_refute(args) -> int:
+def cmd_matrix_refute(args) -> tuple[str, int]:
     matrix = load_matrix(args.matrix)
-    formula = parse_formula(args.formula)
-    valuation = countermodel_search(matrix, formula)
+    valuation = countermodel_search(matrix, parse_formula(args.formula))
     if valuation is None:
-        _result("valid")
-        return EXIT_FAIL
+        return "valid", EXIT_FAIL
     for atom in sorted(valuation):
         print(f"{atom} = {valuation[atom]}")
-    _result("refuted")
-    return EXIT_OK
+    return "refuted", EXIT_OK
 
 
-def cmd_abelian(args) -> int:
+def cmd_abelian(args) -> tuple[str, int]:
     oracle = AbelianOracle(args.kind, grid_bound=args.grid_bound)
-    premises = parse_multiset(args.premises)
-    goal = parse_formula(args.goal)
-    return _verdict_result(oracle.entails(premises, goal))
+    return _verdict(oracle.entails(*_inputs(args)))
 
 
-def cmd_laws(args) -> int:
+def _law_line(name: str, result) -> str:
+    return f"LAW {name} {_LAW_STATUS[result.status]} {result.witness_str()}".rstrip()
+
+
+def cmd_laws(args) -> tuple[str, int]:
     dom = make_domain(args.dom, args.seed)
     # the theorems are 0 and the domain's nonnegative numerals, so the basis
     # never outgrows the domain
@@ -301,49 +297,40 @@ def cmd_laws(args) -> int:
     if args.action == "classify":
         report = classify(oracle, dom)
         for name in sorted(report.results):
-            r = report.results[name]
-            print(f"LAW {name} {_LAW_STATUS[r.status]} {r.witness_str()}".rstrip())
+            print(_law_line(name, report.results[name]))
         for err in report.consistency_errors:
             print(f"INCONSISTENT {err}")
         print(report.summary())
-        _result("ok" if not report.consistency_errors else "inconsistent")
-        return EXIT_OK if not report.consistency_errors else EXIT_FAIL
-    wanted = None if args.laws in (None, "all") else [s.strip() for s in args.laws.split(",")]
+        return ("inconsistent", EXIT_FAIL) if report.consistency_errors else ("ok", EXIT_OK)
+    wanted = None if args.laws == "all" else [s.strip() for s in args.laws.split(",")]
     if wanted:
-        known = set(law_names(getattr(oracle, "symmetric", False)))
+        known = set(law_names(oracle.symmetric))
         bad = [w for w in wanted if w not in known]
         if bad:
             raise UsageError(f"unknown laws for this oracle kind: {', '.join(bad)}")
-    results = check_laws(oracle, dom, wanted)
-    for name, r in results.items():
+    for name, r in check_laws(oracle, dom, wanted).items():
         mode = "exhaustive" if r.exhaustive else "sampled"
-        line = f"LAW {name} {_LAW_STATUS[r.status]} {r.witness_str()}".rstrip()
-        print(f"{line}  [{mode}, {r.checked} instances]")
-    _result("ok")
-    return EXIT_OK
+        print(f"{_law_line(name, r)}  [{mode}, {r.checked} instances]")
+    return "ok", EXIT_OK
 
 
-def cmd_theory(args) -> int:
+def cmd_theory(args) -> tuple[str, int]:
     oracle = make_oracle(args.oracle)
-    if not getattr(oracle, "symmetric", False):
+    if not oracle.symmetric:
         raise UsageError("theory operations need a symmetric oracle")
-    gens = [parse_multiset(g) for g in args.gens]
-    handles = [TheoryHandle(g, oracle) for g in gens]
-    if args.op in ("eq", "leq"):
-        if len(handles) != 2:
-            raise UsageError(f"theory {args.op} needs two --gens")
-        return _verdict_result((th_eq if args.op == "eq" else th_leq)(handles[0], handles[1]))
+    if args.member is not None and args.op != "contains":
+        raise UsageError(f"--member goes only with theory contains, not {args.op}")
+    handles = [TheoryHandle(parse_multiset(g), oracle) for g in args.gens]
     if args.op == "contains":
         if len(handles) != 1 or args.member is None:
             raise UsageError("theory contains needs one --gens and --member")
-        return _verdict_result(th_contains(handles[0], parse_multiset(args.member)))
-    # add, the one op the parser's choices leave
+        return _verdict(th_contains(handles[0], parse_multiset(args.member)))
     if len(handles) != 2:
-        raise UsageError("theory add needs two --gens")
-    total = th_add(handles[0], handles[1])
-    print(f"generator {print_multiset(total.generator)}")
-    _result("ok")
-    return EXIT_OK
+        raise UsageError(f"theory {args.op} needs two --gens")
+    if args.op == "add":
+        print(f"generator {print_multiset(th_add(*handles).generator)}")
+        return "ok", EXIT_OK
+    return _verdict((th_eq if args.op == "eq" else th_leq)(*handles))
 
 
 # -- wiring ------------------------------------------------------------------------
@@ -374,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--premises", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--max-nodes", type=int, default=16)
+    p.add_argument("--max-nodes", type=_bound, default=16)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("check-derivation",
@@ -383,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--premises", required=True)
     p.add_argument("--conclusions", required=True)
     p.add_argument("--derivation", required=True)
-    p.set_defaults(fn=cmd_check_derivation)
+    p.set_defaults(fn=cmd_check_derivation, invalid=_DERIVATION_EXIT["invalid"])
 
     p = sub.add_parser("derive",
                        help="bounded search for a relevant derivation "
@@ -391,16 +378,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--premises", required=True)
     p.add_argument("--conclusions", required=True)
-    p.add_argument("--max-steps", type=int, default=12)
-    p.add_argument("--max-size", type=int, default=12)
-    p.add_argument("--max-multiset", type=int, default=None)
-    p.set_defaults(fn=cmd_derive)
+    p.add_argument("--max-steps", type=_bound, default=12)
+    p.add_argument("--max-size", type=_bound, default=12)
+    p.add_argument("--max-multiset", type=_bound, default=None)
+    p.set_defaults(fn=cmd_derive, invalid=_DERIVATION_EXIT["invalid"])
 
     p = sub.add_parser("symmetrize", help="query the symmetrized oracle")
     p.add_argument("--oracle", required=True)
     p.add_argument("--premises", required=True)
     p.add_argument("--conclusions", required=True)
-    p.add_argument("--cap", type=int, default=10 ** 6,
+    p.add_argument("--cap", type=_bound, default=10 ** 6,
                    help="ordered-partition cap; exceeding it reports unknown")
     p.set_defaults(fn=cmd_symmetrize)
 
@@ -419,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["p", "leq", "z"], required=True)
     p.add_argument("--premises", required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--grid-bound", type=int, default=8)
+    p.add_argument("--grid-bound", type=_bound, default=8)
     p.set_defaults(fn=cmd_abelian)
 
     p = sub.add_parser("laws", help="law battery over an oracle")
@@ -458,7 +445,8 @@ def main(argv=None) -> int:
         else:
             if args.seed is None:
                 args.seed = _default_seed()
-            code = args.fn(args)
+            word, code = args.fn(args)
+            print(f"RESULT {word}")
         # a failing write surfaces here, not at exit; print skips a closed stdout
         print(end="", flush=True)
         return code
@@ -467,7 +455,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (ParseError, EvalError, OSError, ValueError) as e:
         # malformed, missing or unreadable input, or an unwritable stdout:
-        # for the derivation commands that is an invalid derivation, exit 2
+        # a derivation command's parser sets the exit code of an invalid
+        # derivation
         print(f"error: {e}", file=sys.stderr)
         try:
             print("RESULT invalid", flush=True)
@@ -476,7 +465,7 @@ def main(argv=None) -> int:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, sys.stdout.fileno())
             os.close(null)
-        return 2 if getattr(args, "command", None) in ("check-derivation", "derive") else EXIT_FAIL
+        return getattr(args, "invalid", EXIT_FAIL)
 
 
 if __name__ == "__main__":

@@ -310,6 +310,31 @@ def test_derivation_command_unreadable_file_exits_two(capsys, command, flag, pat
     assert captured.err.startswith("error: ")
 
 
+# each search or grid bound and a command line it bounds
+_DERIVE_ARGV = ["derive", "--system", f"{FIX}/bci.rcs", "--premises", "[a]",
+             "--conclusions", "[a->a, a]"]
+_BOUNDED = {
+    "--max-nodes": ["search", "--system", f"{FIX}/bci.rcs", "--premises", "[p->q, p]",
+                    "--goal", "q"],
+    "--max-steps": _DERIVE_ARGV,
+    "--max-size": _DERIVE_ARGV,
+    "--max-multiset": _DERIVE_ARGV,
+    "--cap": ["symmetrize", "--oracle", "z", "--premises", "[]", "--conclusions", "[1, -1]"],
+    "--grid-bound": ["abelian", "--kind", "p", "--premises", "[a]", "--goal", "a"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_BOUNDED))
+def test_negative_bound_is_a_usage_error(capsys, flag):
+    code = main(_BOUNDED[flag] + [flag, "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert f"argument {flag}: needs a bound of at least 0, not -1" in captured.err
+    code, out = run(capsys, *_BOUNDED[flag], flag, "0")  # zero is a bound
+    assert code in (0, 1, 2, 3) and result_line(out)
+
+
 def test_derive_found(capsys):
     code, out = run(capsys, "derive", "--system", f"{FIX}/bci.rcs",
                     "--premises", "[a]", "--conclusions", "[a -> a, a]",
@@ -643,6 +668,15 @@ def test_theory_commands(capsys):
     code, out = run(capsys, "theory", "add", "--oracle", "zsym",
                     "--gens", "[1]", "[2]")
     assert code == 0 and "generator [1, 2]" in out
+
+
+@pytest.mark.parametrize("op", ["eq", "leq", "add"])
+def test_theory_member_goes_only_with_contains(capsys, op):
+    code = main(["theory", op, "--oracle", "zsym", "--gens", "[1]", "[1]", "--member", "[2]"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert captured.err == f"usage error: --member goes only with theory contains, not {op}\n"
 
 
 def test_theory_needs_symmetric_oracle(capsys):

@@ -4,8 +4,10 @@ Every subcommand is called in process on random formula and multiset text
 and on random files (bytes, JSON of random shape, mangled fixtures, and
 directories and missing paths where a file should be), with tiny search
 bounds.  Whatever the input, the contract holds: the exit code
-is 0-3, and unless it is 2 (a usage error) the last stdout line starts with
-``RESULT ``.
+is 0-3, and unless it is 2 (a usage error) exactly one stdout line starts
+with ``RESULT ``, and it is the last line.  (That holds for these inputs,
+whose atom names never spell RESULT: a body line such as matrix-refute's
+``RESULT = 0`` could.)
 """
 
 import json
@@ -197,3 +199,4 @@ def test_cli_keeps_its_contract_on_random_input(capsys, tmp_path, seed):
         if code != 2:
             lines = out.splitlines()
             assert lines and lines[-1].startswith("RESULT "), (argv, out)
+            assert sum(ln.startswith("RESULT ") for ln in lines) == 1, (argv, out)
