@@ -203,10 +203,8 @@ def cmd_parse(args) -> tuple[str, int]:
         print(print_formula(parse_formula(args.formula)))
     elif args.multiset is not None:
         print(print_multiset(parse_multiset(args.multiset)))
-    elif args.system is not None:
-        print(print_system(*_inputs(args)), end="")
     else:
-        raise UsageError("parse needs --formula, --multiset, or --system")
+        print(print_system(*_inputs(args)), end="")
     return "ok", EXIT_OK
 
 
@@ -345,9 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and reprint input")
-    p.add_argument("--formula")
-    p.add_argument("--multiset")
-    p.add_argument("--system")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--formula")
+    what.add_argument("--multiset")
+    what.add_argument("--system")
     p.set_defaults(fn=cmd_parse)
 
     p = sub.add_parser("check-proof", help="verify a proof tree file")

@@ -136,12 +136,18 @@ def _replay(derivation: Derivation, system: AxiomaticSystem, premises: FMultiset
 @dataclass
 class DeriveResult:
     derivation: Optional[Derivation]
-    status: str  # "found" | "exhausted" | "truncated"
     pruned_by: frozenset = frozenset()
 
     @property
     def found(self) -> bool:
         return self.derivation is not None
+
+    @property
+    def status(self) -> str:
+        """``found``, else ``truncated`` when a budget ran out, else ``exhausted``."""
+        if self.found:
+            return "found"
+        return "truncated" if {"steps", "states"} & self.pruned_by else "exhausted"
 
 
 def derive_search(system: AxiomaticSystem, premises: FMultiset,
@@ -197,14 +203,13 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
         pruned.add("steps")  # a level was left to expand
 
     if conclusions not in parent:
-        status = "truncated" if {"steps", "states"} & pruned else "exhausted"
-        return DeriveResult(None, status, frozenset(pruned))
+        return DeriveResult(None, frozenset(pruned))
     steps, apps = [conclusions], []
     while parent[steps[-1]] is not None:
         state, app = parent[steps[-1]]
         steps.append(state)
         apps.append(app)
-    return DeriveResult(Derivation(tuple(reversed(steps)), tuple(reversed(apps))), "found")
+    return DeriveResult(Derivation(tuple(reversed(steps)), tuple(reversed(apps))))
 
 
 class _RightPlan:

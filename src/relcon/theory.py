@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 from .multiset import EMPTY, FMultiset
 from .oracles import HOLDS, SymmetricOracle, Verdict, all3
 from .laws import SampleDomain, check_law
-from .syntax import print_multiset
 
 
 class OracleMismatchError(Exception):
@@ -33,7 +32,7 @@ class TheoryHandle:
     oracle: SymmetricOracle
 
     def __str__(self) -> str:
-        return f"Th({print_multiset(self.generator)})"
+        return f"Th({self.generator})"
 
 
 def theory(oracle: SymmetricOracle, generator: FMultiset) -> TheoryHandle:
@@ -82,22 +81,18 @@ def interderivable(oracle: SymmetricOracle, a: FMultiset, b: FMultiset) -> Verdi
 
 @dataclass
 class QuotientReport:
-    checked_pairs: int = 0
-    equivalence_ok: bool = True
-    congruence_ok: bool = True
-    order_well_defined_ok: bool = True
-    order_compatible_ok: bool = True
-    monoid_ok: bool = True
-    three_way_ok: bool = True
-    antitone_ok: bool = True
-    hom_ok: bool = True
-    th_monotone_mapping: bool = True
-    monotone_witness: Optional[str] = None
+    """One ``"<check>: <detail>"`` line per failure, and a pair that shows Th
+    does not preserve the submultiset order, or None when it does."""
     failures: list[str] = field(default_factory=list)
+    monotone_witness: Optional[str] = None
 
     @property
     def all_ok(self) -> bool:
         return not self.failures
+
+    @property
+    def th_monotone_mapping(self) -> bool:
+        return self.monotone_witness is None
 
 
 def quotient_check(oracle: SymmetricOracle,
@@ -108,9 +103,9 @@ def quotient_check(oracle: SymmetricOracle,
     compatible with multiset sum; the generator order is well defined on
     classes and compatible with sum; the monoid laws hold up to theory
     equality; membership, containment, and the relation itself agree three
-    ways; the class-to-theory map reverses the order; and whether the map
-    from multisets to theories preserves the submultiset order (it does iff
-    the oracle is monotone).
+    ways; the class-to-theory map reverses the order and preserves sums; and
+    whether the map from multisets to theories preserves the submultiset
+    order (it does iff the oracle is monotone).
     """
     gens = list(generators)
     report = QuotientReport()
@@ -121,105 +116,75 @@ def quotient_check(oracle: SymmetricOracle,
     def equiv(a: FMultiset, b: FMultiset) -> bool:
         return entails(a, b) and entails(b, a)
 
-    def fail(flag: str, kind: str, msg: str) -> None:
-        setattr(report, flag, False)
-        report.failures.append(f"{kind}: {msg}")
+    def fail(check: str, detail: str) -> None:
+        report.failures.append(f"{check}: {detail}")
 
     # equivalence: reflexivity plus transitivity (symmetry is by construction)
     for g in gens:
         if not equiv(g, g):
-            fail("equivalence_ok", "equivalence",
-                 f"{print_multiset(g)} not equivalent to itself")
-    classes: dict[FMultiset, list[FMultiset]] = {}
-    reps: list[FMultiset] = []
+            fail("equivalence", f"{g} not equivalent to itself")
+    classes: dict[FMultiset, list[FMultiset]] = {}  # representative -> members
     for g in gens:
-        for rep in reps:
-            if equiv(rep, g):
-                classes[rep].append(g)
-                break
-        else:
-            reps.append(g)
-            classes[g] = [g]
+        rep = next((r for r in classes if equiv(r, g)), g)
+        classes.setdefault(rep, []).append(g)
     for rep, members in classes.items():
         for a in members:
             for b in members:
                 if not equiv(a, b):
-                    fail("equivalence_ok", "equivalence",
-                         f"class of {print_multiset(rep)} is not transitive at "
-                         f"{print_multiset(a)} / {print_multiset(b)}")
+                    fail("equivalence",
+                         f"class of {rep} is not transitive at {a} / {b}")
 
     # congruence for sum, and order well-definedness, on class representatives
     for rep_a, mem_a in classes.items():
         for rep_b, mem_b in classes.items():
             for a in mem_a:
                 for b in mem_b:
-                    report.checked_pairs += 1
                     if not equiv(rep_a + rep_b, a + b):
-                        fail("congruence_ok", "congruence",
-                             f"{print_multiset(rep_a)}+{print_multiset(rep_b)} vs "
-                             f"{print_multiset(a)}+{print_multiset(b)}")
+                        fail("congruence", f"{rep_a}+{rep_b} vs {a}+{b}")
                     if entails(rep_a, rep_b) != entails(a, b):
-                        fail("order_well_defined_ok", "order",
-                             f"order differs across class members: "
-                             f"{print_multiset(a)} |- {print_multiset(b)}")
+                        fail("order", f"order differs across class members: {a} |- {b}")
 
     # order compatibility with sum (checked on representatives)
-    for a in reps:
-        for b in reps:
+    for a in classes:
+        for b in classes:
             if entails(a, b):
-                for c in reps:
+                for c in classes:
                     if not entails(a + c, b + c):
-                        fail("order_compatible_ok", "order-compatibility",
-                             f"{print_multiset(a)} |- {print_multiset(b)} but not "
-                             f"{print_multiset(a)}+{print_multiset(c)} |- "
-                             f"{print_multiset(b)}+{print_multiset(c)}")
+                        fail("order-compatibility",
+                             f"{a} |- {b} but not {a}+{c} |- {b}+{c}")
 
     # monoid laws up to theory equality
-    for a in reps:
+    for a in classes:
         if not equiv(a + EMPTY, a):
-            fail("monoid_ok", "monoid", f"identity fails at {print_multiset(a)}")
-        for b in reps:
+            fail("monoid", f"identity fails at {a}")
+        for b in classes:
             if not equiv(a + b, b + a):
-                fail("monoid_ok", "monoid", f"commutativity fails at "
-                     f"{print_multiset(a)}, {print_multiset(b)}")
-            for c in reps:
+                fail("monoid", f"commutativity fails at {a}, {b}")
+            for c in classes:
                 if not equiv((a + b) + c, a + (b + c)):
-                    fail("monoid_ok", "monoid", "associativity fails")
+                    fail("monoid", "associativity fails")
 
-    # three-way agreement: relation == membership == containment
+    # relation, membership and containment agree three ways, and the
+    # class-to-theory map reverses the order and preserves sums
     for a in gens:
         for b in gens:
             ta, tb = TheoryHandle(a, oracle), TheoryHandle(b, oracle)
             direct = oracle.entails(a, b)
-            member = th_contains(ta, b)
-            contained = th_leq(tb, ta)
+            member, contained = th_contains(ta, b), th_leq(tb, ta)
             if not (direct is member is contained):
-                fail("three_way_ok", "three-way",
-                     f"{print_multiset(a)} |- {print_multiset(b)}")
-
-    # the class-to-theory map reverses the order and preserves sums
-    for a in gens:
-        for b in gens:
-            if entails(a, b):
-                # Th(b) must be contained in Th(a)
-                if th_leq(TheoryHandle(b, oracle), TheoryHandle(a, oracle)) is not HOLDS:
-                    fail("antitone_ok", "antitone",
-                         f"{print_multiset(a)} |- {print_multiset(b)}")
-            if th_eq(th_add(TheoryHandle(a, oracle), TheoryHandle(b, oracle)),
-                     TheoryHandle(a + b, oracle)) is not HOLDS:
-                fail("hom_ok", "homomorphism", f"{print_multiset(a)} + {print_multiset(b)}")
+                fail("three-way", f"{a} |- {b}")
+            if entails(a, b) and th_leq(tb, ta) is not HOLDS:
+                fail("antitone", f"{a} |- {b}")
+            if th_eq(th_add(ta, tb), TheoryHandle(a + b, oracle)) is not HOLDS:
+                fail("homomorphism", f"{a} + {b}")
 
     # Th is a monotone mapping (submultiset to containment) iff the oracle
     # is monotone; report which way this sample decides it
     pair = _monotone_mapping_breach(oracle, gens)
     if pair is not None:
         a, b = pair
-        report.th_monotone_mapping = False
         report.monotone_witness = (
-            f"{print_multiset(a)} <= {print_multiset(b)} but "
-            f"Th({print_multiset(a)}) is not contained in "
-            f"Th({print_multiset(b)})")
-
+            f"{a} <= {b} but Th({a}) is not contained in Th({b})")
     return report
 
 
@@ -236,11 +201,16 @@ def _monotone_mapping_breach(oracle: SymmetricOracle, gens: Sequence[FMultiset]
 
 @dataclass
 class UnionTheoryReport:
-    holds_for_all: bool
+    """The set-like multisets checked, the union of the supports of the
+    theory's members within the domain (the theory's union approximated on
+    the domain), and each checked multiset on which the two disagree."""
     checked: int
     union_support: frozenset
-    note: str = "union approximated by the domain-restricted member supports"
     failures: list[str] = field(default_factory=list)
+
+    @property
+    def holds_for_all(self) -> bool:
+        return not self.failures
 
 
 def union_theory_check(oracle: SymmetricOracle, handle: TheoryHandle,
@@ -259,23 +229,12 @@ def union_theory_check(oracle: SymmetricOracle, handle: TheoryHandle,
         if not result.passed:
             raise PreconditionError(
                 f"{law} does not hold on the domain: {result.witness_str()}")
-    members = [m for m in dom.multisets()
-               if th_contains(handle, m) is HOLDS]
-    union: set = set()
-    for m in members:
-        union |= set(m.support)
-    failures = []
-    checked = 0
-    for gamma in dom.multisets():
-        if any(gamma.count(x) > 1 for x in gamma.support):
-            continue  # set semantics: only set-like multisets
-        checked += 1
-        inside = th_contains(handle, gamma) is HOLDS
-        covered = set(gamma.support) <= union
-        if inside != covered:
-            failures.append(print_multiset(gamma))
-    return UnionTheoryReport(not failures, checked, frozenset(union),
-                             failures=failures)
+    answers = [(m, th_contains(handle, m) is HOLDS) for m in dom.multisets()]
+    union = frozenset().union(*(m.support for m, inside in answers if inside))
+    # set semantics: only set-like multisets are compared
+    sets = [(m, inside) for m, inside in answers if m.size == len(m.support)]
+    return UnionTheoryReport(len(sets), union, [
+        str(m) for m, inside in sets if inside != (m.support <= union)])
 
 
 def monotone_mapping_agrees(oracle: SymmetricOracle,

@@ -226,7 +226,6 @@ def leaf_multiset(tree: ProofTree) -> FMultiset:
 class VerifyReport:
     verdict: RelevanceVerdict
     problems: list[str] = field(default_factory=list)
-    leaf_labels: FMultiset = EMPTY
     surplus: FMultiset = EMPTY  # leaves - premises, shown in diagnostics
 
 
@@ -291,7 +290,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
 
     surplus = leaves - premises
     if problems:
-        return VerifyReport(RelevanceVerdict.INVALID, problems, leaves, surplus)
+        return VerifyReport(RelevanceVerdict.INVALID, problems, surplus)
 
     verdict = RelevanceVerdict.PLAIN
     if all(f in axiomatic for f in (premises - leaves).support):
@@ -300,7 +299,7 @@ def verify_report(tree: ProofTree, system: AxiomaticSystem,
             verdict = RelevanceVerdict.RELEVANT
             if premises == leaves:
                 verdict = RelevanceVerdict.STRONGLY_RELEVANT
-    return VerifyReport(verdict, [], leaves, surplus)
+    return VerifyReport(verdict, [], surplus)
 
 
 def verify(tree: ProofTree, system: AxiomaticSystem,

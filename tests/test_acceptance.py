@@ -296,10 +296,6 @@ def test_criterion_09_theory_monoid(zsym, psym):
         dom = numeral_domain(max_size=3)
         report = quotient_check(zsym, dom.multisets())
         assert report.all_ok, report.failures[:3]
-        assert report.equivalence_ok and report.congruence_ok
-        assert report.order_well_defined_ok and report.order_compatible_ok
-        assert report.monoid_ok and report.three_way_ok
-        assert report.antitone_ok and report.hom_ok
 
         # the monotone-mapping characterization, in both directions
         law_z, mapping_z = monotone_mapping_agrees(zsym, numeral_domain(max_size=2))

@@ -59,6 +59,19 @@ def test_deeply_nested_formula_is_a_parse_error(capsys):
     assert result_line(out) == "invalid"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--formula", "p", "--multiset", "[q", "--system", "/nonexistent"],
+    ["--formula", "p", "--multiset", "[q]"],
+    ["--multiset", "[q]", "--system", f"{FIX}/bci.rcs"],
+])
+def test_parse_takes_exactly_one_input(capsys, argv):
+    code = main(["parse", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert "--" in captured.err
+
+
 def test_usage_error_exit(capsys):
     assert main(["parse"]) == 2
     capsys.readouterr()

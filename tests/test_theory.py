@@ -72,10 +72,6 @@ def test_quotient_structure(zsym):
     dom = numeral_domain(max_size=2)
     report = quotient_check(zsym, dom.multisets())
     assert report.all_ok
-    assert report.equivalence_ok and report.congruence_ok
-    assert report.order_well_defined_ok and report.order_compatible_ok
-    assert report.monoid_ok and report.three_way_ok
-    assert report.antitone_ok and report.hom_ok
     # the generator-to-theory map does not preserve submultiset order here
     assert not report.th_monotone_mapping
     assert report.monotone_witness
@@ -168,24 +164,58 @@ def test_quotient_check_reports_each_broken_structure():
     gens = [ms(s) for s in ("[x]", "[y]", "[v]", "[z]", "[w]")]
     report = quotient_check(_BrokenQuotient(), gens)
     # [w] is not equivalent to itself, and the class of [x] holds [y] and
-    # [v], which are not equivalent to each other
-    assert not report.equivalence_ok
-    # [x]+[z] and [y]+[z] are not equivalent, though [x] and [y] are
-    assert not report.congruence_ok
-    # [x] |- [z] but not [y] |- [z]
-    assert not report.order_well_defined_ok
-    # [x] |- [z] but not [x]+[x] |- [z]+[x]
-    assert not report.order_compatible_ok
-    # [w]+[] is not equivalent to [w]
-    assert not report.monoid_ok
-    # the three-way, antitone and homomorphism checks read the relation
+    # [v], which are not equivalent to each other (equivalence); [x]+[z] and
+    # [y]+[z] are not equivalent, though [x] and [y] are (congruence); [x]
+    # |- [z] but not [y] |- [z] (order); [x] |- [z] but not [x]+[x] |-
+    # [z]+[x] (order-compatibility); [w]+[] is not equivalent to [w] (monoid).
+    # The three-way, antitone and homomorphism checks read the relation
     # through theory handles whose every reading is the same entails(a, b)
     # call, so a deterministic oracle cannot fail the first two; and every
     # sum of two generators here derives itself
-    assert report.three_way_ok and report.antitone_ok and report.hom_ok
     assert not report.all_ok
     kinds = {f.split(":")[0] for f in report.failures}
     assert kinds == {"equivalence", "congruence", "order", "order-compatibility", "monoid"}
     assert "equivalence: [w] not equivalent to itself" in report.failures
     assert any(f.startswith("equivalence: class of [x] is not transitive")
                for f in report.failures)
+
+
+class _BrokenSum(SymmetricOracle):
+    """Identity on multisets, except that [x, y] does not derive itself."""
+
+    name = "broken-sum"
+
+    def entails(self, premises, conclusions):
+        return verdict(premises == conclusions != ms("[x, y]"))
+
+
+def test_quotient_check_reports_a_sum_that_does_not_derive_itself():
+    report = quotient_check(_BrokenSum(), [ms("[x]"), ms("[y]")])
+    # Th([x]) + Th([y]) is generated by [x, y], which is not even equivalent
+    # to itself, so the sum breaks the homomorphism and commutativity
+    assert "homomorphism: [x] + [y]" in report.failures
+    assert "monoid: commutativity fails at [x], [y]" in report.failures
+    assert {f.split(":")[0] for f in report.failures} == {
+        "congruence", "order-compatibility", "monoid", "homomorphism"}
+    assert report.th_monotone_mapping and report.monotone_witness is None
+
+
+class _OneOutside(SymmetricOracle):
+    """G |- D iff at most one formula of D's support is outside G's."""
+
+    name = "one-outside"
+
+    def entails(self, premises, conclusions):
+        return verdict(len(conclusions.support - premises.support) <= 1)
+
+
+def test_union_theory_reports_a_multiset_outside_the_theory():
+    a, b = parse_formula("a"), parse_formula("b")
+    oracle = _OneOutside()
+    report = union_theory_check(oracle, theory(oracle, ms("[]")),
+                                SampleDomain((a, b), max_size=2))
+    # every member has at most one atom, but together they cover a and b
+    assert report.union_support == {a, b}
+    assert report.checked == 4  # [], [a], [b], [a, b]
+    assert report.failures == ["[a, b]"]
+    assert not report.holds_for_all
