@@ -15,12 +15,18 @@ How a check runs:
   lone variable gets a slot of its own, and each variable level lists the
   sides it computes and the antecedents it tests, each as the item getter
   of the slots it reads.
-* **Pools and tables, per check.**  ``_Check`` builds only these: each pool
-  once, interning every value it meets into one list, so an instance is a
-  list of ints; one sum table per side shape, keyed by operand indices; and
-  one verdict table, keyed by the sides' indices.  Each table is filled on
-  first use, so the oracle sees each distinct query once per check, through
-  its own memo.  Nothing the check holds refers back to it.
+* **Pools, per domain.**  A ``SampleDomain`` interns its values once, on
+  the first check that asks, into one list that every later check on the
+  domain reads and extends: the M, F and N pools are index lists into it,
+  so an instance is a list of ints.  A value two checks meet is one object,
+  so the second check's queries hit the oracle's memo by identity.  The T
+  pool follows the oracle's theorem basis, so each check builds its own
+  index list, interned into the same list.
+* **Tables, per check.**  ``_Check`` builds only these: one sum table per
+  side shape, keyed by operand indices, and one verdict table, keyed by the
+  sides' indices.  Each table is filled on first use, so the oracle sees
+  each distinct query once per check, through its own memo.  Nothing the
+  check holds refers back to it.
 * **Pushdown.**  The exhaustive instances are a loop nest in the canonical
   order, and each antecedent is tested (and each side computed) at the
   shallowest level that binds it (Selinger et al., *Access Path Selection*,
@@ -36,7 +42,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -54,14 +60,15 @@ from .oracles import (
 from .syntax import Formula, print_formula, print_multiset
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleDomain:
     """A finite formula universe with a multiset size bound.
 
     The universe holds each formula once: a repeat is dropped, and the first
     occurrence keeps its place.  Enumeration is canonical (sizes ascending,
     elements in universe order) and reproducible; sampling above the cap
-    draws from the seeded generator.
+    draws from the seeded generator.  A domain is frozen, so the interned
+    values that the checks on it share never go stale.
     """
 
     formulas: tuple[Formula, ...]
@@ -71,7 +78,7 @@ class SampleDomain:
     sample_count: int = 4000
 
     def __post_init__(self):
-        self.formulas = tuple(dict.fromkeys(self.formulas))
+        object.__setattr__(self, "formulas", tuple(dict.fromkeys(self.formulas)))
 
     def multisets(self) -> list[FMultiset]:
         out = []
@@ -79,6 +86,33 @@ class SampleDomain:
             for combo in itertools.combinations_with_replacement(self.formulas, size):
                 out.append(FMultiset(combo))
         return out
+
+    @cached_property
+    def _pool(self) -> "_Pool":
+        """The values the checks on this domain share, made by the first."""
+        return _Pool(self)
+
+
+class _Pool:
+    """A domain's interned values: ``values`` holds each value once, from the
+    empty multiset at index 0 (the value of every side "[]"), and ``index``
+    maps a value to its index.  The M, F and N pools are index lists in the
+    domain's canonical order.  Checks intern what they compute into it too,
+    so it grows with them, and it lives as long as its domain."""
+
+    def __init__(self, dom: SampleDomain):
+        self.values: list = [EMPTY]
+        self.index: dict = {EMPTY: 0}  # value -> its index in values
+        self.multisets = [self.intern(m) for m in dom.multisets()]
+        self.formulas = [self.intern(f) for f in dom.formulas]
+        self.nonempty = [i for i in self.multisets if self.values[i]]
+
+    def intern(self, value) -> int:
+        i = self.index.get(value)
+        if i is None:
+            i = self.index[value] = len(self.values)
+            self.values.append(value)
+        return i
 
 
 @dataclass
@@ -239,33 +273,33 @@ def law_names(symmetric: bool) -> list[str]:
 
 
 class _Check:
-    """One law over one domain, on interned values.
+    """One law over one domain, on the domain's interned values.
 
     Every value the check meets (pool elements, sums, bracket lists) is
-    interned once into ``values``, so an instance is a list of ints: one
-    index per variable (a tuple of them for a family), then one per side
+    interned into the domain's ``values``, so an instance is a list of ints:
+    one index per variable (a tuple of them for a family), then one per side
     that is not a lone variable.  The instances are the canonical loop nest,
     one level per variable, and each level runs its steps of the law's plan.
     Sums are looked up by their operands' indices and verdicts by their
     sides', each table filled on first use, so the oracle sees each distinct
-    query once, through its own memo.  The check holds only its pools and
-    tables, none of which refers back to it.
+    query once per check, through its own memo, and a query an earlier check
+    on the domain asked reaches the memo as the same objects.  The check
+    holds its tables and the domain's pool, none of which refers back to it.
     """
 
     def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
         self.law, self.dom, self.oracle = law, dom, oracle
-        self.values: list = [EMPTY]  # index 0, the value of every side "[]"
-        self.index: dict = {EMPTY: 0}  # value -> its index in values
+        pool = dom._pool
+        self.values, self.intern = pool.values, pool.intern
         kinds, n = law.kinds, len(law.kinds)
 
-        # the pools, each built once, as index lists; a family, always last,
-        # has one multiset per element of the multiset at position ``at``
-        self.multisets = [self.intern(m) for m in dom.multisets()]
-        pools = {"M": self.multisets, "F": [self.intern(f) for f in dom.formulas],
-                 "N": [i for i in self.multisets if self.values[i]]}
+        # the pools as index lists; a family, always last, has one multiset
+        # per element of the multiset at position ``at``
+        self.multisets = pool.multisets
+        pools = {"M": pool.multisets, "F": pool.formulas, "N": pool.nonempty}
         if "T" in kinds:  # an empty basis still has the empty multiset of theorems
             basis = tuple(oracle.theorem_basis)
-            pools["T"] = [self.intern(m)
+            pools["T"] = [pool.intern(m)
                           for m in SampleDomain(basis, dom.max_size).multisets()]
         self.family = kinds[-1] not in _POOLS
         self.fixed = [pools[k] for k in kinds[:n - self.family]]
@@ -273,13 +307,6 @@ class _Check:
         self.sums: list[dict] = [{} for _ in range(law.shapes)]  # operands -> sum
         # (left, right) indices -> Verdict; a family's key is (its indices, G)
         self.verdicts: dict = {}
-
-    def intern(self, value) -> int:
-        i = self.index.get(value)
-        if i is None:
-            i = self.index[value] = len(self.values)
-            self.values.append(value)
-        return i
 
     def place(self, steps: tuple) -> None:
         """Compute sides into the instance, each through its shape's table."""

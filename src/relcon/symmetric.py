@@ -332,16 +332,18 @@ def symmetrize_query(oracle: ConsequenceOracle, premises: FMultiset,
     Nonempty conclusions: some ordered partition of the premises proves the
     conclusions componentwise.  For oracles declared monotone_contractive the
     componentwise rule uses the whole premise multiset for every conclusion
-    (the appropriate definition for that case).  Empty conclusions delegate to
-    the oracle's entails-every-theorem test.  Partitions are enumerated first
-    part outermost, each part's submultisets smallest first.  Exceeding the
-    partition cap is reported as UNKNOWN, never guessed.
+    (the appropriate definition for that case), so it asks the oracle once
+    for every distinct conclusion: Kleene AND is commutative and idempotent.
+    Empty conclusions delegate to the oracle's entails-every-theorem test.
+    Partitions are enumerated first part outermost, each part's submultisets
+    smallest first.  Exceeding the partition cap is reported as UNKNOWN,
+    never guessed.
     """
     if conclusions.is_empty():
         return oracle.entails_all_theorems(premises)
-    targets = list(conclusions)
     if oracle.monotone_contractive:
-        return all3(oracle.entails(premises, chi) for chi in targets)
+        return all3(oracle.entails(premises, chi) for chi, _ in conclusions.items())
+    targets = list(conclusions)
     n = len(targets)
     if partition_count(premises, n) > partition_cap:
         return UNKNOWN

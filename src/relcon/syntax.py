@@ -408,14 +408,24 @@ def print_formula(f: Formula) -> str:
 
 def print_schema(f: Formula) -> str:
     """Like print_formula, but concrete atoms are quoted (system-file form)."""
+    if f._size <= 64:
+        return _schema_text(f)
     texts: dict[int, str] = {}  # by node id: f keeps every node alive
 
     def text(node: Formula) -> Optional[str]:
         if isinstance(node, _Leaf):
-            return f"'{node.name}'" if type(node) is Atom else node.name
+            return _schema_text(node)
         return texts.get(id(node))
 
     return _fill(f, text, lambda n: texts.__setitem__(id(n), _compose(n, text)))
+
+
+def _schema_text(f: Formula) -> str:
+    # print_schema on a schema of at most 64 nodes (or a leaf): a recursion of
+    # three frames per level, so at most 192, far inside the default limit
+    if isinstance(f, _Leaf):
+        return f"'{f.name}'" if type(f) is Atom else f.name
+    return _compose(f, _schema_text)
 
 
 def print_multiset(m: FMultiset, schema: bool = False) -> str:

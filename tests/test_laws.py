@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -592,6 +593,52 @@ def test_check_law_asks_each_distinct_query_once(oracle_name, mode):
         r = check_law(_AskedOnce(oracle), law, SampleDomain(formulas, **kw))
         got.append((law, r.status, r.exhaustive, r.checked, r.witness_str()))
     assert got == _PINNED[oracle_name, mode]
+
+
+def test_checks_on_one_domain_agree_with_checks_on_fresh_domains():
+    # the checks on one domain share its interned values, whatever the oracle;
+    # with a cap of 3500, Cut, RelevantCut and MultiCut sample on the numerals
+    # (15 multisets) and the other laws run exhaustively
+    kw = dict(seed=1, exhaustive_cap=3500, sample_count=200)
+    numerals = tuple(numeral(k) for k in range(-1, 3))
+    shared = {"x": SampleDomain(x_domain().formulas, max_size=3, **kw),
+              "numerals": SampleDomain(numerals, max_size=2, **kw)}
+
+    def battery(oracle_name, domain):
+        oracle = _PIN_ORACLES[oracle_name]()
+        names = law_names(getattr(oracle, "symmetric", False))
+        results = {law: check_law(oracle, law, domain()) for law in names}
+        return {law: (r.status, r.witness, r.exhaustive, r.checked)
+                for law, r in results.items()}
+
+    for oracle_name in ["z", "p", "zsym", "psym", "ex54", "identity"]:
+        dom = shared["x" if oracle_name == "ex54" else "numerals"]
+        together = battery(oracle_name, lambda: dom)
+        assert together == battery(oracle_name, lambda: dataclasses.replace(dom)), oracle_name
+        sampled = {law for law, r in together.items() if not r[2]}
+        assert sampled == (set() if oracle_name == "ex54" else
+                           {"MultiCut"} if oracle_name in ("zsym", "psym", "identity")
+                           else {"Cut", "RelevantCut"})
+
+
+def test_a_second_check_on_a_domain_asks_with_the_memo_keys_objects():
+    oracle = make_z_oracle()
+    dom = SampleDomain(tuple(numeral(k) for k in range(-1, 3)), max_size=2)
+    check_law(oracle, "RelevantCut", dom)
+    keys = {key: key for key in oracle._memo}
+    spy = _AskedOnce(oracle)
+    check_law(spy, "Cut", dom)
+    # the sums G+D as well as the pool's multisets are the first check's objects
+    again = [(premises, keys[premises, f][0]) for premises, f in spy.asked
+             if (premises, f) in keys]
+    assert len(again) > 100 and any(p.size == 4 for p, _ in again)
+    assert all(premises is key for premises, key in again)
+
+
+def test_sample_domain_is_frozen():
+    dom = SampleDomain((numeral(0),))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dom.max_size = 2
 
 
 # -- the monotonic companion ------------------------------------------------------

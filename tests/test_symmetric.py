@@ -51,6 +51,7 @@ from relcon.symmetric import (
     _ordered_partitions,
 )
 from relcon.multiset import msum, submultisets
+from relcon.oracles import ConsequenceOracle, all3
 from relcon.syntax import formula_size, match, match_into, metavars, substitute, unify
 from conftest import (
     FIXTURES,
@@ -435,6 +436,39 @@ def test_symmetrize_partition_cap(z_oracle):
     assert partition_count(gamma, 5) > 10 ** 3
     assert symmetrize_query(z_oracle, gamma, conclusions,
                             partition_cap=10 ** 3) is UNKNOWN
+
+
+class _TableOracle(ConsequenceOracle):
+    """A Tarskian oracle that reads each conclusion's verdict off a table,
+    whatever the premises, and records every conclusion it is asked about."""
+
+    monotone_contractive = True
+
+    def __init__(self, table):
+        self.table, self.asked = table, []
+
+    def entails(self, premises, conclusion):
+        self.asked.append(conclusion)
+        return self.table[conclusion]
+
+
+def test_tarskian_symmetrization_asks_each_distinct_conclusion_once():
+    oracle = _TableOracle({a: HOLDS, b: HOLDS})
+    assert symmetrize_query(oracle, ms("[c]"), ms("[a, a, b]")) is HOLDS
+    assert sorted(map(str, oracle.asked)) == ["a", "b"]
+
+
+@given(st.lists(st.sampled_from([a, b, c]), max_size=3),
+       st.lists(st.sampled_from([a, b, c]), min_size=1, max_size=6),
+       st.lists(st.sampled_from([HOLDS, FAILS, UNKNOWN]), min_size=3, max_size=3))
+def test_tarskian_symmetrization_folds_every_occurrence(premises, conclusions, verdicts):
+    # Kleene AND over the distinct conclusions is the fold over every
+    # occurrence, in any order
+    table = dict(zip((a, b, c), verdicts))
+    oracle = _TableOracle(table)
+    got = symmetrize_query(oracle, FMultiset(premises), FMultiset(conclusions))
+    assert got is all3(table[chi] for chi in conclusions)
+    assert len(oracle.asked) == len(set(oracle.asked)) <= len(set(conclusions))
 
 
 def test_symmetrization_oracle_wrapper(z_oracle):
