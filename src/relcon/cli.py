@@ -296,10 +296,11 @@ def cmd_laws(args) -> tuple[str, int]:
         report = classify(oracle, dom)
         for name in sorted(report.results):
             print(_law_line(name, report.results[name]))
-        for err in report.consistency_errors:
+        errors = report.consistency_errors
+        for err in errors:
             print(f"INCONSISTENT {err}")
         print(report.summary())
-        return ("inconsistent", EXIT_FAIL) if report.consistency_errors else ("ok", EXIT_OK)
+        return ("inconsistent", EXIT_FAIL) if errors else ("ok", EXIT_OK)
     wanted = None if args.laws == "all" else [s.strip() for s in args.laws.split(",")]
     if wanted:
         known = set(law_names(oracle.symmetric))
@@ -334,6 +335,21 @@ def cmd_theory(args) -> tuple[str, int]:
 # -- wiring ------------------------------------------------------------------------
 
 
+def _command(sub, name: str, help: str, fn, *required, **defaults):
+    """Add the subcommand ``name``, run by ``fn``, with its ``required``
+    arguments in order: each a flag (``--system``) or a positional's name,
+    bare or in a (name, add_argument keywords) pair.  Returns its parser, for
+    the optional flags."""
+    p = sub.add_parser(name, help=help)
+    for arg in required:
+        arg, kw = (arg, {}) if isinstance(arg, str) else arg
+        if arg.startswith("--"):
+            kw = {"required": True, **kw}
+        p.add_argument(arg, **kw)
+    p.set_defaults(fn=fn, **defaults)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relcon",
@@ -341,88 +357,57 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for sampled checks (default: $RELCON_SEED or 0)")
     sub = parser.add_subparsers(dest="command", required=True)
+    invalid = _DERIVATION_EXIT["invalid"]
 
-    p = sub.add_parser("parse", help="parse and reprint input")
-    what = p.add_mutually_exclusive_group(required=True)
+    what = _command(sub, "parse", "parse and reprint input", cmd_parse
+                    ).add_mutually_exclusive_group(required=True)
     what.add_argument("--formula")
     what.add_argument("--multiset")
     what.add_argument("--system")
-    p.set_defaults(fn=cmd_parse)
 
-    p = sub.add_parser("check-proof", help="verify a proof tree file")
-    p.add_argument("--system", required=True)
-    p.add_argument("--premises", required=True)
-    p.add_argument("--goal", required=True)
-    p.add_argument("--proof", required=True)
-    p.set_defaults(fn=cmd_check_proof)
+    _command(sub, "check-proof", "verify a proof tree file", cmd_check_proof,
+             "--system", "--premises", "--goal", "--proof")
 
-    p = sub.add_parser("search", help="bounded search for a relevant proof")
-    p.add_argument("--system", required=True)
-    p.add_argument("--premises", required=True)
-    p.add_argument("--goal", required=True)
-    p.add_argument("--max-nodes", type=_bound, default=16)
-    p.set_defaults(fn=cmd_search)
+    _command(sub, "search", "bounded search for a relevant proof", cmd_search,
+             "--system", "--premises", "--goal"
+             ).add_argument("--max-nodes", type=_bound, default=16)
 
-    p = sub.add_parser("check-derivation",
-                       help="verify a derivation file (exit 0 relevant, 1 plain, 2 invalid)")
-    p.add_argument("--system", required=True)
-    p.add_argument("--premises", required=True)
-    p.add_argument("--conclusions", required=True)
-    p.add_argument("--derivation", required=True)
-    p.set_defaults(fn=cmd_check_derivation, invalid=_DERIVATION_EXIT["invalid"])
+    _command(sub, "check-derivation",
+             "verify a derivation file (exit 0 relevant, 1 plain, 2 invalid)",
+             cmd_check_derivation, "--system", "--premises", "--conclusions",
+             "--derivation", invalid=invalid)
 
-    p = sub.add_parser("derive",
-                       help="bounded search for a relevant derivation "
-                            "(exit 0 found, 2 none exists in bounds, 3 truncated)")
-    p.add_argument("--system", required=True)
-    p.add_argument("--premises", required=True)
-    p.add_argument("--conclusions", required=True)
+    p = _command(sub, "derive", "bounded search for a relevant derivation "
+                                "(exit 0 found, 2 none exists in bounds, 3 truncated)",
+                 cmd_derive, "--system", "--premises", "--conclusions", invalid=invalid)
     p.add_argument("--max-steps", type=_bound, default=12)
     p.add_argument("--max-size", type=_bound, default=12)
     p.add_argument("--max-multiset", type=_bound, default=None)
-    p.set_defaults(fn=cmd_derive, invalid=_DERIVATION_EXIT["invalid"])
 
-    p = sub.add_parser("symmetrize", help="query the symmetrized oracle")
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--premises", required=True)
-    p.add_argument("--conclusions", required=True)
-    p.add_argument("--cap", type=_bound, default=10 ** 6,
-                   help="ordered-partition cap; exceeding it reports unknown")
-    p.set_defaults(fn=cmd_symmetrize)
+    _command(sub, "symmetrize", "query the symmetrized oracle", cmd_symmetrize,
+             "--oracle", "--premises", "--conclusions"
+             ).add_argument("--cap", type=_bound, default=10 ** 6,
+                            help="ordered-partition cap; exceeding it reports unknown")
 
-    p = sub.add_parser("matrix-eval", help="evaluate a formula in a matrix")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--formula", required=True)
-    p.add_argument("--valuation", help="e.g. 'a=2,b=0,c=1'")
-    p.set_defaults(fn=cmd_matrix_eval)
+    _command(sub, "matrix-eval", "evaluate a formula in a matrix", cmd_matrix_eval,
+             "--matrix", "--formula").add_argument("--valuation", help="e.g. 'a=2,b=0,c=1'")
 
-    p = sub.add_parser("matrix-refute", help="search for a refuting valuation")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--formula", required=True)
-    p.set_defaults(fn=cmd_matrix_refute)
+    _command(sub, "matrix-refute", "search for a refuting valuation", cmd_matrix_refute,
+             "--matrix", "--formula")
 
-    p = sub.add_parser("abelian", help="integer-semantics entailment")
-    p.add_argument("--kind", choices=["p", "leq", "z"], required=True)
-    p.add_argument("--premises", required=True)
-    p.add_argument("--goal", required=True)
-    p.add_argument("--grid-bound", type=_bound, default=8)
-    p.set_defaults(fn=cmd_abelian)
+    _command(sub, "abelian", "integer-semantics entailment", cmd_abelian,
+             ("--kind", {"choices": ["p", "leq", "z"]}), "--premises", "--goal"
+             ).add_argument("--grid-bound", type=_bound, default=8)
 
-    p = sub.add_parser("laws", help="law battery over an oracle")
-    p.add_argument("action", choices=["check", "classify"])
-    p.add_argument("--oracle", required=True,
-                   help="|".join([*_ORACLES, "system:<file>"]))
-    p.add_argument("--dom", required=True,
-                   help="e.g. 'numerals=-3..3,size=3' or 'atoms=x,size=4'")
-    p.add_argument("--laws", default="all", help="'all' or comma-separated names")
-    p.set_defaults(fn=cmd_laws)
+    _command(sub, "laws", "law battery over an oracle", cmd_laws,
+             ("action", {"choices": ["check", "classify"]}),
+             ("--oracle", {"help": "|".join([*_ORACLES, "system:<file>"])}),
+             ("--dom", {"help": "e.g. 'numerals=-3..3,size=3' or 'atoms=x,size=4'"})
+             ).add_argument("--laws", default="all", help="'all' or comma-separated names")
 
-    p = sub.add_parser("theory", help="principal-theory operations")
-    p.add_argument("op", choices=["eq", "leq", "contains", "add"])
-    p.add_argument("--oracle", required=True)
-    p.add_argument("--gens", nargs="+", required=True)
-    p.add_argument("--member")
-    p.set_defaults(fn=cmd_theory)
+    _command(sub, "theory", "principal-theory operations", cmd_theory,
+             ("op", {"choices": ["eq", "leq", "contains", "add"]}), "--oracle",
+             ("--gens", {"nargs": "+"})).add_argument("--member")
 
     return parser
 
@@ -452,10 +437,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, EvalError, OSError, ValueError) as e:
-        # malformed, missing or unreadable input, or an unwritable stdout:
-        # a derivation command's parser sets the exit code of an invalid
-        # derivation
+    except (ParseError, EvalError, OSError, ValueError, RecursionError) as e:
+        # malformed, missing, unreadable or too deep input, or an unwritable
+        # stdout: a derivation command's parser sets the exit code of an
+        # invalid derivation
         print(f"error: {e}", file=sys.stderr)
         try:
             print("RESULT invalid", flush=True)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence
@@ -496,7 +496,17 @@ class ClassifyReport:
     oracle_name: str
     symmetric: bool
     results: dict[str, LawResult]
-    consistency_errors: list[str] = field(default_factory=list)
+
+    @property
+    def consistency_errors(self) -> list[str]:
+        """The derived-law network's cross-check: one line per implication
+        whose premise laws all passed and whose conclusion law failed."""
+        network = SYM_IMPLICATIONS if self.symmetric else ASYM_IMPLICATIONS
+        status = {name: r.status for name, r in self.results.items()}
+        return [f"{' & '.join(names)} passed but {law} failed at "
+                f"{self.results[law].witness_str()}"
+                for names, law in network if status.get(law) == "counterexample"
+                and all(status.get(n) == "passed" for n in names)]
 
     def _verdict(self, prop: str) -> Verdict:
         """Whether the relation has a property ("consequence", "monotone",
@@ -531,7 +541,8 @@ class ClassifyReport:
 
 
 # The derived-law network: each entry says the conjunction of the premise
-# laws forces the conclusion law.  Used as an internal cross-check.
+# laws forces the conclusion law.  ClassifyReport.consistency_errors checks a
+# battery's results against it.
 SYM_IMPLICATIONS: tuple[tuple[tuple[str, ...], str], ...] = (
     (("Reflexivity", "Monotonicity"), "GeneralizedReflexivity"),
     (("GeneralizedReflexivity", "Transitivity"), "Monotonicity"),
@@ -556,15 +567,6 @@ ASYM_IMPLICATIONS: tuple[tuple[tuple[str, ...], str], ...] = (
 
 
 def classify(oracle, dom: SampleDomain) -> ClassifyReport:
-    """Run the full battery and cross-check the derived-law network."""
-    symmetric = bool(getattr(oracle, "symmetric", False))
-    results = check_laws(oracle, dom)
-    report = ClassifyReport(getattr(oracle, "name", "oracle"), symmetric, results)
-    network = SYM_IMPLICATIONS if symmetric else ASYM_IMPLICATIONS
-    for premises_names, conclusion_name in network:
-        conc = results[conclusion_name]
-        if all(results[n].passed for n in premises_names) and conc.status == "counterexample":
-            report.consistency_errors.append(
-                f"{' & '.join(premises_names)} passed but {conclusion_name} "
-                f"failed at {conc.witness_str()}")
-    return report
+    """Run the full battery; the report cross-checks the derived-law network."""
+    return ClassifyReport(getattr(oracle, "name", "oracle"),
+                          bool(getattr(oracle, "symmetric", False)), check_laws(oracle, dom))

@@ -62,8 +62,6 @@ class FMultiset:
         """Multiplicity of ``x`` (0 off the support)."""
         return self._counts.get(x, 0)
 
-    multiplicity = count
-
     @property
     def support(self) -> frozenset:
         """The set of elements with positive multiplicity."""

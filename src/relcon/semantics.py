@@ -188,25 +188,6 @@ def int_eval(f: Formula, valuation: dict[str, int]) -> int:
     return next(_run(consts, segments))
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """An affine function of atom values: sum of coeff*atom plus a constant."""
-
-    coeffs: tuple[tuple[str, int], ...]
-    const: int
-
-    def coeff_map(self) -> dict[str, int]:
-        return dict(self.coeffs)
-
-
-def linear_form(f: Formula) -> Optional[LinearForm]:
-    """The affine normal form of a lattice-free formula, else None."""
-    form = _affine([(f, 1)])
-    if form is None:
-        return None
-    return LinearForm(tuple(sorted((a, c) for a, c in form[0].items() if c)), form[1])
-
-
 def _decide(formulas: list[Formula], holds: Callable[[list[int]], bool],
             grid_bound: int) -> Verdict:
     """Whether ``holds`` is true of the formulas' values under every integer

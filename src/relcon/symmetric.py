@@ -364,12 +364,6 @@ class Symmetrization(SymmetricOracle):
         return symmetrize_query(self.base, premises, conclusions)
 
 
-def asymmetric_query(oracle: SymmetricOracle, premises: FMultiset,
-                     conclusion: Formula) -> Verdict:
-    """The asymmetric part: premises |- [conclusion]."""
-    return oracle.entails(premises, FMultiset([conclusion]))
-
-
 class AsymmetricPart(ConsequenceOracle):
     """The asymmetric part of a symmetric oracle, as an oracle.
 
@@ -441,10 +435,19 @@ class ExtractionError(Exception):
 
 @dataclass
 class Extraction:
-    premises_used: FMultiset      # premises feeding the extracted tree
     tree: ProofTree               # relevant proof of the chosen formula
-    premises_rest: FMultiset      # the remaining premises
     residual: Derivation          # relevant derivation of the rest
+
+    @property
+    def premises_used(self) -> FMultiset:
+        """The premises feeding the tree: its premise leaves."""
+        return FMultiset(leaf.formula for leaf in self.tree.leaves()
+                         if isinstance(leaf.by, PremiseJust))
+
+    @property
+    def premises_rest(self) -> FMultiset:
+        """The remaining premises, where the residual starts."""
+        return self.residual.steps[0]
 
 
 def extract_tree(derivation: Derivation, system: AxiomaticSystem,
@@ -473,9 +476,10 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
     if system.symmetric:
         raise ExtractionError("extraction expects a single-conclusion system")
 
+    premise_leaves = [ProofTree(f, PremiseJust()) for f in premises]
     forest: dict[Formula, list[ProofTree]] = {}
-    for f in derivation.steps[0]:
-        forest.setdefault(f, []).append(ProofTree(f, PremiseJust()))
+    for leaf in premise_leaves:
+        forest.setdefault(leaf.formula, []).append(leaf)
     made: list[tuple[FMultiset, ProofTree]] = []  # each step's consumed formulas and tree
     for (rule, sigma), app in zip(uses, derivation.step_rules):
         consumed = FMultiset(substitute(s, sigma) for s in rule.left)
@@ -486,11 +490,9 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
         made.append((consumed, forest[label][-1]))
 
     tree = forest[phi][0]
-    nodes = [node for _, node in _walk(tree)]
-    in_tree = set(map(id, nodes))
-    used = FMultiset(node.formula for node in nodes if isinstance(node.by, PremiseJust))
-    rest = premises - used
-    residual_steps = [rest]
+    in_tree = {id(node) for _, node in _walk(tree)}
+    residual_steps = [FMultiset(leaf.formula for leaf in premise_leaves
+                                if id(leaf) not in in_tree)]
     residual_apps: list[RuleJust] = []
     for app, (consumed, node) in zip(derivation.step_rules, made):
         if id(node) in in_tree:
@@ -500,7 +502,7 @@ def extract_tree(derivation: Derivation, system: AxiomaticSystem,
             residual_steps.append(step)
             residual_apps.append(app)
     residual = Derivation(tuple(residual_steps), tuple(residual_apps))
-    return Extraction(used, tree, rest, residual)
+    return Extraction(tree, residual)
 
 
 # -- derivation files ---------------------------------------------------------------

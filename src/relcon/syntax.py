@@ -315,9 +315,6 @@ _LEAVES = frozenset((Atom, Var, Const))
 _CONNECTIVES = {Imp: "->", Disj: "\\/", Conj: "/\\", Fusion: "o", Neg: "~"}
 _PREC = {cls: level for level, cls in enumerate(_CONNECTIVES, 1)}
 
-# a schema is a formula whose leaves may be metavariables
-Schema = Formula
-
 ZERO = Const("0")
 ONE = Const("1")
 TRUTH = Const("t")

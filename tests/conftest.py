@@ -24,10 +24,20 @@ from relcon import (
     premise_leaf,
     axiom_leaf,
 )
-from relcon.laws import SampleDomain
+from relcon.laws import ClassifyReport, LawResult, SampleDomain
 from relcon.symmetric import AsymmetricPart
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+@pytest.fixture
+def inconsistent_report() -> ClassifyReport:
+    """A classification in which Reflexivity and Cut pass and RelevantCut,
+    which the two force in an asymmetric relation, has a counterexample."""
+    results = {n: LawResult(n, "passed") for n in ("Reflexivity", "Cut")}
+    results["RelevantCut"] = LawResult(
+        "RelevantCut", "counterexample", {"G": FMultiset([numeral(1)]), "p": numeral(2)})
+    return ClassifyReport("o", False, results)
 
 
 @pytest.fixture(scope="session")

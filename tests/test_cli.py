@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from relcon import Atom, numeral, parse_matrix, parse_system, print_matrix, print_system
+from relcon import cli
 from relcon.cli import main, make_domain, make_oracle
 from relcon.laws import SampleDomain
 from relcon.symmetric import DerivationOracle, TreeSearchOracle
@@ -137,6 +138,19 @@ def test_check_proof_too_deep_is_invalid(capsys, tmp_path, text):
     assert code == 1
     assert result_line(captured.out) == "invalid"
     assert "error: input nested too deeply" in captured.err
+
+
+def test_input_past_the_recursion_limit_is_invalid(capsys):
+    # the ordered partitions nest one generator per conclusion
+    conclusions = "[" + ", ".join(["0"] * 1000) + "]"
+    code = main(["symmetrize", "--oracle", "z", "--premises", "[]",
+                 "--conclusions", conclusions])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert result_line(captured.out) == "invalid"
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
 
 def test_check_proof_fusion_fixture(capsys):
     code, out = run(capsys, "check-proof", "--system", f"{FIX}/t_fusion.rcs",
@@ -507,6 +521,15 @@ def test_laws_classify_command(capsys):
                     "--dom", "numerals=-2..2,size=2")
     assert code == 0
     assert "CR: yes" in out and "monotone: no" in out
+
+
+def test_laws_classify_reports_an_inconsistent_battery(capsys, monkeypatch,
+                                                       inconsistent_report):
+    monkeypatch.setattr(cli, "classify", lambda oracle, dom: inconsistent_report)
+    code, out = run(capsys, "laws", "classify", "--oracle", "z", "--dom", "numerals=0..1")
+    assert code == 1 and result_line(out) == "inconsistent"
+    assert ("INCONSISTENT Reflexivity & Cut passed but RelevantCut failed at G=[1]; p=2"
+            in out.splitlines())
 
 
 @pytest.mark.parametrize("dom", ["numerals=0..1,samples=0,cap=0"])

@@ -750,6 +750,15 @@ def test_classify_summary_is_unknown_where_a_law_is_undecided():
     assert report.summary() == "CR: no, monotone: unknown, contractive: yes, tarskian: no"
 
 
+def test_classify_report_names_each_broken_implication(inconsistent_report):
+    report = inconsistent_report
+    assert report.consistency_errors == [
+        "Reflexivity & Cut passed but RelevantCut failed at G=[1]; p=2"]
+    # the errors follow the results: an undecided premise law breaks nothing
+    report.results["Cut"] = dataclasses.replace(report.results["Cut"], status="inconclusive")
+    assert report.consistency_errors == []
+
+
 def test_check_law_on_no_instances_is_inconclusive(z_oracle):
     empty = numeral_domain(max_size=-1)
     assert check_law(z_oracle, "Cut", empty).status == "inconclusive"

@@ -39,7 +39,6 @@ def test_support_and_multiplicity():
     assert m.support == {"a", "b"}
     assert m.count("a") == 2
     assert m.count("c") == 0
-    assert m.multiplicity("a") == 2
 
 
 def test_canonical_zero_free():

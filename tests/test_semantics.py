@@ -25,7 +25,6 @@ from relcon import (
     UNKNOWN,
     countermodel_search,
     int_eval,
-    linear_form,
     load_matrix,
     matrix_eval,
     numeral,
@@ -39,6 +38,7 @@ from relcon.semantics import (
     AbelianSymmetricOracle,
     Matrix,
     MatrixOracle,
+    _affine,
     parse_valuation,
 )
 from relcon.syntax import ONE, TRUTH, ZERO, atoms, numeral_value, print_formula
@@ -72,22 +72,28 @@ def test_implication_matches_its_definition():
                 == int_eval(parse_formula("~(a o ~b)"), v))
 
 
+def _form(f):
+    """The affine form of ``f`` alone: its nonzero coefficients, sorted, and
+    its constant; None for a formula with a lattice connective."""
+    form = _affine([(f, 1)])
+    return None if form is None else (
+        tuple(sorted((name, cf) for name, cf in form[0].items() if cf)), form[1])
+
+
 def test_linear_form():
-    lf = linear_form(parse_formula("(a o a) -> (b o 2)"))
-    assert lf.coeff_map() == {"a": -2, "b": 1}
-    assert lf.const == 2
-    assert linear_form(parse_formula("a /\\ b")) is None
-    assert linear_form(parse_formula("t")).const == 0
+    assert _form(parse_formula("(a o a) -> (b o 2)")) == ((("a", -2), ("b", 1)), 2)
+    assert _form(parse_formula("a /\\ b")) is None
+    assert _form(parse_formula("t"))[1] == 0
 
 
 def test_linear_form_matches_eval():
     rng = random.Random(4)
     f = parse_formula("((a -> b) o ~a) o (3 o (b -> -2))")
-    lf = linear_form(f)
+    coeffs, const = _form(f)
     for _ in range(40):
         v = {"a": rng.randint(-5, 5), "b": rng.randint(-5, 5)}
         direct = int_eval(f, v)
-        via_form = lf.const + sum(cf * v[name] for name, cf in lf.coeffs)
+        via_form = const + sum(cf * v[name] for name, cf in coeffs)
         assert direct == via_form
 
 
@@ -650,12 +656,11 @@ def test_matrix_oracle_agrees_with_reference(premises, conclusion):
 
 @given(_any_formulas)
 def test_linear_form_agrees_with_reference(f):
-    got, ref = linear_form(f), _ref_linear_form(f)
+    got, ref = _form(f), _ref_linear_form(f)
     if ref is None:
         assert got is None
     else:
-        assert (got.coeffs, got.const, got.coeff_map()) == (ref.coeffs, ref.const,
-                                                           ref.coeff_map())
+        assert got == (ref.coeffs, ref.const)
 
 
 @given(_multisets(_any_formulas), _multisets(_any_formulas))
@@ -704,7 +709,7 @@ def test_zsym_agrees_with_brute_force_sums(left, right):
 def test_numerals_are_leaves_of_the_evaluator():
     assert int_eval(numeral(5000), {}) == 5000
     assert int_eval(numeral(-5000), {}) == -5000
-    assert linear_form(numeral(-5000)).const == -5000
+    assert _form(numeral(-5000))[1] == -5000
 
 
 def test_deep_formulas_evaluate_without_recursion():
@@ -712,7 +717,7 @@ def test_deep_formulas_evaluate_without_recursion():
     for _ in range(2999):
         chain = Fusion(chain, a)
     assert int_eval(chain, {"a": 2}) == 6000
-    assert linear_form(chain).coeffs == (("a", 3000),)
+    assert _form(chain)[0] == (("a", 3000),)
     assert matrix_eval(T4, {"a": "2"}, chain) == "2"
     assert countermodel_search(T4, chain) == {"a": "0"}
     assert AbelianSymmetricOracle().entails(FMultiset([chain]), FMultiset([chain])) is HOLDS
