@@ -18,15 +18,21 @@ How a check runs:
 * **Pools, per domain.**  A ``SampleDomain`` interns its values once, on
   the first check that asks, into one list that every later check on the
   domain reads and extends: the M, F and N pools are index lists into it,
-  so an instance is a list of ints.  A value two checks meet is one object,
-  so the second check's queries hit the oracle's memo by identity.  The T
-  pool follows the oracle's theorem basis, so each check builds its own
-  index list, interned into the same list.
-* **Tables, per check.**  ``_Check`` builds only these: one sum table per
-  side shape, keyed by operand indices, and one verdict table, keyed by the
-  sides' indices.  Each table is filled on first use, so the oracle sees
-  each distinct query once per check, through its own memo.  Nothing the
-  check holds refers back to it.
+  so an instance is a list of ints.  Each value keeps its count vector
+  (Parikh, 1966): a multiset's multiplicities, by formula, and a formula's
+  that of [f].  A sum of sides is a sum of vectors, interned by its vector,
+  and an ``FMultiset`` is built only for a vector the pool has not met.  So
+  a value two checks meet, or one reached both from outside and as a sum,
+  is one object, and the oracle's memo finds it by identity.  The T pool
+  follows the oracle's theorem basis, so each check builds its own index
+  list, interned into the same list; its theorems may add coordinates.
+  The vectors are per domain, not a global interning table: they die with
+  it.
+* **Tables, per check.**  ``_Check`` builds only these: one sum table,
+  keyed by operand indices, and one verdict table, keyed by the sides'
+  indices.  Each table is filled on first use, so the oracle sees each
+  distinct query once per check, through its own memo.  Nothing the check
+  holds refers back to it.
 * **Pushdown.**  The exhaustive instances are a loop nest in the canonical
   order, and each antecedent is tested (and each side computed) at the
   shallowest level that binds it (Selinger et al., *Access Path Selection*,
@@ -42,7 +48,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -94,25 +100,71 @@ class SampleDomain:
 
 
 class _Pool:
-    """A domain's interned values: ``values`` holds each value once, from the
-    empty multiset at index 0 (the value of every side "[]"), and ``index``
-    maps a value to its index.  The M, F and N pools are index lists in the
-    domain's canonical order.  Checks intern what they compute into it too,
-    so it grows with them, and it lives as long as its domain."""
+    """A domain's interned values, each with its count vector.
+
+    ``values`` holds each value once, from the empty multiset at index 0
+    (the value of every side "[]"), and ``vectors`` each value's count
+    vector: the multiplicity of each formula the pool has met, by the order
+    it met them in (``basis``), with no trailing zeros.  A formula's vector
+    is that of [f].  ``index`` maps a formula to its index and a vector to
+    the index of its multiset, so a multiset is interned by its vector, and
+    one is built from a vector only when no value has it yet.  The M, F and
+    N pools are index lists in the domain's canonical order.  Checks intern
+    what they compute into it too, so it grows with them, and it lives as
+    long as its domain."""
 
     def __init__(self, dom: SampleDomain):
+        self.basis: list[Formula] = []  # each coordinate's formula
+        self.coords: dict = {}  # formula -> its coordinate
         self.values: list = [EMPTY]
-        self.index: dict = {EMPTY: 0}  # value -> its index in values
+        self.vectors: list[tuple[int, ...]] = [()]
+        self.index: dict = {(): 0}
         self.multisets = [self.intern(m) for m in dom.multisets()]
         self.formulas = [self.intern(f) for f in dom.formulas]
         self.nonempty = [i for i in self.multisets if self.values[i]]
 
     def intern(self, value) -> int:
+        """The index of a formula or a multiset."""
+        if type(value) is FMultiset:
+            return self.intern_vector(self.vector(value.items()), value)
         i = self.index.get(value)
         if i is None:
             i = self.index[value] = len(self.values)
             self.values.append(value)
+            self.vectors.append(self.vector([(value, 1)]))
         return i
+
+    def vector(self, counts) -> tuple[int, ...]:
+        """The count vector of (formula, multiplicity) pairs, each formula
+        given a coordinate on first sight."""
+        vec = []
+        for f, n in counts:
+            c = self.coords.get(f)
+            if c is None:
+                c = self.coords[f] = len(self.basis)
+                self.basis.append(f)
+            vec += [0] * (c + 1 - len(vec))
+            vec[c] = n
+        return tuple(vec)
+
+    def intern_vector(self, vec: tuple[int, ...], value: Optional[FMultiset] = None) -> int:
+        """The index of the multiset with count vector ``vec``: ``value``,
+        or one built from the vector, the first time the vector is seen."""
+        i = self.index.get(vec)
+        if i is None:
+            if value is None:
+                value = FMultiset.from_counts(dict(zip(self.basis, vec)))
+            i = self.index[vec] = len(self.values)
+            self.values.append(value)
+            self.vectors.append(vec)
+        return i
+
+
+def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of two count vectors, the shorter read with trailing zeros."""
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b):])
 
 
 @dataclass
@@ -185,26 +237,19 @@ class LawSpec(NamedTuple):
     side that is not a lone variable.  Each level of the plan (one per
     variable) lists the sides computed before its tests, the tests in
     statement order, and the sides computed after them.  A side is ``(slot,
-    key, shape, terms)``: ``key`` reads its operands' slots, ``shape``
-    numbers its sum table, and each term is a variable's position (a family
-    is summed) or a tuple of positions (a bracket list).  A test, like the
-    conclusion, is the key of its two sides' slots; a pointwise "Ds |- G"
-    reads the family's and G's.  A side "[]" has no step: its slot keeps the
-    empty multiset's index, 0, from the start.
+    key)``: ``key`` reads the slots of the variables it sums, a bracket
+    list's formulas one by one and a family's multisets as one tuple.  A
+    test, like the conclusion, is the key of its two sides' slots; a
+    pointwise "Ds |- G" reads the family's and G's.  A side "[]" has no step:
+    its slot keeps the empty multiset's index, 0, from the start.
     """
 
     name: str
     names: tuple[str, ...]  # the bound variables, in stream order
     kinds: tuple[str, ...]  # per variable: a pool or a family's index
     slots: int  # the length of an instance
-    shapes: int  # the number of sum tables
     levels: tuple[tuple[tuple, tuple, tuple], ...]  # per variable: early, tests, late
     conclusion: itemgetter
-
-
-def _positions(terms: tuple) -> tuple[int, ...]:
-    """The variable positions a side reads, in term order."""
-    return tuple(p for t in terms for p in (t if isinstance(t, tuple) else (t,)))
 
 
 def _compile(table) -> dict[str, LawSpec]:
@@ -216,18 +261,20 @@ def _compile(table) -> dict[str, LawSpec]:
             names.append(var)
             kinds.append(kind or ("M" if var[0].isupper() else "F"))
         n = len(names)
-        sides: list[tuple] = []  # the sides past the variables, in slot order
+        # the sides past the variables, in slot order, each as the
+        # positions of the variables it sums
+        sides: list[tuple[int, ...]] = []
 
         def slot(text: str) -> int:
             """A lone variable's position, or the slot of a side past them."""
-            terms = tuple(tuple(names.index(x) for x in term[1:-1].split(",") if x)
-                          if term.startswith("[") else names.index(term)
-                          for term in text.split("+"))
-            if len(terms) == 1 and type(terms[0]) is int and kinds[terms[0]] in _POOLS:
-                return terms[0]
-            if terms not in sides:
-                sides.append(terms)
-            return n + sides.index(terms)
+            if text in names and kinds[names.index(text)] in _POOLS:
+                return names.index(text)
+            read = tuple(names.index(x) for term in text.split("+")
+                         for x in (term[1:-1].split(",") if term.startswith("[") else [term])
+                         if x)
+            if read not in sides:
+                sides.append(read)
+            return n + sides.index(read)
 
         def consecution(text: str) -> tuple[int, int]:
             left, right = (side.strip() for side in text.split("|-"))
@@ -237,28 +284,20 @@ def _compile(table) -> dict[str, LawSpec]:
 
         def level(*slots: int) -> int:
             """The deepest variable position the slots read."""
-            return max((p for s in slots
-                        for p in (_positions(sides[s - n]) if s >= n else (s,))), default=0)
+            return max((p for s in slots for p in (sides[s - n] if s >= n else (s,))),
+                       default=0)
 
         premises, _, conclusion = statement.rpartition(" => ")
         tests = [consecution(c) for c in premises.split(" and ")] if premises else []
         last = consecution(conclusion)
         early = {s for q in tests for s in q if s >= n and level(s) == level(*q)}
         plan: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
-        shapes: list[tuple] = []
-        for at, terms in enumerate(sides, n):
-            read = _positions(terms)
-            if not read:
-                continue
-            shape = tuple(len(t) if isinstance(t, tuple) else "v" if kinds[t] in _POOLS
-                          else "s" for t in terms)  # bracket lengths, variables, families
-            if shape not in shapes:
-                shapes.append(shape)
-            step = (at, itemgetter(*read), shapes.index(shape), terms)
-            plan[max(read)][0 if at in early else 2].append(step)
+        for at, read in enumerate(sides, n):
+            if read:
+                plan[max(read)][0 if at in early else 2].append((at, itemgetter(*read)))
         for q in tests:
             plan[level(*q)][1].append(itemgetter(*q))
-        laws[name] = LawSpec(name, tuple(names), tuple(kinds), n + len(sides), len(shapes),
+        laws[name] = LawSpec(name, tuple(names), tuple(kinds), n + len(sides),
                              tuple(tuple(map(tuple, steps)) for steps in plan),
                              itemgetter(*last))
     return laws
@@ -289,7 +328,7 @@ class _Check:
 
     def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
         self.law, self.dom, self.oracle = law, dom, oracle
-        pool = dom._pool
+        self.pool = pool = dom._pool
         self.values, self.intern = pool.values, pool.intern
         kinds, n = law.kinds, len(law.kinds)
 
@@ -304,23 +343,24 @@ class _Check:
         self.family = kinds[-1] not in _POOLS
         self.fixed = [pools[k] for k in kinds[:n - self.family]]
         self.at = law.names.index(kinds[-1]) if self.family else n
-        self.sums: list[dict] = [{} for _ in range(law.shapes)]  # operands -> sum
+        self.sums: dict = {}  # the operands' indices -> their sum's
         # (left, right) indices -> Verdict; a family's key is (its indices, G)
         self.verdicts: dict = {}
 
     def place(self, steps: tuple) -> None:
-        """Compute sides into the instance, each through its shape's table."""
-        inst, values, kinds = self.inst, self.values, self.law.kinds
-        for at, key, shape, terms in steps:
+        """Compute sides into the instance, each looked up by its operands'
+        indices: its vector is the sum of theirs (of each of a family's
+        multisets), interned by vector the first time."""
+        inst, sums, vectors = self.inst, self.sums, self.pool.vectors
+        for at, key in steps:
             x = key(inst)
-            table = self.sums[shape]
-            i = table.get(x)
+            i = sums.get(x)
             if i is None:
-                parts = [FMultiset([values[inst[p]] for p in t]) if type(t) is tuple
-                         else values[inst[t]] if kinds[t] in _POOLS
-                         else reduce(add, map(values.__getitem__, inst[t]), EMPTY)
-                         for t in terms]
-                i = table[x] = self.intern(reduce(add, parts, EMPTY))
+                vec = ()
+                for j in (x if type(x) is tuple else (x,)):
+                    for k in (j if type(j) is tuple else (j,)):  # a family's multisets
+                        vec = _vadd(vec, vectors[k])
+                i = sums[x] = self.pool.intern_vector(vec)
             inst[at] = i
 
     def ask(self, key: tuple) -> Verdict:

@@ -10,14 +10,18 @@ Oracles may declare a finite theorem basis or a sound decision hook for the
 may declare themselves monotone_contractive (Tarskian), which switches the
 symmetrization to the componentwise rule appropriate for that case.
 
-Oracles are pure, so an oracle whose queries repeat decorates its own
-``entails`` with ``memoised``: each instance keeps a dict from
-(premises, conclusion) to the verdict, made on its first query, and decides
-each query once.  The table belongs to the instance, so a fresh oracle starts
-cold.  AbelianOracle, AbelianSymmetricOracle, Symmetrization,
-DerivationOracle, TreeSearchOracle and MonotonicCompanion memoise.
-MatrixOracle, SingleAtomThresholdOracle and IdentityOracle decide every query
-afresh, and AsymmetricPart hands each query to its base.
+Oracles are pure, so an oracle whose queries repeat memoises a method of
+its own with ``memoised``: each instance keeps one table per such method,
+made on its first call, and computes each answer once.  The tables belong to
+the instance, so a fresh oracle starts cold.  Symmetrization,
+DerivationOracle, TreeSearchOracle and MonotonicCompanion memoise
+``entails``, one verdict per (premises, conclusion).  AbelianOracle and
+AbelianSymmetricOracle memoise what their ``entails`` reads instead: each
+side's affine form or least value, so the table grows with the distinct
+sides and not with the distinct pairs, and per query only the verdicts of
+queries decided on the grid.  MatrixOracle, SingleAtomThresholdOracle and
+IdentityOracle decide every query afresh, and AsymmetricPart hands each
+query to its base.
 """
 
 from __future__ import annotations
@@ -67,21 +71,48 @@ all3 = functools.partial(_fold3, FAILS, HOLDS)
 any3 = functools.partial(_fold3, HOLDS, FAILS)
 
 
-def memoised(entails):
-    """Decorate an oracle's own ``entails``: each instance answers each query once."""
+_MISSING = object()  # a memo's miss: None is an answer a method may give
 
-    @functools.wraps(entails)
-    def memo_entails(self, premises, conclusion):
-        try:
-            memo = self._memo
-        except AttributeError:
+
+def memoised(method):
+    """Decorate an oracle's method: each instance computes each answer once.
+
+    An instance keeps one table per memoised method, in its dict ``_memo``
+    under the method's name, keyed by the lone argument itself or else by
+    the tuple of arguments."""
+    name = method.__name__
+
+    def table(self) -> dict:
+        memo = getattr(self, "_memo", None)  # no AttributeError made: it is costly
+        if memo is None:
             memo = self._memo = {}
-        key = (premises, conclusion)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = entails(self, premises, conclusion)
-        return hit
-    return memo_entails
+        return memo.setdefault(name, {})
+
+    # a lone argument is its own key, with no tuple packed per call: the
+    # integer oracles' per-side tables are read twice per query
+    if method.__code__.co_argcount == 2:  # self and one argument
+        @functools.wraps(method)
+        def memo_method(self, key):
+            try:
+                memo = self._memo[name]
+            except (AttributeError, KeyError):
+                memo = table(self)
+            value = memo.get(key, _MISSING)
+            if value is _MISSING:
+                value = memo[key] = method(self, key)
+            return value
+    else:
+        @functools.wraps(method)
+        def memo_method(self, *key):
+            try:
+                memo = self._memo[name]
+            except (AttributeError, KeyError):
+                memo = table(self)
+            value = memo.get(key, _MISSING)
+            if value is _MISSING:
+                value = memo[key] = method(self, *key)
+            return value
+    return memo_method
 
 
 class ConsequenceOracle:

@@ -12,12 +12,15 @@ relations are provided:
 
 Formulas in the {o, ~, ->, constants} fragment are affine in their atoms,
 and one walk, _affine, sums (formula, weight) pairs into atom coefficients
-and a constant.  Two kinds of integer query are decided from these affine
-forms alone.  A lattice-free sum query (z, and its symmetric companion,
-sum <= sum) is one walk over each distinct formula of the consecution,
-weighted by its multiplicity (negated on the premise side): it holds iff
-every coefficient is zero and the constant is nonnegative.  A p or leq query
-whose formulas are all closed and lattice-free compares their constants.
+and a constant.  Each relation reads a side of a consecution through one
+number or form (Meyer & Slaney, *Abelian Logic*, 1989), so the integer
+oracles memoise each side's reading and decide a query by comparing the two
+sides'.  For z and its symmetric companion (sum <= sum) a side reads as the
+affine form of its sum, one walk over its distinct formulas weighted by
+their multiplicities; the query holds iff the two sides' nonzero
+coefficients agree and the right constant is at least the left one.  For p
+and leq a side reads as the least value of its formulas, when all are closed
+and lattice-free, and the query compares the conclusion's value with it.
 
 Only the rest are compiled (_compile) into a program over the distinct
 subformulas of their formulas, with integer arithmetic or a matrix's tables
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -144,10 +148,12 @@ def _affine(weighted: Iterable[tuple[Formula, int]]) -> Optional[tuple[dict[str,
     todo = list(weighted)
     while todo:
         f, w = todo.pop()
-        t, n = type(f), numeral_value(f)
+        n = f._num
         if n is not None:
             const += w * n
-        elif t is Atom:
+            continue
+        t = type(f)
+        if t is Atom:
             coeffs[f.name] = coeffs.get(f.name, 0) + w
         elif t is Neg:
             todo.append((f.body, -w))
@@ -200,33 +206,39 @@ def _decide(formulas: list[Formula], holds: Callable[[list[int]], bool],
     return UNKNOWN if names else HOLDS
 
 
-def _sum_leq(left: FMultiset, right: FMultiset | Formula, grid_bound: int) -> Verdict:
-    """Whether sum(left) <= sum(right) under every integer valuation, a lone
-    formula on the right read as [right]: by the affine walk, and else (a
-    lattice connective or a metavariable occurs) by _decide on the canonical lists."""
-    many = isinstance(right, FMultiset)
-    form = _affine([(f, -n) for f, n in left.items()]
-                   + (list(right.items()) if many else [(right, 1)]))
-    if form is not None:
-        coeffs, const = form
-        return verdict(const >= 0 and not any(coeffs.values()))
-    lhs, rhs = list(left), (list(right) if many else [right])
-    return _decide(lhs + rhs, lambda vals: sum(vals[:len(lhs)]) <= sum(vals[len(lhs):]),
+def _sum_form(side: FMultiset | Formula) -> Optional[tuple[dict[str, int], int]]:
+    """The nonzero atom coefficients and the constant of the sum of a side,
+    a lone formula read as [side], or None when a lattice connective or a
+    metavariable occurs: one walk over its distinct formulas, each weighted
+    by its multiplicity."""
+    form = _affine(side.items() if type(side) is FMultiset else ((side, 1),))
+    if form is not None and 0 in form[0].values():
+        form = {a: k for a, k in form[0].items() if k}, form[1]
+    return form
+
+
+def _sums_below(left: tuple[dict[str, int], int], right: tuple[dict[str, int], int]) -> Verdict:
+    """Whether sum <= sum everywhere, from the two sides' _sum_form: the
+    coefficients agree and the right constant is at least the left one."""
+    return verdict(left[0] == right[0] and left[1] <= right[1])
+
+
+def _sums_on_grid(left: FMultiset, right: list[Formula], grid_bound: int) -> Verdict:
+    """Whether sum(left) <= sum(right), by _decide on the formulas with
+    their repeats."""
+    lhs = list(left)
+    return _decide(lhs + right, lambda vals: sum(vals[:len(lhs)]) <= sum(vals[len(lhs):]),
                    grid_bound)
-
-
-def _closed_value(f: Formula) -> Optional[int]:
-    """The value of a closed, lattice-free formula, else None."""
-    form = _affine([(f, 1)])
-    return None if form is None or form[0] else form[1]
 
 
 class AbelianOracle(ConsequenceOracle):
     """The p / leq / z relations of the integer semantics.
 
-    A lattice-free z query, and a p or leq query whose formulas are all
-    closed and lattice-free, is decided from affine forms; any other query
-    is compiled and run on the grid.
+    Each side is read once, into one number or form that the instance
+    memoises (``_side``): z reads a side's sum as an affine form, p and leq
+    the least value of its formulas when all are closed and lattice-free.  A
+    verdict compares the two sides'.  A query with a side that cannot be so
+    read is compiled and run on the grid (``_grid``, memoised per query).
 
     ``theorem_basis``, when given, is a finite list of theorems that the law
     battery's TheoremRemoval instances draw from."""
@@ -241,23 +253,43 @@ class AbelianOracle(ConsequenceOracle):
         self.name = kind
         self.monotone_contractive = kind in ("p", "leq")
 
-    @memoised
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
+        left = self._side(premises)
+        right = None if left is None else self._side(conclusion)
+        if right is None:
+            return self._grid(premises, conclusion)
         if self.kind == "z":
-            return _sum_leq(premises, conclusion, self.grid_bound)
-        # p and leq ignore multiplicities
-        vals = [_closed_value(f) for f, _ in premises.items()]
-        vals.append(_closed_value(conclusion))
-        if None not in vals:
-            return verdict(self._holds_at(vals))
-        return _decide([*premises.distinct(), conclusion], self._holds_at, self.grid_bound)
+            return _sums_below(left, right)
+        return verdict(self._holds(left, right))
 
-    def _holds_at(self, vals: list[int]) -> bool:
-        *vals, c = vals  # the premises' values, then the conclusion's
+    @memoised
+    def _side(self, side: FMultiset | Formula):
+        """z: the side's _sum_form.  p and leq: a formula's value when it is
+        closed (no atom, even with coefficient 0) and lattice-free, and a
+        multiset's least such value (inf when empty), else None."""
+        if self.kind == "z":
+            return _sum_form(side)
+        if type(side) is FMultiset:  # p and leq ignore multiplicities
+            vals = [self._side(f) for f, _ in side.items()]
+            return None if None in vals else min(vals, default=math.inf)
+        form = _affine(((side, 1),))
+        return None if form is None or form[0] else form[1]
+
+    @memoised
+    def _grid(self, premises: FMultiset, conclusion: Formula) -> Verdict:
+        if self.kind == "z":
+            return _sums_on_grid(premises, [conclusion], self.grid_bound)
+        # the premises' values, then the conclusion's
+        return _decide([*premises.distinct(), conclusion],
+                       lambda vals: self._holds(min(vals[:-1], default=math.inf), vals[-1]),
+                       self.grid_bound)
+
+    def _holds(self, least: float, value: int) -> bool:
+        """Whether p or leq holds, from the least premise value (inf when
+        there are none) and the conclusion's value."""
         if self.kind == "p":
-            return c >= 0 or any(x < 0 for x in vals)
-        # leq; the empty minimum never sits below anything
-        return any(x <= c for x in vals)
+            return value >= 0 or least < 0
+        return least <= value
 
     def entails_all_theorems(self, premises: FMultiset) -> Verdict:
         if self.kind == "z":
@@ -270,16 +302,29 @@ class AbelianOracle(ConsequenceOracle):
 
 
 class AbelianSymmetricOracle(SymmetricOracle):
-    """Sum of premises below sum of conclusions; empty sums are 0."""
+    """Sum of premises below sum of conclusions; empty sums are 0.  Each
+    side's _sum_form is memoised, and a query with a side that has none is
+    run on the grid, memoised per query."""
 
     name = "zsym"
 
     def __init__(self, grid_bound: int = 8):
         self.grid_bound = grid_bound
 
-    @memoised
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        return _sum_leq(premises, conclusions, self.grid_bound)
+        left = self._side(premises)
+        right = None if left is None else self._side(conclusions)
+        if right is None:
+            return self._grid(premises, conclusions)
+        return _sums_below(left, right)
+
+    @memoised
+    def _side(self, side: FMultiset) -> Optional[tuple[dict[str, int], int]]:
+        return _sum_form(side)
+
+    @memoised
+    def _grid(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
+        return _sums_on_grid(premises, list(conclusions), self.grid_bound)
 
 
 class SingleAtomThresholdOracle(SymmetricOracle):

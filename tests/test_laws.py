@@ -625,14 +625,57 @@ def test_a_second_check_on_a_domain_asks_with_the_memo_keys_objects():
     oracle = make_z_oracle()
     dom = SampleDomain(tuple(numeral(k) for k in range(-1, 3)), max_size=2)
     check_law(oracle, "RelevantCut", dom)
-    keys = {key: key for key in oracle._memo}
+    keys = {key: key for key in oracle._memo["_side"]}
     spy = _AskedOnce(oracle)
     check_law(spy, "Cut", dom)
     # the sums G+D as well as the pool's multisets are the first check's objects
-    again = [(premises, keys[premises, f][0]) for premises, f in spy.asked
-             if (premises, f) in keys]
+    again = [(premises, keys[premises]) for premises, f in spy.asked if premises in keys]
     assert len(again) > 100 and any(p.size == 4 for p, _ in again)
     assert all(premises is key for premises, key in again)
+
+
+def test_a_multiset_from_outside_and_as_a_sum_is_one_value():
+    zero, one, two = numeral(0), numeral(1), numeral(2)
+    dom = SampleDomain((zero, one), max_size=2)
+    pool = dom._pool
+    domain_pair = pool.values[pool.multisets[4]]  # [0, 1], from the domain
+    oracle = make_z_oracle()
+    check_law(oracle, "Cut", dom)  # G+D reaches [0, 1], and sums of up to 4
+    # each multiset the oracle was asked is the pool's one object for its
+    # value: the domain's where the domain has it, else the first sum's
+    asked = [key for key in oracle._memo["_side"] if isinstance(key, FMultiset)]
+    assert any(m.size == 4 for m in asked) and any(m is domain_pair for m in asked)
+    for m in asked:
+        assert pool.values[pool.intern(FMultiset(list(m)))] is m
+    # a formula new to the pool is a new coordinate, from outside or as a sum
+    size = len(pool.values)
+    outside = FMultiset([two, one])
+    i = pool.intern(outside)
+    assert pool.values[i] is outside and len(pool.values) == size + 1
+    assert pool.intern(FMultiset([one, two])) == pool.intern_vector(pool.vectors[i]) == i
+
+
+@pytest.mark.parametrize("case", ["theorems outside the domain", "relevant cut", "ex54"])
+def test_check_law_on_count_vectors_agrees_with_the_reference(case):
+    if case == "theorems outside the domain":
+        # the theorems add coordinates to a pool an earlier check made, and
+        # sums G+D mix vectors of both lengths
+        dom = SampleDomain(tuple(numeral(k) for k in (-1, 0, 1)), max_size=2)
+        checks = [(make_z_oracle(), "Cut"), (make_p_oracle(), "TheoremRemoval"),
+                  (make_z_oracle(), "TheoremRemoval")]
+        for oracle, _ in checks:
+            oracle.theorem_basis = [numeral(k) for k in (2, 3, 0)]
+    elif case == "relevant cut":
+        # the family's multisets are summed on the left
+        dom = SampleDomain(tuple(numeral(k) for k in (-1, 0, 2)), max_size=2)
+        checks = [(make_z_oracle(), "RelevantCut"), (make_p_oracle(), "RelevantCut")]
+    else:
+        dom = x_domain()
+        ex54 = SingleAtomThresholdOracle()
+        ex54.theorem_basis = None  # the reference reads it
+        checks = [(ex54, law) for law in law_names(True)]
+    for oracle, law in checks:
+        assert check_law(_AskedOnce(oracle), law, dom) == _ref_check_law(oracle, law, dom), law
 
 
 def test_sample_domain_is_frozen():

@@ -39,6 +39,7 @@ from relcon.semantics import (
     Matrix,
     MatrixOracle,
     _affine,
+    _decide,
     parse_valuation,
 )
 from relcon.syntax import ONE, TRUTH, ZERO, atoms, numeral_value, print_formula
@@ -704,6 +705,100 @@ def test_zsym_agrees_with_brute_force_sums(left, right):
                        for values in itertools.product(range(-2, 3), repeat=len(names)))}
     holds = len(diffs) == 1 and min(diffs) >= 0
     assert AbelianSymmetricOracle().entails(left, right) is (HOLDS if holds else FAILS)
+
+
+# -- the per-side decisions against the per-pair path -------------------------------
+#
+# The integer oracles read each side once, into a memoised form or least
+# value, and compare the two.  The reference decides each pair as a whole,
+# as the oracles did before: one _affine walk over both sides, or over each
+# formula for p and leq, then the grid.
+
+
+def _pair_sum_leq(left, right, grid_bound):
+    """sum(left) <= sum(right), a lone formula on the right read as [right]."""
+    many = isinstance(right, FMultiset)
+    form = _affine([(f, -n) for f, n in left.items()]
+                   + (list(right.items()) if many else [(right, 1)]))
+    if form is not None:
+        coeffs, const = form
+        return HOLDS if const >= 0 and not any(coeffs.values()) else FAILS
+    lhs, rhs = list(left), (list(right) if many else [right])
+    return _decide(lhs + rhs, lambda vals: sum(vals[:len(lhs)]) <= sum(vals[len(lhs):]),
+                   grid_bound)
+
+
+def _pair_closed_value(f):
+    form = _affine([(f, 1)])
+    return None if form is None or form[0] else form[1]
+
+
+def _pair_entails(kind, grid_bound, premises, conclusion):
+    if kind in ("z", "zsym"):
+        return _pair_sum_leq(premises, conclusion, grid_bound)
+
+    def holds_at(vals):
+        *vals, c = vals
+        return c >= 0 or any(x < 0 for x in vals) if kind == "p" else any(x <= c for x in vals)
+    vals = [_pair_closed_value(f) for f, _ in premises.items()] + [_pair_closed_value(conclusion)]
+    if None not in vals:
+        return HOLDS if holds_at(vals) else FAILS
+    return _decide([*premises.distinct(), conclusion], holds_at, grid_bound)
+
+
+@given(st.sampled_from(["z", "zsym", "p", "leq"]),
+       st.lists(st.tuples(_multisets(_any_formulas), _multisets(_any_formulas)),
+                min_size=1, max_size=4))
+@example("p", [(ms("[]"), ms("[a -> a]"))])  # an atom with coefficient 0 stays open
+@example("leq", [(ms("[]"), ms("[1]")), (ms("[1, 2]"), ms("[1]"))])  # the empty minimum
+@example("z", [(ms("[1, 1, ~2]"), ms("[0, a -> a]")), (ms("[1 /\\ ~1]"), ms("[0]"))])
+@example("zsym", [(ms("[a, a, ~a]"), ms("[a, ~a]")), (ms("[a /\\ b]"), ms("[a /\\ b, 0]"))])
+@example("z", [(FMultiset([Var("y"), a]), FMultiset([Var("x")]))])  # metavariables
+@example("p", [(FMultiset([Var("y"), ONE]), FMultiset([a]))])
+def test_side_verdicts_agree_with_the_pair_path(kind, queries):
+    # one oracle for every query, each asked twice: the sides repeat across
+    # queries, and the second ask reads both memo tables
+    oracle = (AbelianSymmetricOracle(grid_bound=2) if kind == "zsym"
+              else AbelianOracle(kind, grid_bound=2))
+    for premises, right in queries + queries:
+        for conclusion in ([right] if kind == "zsym" else right.distinct()):
+            assert (_outcome(oracle.entails, premises, conclusion)
+                    == _outcome(_pair_entails, kind, 2, premises, conclusion))
+
+
+def test_an_open_theorem_stays_unknown_under_p():
+    # [] |- a -> a: the conclusion is 0 everywhere, but it names an atom,
+    # so p only searches the grid, which finds no refutation
+    assert AbelianOracle("p").entails(FMultiset(), parse_formula("a -> a")) is UNKNOWN
+
+
+def test_each_distinct_side_is_walked_once(monkeypatch):
+    import relcon.semantics as semantics
+
+    walked = []
+
+    def spy(weighted):
+        weighted = list(weighted)
+        walked.append(weighted)
+        return _affine(weighted)
+    monkeypatch.setattr(semantics, "_affine", spy)
+    sides = [ms("[a, a, b]"), ms("[1, ~a]"), ms("[]"), ms("[a -> b, b]"), ms("[b, a, a]")]
+    formulas = [parse_formula(text) for text in ("a", "b o 1", "a -> a", "2", "~1")]
+
+    def walks(oracle, conclusions):
+        walked.clear()
+        for _ in range(2):
+            for g in sides:
+                for d in conclusions:
+                    oracle.entails(g, d)
+        return len(walked)
+    # each distinct multiset ([a, a, b] twice) and each conclusion once
+    z, zsym = AbelianOracle("z"), AbelianSymmetricOracle()
+    assert walks(z, formulas) == 4 + 5 == len(z._memo["_side"])
+    assert walks(zsym, sides) == 4 == len(zsym._memo["_side"])
+    # p reads a multiset through its formulas' values: each distinct formula
+    # (a, b, 1, ~a and a -> b, then the conclusions but a) once
+    assert walks(AbelianOracle("p"), formulas) == 5 + 4
 
 
 def test_numerals_are_leaves_of_the_evaluator():
