@@ -1,9 +1,9 @@
 """Consequence oracles: three-valued decision procedures for entailment.
 
 An asymmetric oracle decides premise-multiset |- formula queries, a symmetric
-one decides multiset |- multiset queries.  UNKNOWN is reserved for honestly
-bound-limited answers; everything else is exact.  ``all3`` and ``any3`` are
-the Kleene AND and OR over such answers.
+one, a ConsequenceOracle marked ``symmetric``, multiset |- multiset queries.
+UNKNOWN is reserved for honestly bound-limited answers; everything else is
+exact.  ``all3`` and ``any3`` are the Kleene AND and OR over such answers.
 
 Oracles may declare a finite theorem basis or a sound decision hook for the
 "entails every theorem" test that empty-conclusion symmetrization needs, and
@@ -15,13 +15,13 @@ its own with ``memoised``: each instance keeps one table per such method,
 made on its first call, and computes each answer once.  The tables belong to
 the instance, so a fresh oracle starts cold.  Symmetrization,
 DerivationOracle, TreeSearchOracle and MonotonicCompanion memoise
-``entails``, one verdict per (premises, conclusion).  AbelianOracle and
-AbelianSymmetricOracle memoise what their ``entails`` reads instead: each
-side's affine form or least value, so the table grows with the distinct
-sides and not with the distinct pairs, and per query only the verdicts of
-queries decided on the grid.  MatrixOracle, SingleAtomThresholdOracle and
-IdentityOracle decide every query afresh, and AsymmetricPart hands each
-query to its base.
+``entails``, one verdict per (premises, conclusion).  AbelianOracle, and
+with it zsym's AbelianSymmetricOracle, which adds no method of its own,
+memoises what its ``entails`` reads instead: each side's affine form or
+least value, so the table grows with the distinct sides and not with the
+distinct pairs, and per query only the verdicts of queries decided on the
+grid.  MatrixOracle, SingleAtomThresholdOracle and IdentityOracle decide
+every query afresh, and AsymmetricPart hands each query to its base.
 """
 
 from __future__ import annotations
@@ -137,13 +137,8 @@ class ConsequenceOracle:
         return all3(self.entails(premises, t) for t in self.theorem_basis)
 
 
-class SymmetricOracle:
-    """Base for symmetric oracles: entails(premises, conclusions) -> Verdict."""
+class SymmetricOracle(ConsequenceOracle):
+    """Base for symmetric oracles: entails(premises, conclusions) -> Verdict,
+    with a multiset of conclusions."""
 
-    name = "oracle"
     symmetric = True
-    monotone_contractive = False
-
-    def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        raise NotImplementedError
-

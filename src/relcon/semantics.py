@@ -15,12 +15,13 @@ and one walk, _affine, sums (formula, weight) pairs into atom coefficients
 and a constant.  Each relation reads a side of a consecution through one
 number or form (Meyer & Slaney, *Abelian Logic*, 1989), so the integer
 oracles memoise each side's reading and decide a query by comparing the two
-sides'.  For z and its symmetric companion (sum <= sum) a side reads as the
-affine form of its sum, one walk over its distinct formulas weighted by
-their multiplicities; the query holds iff the two sides' nonzero
-coefficients agree and the right constant is at least the left one.  For p
-and leq a side reads as the least value of its formulas, when all are closed
-and lattice-free, and the query compares the conclusion's value with it.
+sides'.  For z (sum <= sum), and for zsym, which is z with a multiset on
+the right and so the same class, a side reads as the affine form of its
+sum, one walk over its distinct formulas weighted by their multiplicities;
+the query holds iff the two sides' nonzero coefficients agree and the right
+constant is at least the left one.  For p and leq a side reads as the least
+value of its formulas, when all are closed and lattice-free, and the query
+compares the conclusion's value with it.
 
 Only the rest are compiled (_compile) into a program over the distinct
 subformulas of their formulas, with integer arithmetic or a matrix's tables
@@ -206,39 +207,15 @@ def _decide(formulas: list[Formula], holds: Callable[[list[int]], bool],
     return UNKNOWN if names else HOLDS
 
 
-def _sum_form(side: FMultiset | Formula) -> Optional[tuple[dict[str, int], int]]:
-    """The nonzero atom coefficients and the constant of the sum of a side,
-    a lone formula read as [side], or None when a lattice connective or a
-    metavariable occurs: one walk over its distinct formulas, each weighted
-    by its multiplicity."""
-    form = _affine(side.items() if type(side) is FMultiset else ((side, 1),))
-    if form is not None and 0 in form[0].values():
-        form = {a: k for a, k in form[0].items() if k}, form[1]
-    return form
-
-
-def _sums_below(left: tuple[dict[str, int], int], right: tuple[dict[str, int], int]) -> Verdict:
-    """Whether sum <= sum everywhere, from the two sides' _sum_form: the
-    coefficients agree and the right constant is at least the left one."""
-    return verdict(left[0] == right[0] and left[1] <= right[1])
-
-
-def _sums_on_grid(left: FMultiset, right: list[Formula], grid_bound: int) -> Verdict:
-    """Whether sum(left) <= sum(right), by _decide on the formulas with
-    their repeats."""
-    lhs = list(left)
-    return _decide(lhs + right, lambda vals: sum(vals[:len(lhs)]) <= sum(vals[len(lhs):]),
-                   grid_bound)
-
-
 class AbelianOracle(ConsequenceOracle):
     """The p / leq / z relations of the integer semantics.
 
     Each side is read once, into one number or form that the instance
     memoises (``_side``): z reads a side's sum as an affine form, p and leq
     the least value of its formulas when all are closed and lattice-free.  A
-    verdict compares the two sides'.  A query with a side that cannot be so
-    read is compiled and run on the grid (``_grid``, memoised per query).
+    verdict compares the two sides' (``_holds``).  A query with a side that
+    cannot be so read is compiled and run on the grid (``_grid``, memoised
+    per query).  A conclusion is a formula, or for zsym a multiset.
 
     ``theorem_basis``, when given, is a finite list of theorems that the law
     battery's TheoremRemoval instances draw from."""
@@ -253,43 +230,57 @@ class AbelianOracle(ConsequenceOracle):
         self.name = kind
         self.monotone_contractive = kind in ("p", "leq")
 
-    def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
+    def entails(self, premises: FMultiset, conclusion: Formula | FMultiset) -> Verdict:
         left = self._side(premises)
         right = None if left is None else self._side(conclusion)
         if right is None:
             return self._grid(premises, conclusion)
-        if self.kind == "z":
-            return _sums_below(left, right)
         return verdict(self._holds(left, right))
 
     @memoised
     def _side(self, side: FMultiset | Formula):
-        """z: the side's _sum_form.  p and leq: a formula's value when it is
-        closed (no atom, even with coefficient 0) and lattice-free, and a
-        multiset's least such value (inf when empty), else None."""
+        """z: the nonzero atom coefficients and the constant of the side's
+        sum, a lone formula read as [side], from one walk over its distinct
+        formulas weighted by their multiplicities.  p and leq: a formula's
+        value when it is closed (no atom, even with coefficient 0) and
+        lattice-free, and a multiset's least such value (inf when empty).
+        None when a lattice connective or a metavariable occurs, or for p
+        and leq an atom."""
+        many = type(side) is FMultiset
         if self.kind == "z":
-            return _sum_form(side)
-        if type(side) is FMultiset:  # p and leq ignore multiplicities
+            form = _affine(side.items() if many else ((side, 1),))
+            if form is not None and 0 in form[0].values():
+                form = {a: k for a, k in form[0].items() if k}, form[1]
+            return form
+        if many:  # p and leq ignore multiplicities
             vals = [self._side(f) for f, _ in side.items()]
             return None if None in vals else min(vals, default=math.inf)
         form = _affine(((side, 1),))
         return None if form is None or form[0] else form[1]
 
     @memoised
-    def _grid(self, premises: FMultiset, conclusion: Formula) -> Verdict:
-        if self.kind == "z":
-            return _sums_on_grid(premises, [conclusion], self.grid_bound)
-        # the premises' values, then the conclusion's
-        return _decide([*premises.distinct(), conclusion],
-                       lambda vals: self._holds(min(vals[:-1], default=math.inf), vals[-1]),
+    def _grid(self, premises: FMultiset, conclusion: Formula | FMultiset) -> Verdict:
+        """The query by _decide on the premises' values, then the
+        conclusions', each side's values read as _side reads a side: z as
+        ({}, their sum), p and leq as their least."""
+        lhs = list(premises)
+        rhs = list(conclusion) if type(conclusion) is FMultiset else [conclusion]
+        n = len(lhs)
+        read = ((lambda vals: ({}, sum(vals))) if self.kind == "z" else
+                (lambda vals: min(vals, default=math.inf)))
+        return _decide(lhs + rhs, lambda vals: self._holds(read(vals[:n]), read(vals[n:])),
                        self.grid_bound)
 
-    def _holds(self, least: float, value: int) -> bool:
-        """Whether p or leq holds, from the least premise value (inf when
-        there are none) and the conclusion's value."""
+    def _holds(self, left, right) -> bool:
+        """Whether the relation holds between two sides' readings.  z: sum
+        <= sum everywhere, so the coefficients agree and the right constant
+        is at least the left one.  p and leq: from the least premise value
+        (inf when there are none) and the conclusion's value."""
+        if self.kind == "z":
+            return left[0] == right[0] and left[1] <= right[1]
         if self.kind == "p":
-            return value >= 0 or least < 0
-        return least <= value
+            return right >= 0 or left < 0
+        return left <= right
 
     def entails_all_theorems(self, premises: FMultiset) -> Verdict:
         if self.kind == "z":
@@ -301,30 +292,13 @@ class AbelianOracle(ConsequenceOracle):
         return HOLDS
 
 
-class AbelianSymmetricOracle(SymmetricOracle):
-    """Sum of premises below sum of conclusions; empty sums are 0.  Each
-    side's _sum_form is memoised, and a query with a side that has none is
-    run on the grid, memoised per query."""
-
-    name = "zsym"
+class AbelianSymmetricOracle(AbelianOracle, SymmetricOracle):
+    """zsym: z between multisets, the sum of the premises below the sum of
+    the conclusions; empty sums are 0."""
 
     def __init__(self, grid_bound: int = 8):
-        self.grid_bound = grid_bound
-
-    def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        left = self._side(premises)
-        right = None if left is None else self._side(conclusions)
-        if right is None:
-            return self._grid(premises, conclusions)
-        return _sums_below(left, right)
-
-    @memoised
-    def _side(self, side: FMultiset) -> Optional[tuple[dict[str, int], int]]:
-        return _sum_form(side)
-
-    @memoised
-    def _grid(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        return _sums_on_grid(premises, list(conclusions), self.grid_bound)
+        AbelianOracle.__init__(self, "z", grid_bound)
+        self.name = "zsym"
 
 
 class SingleAtomThresholdOracle(SymmetricOracle):

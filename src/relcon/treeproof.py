@@ -426,9 +426,8 @@ def deduction_transform(tree: ProofTree, system: AxiomaticSystem,
             raise UnsupportedSystemError(
                 f"system {system.name} has a rule beyond modus ponens: {rule.name}")
 
+    # a relevant tree has premises <= leaves, so some leaf is labelled phi
     path = _leftmost_occurrence(tree, phi)
-    if path is None:
-        raise NotRelevantError(f"no leaf labelled {print_formula(phi)}")
 
     # descend to the occurrence (one path: not a walk), then rebuild the path
     # bottom-up; ``out`` is the rebuilt subtree last finished, proving
@@ -480,16 +479,10 @@ def _leftmost_occurrence(tree: ProofTree, phi: Formula) -> Optional[tuple[int, .
 
 
 def _split_mp(node: ProofTree) -> tuple[int, int]:
-    """Indexes of (major, minor) among an mp node's two children."""
-    if len(node.children) != 2:
-        raise UnsupportedSystemError("modus ponens node must have two children")
+    """Indexes of (major, minor) among a verified mp node's two children,
+    which are A -> B and A."""
     a, b = node.children
-    if a.formula == Imp(b.formula, node.formula):
-        return 0, 1
-    if b.formula == Imp(a.formula, node.formula):
-        return 1, 0
-    raise UnsupportedSystemError(
-        f"node {print_formula(node.formula)} is not a modus ponens application")
+    return (0, 1) if a.formula == Imp(b.formula, node.formula) else (1, 0)
 
 
 # -- bounded backward search -----------------------------------------------------

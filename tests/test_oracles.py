@@ -131,10 +131,14 @@ def test_memoised_oracles_define_their_own_entails():
                  for cls in _oracle_classes()}
     memoising = {name: methods for name, methods in memoising.items() if methods}
     assert memoising == {"AbelianOracle": {"_side", "_grid"},
-                         "AbelianSymmetricOracle": {"_side", "_grid"},
                          **dict.fromkeys(["Symmetrization", "DerivationOracle",
                                           "TreeSearchOracle", "MonotonicCompanion"],
                                          {"entails"})}
     for cls in _oracle_classes():
         if cls.__name__ in memoising:
             assert "entails" in cls.__dict__, cls
+    # zsym is z between multisets: it reads AbelianOracle's entails and tables
+    zsym_class = relcon.semantics.AbelianSymmetricOracle
+    assert not {"entails", "_side", "_grid"} & zsym_class.__dict__.keys()
+    zsym = zsym_class()
+    assert isinstance(zsym, SymmetricOracle) and zsym.symmetric and zsym.name == "zsym"

@@ -844,6 +844,16 @@ def test_matrix_rejects_an_unknown_connective():
                {"=>": {(x, y): "1" for x in "01" for y in "01"}})
 
 
+def test_matrix_rejects_an_empty_designated_set():
+    with pytest.raises(ValueError, match="^designated set must be nonempty$"):
+        Matrix("M", ("0",), frozenset(), {})
+
+
+def test_abelian_oracle_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown abelian relation kind 'q'$"):
+        AbelianOracle("q")
+
+
 def test_matrix_rejects_repeated_values():
     with pytest.raises(ValueError, match="values must be distinct"):
         Matrix("M", ("0", "0"), frozenset({"0"}), {})

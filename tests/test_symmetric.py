@@ -697,6 +697,26 @@ def test_symmetric_system_derive_search():
                             ms("[b, b, b]")) is DerivationVerdict.RELEVANT
 
 
+def test_single_conclusion_tools_reject_a_symmetric_system():
+    from relcon import (UnsupportedSystemError, deduction_transform, parse_system, search,
+                        verify_report)
+
+    system = parse_system(SWAP_SYSTEM)
+    tree = premise_leaf(a)
+    with pytest.raises(ValueError, match="^verify expects a single-conclusion system$"):
+        verify_report(tree, system, ms("[a]"), a)
+    with pytest.raises(ValueError, match="^search expects a single-conclusion system$"):
+        search(system, ms("[a]"), a)
+    with pytest.raises(UnsupportedSystemError,
+                       match="^transformer expects a single-conclusion system$"):
+        deduction_transform(tree, system, ms("[a]"), a)
+    # a relevant derivation, so extraction reaches its system check
+    d = Derivation((ms("[a, a]"), ms("[a, a, a]")), (RuleApp("dup"),))
+    with pytest.raises(ExtractionError,
+                       match="^extraction expects a single-conclusion system$"):
+        extract_tree(d, system, ms("[a, a]"), ms("[a, a, a]"), a)
+
+
 # -- oracles backed by search ----------------------------------------------------------
 
 
