@@ -30,8 +30,14 @@ How a check runs:
   it.
 * **Tables, per check.**  ``_Check`` builds only these: one sum table,
   keyed by operand indices, and one verdict table, keyed by the sides'
-  indices.  Each table is filled on first use, so the oracle sees each
-  distinct query once per check, through its own memo.  Nothing the check
+  indices.  An oracle that says what it reads of a side, its ``image``,
+  gets two more: each index's image, and one verdict per pair of images.
+  A miss in the index table asks the oracle only on a miss in the image
+  table, and only when both sides have an image: a side without one (a
+  query z decides on the grid, say) is asked per pair of indices, as is
+  every query of an oracle without ``image``.  Each table is filled on
+  first use, so the oracle sees each distinct query, or each distinct pair
+  of images, once per check, through its own memo.  Nothing the check
   holds refers back to it.
 * **Pushdown.**  The exhaustive instances are a loop nest in the canonical
   order, and each antecedent is tested (and each side computed) at the
@@ -52,7 +58,7 @@ from functools import cached_property
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .multiset import EMPTY, FMultiset, submultisets
+from .multiset import EMPTY, FMultiset, _trusted, submultisets
 from .oracles import (
     FAILS,
     HOLDS,
@@ -114,13 +120,23 @@ class _Pool:
     long as its domain."""
 
     def __init__(self, dom: SampleDomain):
-        self.basis: list[Formula] = []  # each coordinate's formula
-        self.coords: dict = {}  # formula -> its coordinate
+        fs = dom.formulas
+        self.basis: list[Formula] = list(fs)  # each coordinate's formula
+        self.coords: dict = {f: c for c, f in enumerate(fs)}  # formula -> its coordinate
         self.values: list = [EMPTY]
         self.vectors: list[tuple[int, ...]] = [()]
         self.index: dict = {(): 0}
-        self.multisets = [self.intern(m) for m in dom.multisets()]
-        self.formulas = [self.intern(f) for f in dom.formulas]
+        # the domain's multisets in its canonical order, each built from its
+        # combination of coordinates
+        self.multisets = []
+        for size in range(dom.max_size + 1):
+            for combo in itertools.combinations_with_replacement(range(len(fs)), size):
+                vec = [0] * (combo[-1] + 1 if combo else 0)
+                for c in combo:
+                    vec[c] += 1
+                counts = {fs[c]: k for c, k in enumerate(vec) if k}
+                self.multisets.append(self.intern_vector(tuple(vec), _trusted(counts)))
+        self.formulas = [self.intern(f) for f in fs]
         self.nonempty = [i for i in self.multisets if self.values[i]]
 
     def intern(self, value) -> int:
@@ -320,10 +336,11 @@ class _Check:
     that is not a lone variable.  The instances are the canonical loop nest,
     one level per variable, and each level runs its steps of the law's plan.
     Sums are looked up by their operands' indices and verdicts by their
-    sides', each table filled on first use, so the oracle sees each distinct
-    query once per check, through its own memo, and a query an earlier check
-    on the domain asked reaches the memo as the same objects.  The check
-    holds its tables and the domain's pool, none of which refers back to it.
+    sides', or where both sides have images by the pair of images, each
+    table filled on first use, so the oracle sees each distinct query once
+    per check, through its own memo, and a query an earlier check on the
+    domain asked reaches the memo as the same objects.  The check holds its
+    tables and the domain's pool, none of which refers back to it.
     """
 
     def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
@@ -346,6 +363,10 @@ class _Check:
         self.sums: dict = {}  # the operands' indices -> their sum's
         # (left, right) indices -> Verdict; a family's key is (its indices, G)
         self.verdicts: dict = {}
+        # an oracle that says what it reads is asked once per pair of images
+        self.image = getattr(oracle, "image", None)
+        self.images: dict = {}  # index -> the oracle's image of its value
+        self.by_image: dict = {}  # (left, right) images -> Verdict
 
     def place(self, steps: tuple) -> None:
         """Compute sides into the instance, each looked up by its operands'
@@ -372,9 +393,27 @@ class _Check:
             if type(left) is tuple:
                 v = all3(map(self.ask, zip(left, map(self.intern, self.values[right]))))
             else:
-                v = self.oracle.entails(self.values[left], self.values[right])
+                pair = None
+                if self.image is not None:
+                    a = self.image_of(left)
+                    b = None if a is None else self.image_of(right)
+                    if b is not None:  # merged only when both sides have images
+                        pair = a, b
+                        v = self.by_image.get(pair)
+                if v is None:
+                    v = self.oracle.entails(self.values[left], self.values[right])
+                    if pair is not None:
+                        self.by_image[pair] = v
             self.verdicts[key] = v
         return v
+
+    def image_of(self, i: int):
+        """The oracle's image of value ``i``, looked up once per check."""
+        images = self.images
+        if i in images:
+            return images[i]
+        image = images[i] = self.image(self.values[i])
+        return image
 
     # -- the loop nest --------------------------------------------------------------
 

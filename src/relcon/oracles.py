@@ -10,12 +10,26 @@ Oracles may declare a finite theorem basis or a sound decision hook for the
 may declare themselves monotone_contractive (Tarskian), which switches the
 symmetrization to the componentwise rule appropriate for that case.
 
+An oracle may also say what its verdicts read of a side, with a method
+``image(side)``: a hashable value, or None when it promises nothing for
+that side.  The contract: two sides whose images are equal and not None get
+the same verdict against any side that has an image, on either side of the
+turnstile, and the same ``entails_all_theorems``; a formula's image is that
+of its lone multiset.  The law battery asks such an oracle once per pair of
+images instead of once per pair of sides.  AbelianOracle's image is its
+memoised reading of the side, for z the affine form of its sum, for p
+whether its least value is negative, for leq that value; a Symmetrization
+over a monotone_contractive base with images pairs the base's image of the
+side with the set of its members' images.  The images are derived on
+demand, and ``entails`` does no work for them.
+
 Oracles are pure, so an oracle whose queries repeat memoises a method of
 its own with ``memoised``: each instance keeps one table per such method,
-made on its first call, and computes each answer once.  The tables belong to
-the instance, so a fresh oracle starts cold.  Symmetrization,
-DerivationOracle, TreeSearchOracle and MonotonicCompanion memoise
-``entails``, one verdict per (premises, conclusion).  AbelianOracle, and
+made on its first call without raising an exception, and computes each
+answer once.  The tables belong to the instance, so a fresh oracle starts
+cold.  Symmetrization, DerivationOracle, TreeSearchOracle and
+MonotonicCompanion memoise ``entails``, one verdict per (premises,
+conclusion).  AbelianOracle, and
 with it zsym's AbelianSymmetricOracle, which adds no method of its own,
 memoises what its ``entails`` reads instead: each side's affine form or
 least value, so the table grows with the distinct sides and not with the
@@ -27,6 +41,7 @@ every query afresh, and AsymmetricPart hands each query to its base.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -75,28 +90,26 @@ _MISSING = object()  # a memo's miss: None is an answer a method may give
 
 
 def memoised(method):
-    """Decorate an oracle's method: each instance computes each answer once.
+    """Decorate a ConsequenceOracle's method: each instance computes each
+    answer once.
 
     An instance keeps one table per memoised method, in its dict ``_memo``
     under the method's name, keyed by the lone argument itself or else by
-    the tuple of arguments."""
+    the tuple of arguments.  ``_memo`` reads as the class's None until the
+    instance's first memoised call makes it, a defaultdict that makes each
+    table on its first read: no call raises and catches an exception, and
+    an oracle made but never asked makes no tables."""
     name = method.__name__
-
-    def table(self) -> dict:
-        memo = getattr(self, "_memo", None)  # no AttributeError made: it is costly
-        if memo is None:
-            memo = self._memo = {}
-        return memo.setdefault(name, {})
 
     # a lone argument is its own key, with no tuple packed per call: the
     # integer oracles' per-side tables are read twice per query
     if method.__code__.co_argcount == 2:  # self and one argument
         @functools.wraps(method)
         def memo_method(self, key):
-            try:
-                memo = self._memo[name]
-            except (AttributeError, KeyError):
-                memo = table(self)
+            memo = self._memo
+            if memo is None:
+                memo = self._memo = defaultdict(dict)
+            memo = memo[name]
             value = memo.get(key, _MISSING)
             if value is _MISSING:
                 value = memo[key] = method(self, key)
@@ -104,10 +117,10 @@ def memoised(method):
     else:
         @functools.wraps(method)
         def memo_method(self, *key):
-            try:
-                memo = self._memo[name]
-            except (AttributeError, KeyError):
-                memo = table(self)
+            memo = self._memo
+            if memo is None:
+                memo = self._memo = defaultdict(dict)
+            memo = memo[name]
             value = memo.get(key, _MISSING)
             if value is _MISSING:
                 value = memo[key] = method(self, *key)
@@ -122,6 +135,7 @@ class ConsequenceOracle:
     symmetric = False
     monotone_contractive = False
     theorem_basis: Optional[Sequence[Formula]] = None
+    _memo: Optional[defaultdict] = None  # the memoised methods' tables, once one is called
 
     def entails(self, premises: FMultiset, conclusion: Formula) -> Verdict:
         raise NotImplementedError

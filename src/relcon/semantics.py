@@ -258,6 +258,17 @@ class AbelianOracle(ConsequenceOracle):
         form = _affine(((side, 1),))
         return None if form is None or form[0] else form[1]
 
+    def image(self, side: FMultiset | Formula):
+        """What a verdict reads of the side: z its reading with the form's
+        coefficients as a frozenset, p whether its reading is negative, leq
+        the reading itself; None when _side reads None."""
+        reading = self._side(side)
+        if reading is None:
+            return None
+        if self.kind == "z":
+            return frozenset(reading[0].items()), reading[1]
+        return reading < 0 if self.kind == "p" else reading
+
     @memoised
     def _grid(self, premises: FMultiset, conclusion: Formula | FMultiset) -> Verdict:
         """The query by _decide on the premises' values, then the

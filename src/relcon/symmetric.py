@@ -363,6 +363,17 @@ class Symmetrization(SymmetricOracle):
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
         return symmetrize_query(self.base, premises, conclusions)
 
+    def image(self, side: FMultiset):
+        """Over a monotone_contractive base with images: the base's image of
+        the side and the frozenset of its members' images, which are all
+        that the componentwise rule reads of the premises and of the
+        conclusions.  None otherwise, or when one of those images is None."""
+        image = getattr(self.base, "image", None) if self.monotone_contractive else None
+        if image is None or (whole := image(side)) is None:
+            return None
+        members = frozenset([image(f) for f, _ in side.items()])
+        return None if None in members else (whole, members)
+
 
 class AsymmetricPart(ConsequenceOracle):
     """The asymmetric part of a symmetric oracle, as an oracle.

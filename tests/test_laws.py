@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcon import (
+    AbelianOracle,
     AbelianSymmetricOracle,
     Atom,
     FAILS,
@@ -24,6 +25,7 @@ from relcon import (
     law_names,
     monotonic_companion,
     numeral,
+    parse_formula,
     parse_multiset,
 )
 from relcon import submultisets
@@ -676,6 +678,65 @@ def test_check_law_on_count_vectors_agrees_with_the_reference(case):
         checks = [(ex54, law) for law in law_names(True)]
     for oracle, law in checks:
         assert check_law(_AskedOnce(oracle), law, dom) == _ref_check_law(oracle, law, dom), law
+
+
+# -- asking once per pair of images ------------------------------------------------
+
+# z reads [0] and [a -> a] alike, but 1 /\\ 2 has no reading: against it z
+# decides [0] exactly and [a -> a] on the grid, so a check that let one
+# side's image stand for a query with a grid side would pass RelevantCut and
+# TheoremRemoval here
+_GRID_TRAP = ("0", "a -> a", "1 /\\ 2", "~1")
+_MIXED = ("-1", "0", "1", "a", "t", "a -> a", "a /\\ b")
+
+
+def _imaged_oracle(name):
+    if name == "zsym":
+        return AbelianSymmetricOracle(grid_bound=2)
+    if name == "psym":
+        return Symmetrization(make_p_oracle())
+    basis = [] if name == "leq" else [numeral(k) for k in range(4)]
+    return AbelianOracle(name, grid_bound=2, theorem_basis=basis)
+
+
+class _AskedOnceByImage(_AskedOnce):
+    """An _AskedOnce that passes on its base's images too."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.image = base.image
+
+
+def test_the_grid_trap_stays_inconclusive():
+    dom = SampleDomain(tuple(map(parse_formula, _GRID_TRAP)), max_size=1)
+    z = _imaged_oracle("z")
+    got = {law: check_law(z, law, dom) for law in ("RelevantCut", "TheoremRemoval")}
+    assert [(r.status, r.checked) for r in got.values()] == [("inconclusive", 80),
+                                                               ("inconclusive", 100)]
+    assert all(r == _ref_check_law(z, law, dom) for law, r in got.items())
+
+
+@pytest.mark.parametrize("oracle_name", ["z", "p", "leq", "zsym", "psym"])
+@pytest.mark.parametrize("formulas, max_size", [(_GRID_TRAP, 1), (_GRID_TRAP, 2),
+                                                (_MIXED, 1), (_MIXED, 2)],
+                         ids=["trap-1", "trap-2", "mixed-1", "mixed-2"])
+def test_image_keyed_checks_agree_with_the_reference(oracle_name, formulas, max_size):
+    dom = SampleDomain(tuple(map(parse_formula, formulas)), max_size=max_size,
+                       seed=3, exhaustive_cap=2000, sample_count=150)
+    oracle = _imaged_oracle(oracle_name)
+    for law in law_names(oracle.symmetric):
+        got = check_law(_AskedOnceByImage(oracle), law, dom)
+        assert got == _ref_check_law(oracle, law, dom), law
+
+
+def test_a_check_asks_once_per_pair_of_images():
+    # psym reads a side only through whether it is empty and whether one of
+    # its members is negative: four images, so at most 16 queries, where the
+    # per-index table asked 27 432
+    spy = _AskedOnceByImage(Symmetrization(make_p_oracle()))
+    result = check_law(spy, "Compatibility", numeral_domain(max_size=2))
+    assert (result.status, result.checked) == ("passed", 46656)
+    assert len(spy.asked) <= 16
 
 
 def test_sample_domain_is_frozen():

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -110,6 +111,28 @@ def test_memoised_tables_are_per_instance():
     second.entails(ms("[p]"), p)
     assert (first.decisions, second.decisions) == (1, 1)
     assert first._memo is not second._memo
+
+
+def test_a_fresh_oracles_first_memoised_calls_raise_nothing():
+    # the memo makes its tables without raising and catching an exception,
+    # which would cost every fresh oracle more than the lookups it saves
+    raised = []
+
+    def trace(frame, event, arg):
+        if event == "exception":
+            raised.append(arg[0])
+        return trace
+    counting, z = _Counting(), relcon.semantics.AbelianOracle("z")
+    premises, p = ms("[p, q]"), parse_formula("p")
+    assert counting._memo is None and z._memo is None
+    sys.settrace(trace)
+    try:
+        counting.entails(premises, p)
+        z.entails(premises, p)
+    finally:
+        sys.settrace(None)
+    assert raised == []
+    assert set(counting._memo) == {"entails"} and set(z._memo) == {"_side"}
 
 
 def _oracle_classes():

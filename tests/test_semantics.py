@@ -21,6 +21,7 @@ from relcon import (
     Imp,
     Neg,
     ParseError,
+    Symmetrization,
     Var,
     UNKNOWN,
     countermodel_search,
@@ -799,6 +800,73 @@ def test_each_distinct_side_is_walked_once(monkeypatch):
     # p reads a multiset through its formulas' values: each distinct formula
     # (a, b, 1, ~a and a -> b, then the conclusions but a) once
     assert walks(AbelianOracle("p"), formulas) == 5 + 4
+
+
+# -- images: all that a verdict reads of a side -------------------------------------
+#
+# Two sides with equal images, neither None, get the same verdict against any
+# side that has an image, on either side of the turnstile, and the same
+# entails-every-theorem answer.  A side without an image promises nothing:
+# [0] and [a -> a] share z's image, yet against 1 /\ 2, which z decides on
+# the grid, the first holds and the second is UNKNOWN.
+
+_image_formulas = st.sampled_from(
+    [numeral(k) for k in (-2, -1, 0, 1, 2)] + [a, b, TRUTH]
+    + [parse_formula(text) for text in ("a -> a", "~a", "a o ~b", "t o 1", "~1",
+                                        "1 /\\ 2", "a /\\ b", "a \\/ 1")])
+
+
+def _image_oracle(kind):
+    if kind == "zsym":
+        return AbelianSymmetricOracle(grid_bound=2)
+    if kind == "psym":
+        return Symmetrization(AbelianOracle("p", grid_bound=2))
+    return AbelianOracle(kind, grid_bound=2)
+
+
+@given(st.sampled_from(["z", "p", "leq", "zsym", "psym"]),
+       st.lists(_multisets(_image_formulas), min_size=2, max_size=8))
+@example("z", [ms("[0]"), ms("[a -> a]"), ms("[1 /\\ 2]")])
+@example("zsym", [ms("[t, 1]"), ms("[1]"), ms("[a, ~a, 1]"), ms("[a]")])
+@example("psym", [ms("[-1, 2]"), ms("[-2, 0]"), ms("[]"), ms("[1 /\\ 2]"), ms("[a]")])
+def test_equal_images_give_equal_verdicts(kind, sides):
+    oracle = _image_oracle(kind)
+    # the conclusions: the sides themselves, or for an asymmetric oracle
+    # their formulas, each with the image of its lone multiset
+    rights = sides if oracle.symmetric else [f for side in sides for f in side.distinct()]
+    if not oracle.symmetric:
+        assert all(oracle.image(f) == oracle.image(FMultiset([f])) for f in rights)
+
+    def imaged(xs):
+        return [(x, oracle.image(x)) for x in xs if oracle.image(x) is not None]
+
+    lefts, rights = imaged(sides), imaged(rights)
+    for (x, i), (y, j) in itertools.combinations(lefts, 2):
+        if i == j:
+            assert oracle.entails_all_theorems(x) is oracle.entails_all_theorems(y)
+            for r, _ in rights:
+                assert oracle.entails(x, r) is oracle.entails(y, r), (x, y, r)
+    for (x, i), (y, j) in itertools.combinations(rights, 2):
+        if i == j:
+            for left, _ in lefts:
+                assert oracle.entails(left, x) is oracle.entails(left, y), (left, x, y)
+
+
+def test_a_side_read_on_the_grid_has_no_image():
+    z, p, psym = AbelianOracle("z"), AbelianOracle("p"), Symmetrization(AbelianOracle("p"))
+    assert z.image(ms("[0]")) == z.image(ms("[a -> a]")) == (frozenset(), 0)
+    assert z.image(ms("[1 /\\ 2]")) is None
+    assert z.entails(ms("[0]"), parse_formula("1 /\\ 2")) is HOLDS
+    assert z.entails(ms("[a -> a]"), parse_formula("1 /\\ 2")) is UNKNOWN
+    assert z.image(ms("[a, a, 1]")) == (frozenset({("a", 2)}), 1)
+    assert p.image(parse_formula("a -> a")) is None  # an atom, even with coefficient 0
+    assert (p.image(ms("[]")), p.image(ms("[0, -1]"))) == (False, True)
+    assert psym.image(ms("[2, -1, -1]")) == (True, frozenset({False, True}))
+    assert psym.image(ms("[2, a]")) is None
+    # zsym is z's image on multisets, and a symmetrization over a base that
+    # is not monotone_contractive has none
+    assert AbelianSymmetricOracle().image(ms("[a, 1]")) == z.image(ms("[a, 1]"))
+    assert Symmetrization(z).image(ms("[0]")) is None
 
 
 def test_numerals_are_leaves_of_the_evaluator():
