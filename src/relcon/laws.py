@@ -46,6 +46,15 @@ How a check runs:
   count as checked by arithmetic; an UNKNOWN one is carried down to the
   leaf.  Sampling walks the same nest, one drawn instance at a time, with
   the draws taken over index lists as long as the pools.
+* **Classes.**  A law's verdict on an instance depends only on the image
+  class of each variable's value, since images add (``oracles``).  So an
+  exhaustive check of a law with no family, on an oracle with ``image``
+  whose pools' values all have one, walks the same nest over one value per
+  class: each pool's first value of each image (Ip and Dill, *Better
+  Verification Through Symmetry*, 1996).  The first violating instance is
+  one of these, as each of its values is the first of its class, and the
+  instances counted are the full walk's, by rank.  A side that turns out
+  to have no image sends the check back to the full walk.
 """
 
 from __future__ import annotations
@@ -327,6 +336,10 @@ def law_names(symmetric: bool) -> list[str]:
     return list((SYM_LAWS if symmetric else ASYM_LAWS).keys())
 
 
+class _NoImage(Exception):
+    """A class walk asked a side with no image, which speaks for no class."""
+
+
 class _Check:
     """One law over one domain, on the domain's interned values.
 
@@ -339,8 +352,10 @@ class _Check:
     sides', or where both sides have images by the pair of images, each
     table filled on first use, so the oracle sees each distinct query once
     per check, through its own memo, and a query an earlier check on the
-    domain asked reaches the memo as the same objects.  The check holds its
-    tables and the domain's pool, none of which refers back to it.
+    domain asked reaches the memo as the same objects.  Where it can, an
+    exhaustive check walks one representative per image class instead
+    (``walk_classes``).  The check holds its tables and the domain's pool,
+    none of which refers back to it.
     """
 
     def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
@@ -401,6 +416,8 @@ class _Check:
                         pair = a, b
                         v = self.by_image.get(pair)
                 if v is None:
+                    if pair is None and self.by_class:
+                        raise _NoImage
                     v = self.oracle.entails(self.values[left], self.values[right])
                     if pair is not None:
                         self.by_image[pair] = v
@@ -431,24 +448,25 @@ class _Check:
         self.tails = [math.prod(sizes[k + 1:]) for k in range(n)]
         skips = ([None if self.at <= k < len(self.fixed) else self.tails[k] for k in range(n)]
                  if exhaustive else [1] * n)
-        pools = self.fixed + [None] * self.family  # the family's, per choice of G
-        self.levels = list(zip(pools, law.levels, skips))
-        self.inst = [0] * law.slots
-        self.checked, self.sawunknown, self.drawn = 0, False, None
-        if exhaustive:
-            found = self.walk(0, False)
-        else:
-            # one instance per draw, drawn whole before any test, so the draws
-            # follow the pools whatever the verdicts
-            rng, found = random.Random(dom.seed), False
-            for _ in range(dom.sample_count):
-                self.drawn = [rng.choice(pool) for pool in self.fixed]
-                if self.family:
-                    size = self.values[self.drawn[self.at]].size
-                    self.drawn.append(tuple(rng.choice(self.multisets) for _ in range(size)))
-                if self.walk(0, False):
-                    found = True
-                    break
+        classes = self.classes() if exhaustive else None
+        found = None if classes is None else self.walk_classes(classes, skips, count)
+        if found is None:  # the full walk: the family's pool is per choice of G
+            self.start(self.fixed + [None] * self.family, skips)
+            if exhaustive:
+                found = self.walk(0, False)
+            else:
+                # one instance per draw, drawn whole before any test, so the
+                # draws follow the pools whatever the verdicts
+                rng, found = random.Random(dom.seed), False
+                for _ in range(dom.sample_count):
+                    self.drawn = [rng.choice(pool) for pool in self.fixed]
+                    if self.family:
+                        size = self.values[self.drawn[self.at]].size
+                        self.drawn.append(tuple(rng.choice(self.multisets)
+                                                for _ in range(size)))
+                    if self.walk(0, False):
+                        found = True
+                        break
         if found:
             get = self.values.__getitem__
             witness = {name: get(i) if kind in _POOLS else tuple(map(get, i))
@@ -456,6 +474,55 @@ class _Check:
             return LawResult(law.name, "counterexample", witness, exhaustive, self.checked)
         status = "inconclusive" if self.sawunknown or not self.checked else "passed"
         return LawResult(law.name, status, None, exhaustive, self.checked)
+
+    def start(self, pools: list, skips: list, by_class: bool = False) -> None:
+        """Set the loop nest up over ``pools``, with nothing checked yet."""
+        self.levels = list(zip(pools, self.law.levels, skips))
+        self.inst = [0] * self.law.slots
+        self.checked, self.sawunknown, self.drawn = 0, False, None
+        self.by_class = by_class
+
+    def classes(self) -> Optional[list[dict[int, int]]]:
+        """Per fixed pool, the first value of each image, mapped to its
+        position in the pool, in the pool's order.  None for a family law,
+        an oracle without ``image``, or a pool with a value that has none."""
+        if self.family or self.image is None:
+            return None
+        out = []
+        for pool in self.fixed:
+            first: dict = {}  # image -> (its first value, that value's position)
+            for pos, i in enumerate(pool):
+                image = self.image_of(i)
+                if image is None:
+                    return None
+                if image not in first:
+                    first[image] = i, pos
+            out.append(dict(first.values()))
+        return out
+
+    def walk_classes(self, classes: list[dict[int, int]], skips: list,
+                     count: int) -> Optional[bool]:
+        """The exhaustive walk over one representative per image class: True
+        at the first violating instance, False when there is none, and None
+        when a side asked has no image, which the full walk then settles.
+
+        A side is a sum of representatives, whose image is that of the sum
+        of any values of their classes (the additivity in ``oracles``), so
+        each verdict is every instance's of its class.  The first violating
+        instance of the full walk is the first of its class in each
+        coordinate, or the representatives would violate earlier: so the
+        walk stops at that instance, and the checked count is the full
+        walk's, by arithmetic, from its mixed-radix rank in the pools.
+        """
+        self.start(classes, skips, by_class=True)
+        try:
+            found = self.walk(0, False)
+        except _NoImage:
+            return None
+        self.checked = (1 + sum(pos[i] * tail for pos, i, tail
+                                in zip(classes, self.inst, self.tails))
+                        if found else count)
+        return found
 
     def below(self, k: int) -> int:
         """The instances below the current choice at level k, which binds

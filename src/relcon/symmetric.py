@@ -363,15 +363,17 @@ class Symmetrization(SymmetricOracle):
     def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
         return symmetrize_query(self.base, premises, conclusions)
 
-    def image(self, side: FMultiset):
+    def image(self, side: FMultiset | Formula):
         """Over a monotone_contractive base with images: the base's image of
         the side and the frozenset of its members' images, which are all
         that the componentwise rule reads of the premises and of the
-        conclusions.  None otherwise, or when one of those images is None."""
+        conclusions, a lone formula read as [side].  None otherwise, or when
+        one of those images is None."""
         image = getattr(self.base, "image", None) if self.monotone_contractive else None
         if image is None or (whole := image(side)) is None:
             return None
-        members = frozenset([image(f) for f, _ in side.items()])
+        members = frozenset([image(f) for f, _ in side.items()] if type(side) is FMultiset
+                            else [whole])
         return None if None in members else (whole, members)
 
 

@@ -31,10 +31,13 @@ from relcon import (
 from relcon import submultisets
 from relcon.laws import (
     ASYM_IMPLICATIONS,
+    ASYM_LAWS,
     SYM_IMPLICATIONS,
+    SYM_LAWS,
     LawResult,
     SampleDomain,
     _ASYM_TABLE,
+    _Check,
     _SYM_TABLE,
 )
 from relcon.multiset import EMPTY
@@ -642,13 +645,20 @@ def test_a_multiset_from_outside_and_as_a_sum_is_one_value():
     pool = dom._pool
     domain_pair = pool.values[pool.multisets[4]]  # [0, 1], from the domain
     oracle = make_z_oracle()
-    check_law(oracle, "Cut", dom)  # G+D reaches [0, 1], and sums of up to 4
+    # through a wrapper without image, the full walk runs: G+D reaches
+    # [0, 1], and sums of up to 4
+    check_law(_AskedOnce(oracle), "Cut", dom)
     # each multiset the oracle was asked is the pool's one object for its
     # value: the domain's where the domain has it, else the first sum's
     asked = [key for key in oracle._memo["_side"] if isinstance(key, FMultiset)]
     assert any(m.size == 4 for m in asked) and any(m is domain_pair for m in asked)
     for m in asked:
         assert pool.values[pool.intern(FMultiset(list(m)))] is m
+    # so is each multiset the class walk asks, a sum of representatives
+    by_class = make_z_oracle()
+    check_law(by_class, "Cut", dom)
+    assert all(pool.values[pool.intern(FMultiset(list(m)))] is m
+               for m in by_class._memo["_side"] if isinstance(m, FMultiset))
     # a formula new to the pool is a new coordinate, from outside or as a sum
     size = len(pool.values)
     outside = FMultiset([two, one])
@@ -737,6 +747,94 @@ def test_a_check_asks_once_per_pair_of_images():
     result = check_law(spy, "Compatibility", numeral_domain(max_size=2))
     assert (result.status, result.checked) == ("passed", 46656)
     assert len(spy.asked) <= 16
+
+
+# -- walking one value per image class -----------------------------------------------
+
+# An exhaustive check of a law with no family, on an oracle with images and
+# pools whose values all have one, walks one representative per image class
+# and counts the other instances by rank.  Its LawResult must be the full
+# walk's, which the same check runs through _AskedOnce (it hides image), and
+# the reference's.
+
+_NUMERALS_2 = tuple(str(k) for k in range(-2, 3))
+_MIXED_SMALL = ("-1", "1", "a", "t", "a -> a")
+
+
+@pytest.mark.parametrize("oracle_name", ["z", "p", "leq", "zsym", "psym"])
+@pytest.mark.parametrize("formulas, max_size", [(_NUMERALS_2, 2), (_MIXED_SMALL, 2),
+                                                (_GRID_TRAP, 1)],
+                         ids=["numerals-2", "mixed-2", "trap-1"])
+def test_the_class_walk_agrees_with_the_full_walk_and_the_reference(oracle_name, formulas,
+                                                                     max_size):
+    dom = SampleDomain(tuple(map(parse_formula, formulas)), max_size=max_size,
+                       seed=2, exhaustive_cap=10000, sample_count=100)
+    oracle = _imaged_oracle(oracle_name)
+    for law in law_names(oracle.symmetric):
+        got = check_law(oracle, law, dom)
+        assert got == check_law(_AskedOnce(oracle), law, dom), law
+        assert got == _ref_check_law(oracle, law, dom), law
+
+
+@pytest.mark.parametrize("oracle_name, formulas, max_size, law, witness, checked", [
+    ("z", tuple(map(str, range(-3, 4))), 3, "GeneralizedReflexivity", "G=[1]; f=-3", 36),
+    ("z", tuple(map(str, range(-3, 4))), 2, "Monotonicity", "G=[]; f=0; D=[1]", 114),
+    ("zsym", tuple(map(str, range(-3, 4))), 2, "rContraction", "G=[]; g=1; D=[-2]", 147),
+    ("z", _MIXED_SMALL, 2, "Contraction", "G=[1]; g=-1; f=-1", 51),
+    ("zsym", _MIXED_SMALL, 2, "rContraction", "G=[]; g=1; D=[-1, -1]", 28),
+])
+def test_the_class_walk_finds_deep_witnesses(oracle_name, formulas, max_size, law, witness,
+                                             checked):
+    # the first violating instance, whose rank in the full pools is its count
+    dom = SampleDomain(tuple(map(parse_formula, formulas)), max_size=max_size)
+    oracle = _imaged_oracle(oracle_name)
+    check = _Check((SYM_LAWS if oracle.symmetric else ASYM_LAWS)[law], oracle, dom)
+    got = check.run()
+    assert check.classes() is not None  # the check walked the classes
+    assert (got.status, got.exhaustive, got.checked, got.witness_str()) == (
+        "counterexample", True, checked, witness)
+    assert got == check_law(_AskedOnce(oracle), law, dom) == _ref_check_law(oracle, law, dom)
+
+
+class _LoneImages(ConsequenceOracle):
+    """z on sides of at most one formula, and no image on a larger one, which
+    fails whenever it holds t: so [0] and [t] share an image, but [0, 0]
+    and [t, t] get different verdicts.  Not additive, so only the full walk
+    reads it right."""
+
+    name = "lone"
+
+    def __init__(self):
+        self.base = AbelianOracle("z", grid_bound=2)
+
+    def image(self, side):
+        return None if type(side) is FMultiset and side.size > 1 else self.base.image(side)
+
+    def entails(self, premises, conclusion):
+        if premises.size > 1 and parse_formula("t") in premises.support:
+            return FAILS
+        return self.base.entails(premises, conclusion)
+
+
+def test_a_class_walk_that_meets_a_side_without_an_image_walks_in_full():
+    # the pools' values have images, but the sums of two do not
+    dom = SampleDomain(tuple(map(parse_formula, ("0", "t", "-1"))), max_size=1)
+    for law in ("Cut", "Monotonicity", "Contraction", "GeneralizedReflexivity"):
+        got = check_law(_LoneImages(), law, dom)
+        assert got == _ref_check_law(_LoneImages(), law, dom), law
+    # answered from the classes, [0, 0] would stand for [0, t]
+    got = check_law(_LoneImages(), "Cut", dom)
+    assert (got.checked, got.witness_str()) == (55, "G=[0]; D=[t]; f=0; g=0")
+
+
+def test_the_class_walk_fills_its_tables_per_class():
+    # z reads a multiset of the numerals -3..3 through its sum: 19 classes
+    # of G, 10 of the theorems D (multisets of 0..3) and 7 formulas f
+    check = _Check(ASYM_LAWS["TheoremRemoval"], make_z_oracle(), numeral_domain(max_size=3))
+    result = check.run()
+    assert (result.status, result.exhaustive, result.checked) == ("passed", True, 29400)
+    assert len(check.sums) <= 19 * 10
+    assert len(check.verdicts) <= 19 * 10 * 7
 
 
 def test_sample_domain_is_frozen():
