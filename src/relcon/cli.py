@@ -166,6 +166,8 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
 
     Keys: numerals=LO..HI | atoms=x+y+z, size=N, seed=N, cap=N, samples=N;
     numerals and atoms add up, and the other keys may each appear once.
+    ``cap`` bounds the class tuples a check walks where image classes
+    apply, and its instances elsewhere; above it, a check samples.
     """
     formulas: list = []
     fields: dict = {}

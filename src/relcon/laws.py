@@ -3,10 +3,11 @@
 The laws are the consecution templates of ``_ASYM_TABLE`` (oracles between
 multisets and formulas) and ``_SYM_TABLE`` (oracles between multisets), each
 written as the paper states it.  Each law is checked instance-by-instance
-over a finite sample domain, exhaustively when the instance count fits the
-cap and by seeded sampling above it.  A counterexample is a fully concrete
-violating instance; UNKNOWN oracle answers make a check inconclusive rather
-than failed, and so does a check on no instances at all.
+over a finite sample domain: exhaustively when its image classes (below), or
+else its instances, fit the cap, and by seeded sampling otherwise.  A
+counterexample is a fully concrete violating instance; UNKNOWN oracle
+answers make a check inconclusive rather than failed, and so does a check
+on no instances at all.
 
 How a check runs:
 
@@ -47,14 +48,18 @@ How a check runs:
   leaf.  Sampling walks the same nest, one drawn instance at a time, with
   the draws taken over index lists as long as the pools.
 * **Classes.**  A law's verdict on an instance depends only on the image
-  class of each variable's value, since images add (``oracles``).  So an
-  exhaustive check of a law with no family, on an oracle with ``image``
-  whose pools' values all have one, walks the same nest over one value per
-  class: each pool's first value of each image (Ip and Dill, *Better
-  Verification Through Symmetry*, 1996).  The first violating instance is
-  one of these, as each of its values is the first of its class, and the
+  class of each variable's value, since images add (``oracles``).  So a
+  check on an oracle with ``image`` whose pools' values all have one walks
+  the same nest over one value per class: each pool's first value of each
+  image (Ip and Dill, *Better Verification Through Symmetry*, 1996).  A
+  family law's G is classed by the multiset of its members' images, since
+  each member faces a multiset of the family, and each of those multisets
+  by its image.  The cap bounds the class tuples, so a check walks its
+  classes whenever they fit it, however many instances they stand for.
+  The first violating instance is a tuple of representatives, and the
   instances counted are the full walk's, by rank.  A side that turns out
-  to have no image sends the check back to the full walk.
+  to have no image sends the check back to the instances: the full walk
+  where they fit the cap, and sampling where they do not.
 """
 
 from __future__ import annotations
@@ -352,8 +357,8 @@ class _Check:
     sides', or where both sides have images by the pair of images, each
     table filled on first use, so the oracle sees each distinct query once
     per check, through its own memo, and a query an earlier check on the
-    domain asked reaches the memo as the same objects.  Where it can, an
-    exhaustive check walks one representative per image class instead
+    domain asked reaches the memo as the same objects.  Where the classes
+    fit the cap, the check walks one representative per class instead
     (``walk_classes``).  The check holds its tables and the domain's pool,
     none of which refers back to it.
     """
@@ -434,24 +439,38 @@ class _Check:
 
     # -- the loop nest --------------------------------------------------------------
 
+    def sizes(self, pools: list) -> list[int]:
+        """Per fixed variable, the choices of the nest over ``pools``: one
+        pool per fixed variable, and for a family, last, the pool its
+        multisets are drawn from.  G's choices are each weighed by their
+        families."""
+        sizes = [len(pool) for pool in pools[:len(self.fixed)]]
+        if self.family:
+            m = len(pools[-1])
+            sizes[self.at] = sum(m ** self.values[g].size for g in pools[self.at])
+        return sizes
+
     def run(self) -> LawResult:
         law, dom, n = self.law, self.dom, len(self.law.kinds)
-        sizes = [len(pool) for pool in self.fixed]
-        if self.family:  # G's choices, each weighed by its families
-            m = len(self.multisets)
-            sizes[self.at] = sum(m ** self.values[g].size for g in self.fixed[self.at])
+        sizes = self.sizes(self.fixed + [self.multisets] * self.family)
         count = math.prod(sizes)
-        exhaustive = count <= dom.exhaustive_cap or not count  # nothing to sample
-        # per level, the instances a FAILS there skips: one per draw when
-        # sampling; None from G's level to the family's, where G's size
-        # decides it
         self.tails = [math.prod(sizes[k + 1:]) for k in range(n)]
-        skips = ([None if self.at <= k < len(self.fixed) else self.tails[k] for k in range(n)]
-                 if exhaustive else [1] * n)
-        classes = self.classes() if exhaustive else None
-        found = None if classes is None else self.walk_classes(classes, skips, count)
+        # the cap bounds the class tuples where classes apply, and the
+        # instances elsewhere
+        classes = self.classes()
+        found = None
+        if classes is not None and math.prod(self.sizes(classes)) <= dom.exhaustive_cap:
+            found = self.walk_classes(classes, count)
+        # without a class walk, or after one that met a side with no image,
+        # the instances decide between the full walk and sampling
+        exhaustive = found is not None or count <= dom.exhaustive_cap or not count
         if found is None:  # the full walk: the family's pool is per choice of G
-            self.start(self.fixed + [None] * self.family, skips)
+            # per level, the instances a FAILS there skips: one per draw when
+            # sampling; None from G's level to the family's, where G's size
+            # decides it
+            skips = ([None if self.at <= k < len(self.fixed) else self.tails[k]
+                      for k in range(n)] if exhaustive else [1] * n)
+            self.start(self.fixed + [None] * self.family, skips, self.multisets)
             if exhaustive:
                 found = self.walk(0, False)
             else:
@@ -475,54 +494,110 @@ class _Check:
         status = "inconclusive" if self.sawunknown or not self.checked else "passed"
         return LawResult(law.name, status, None, exhaustive, self.checked)
 
-    def start(self, pools: list, skips: list, by_class: bool = False) -> None:
-        """Set the loop nest up over ``pools``, with nothing checked yet."""
+    def start(self, pools: list, skips: list, members: list, by_class: bool = False) -> None:
+        """Set the loop nest up over ``pools``, a family's multisets drawn
+        from ``members``, with nothing checked yet."""
         self.levels = list(zip(pools, self.law.levels, skips))
+        self.members = members
         self.inst = [0] * self.law.slots
         self.checked, self.sawunknown, self.drawn = 0, False, None
         self.by_class = by_class
 
     def classes(self) -> Optional[list[dict[int, int]]]:
-        """Per fixed pool, the first value of each image, mapped to its
-        position in the pool, in the pool's order.  None for a family law,
-        an oracle without ``image``, or a pool with a value that has none."""
-        if self.family or self.image is None:
+        """Per fixed pool, and last, for a family, the pool its multisets
+        are drawn from: the first value of each class, mapped to its
+        position in the pool, in the pool's order.  A class is an
+        image, but at G's level of a family law it is the multiset of the
+        images of G's members, which each face a multiset of the family.
+        None for an oracle without ``image``, or a pool with a value that
+        has none (or, at G's level, a member that has none)."""
+        if self.image is None:
             return None
         out = []
-        for pool in self.fixed:
-            first: dict = {}  # image -> (its first value, that value's position)
+        for k, pool in enumerate(self.fixed + [self.multisets] * self.family):
+            first: dict = {}  # class -> (its first value, that value's position)
             for pos, i in enumerate(pool):
-                image = self.image_of(i)
-                if image is None:
+                key = self.member_images(i) if self.family and k == self.at else self.image_of(i)
+                if key is None:
                     return None
-                if image not in first:
-                    first[image] = i, pos
+                if key not in first:
+                    first[key] = i, pos
             out.append(dict(first.values()))
         return out
 
-    def walk_classes(self, classes: list[dict[int, int]], skips: list,
-                     count: int) -> Optional[bool]:
-        """The exhaustive walk over one representative per image class: True
-        at the first violating instance, False when there is none, and None
-        when a side asked has no image, which the full walk then settles.
+    def member_images(self, i: int) -> Optional[frozenset]:
+        """The multiset of the images of value ``i``'s members, as a set of
+        (image, multiplicity) pairs; None when a member has no image."""
+        counts: dict = {}
+        for f, k in self.values[i].items():
+            image = self.image_of(self.intern(f))
+            if image is None:
+                return None
+            counts[image] = counts.get(image, 0) + k
+        return frozenset(counts.items())
+
+    def walk_classes(self, classes: list[dict[int, int]], count: int) -> Optional[bool]:
+        """The exhaustive walk over one representative per class: True at
+        the first violating instance, False when there is none, and None
+        when a side asked has no image, which ``run`` then settles without
+        the classes.
 
         A side is a sum of representatives, whose image is that of the sum
         of any values of their classes (the additivity in ``oracles``), so
         each verdict is every instance's of its class.  The first violating
-        instance of the full walk is the first of its class in each
-        coordinate, or the representatives would violate earlier: so the
-        walk stops at that instance, and the checked count is the full
-        walk's, by arithmetic, from its mixed-radix rank in the pools.
+        instance of the full walk is a tuple of representatives, each the
+        first of its class, or one that violates would come earlier:
+
+        * a pool variable's value, or a family's multiset, that is not the
+          first of its class can be replaced by that first one.  Every
+          verdict keeps its images, and the instance comes earlier: the
+          family's multisets run in lexicographic order.
+        * a G that is not the first of its class can be replaced by that
+          first one, G0, and the family permuted to match: G0's i-th member
+          has the image of some member of G, and the family multiset that
+          faced that member now faces G0's i-th.  Each pointwise verdict is
+          one of the old ones, and G0 has G's image, by additivity.  The
+          family's sum is unchanged, so every other side keeps its value.
+          The instance comes earlier, as G0 comes before G.
+
+        So the walk stops at the full walk's witness, and the checked count
+        is the full walk's, by arithmetic, from the witness's rank (``rank``).
+        Without one, every instance answers as its tuple of representatives,
+        so the check passes, or is inconclusive, as the full walk would.
         """
-        self.start(classes, skips, by_class=True)
+        n = len(self.law.kinds)
+        members = list(classes[-1]) if self.family else self.multisets
+        self.start(classes[:len(self.fixed)] + [None] * self.family, [0] * n, members,
+                   by_class=True)
         try:
             found = self.walk(0, False)
         except _NoImage:
             return None
-        self.checked = (1 + sum(pos[i] * tail for pos, i, tail
-                                in zip(classes, self.inst, self.tails))
-                        if found else count)
+        self.checked = 1 + self.rank(classes) if found else count
         return found
+
+    def rank(self, positions: list[dict[int, int]]) -> int:
+        """The instances the full walk meets before the current one, by its
+        mixed radix in the pools, each value's position read in
+        ``positions``.  A choice of G weighs its families, as ``below``
+        does, and a family is a number in base |M|, its first multiset the
+        most significant digit, as ``itertools.product`` runs."""
+        inst, tails, m = self.inst, self.tails, len(self.multisets)
+        rank = 0
+        for k, pos in enumerate(positions[:len(self.fixed)]):
+            p = pos[inst[k]]
+            if not self.family or k < self.at:
+                rank += p * tails[k]
+            elif k == self.at:
+                rank += tails[k] * sum(m ** self.values[g].size for g in self.fixed[k][:p])
+            else:
+                rank += p * self.below(k)
+        if self.family:
+            number = 0
+            for i in inst[len(self.fixed)]:
+                number = number * m + positions[-1][i]
+            rank += number
+        return rank
 
     def below(self, k: int) -> int:
         """The instances below the current choice at level k, which binds
@@ -541,7 +616,7 @@ class _Check:
         if self.drawn:
             pool = (self.drawn[k],)
         elif pool is None:  # the family: one multiset per element of G
-            pool = itertools.product(self.multisets, repeat=self.values[inst[self.at]].size)
+            pool = itertools.product(self.members, repeat=self.values[inst[self.at]].size)
         leaf, conclusion = k == len(self.levels) - 1, self.law.conclusion
         checked, found = 0, False
         for i in pool:
