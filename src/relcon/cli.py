@@ -26,6 +26,7 @@ from .semantics import (
     AbelianSymmetricOracle,
     EvalError,
     IdentityOracle,
+    MatrixOracle,
     SingleAtomThresholdOracle,
     countermodel_search,
     load_matrix,
@@ -134,15 +135,27 @@ _ORACLES = {
 }
 
 
+def _system_oracle(path: str):
+    system = load_system(path)
+    return DerivationOracle(system) if system.symmetric else TreeSearchOracle(system)
+
+
+# the oracle spec prefixes: "<prefix>:<file>" is the oracle built from the
+# file's path, a system (.rcs) or a matrix (.mat)
+_SPEC_PREFIXES = {
+    "system": _system_oracle,
+    "matrix": lambda path: MatrixOracle(load_matrix(path)),
+}
+
+
 def make_oracle(spec: str, basis=None):
-    """A named oracle (a key of ``_ORACLES``) built from ``basis``, or ``system:<file>``."""
+    """A named oracle (a key of ``_ORACLES``) built from ``basis``, or one
+    built from a file, ``<prefix>:<file>`` (a key of ``_SPEC_PREFIXES``)."""
     if spec in _ORACLES:
         return _ORACLES[spec](basis)
-    if spec.startswith("system:"):
-        system = load_system(spec.split(":", 1)[1])
-        if system.symmetric:
-            return DerivationOracle(system)
-        return TreeSearchOracle(system)
+    prefix, colon, path = spec.partition(":")
+    if colon and prefix in _SPEC_PREFIXES:
+        return _SPEC_PREFIXES[prefix](path)
     raise UsageError(f"unknown oracle {spec!r}")
 
 
@@ -403,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     _command(sub, "laws", "law battery over an oracle", cmd_laws,
              ("action", {"choices": ["check", "classify"]}),
-             ("--oracle", {"help": "|".join([*_ORACLES, "system:<file>"])}),
+             ("--oracle", {"help": "|".join(
+                 [*_ORACLES, *(f"{prefix}:<file>" for prefix in _SPEC_PREFIXES)])}),
              ("--dom", {"help": "e.g. 'numerals=-3..3,size=3' or 'atoms=x,size=4'"})
              ).add_argument("--laws", default="all", help="'all' or comma-separated names")
 

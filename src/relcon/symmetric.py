@@ -309,13 +309,32 @@ def _fitting(cands: list[Formula], extras: list[int], bounds: list[int],
 
 
 def _ordered_partitions(gamma: FMultiset, n: int) -> Iterator[tuple[FMultiset, ...]]:
-    """The n-tuples of multisets summing to gamma, first part outermost."""
-    if n == 1:
-        yield (gamma,)
+    """The n-tuples of multisets summing to gamma, first part outermost.
+
+    Each part but the last runs over the submultisets of what the parts
+    before it leave, and the last takes the rest.  The open parts' choices
+    are an explicit stack of iterators, not nested generators, so n may lie
+    far past the recursion limit."""
+    if n < 2:
+        if n == 1 or n == 0 and not gamma:
+            yield (gamma,) * n
         return
-    for first in submultisets(gamma):
-        for rest in _ordered_partitions(gamma - first, n - 1):
-            yield (first,) + rest
+    parts: list[FMultiset] = []  # the parts chosen so far
+    rests = [gamma]  # what the parts chosen so far leave, one more than parts
+    choices = [submultisets(gamma)]  # the open parts' remaining choices
+    while choices:
+        part = next(choices[-1], None)
+        if part is None:  # back to the part before
+            choices.pop()
+            rests.pop()
+            if parts:
+                parts.pop()
+        elif len(choices) == n - 1:  # the last part takes the rest
+            yield (*parts, part, rests[-1] - part)
+        else:
+            parts.append(part)
+            rests.append(rests[-1] - part)
+            choices.append(submultisets(rests[-1]))
 
 
 def partition_count(gamma: FMultiset, n: int) -> int:

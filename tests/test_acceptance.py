@@ -292,7 +292,7 @@ def test_criterion_08_laws_battery(ex54, zsym, psym):
 
 
 def test_criterion_09_theory_monoid(zsym, psym):
-    with Budget(9, 30.0, "theory monoid, congruence, quotient, agreement"):
+    with Budget(9, 1.0, "theory monoid, congruence, quotient, agreement"):
         dom = numeral_domain(max_size=3)
         report = quotient_check(zsym, dom.multisets())
         assert report.all_ok, report.failures[:3]

@@ -6,10 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from relcon import Atom, numeral, parse_matrix, parse_system, print_matrix, print_system
+from relcon import (
+    Atom,
+    classify,
+    numeral,
+    parse_formula,
+    parse_matrix,
+    parse_system,
+    print_matrix,
+    print_system,
+)
 from relcon import cli
 from relcon.cli import main, make_domain, make_oracle
 from relcon.laws import SampleDomain
+from relcon.semantics import MatrixOracle
 from relcon.symmetric import DerivationOracle, TreeSearchOracle
 from test_cli_fuzz import ORACLES
 
@@ -140,16 +150,16 @@ def test_check_proof_too_deep_is_invalid(capsys, tmp_path, text):
     assert "error: input nested too deeply" in captured.err
 
 
-def test_input_past_the_recursion_limit_is_invalid(capsys):
-    # the ordered partitions nest one generator per conclusion
+def test_symmetrize_a_thousand_conclusions(capsys):
+    # the ordered partitions of [] into 1000 parts, far past the recursion
+    # limit: each part [] |- 0 holds
     conclusions = "[" + ", ".join(["0"] * 1000) + "]"
     code = main(["symmetrize", "--oracle", "z", "--premises", "[]",
                  "--conclusions", conclusions])
     captured = capsys.readouterr()
-    assert code == 1
-    assert result_line(captured.out) == "invalid"
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert "Traceback" not in captured.err
+    assert code == 0
+    assert result_line(captured.out) == "holds"
+    assert captured.err == ""
 
 
 def test_check_proof_fusion_fixture(capsys):
@@ -492,6 +502,27 @@ def test_laws_check_on_a_tree_search_system_oracle(capsys):
     # a tree search that finds no proof within its node bound disproves nothing
     assert "LAW Cut UNKNOWN" in out
     assert result_line(out) == "ok"
+
+
+def test_laws_classify_on_a_matrix_oracle(capsys):
+    # a matrix relation is Tarskian; T4 has no theorem basis, so
+    # TheoremRemoval is UNKNOWN, as on a system: oracle
+    spec = f"matrix:{FIX}/t4.mat"
+    assert isinstance(make_oracle(spec), MatrixOracle)
+    code, out = run(capsys, "laws", "classify", "--oracle", spec, "--dom", "atoms=p+q,size=2")
+    assert code == 0 and result_line(out) == "ok"
+    assert "LAW TheoremRemoval UNKNOWN" in out.splitlines()
+    assert out.splitlines()[-2] == "CR: yes, monotone: yes, contractive: yes, tarskian: yes"
+    # the same line on p, q, p -> q and p o q, a domain no --dom spells
+    dom = SampleDomain(tuple(map(parse_formula, ("p", "q", "p -> q", "p o q"))), max_size=2)
+    assert classify(make_oracle(spec), dom).summary() == (
+        "CR: yes, monotone: yes, contractive: yes, tarskian: yes")
+
+
+def test_every_spec_prefix_is_in_the_readme_table():
+    rows = [ln for ln in Path("README.md").read_text().splitlines() if ln.startswith("| `")]
+    for spec in [*cli._ORACLES, *(f"{prefix}:<file" for prefix in cli._SPEC_PREFIXES)]:
+        assert any(ln.startswith(f"| `{spec}") for ln in rows), spec
 
 
 def test_laws_check_on_a_derivation_system_oracle(capsys, tmp_path):

@@ -121,6 +121,11 @@ def domain(rng):
     return f"{values},size={rng.randint(0, 1)}"
 
 
+def matrix_spec(rng, tmp_path):
+    """A ``matrix:`` oracle spec over T4, often mangled, or a file that is no matrix."""
+    return f"matrix:{write(tmp_path / 'o.mat', rng, 't4.mat')}"
+
+
 def argv_for(command, rng, tmp_path):
     if command == "parse":
         flag = rng.choice(["--formula", "--multiset", "--system", None])
@@ -149,7 +154,8 @@ def argv_for(command, rng, tmp_path):
                          "--conclusions", rng.choice(["[a, b, c]", "[b, c]"])]
         return argv + ["--derivation", write(tmp_path / "steps.drv", rng, "bci_sym.drv")]
     if command == "symmetrize":
-        return [command, "--oracle", rng.choice(ORACLES), "--premises", any_multiset(rng),
+        oracle = rng.choice(ORACLES + [matrix_spec(rng, tmp_path)])
+        return [command, "--oracle", oracle, "--premises", any_multiset(rng),
                 "--conclusions", any_multiset(rng), "--cap", str(rng.randint(0, 30))]
     if command in ("matrix-eval", "matrix-refute"):
         # T4 interprets -> and o only
@@ -166,7 +172,8 @@ def argv_for(command, rng, tmp_path):
                 "--premises", any_multiset(rng), "--goal", any_formula(rng),
                 "--grid-bound", str(rng.randint(0, 2))]
     if command == "laws":
-        oracle = rng.choice(ORACLES[:-1] + [f"system:{write(tmp_path / 'o.rcs', rng)}"])
+        oracle = rng.choice(ORACLES[:-1] + [f"system:{write(tmp_path / 'o.rcs', rng)}",
+                                            matrix_spec(rng, tmp_path)])
         argv = [command, rng.choice(["check", "classify"]), "--oracle", oracle,
                 "--dom", domain(rng)]
         if rng.random() < 0.5:

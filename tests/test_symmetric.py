@@ -401,6 +401,42 @@ def test_ordered_partitions_against_brute_force(gamma, n):
         assert got == reference
 
 
+def _nested_partitions(gamma, n):
+    """The ordered partitions as one nested generator per part: the order
+    the stack of choices must keep."""
+    if n == 1:
+        yield (gamma,)
+        return
+    for first in submultisets(gamma):
+        for rest in _nested_partitions(gamma - first, n - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("gamma", ["[]", "[x]", "[x, x, y]", "[x, y, z]", "[x, x, y, z]"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_ordered_partitions_keep_the_nested_order(gamma, n):
+    # so every first-HOLDS partition of symmetrize_query stays the same
+    gamma = ms(gamma)
+    assert list(_ordered_partitions(gamma, n)) == list(_nested_partitions(gamma, n))
+
+
+def test_ordered_partitions_into_no_parts():
+    assert list(_ordered_partitions(EMPTY, 0)) == [()]
+    assert list(_ordered_partitions(ms("[x]"), 0)) == []
+
+
+def test_symmetrize_a_thousand_conclusions():
+    # one partition of [] into 1000 parts, each [] |- 0: far past the
+    # recursion limit that one nested generator per part would meet
+    zero = numeral(0)
+    assert symmetrize_query(AbelianOracle("z"), EMPTY, FMultiset([zero] * 1000)) is HOLDS
+    assert symmetrize_query(AbelianOracle("z"), EMPTY, FMultiset([zero] * 999 + [numeral(1)])
+                            ) is HOLDS
+    assert symmetrize_query(AbelianOracle("z"), EMPTY, FMultiset([zero] * 999 + [numeral(-1)])
+                            ) is FAILS
+    assert list(_ordered_partitions(EMPTY, 1000)) == [(EMPTY,) * 1000]
+
+
 def test_symmetrize_threshold_relation(ex54_asym):
     assert ex54_asym.base.entails(ms("[x]"), FMultiset([xx])) is HOLDS
     assert ex54_asym.base.entails(ms("[x, x]"), FMultiset([xx])) is FAILS

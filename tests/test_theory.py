@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from relcon import (
     FAILS,
     HOLDS,
+    UNKNOWN,
     OracleMismatchError,
     PreconditionError,
     SampleDomain,
@@ -21,7 +24,7 @@ from relcon import (
 )
 from relcon.laws import MonotonicCompanion
 from relcon.oracles import SymmetricOracle, verdict
-from relcon.semantics import IdentityOracle
+from relcon.semantics import AbelianOracle, IdentityOracle
 from relcon.theory import monotone_mapping_agrees
 from conftest import numeral_domain
 
@@ -219,3 +222,152 @@ def test_union_theory_reports_a_multiset_outside_the_theory():
     assert report.checked == 4  # [], [a], [b], [a, b]
     assert report.failures == ["[a, b]"]
     assert not report.holds_for_all
+
+
+# -- the image walk against the full walk ------------------------------------------
+
+# quotient_check walks one generator per image where the oracle has images,
+# every generator has one, and the first of each derives itself.  Through a
+# wrapper that hides the image it walks every generator: the two must agree
+# on all_ok, the monotone witness, the kinds of failure and the first line
+# of each kind, and every line of the image walk is one of the full walk's.
+
+
+class _HidesImage(SymmetricOracle):
+    """Its base's verdicts, with no image."""
+
+    def __init__(self, base):
+        self.base, self.name = base, base.name
+
+    def entails(self, premises, conclusions):
+        return self.base.entails(premises, conclusions)
+
+
+def _firsts(report):
+    """all_ok, the monotone witness, and the first failure line of each kind."""
+    first = {}
+    for line in report.failures:
+        first.setdefault(line.split(":")[0], line)
+    return report.all_ok, report.monotone_witness, first
+
+
+def _agrees_with_the_full_walk(oracle, gens):
+    got, full = quotient_check(oracle, gens), quotient_check(_HidesImage(oracle), gens)
+    assert _firsts(got) == _firsts(full)
+    assert set(got.failures) <= set(full.failures)
+    return got, full
+
+
+@pytest.mark.parametrize("oracle_name", ["zsym", "psym"])
+@pytest.mark.parametrize("lo, hi", [(-2, 2), (-3, 3)])
+def test_the_image_walk_agrees_with_the_full_walk(zsym, psym, oracle_name, lo, hi):
+    oracle = {"zsym": zsym, "psym": psym}[oracle_name]
+    gens = SampleDomain(tuple(numeral(k) for k in range(lo, hi + 1)), max_size=2).multisets()
+    got, full = _agrees_with_the_full_walk(oracle, gens)
+    assert got == full and got.all_ok
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("oracle_name, witness", [
+    ("zsym", "[] <= [1] but Th([]) is not contained in Th([1])"), ("psym", None)])
+def test_quotient_reports_are_pinned(zsym, psym, oracle_name, witness, size):
+    # the reports the walk over every generator gave on the numerals -3..3
+    oracle = {"zsym": zsym, "psym": psym}[oracle_name]
+    report = quotient_check(oracle, numeral_domain(max_size=size).multisets())
+    assert (report.failures, report.monotone_witness) == ([], witness)
+
+
+class _SeededByImage(SymmetricOracle):
+    """A pure three-valued oracle that reads a side only through z's image
+    of it, which adds: each verdict is drawn from the two sides' images and
+    a seed, with given weights.  Where ``reflexive``, sides of one image
+    derive each other."""
+
+    name = "seeded-image"
+
+    def __init__(self, seed, weights, reflexive):
+        self.seed, self.weights, self.reflexive = seed, weights, reflexive
+        self.z = AbelianOracle("z")
+
+    def image(self, side):
+        return self.z.image(side)
+
+    def entails(self, premises, conclusions):
+        a, b = self.image(premises), self.image(conclusions)
+        if self.reflexive and a == b:
+            return HOLDS
+        return random.Random(f"{self.seed}|{a}|{b}").choices(
+            (HOLDS, FAILS, UNKNOWN), self.weights)[0]
+
+
+# closed formulas, some with equal images: 1, 0 -> 1 and 1 o 0 read 1, and
+# 0 and t read 0
+_CLOSED = ("0", "1", "-1", "0 -> 1", "1 o 0", "t")
+
+
+def test_the_image_walk_agrees_with_the_full_walk_on_seeded_image_oracles():
+    gens = SampleDomain(tuple(map(parse_formula, _CLOSED)), max_size=2).multisets()
+    fewer = 0
+    for reflexive in (True, False):
+        for weights in ((3, 1, 0), (1, 1, 0), (2, 1, 1)):
+            for seed in range(6):
+                got, full = _agrees_with_the_full_walk(
+                    _SeededByImage(seed, weights, reflexive), gens)
+                assert not got.all_ok
+                fewer += len(got.failures) < len(full.failures)
+    # the image walk ran, and dropped lines that repeat across an image
+    assert fewer
+
+
+class _OneImageIrreflexive(SymmetricOracle):
+    """z's sum order between sides, read through z's image, except that a
+    side of sum 1 derives nothing, itself included."""
+
+    name = "one-irreflexive"
+
+    def __init__(self):
+        self.z = AbelianOracle("z")
+
+    def image(self, side):
+        return self.z.image(side)
+
+    def entails(self, premises, conclusions):
+        (_, a), (_, b) = self.image(premises), self.image(conclusions)
+        return verdict(a <= b and a != 1)
+
+
+def test_an_image_whose_first_generator_does_not_derive_itself_walks_every_generator():
+    # [1] and [0 -> 1] share an image, which derives nothing: neither is in
+    # a class with the other, so the image walk would miss the second line
+    gens = [ms(s) for s in ("[]", "[1]", "[0 -> 1]", "[2]")]
+    oracle = _OneImageIrreflexive()
+    report = quotient_check(oracle, gens)
+    assert report == quotient_check(_HidesImage(oracle), gens)
+    assert {"equivalence: [1] not equivalent to itself",
+            "equivalence: [0 -> 1] not equivalent to itself"} <= set(report.failures)
+
+
+class _AskedOncePerImagePair(SymmetricOracle):
+    """Its base's verdicts and images; fails a test that asks it twice on
+    one pair of images."""
+
+    def __init__(self, base):
+        self.base, self.name, self.image = base, base.name, base.image
+        self.asked = set()
+
+    def entails(self, premises, conclusions):
+        pair = self.image(premises), self.image(conclusions)
+        assert pair not in self.asked, pair
+        self.asked.add(pair)
+        return self.base.entails(premises, conclusions)
+
+
+@pytest.mark.parametrize("oracle_name", ["zsym", "psym"])
+def test_quotient_check_asks_once_per_pair_of_images(zsym, psym, oracle_name):
+    oracle = {"zsym": zsym, "psym": psym}[oracle_name]
+    gens = numeral_domain(max_size=2).multisets()
+    spy = _AskedOncePerImagePair(oracle)
+    assert quotient_check(spy, gens) == quotient_check(oracle, gens)
+    # psym reads a side through whether it is empty and whether one of its
+    # members is negative
+    assert len(spy.asked) <= (4 if oracle_name == "psym" else 37) ** 2
