@@ -174,13 +174,23 @@ def _atom(name: str) -> Atom:
     raise UsageError(f"domain atom {name!r} does not parse as an atom")
 
 
+def _formula(what: str, text: str):
+    """The formula ``text``; one that does not parse is a usage error about ``what``."""
+    try:
+        return parse_formula(text)
+    except ParseError as e:
+        raise UsageError(f"{what}: {e}") from None
+
+
 def make_domain(spec: str, seed: int) -> SampleDomain:
     """Domain spec: comma-separated key=value pairs.
 
-    Keys: numerals=LO..HI | atoms=x+y+z, size=N, seed=N, cap=N, samples=N;
-    numerals and atoms add up, and the other keys may each appear once.
-    ``cap`` bounds the class tuples a check walks where image classes
-    apply, and its instances elsewhere; above it, a check samples.
+    Keys: numerals=LO..HI | atoms=x+y+z | formulas=f1;f2;..., size=N,
+    seed=N, cap=N, samples=N; numerals, atoms and formulas add up, and the
+    other keys may each appear once.  The formulas are separated by ``;``,
+    which the formula grammar does not use.  ``cap`` bounds the class tuples
+    a check walks where image classes apply, and its instances elsewhere;
+    above it, a check samples.
     """
     formulas: list = []
     fields: dict = {}
@@ -197,6 +207,8 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
             formulas.extend(numeral(k) for k in range(lo, hi + 1))
         elif key == "atoms":
             formulas.extend(_atom(a) for a in value.split("+") if a)
+        elif key == "formulas":
+            formulas.extend(_formula(what, f) for f in value.split(";") if f.strip())
         elif key in _DOMAIN_FIELDS:
             if _DOMAIN_FIELDS[key] in fields:
                 raise UsageError(f"repeated {what}")
@@ -206,7 +218,7 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
         else:
             raise UsageError(f"unknown domain key {key!r}")
     if not formulas:
-        raise UsageError("domain needs numerals=LO..HI or atoms=a+b")
+        raise UsageError("domain needs numerals=LO..HI, atoms=a+b or formulas=f;g")
     return SampleDomain(tuple(formulas), **{"seed": seed, **fields})
 
 

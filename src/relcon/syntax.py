@@ -1,6 +1,7 @@
 """Formulas, schemata, parsing/printing, and axiomatic-system files.
 
-Grammar (ASCII), parsed by precedence climbing over the table _CONNECTIVES:
+Grammar (ASCII), parsed by one explicit-stack operator-precedence loop
+(shunting-yard) over the table _CONNECTIVES, so input of any depth parses:
 
     formula  :=  '~' formula | formula BINOP formula | primary
     primary  :=  '(' formula ')' | INT | 't' | IDENT | QUOTED
@@ -29,6 +30,7 @@ multiset (``axiom a1 : p, q``) and its rules have multisets on both sides.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
@@ -429,166 +431,144 @@ def print_multiset(m: FMultiset, schema: bool = False) -> str:
     return "[" + ", ".join(map(print_schema if schema else str, m)) + "]"
 
 
-# -- tokenizer / parser ------------------------------------------------------
+# -- parsing -----------------------------------------------------------------
+#
+# One loop reads a formula from a flat token list by operator precedence
+# (Dijkstra's shunting-yard): operands wait on one stack, and connectives and
+# open parentheses on another, and a pending connective is applied as soon as
+# the next token shows that nothing binds its right operand more tightly.
+# Nothing recurses, so input of any depth parses, and each node is built when
+# a recursive-descent parser would build it.  Valid text is split by one
+# findall, without positions; an error scans the text again for its position.
 
-# one "op" token kind for every connective symbol; "o" only as a whole word
-_OP_RE = "|".join(re.escape(sym) + ("(?![A-Za-z0-9_])" if sym.isalpha() else "")
-                  for sym in _CONNECTIVES.values())
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<lpar>\() | (?P<rpar>\)) |
-        (?P<lbrack>\[) | (?P<rbrack>\]) |
-        (?P<comma>,) | (?P<colon>:) |
-        (?P<turnstile>\|-) |
-        (?P<op>""" + _OP_RE + r""") |
-        (?P<int>-?\d+) |
-        (?P<quoted>'[A-Za-z_][A-Za-z0-9_]*') |
-        (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    )""",
-    re.VERBOSE,
-)
-_CONNECTIVE_OF = {sym: cls for cls, sym in _CONNECTIVES.items()}
+# a connective ("o" only as a whole word), punctuation, an integer, a quoted
+# atom or an identifier; _SCAN also takes any other character alone, and no
+# parse accepts that token
+_TOKEN = ("|".join(re.escape(sym) + ("(?![A-Za-z0-9_])" if sym.isalpha() else "")
+                   for sym in _CONNECTIVES.values())
+          + r"|[()\[\],:]|\|-|-?\d+|'[A-Za-z_][A-Za-z0-9_]*'|[A-Za-z_][A-Za-z0-9_]*")
+_SCAN = re.compile(r"\s*(" + _TOKEN + r"|\S)")
+_TOKEN_AT = re.compile(r"\s*(" + _TOKEN + ")")
+_WORD_START = frozenset(string.ascii_letters + "_")
 
+# a binary connective's class, and the least precedence of a pending
+# connective that its arrival applies (-> is right-associative, the others
+# left-associative); any other token after an operand applies every pending
+# connective back to the innermost open parenthesis, None on the stack,
+# whose level is below them all
+_INFIX = {sym: (cls, _PREC[cls] + (cls is Imp))
+          for cls, sym in _CONNECTIVES.items() if cls is not Neg}
+_NOT_INFIX = (None, 1)
+_LEVEL = {None: 0, **_PREC}
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", pos=pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, schema: bool):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.schema = schema
-
-    def peek(self) -> Optional[tuple[str, str, int]]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", pos=len(self.text))
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None or tok[0] != kind:
-            got = tok[1] if tok else "end of input"
-            pos = tok[2] if tok else len(self.text)
-            raise ParseError(f"expected {kind}, found {got!r}", pos=pos)
-        return self.next()
-
-    def at(self, kind: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == kind
-
-    def connective(self) -> Optional[type]:
-        """The connective the next token spells, if it is an operator."""
-        tok = self.peek()
-        return _CONNECTIVE_OF[tok[1]] if tok is not None and tok[0] == "op" else None
-
-    def formula(self, prec: int = 1) -> Formula:
-        """A formula whose binary connectives bind at least as tightly as
-        prec, by precedence climbing: -> is right-associative, the others
-        left-associative, and ~ takes the tightest operand."""
-        if self.at("lpar"):
-            self.next()
-            f = self.formula()
-            self.expect("rpar")
-        elif self.connective() is Neg:
-            self.next()
-            f = Neg(self.formula(_PREC[Neg]))
-        else:
-            f = self.primary()
-        while (t := self.connective()) not in (None, Neg) and _PREC[t] >= prec:
-            self.next()
-            f = t(f, self.formula(_PREC[t] if t is Imp else _PREC[t] + 1))
-        return f
-
-    def primary(self) -> Formula:
-        """An operand other than a parenthesised formula."""
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", pos=len(self.text))
-        kind, value, pos = tok
-        if kind == "int":
-            self.next()
-            k = int(value)
-            if abs(k) > MAX_NUMERAL:
-                raise ParseError(
-                    f"numeral {k} out of supported range (|n| <= {MAX_NUMERAL})",
-                    pos=pos)
-            return numeral(k)
-        if kind == "quoted":
-            self.next()
-            return Atom(value[1:-1])
-        if kind == "ident":
-            self.next()
-            if value == "t":
-                return TRUTH
-            return Var(value) if self.schema else Atom(value)
-        if self.connective() is Fusion:
-            raise ParseError(f"{value!r} is the fusion operator, not an atom", pos=pos)
-        raise ParseError(f"unexpected token {value!r}", pos=pos)
-
-    def formula_list(self) -> list[Formula]:
-        if self.peek() is None:
-            return []
-        out = [self.formula()]
-        while self.at("comma"):
-            self.next()
-            out.append(self.formula())
-        return out
-
-    def multiset(self) -> FMultiset:
-        if not self.at("lbrack"):
-            return FMultiset(self.formula_list())
-        self.next()
-        items = [] if self.at("rbrack") else self.formula_list()
-        self.expect("rbrack")
-        return FMultiset(items)
-
-    def end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected trailing token {tok[1]!r}", pos=tok[2])
-
-
-# The parser recurses once per parenthesis and per operand of ~ or ->; input
-# nested past the interpreter's recursion limit is reported as a ParseError.
+# Parsing does not recurse; the JSON proof and derivation files do, in
+# treeproof, and report nesting past their limit with this message.
 _TOO_DEEP = "input nested too deeply"
 
 
-def _parse(text: str, schema: bool, read):
-    p = _Parser(text, schema)
-    try:
-        out = read(p)
-    except RecursionError:
-        raise ParseError(_TOO_DEEP) from None
-    p.end()
-    return out
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, then "" for the end of input (no token is empty)."""
+    toks = _SCAN.findall(text)
+    toks.append("")
+    return toks
+
+
+def _error(text: str, i: int, message: str) -> ParseError:
+    """The error at the i-th token of text, or at its end; but a character
+    that starts no token is the error, wherever it stands."""
+    starts = []
+    pos = 0
+    while (m := _TOKEN_AT.match(text, pos)) is not None:
+        starts.append(m.start(1))
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        return ParseError(f"unexpected character {rest[0]!r}", pos=pos)
+    return ParseError(message, pos=starts[i] if i < len(starts) else len(text))
+
+
+def _formula(toks: list[str], i: int, text: str, ident) -> tuple[Formula, int]:
+    """The formula that starts at toks[i] and the index of the token after it;
+    ident(name) is an identifier's leaf."""
+    out: list = []  # operands
+    ops: list = [None]  # pending connectives over the formula's own start
+    while True:
+        # an operand: its prefixes, then a leaf
+        tok = toks[i]
+        while tok == "(" or tok == "~":
+            ops.append(None if tok == "(" else Neg)
+            i += 1
+            tok = toks[i]
+        if tok[:1] in _WORD_START:
+            if tok == "o":
+                raise _error(text, i, f"{tok!r} is the fusion operator, not an atom")
+            out.append(TRUTH if tok == "t" else ident(tok))
+        elif tok[-1:].isdecimal():
+            k = int(tok)
+            if abs(k) > MAX_NUMERAL:
+                raise _error(text, i, f"numeral {k} out of supported range "
+                                      f"(|n| <= {MAX_NUMERAL})")
+            out.append(numeral(k))
+        elif tok[:1] == "'" and len(tok) > 1:
+            out.append(Atom(tok[1:-1]))
+        else:
+            raise _error(text, i, f"unexpected token {tok!r}" if tok
+                         else "unexpected end of input")
+        i += 1
+        # then closing parentheses, up to a binary connective or the end
+        while True:
+            tok = toks[i]
+            cls, level = _INFIX.get(tok, _NOT_INFIX)
+            while _LEVEL[ops[-1]] >= level:
+                t = ops.pop()
+                if t is Neg:
+                    out[-1] = Neg(out[-1])
+                else:
+                    right = out.pop()
+                    out[-1] = t(out[-1], right)
+            if cls is not None:
+                ops.append(cls)
+                i += 1
+                break
+            if len(ops) == 1:
+                return out[0], i
+            if tok != ")":
+                raise _error(text, i, f"expected rpar, found {tok or 'end of input'!r}")
+            ops.pop()
+            i += 1
+
+
+def _end(toks: list[str], i: int, text: str) -> None:
+    if toks[i]:
+        raise _error(text, i, f"unexpected trailing token {toks[i]!r}")
 
 
 def parse_formula(text: str, schema: bool = False) -> Formula:
-    return _parse(text, schema, _Parser.formula)
+    toks = _tokens(text)
+    f, i = _formula(toks, 0, text, Var if schema else Atom)
+    _end(toks, i, text)
+    return f
 
 
 def parse_multiset(text: str, schema: bool = False) -> FMultiset:
     """Parse ``[f1, f2, ...]`` (brackets optional) into an FMultiset."""
-    return _parse(text, schema, _Parser.multiset)
+    toks = _tokens(text)
+    ident = Var if schema else Atom
+    bracketed = toks[0] == "["
+    i = int(bracketed)
+    items = []
+    if toks[i] and not (bracketed and toks[i] == "]"):
+        f, i = _formula(toks, i, text, ident)
+        items.append(f)
+        while toks[i] == ",":
+            f, i = _formula(toks, i + 1, text, ident)
+            items.append(f)
+    if bracketed:
+        if toks[i] != "]":
+            raise _error(text, i, f"expected rbrack, found {toks[i] or 'end of input'!r}")
+        i += 1
+    _end(toks, i, text)
+    return FMultiset(items)
 
 
 # -- substitution and matching ------------------------------------------------

@@ -64,10 +64,10 @@ def test_parse_error_exit(capsys):
     assert "RESULT invalid" in out.out
 
 
-def test_deeply_nested_formula_is_a_parse_error(capsys):
+def test_deeply_nested_formula_parses(capsys):
     code, out = run(capsys, "parse", "--formula", "(" * 3000 + "p" + ")" * 3000)
-    assert code == 1
-    assert result_line(out) == "invalid"
+    assert code == 0
+    assert out.splitlines() == ["p", "RESULT ok"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -513,9 +513,12 @@ def test_laws_classify_on_a_matrix_oracle(capsys):
     assert code == 0 and result_line(out) == "ok"
     assert "LAW TheoremRemoval UNKNOWN" in out.splitlines()
     assert out.splitlines()[-2] == "CR: yes, monotone: yes, contractive: yes, tarskian: yes"
-    # the same line on p, q, p -> q and p o q, a domain no --dom spells
+    # the same line on p, q, p -> q and p o q, through the CLI and the library
+    code, out = run(capsys, "laws", "classify", "--oracle", spec,
+                    "--dom", "formulas=p;q;p -> q;p o q,size=2")
+    assert code == 0 and result_line(out) == "ok"
     dom = SampleDomain(tuple(map(parse_formula, ("p", "q", "p -> q", "p o q"))), max_size=2)
-    assert classify(make_oracle(spec), dom).summary() == (
+    assert out.splitlines()[-2] == classify(make_oracle(spec), dom).summary() == (
         "CR: yes, monotone: yes, contractive: yes, tarskian: yes")
 
 
@@ -700,6 +703,21 @@ def test_laws_domain_repeated_key_is_a_usage_error(capsys, key):
 def test_domain_numerals_and_atoms_add_up():
     assert make_domain("numerals=0..1,atoms=x,numerals=3..3,atoms=y+z", 5).formulas == (
         numeral(0), numeral(1), Atom("x"), numeral(3), Atom("y"), Atom("z"))
+
+
+def test_domain_formulas_add_to_numerals_and_atoms():
+    assert make_domain("atoms=x,formulas=p -> q; ~1 ;;t,numerals=2..2", 5).formulas == (
+        Atom("x"), parse_formula("p -> q"), parse_formula("~1"), parse_formula("t"),
+        numeral(2))
+
+
+@pytest.mark.parametrize("text", ["p ->", "p; q)", "[p]"])
+def test_domain_formula_that_does_not_parse_is_a_usage_error(capsys, text):
+    code = main(["laws", "check", "--oracle", "z", "--dom", f"formulas={text},size=1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert "usage error: domain key 'formulas': " in captured.err
 
 
 @pytest.mark.parametrize("dom", ["numerals=a..2", "numerals=0..1,size=x",

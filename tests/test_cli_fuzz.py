@@ -1,9 +1,10 @@
 """A seeded fuzz of the command line.
 
 Every subcommand is called in process on random formula and multiset text
-and on random files (bytes, JSON of random shape, mangled fixtures, and
-directories and missing paths where a file should be), with tiny search
-bounds.  Whatever the input, the contract holds: the exit code
+(some formulas nested 1000-3000 levels deep, which parse and then meet the
+recursive layers) and on random files (bytes, JSON of random shape, mangled
+fixtures, and directories and missing paths where a file should be), with
+tiny search bounds.  Whatever the input, the contract holds: the exit code
 is 0-3, and unless it is 2 (a usage error) exactly one stdout line starts
 with ``RESULT ``, and it is the last line.  (That holds for these inputs,
 whose atom names never spell RESULT: a body line such as matrix-refute's
@@ -42,8 +43,19 @@ def junk_text(rng):
     return " ".join(rng.choice(TOKENS) for _ in range(rng.randint(0, 6)))
 
 
+def deep_text(rng):
+    """A formula 1000-3000 levels deep: p in nested parentheses, a ~ tower, or
+    a printed right-nested implication chain."""
+    n = rng.randint(1000, 3000)
+    return rng.choice(["(" * n + "p" + ")" * n, "~" * n + "p",
+                       "p -> (" * (n - 1) + "p -> p" + ")" * (n - 1)])
+
+
 def any_formula(rng):
-    return formula_text(rng) if rng.random() < 0.85 else junk_text(rng)
+    roll = rng.random()
+    if roll < 0.7:
+        return formula_text(rng)
+    return deep_text(rng) if roll < 0.85 else junk_text(rng)
 
 
 def any_multiset(rng):

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1264,8 +1265,69 @@ def test_3000_deep_schema_prints_without_recursion():
 
 def test_parenthesised_input_250_deep_parses():
     assert parse_formula("(" * 250 + "p" + ")" * 250) == Atom("p")
-    with pytest.raises(ParseError, match="input nested too deeply"):
-        parse_formula("(" * 3000 + "p" + ")" * 3000)
+    assert parse_formula("(" * 3000 + "p" + ")" * 3000) == Atom("p")
+
+
+class Deep(NamedTuple):
+    """A formula ``depth`` levels deep, built by a loop over leaves drawn from
+    ``leaves``: at each level a connective from ``kinds`` takes the formula so
+    far as its body, or as its left or right operand as ``on_left`` says.  A
+    recipe and not the formula, so that hypothesis can show it."""
+
+    depth: int
+    kinds: tuple
+    on_left: tuple
+    leaves: tuple
+    seed: int = 0
+
+    def build(self):
+        rng = random.Random(self.seed)
+        f = rng.choice(self.leaves)
+        for _ in range(self.depth):
+            cls = rng.choice(self.kinds)
+            if cls is Neg:
+                f = Neg(f)
+            elif rng.choice(self.on_left):
+                f = cls(f, rng.choice(self.leaves))
+            else:
+                f = cls(rng.choice(self.leaves), f)
+        return f
+
+
+_DEEP_CONNECTIVES = (Imp, Fusion, Conj, Disj, Neg)
+
+
+def deep_formulas(*leaves):
+    """Recipes up to 5000 levels deep: a chain of one connective or of all of
+    them mixed, nested on the left, on the right, or on either side."""
+    return st.builds(
+        Deep, st.integers(1, 5000),
+        st.sampled_from([(cls,) for cls in _DEEP_CONNECTIVES] + [_DEEP_CONNECTIVES]),
+        st.sampled_from([(True,), (False,), (True, False)]),
+        st.just(leaves), st.integers(0, 2 ** 32))
+
+
+def _imp_chain(leaf, links):
+    """leaf -> leaf -> ... -> leaf, with ``links`` implications."""
+    return Deep(links, (Imp,), (False,), (leaf,))
+
+
+# no leaf is 1, so no fusion grows into a numeral past the parsable range
+@settings(max_examples=8, deadline=None)
+@given(deep_formulas(p, q, TRUTH, ZERO, numeral(3), numeral(-2)),
+       deep_formulas(Var("x"), Var("y"), Atom("a"), TRUTH, numeral(2)))
+@example(_imp_chain(p, 600), _imp_chain(Var("p"), 600))
+@example(_imp_chain(p, 900), _imp_chain(Var("p"), 900))
+def test_deep_formulas_print_and_parse_back(deep, deep_schema):
+    # a printed right-nested chain is twice as deep as the chain: each
+    # nested implication is parenthesised
+    f, s = deep.build(), deep_schema.build()
+    assert parse_formula(print_formula(f)) == f
+    assert parse_formula(print_schema(s), schema=True) == s
+    m = FMultiset([f, f, q])
+    assert parse_multiset(print_multiset(m)) == m
+    m = FMultiset([s, f])
+    assert parse_multiset(print_multiset(m, schema=True), schema=True) == m
 
 
 def test_deep_schema_prints_without_recursion():
