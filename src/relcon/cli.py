@@ -44,6 +44,7 @@ from .symmetric import (
     symmetrize_query,
 )
 from .syntax import (
+    MAX_NUMERAL,
     Atom,
     ParseError,
     load_system,
@@ -187,7 +188,9 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
 
     Keys: numerals=LO..HI | atoms=x+y+z | formulas=f1;f2;..., size=N,
     seed=N, cap=N, samples=N; numerals, atoms and formulas add up, and the
-    other keys may each appear once.  The formulas are separated by ``;``,
+    other keys may each appear once.  ``numerals`` ends at the literal range,
+    ``|LO|`` and ``|HI|`` at most syntax.MAX_NUMERAL, so that every witness
+    prints as text that parses back.  The formulas are separated by ``;``,
     which the formula grammar does not use.  ``cap`` bounds the class tuples
     a check walks where image classes apply, and its instances elsewhere;
     above it, a check samples.
@@ -204,6 +207,10 @@ def make_domain(spec: str, seed: int) -> SampleDomain:
         if key == "numerals":
             lo, _, hi = value.partition("..")
             lo, hi = _int(what, lo), _int(what, hi)
+            if max(abs(lo), abs(hi)) > MAX_NUMERAL:
+                # a witness must print as literals that parse back
+                raise UsageError(f"{what} allows numerals with |n| <= {MAX_NUMERAL}, "
+                                 f"not {lo}..{hi}")
             formulas.extend(numeral(k) for k in range(lo, hi + 1))
         elif key == "atoms":
             formulas.extend(_atom(a) for a in value.split("+") if a)

@@ -168,7 +168,10 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
     explored without finding the target: a genuine negative for the
     fragment; ``pruned_by`` records which caps actually cut anything off.
     ``truncated`` means the step or state budget ran out first and decides
-    nothing; the state budget ends the search at once.
+    nothing; the state budget ends the search at once.  The instances a
+    match of a rule's left side yields are built on its first use and kept
+    for the rest of this search, which meets most matches in many states;
+    the next search builds its own.
     """
     if max_multiset_size is None:
         max_multiset_size = max(premises.size, conclusions.size) + 2
@@ -217,9 +220,11 @@ class _RightPlan:
     search: for each distinct right schema its size and metavariable
     occurrence counts, and the metavariables of the whole right side.  An
     instance of a schema has the schema's size plus, per metavariable
-    occurrence, the size of the bound formula minus one (its own node)."""
+    occurrence, the size of the bound formula minus one (its own node).
+    ``instances`` holds, per match of the left side, what _moves worked
+    out for it, so that each instance is built once per search."""
 
-    __slots__ = ("rule", "shapes", "metavars")
+    __slots__ = ("rule", "shapes", "metavars", "instances")
 
     def __init__(self, rule: NamedRule):
         shapes = []
@@ -229,6 +234,7 @@ class _RightPlan:
         self.rule = rule
         self.shapes = tuple(shapes)
         self.metavars = frozenset(v for _, occ in shapes for v in occ)
+        self.instances: dict[frozenset, _Instances] = {}
 
 
 def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
@@ -240,42 +246,81 @@ def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
     never built: its sizes are worked out first.  ``pruned`` gains a cap's
     name once the enumeration passes an application that the cap cuts off,
     never earlier; the multiset cap counts only applications that fit the
-    formula cap."""
-    smallest = formula_size(cands[0]) if cands else 0
-    extras = [formula_size(c) - smallest for c in cands]
-    spread = extras[-1] if cands else 0
+    formula cap.  What a match of a rule's left side yields is worked out on
+    its first use and kept on the rule's plan (see _Instances)."""
     for plan in plans:
         rule = plan.rule
+        grows = state.size - rule.left.size + rule.right.size > max_multiset_size
         for sigma, consumed in match_into(rule.left, state):
-            free = sorted(plan.metavars - sigma.keys())
-            if free and not cands:
+            key = frozenset(sigma.items())
+            made = plan.instances.get(key)
+            if made is None:
+                made = plan.instances[key] = _Instances(plan, sigma, cands, max_formula_size)
+            if made.skip:
                 continue
-            # per schema: the instance size with every free metavariable at
-            # the smallest candidate, and each free metavariable's count
-            lows, coeffs = [], []
-            for size, occ in plan.shapes:
-                for v, n in occ.items():
-                    size += n * ((formula_size(sigma[v]) if v in sigma else smallest) - 1)
-                lows.append(size)
-                coeffs.append([occ.get(v, 0) for v in free])
-            fits = max(lows, default=0) <= max_formula_size
-            if state.size - consumed.size + rule.right.size > max_multiset_size:
-                if fits:
+            if grows:
+                if made.fits:
                     pruned.add("multiset-size")
-                if any(low + sum(co) * spread > max_formula_size
-                       for low, co in zip(lows, coeffs)):
+                if made.over:
                     pruned.add("formula-size")
                 continue
-            if not fits:
+            if not made.fits:
                 pruned.add("formula-size")
                 continue
             rest = state - consumed
-            for values in _fitting(cands, extras, lows, coeffs, len(free),
-                                   max_formula_size, pruned):
-                full = dict(sigma)
-                full.update(zip(free, values))
-                produced = FMultiset(substitute(s, full) for s in rule.right)
-                yield rest + produced, RuleJust(rule.name, full)
+            products, cut = made.products, made.cut
+            for i, (produced, app) in enumerate(products):
+                if i == cut:
+                    pruned.add("formula-size")
+                yield rest + produced, app
+            if cut == len(products):
+                pruned.add("formula-size")
+
+
+class _Instances:
+    """One match of a rule's left side, worked out once per search: whether
+    a free right metavariable has no candidate to range over (``skip``);
+    whether every instance with the free metavariables at the smallest
+    candidate fits the formula cap (``fits``), and whether some instance
+    with them at the largest is over it (``over``); and, when it fits, the
+    fitting products with their steps, in _fitting's order, and how many
+    come before the place where the formula cap first cuts one off (``cut``,
+    None when it cuts none)."""
+
+    __slots__ = ("skip", "fits", "over", "products", "cut")
+
+    def __init__(self, plan: _RightPlan, sigma: dict, cands: list[Formula], cap: int):
+        free = sorted(plan.metavars - sigma.keys())
+        self.skip = bool(free and not cands)
+        self.products: list[tuple[FMultiset, RuleJust]] = []
+        self.cut: Optional[int] = None
+        if self.skip:
+            return
+        smallest = formula_size(cands[0]) if cands else 0
+        extras = [formula_size(c) - smallest for c in cands]
+        spread = extras[-1] if cands else 0
+        # per schema: the instance size with every free metavariable at the
+        # smallest candidate, and each free metavariable's count
+        lows, coeffs = [], []
+        for size, occ in plan.shapes:
+            for v, n in occ.items():
+                size += n * ((formula_size(sigma[v]) if v in sigma else smallest) - 1)
+            lows.append(size)
+            coeffs.append([occ.get(v, 0) for v in free])
+        self.fits = max(lows, default=0) <= cap
+        self.over = any(low + sum(co) * spread > cap for low, co in zip(lows, coeffs))
+        if not self.fits:
+            return
+        rule, cuts = plan.rule, set()
+        for values in _fitting(cands, extras, lows, coeffs, len(free), cap, cuts):
+            if cuts and self.cut is None:
+                self.cut = len(self.products)
+            full = dict(sigma)
+            full.update(zip(free, values))
+            self.products.append((FMultiset(substitute(s, full) for s in rule.right),
+                                  RuleJust(rule.name, full)))
+        if cuts and self.cut is None:
+            self.cut = len(self.products)
 
 
 def _fitting(cands: list[Formula], extras: list[int], bounds: list[int],

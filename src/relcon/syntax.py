@@ -81,9 +81,32 @@ _set = object.__setattr__
 class _Node:
     __slots__ = ()
 
+    # A node never changes, so a copy is the node itself.  Pickling and repr
+    # walk a formula without recursion: it may lie past the recursion limit.
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # rebuild through the constructor: frozen slots refuse setattr
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # the nodes children first, a leaf as (class, name) and a compound as
+        # its class; _from_rows rebuilds through the constructors (frozen
+        # slots refuse setattr)
+        return _from_rows, ([(type(n), n.name) if type(n) in _LEAVES else type(n)
+                             for n in reversed(list(_walk_nodes(self)))],)
+
+
+def _from_rows(rows: list) -> "Formula":
+    stack: list = []
+    for row in rows:
+        if type(row) is tuple:
+            stack.append(row[0](row[1]))
+        else:
+            children = [stack.pop()] if row is Neg else [stack.pop(-2), stack.pop()]
+            stack.append(row(*children))
+    return stack[0]
 
 
 def _cached_hash(self) -> int:
@@ -310,6 +333,27 @@ class Disj(_Node):
 
 Formula = Union[Atom, Var, Const, Neg, Imp, Fusion, Conj, Disj]
 _LEAVES = frozenset((Atom, Var, Const))
+
+
+def _repr(self) -> str:
+    """The dataclass repr, from a work list of nodes and text."""
+    out, stack = [], [self]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        out.append(type(item).__qualname__ + "(")
+        stack.append(")")
+        for i, name in reversed(list(enumerate(item.__match_args__))):
+            value = getattr(item, name)
+            stack += [repr(value) if type(value) is str else value, ", " * (i > 0) + name + "="]
+    return "".join(out)
+
+
+# the dataclass decorator gave each class a recursive repr of its own
+for _cls in (Atom, Var, Const, Neg, Imp, Fusion, Conj, Disj):
+    _cls.__repr__ = _repr
 
 # each connective's symbol, loosest first: the printer, the parser and the
 # matrix files read the connectives from here, and a connective's precedence

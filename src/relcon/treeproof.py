@@ -500,20 +500,29 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
     conclusion unifies with the goal, and the axiom and rule tables this
     reads are built once per system, on its first search.  A variable still
     open when a proof closes is grounded with the least subformula of the
-    premises and goal (by size, then text).  The first witness under the
-    canonical branch order is returned, so the result is deterministic and
-    node-minimal.  ``None`` means no proof within ``max_nodes``; it is not a
-    disproof.
+    premises and goal (by size, then text), worked out the first time a
+    variable is met.  The first witness under the canonical branch order is
+    returned, so the result is deterministic and node-minimal.  ``None``
+    means no proof within ``max_nodes``; it is not a disproof.
+
+    Resources are managed input/output style (Hodas and Miller, 1994): the
+    root asks for proofs that use exactly ``premises``; a rule's subgoals but
+    the last may take any part of what their goal has, and the last must use
+    exactly what they leave.  An exact premise leaf needs its one formula
+    and nothing else, an exact axiom leaf needs nothing, and an exact goal
+    with more premise occurrences than nodes to spend fails at once, since
+    each occurrence needs its own leaf.  The branch order is the one that
+    lets every subgoal take any part and checks ``used == premises`` at the
+    root; each prune drops only branches whose proofs could not pass that
+    check, and none reorders the rest, so the first witness, which is the
+    node-minimal one, is the same.
     """
     if system.symmetric:
         raise ValueError("search expects a single-conclusion system")
-    if premises.size > max_nodes:
-        return None  # every premise occurrence needs its own leaf
-    closure = subformulas(goal).union(*map(subformulas, premises.support))
-    state = _SearchState(system, min(closure, key=lambda f: (formula_size(f), str(f))))
-    for budget in range(1, max_nodes + 1):
-        for tree, used, theta in state.prove(goal, premises, budget, {}):
-            if used == premises and tree.node_count() == budget:
+    state = _SearchState(system, premises, goal)
+    for budget in range(max(premises.size, 1), max_nodes + 1):
+        for tree, _, theta in state.prove(goal, premises, budget, {}, exact=True):
+            if tree.node_count() == budget:
                 return state.ground(tree, theta)
     return None
 
@@ -575,14 +584,15 @@ def _rule_tables(system: AxiomaticSystem) -> _Tables:
 
 class _SearchState:
     """Proof search over one system; ``fruitless`` remembers, per ground
-    (goal, available premises), the largest budget that found nothing.
+    (goal, available premises, exact), the largest budget that found nothing.
 
     The axiom and rule tables are the system's, built once.  A use is
     renamed apart only after the goal unifies with the rule's untagged head,
     so the ``#n`` tags count the uses that unify."""
 
-    def __init__(self, system: AxiomaticSystem, filler: Formula):
-        self.filler = filler
+    def __init__(self, system: AxiomaticSystem, premises: FMultiset, goal: Formula):
+        self._premises, self._goal = premises, goal
+        self._filler: Optional[Formula] = None
         self.fruitless: dict[tuple, int] = {}
         self._uses = 0
         self._axioms, self._rules, _ = _rule_tables(system)
@@ -609,11 +619,19 @@ class _SearchState:
                 yield rule, sigma, {ren[k].name if k in ren else k: substitute_partial(f, ren)
                                     for k, f in mgu.items()}
 
+    def _fill(self, _: Var) -> Formula:
+        """The least subformula of the premises and goal, by size and then
+        text, which fills every open variable; found on first use."""
+        if self._filler is None:
+            closure = subformulas(self._goal).union(*map(subformulas, self._premises.support))
+            self._filler = min(closure, key=lambda f: (formula_size(f), str(f)))
+        return self._filler
+
     def ground(self, tree: ProofTree, theta: dict) -> ProofTree:
         """The tree under ``theta``, with every variable left open filled."""
         # recursive, not the fold: its depth is at most max_nodes, and the fold costs search time
         def fix(f: Formula) -> Formula:
-            return _map_vars(_resolve(f, theta), lambda v: self.filler)
+            return _map_vars(_resolve(f, theta), self._fill)
 
         by = tree.by
         if not isinstance(by, PremiseJust):
@@ -621,33 +639,36 @@ class _SearchState:
         return ProofTree(fix(tree.formula), by,
                          tuple(self.ground(c, theta) for c in tree.children))
 
-    def prove(self, goal: Formula, avail: FMultiset, budget: int,
-              theta: dict) -> Iterator[tuple[ProofTree, FMultiset, dict]]:
-        """Proofs of ``goal`` under ``theta`` from part of ``avail`` within
-        ``budget`` nodes, each with the premises it uses and the bindings;
-        only a ground goal reads and writes ``fruitless``."""
-        if budget < 1:
+    def prove(self, goal: Formula, avail: FMultiset, budget: int, theta: dict,
+              exact: bool) -> Iterator[tuple[ProofTree, FMultiset, dict]]:
+        """Proofs of ``goal`` under ``theta`` from part of ``avail``, or from
+        all of it when ``exact``, within ``budget`` nodes, each with the
+        premises it uses and the bindings; only a ground goal reads and
+        writes ``fruitless``."""
+        if budget < 1 or exact and avail.size > budget:
             return
         goal = _resolve(goal, theta)
-        key = (goal, avail) if goal._ground else None
+        key = (goal, avail, exact) if goal._ground else None
         if key is not None and self.fruitless.get(key, 0) >= budget:
             return
         yielded = False
-        for result in self._prove_raw(goal, avail, budget, theta):
+        for result in self._prove_raw(goal, avail, budget, theta, exact):
             yielded = True
             yield result
         if key is not None and not yielded:
             self.fruitless[key] = budget
 
-    def _prove_raw(self, goal, avail, budget, theta):
+    def _prove_raw(self, goal, avail, budget, theta, exact):
         """Close the goal against a premise, an axiom or a rule's conclusion,
         in that order, binding variables by unification."""
-        for f in avail.distinct():
-            mgu = unify(goal, f)
-            if mgu is not None:
-                yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
-        for ax, sigma, mgu in self._uses_of(self._axioms, goal):
-            yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
+        if not exact or avail.size == 1:
+            for f in avail.distinct():
+                mgu = unify(goal, f)
+                if mgu is not None:
+                    yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
+        if not (exact and avail):
+            for ax, sigma, mgu in self._uses_of(self._axioms, goal):
+                yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
         if budget < 2:
             return
         for rule, sigma, mgu in self._uses_of(self._rules, goal):
@@ -655,19 +676,25 @@ class _SearchState:
             # most-constrained (largest) subgoal first fails fastest
             subgoals = _larger_first(
                 [_resolve(substitute(s, sigma), bound) for s in rule.left], text=_masked)
-            for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1, bound):
+            for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1,
+                                                          bound, exact):
                 yield ProofTree(goal, RuleJust(rule.name, sigma), children), used, theta2
 
     def _prove_seq(self, subgoals: list[Formula], avail: FMultiset, budget: int,
-                   theta: dict) -> Iterator[tuple[tuple[ProofTree, ...], FMultiset, dict]]:
+                   theta: dict, exact: bool
+                   ) -> Iterator[tuple[tuple[ProofTree, ...], FMultiset, dict]]:
+        """Proofs of the subgoals in turn; when ``exact``, the last uses
+        exactly what the others leave."""
         if not subgoals:
-            yield (), EMPTY, theta
+            if not (exact and avail):
+                yield (), EMPTY, theta
             return
         head, rest = subgoals[0], subgoals[1:]
         # reserve at least one node per remaining subgoal
-        for t1, u1, th1 in self.prove(head, avail, budget - len(rest), theta):
+        for t1, u1, th1 in self.prove(head, avail, budget - len(rest), theta,
+                                      exact and not rest):
             n1 = t1.node_count()
-            for ts, u2, th2 in self._prove_seq(rest, avail - u1, budget - n1, th1):
+            for ts, u2, th2 in self._prove_seq(rest, avail - u1, budget - n1, th1, exact):
                 yield (t1,) + ts, u1 + u2, th2
 
 

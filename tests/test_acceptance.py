@@ -198,7 +198,7 @@ def test_criterion_05_symmetrization_roundtrips(ex54, ex54_asym, psym):
 
 
 def test_criterion_06_bci_derivations(bci):
-    with Budget(6, 3.0, "multiset derivations: positives and a real negative"):
+    with Budget(6, 1.0, "multiset derivations: positives and a real negative"):
         five = ms("[a->b, a->c, a, a, a]")
         target = ms("[a, b, c]")
         d = Derivation(

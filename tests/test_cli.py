@@ -8,11 +8,13 @@ import pytest
 
 from relcon import (
     Atom,
+    check_laws,
     classify,
     numeral,
     parse_formula,
     parse_matrix,
     parse_system,
+    print_formula,
     print_matrix,
     print_system,
 )
@@ -542,12 +544,34 @@ def test_laws_check_on_a_derivation_system_oracle(capsys, tmp_path):
     assert result_line(out) == "ok"
 
 
-def test_laws_check_on_a_numeral_past_the_recursion_limit(capsys):
-    # hashing numeral(1200) into the oracle's multisets must not recurse
+def test_laws_check_on_a_numeral_past_the_recursion_limit():
+    # hashing numeral(1200) into the oracle's multisets must not recurse; a
+    # --dom stops at the literal range (below), so the check runs in-process
+    def verdicts(n):
+        oracle = make_oracle("z", [numeral(0), numeral(n)])
+        return {name: r.status for name, r in
+                check_laws(oracle, SampleDomain((numeral(n),), max_size=1)).items()}
+
+    assert verdicts(1200) == verdicts(3)
+
+
+@pytest.mark.parametrize("dom", ["numerals=201..201", "numerals=-201..0",
+                                 "numerals=0..1200,size=1", "numerals=300..-300"])
+def test_laws_domain_numeral_past_the_literal_range_is_a_usage_error(capsys, dom):
+    # such a numeral prints as a literal that does not parse back
+    code = main(["laws", "check", "--oracle", "z", "--dom", dom])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert "domain key 'numerals'" in captured.err and "|n| <= 200" in captured.err
+
+
+def test_laws_domain_numerals_at_the_literal_range_print_back(capsys):
     code, out = run(capsys, "laws", "check", "--oracle", "z",
-                    "--dom", "numerals=1200..1200,size=1")
-    assert code == 0
-    assert result_line(out) == "ok"
+                    "--dom", "numerals=-200..-199,numerals=199..200,size=1")
+    assert code == 0 and result_line(out) == "ok"
+    formulas = make_domain("numerals=-200..200", 0).formulas
+    assert all(parse_formula(print_formula(f)) == f for f in formulas)
 
 
 def test_laws_classify_command(capsys):

@@ -361,6 +361,24 @@ def test_derive_search_records_a_cap_only_when_it_cuts(
         assert result.pruned_by == pruned_by
 
 
+@pytest.mark.parametrize("max_states, pruned_by", [
+    # the budget runs out inside the first level, between I at a and I at b,
+    # before the formula cap cuts I at a -> b off
+    (2, {"states"}),
+    # the second level uses I's instances again, and the budget runs out
+    # between them; the first level passed the cut
+    (4, {"formula-size", "states"}),
+])
+def test_derive_search_records_a_cap_where_a_kept_instance_list_passes_it(
+        max_states, pruned_by):
+    from relcon import parse_system
+
+    system = parse_system(IDENTITY_SYSTEM)
+    result = _assert_same_search(system, ms("[a]"), ms("[a -> b]"), max_steps=2,
+                                 max_formula_size=3, max_states=max_states)
+    assert result.status == "truncated" and result.pruned_by == pruned_by
+
+
 @pytest.mark.parametrize("max_formula_size", [0, 1, 3])
 def test_derive_search_matches_the_reference_with_few_candidates(bci, max_formula_size):
     # no candidate fits at 0, and at 1 only atoms do: free metavariables

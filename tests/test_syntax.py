@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import pickle
 import random
 import re
+import sys
 from typing import NamedTuple
 
 import pytest
@@ -508,6 +510,32 @@ def test_formula_copy_and_pickle():
     for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
         assert g == f and hash(g) == hash(f) and str(g) == str(f)
     assert repr(f).startswith("Conj(left=Fusion(left=Imp(left=Atom(name='p')")
+
+
+def _dataclass_repr(f):
+    """The repr the dataclass decorator writes: each field, recursively."""
+    return f"{type(f).__qualname__}(" + ", ".join(
+        f"{fl.name}={(repr if fl.name == 'name' else _dataclass_repr)(getattr(f, fl.name))}"
+        for fl in dataclasses.fields(f)) + ")"
+
+
+@given(formulas)
+@example(numeral(-3))
+def test_formula_repr_is_the_dataclass_repr(f):
+    assert repr(f) == _dataclass_repr(f)
+
+
+def test_deep_formula_repr_pickle_and_copy():
+    assert 3000 > sys.getrecursionlimit()
+    f = p
+    for _ in range(3000):
+        f = Imp(f, p)
+    assert repr(f) == "Imp(left=" * 3000 + "Atom(name='p')" + ", right=Atom(name='p'))" * 3000
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g is not f and str(g) == str(f)
+    assert copy.copy(f) is f and copy.deepcopy(f) is f and copy.deepcopy([f])[0] is f
+    assert pickle.loads(pickle.dumps(Fusion(Neg(f), f))) == Fusion(Neg(f), f)
+    assert pickle.loads(pickle.dumps(numeral(-3000))) == numeral(-3000)
 
 
 def _ref_equal(a, b):

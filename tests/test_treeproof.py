@@ -44,9 +44,11 @@ from relcon.syntax import (
     MissingBindingError,
     _larger_first,
     _rule_schemata,
+    formula_size,
     match,
     match_multiset,
     metavars,
+    subformulas,
     substitute,
     unify,
 )
@@ -907,40 +909,83 @@ def test_deep_proof_data_round_trips_and_dump_reports_too_deep():
     assert load_proof(dump_proof(shallow)) == shallow
 
 
-# -- search against the rule use that renamed every rule apart -------------------
+# -- search against the search that generated and tested premise use -------------
 
 
-def _reference_prove_raw(self, goal, avail, budget, theta):
-    # _prove_raw before the head filter: every axiom and rule use is renamed
-    # apart and its conclusion built before it is unified with the goal
-    for f in avail.distinct():
-        mgu = unify(goal, f)
-        if mgu is not None:
-            yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
-    for ax, variables, _ in self._axioms:
-        sigma = self._fresh(variables)
-        mgu = unify(goal, substitute(ax.right, sigma))
-        if mgu is not None:
-            yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
-    if budget < 2:
-        return
-    for rule, variables, _ in self._rules:
-        sigma = self._fresh(variables)
-        mgu = unify(goal, substitute(rule.right, sigma))
-        if mgu is None:
-            continue
-        bound = {**theta, **mgu}
-        subgoals = _larger_first(
-            [_resolve(substitute(s, sigma), bound) for s in rule.left], text=_masked)
-        for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1, bound):
-            yield ProofTree(goal, RuleJust(rule.name, sigma), children), used, theta2
+class _ReferenceState(treeproof._SearchState):
+    """The search before resources were managed: every subgoal may take any
+    part of ``avail``, only the root checks that a proof uses every premise,
+    and the filler is found before the search starts."""
+
+    def __init__(self, system, premises, goal):
+        super().__init__(system, premises, goal)
+        closure = subformulas(goal).union(*map(subformulas, premises.support))
+        self._filler = min(closure, key=lambda f: (formula_size(f), str(f)))
+
+    def prove(self, goal, avail, budget, theta, exact=False):
+        if budget < 1:
+            return
+        goal = _resolve(goal, theta)
+        key = (goal, avail) if goal._ground else None
+        if key is not None and self.fruitless.get(key, 0) >= budget:
+            return
+        yielded = False
+        for result in self._prove_raw(goal, avail, budget, theta):
+            yielded = True
+            yield result
+        if key is not None and not yielded:
+            self.fruitless[key] = budget
+
+    def _prove_raw(self, goal, avail, budget, theta):
+        # before the head filter too: every axiom and rule use is renamed
+        # apart and its conclusion built before it is unified with the goal
+        for f in avail.distinct():
+            mgu = unify(goal, f)
+            if mgu is not None:
+                yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
+        for ax, variables, _ in self._axioms:
+            sigma = self._fresh(variables)
+            mgu = unify(goal, substitute(ax.right, sigma))
+            if mgu is not None:
+                yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
+        if budget < 2:
+            return
+        for rule, variables, _ in self._rules:
+            sigma = self._fresh(variables)
+            mgu = unify(goal, substitute(rule.right, sigma))
+            if mgu is None:
+                continue
+            bound = {**theta, **mgu}
+            subgoals = _larger_first(
+                [_resolve(substitute(s, sigma), bound) for s in rule.left], text=_masked)
+            for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1, bound):
+                yield ProofTree(goal, RuleJust(rule.name, sigma), children), used, theta2
+
+    def _prove_seq(self, subgoals, avail, budget, theta):
+        if not subgoals:
+            yield (), EMPTY, theta
+            return
+        head, rest = subgoals[0], subgoals[1:]
+        for t1, u1, th1 in self.prove(head, avail, budget - len(rest), theta):
+            n1 = t1.node_count()
+            for ts, u2, th2 in self._prove_seq(rest, avail - u1, budget - n1, th1):
+                yield (t1,) + ts, u1 + u2, th2
+
+
+def _reference_search(system, premises, goal, max_nodes):
+    if premises.size > max_nodes:
+        return None
+    state = _ReferenceState(system, premises, goal)
+    for budget in range(1, max_nodes + 1):
+        for tree, used, theta in state.prove(goal, premises, budget, {}):
+            if used == premises and tree.node_count() == budget:
+                return state.ground(tree, theta)
+    return None
 
 
 def _assert_same_witness(system, premises, goal, max_nodes=16):
     got = search(system, premises, goal, max_nodes=max_nodes)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(treeproof._SearchState, "_prove_raw", _reference_prove_raw)
-        want = search(system, premises, goal, max_nodes=max_nodes)
+    want = _reference_search(system, premises, goal, max_nodes)
     assert (got and dump_proof(got)) == (want and dump_proof(want)), (system.name, premises, goal)
     return got
 
@@ -956,6 +1001,45 @@ def test_search_matches_the_reference_on_random_goals(bci, bcio):
                 found += _assert_same_witness(
                     system, premises, tree.formula, tree.node_count()) is not None
     assert found == 160
+
+
+def test_search_matches_the_reference_on_goals_without_proof(bci, bcio):
+    rng = random.Random(11)
+    for system, fusion in ((bci, False), (bcio, True)):
+        for max_nodes in (3, 5):
+            for _ in range(10):
+                tree, premises = random_relevant_proof(rng, system, fusion, max_nodes)
+                goal, bound = tree.formula, tree.node_count()
+                # z occurs in no generated formula: a premise z cannot be used
+                # (z is free in the integer-sum model, which BCI and BCIo
+                # satisfy), and neither can the premises prove a goal z
+                assert _assert_same_witness(system, premises + FMultiset([z]), goal,
+                                            bound + 2) is None
+                assert _assert_same_witness(system, premises, z, bound + 2) is None
+                # nor is there a proof below the bound of the smallest one
+                smallest = search(system, premises, goal, bound).node_count()
+                assert _assert_same_witness(system, premises, goal, smallest - 1) is None
+
+
+def test_search_matches_the_reference_on_every_small_goal(bci):
+    # every goal over a, b and their implications, from up to two premises:
+    # in K a rule's conclusion is its first premise, so a subgoal repeats its
+    # goal over the same premises, once as the root and once as a part
+    k = parse_system("system K\naxiom I : p -> p\nrule k : p, q |- p\n"
+                     "rule mp : p -> q, p |- q\n")
+    bare = parse_system("system Bare\naxiom I : p -> p\nrule k : p, q |- p\n"
+                        "rule lift : p -> p |- q\n")
+    pair = [Atom("a"), Atom("b")]
+    formulas = pair + [Imp(f, g) for f in pair for g in pair]
+    found = 0
+    for system in (bci, k, bare):
+        for size in range(3):
+            for premises in itertools.combinations_with_replacement(formulas, size):
+                for goal in formulas:
+                    for max_nodes in (3, 5):
+                        found += _assert_same_witness(
+                            system, FMultiset(premises), goal, max_nodes) is not None
+    assert found > 100
 
 
 def test_search_matches_the_reference_on_open_variables():
