@@ -29,24 +29,28 @@ How a check runs:
   list, interned into the same list; its theorems may add coordinates.
   The vectors are per domain, not a global interning table: they die with
   it.
-* **Tables, per check.**  ``_Check`` builds only these: one sum table,
-  keyed by operand indices, and one verdict table, keyed by the sides'
-  indices.  An oracle that says what it reads of a side, its ``image``,
-  gets two more: each index's image, and one verdict per pair of images.
-  A miss in the index table asks the oracle only on a miss in the image
-  table, and only when both sides have an image: a side without one (a
-  query z decides on the grid, say) is asked per pair of indices, as is
-  every query of an oracle without ``image``.  Each table is filled on
-  first use, so the oracle sees each distinct query, or each distinct pair
-  of images, once per check, through its own memo.  Nothing the check
-  holds refers back to it.
+* **Tables, per walk.**  Each walk of a check reads one ``_Table``, the
+  one verdict table of the package, which ``theory.quotient_check`` reads
+  too: one sum table, keyed by operand indices, and one verdict table,
+  keyed by the sides' indices.  An oracle that says what it reads of a
+  side, its ``image``, gets each index's representative too: the first
+  index of its kind the table met with its image.  A miss in the verdict
+  table looks the pair of representatives up in the same table, and asks
+  the oracle only on a miss there, so once per pair of images.  In the
+  full walk's mode the representatives stand in only when both sides have
+  an image: a side without one (a query z decides on the grid, say) is
+  asked per pair of indices, as is every query of an oracle without
+  ``image``.  Each table is filled on first use, through the oracle's own
+  memo.  Nothing the check holds refers back to it.
 * **Pushdown.**  The exhaustive instances are a loop nest in the canonical
   order, and each antecedent is tested (and each side computed) at the
   shallowest level that binds it (Selinger et al., *Access Path Selection*,
-  1979).  A FAILS antecedent settles its whole subtree, whose instances
-  count as checked by arithmetic; an UNKNOWN one is carried down to the
-  leaf.  Sampling walks the same nest, one drawn instance at a time, with
-  the draws taken over index lists as long as the pools.
+  1979).  A FAILS antecedent settles its whole subtree, and an UNKNOWN one
+  is carried down to the leaf.  The instances checked are counted by
+  arithmetic, from the witness's rank in the canonical order, or all of
+  them where there is none.  Sampling walks the same nest, one drawn
+  instance at a time, with the draws taken over index lists as long as the
+  pools.
 * **Classes.**  A law's verdict on an instance depends only on the image
   class of each variable's value, since images add (``oracles``).  So a
   check on an oracle with ``image`` whose pools' values all have one walks
@@ -56,10 +60,13 @@ How a check runs:
   each member faces a multiset of the family, and each of those multisets
   by its image.  The cap bounds the class tuples, so a check walks its
   classes whenever they fit it, however many instances they stand for.
-  The first violating instance is a tuple of representatives, and the
-  instances counted are the full walk's, by rank.  A side that turns out
-  to have no image sends the check back to the instances: the full walk
-  where they fit the cap, and sampling where they do not.
+  Its table is in the class walk's mode: every side, sums included, stands
+  for its representative.  The first violating instance is a tuple of
+  representatives, and the instances counted are the full walk's, by
+  rank.  A side that turns out to have no image sends the check back to
+  the instances, with a fresh table in the full walk's mode: the full walk
+  where they fit the cap, and sampling where they do not.  The full walk
+  is the same walk, over classes of one value each.
 """
 
 from __future__ import annotations
@@ -68,7 +75,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import add, itemgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -126,9 +133,10 @@ class _Pool:
     (the value of every side "[]"), and ``vectors`` each value's count
     vector: the multiplicity of each formula the pool has met, by the order
     it met them in (``basis``), with no trailing zeros.  A formula's vector
-    is that of [f].  ``index`` maps a formula to its index and a vector to
-    the index of its multiset, so a multiset is interned by its vector, and
-    one is built from a vector only when no value has it yet.  The M, F and
+    is that of [f].  ``index`` maps a formula to its index, a vector to the
+    index of its multiset, and a multiset met from outside to its index, so
+    a multiset is interned by its vector, once per distinct value, and one
+    is built from a vector only when no value has it yet.  The M, F and
     N pools are index lists in the domain's canonical order.  Checks intern
     what they compute into it too, so it grows with them, and it lives as
     long as its domain."""
@@ -155,13 +163,14 @@ class _Pool:
 
     def intern(self, value) -> int:
         """The index of a formula or a multiset."""
-        if type(value) is FMultiset:
-            return self.intern_vector(self.vector(value.items()), value)
         i = self.index.get(value)
         if i is None:
-            i = self.index[value] = len(self.values)
-            self.values.append(value)
-            self.vectors.append(self.vector([(value, 1)]))
+            if type(value) is FMultiset:
+                i = self.index[value] = self.intern_vector(self.vector(value.items()), value)
+            else:
+                i = self.index[value] = len(self.values)
+                self.values.append(value)
+                self.vectors.append(self.vector([(value, 1)]))
         return i
 
     def vector(self, counts) -> tuple[int, ...]:
@@ -195,6 +204,93 @@ def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
     return (*map(add, a, b), *a[len(b):])
+
+
+class _NoImage(Exception):
+    """A class walk met a side with no image, which speaks for no class."""
+
+
+class _Table:
+    """One walk's sums and verdicts over a pool, each found once.
+
+    ``sum`` looks a sum up by its operands' indices, and interns its vector
+    into the pool the first time.  ``ask`` looks a verdict up by its sides'
+    indices, and on a miss by their representatives' (``rep``): the first
+    index of the side's kind, formula or multiset, met with its image
+    (``image_of``, the oracle's ``image``).  Equal images give equal
+    verdicts against a side with an image (``oracles``), so the oracle is
+    asked once per pair of representatives, on their values.  In a full
+    walk's table a side stands for itself, and for its representative only
+    against a side that has an image too.  In a class walk's (``by_class``,
+    set before the first sum or verdict), every side, sums included, stands
+    for its representative, since images add, and a side with no image
+    raises ``_NoImage``: the caller then walks every value, on a fresh
+    table.  ``entails`` reads the table as an oracle, for theory handles.
+    Nothing it holds refers back to the walk."""
+
+    def __init__(self, oracle, pool: Optional[_Pool] = None, by_class: bool = False):
+        pool = pool or _Pool(SampleDomain((), 0))  # the empty multiset at index 0
+        self.oracle, self.pool, self.by_class = oracle, pool, by_class
+        self.values, self.intern = pool.values, pool.intern
+        self.image_of = getattr(oracle, "image", None)  # side -> its image, or None
+        self.sums: dict = {}  # the operands' indices -> their sum's
+        # (left, right) indices -> Verdict; a family's key is (its indices, G)
+        self.verdicts: dict = {}
+        self.reps: dict[int, Optional[int]] = {}  # index -> its representative, or None
+        self.firsts: tuple[dict, dict] = {}, {}  # per kind: image -> the first index met with it
+
+    def rep(self, i: int) -> Optional[int]:
+        """The representative of index ``i``, found once per table: None
+        when its value has no image, which a class walk cannot read."""
+        reps = self.reps
+        if i in reps:
+            r = reps[i]
+        else:
+            value = self.values[i]
+            image = None if self.image_of is None else self.image_of(value)
+            # a formula and its lone multiset share an image but not a place
+            r = reps[i] = (None if image is None else
+                           self.firsts[type(value) is FMultiset].setdefault(image, i))
+        if r is None and self.by_class:
+            raise _NoImage
+        return r
+
+    def sum(self, x) -> int:
+        """The index of the sum of the values at ``x``: an index, or a tuple
+        of indices and families' tuples; in a class walk, its representative."""
+        i = self.sums.get(x)
+        if i is None:
+            vec, vectors = (), self.pool.vectors
+            for j in (x if type(x) is tuple else (x,)):
+                if type(j) is tuple:  # a family's multisets
+                    vec = reduce(_vadd, map(vectors.__getitem__, j), vec)
+                else:
+                    vec = _vadd(vec, vectors[j]) if vec else vectors[j]
+            i = self.pool.intern_vector(vec)
+            self.sums[x] = i = self.rep(i) if self.by_class else i
+        return i
+
+    def ask(self, key: tuple) -> Verdict:
+        """The verdict on a pair of indices; a family's holds when each of
+        its multisets entails its element of G."""
+        v = self.verdicts.get(key)
+        if v is None:
+            left, right = key
+            if type(left) is tuple:
+                v = all3(map(self.ask, zip(left, map(self.intern, self.values[right]))))
+            else:
+                a = self.rep(left)
+                b = None if a is None else self.rep(right)
+                pair = key if b is None else (a, b)
+                v = self.verdicts.get(pair)
+                if v is None:
+                    v = self.verdicts[pair] = self.oracle.entails(self.values[pair[0]],
+                                                                  self.values[pair[1]])
+            self.verdicts[key] = v
+        return v
+
+    def entails(self, premises, conclusions) -> Verdict:
+        return self.ask((self.intern(premises), self.intern(conclusions)))
 
 
 @dataclass
@@ -341,10 +437,6 @@ def law_names(symmetric: bool) -> list[str]:
     return list((SYM_LAWS if symmetric else ASYM_LAWS).keys())
 
 
-class _NoImage(Exception):
-    """A class walk asked a side with no image, which speaks for no class."""
-
-
 class _Check:
     """One law over one domain, on the domain's interned values.
 
@@ -353,20 +445,20 @@ class _Check:
     one index per variable (a tuple of them for a family), then one per side
     that is not a lone variable.  The instances are the canonical loop nest,
     one level per variable, and each level runs its steps of the law's plan.
-    Sums are looked up by their operands' indices and verdicts by their
-    sides', or where both sides have images by the pair of images, each
-    table filled on first use, so the oracle sees each distinct query once
-    per check, through its own memo, and a query an earlier check on the
-    domain asked reaches the memo as the same objects.  Where the classes
-    fit the cap, the check walks one representative per class instead
-    (``walk_classes``).  The check holds its tables and the domain's pool,
+    Sums and verdicts come from the walk's ``_Table``, each filled on first
+    use, so the oracle sees each distinct query, or each distinct pair of
+    images, once per walk, through its own memo, and a query an earlier
+    check on the domain asked reaches the memo as the same objects.  Every
+    exhaustive walk is ``walk_classes``: over one representative per class
+    where the classes fit the cap, and otherwise over every value, each a
+    class of its own.  The check holds its table and the domain's pool,
     none of which refers back to it.
     """
 
     def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
         self.law, self.dom, self.oracle = law, dom, oracle
         self.pool = pool = dom._pool
-        self.values, self.intern = pool.values, pool.intern
+        self.values = pool.values
         kinds, n = law.kinds, len(law.kinds)
 
         # the pools as index lists; a family, always last, has one multiset
@@ -380,62 +472,21 @@ class _Check:
         self.family = kinds[-1] not in _POOLS
         self.fixed = [pools[k] for k in kinds[:n - self.family]]
         self.at = law.names.index(kinds[-1]) if self.family else n
-        self.sums: dict = {}  # the operands' indices -> their sum's
-        # (left, right) indices -> Verdict; a family's key is (its indices, G)
-        self.verdicts: dict = {}
-        # an oracle that says what it reads is asked once per pair of images
-        self.image = getattr(oracle, "image", None)
-        self.images: dict = {}  # index -> the oracle's image of its value
-        self.by_image: dict = {}  # (left, right) images -> Verdict
+        self.table = _Table(oracle, pool)  # the next walk's sums and verdicts
+
+    @property
+    def by_class(self) -> bool:
+        """Whether the last walk read one value per class."""
+        return self.table.by_class
 
     def place(self, steps: tuple) -> None:
         """Compute sides into the instance, each looked up by its operands'
-        indices: its vector is the sum of theirs (of each of a family's
-        multisets), interned by vector the first time."""
-        inst, sums, vectors = self.inst, self.sums, self.pool.vectors
+        indices in the table."""
+        inst, get, add = self.inst, self.table.sums.get, self.table.sum
         for at, key in steps:
             x = key(inst)
-            i = sums.get(x)
-            if i is None:
-                vec = ()
-                for j in (x if type(x) is tuple else (x,)):
-                    for k in (j if type(j) is tuple else (j,)):  # a family's multisets
-                        vec = _vadd(vec, vectors[k])
-                i = sums[x] = self.pool.intern_vector(vec)
-            inst[at] = i
-
-    def ask(self, key: tuple) -> Verdict:
-        """The verdict on a pair of indices; a family's holds when each of
-        its multisets entails its element of G."""
-        v = self.verdicts.get(key)
-        if v is None:
-            left, right = key
-            if type(left) is tuple:
-                v = all3(map(self.ask, zip(left, map(self.intern, self.values[right]))))
-            else:
-                pair = None
-                if self.image is not None:
-                    a = self.image_of(left)
-                    b = None if a is None else self.image_of(right)
-                    if b is not None:  # merged only when both sides have images
-                        pair = a, b
-                        v = self.by_image.get(pair)
-                if v is None:
-                    if pair is None and self.by_class:
-                        raise _NoImage
-                    v = self.oracle.entails(self.values[left], self.values[right])
-                    if pair is not None:
-                        self.by_image[pair] = v
-            self.verdicts[key] = v
-        return v
-
-    def image_of(self, i: int):
-        """The oracle's image of value ``i``, looked up once per check."""
-        images = self.images
-        if i in images:
-            return images[i]
-        image = images[i] = self.image(self.values[i])
-        return image
+            i = get(x)
+            inst[at] = add(x) if i is None else i
 
     # -- the loop nest --------------------------------------------------------------
 
@@ -451,41 +502,39 @@ class _Check:
         return sizes
 
     def run(self) -> LawResult:
-        law, dom, n = self.law, self.dom, len(self.law.kinds)
-        sizes = self.sizes(self.fixed + [self.multisets] * self.family)
+        law, dom = self.law, self.dom
+        pools = self.fixed + [self.multisets] * self.family
+        sizes = self.sizes(pools)
         count = math.prod(sizes)
-        self.tails = [math.prod(sizes[k + 1:]) for k in range(n)]
+        self.tails = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
         # the cap bounds the class tuples where classes apply, and the
         # instances elsewhere
         classes = self.classes()
         found = None
         if classes is not None and math.prod(self.sizes(classes)) <= dom.exhaustive_cap:
+            self.table.by_class = True
             found = self.walk_classes(classes, count)
         # without a class walk, or after one that met a side with no image,
         # the instances decide between the full walk and sampling
         exhaustive = found is not None or count <= dom.exhaustive_cap or not count
-        if found is None:  # the full walk: the family's pool is per choice of G
-            # per level, the instances a FAILS there skips: one per draw when
-            # sampling; None from G's level to the family's, where G's size
-            # decides it
-            skips = ([None if self.at <= k < len(self.fixed) else self.tails[k]
-                      for k in range(n)] if exhaustive else [1] * n)
-            self.start(self.fixed + [None] * self.family, skips, self.multisets)
-            if exhaustive:
-                found = self.walk(0, False)
-            else:
-                # one instance per draw, drawn whole before any test, so the
-                # draws follow the pools whatever the verdicts
-                rng, found = random.Random(dom.seed), False
-                for _ in range(dom.sample_count):
-                    self.drawn = [rng.choice(pool) for pool in self.fixed]
-                    if self.family:
-                        size = self.values[self.drawn[self.at]].size
-                        self.drawn.append(tuple(rng.choice(self.multisets)
-                                                for _ in range(size)))
-                    if self.walk(0, False):
-                        found = True
-                        break
+        if found is None and exhaustive:  # the full walk: each value its own class
+            found = self.walk_classes([{i: pos for pos, i in enumerate(pool)}
+                                       for pool in pools], count)
+        elif found is None:
+            # one instance per draw, drawn whole before any test, so the
+            # draws follow the pools whatever the verdicts
+            self.start(self.fixed + [None] * self.family, None)
+            rng, found = random.Random(dom.seed), False
+            for _ in range(dom.sample_count):
+                self.drawn = [rng.choice(pool) for pool in self.fixed]
+                if self.family:
+                    size = self.values[self.drawn[self.at]].size
+                    self.drawn.append(tuple(rng.choice(self.multisets)
+                                            for _ in range(size)))
+                self.checked += 1
+                if self.walk(0, False):
+                    found = True
+                    break
         if found:
             get = self.values.__getitem__
             witness = {name: get(i) if kind in _POOLS else tuple(map(get, i))
@@ -494,30 +543,30 @@ class _Check:
         status = "inconclusive" if self.sawunknown or not self.checked else "passed"
         return LawResult(law.name, status, None, exhaustive, self.checked)
 
-    def start(self, pools: list, skips: list, members: list, by_class: bool = False) -> None:
+    def start(self, pools: list, members: Optional[list]) -> None:
         """Set the loop nest up over ``pools``, a family's multisets drawn
         from ``members``, with nothing checked yet."""
-        self.levels = list(zip(pools, self.law.levels, skips))
+        self.levels = list(zip(pools, self.law.levels))
         self.members = members
         self.inst = [0] * self.law.slots
         self.checked, self.sawunknown, self.drawn = 0, False, None
-        self.by_class = by_class
 
     def classes(self) -> Optional[list[dict[int, int]]]:
         """Per fixed pool, and last, for a family, the pool its multisets
         are drawn from: the first value of each class, mapped to its
-        position in the pool, in the pool's order.  A class is an
-        image, but at G's level of a family law it is the multiset of the
-        images of G's members, which each face a multiset of the family.
-        None for an oracle without ``image``, or a pool with a value that
-        has none (or, at G's level, a member that has none)."""
-        if self.image is None:
+        position in the pool, in the pool's order.  A class is an image,
+        read as the table's representative, but at G's level of a family
+        law it is the multiset of the images of G's members, which each face
+        a multiset of the family.  None for an oracle without ``image``, or
+        a pool with a value that has none (or, at G's level, a member that
+        has none)."""
+        if self.table.image_of is None:
             return None
         out = []
         for k, pool in enumerate(self.fixed + [self.multisets] * self.family):
             first: dict = {}  # class -> (its first value, that value's position)
             for pos, i in enumerate(pool):
-                key = self.member_images(i) if self.family and k == self.at else self.image_of(i)
+                key = self.member_images(i) if self.family and k == self.at else self.table.rep(i)
                 if key is None:
                     return None
                 if key not in first:
@@ -527,20 +576,23 @@ class _Check:
 
     def member_images(self, i: int) -> Optional[frozenset]:
         """The multiset of the images of value ``i``'s members, as a set of
-        (image, multiplicity) pairs; None when a member has no image."""
+        (representative, multiplicity) pairs; None when a member has no
+        image."""
         counts: dict = {}
+        table = self.table
         for f, k in self.values[i].items():
-            image = self.image_of(self.intern(f))
-            if image is None:
+            r = table.rep(table.intern(f))
+            if r is None:
                 return None
-            counts[image] = counts.get(image, 0) + k
+            counts[r] = counts.get(r, 0) + k
         return frozenset(counts.items())
 
     def walk_classes(self, classes: list[dict[int, int]], count: int) -> Optional[bool]:
         """The exhaustive walk over one representative per class: True at
         the first violating instance, False when there is none, and None
-        when a side asked has no image, which ``run`` then settles without
-        the classes.
+        when a class walk's side has no image, which ``run`` then settles
+        without the classes, on a fresh table.  The full walk is this walk
+        over classes of one value each.
 
         A side is a sum of representatives, whose image is that of the sum
         of any values of their classes (the additivity in ``oracles``), so
@@ -565,13 +617,12 @@ class _Check:
         Without one, every instance answers as its tuple of representatives,
         so the check passes, or is inconclusive, as the full walk would.
         """
-        n = len(self.law.kinds)
-        members = list(classes[-1]) if self.family else self.multisets
-        self.start(classes[:len(self.fixed)] + [None] * self.family, [0] * n, members,
-                   by_class=True)
+        members = list(classes[-1]) if self.family else None
+        self.start(classes[:len(self.fixed)] + [None] * self.family, members)
         try:
             found = self.walk(0, False)
         except _NoImage:
+            self.table = _Table(self.oracle, self.pool)
             return None
         self.checked = 1 + self.rank(classes) if found else count
         return found
@@ -579,9 +630,10 @@ class _Check:
     def rank(self, positions: list[dict[int, int]]) -> int:
         """The instances the full walk meets before the current one, by its
         mixed radix in the pools, each value's position read in
-        ``positions``.  A choice of G weighs its families, as ``below``
-        does, and a family is a number in base |M|, its first multiset the
-        most significant digit, as ``itertools.product`` runs."""
+        ``positions``.  A choice of G weighs its families, and so does each
+        choice below it down to the family, whose size G binds; a family is
+        a number in base |M|, its first multiset the most significant digit,
+        as ``itertools.product`` runs."""
         inst, tails, m = self.inst, self.tails, len(self.multisets)
         rank = 0
         for k, pos in enumerate(positions[:len(self.fixed)]):
@@ -591,18 +643,13 @@ class _Check:
             elif k == self.at:
                 rank += tails[k] * sum(m ** self.values[g].size for g in self.fixed[k][:p])
             else:
-                rank += p * self.below(k)
+                rank += p * tails[k] * m ** self.values[inst[self.at]].size
         if self.family:
             number = 0
             for i in inst[len(self.fixed)]:
                 number = number * m + positions[-1][i]
             rank += number
         return rank
-
-    def below(self, k: int) -> int:
-        """The instances below the current choice at level k, which binds
-        the family's size."""
-        return self.tails[k] * len(self.multisets) ** self.values[self.inst[self.at]].size
 
     def walk(self, k: int, unknown: bool) -> bool:
         """Run the instances below level k; True at the first violating one.
@@ -611,14 +658,14 @@ class _Check:
         UNKNOWN one is carried down: it leaves an instance UNKNOWN unless the
         conclusion holds.
         """
-        inst, get = self.inst, self.verdicts.get
-        pool, (early, tests, late), skip = self.levels[k]
+        inst, table = self.inst, self.table
+        get = table.verdicts.get
+        pool, (early, tests, late) = self.levels[k]
         if self.drawn:
             pool = (self.drawn[k],)
         elif pool is None:  # the family: one multiset per element of G
             pool = itertools.product(self.members, repeat=self.values[inst[self.at]].size)
         leaf, conclusion = k == len(self.levels) - 1, self.law.conclusion
-        checked, found = 0, False
         for i in pool:
             inst[k] = i
             if early:
@@ -628,9 +675,8 @@ class _Check:
                 x = key(inst)
                 v = get(x)
                 if v is None:
-                    v = self.ask(x)
+                    v = table.ask(x)
                 if v is FAILS:
-                    checked += self.below(k) if skip is None else skip
                     break
                 if v is UNKNOWN:
                     u = True
@@ -639,21 +685,17 @@ class _Check:
                     self.place(late)
                 if not leaf:
                     if self.walk(k + 1, u):
-                        found = True
-                        break
+                        return True
                     continue
-                checked += 1
                 x = conclusion(inst)
                 v = get(x)
                 if v is None:
-                    v = self.ask(x)
+                    v = table.ask(x)
                 if v is FAILS and not u:
-                    found = True
-                    break
+                    return True
                 if v is not HOLDS:
                     self.sawunknown = True
-        self.checked += checked
-        return found
+        return False
 
 
 def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:

@@ -18,11 +18,13 @@ turnstile, and the same ``entails_all_theorems``; a formula's image is that
 of its lone multiset.  Images add: if two sides A and A' have equal images,
 neither None, and a third side B has an image, then A+B and A'+B have
 equal images, neither None (a formula side read as its lone multiset).  The
-law battery and ``theory.quotient_check`` ask such an oracle once per pair
-of images instead of once per pair of sides, and walk one value per image
-class.  AbelianOracle's image is its memoised reading of the side: for z
-the affine form of its sum, and forms add; for p whether its least value
-is negative and for leq that value, and least values add as a minimum.  A
+law battery and ``theory.quotient_check`` read verdicts through one table,
+``laws._Table``, that asks such an oracle once per pair of images: in a
+full walk only where both sides have one, and in a walk of one value per
+image class for every side, sums included.  AbelianOracle's image is its
+memoised reading of the side: for z the affine form of its sum, and forms
+add; for p whether its least value is negative and for leq that value, and
+least values add as a minimum.  A
 Symmetrization over a monotone_contractive base with images pairs the
 base's image of the side with the set of its members' images, which add as
 an OR and a union.  The images are derived on demand, and ``entails`` does

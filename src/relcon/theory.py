@@ -7,12 +7,15 @@ characterization (Th(D) is contained in Th(G) iff G |- D).  Theories form an
 Abelian monoid under generator sum with the empty-generator theory as zero,
 and mutual derivability of generators is a congruence for that sum.
 
-``quotient_check`` verifies that structure on sample generators.  It builds
-each sum once, asks the oracle once per pair of images, and, where the
-oracle has images and the first generator of each image derives itself,
+``quotient_check`` verifies that structure on sample generators.  It reads
+its sums and verdicts from the law battery's one table, ``laws._Table``,
+so it builds each sum once and asks the oracle once per pair of images.
+Where every side it meets has an image and the first generator of each
+image derives itself, the table is in its class walk's mode and the check
 walks one generator per image: its failure lines name those generators,
 and it reports the full walk's verdicts, witness and first line of each
-kind of failure.  Elsewhere it walks every generator.
+kind of failure.  Elsewhere it walks every generator, and a side with no
+image sends it to a fresh table in the full walk's mode.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional, Sequence
 
 from .multiset import EMPTY, FMultiset
 from .oracles import HOLDS, SymmetricOracle, Verdict, all3
-from .laws import SampleDomain, _Pool, _vadd, check_law
+from .laws import SampleDomain, _NoImage, _Table, check_law
 
 
 class OracleMismatchError(Exception):
@@ -102,80 +105,6 @@ class QuotientReport:
         return self.monotone_witness is None
 
 
-class _Asked(SymmetricOracle):
-    """An oracle's verdicts on some sides and their sums, each asked once.
-
-    Each side is interned by its count vector into a ``laws._Pool``, so a
-    sum is built once per distinct vector and found again by its operands'
-    indices (``add``).  Where the oracle has ``image``, each side stands
-    for the first side met with its image (``rep``), and a sum is that of
-    its image: the contract gives equal images equal verdicts, and images
-    add.  A side without an image stands for itself.  The oracle is asked
-    once per pair of representatives, so once per pair of images where both
-    sides have one.  The table is an oracle itself, under a name of its own,
-    so theory handles built over it read the same verdicts."""
-
-    def __init__(self, oracle: SymmetricOracle):
-        self.oracle, self.name = oracle, f"{oracle.name} (table)"
-        self.pool = _Pool(SampleDomain((), 0))  # the empty multiset at index 0
-        self.values = self.pool.values
-        self.image_of = getattr(oracle, "image", None)
-        self.reps: dict[int, int] = {}  # index -> the first index with its image
-        self.by_image: dict = {}  # image -> the first index with it
-        self.sums: dict[tuple[int, int], int] = {}  # operand indices -> the sum's rep
-        self.verdicts: dict[tuple[int, int], Verdict] = {}  # pair of indices -> Verdict
-        self.by_reps: dict[tuple[int, int], Verdict] = {}  # pair of reps -> Verdict
-        self.indices: dict[FMultiset, int] = {}  # side -> its index
-
-    def rep(self, i: int) -> int:
-        """The first index met with the image of index ``i``; ``i`` itself
-        when it has none."""
-        r = self.reps.get(i)
-        if r is None:
-            image = None if self.image_of is None else self.image_of(self.values[i])
-            r = self.reps[i] = i if image is None else self.by_image.setdefault(image, i)
-        return r
-
-    def firsts(self, sides: list[int]) -> Optional[list[int]]:
-        """The first side of each image among ``sides``, in their order;
-        None when one of them has no image."""
-        firsts = list(dict.fromkeys(map(self.rep, sides)))
-        return firsts if set(firsts) <= set(self.by_image.values()) else None
-
-    def add(self, i: int, j: int) -> int:
-        """The representative of the sum of two indices' values."""
-        s = self.sums.get((i, j))
-        if s is None:
-            vectors = self.pool.vectors
-            s = self.sums[i, j] = self.rep(
-                self.pool.intern_vector(_vadd(vectors[i], vectors[j])))
-        return s
-
-    def ask(self, i: int, j: int) -> Verdict:
-        """The verdict on two indices' values, asked of the oracle on the
-        first pair of their representatives."""
-        v = self.verdicts.get((i, j))
-        if v is None:
-            key = self.rep(i), self.rep(j)
-            v = self.by_reps.get(key)
-            if v is None:
-                v = self.by_reps[key] = self.oracle.entails(self.values[key[0]],
-                                                            self.values[key[1]])
-            self.verdicts[i, j] = v
-        return v
-
-    def entails(self, premises: FMultiset, conclusions: FMultiset) -> Verdict:
-        return self.ask(self.index(premises), self.index(conclusions))
-
-    def index(self, side: FMultiset) -> int:
-        """The index of a side, found by the side itself after the first
-        time: theory handles hand the same multisets over and over."""
-        i = self.indices.get(side)
-        if i is None:
-            i = self.indices[side] = self.pool.intern(side)
-        return i
-
-
 def quotient_check(oracle: SymmetricOracle,
                    generators: Sequence[FMultiset]) -> QuotientReport:
     """Exhaustively verify the monoid/congruence/order structure on samples.
@@ -189,12 +118,13 @@ def quotient_check(oracle: SymmetricOracle,
     order (it does iff the oracle is monotone).
 
     Each distinct sum is built once, and the oracle is asked once per pair
-    of images, or of sides where one has no image (``_Asked``).  Where the
-    oracle has ``image``, every generator has one, and the first generator
-    of each image derives itself, the checks walk only those first
-    generators, in the generators' order (Ip and Dill, *Better Verification
-    Through Symmetry*, 1996).  This gives the full walk's ``all_ok``,
-    ``monotone_witness``, kinds of failure and first line of each kind:
+    of images, or of sides where one has no image (``laws._Table``).  Where
+    every side met has an image, and the first generator of each image
+    derives itself, the table is in its class walk's mode and the checks
+    walk only those first generators, in the generators' order (Ip and
+    Dill, *Better Verification Through Symmetry*, 1996).  This gives the
+    full walk's ``all_ok``, ``monotone_witness``, kinds of failure and first
+    line of each kind:
 
     * each check's verdict on a tuple of generators reads only their images,
       since a sum's image is fixed by its operands' images;
@@ -212,20 +142,31 @@ def quotient_check(oracle: SymmetricOracle,
 
     A failure that repeats across an image class gives fewer lines.  The
     reflexivity guard matters: without it a class need not be a union of
-    image classes.  Elsewhere every generator is walked.  The monotone
-    witness reads the submultiset order, which images do not keep, so it is
-    always sought over every generator, with verdicts from the same table.
+    image classes.  Elsewhere every generator is walked, and a side with no
+    image restarts the check on a fresh table in the full walk's mode.  The
+    monotone witness reads the submultiset order, which images do not keep,
+    so it is always sought over every generator, with verdicts from the
+    same table.
     """
-    table = _Asked(oracle)
-    every = list(map(table.index, generators))
-    firsts = table.firsts(every)
-    gens = (firsts if firsts is not None and all(table.ask(r, r) is HOLDS for r in firsts)
-            else every)
-    v, add = table.values, table.add  # v: index -> multiset
+    try:
+        return _quotient(_Table(oracle, by_class=True), generators)
+    except _NoImage:
+        return _quotient(_Table(oracle), generators)
+
+
+def _quotient(table: _Table, generators: Sequence[FMultiset]) -> QuotientReport:
+    """``quotient_check`` over one table, in the mode it was made in."""
+    every = list(map(table.intern, generators))
+    gens = every
+    if table.by_class:
+        firsts = list(dict.fromkeys(map(table.rep, every)))
+        if all(table.ask((r, r)) is HOLDS for r in firsts):
+            gens = firsts
+    v, add, ask = table.values, table.sum, table.ask  # add: (a, b) -> a+b
     report = QuotientReport()
 
     def entails(a: int, b: int) -> bool:
-        return table.ask(a, b) is HOLDS
+        return ask((a, b)) is HOLDS
 
     def equiv(a: int, b: int) -> bool:
         return entails(a, b) and (a == b or entails(b, a))
@@ -251,10 +192,10 @@ def quotient_check(oracle: SymmetricOracle,
     # congruence for sum, and order well-definedness, on class representatives
     for rep_a, mem_a in classes.items():
         for rep_b, mem_b in classes.items():
-            both = add(rep_a, rep_b)
+            both = add((rep_a, rep_b))
             for a in mem_a:
                 for b in mem_b:
-                    if not equiv(both, add(a, b)):
+                    if not equiv(both, add((a, b))):
                         fail("congruence", f"{v[rep_a]}+{v[rep_b]} vs {v[a]}+{v[b]}")
                     if entails(rep_a, rep_b) != entails(a, b):
                         fail("order",
@@ -265,20 +206,20 @@ def quotient_check(oracle: SymmetricOracle,
         for b in classes:
             if entails(a, b):
                 for c in classes:
-                    if not entails(add(a, c), add(b, c)):
+                    if not entails(add((a, c)), add((b, c))):
                         fail("order-compatibility",
                              f"{v[a]} |- {v[b]} but not {v[a]}+{v[c]} |- {v[b]}+{v[c]}")
 
     # monoid laws up to theory equality; index 0 is the empty multiset
     for a in classes:
-        if not equiv(add(a, 0), a):
+        if not equiv(add((a, 0)), a):
             fail("monoid", f"identity fails at {v[a]}")
         for b in classes:
-            ab = add(a, b)
-            if not equiv(ab, add(b, a)):
+            ab = add((a, b))
+            if not equiv(ab, add((b, a))):
                 fail("monoid", f"commutativity fails at {v[a]}, {v[b]}")
             for c in classes:
-                if not equiv(add(ab, c), add(a, add(b, c))):
+                if not equiv(add((ab, c)), add((a, add((b, c))))):
                     fail("monoid", "associativity fails")
 
     # relation, membership and containment agree three ways, and the
@@ -286,7 +227,7 @@ def quotient_check(oracle: SymmetricOracle,
     handles = [(g, TheoryHandle(v[g], table)) for g in gens]
     for a, ta in handles:
         for b, tb in handles:
-            direct = table.ask(a, b)
+            direct = ask((a, b))
             member, contained = th_contains(ta, v[b]), th_leq(tb, ta)
             if not (direct is member is contained):
                 fail("three-way", f"{v[a]} |- {v[b]}")
@@ -305,14 +246,14 @@ def quotient_check(oracle: SymmetricOracle,
     return report
 
 
-def _monotone_mapping_breach(table: _Asked, gens: list[int]
+def _monotone_mapping_breach(table: _Table, gens: list[int]
                              ) -> Optional[tuple[FMultiset, FMultiset]]:
     """The first a <= b among the indices gens with Th(a) not contained in
     Th(b), that is, with b not deriving a; None when Th is monotone on gens."""
     v = table.values
     for a in gens:
         for b in gens:
-            if v[a] <= v[b] and table.ask(b, a) is not HOLDS:
+            if v[a] <= v[b] and table.ask((b, a)) is not HOLDS:
                 return v[a], v[b]
     return None
 
@@ -359,6 +300,6 @@ def monotone_mapping_agrees(oracle: SymmetricOracle,
                             dom: SampleDomain) -> tuple[bool, bool]:
     """(oracle passes Monotonicity on dom, Th preserves submultiset order on dom)."""
     law = check_law(oracle, "Monotonicity", dom)
-    table = _Asked(oracle)
-    gens = list(map(table.index, dom.multisets()))
+    table = _Table(oracle)
+    gens = list(map(table.intern, dom.multisets()))
     return law.passed, _monotone_mapping_breach(table, gens) is None

@@ -994,8 +994,8 @@ def test_the_class_walk_fills_its_tables_per_class():
     check = _Check(ASYM_LAWS["TheoremRemoval"], make_z_oracle(), numeral_domain(max_size=3))
     result = check.run()
     assert (result.status, result.exhaustive, result.checked) == ("passed", True, 29400)
-    assert len(check.sums) <= 19 * 10
-    assert len(check.verdicts) <= 19 * 10 * 7
+    assert len(check.table.sums) <= 19 * 10
+    assert len(check.table.verdicts) <= 19 * 10 * 7
 
 
 def test_sample_domain_is_frozen():

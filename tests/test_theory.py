@@ -1,14 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcon import (
     FAILS,
     HOLDS,
     UNKNOWN,
+    AbelianSymmetricOracle,
+    FMultiset,
     OracleMismatchError,
     PreconditionError,
     SampleDomain,
+    Symmetrization,
     interderivable,
     numeral,
     parse_formula,
@@ -26,7 +30,7 @@ from relcon.laws import MonotonicCompanion
 from relcon.oracles import SymmetricOracle, verdict
 from relcon.semantics import AbelianOracle, IdentityOracle
 from relcon.theory import monotone_mapping_agrees
-from conftest import numeral_domain
+from conftest import make_p_oracle, numeral_domain
 
 ms = parse_multiset
 
@@ -265,6 +269,33 @@ def test_the_image_walk_agrees_with_the_full_walk(zsym, psym, oracle_name, lo, h
     gens = SampleDomain(tuple(numeral(k) for k in range(lo, hi + 1)), max_size=2).multisets()
     got, full = _agrees_with_the_full_walk(oracle, gens)
     assert got == full and got.all_ok
+
+
+def test_a_generator_without_an_image_sends_the_check_to_the_full_walk(zsym):
+    # [0 /\ 1] has no image, and z decides [a, ~a] |- [0 /\ 1] on the grid:
+    # read as [0] |- [0 /\ 1], it would hold, and the equivalence and order
+    # failures it makes would be lost
+    gens = [ms("[0]"), ms("[a, ~a]"), ms("[0 /\\ 1]")]
+    got, full = _agrees_with_the_full_walk(zsym, gens)
+    assert got == full
+    assert {"equivalence: class of [0] is not transitive at [a, ~a] / [0 /\\ 1]",
+            "order: order differs across class members: [a, ~a] |- [0 /\\ 1]"
+            } <= set(got.failures)
+
+
+# the multisets of at most two of numerals, atoms, a negated atom and
+# lattice formulas: some sides have images, some share one, and some (a
+# lattice side, for z) have none
+_MIXED = SampleDomain(tuple(map(parse_formula, (
+    "0", "1", "-1", "a", "~a", "a -> a", "0 /\\ 1", "1 \\/ a"))), max_size=2).multisets()
+
+
+@given(symmetrization=st.booleans(),
+       gens=st.lists(st.sampled_from(_MIXED), min_size=2, max_size=8, unique=True))
+@settings(max_examples=200, deadline=None)
+def test_the_image_walk_agrees_with_the_full_walk_on_mixed_generators(symmetrization, gens):
+    oracle = Symmetrization(make_p_oracle()) if symmetrization else AbelianSymmetricOracle()
+    _agrees_with_the_full_walk(oracle, gens)
 
 
 @pytest.mark.parametrize("size", [2, 3])
