@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     _command(sub, "symmetrize", "query the symmetrized oracle", cmd_symmetrize,
              "--oracle", "--premises", "--conclusions"
              ).add_argument("--cap", type=_bound, default=10 ** 6,
-                            help="ordered-partition cap; exceeding it reports unknown")
+                            help="cap on the premises' partitions into min(n, 3) "
+                                 "parts, n conclusions; past it, unknown")
 
     _command(sub, "matrix-eval", "evaluate a formula in a matrix", cmd_matrix_eval,
              "--matrix", "--formula").add_argument("--valuation", help="e.g. 'a=2,b=0,c=1'")

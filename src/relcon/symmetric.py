@@ -353,36 +353,8 @@ def _fitting(cands: list[Formula], extras: list[int], bounds: list[int],
 # -- symmetrization ------------------------------------------------------------------
 
 
-def _ordered_partitions(gamma: FMultiset, n: int) -> Iterator[tuple[FMultiset, ...]]:
-    """The n-tuples of multisets summing to gamma, first part outermost.
-
-    Each part but the last runs over the submultisets of what the parts
-    before it leave, and the last takes the rest.  The open parts' choices
-    are an explicit stack of iterators, not nested generators, so n may lie
-    far past the recursion limit."""
-    if n < 2:
-        if n == 1 or n == 0 and not gamma:
-            yield (gamma,) * n
-        return
-    parts: list[FMultiset] = []  # the parts chosen so far
-    rests = [gamma]  # what the parts chosen so far leave, one more than parts
-    choices = [submultisets(gamma)]  # the open parts' remaining choices
-    while choices:
-        part = next(choices[-1], None)
-        if part is None:  # back to the part before
-            choices.pop()
-            rests.pop()
-            if parts:
-                parts.pop()
-        elif len(choices) == n - 1:  # the last part takes the rest
-            yield (*parts, part, rests[-1] - part)
-        else:
-            parts.append(part)
-            rests.append(rests[-1] - part)
-            choices.append(submultisets(rests[-1]))
-
-
 def partition_count(gamma: FMultiset, n: int) -> int:
+    """The number of ordered partitions of gamma into n parts."""
     total = 1
     for x in gamma.support:
         total *= math.comb(gamma.count(x) + n - 1, n - 1)
@@ -399,20 +371,41 @@ def symmetrize_query(oracle: ConsequenceOracle, premises: FMultiset,
     (the appropriate definition for that case), so it asks the oracle once
     for every distinct conclusion: Kleene AND is commutative and idempotent.
     Empty conclusions delegate to the oracle's entails-every-theorem test.
-    Partitions are enumerated first part outermost, each part's submultisets
-    smallest first.  Exceeding the partition cap is reported as UNKNOWN,
-    never guessed.
+
+    Otherwise the partitions are not listed.  Kleene AND and OR are min and
+    max in the order FAILS < UNKNOWN < HOLDS, and min distributes over max,
+    so a table ``rests`` from what the parts so far leave to the best AND of
+    their verdicts gives the OR over all partitions.  It starts as
+    {premises: HOLDS}; each conclusion but the last takes every submultiset
+    of every rest, dropping a way whose AND is FAILS, and the last takes the
+    whole rest.  It is a loop over the conclusions, so any number of them
+    runs without recursion.  The cap bounds the table's work: one step
+    visits at most ``partition_count(premises, 3)`` (rest, part) pairs, each
+    a split of the premises into what earlier parts took, the part and what
+    it leaves.  So past the cap on ``partition_count(premises, min(n, 3))``,
+    n the number of conclusions, the answer is UNKNOWN, never guessed, and
+    within it the oracle is asked at most n times the cap.  The count never
+    decreases with its part count, so no query whose ordered partitions
+    number within the cap is cut off.
     """
     if conclusions.is_empty():
         return oracle.entails_all_theorems(premises)
     if oracle.monotone_contractive:
         return all3(oracle.entails(premises, chi) for chi, _ in conclusions.items())
-    targets = list(conclusions)
-    n = len(targets)
-    if partition_count(premises, n) > partition_cap:
+    *firsts, last = conclusions
+    if partition_count(premises, min(len(firsts) + 1, 3)) > partition_cap:
         return UNKNOWN
-    return any3(all3(oracle.entails(part, chi) for part, chi in zip(parts, targets))
-                for parts in _ordered_partitions(premises, n))
+    rests = {premises: HOLDS}  # what the parts so far leave -> the best AND
+    for chi in firsts:
+        nxt: dict[FMultiset, Verdict] = {}
+        for rest, v in rests.items():
+            for part in submultisets(rest):
+                w = all3((v, oracle.entails(part, chi)))
+                if w is not FAILS:
+                    left = rest - part
+                    nxt[left] = any3((nxt.get(left, FAILS), w))
+        rests = nxt
+    return any3(all3((v, oracle.entails(rest, last))) for rest, v in rests.items())
 
 
 class Symmetrization(SymmetricOracle):

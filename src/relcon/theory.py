@@ -233,7 +233,7 @@ def _quotient(table: _Table, generators: Sequence[FMultiset]) -> QuotientReport:
                 fail("three-way", f"{v[a]} |- {v[b]}")
             if direct is HOLDS and contained is not HOLDS:
                 fail("antitone", f"{v[a]} |- {v[b]}")
-            if th_eq(th_add(ta, tb), TheoryHandle(v[a] + v[b], table)) is not HOLDS:
+            if th_eq(th_add(ta, tb), TheoryHandle(v[add((a, b))], table)) is not HOLDS:
                 fail("homomorphism", f"{v[a]} + {v[b]}")
 
     # Th is a monotone mapping (submultiset to containment) iff the oracle

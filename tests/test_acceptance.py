@@ -39,7 +39,8 @@ from relcon.semantics import (
     AbelianSymmetricOracle,
     IdentityOracle,
 )
-from relcon.symmetric import AsymmetricPart, Derivation, RuleApp
+from relcon.cli import main
+from relcon.symmetric import AsymmetricPart, Derivation, RuleApp, partition_count
 from relcon.theory import monotone_mapping_agrees
 from conftest import (
     make_p_oracle,
@@ -149,7 +150,7 @@ def test_criterion_04_abelian_fixtures():
 
 
 def test_criterion_05_symmetrization_roundtrips(ex54, ex54_asym, psym):
-    with Budget(5, 60.0, "symmetrization round-trip laws on all bundled oracles"):
+    with Budget(5, 17.0, "symmetrization round-trip laws on all bundled oracles"):
         z = make_z_oracle()
         dom = numeral_domain(max_size=3)
         multisets = dom.multisets()
@@ -332,3 +333,16 @@ def test_criterion_10_monotonic_companion():
         # the worked example: holds through the empty submultiset
         assert monotonic_companion(z, ms("[1]"), numeral(0)) is HOLDS
         assert z.entails(ms("[1]"), numeral(0)) is FAILS
+
+
+def test_criterion_11_symmetrization_past_the_partition_count(capsys):
+    with Budget(11, 1.0, "symmetrize: 14 premises into 5 conclusions is decided"):
+        premises, conclusions = "[a,b,c,d,e,a,b,c,d,e,a,b,c,d]", "[f,g,h,i,j]"
+        # more ordered partitions than the default cap: an enumeration of
+        # them would answer unknown
+        assert partition_count(ms(premises), 5) > 10 ** 6
+        code = main(["symmetrize", "--oracle", "z", "--premises", premises,
+                     "--conclusions", conclusions])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.splitlines()[-1] == "RESULT fails"

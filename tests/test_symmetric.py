@@ -47,10 +47,9 @@ from relcon.symmetric import (
     Symmetrization,
     TreeSearchOracle,
     partition_count,
-    _ordered_partitions,
 )
 from relcon.multiset import msum, submultisets
-from relcon.oracles import ConsequenceOracle, all3
+from relcon.oracles import ConsequenceOracle, all3, any3
 from relcon.syntax import formula_size, match, match_into, metavars, substitute, unify
 from conftest import (
     FIXTURES,
@@ -392,6 +391,36 @@ def test_derive_search_matches_the_reference_with_few_candidates(bci, max_formul
 # -- symmetrization ----------------------------------------------------------------
 
 
+def _ordered_partitions(gamma, n):
+    """The n-tuples of multisets summing to gamma, first part outermost: the
+    reference enumeration that symmetrize_query's table must agree with.
+
+    Each part but the last runs over the submultisets of what the parts
+    before it leave, and the last takes the rest.  The open parts' choices
+    are an explicit stack of iterators, not nested generators, so n may lie
+    far past the recursion limit."""
+    if n < 2:
+        if n == 1 or n == 0 and not gamma:
+            yield (gamma,) * n
+        return
+    parts = []  # the parts chosen so far
+    rests = [gamma]  # what the parts chosen so far leave, one more than parts
+    choices = [submultisets(gamma)]  # the open parts' remaining choices
+    while choices:
+        part = next(choices[-1], None)
+        if part is None:  # back to the part before
+            choices.pop()
+            rests.pop()
+            if parts:
+                parts.pop()
+        elif len(choices) == n - 1:  # the last part takes the rest
+            yield (*parts, part, rests[-1] - part)
+        else:
+            parts.append(part)
+            rests.append(rests[-1] - part)
+            choices.append(submultisets(rests[-1]))
+
+
 def test_partition_enumeration():
     gamma = ms("[x, x, y]")
     parts = list(_ordered_partitions(gamma, 2))
@@ -487,8 +516,44 @@ def test_symmetrize_partition_cap(z_oracle):
     gamma = FMultiset([parse_formula(str(k)) for k in range(-3, 4)] * 3)
     conclusions = ms("[0, 0, 0, 0, 0]")
     assert partition_count(gamma, 5) > 10 ** 3
+    assert partition_count(gamma, 3) > 10 ** 3
     assert symmetrize_query(z_oracle, gamma, conclusions,
                             partition_cap=10 ** 3) is UNKNOWN
+
+
+class _HashedOracle(ConsequenceOracle):
+    """An asymmetric oracle whose three-valued verdict is drawn from a
+    string of the seed and the query, whatever the hash seed."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def entails(self, premises, conclusion):
+        rng = random.Random(f"{self.seed}|{premises}|{conclusion}")
+        return rng.choices([HOLDS, UNKNOWN, FAILS], weights=[9, 4, 7])[0]
+
+
+_atoms4 = st.sampled_from(list(map(parse_formula, ["p", "q", "r", "s"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10 ** 6), st.lists(_atoms4, max_size=6),
+       st.lists(_atoms4, min_size=1, max_size=4), st.integers(0, 300))
+def test_symmetrize_table_agrees_with_the_partitions(seed, premises, conclusions, cap):
+    # the table's verdict is the OR over every ordered partition of the AND
+    # over its parts, wherever the cap lets the query through
+    gamma, delta = FMultiset(premises), FMultiset(conclusions)
+    oracle = _HashedOracle(seed)
+    targets = list(delta)
+    n = len(targets)
+    reference = any3(all3(oracle.entails(part, chi) for part, chi in zip(parts, targets))
+                     for parts in _ordered_partitions(gamma, n))
+    for limit in (cap, partition_count(gamma, n), partition_count(gamma, n) - 1):
+        got = symmetrize_query(oracle, gamma, delta, partition_cap=limit)
+        if partition_count(gamma, min(n, 3)) > limit:
+            assert got is UNKNOWN
+        else:
+            assert got is reference
 
 
 class _TableOracle(ConsequenceOracle):
