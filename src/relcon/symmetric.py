@@ -400,10 +400,11 @@ def symmetrize_query(oracle: ConsequenceOracle, premises: FMultiset,
         nxt: dict[FMultiset, Verdict] = {}
         for rest, v in rests.items():
             for part in submultisets(rest):
-                w = all3((v, oracle.entails(part, chi)))
-                if w is not FAILS:
-                    left = rest - part
-                    nxt[left] = any3((nxt.get(left, FAILS), w))
+                left = rest - part
+                have = nxt.get(left, FAILS)  # the AND is at most v: only a rest below v rises
+                if have is not HOLDS and have is not v and (
+                        w := all3((v, oracle.entails(part, chi)))) is not FAILS:
+                    nxt[left] = any3((have, w))
         rests = nxt
     return any3(all3((v, oracle.entails(rest, last))) for rest, v in rests.items())
 

@@ -451,24 +451,14 @@ def print_formula(f: Formula) -> str:
 
 def print_schema(f: Formula) -> str:
     """Like print_formula, but concrete atoms are quoted (system-file form)."""
-    if f._size <= 64:
-        return _schema_text(f)
     texts: dict[int, str] = {}  # by node id: f keeps every node alive
 
     def text(node: Formula) -> Optional[str]:
         if isinstance(node, _Leaf):
-            return _schema_text(node)
+            return f"'{node.name}'" if type(node) is Atom else node.name
         return texts.get(id(node))
 
     return _fill(f, text, lambda n: texts.__setitem__(id(n), _compose(n, text)))
-
-
-def _schema_text(f: Formula) -> str:
-    # print_schema on a schema of at most 64 nodes (or a leaf): a recursion of
-    # three frames per level, so at most 192, far inside the default limit
-    if isinstance(f, _Leaf):
-        return f"'{f.name}'" if type(f) is Atom else f.name
-    return _compose(f, _schema_text)
 
 
 def print_multiset(m: FMultiset, schema: bool = False) -> str:
@@ -693,15 +683,17 @@ def match_into(schemas: FMultiset, pool: FMultiset,
     only per match.
     """
     order = pool.distinct()
-    yield from _match_rest(list(schemas), order, [pool.count(f) for f in order], [],
-                           dict(subst) if subst else {})
+    for sigma, picks in _match_rest(list(schemas), order, [pool.count(f) for f in order],
+                                    [], dict(subst) if subst else {}):
+        yield sigma, FMultiset([order[k] for k in picks])
 
 
 def _match_rest(slist: list, order: list, left: list[int], picks: list[int], sigma: dict):
-    """match_into from schema ``len(picks)`` on; ``picks[i]`` is the index into
-    ``order`` that schema i consumed, ``left`` the counts not yet consumed."""
+    """Each match of the schemas from ``len(picks)`` on onto ``order``, with
+    ``left`` the counts not yet consumed: a new substitution, and ``picks``,
+    read before the next, where ``picks[i]`` is the index schema i consumed."""
     if len(picks) == len(slist):
-        yield dict(sigma), FMultiset([order[k] for k in picks])
+        yield dict(sigma), picks
         return
     schema = slist[len(picks)]
     for k, f in enumerate(order):
@@ -772,36 +764,47 @@ def _unify(x: Formula, y: Formula, subst: dict[str, Formula]) -> bool:
     return _unify(x.left, y.left, subst) and _unify(x.right, y.right, subst)
 
 
-def _rule_step(left: FMultiset, right: Formula | FMultiset, before: FMultiset,
-               after: FMultiset, stored: Optional[Mapping[str, Formula]] = None
-               ) -> Optional[dict]:
+def _rule_step(left: FMultiset, right: Formula | FMultiset,
+               before: FMultiset | tuple, after: FMultiset | Formula,
+               stored: Optional[Mapping[str, Formula]] = None) -> Optional[dict]:
     """A substitution under which the rule ``left |- right`` turns ``before``
     into ``after`` in context, if any: after = (before - consumed) + produced.
 
-    With no stored substitution, when the right side and ``after`` are one
-    formula each, the step has no context, so it consumes all of ``before``:
-    the conclusion is matched first, which fixes most metavariables at once,
-    and the left side onto ``before`` under that match.  A proof node is such
-    a step: its children's labels before, its label alone after.  A stored
-    substitution is checked as given.  Otherwise the left side is matched
-    first, and the right side onto what the step produced.  Both orders give
-    equal substitutions: the left-side matches come in the same order either
-    way, less those that disagree with the conclusion's one match.
+    A stored substitution is checked as given, its left side's instances
+    taken off the labels one by one.  Otherwise the first match of the left
+    side, in ``match_into``'s order, that the right side agrees with is
+    returned.  When the right side and ``after`` are one formula each, the
+    step has no context; a proof node is such a step, and may give its
+    children's labels as a tuple and its own label alone.  Then the
+    conclusion is matched first, which fixes most metavariables at once, and
+    the left side onto the labels in their order, with no multiset built and
+    no sort unless the left side matches twice, when ``match_multiset`` picks.
     """
-    if stored is None and not isinstance(right, FMultiset) and after.size == 1:
-        sigma0 = match(right, next(iter(after)))
-        return None if sigma0 is None else next(match_multiset(left, before, sigma0), None)
-    right_ms = right if isinstance(right, FMultiset) else FMultiset([right])
+    if not isinstance(right, FMultiset) and isinstance(after, FMultiset) and after.size == 1:
+        (after,) = after
+    alone = not isinstance(after, FMultiset)
+    labels = list(before) if isinstance(before, tuple) else _unsorted(before)
+    schemas = _unsorted(left)
     if stored is not None:
-        sigma = dict(stored)
         try:
-            consumed = FMultiset(substitute(s, sigma) for s in left)
-            produced = FMultiset(substitute(s, sigma) for s in right_ms)
-        except MissingBindingError:
+            for s in schemas:
+                labels.remove(substitute(s, stored))  # ValueError if absent
+            labels += [substitute(s, stored) for s in
+                       (_unsorted(right) if isinstance(right, FMultiset) else [right])]
+        except (MissingBindingError, ValueError):
             return None
-        if consumed <= before and after == (before - consumed) + produced:
-            return sigma
-        return None
+        same = labels == [after] if alone else FMultiset(labels) == after
+        return dict(stored) if same else None
+    if alone:
+        sigma: dict[str, Formula] = {}
+        if len(labels) != len(schemas) or not _match(right, after, sigma):
+            return None
+        matches = _match_rest(schemas, labels, [1] * len(labels), [], sigma)
+        first = next(matches, (None,))[0]
+        if first is None or next(matches, None) is None:
+            return first
+        return next(match_multiset(left, FMultiset(labels), sigma))
+    right_ms = right if isinstance(right, FMultiset) else FMultiset([right])
     for sigma, consumed in match_into(left, before):
         rest = before - consumed
         if rest <= after:
@@ -810,6 +813,11 @@ def _rule_step(left: FMultiset, right: Formula | FMultiset, before: FMultiset,
             if sigma2 is not None:
                 return sigma2
     return None
+
+
+def _unsorted(m: FMultiset) -> list:
+    """The elements with repetition, in no canonical order: none is printed."""
+    return [x for x, n in m.items() for _ in range(n)]
 
 
 _FROZEN = "\x00"  # prefixes the atom that _freeze makes of a metavariable

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
-from .multiset import EMPTY, FMultiset
+from .multiset import EMPTY, FMultiset, _trusted
 from .syntax import (
     AxiomaticSystem,
     Formula,
@@ -123,10 +123,6 @@ class ProofTree:
     formula: Formula
     by: Justification
     children: tuple["ProofTree", ...] = ()
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def __eq__(self, other) -> bool:
         """Structural equality: the two walks agree node by node on formula,
@@ -229,77 +225,73 @@ class VerifyReport:
     surplus: FMultiset = EMPTY  # leaves - premises, shown in diagnostics
 
 
-def _applies(system: AxiomaticSystem, node: ProofTree, before: FMultiset) -> bool:
-    """Whether the node is one application of its named axiom or rule with
-    no context: the step from ``before`` (its children's labels) to its own
-    label, the check a derivation step gets.  An axiom consumes nothing and a
-    rule something, so neither passes for the other."""
+def _applies(system: AxiomaticSystem, node: ProofTree) -> bool:
+    """Whether the node is one application of its named axiom or rule, the
+    step with no context from its children's labels to its own label that a
+    derivation step gets: an axiom consumes nothing and a rule something."""
     try:
         rule = system.get(node.by.name)
     except KeyError:
         return False
-    return _rule_step(rule.left, rule.right, before, FMultiset([node.formula]),
-                      node.by.subst) is not None
+    return _rule_step(rule.left, rule.right, tuple(c.formula for c in node.children),
+                      node.formula, node.by.subst) is not None
 
 
 def verify_report(tree: ProofTree, system: AxiomaticSystem,
                   premises: FMultiset, goal: Formula) -> VerifyReport:
-    """Check the four proof conditions and classify the relevance of the tree."""
+    """Check the four proof conditions and classify the relevance of the tree.
+
+    One pre-order walk counts the leaves and checks each node against its
+    rule, below a node only while it is a rule application.  Problems: the
+    root, the nodes in walk order, then condition 4 in canonical order.  An
+    axiom-instance test runs only on a premise leaf's label that is no
+    premise, a formula on more leaves than the premises list, and, on a valid
+    tree, each unused premise; an axiom leaf that passes its check needs none.
+    """
     if system.symmetric:
         raise ValueError("verify expects a single-conclusion system")
     problems: list[str] = []
-    leaves = leaf_multiset(tree)
-    # each leaf label and each unused premise, classified once
-    axiomatic = {f for f in leaves.support | (premises - leaves).support
-                 if system.is_axiom_instance(f)}
-
     if tree.formula != goal:
         problems.append(
             f"root is {print_formula(tree.formula)}, goal is {print_formula(goal)}")
-
-    # below a node that is not a rule application nothing is checked
+    counts: dict[Formula, int] = {}  # leaf label -> how many leaves it labels
+    axioms = set()  # the labels of axiom leaves that passed their check
     for _, node in _walk(tree, into=lambda n: isinstance(n.by, RuleJust)):
-        if node.is_leaf:
-            if isinstance(node.by, RuleJust):
+        f, by = node.formula, node.by
+        if not node.children:
+            counts[f] = counts.get(f, 0) + 1
+            if isinstance(by, RuleJust):
+                problems.append(f"leaf {print_formula(f)} carries a rule justification")
+            elif isinstance(by, AxiomJust) and _applies(system, node):
+                axioms.add(f)
+            elif isinstance(by, AxiomJust):
+                problems.append(f"leaf {print_formula(f)} is not an instance of axiom {by.name}")
+            elif f not in premises and not system.is_axiom_instance(f):
                 problems.append(
-                    f"leaf {print_formula(node.formula)} carries a rule justification")
-            elif isinstance(node.by, AxiomJust) and not _applies(system, node, EMPTY):
-                problems.append(
-                    f"leaf {print_formula(node.formula)} is not an instance "
-                    f"of axiom {node.by.name}")
-            elif not (node.formula in axiomatic or node.formula in premises):
-                problems.append(
-                    f"leaf {print_formula(node.formula)} is neither an axiom "
-                    f"instance nor a premise")
-        elif not isinstance(node.by, RuleJust):
-            problems.append(
-                f"internal node {print_formula(node.formula)} lacks a rule justification")
-        else:
-            child_labels = FMultiset(c.formula for c in node.children)
-            if not _applies(system, node, child_labels):
-                problems.append(
-                    f"node {print_formula(node.formula)} does not instantiate rule "
-                    f"{node.by.name} from {print_multiset(child_labels)}")
+                    f"leaf {print_formula(f)} is neither an axiom instance nor a premise")
+        elif not isinstance(by, RuleJust):
+            problems.append(f"internal node {print_formula(f)} lacks a rule justification")
+            for leaf in node.leaves():
+                counts[leaf.formula] = counts.get(leaf.formula, 0) + 1
+        elif not _applies(system, node):
+            problems.append(f"node {print_formula(f)} does not instantiate rule {by.name} "
+                            f"from {print_multiset(FMultiset(c.formula for c in node.children))}")
 
     # condition 4: non-axiom formulas label at most premises(f) leaves
-    for f in leaves.distinct():
-        if f not in axiomatic and leaves.count(f) > premises.count(f):
-            problems.append(
-                f"{print_formula(f)} labels {leaves.count(f)} leaves but occurs "
-                f"{premises.count(f)} times among the premises")
-
-    surplus = leaves - premises
+    over = [f for f, n in counts.items() if n > premises.count(f)
+            and f not in axioms and not system.is_axiom_instance(f)]
+    for f in FMultiset(over).distinct():
+        problems.append(f"{print_formula(f)} labels {counts[f]} leaves but occurs "
+                        f"{premises.count(f)} times among the premises")
+    leaves = _trusted(counts)
+    surplus, unused = leaves - premises, premises - leaves
     if problems:
         return VerifyReport(RelevanceVerdict.INVALID, problems, surplus)
-
-    verdict = RelevanceVerdict.PLAIN
-    if all(f in axiomatic for f in (premises - leaves).support):
-        verdict = RelevanceVerdict.WEAKLY_RELEVANT
-        if premises <= leaves:
-            verdict = RelevanceVerdict.RELEVANT
-            if premises == leaves:
-                verdict = RelevanceVerdict.STRONGLY_RELEVANT
-    return VerifyReport(verdict, [], surplus)
+    weak = all(f in axioms or system.is_axiom_instance(f) for f, _ in unused.items())
+    return VerifyReport(RelevanceVerdict.PLAIN if not weak else
+                        RelevanceVerdict.WEAKLY_RELEVANT if unused else
+                        RelevanceVerdict.RELEVANT if surplus else
+                        RelevanceVerdict.STRONGLY_RELEVANT, [], surplus)
 
 
 def verify(tree: ProofTree, system: AxiomaticSystem,
@@ -354,8 +346,7 @@ def rule_has_shape(rule, shape: tuple[FMultiset, Formula]) -> bool:
     frozen conclusion by a renaming."""
     if isinstance(rule.right, FMultiset):
         return False
-    frozen_left = FMultiset(_freeze(f) for f in rule.left)
-    return _renaming(_rule_step(*shape, frozen_left, FMultiset([_freeze(rule.right)])))
+    return _renaming(_rule_step(*shape, tuple(map(_freeze, rule.left)), _freeze(rule.right)))
 
 
 def axiom_has_shape(rule, shape: Formula) -> bool:

@@ -109,7 +109,7 @@ def test_criterion_02_four_valued_matrix(fixtures_dir, t_fusion):
 
 
 def test_criterion_03_deduction_theorem(bci, bcio):
-    with Budget(3, 30.0, "implication discharge on 200+ random relevant proofs"):
+    with Budget(3, 1.1, "implication discharge on 200+ random relevant proofs"):
         rng = random.Random(2024)
         done = 0
         attempts = 0
@@ -227,7 +227,7 @@ def test_criterion_06_bci_derivations(bci):
 
 
 def test_criterion_07_tree_extraction():
-    with Budget(7, 30.0, "tree extraction from 100+ random relevant derivations"):
+    with Budget(7, 1.0, "tree extraction from 100+ random relevant derivations"):
         rng = random.Random(777)
         done = 0
         attempts = 0
@@ -307,7 +307,7 @@ def test_criterion_09_theory_monoid(zsym, psym):
 
 
 def test_criterion_10_monotonic_companion():
-    with Budget(10, 10.0, "the least monotone extension of the sum relation"):
+    with Budget(10, 1.5, "the least monotone extension of the sum relation"):
         from relcon import submultisets
 
         z = make_z_oracle()

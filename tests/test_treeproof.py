@@ -21,7 +21,9 @@ from relcon import (
     RelevanceVerdict,
     RuleJust,
     RulesAbsentError,
+    TRUTH,
     UnsupportedSystemError,
+    Var,
     axiom_leaf,
     cut_compose,
     deduction_transform,
@@ -33,6 +35,8 @@ from relcon import (
     parse_multiset,
     parse_system,
     premise_leaf,
+    print_formula,
+    print_multiset,
     pump_use,
     search,
     verify,
@@ -44,16 +48,27 @@ from relcon.syntax import (
     MissingBindingError,
     _larger_first,
     _rule_schemata,
+    _rule_step,
     formula_size,
     match,
+    match_into,
     match_multiset,
     metavars,
     subformulas,
     substitute,
     unify,
 )
-from relcon.treeproof import _masked, _resolve, proof_from_data, proof_to_data
-from conftest import FIXTURES, random_relevant_proof
+from relcon.treeproof import (
+    VerifyReport,
+    _graft,
+    _indexes,
+    _masked,
+    _resolve,
+    _walk,
+    proof_from_data,
+    proof_to_data,
+)
+from conftest import FIXTURES, random_formula, random_relevant_proof
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 x, y, z = Atom("x"), Atom("y"), Atom("z")
@@ -1160,7 +1175,7 @@ def test_node_check_agrees_with_the_conclusion_first_reference(case):
     system, node = case
     labels = FMultiset(c.formula for c in node.children)
     want = _ref_rule_instance(system, node.by, node.formula, labels) is not None
-    assert treeproof._applies(system, node, labels) == want
+    assert treeproof._applies(system, node) == want
     report = verify_report(node, system, labels, node.formula)
     node_problems = [m for m in report.problems
                      if "does not instantiate" in m or "is not an instance of axiom" in m]
@@ -1183,7 +1198,7 @@ _ODD_NODES = [
 def test_node_check_rejects_what_no_rule_instance_makes(bci, node):
     labels = FMultiset(c.formula for c in node.children)
     assert _ref_rule_instance(bci, node.by, node.formula, labels) is None
-    assert not treeproof._applies(bci, node, labels)
+    assert not treeproof._applies(bci, node)
 
 
 def test_node_check_names_the_node_and_its_children(bci):
@@ -1275,3 +1290,289 @@ def test_verify_report_diagnostics_are_pinned(bci, tree, premises, goal, verdict
     assert report.verdict is verdict
     assert report.problems == problems
     assert str(report.surplus) == surplus
+
+
+# -- verify_report as it stood before its one walk ------------------------------------
+#
+# References for the differential properties below: verify_report walking the
+# tree twice (leaf_multiset, then the checks) and testing every leaf label and
+# every unused premise as an axiom instance up front, and the rule step it
+# checked each node with, which matched a proof node's conclusion first and
+# then the left side in match_multiset's canonical order.
+
+
+def _ref_rule_step(left, right, before, after, stored=None):
+    if stored is None and not isinstance(right, FMultiset) and after.size == 1:
+        sigma0 = match(right, next(iter(after)))
+        return None if sigma0 is None else next(match_multiset(left, before, sigma0), None)
+    right_ms = right if isinstance(right, FMultiset) else FMultiset([right])
+    if stored is not None:
+        sigma = dict(stored)
+        try:
+            consumed = FMultiset(substitute(s, sigma) for s in left)
+            produced = FMultiset(substitute(s, sigma) for s in right_ms)
+        except MissingBindingError:
+            return None
+        if consumed <= before and after == (before - consumed) + produced:
+            return sigma
+        return None
+    for sigma, consumed in match_into(left, before):
+        rest = before - consumed
+        if rest <= after:
+            sigma2 = next(match_multiset(right_ms, after - rest, sigma), None)
+            if sigma2 is not None:
+                return sigma2
+    return None
+
+
+def _ref_applies(system, node, before):
+    try:
+        rule = system.get(node.by.name)
+    except KeyError:
+        return False
+    return _ref_rule_step(rule.left, rule.right, before, FMultiset([node.formula]),
+                          node.by.subst) is not None
+
+
+def _ref_verify_report(tree, system, premises, goal):
+    problems = []
+    leaves = leaf_multiset(tree)
+    axiomatic = {f for f in leaves.support | (premises - leaves).support
+                 if system.is_axiom_instance(f)}
+    if tree.formula != goal:
+        problems.append(
+            f"root is {print_formula(tree.formula)}, goal is {print_formula(goal)}")
+    for _, node in _walk(tree, into=lambda n: isinstance(n.by, RuleJust)):
+        if not node.children:
+            if isinstance(node.by, RuleJust):
+                problems.append(
+                    f"leaf {print_formula(node.formula)} carries a rule justification")
+            elif isinstance(node.by, AxiomJust) and not _ref_applies(system, node, EMPTY):
+                problems.append(
+                    f"leaf {print_formula(node.formula)} is not an instance "
+                    f"of axiom {node.by.name}")
+            elif not (node.formula in axiomatic or node.formula in premises):
+                problems.append(
+                    f"leaf {print_formula(node.formula)} is neither an axiom "
+                    f"instance nor a premise")
+        elif not isinstance(node.by, RuleJust):
+            problems.append(
+                f"internal node {print_formula(node.formula)} lacks a rule justification")
+        else:
+            child_labels = FMultiset(c.formula for c in node.children)
+            if not _ref_applies(system, node, child_labels):
+                problems.append(
+                    f"node {print_formula(node.formula)} does not instantiate rule "
+                    f"{node.by.name} from {print_multiset(child_labels)}")
+    for f in leaves.distinct():
+        if f not in axiomatic and leaves.count(f) > premises.count(f):
+            problems.append(
+                f"{print_formula(f)} labels {leaves.count(f)} leaves but occurs "
+                f"{premises.count(f)} times among the premises")
+    surplus = leaves - premises
+    if problems:
+        return VerifyReport(RelevanceVerdict.INVALID, problems, surplus)
+    verdict = RelevanceVerdict.PLAIN
+    if all(f in axiomatic for f in (premises - leaves).support):
+        verdict = RelevanceVerdict.WEAKLY_RELEVANT
+        if premises <= leaves:
+            verdict = RelevanceVerdict.RELEVANT
+            if premises == leaves:
+                verdict = RelevanceVerdict.STRONGLY_RELEVANT
+    return VerifyReport(verdict, [], surplus)
+
+
+_BCI, _BCIO = _NODE_SYSTEMS[:2]
+_CORRUPTIONS = ["axiom name", "binding missing", "binding wrong", "rule as axiom",
+                "axiom as rule", "rule leaf", "unknown name", "child added", "child dropped",
+                "premise node", "goal", "premise added", "premise dropped", "axiom premise"]
+
+
+def _relevant_case(rng, fusion, form):
+    """A random relevant BCI or BCIo proof with its premises and goal, as
+    built, as deduction_transform discharges one premise from it, or with one
+    premise leaf replaced by a modus ponens tree by cut_compose."""
+    system = _BCIO if fusion else _BCI
+    tree, premises = random_relevant_proof(rng, system, fusion)
+    goal, phi = tree.formula, rng.choice(premises.distinct())
+    if form == "deduction":
+        tree, goal = deduction_transform(tree, system, premises, phi), Imp(phi, goal)
+        premises -= FMultiset([phi])
+    elif form == "cut":
+        chi = random_formula(rng, "pqr", 1, fusion)
+        sub = ProofTree(phi, RuleJust("mp"), (premise_leaf(Imp(chi, phi)), premise_leaf(chi)))
+        tree = cut_compose(tree, sub, system, phi)
+        premises = premises - FMultiset([phi]) + FMultiset([Imp(chi, phi), chi])
+    return system, tree, premises, goal
+
+
+@st.composite
+def _verify_cases(draw):
+    """A relevant case, and perhaps one corruption of its tree, goal or
+    premises: a wrong axiom name, a stored substitution missing a binding or
+    with a wrong one, a rule used as an axiom and the converse, a leaf
+    justified by a rule, an unknown rule name, a child added or dropped, a
+    premise-justified internal node, a wrong goal, a premise occurrence
+    added or dropped, or an unused premise that is an axiom instance."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    fusion = draw(st.booleans())
+    system, tree, premises, goal = _relevant_case(
+        rng, fusion, draw(st.sampled_from(["proof", "deduction", "cut"])))
+    change = draw(st.sampled_from([None] * 4 + _CORRUPTIONS))
+    f = random_formula(rng, "pqr", 2, fusion)
+    nodes = [(_indexes(path), node) for path, node in _walk(tree)]
+    kinds = {"axiom name": lambda n: isinstance(n.by, AxiomJust),
+             "binding missing": lambda n: not isinstance(n.by, PremiseJust) and n.by.subst,
+             "rule as axiom": lambda n: not n.children,
+             "rule leaf": lambda n: not n.children,
+             "unknown name": lambda n: not isinstance(n.by, PremiseJust)}
+    kinds["binding wrong"] = kinds["binding missing"]
+    among = [(path, n) for path, n in nodes
+             if kinds.get(change, lambda n: bool(n.children))(n)]
+    if not among or change is None:
+        return system, tree, premises, goal
+    path, node = among[draw(st.integers(0, len(among) - 1))]
+    by, children = node.by, node.children
+    new = None
+    if change == "axiom name":
+        new = axiom_leaf(node.formula, draw(st.sampled_from(
+            [r.name for r in system.axioms if r.name != by.name])), by.subst)
+    elif change in ("binding missing", "binding wrong"):
+        subst = dict(by.subst)
+        key = draw(st.sampled_from(sorted(subst)))
+        if change == "binding missing":
+            del subst[key]
+        else:
+            subst[key] = Imp(subst[key], f)
+        new = ProofTree(node.formula, type(by)(by.name, subst), children)
+    elif change == "rule as axiom":
+        new = axiom_leaf(node.formula, "mp", draw(st.sampled_from(
+            [None, {"p": f, "q": node.formula}])))
+    elif change == "axiom as rule":
+        new = ProofTree(node.formula, RuleJust(draw(st.sampled_from(["I", "B", "C"]))),
+                        children)
+    elif change == "rule leaf":
+        new = ProofTree(node.formula, RuleJust("mp"))
+    elif change == "unknown name":
+        new = ProofTree(node.formula, type(by)("nope", by.subst), children)
+    elif change == "child added":
+        new = ProofTree(node.formula, by, children + (premise_leaf(f),))
+        if draw(st.booleans()):
+            premises += FMultiset([f])
+    elif change == "child dropped":
+        i = draw(st.integers(0, len(children) - 1))
+        new = ProofTree(node.formula, by, children[:i] + children[i + 1:])
+    elif change == "premise node":
+        new = ProofTree(node.formula, PremiseJust(), children)
+    elif change == "goal":
+        goal = draw(st.sampled_from([f, Imp(goal, goal), node.formula]))
+    elif change == "premise added":
+        premises += FMultiset([draw(st.sampled_from(premises.distinct() + [f]))])
+    elif change == "premise dropped" and premises:
+        premises -= FMultiset([draw(st.sampled_from(premises.distinct()))])
+    elif change == "axiom premise":
+        premises += FMultiset([Imp(f, f)])
+    if new is not None:
+        tree = _graft(tree, path, new)
+    return system, tree, premises, goal
+
+
+@given(_verify_cases())
+@settings(max_examples=400, deadline=None)
+def test_verify_report_agrees_with_the_two_walk_reference(case):
+    system, tree, premises, goal = case
+    got = verify_report(tree, system, premises, goal)
+    want = _ref_verify_report(tree, system, premises, goal)
+    assert got.verdict is want.verdict
+    assert got.problems == want.problems
+    assert got.surplus == want.surplus
+
+
+@st.composite
+def _derivation_steps(draw):
+    """A random derivation in BCI as (rule, before, after, substitution)
+    steps, from no premises or a modus ponens pair, perhaps with a context:
+    each step detaches a pair of the state or adds an axiom instance."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    a, b = random_formula(rng, "pqr", 2), random_formula(rng, "pqr", 1)
+    state = draw(st.sampled_from([FMultiset(), FMultiset([Imp(a, b), a]),
+                                  FMultiset([Imp(a, b), a, b])]))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        pairs = [(f, f.left) for f in state.distinct()
+                 if isinstance(f, Imp) and f.left in state]
+        if pairs and draw(st.booleans()):
+            major, minor = pairs[draw(st.integers(0, len(pairs) - 1))]
+            rule, sigma = _BCI.get("mp"), {"p": minor, "q": major.right}
+        else:
+            rule = draw(st.sampled_from(_BCI.axioms))
+            sigma = {v: random_formula(rng, "pqr", 1) for v in sorted(metavars(rule.right))}
+        after = (state - FMultiset(substitute(s, sigma) for s in rule.left)
+                 + FMultiset([substitute(rule.right, sigma)]))
+        steps.append((rule, state, after, sigma))
+        state = after
+    return steps
+
+
+@given(_derivation_steps(), st.sampled_from([None, "right", "missing", "wrong", "after"]))
+@settings(max_examples=300, deadline=None)
+def test_rule_step_returns_the_reference_substitution_on_derivation_steps(steps, change):
+    lifted = _BCI.lifted()
+    for rule, before, after, sigma in steps:
+        stored = {"right": sigma, "missing": dict(list(sigma.items())[1:]),
+                  "wrong": {**sigma, "p": Imp(sigma["p"], q)}}.get(change)
+        if change == "after":
+            after += FMultiset([q])
+        for r in (rule, lifted.get(rule.name)):
+            want = _ref_rule_step(r.left, r.right, before, after, stored)
+            assert _rule_step(r.left, r.right, before, after, stored) == want
+            assert (want is not None) == (change in (None, "right"))
+
+
+def test_a_node_step_with_two_matches_returns_the_canonical_first():
+    # x, y |- t: the labels q and p match either way round; as before, the
+    # first match in canonical order (x before y, p before q) is returned
+    left = FMultiset([Var("x"), Var("y")])
+    for labels in ((q, p), (p, q)):
+        want = _ref_rule_step(left, TRUTH, FMultiset(labels), FMultiset([TRUTH]))
+        assert want == {"x": p, "y": q}
+        assert _rule_step(left, TRUTH, labels, TRUTH) == want
+        assert _rule_step(left, TRUTH, FMultiset(labels), FMultiset([TRUTH])) == want
+
+
+# -- relevance is kept by search, deduction_transform and cut_compose ------------------
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.sampled_from([3, 5]))
+@settings(max_examples=60, deadline=None)
+def test_every_search_witness_verifies_as_relevant(seed, fusion, size):
+    rng = random.Random(seed)
+    system = _BCIO if fusion else _BCI
+    tree, premises = random_relevant_proof(rng, system, fusion, size)
+    # the goal the premises prove within the tree's size, then one they may not
+    for goal, budget in ((tree.formula, tree.node_count()),
+                         (random_formula(rng, "pqr", 2, fusion), size)):
+        witness = search(system, premises, goal, budget)
+        assert witness is not None or goal != tree.formula
+        if witness is not None:
+            assert verify(witness, system, premises, goal) >= RelevanceVerdict.RELEVANT
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_deduction_transform_and_cut_compose_keep_relevance(seed, fusion, data):
+    rng = random.Random(seed)
+    system, tree, premises, goal = _relevant_case(rng, fusion, "proof")
+    kept = verify(tree, system, premises, goal)
+    assert kept >= RelevanceVerdict.RELEVANT
+    phi = data.draw(st.sampled_from(premises.distinct()))
+    out = deduction_transform(tree, system, premises, phi)
+    assert verify(out, system, premises - FMultiset([phi]), Imp(phi, goal)) \
+        >= RelevanceVerdict.RELEVANT
+    # a relevant proof of phi: modus ponens from another random proof's goal
+    inner, used = random_relevant_proof(rng, system, fusion)
+    sub = ProofTree(phi, RuleJust("mp"), (premise_leaf(Imp(inner.formula, phi)), inner))
+    used += FMultiset([Imp(inner.formula, phi)])
+    both = min(kept, verify(sub, system, used, phi))
+    out = cut_compose(tree, sub, system, phi)
+    assert verify(out, system, premises - FMultiset([phi]) + used, goal) is both
