@@ -271,13 +271,15 @@ def cmd_derive(args) -> tuple[str, int]:
     result = derive_search(*_inputs(args), max_steps=args.max_steps,
                            max_formula_size=args.max_size,
                            max_multiset_size=args.max_multiset)
+    caps = ", ".join(sorted(result.pruned_by))
     if result.found:
         print(dump_derivation(result.derivation))
         word = "relevant"
     elif result.status == "exhausted":
+        print(f"search exhausted; caps that cut: {caps or 'none'}")
         word = "invalid"
     else:
-        print(f"search truncated by: {', '.join(sorted(result.pruned_by))}")
+        print(f"search truncated by: {caps}")
         word = "unknown"
     return word, _DERIVATION_EXIT[word]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Optional
 
-from .multiset import EMPTY, FMultiset, submultisets
+from .multiset import EMPTY, FMultiset, _default_key, submultisets
 from .oracles import (
     FAILS,
     HOLDS,
@@ -43,6 +43,7 @@ from .syntax import (
     _rule_step,
     _walk_nodes,
     formula_size,
+    match,
     match_into,
     parse_multiset,
     print_formula,
@@ -171,7 +172,8 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
     nothing; the state budget ends the search at once.  The instances a
     match of a rule's left side yields are built on its first use and kept
     for the rest of this search, which meets most matches in many states;
-    the next search builds its own.
+    the next search builds its own.  A state's matches are worked out from
+    its parent's (see _matches), which a level keeps until it is expanded.
     """
     if max_multiset_size is None:
         max_multiset_size = max(premises.size, conclusions.size) + 2
@@ -183,12 +185,16 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
 
     pruned: set[str] = set()
     parent: dict[FMultiset, Optional[tuple[FMultiset, RuleJust]]] = {premises: None}
-    level = [premises]
+    level: list[tuple[FMultiset, Optional[tuple]]] = [(premises, None)]  # (state, origin)
     for _ in range(max_steps):
         if not level or conclusions in parent or "states" in pruned:
             break
         frontier, level = level, []
-        for state in frontier:
+        for state, origin in frontier:
+            found = _matches(plans, state, origin)
+            for plan, matches in zip(plans, found):
+                plan.matches = matches
+            carried = (state, found)  # the origin of each child
             for nxt, app in _moves(plans, state, cands, max_formula_size,
                                    max_multiset_size, pruned):
                 if nxt in parent:
@@ -199,7 +205,7 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
                 parent[nxt] = (state, app)
                 if nxt == conclusions:
                     break
-                level.append(nxt)
+                level.append((nxt, carried))
             if "states" in pruned or conclusions in parent:
                 break
     if level and conclusions not in parent and "states" not in pruned:
@@ -216,15 +222,19 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
 
 
 class _RightPlan:
-    """A rule lifted by syntax._lift, and its right side measured once per
-    search: for each distinct right schema its size and metavariable
-    occurrence counts, and the metavariables of the whole right side.  An
-    instance of a schema has the schema's size plus, per metavariable
-    occurrence, the size of the bound formula minus one (its own node).
-    ``instances`` holds, per match of the left side, what _moves worked
-    out for it, so that each instance is built once per search."""
+    """A rule lifted by syntax._lift, and its sides read once per search:
+    for each distinct right schema its size and metavariable occurrence
+    counts, and the metavariables of the whole right side.  An instance of
+    a schema has the schema's size plus, per metavariable occurrence, the
+    size of the bound formula minus one (its own node).  ``growth`` is how
+    much an application adds to a state's size.  ``schemas`` lists
+    the left side in canonical order, and ``pins`` pairs each distinct left
+    schema with the rest of the left side (see _matches).  ``records``
+    keeps one record per match met in this search, and ``matches`` lists
+    the records of the state being expanded."""
 
-    __slots__ = ("rule", "shapes", "metavars", "instances")
+    __slots__ = ("rule", "shapes", "metavars", "growth", "schemas", "pins", "records",
+                 "matches")
 
     def __init__(self, rule: NamedRule):
         shapes = []
@@ -234,7 +244,61 @@ class _RightPlan:
         self.rule = rule
         self.shapes = tuple(shapes)
         self.metavars = frozenset(v for _, occ in shapes for v in occ)
-        self.instances: dict[frozenset, _Instances] = {}
+        self.growth = rule.right.size - rule.left.size
+        self.schemas = list(rule.left)
+        self.pins = [(s, rule.left - FMultiset([s])) for s in rule.left.distinct()]
+        self.records: dict[tuple, list] = {}
+        self.matches: list[list] = []
+
+    def record(self, sigma: dict, consumed: FMultiset) -> list:
+        """The match's one record in this search: ``[key, sigma, consumed,
+        made]``, where ``key`` holds the canonical key of the formula each
+        left schema consumes, schemas in canonical order, and ``made`` is
+        the match's _Instances once _moves has worked them out.  match_into
+        yields a state's matches in the order of their keys, and a key
+        fixes its match."""
+        key = tuple(_default_key(substitute(s, sigma)) for s in self.schemas)
+        return self.records.setdefault(key, [key, sigma, consumed, None])
+
+
+def _matches(plans: list[_RightPlan], state: FMultiset,
+             origin: Optional[tuple]) -> list[list[list]]:
+    """Each plan's matches of its left side in state, as records (see
+    _RightPlan.record) in match_into's order.  The premises (``origin``
+    None) are matched afresh.  Otherwise ``origin`` is the parent state and
+    its lists, and the matches are carried over (semi-naive evaluation,
+    Bancilhon and Ramakrishnan 1986): a parent's match stays while what it
+    consumed is still in state, and a match that consumes more of some
+    formula than the parent held consumes an added one, so it is found with
+    that formula pinned to one left schema and the rest of the left side
+    matched onto the state.  The two kinds are merged by key."""
+    if origin is None:
+        return [[plan.record(sigma, consumed)
+                 for sigma, consumed in match_into(plan.rule.left, state)]
+                for plan in plans]
+    before, lists = origin
+    added = [(f, FMultiset([f])) for f, _ in (state - before).items()]
+    removed = not before <= state
+    out = []
+    for plan, old in zip(plans, lists):
+        if not plan.pins:  # an axiom's one match consumes nothing and stays
+            out.append(old)
+            continue
+        kept = [m for m in old if m[2] <= state] if removed else old
+        new = {}
+        for f, one in added:
+            for schema, rest in plan.pins:
+                sigma0 = match(schema, f)
+                if sigma0 is None:
+                    continue
+                # the rest may take the pinned occurrence again: the first test drops that
+                for sigma, used in match_into(rest, state, sigma0):
+                    consumed = used + one
+                    if consumed <= state and not consumed <= before:
+                        m = plan.record(sigma, consumed)
+                        new[m[0]] = m
+        out.append(sorted(kept + list(new.values())) if new else kept)
+    return out
 
 
 def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
@@ -246,16 +310,16 @@ def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
     never built: its sizes are worked out first.  ``pruned`` gains a cap's
     name once the enumeration passes an application that the cap cuts off,
     never earlier; the multiset cap counts only applications that fit the
-    formula cap.  What a match of a rule's left side yields is worked out on
-    its first use and kept on the rule's plan (see _Instances)."""
+    formula cap.  The matches of each rule's left side are the plan's
+    (see _matches), and what a match yields is worked out on its first use
+    and kept in its record (see _Instances)."""
+    room = max_multiset_size - state.size
     for plan in plans:
-        rule = plan.rule
-        grows = state.size - rule.left.size + rule.right.size > max_multiset_size
-        for sigma, consumed in match_into(rule.left, state):
-            key = frozenset(sigma.items())
-            made = plan.instances.get(key)
+        grows = plan.growth > room
+        for m in plan.matches:
+            _, sigma, consumed, made = m
             if made is None:
-                made = plan.instances[key] = _Instances(plan, sigma, cands, max_formula_size)
+                made = m[3] = _Instances(plan, sigma, cands, max_formula_size)
             if made.skip:
                 continue
             if grows:

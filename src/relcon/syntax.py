@@ -680,10 +680,14 @@ def match_into(schemas: FMultiset, pool: FMultiset,
     back on backtracking, and an element whose count is spent is skipped.
     So the matches come in the order that matching each schema against the
     pool minus what is consumed so far would give, and ``consumed`` is built
-    only per match.
+    only per match.  No schemas match once, consuming nothing, and the pool
+    is not sorted for them.
     """
-    order = pool.distinct()
-    for sigma, picks in _match_rest(list(schemas), order, [pool.count(f) for f in order],
+    if not schemas:
+        yield dict(subst) if subst else {}, EMPTY
+        return
+    order, counts = pool.distinct(), pool.counts()
+    for sigma, picks in _match_rest(list(schemas), order, [counts[f] for f in order],
                                     [], dict(subst) if subst else {}):
         yield sigma, FMultiset([order[k] for k in picks])
 
@@ -696,8 +700,14 @@ def _match_rest(slist: list, order: list, left: list[int], picks: list[int], sig
         yield dict(sigma), picks
         return
     schema = slist[len(picks)]
+    # a metavariable bound so far matches only its value, and a schema that
+    # is not a metavariable only a formula of its own type
+    t = type(schema)
+    bound = sigma.get(schema.name) if t is Var else None
     for k, f in enumerate(order):
-        if left[k] and (s2 := match(schema, f, sigma)) is not None:
+        if not left[k] or (f != bound if bound is not None else t is not Var and type(f) is not t):
+            continue
+        if (s2 := match(schema, f, sigma)) is not None:
             left[k] -= 1
             picks.append(k)
             yield from _match_rest(slist, order, left, picks, s2)

@@ -500,22 +500,30 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
     root asks for proofs that use exactly ``premises``; a rule's subgoals but
     the last may take any part of what their goal has, and the last must use
     exactly what they leave.  An exact premise leaf needs its one formula
-    and nothing else, an exact axiom leaf needs nothing, and an exact goal
-    with more premise occurrences than nodes to spend fails at once, since
-    each occurrence needs its own leaf.  The branch order is the one that
+    and nothing else, and an exact axiom leaf needs nothing.  An exact goal
+    below its floor (see _floor) fails at once, and the deepening starts at
+    the root's floor; a rule with more premises than nodes left is skipped
+    before its conclusion is unified.  The branch order is the one that
     lets every subgoal take any part and checks ``used == premises`` at the
     root; each prune drops only branches whose proofs could not pass that
-    check, and none reorders the rest, so the first witness, which is the
-    node-minimal one, is the same.
+    check or the node bound, and none reorders the rest, so the first
+    witness, which is the node-minimal one, is the same.
     """
     if system.symmetric:
         raise ValueError("search expects a single-conclusion system")
     state = _SearchState(system, premises, goal)
-    for budget in range(max(premises.size, 1), max_nodes + 1):
+    for budget in range(_floor(premises.size), max_nodes + 1):
         for tree, _, theta in state.prove(goal, premises, budget, {}, exact=True):
             if tree.node_count() == budget:
                 return state.ground(tree, theta)
     return None
+
+
+def _floor(n: int) -> int:
+    """The fewest nodes of a proof that uses exactly n premise occurrences:
+    each labels a leaf of its own, and two or more leaves hang below at
+    least one rule node."""
+    return n + 1 if n >= 2 else max(n, 1)
 
 
 def _rename_vars(schema: Formula) -> Formula:
@@ -594,15 +602,19 @@ class _SearchState:
         tag = "#" + str(self._uses)
         return {name: Var("\x02" + name + tag) for name in names}
 
-    def _uses_of(self, table: list[_Entry], goal: Formula
+    def _uses_of(self, table: list[_Entry], goal: Formula, room: Optional[int] = None
                  ) -> Iterator[tuple[NamedRule, dict[str, Formula], dict]]:
         """Each entry whose head unifies with the goal, renamed apart, with
-        the renaming and the goal's unifier with the renamed conclusion.
+        the renaming and the goal's unifier with the renamed conclusion; an
+        entry with more left-side schemas than ``room`` nodes, one per
+        subgoal, is skipped before its head is unified.
 
         That unifier is the head's, renamed the same way: the renaming is
         a bijection onto names no goal holds, so unifying again would bind
         the same variables to the same terms in the same order."""
         for rule, names, head in table:
+            if room is not None and rule.left.size > room:
+                continue
             mgu = unify(goal, head)
             if mgu is not None:
                 sigma = self._fresh(names)
@@ -636,7 +648,7 @@ class _SearchState:
         all of it when ``exact``, within ``budget`` nodes, each with the
         premises it uses and the bindings; only a ground goal reads and
         writes ``fruitless``."""
-        if budget < 1 or exact and avail.size > budget:
+        if budget < (_floor(avail.size) if exact else 1):
             return
         goal = _resolve(goal, theta)
         key = (goal, avail, exact) if goal._ground else None
@@ -662,7 +674,7 @@ class _SearchState:
                 yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
         if budget < 2:
             return
-        for rule, sigma, mgu in self._uses_of(self._rules, goal):
+        for rule, sigma, mgu in self._uses_of(self._rules, goal, budget - 1):
             bound = {**theta, **mgu}
             # most-constrained (largest) subgoal first fails fastest
             subgoals = _larger_first(

@@ -391,6 +391,18 @@ def test_derive_negative_exit_two(capsys):
     assert result_line(out) == "invalid"
 
 
+def test_derive_negative_names_the_caps_that_cut(capsys):
+    # criterion 06's negative: an exhausted search lists its caps, as a
+    # truncated one lists its budgets
+    code, out = run(capsys, "derive", "--system", f"{FIX}/bci.rcs",
+                    "--premises", "[a->b, a->c, a, a]",
+                    "--conclusions", "[a, b, c]",
+                    "--max-steps", "8", "--max-size", "7")
+    assert code == 2
+    assert out == ("search exhausted; caps that cut: formula-size, multiset-size\n"
+                   "RESULT invalid\n")
+
+
 def test_derive_truncated_exit_three(capsys):
     code, out = run(capsys, "derive", "--system", f"{FIX}/bci.rcs",
                     "--premises", "[a->b, a->c, a, a]",

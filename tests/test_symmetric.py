@@ -329,6 +329,34 @@ def test_derive_search_matches_the_reference_on_random_searches(
     assert pruned == {"formula-size", "multiset-size", "states", "steps"}
 
 
+def test_carried_matches_equal_a_fresh_match_into(bci, bcio, bci_weak, t_fusion, monkeypatch):
+    # every state that the fixture and the seeded random searches expand:
+    # the matches carried over from its parent are the ones match_into finds
+    # afresh, in its order
+    states = []
+
+    def checked(plans, state, origin):
+        found = matches(plans, state, origin)
+        for plan, records in zip(plans, found):
+            assert [(sigma, consumed) for _, sigma, consumed, _ in records] == list(
+                match_into(plan.rule.left, state)), (plan.rule.name, state)
+        states.append(origin is not None)
+        return found
+
+    matches = symmetric._matches
+    monkeypatch.setattr(symmetric, "_matches", checked)
+    test_derive_search_matches_the_reference_on_the_fixtures(bci)
+    test_derive_search_matches_the_reference_on_random_searches(bci, bcio, bci_weak, t_fusion)
+    # a rule whose two premises may take one formula: a pinned occurrence
+    # is not taken again, and a repeat is taken twice only when it is there
+    from relcon import parse_system
+
+    k = parse_system("system K\naxiom I : p -> p\nrule k : p, q |- p\n")
+    for premises in ("[a]", "[a, b]", "[a, a -> a]"):
+        _assert_same_search(k, ms(premises), ms("[b]"), max_steps=3, max_formula_size=3)
+    assert states.count(True) > 1500
+
+
 IDENTITY_SYSTEM = "system Id\naxiom I : p -> p\n"
 
 

@@ -893,6 +893,21 @@ def test_match_into_enumerates_as_the_subtracting_reference(schemas, pool, start
         assert [list(s.items()) for s, _ in got] == [list(s.items()) for s, _ in want]
 
 
+def test_match_into_with_no_schemas_matches_once_without_sorting(monkeypatch):
+    # an axiom's left side: one match, a copy of the substitution, consuming
+    # nothing; the pool is never put in order
+    def unsorted(self):
+        raise AssertionError("the pool was sorted")
+
+    monkeypatch.setattr(FMultiset, "distinct", unsorted)
+    pool = FMultiset([p, q, Imp(p, q)])
+    start = {"x": p}
+    got = list(match_into(FMultiset(), pool, start))
+    assert got == [({"x": p}, FMultiset())]
+    assert got[0][0] is not start
+    assert list(match_into(FMultiset(), pool)) == [({}, FMultiset())]
+
+
 @st.composite
 def _steps(draw):
     """A rule step: a passing instance of a random rule, then perhaps the

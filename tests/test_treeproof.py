@@ -1057,6 +1057,48 @@ def test_search_matches_the_reference_on_every_small_goal(bci):
     assert found > 100
 
 
+def test_search_below_the_floor_unifies_nothing(bci, monkeypatch):
+    # each of n >= 2 premise occurrences labels a leaf of its own, below at
+    # least one rule node: no proof has n nodes, and the search does not
+    # look for one (the goals of the small-goal enumeration above)
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return unify(a, b)
+
+    monkeypatch.setattr(treeproof, "unify", counting)
+    k = parse_system("system K\naxiom I : p -> p\nrule k : p, q |- p\n"
+                     "rule mp : p -> q, p |- q\n")
+    bare = parse_system("system Bare\naxiom I : p -> p\nrule k : p, q |- p\n"
+                        "rule lift : p -> p |- q\n")
+    pair = [Atom("a"), Atom("b")]
+    formulas = pair + [Imp(f, g) for f in pair for g in pair]
+    goals = 0
+    for system in (bci, k, bare):
+        for premises in itertools.combinations_with_replacement(formulas, 2):
+            for goal in formulas:
+                premises_ms = FMultiset(premises)
+                assert search(system, premises_ms, goal, max_nodes=premises_ms.size) is None
+                goals += 1
+    assert goals == 3 * 21 * 6 and calls == []
+    # one node more is the floor: [a, a -> b] |- b has its 3-node proof
+    assert search(bci, ms("[a, a -> b]"), Atom("b"), max_nodes=3) is not None
+    assert calls
+    # with two nodes to spend, modus ponens (two premises) is neither
+    # unified nor renamed apart: only the three axiom heads are tried
+    calls.clear()
+    state = treeproof._SearchState(bci, EMPTY, Atom("b"))
+    assert list(state.prove(Atom("b"), EMPTY, 2, {}, exact=False)) == []
+    assert len(calls) == 3 and state._uses == 0
+    # and an exact subgoal below its floor returns at once, though a
+    # one-premise rule would fit its two nodes
+    calls.clear()
+    state = treeproof._SearchState(bare, ms("[a, b]"), Atom("b"))
+    assert list(state.prove(Atom("b"), ms("[a, b]"), 2, {}, exact=True)) == []
+    assert calls == []
+
+
 def test_search_matches_the_reference_on_open_variables():
     detour = parse_system("system Detour\naxiom I : p -> p\nrule r : p |- 'b'\n")
     assert _assert_same_witness(detour, ms("[]"), Atom("b"), 4) is not None
