@@ -19,16 +19,16 @@ How a check runs:
 * **Pools, per domain.**  A ``SampleDomain`` interns its values once, on
   the first check that asks, into one list that every later check on the
   domain reads and extends: the M, F and N pools are index lists into it,
-  so an instance is a list of ints.  Each value keeps its count vector
-  (Parikh, 1966): a multiset's multiplicities, by formula, and a formula's
-  that of [f].  A sum of sides is a sum of vectors, interned by its vector,
-  and an ``FMultiset`` is built only for a vector the pool has not met.  So
-  a value two checks meet, or one reached both from outside and as a sum,
-  is one object, and the oracle's memo finds it by identity.  The T pool
-  follows the oracle's theorem basis, so each check builds its own index
-  list, interned into the same list; its theorems may add coordinates.
-  The vectors are per domain, not a global interning table: they die with
-  it.
+  so an instance is a list of ints.  Each value is keyed by itself, a
+  formula or an ``FMultiset``, so equal values are one index wherever they
+  come from: the domain's multisets, a sum of sides (the multiset sum of
+  its operands, a formula read as its lone multiset) or a theorem.  So a
+  value two checks meet, or one reached both from outside and as a sum, is
+  one object, and the oracle's memo finds it by identity.  The empty
+  multiset comes first, so index 0 is the value of every side "[]".  The T
+  pool follows the oracle's theorem basis, so each check builds its own
+  index list, interned into the same list.  The values are per domain, not
+  a global interning table: they die with it.
 * **Tables, per walk.**  Each walk of a check reads one ``_Table``, the
   one verdict table of the package, which ``theory.quotient_check`` reads
   too: one sum table, keyed by operand indices, and one verdict table,
@@ -75,11 +75,11 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import add, itemgetter
+from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .multiset import EMPTY, FMultiset, _trusted, submultisets
+from .multiset import EMPTY, FMultiset, submultisets
 from .oracles import (
     FAILS,
     HOLDS,
@@ -127,83 +127,32 @@ class SampleDomain:
 
 
 class _Pool:
-    """A domain's interned values, each with its count vector.
+    """A domain's interned values, each kept once and keyed by itself.
 
-    ``values`` holds each value once, from the empty multiset at index 0
-    (the value of every side "[]"), and ``vectors`` each value's count
-    vector: the multiplicity of each formula the pool has met, by the order
-    it met them in (``basis``), with no trailing zeros.  A formula's vector
-    is that of [f].  ``index`` maps a formula to its index, a vector to the
-    index of its multiset, and a multiset met from outside to its index, so
-    a multiset is interned by its vector, once per distinct value, and one
-    is built from a vector only when no value has it yet.  The M, F and
-    N pools are index lists in the domain's canonical order.  Checks intern
-    what they compute into it too, so it grows with them, and it lives as
-    long as its domain."""
+    ``values`` holds each value, a formula or an ``FMultiset``, once, and
+    ``index`` maps each to its index, so equal values met anywhere, from
+    outside or as sums, are one index and one object.  The empty multiset
+    is interned first, at index 0, because two readers take 0 for it
+    without interning it: an instance's slot for a side "[]" (``LawSpec``)
+    and the zero of ``theory``'s sums.  The M, F and N pools are index
+    lists in the domain's canonical order.  Checks intern what they compute
+    into it too, so it grows with them, and it lives as long as its domain.
+    """
 
     def __init__(self, dom: SampleDomain):
-        fs = dom.formulas
-        self.basis: list[Formula] = list(fs)  # each coordinate's formula
-        self.coords: dict = {f: c for c, f in enumerate(fs)}  # formula -> its coordinate
         self.values: list = [EMPTY]
-        self.vectors: list[tuple[int, ...]] = [()]
-        self.index: dict = {(): 0}
-        # the domain's multisets in its canonical order, each built from its
-        # combination of coordinates
-        self.multisets = []
-        for size in range(dom.max_size + 1):
-            for combo in itertools.combinations_with_replacement(range(len(fs)), size):
-                vec = [0] * (combo[-1] + 1 if combo else 0)
-                for c in combo:
-                    vec[c] += 1
-                counts = {fs[c]: k for c, k in enumerate(vec) if k}
-                self.multisets.append(self.intern_vector(tuple(vec), _trusted(counts)))
-        self.formulas = [self.intern(f) for f in fs]
-        self.nonempty = [i for i in self.multisets if self.values[i]]
+        self.index: dict = {EMPTY: 0}
+        self.multisets = list(map(self.intern, dom.multisets()))
+        self.formulas = list(map(self.intern, dom.formulas))
+        self.nonempty = self.multisets[1:]  # sizes ascend, and only [] is empty
 
     def intern(self, value) -> int:
-        """The index of a formula or a multiset."""
+        """The index of a formula or a multiset: its first equal's."""
         i = self.index.get(value)
         if i is None:
-            if type(value) is FMultiset:
-                i = self.index[value] = self.intern_vector(self.vector(value.items()), value)
-            else:
-                i = self.index[value] = len(self.values)
-                self.values.append(value)
-                self.vectors.append(self.vector([(value, 1)]))
-        return i
-
-    def vector(self, counts) -> tuple[int, ...]:
-        """The count vector of (formula, multiplicity) pairs, each formula
-        given a coordinate on first sight."""
-        vec = []
-        for f, n in counts:
-            c = self.coords.get(f)
-            if c is None:
-                c = self.coords[f] = len(self.basis)
-                self.basis.append(f)
-            vec += [0] * (c + 1 - len(vec))
-            vec[c] = n
-        return tuple(vec)
-
-    def intern_vector(self, vec: tuple[int, ...], value: Optional[FMultiset] = None) -> int:
-        """The index of the multiset with count vector ``vec``: ``value``,
-        or one built from the vector, the first time the vector is seen."""
-        i = self.index.get(vec)
-        if i is None:
-            if value is None:
-                value = FMultiset.from_counts(dict(zip(self.basis, vec)))
-            i = self.index[vec] = len(self.values)
+            i = self.index[value] = len(self.values)
             self.values.append(value)
-            self.vectors.append(vec)
         return i
-
-
-def _vadd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The sum of two count vectors, the shorter read with trailing zeros."""
-    if len(a) < len(b):
-        a, b = b, a
-    return (*map(add, a, b), *a[len(b):])
 
 
 class _NoImage(Exception):
@@ -213,8 +162,9 @@ class _NoImage(Exception):
 class _Table:
     """One walk's sums and verdicts over a pool, each found once.
 
-    ``sum`` looks a sum up by its operands' indices, and interns its vector
-    into the pool the first time.  ``ask`` looks a verdict up by its sides'
+    ``sum`` looks a sum up by its operands' indices, and the first time
+    adds their values and interns the sum, so it finds an equal value the
+    pool already holds.  ``ask`` looks a verdict up by its sides'
     indices, and on a miss by their representatives' (``rep``): the first
     index of the side's kind, formula or multiset, met with its image
     (``image_of``, the oracle's ``image``).  Equal images give equal
@@ -260,13 +210,12 @@ class _Table:
         of indices and families' tuples; in a class walk, its representative."""
         i = self.sums.get(x)
         if i is None:
-            vec, vectors = (), self.pool.vectors
+            total, values = EMPTY, self.values
             for j in (x if type(x) is tuple else (x,)):
-                if type(j) is tuple:  # a family's multisets
-                    vec = reduce(_vadd, map(vectors.__getitem__, j), vec)
-                else:
-                    vec = _vadd(vec, vectors[j]) if vec else vectors[j]
-            i = self.pool.intern_vector(vec)
+                for value in (map(values.__getitem__, j) if type(j) is tuple else (values[j],)):
+                    # a formula adds as its lone multiset
+                    total += value if type(value) is FMultiset else FMultiset([value])
+            i = self.intern(total)
             self.sums[x] = i = self.rep(i) if self.by_class else i
         return i
 

@@ -300,6 +300,5 @@ def monotone_mapping_agrees(oracle: SymmetricOracle,
                             dom: SampleDomain) -> tuple[bool, bool]:
     """(oracle passes Monotonicity on dom, Th preserves submultiset order on dom)."""
     law = check_law(oracle, "Monotonicity", dom)
-    table = _Table(oracle)
-    gens = list(map(table.intern, dom.multisets()))
-    return law.passed, _monotone_mapping_breach(table, gens) is None
+    pool = dom._pool
+    return law.passed, _monotone_mapping_breach(_Table(oracle, pool), pool.multisets) is None

@@ -39,6 +39,7 @@ from relcon.laws import (
     _ASYM_TABLE,
     _Check,
     _SYM_TABLE,
+    _Table,
 )
 from relcon.multiset import EMPTY
 from relcon.oracles import ConsequenceOracle, all3, verdict
@@ -671,19 +672,26 @@ def test_a_multiset_from_outside_and_as_a_sum_is_one_value():
     check_law(by_class, "Cut", dom)
     assert all(pool.values[pool.intern(FMultiset(list(m)))] is m
                for m in by_class._memo["_side"] if isinstance(m, FMultiset))
-    # a formula new to the pool is a new coordinate, from outside or as a sum
+    # a multiset new to the pool is one new value, found again by its value
+    # from outside or as a sum of formulas or of multisets
     size = len(pool.values)
     outside = FMultiset([two, one])
     i = pool.intern(outside)
     assert pool.values[i] is outside and len(pool.values) == size + 1
-    assert pool.intern(FMultiset([one, two])) == pool.intern_vector(pool.vectors[i]) == i
+    assert pool.intern(FMultiset([one, two])) == i
+    table = _Table(oracle, pool)
+    assert table.sum((pool.intern(one), pool.intern(two))) == i
+    assert table.sum((pool.intern(FMultiset([two])), pool.intern(one))) == i
+    assert table.sum((0, i)) == table.sum(i) == i
+    # and no two indices hold equal values
+    assert len(set(pool.values)) == len(pool.values)
 
 
 @pytest.mark.parametrize("case", ["theorems outside the domain", "relevant cut", "ex54"])
 def test_check_law_on_count_vectors_agrees_with_the_reference(case):
     if case == "theorems outside the domain":
-        # the theorems add coordinates to a pool an earlier check made, and
-        # sums G+D mix vectors of both lengths
+        # the theorems add values to a pool an earlier check made, and
+        # sums G+D mix multisets of the domain and of the theorems
         dom = SampleDomain(tuple(numeral(k) for k in (-1, 0, 1)), max_size=2)
         checks = [(make_z_oracle(), "Cut"), (make_p_oracle(), "TheoremRemoval"),
                   (make_z_oracle(), "TheoremRemoval")]

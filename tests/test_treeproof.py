@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from relcon import (
     Atom,
     AxiomJust,
+    AxiomaticSystem,
     FMultiset,
     Imp,
     Fusion,
@@ -44,6 +45,8 @@ from relcon import (
 )
 from relcon import treeproof
 from relcon.multiset import EMPTY
+from relcon.oracles import FAILS, HOLDS
+from relcon.semantics import MatrixOracle, load_matrix
 from relcon.syntax import (
     MissingBindingError,
     _larger_first,
@@ -1097,6 +1100,39 @@ def test_search_below_the_floor_unifies_nothing(bci, monkeypatch):
     state = treeproof._SearchState(bare, ms("[a, b]"), Atom("b"))
     assert list(state.prove(Atom("b"), ms("[a, b]"), 2, {}, exact=True)) == []
     assert calls == []
+
+
+def test_t4_refutes_no_theorem_search_proves_in_its_sub_system(t_fusion, bci):
+    # T4's sub-system of To: T4 validates each axiom kept, and mp keeps
+    # its designated value, so it is sound for every theorem found
+    t4 = load_matrix(FIXTURES / "t4.mat")
+    oracle = MatrixOracle(t4)
+
+    def closed(schema):
+        return substitute(schema, {v: Atom(v) for v in metavars(schema)})
+
+    kept = [t_fusion.get(name) for name in ("I", "B", "Bp", "W", "Res1", "mp")]
+    sub = AxiomaticSystem("T4sub", kept)
+    for rule in kept[:-1]:
+        assert oracle.entails(EMPTY, closed(rule.right)) is HOLDS, rule.name
+    for v in t4.values:
+        for w in t4.values:
+            if v in t4.designated and t4.tables["->"][v, w] in t4.designated:
+                assert w in t4.designated
+    # T4 refutes the axioms left out, so they stay out
+    for rule in (t_fusion.get("Res2"), bci.get("C")):
+        assert oracle.entails(EMPTY, closed(rule.right)) is FAILS, rule.name
+    # every formula over p, q with -> and o of size 3, 5 or 7
+    by_size = {1: [p, q]}
+    for size in range(3, 8, 2):
+        by_size[size] = [op(f, g) for left in range(1, size - 1, 2)
+                         for f in by_size[left] for g in by_size[size - 1 - left]
+                         for op in (Imp, Fusion)]
+    goals = [f for size in (3, 5, 7) for f in by_size[size]]
+    assert len(goals) == 712
+    found = [goal for goal in goals if search(sub, EMPTY, goal, max_nodes=5) is not None]
+    assert len(found) >= 20
+    assert [goal for goal in found if oracle.entails(EMPTY, goal) is not HOLDS] == []
 
 
 def test_search_matches_the_reference_on_open_variables():
