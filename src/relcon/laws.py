@@ -132,11 +132,11 @@ class _Pool:
     ``values`` holds each value, a formula or an ``FMultiset``, once, and
     ``index`` maps each to its index, so equal values met anywhere, from
     outside or as sums, are one index and one object.  The empty multiset
-    is interned first, at index 0, because two readers take 0 for it
-    without interning it: an instance's slot for a side "[]" (``LawSpec``)
-    and the zero of ``theory``'s sums.  The M, F and N pools are index
-    lists in the domain's canonical order.  Checks intern what they compute
-    into it too, so it grows with them, and it lives as long as its domain.
+    is interned first, at index 0, because an instance's slot for a side
+    "[]" (``LawSpec``) takes 0 for it without interning it.  The M, F and N
+    pools are index lists in the domain's canonical order.  Checks intern
+    what they compute into it too, so it grows with them, and it lives as
+    long as its domain.
     """
 
     def __init__(self, dom: SampleDomain):
@@ -175,8 +175,7 @@ class _Table:
     set before the first sum or verdict), every side, sums included, stands
     for its representative, since images add, and a side with no image
     raises ``_NoImage``: the caller then walks every value, on a fresh
-    table.  ``entails`` reads the table as an oracle, for theory handles.
-    Nothing it holds refers back to the walk."""
+    table.  Nothing it holds refers back to the walk."""
 
     def __init__(self, oracle, pool: Optional[_Pool] = None, by_class: bool = False):
         pool = pool or _Pool(SampleDomain((), 0))  # the empty multiset at index 0
@@ -237,9 +236,6 @@ class _Table:
                                                                   self.values[pair[1]])
             self.verdicts[key] = v
         return v
-
-    def entails(self, premises, conclusions) -> Verdict:
-        return self.ask((self.intern(premises), self.intern(conclusions)))
 
 
 @dataclass

@@ -192,10 +192,8 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
         frontier, level = level, []
         for state, origin in frontier:
             found = _matches(plans, state, origin)
-            for plan, matches in zip(plans, found):
-                plan.matches = matches
             carried = (state, found)  # the origin of each child
-            for nxt, app in _moves(plans, state, cands, max_formula_size,
+            for nxt, app in _moves(plans, found, state, cands, max_formula_size,
                                    max_multiset_size, pruned):
                 if nxt in parent:
                     continue
@@ -230,11 +228,9 @@ class _RightPlan:
     much an application adds to a state's size.  ``schemas`` lists
     the left side in canonical order, and ``pins`` pairs each distinct left
     schema with the rest of the left side (see _matches).  ``records``
-    keeps one record per match met in this search, and ``matches`` lists
-    the records of the state being expanded."""
+    keeps one record per match met in this search."""
 
-    __slots__ = ("rule", "shapes", "metavars", "growth", "schemas", "pins", "records",
-                 "matches")
+    __slots__ = ("rule", "shapes", "metavars", "growth", "schemas", "pins", "records")
 
     def __init__(self, rule: NamedRule):
         shapes = []
@@ -248,7 +244,6 @@ class _RightPlan:
         self.schemas = list(rule.left)
         self.pins = [(s, rule.left - FMultiset([s])) for s in rule.left.distinct()]
         self.records: dict[tuple, list] = {}
-        self.matches: list[list] = []
 
     def record(self, sigma: dict, consumed: FMultiset) -> list:
         """The match's one record in this search: ``[key, sigma, consumed,
@@ -301,8 +296,8 @@ def _matches(plans: list[_RightPlan], state: FMultiset,
     return out
 
 
-def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
-           max_formula_size: int, max_multiset_size: int,
+def _moves(plans: list[_RightPlan], matches: list[list[list]], state: FMultiset,
+           cands: list[Formula], max_formula_size: int, max_multiset_size: int,
            pruned: set) -> Iterator[tuple[FMultiset, RuleJust]]:
     """Every rule application to state whose products fit both caps, rules in
     system order, each match's free right metavariables ranging over cands
@@ -310,13 +305,13 @@ def _moves(plans: list[_RightPlan], state: FMultiset, cands: list[Formula],
     never built: its sizes are worked out first.  ``pruned`` gains a cap's
     name once the enumeration passes an application that the cap cuts off,
     never earlier; the multiset cap counts only applications that fit the
-    formula cap.  The matches of each rule's left side are the plan's
-    (see _matches), and what a match yields is worked out on its first use
-    and kept in its record (see _Instances)."""
+    formula cap.  ``matches`` lists each plan's matches of its rule's left
+    side in state (see _matches), and what a match yields is worked out on
+    its first use and kept in its record (see _Instances)."""
     room = max_multiset_size - state.size
-    for plan in plans:
+    for plan, plan_matches in zip(plans, matches):
         grows = plan.growth > room
-        for m in plan.matches:
+        for m in plan_matches:
             _, sigma, consumed, made = m
             if made is None:
                 made = m[3] = _Instances(plan, sigma, cands, max_formula_size)

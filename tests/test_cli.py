@@ -19,7 +19,7 @@ from relcon import (
     print_system,
 )
 from relcon import cli
-from relcon.cli import main, make_domain, make_oracle
+from relcon.cli import UsageError, main, make_domain, make_oracle
 from relcon.laws import SampleDomain
 from relcon.semantics import MatrixOracle
 from relcon.symmetric import DerivationOracle, TreeSearchOracle
@@ -372,6 +372,14 @@ def test_negative_bound_is_a_usage_error(capsys, flag):
     assert f"argument {flag}: needs a bound of at least 0, not -1" in captured.err
     code, out = run(capsys, *_BOUNDED[flag], flag, "0")  # zero is a bound
     assert code in (0, 1, 2, 3) and result_line(out)
+
+
+def test_bound_that_is_not_an_integer_is_a_usage_error(capsys):
+    code = main(_BOUNDED["--max-nodes"] + ["--max-nodes", "abc"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "RESULT" not in captured.out
+    assert "argument --max-nodes: invalid int value: 'abc'" in captured.err
 
 
 def test_derive_found(capsys):
@@ -734,6 +742,14 @@ def test_laws_domain_repeated_key_is_a_usage_error(capsys, key):
     assert code == 2
     assert "RESULT" not in captured.out
     assert f"repeated domain key '{key}'" in captured.err
+
+
+def test_domain_without_formulas_is_a_usage_error():
+    with pytest.raises(UsageError) as e:
+        make_domain("size=2", 0)
+    assert str(e.value) == "domain needs numerals=LO..HI, atoms=a+b or formulas=f;g"
+    # an empty part between commas is skipped
+    assert make_domain("atoms=x,,size=1", 0) == make_domain("atoms=x,size=1", 0)
 
 
 def test_domain_numerals_and_atoms_add_up():

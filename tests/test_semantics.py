@@ -960,6 +960,20 @@ def test_abelian_oracle_rejects_an_unknown_kind():
         AbelianOracle("q")
 
 
+def test_matrix_file_without_a_name_line_is_rejected():
+    with pytest.raises(ParseError) as e:
+        parse_matrix("values 0 1\n")
+    assert str(e.value) == "missing 'matrix NAME' line"
+
+
+def test_matrix_rejects_values_outside_the_carrier():
+    with pytest.raises(ValueError, match="^designated values must lie in the carrier$"):
+        Matrix("M", ("0", "1"), frozenset({"2"}))
+    with pytest.raises(ValueError, match="^table for -> leaves the carrier$"):
+        Matrix("M", ("0", "1"), frozenset({"1"}),
+               {"->": {(x, y): "9" for x in "01" for y in "01"}})
+
+
 def test_matrix_rejects_repeated_values():
     with pytest.raises(ValueError, match="values must be distinct"):
         Matrix("M", ("0", "0"), frozenset({"0"}), {})

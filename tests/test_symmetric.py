@@ -264,7 +264,7 @@ def _reference_moves(sym, state, cands, max_formula_size, pruned):
 def _reference_derive_search(system, premises, conclusions, **bounds):
     """derive_search with every move built first and then filtered by the
     multiset cap, as derive_search once did it."""
-    def moves(plans, state, cands, max_formula_size, max_multiset_size, pruned):
+    def moves(plans, matches, state, cands, max_formula_size, max_multiset_size, pruned):
         sym = SimpleNamespace(rules=[plan.rule for plan in plans])
         for nxt, app in _reference_moves(sym, state, cands, max_formula_size, pruned):
             if nxt.size > max_multiset_size:

@@ -289,6 +289,16 @@ def test_system_header_line_is_read_once(text):
     assert str(e.value) == "repeated 'system' line (line 2)"
 
 
+@pytest.mark.parametrize("text, error", [
+    ("axiom I : p -> p\n", "missing 'system NAME' header line (line 1)"),
+    ("# only a comment\n\n", "missing 'system NAME' header line"),
+], ids=["axiom-first", "comments-only"])
+def test_system_without_a_header_line_is_rejected(text, error):
+    with pytest.raises(ParseError) as e:
+        parse_system(text)
+    assert str(e.value) == error
+
+
 def test_system_name_discipline():
     with pytest.raises(ValueError):
         parse_system("system Bad\naxiom a : p -> 'p'\n")

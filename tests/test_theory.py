@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -175,10 +177,8 @@ def test_quotient_check_reports_each_broken_structure():
     # [y]+[z] are not equivalent, though [x] and [y] are (congruence); [x]
     # |- [z] but not [y] |- [z] (order); [x] |- [z] but not [x]+[x] |-
     # [z]+[x] (order-compatibility); [w]+[] is not equivalent to [w] (monoid).
-    # The three-way, antitone and homomorphism checks read the relation
-    # through theory handles whose every reading is the same entails(a, b)
-    # call, so a deterministic oracle cannot fail the first two; and every
-    # sum of two generators here derives itself
+    # A homomorphism line names a sum of two generators that does not
+    # derive itself, and every such sum here does
     assert not report.all_ok
     kinds = {f.split(":")[0] for f in report.failures}
     assert kinds == {"equivalence", "congruence", "order", "order-compatibility", "monoid"}
@@ -402,3 +402,34 @@ def test_quotient_check_asks_once_per_pair_of_images(zsym, psym, oracle_name):
     # psym reads a side through whether it is empty and whether one of its
     # members is negative
     assert len(spy.asked) <= (4 if oracle_name == "psym" else 37) ** 2
+
+
+# -- the reports pinned byte for byte ------------------------------------------------
+
+
+def _pinned_report_cases():
+    """(oracle, generators) pairs that meet every check, both table modes
+    and the restart from a side with no image."""
+    closed = SampleDomain(tuple(map(parse_formula, _CLOSED)), max_size=2).multisets()
+    # [0 /\ 1] has no image, so a table in the class walk's mode restarts
+    lattice = SampleDomain(tuple(map(parse_formula, ("0", "1", "0 -> 1", "0 /\\ 1"))),
+                           max_size=2).multisets()
+    yield _BrokenQuotient(), [ms(s) for s in ("[x]", "[y]", "[v]", "[z]", "[w]")]
+    yield _BrokenSum(), [ms("[x]"), ms("[y]")]
+    yield _OneImageIrreflexive(), [ms(s) for s in ("[]", "[1]", "[0 -> 1]", "[2]")]
+    for reflexive in (True, False):
+        for weights in ((3, 1, 0), (1, 1, 0), (2, 1, 1)):
+            for seed in range(3):
+                oracle = _SeededByImage(seed, weights, reflexive)
+                for gens in (closed, lattice):
+                    yield oracle, gens
+                    yield _HidesImage(oracle), gens
+
+
+def test_quotient_check_reports_are_pinned_byte_for_byte():
+    reports = [quotient_check(oracle, gens) for oracle, gens in _pinned_report_cases()]
+    text = json.dumps([[r.failures, r.monotone_witness] for r in reports])
+    # every failure line, in order, and each witness, as the walk that read
+    # the monoid and homomorphism checks through theory handles gave them
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ddbb5be345439daf565daea891852091885d46be8de878da07e6453cb96d512f")
