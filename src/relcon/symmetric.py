@@ -173,7 +173,8 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
     match of a rule's left side yields are built on its first use and kept
     for the rest of this search, which meets most matches in many states;
     the next search builds its own.  A state's matches are worked out from
-    its parent's (see _matches), which a level keeps until it is expanded.
+    its parent's (see _matches), which a level keeps until it is expanded;
+    the premises' parent is the empty state, where only axioms match.
     """
     if max_multiset_size is None:
         max_multiset_size = max(premises.size, conclusions.size) + 2
@@ -185,9 +186,10 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
 
     pruned: set[str] = set()
     parent: dict[FMultiset, Optional[tuple[FMultiset, RuleJust]]] = {premises: None}
-    level: list[tuple[FMultiset, Optional[tuple]]] = [(premises, None)]  # (state, origin)
+    empty = (EMPTY, [[] if plan.pins else [plan.record({}, EMPTY)] for plan in plans])
+    level = [(premises, empty)]  # (state, origin)
     for _ in range(max_steps):
-        if not level or conclusions in parent or "states" in pruned:
+        if not level or conclusions in parent:
             break
         frontier, level = level, []
         for state, origin in frontier:
@@ -198,18 +200,17 @@ def derive_search(system: AxiomaticSystem, premises: FMultiset,
                 if nxt in parent:
                     continue
                 if len(parent) >= max_states:
-                    pruned.add("states")
-                    break
+                    return DeriveResult(None, frozenset(pruned | {"states"}))
                 parent[nxt] = (state, app)
                 if nxt == conclusions:
                     break
                 level.append((nxt, carried))
-            if "states" in pruned or conclusions in parent:
+            if conclusions in parent:
                 break
-    if level and conclusions not in parent and "states" not in pruned:
-        pruned.add("steps")  # a level was left to expand
 
     if conclusions not in parent:
+        if level:
+            pruned.add("steps")  # a level was left to expand
         return DeriveResult(None, frozenset(pruned))
     steps, apps = [conclusions], []
     while parent[steps[-1]] is not None:
@@ -249,28 +250,24 @@ class _RightPlan:
         """The match's one record in this search: ``[key, sigma, consumed,
         made]``, where ``key`` holds the canonical key of the formula each
         left schema consumes, schemas in canonical order, and ``made`` is
-        the match's _Instances once _moves has worked them out.  match_into
-        yields a state's matches in the order of their keys, and a key
-        fixes its match."""
+        the match's ``(products, cut)`` once _moves has worked them out (see
+        _instances).  match_into yields a state's matches in the order of
+        their keys, and a key fixes its match."""
         key = tuple(_default_key(substitute(s, sigma)) for s in self.schemas)
         return self.records.setdefault(key, [key, sigma, consumed, None])
 
 
 def _matches(plans: list[_RightPlan], state: FMultiset,
-             origin: Optional[tuple]) -> list[list[list]]:
+             origin: tuple) -> list[list[list]]:
     """Each plan's matches of its left side in state, as records (see
-    _RightPlan.record) in match_into's order.  The premises (``origin``
-    None) are matched afresh.  Otherwise ``origin`` is the parent state and
-    its lists, and the matches are carried over (semi-naive evaluation,
-    Bancilhon and Ramakrishnan 1986): a parent's match stays while what it
-    consumed is still in state, and a match that consumes more of some
-    formula than the parent held consumes an added one, so it is found with
-    that formula pinned to one left schema and the rest of the left side
-    matched onto the state.  The two kinds are merged by key."""
-    if origin is None:
-        return [[plan.record(sigma, consumed)
-                 for sigma, consumed in match_into(plan.rule.left, state)]
-                for plan in plans]
+    _RightPlan.record) in match_into's order.  ``origin`` is the parent
+    state and its lists, the premises' being the empty state with each
+    axiom's one match, and the matches are carried over (semi-naive
+    evaluation, Bancilhon and Ramakrishnan 1986): a parent's match stays
+    while what it consumed is still in state, and a match that consumes
+    more of some formula than the parent held consumes an added one, so it
+    is found with that formula pinned to one left schema and the rest of
+    the left side matched onto the state.  The two kinds are merged by key."""
     before, lists = origin
     added = [(f, FMultiset([f])) for f, _ in (state - before).items()]
     removed = not before <= state
@@ -306,28 +303,23 @@ def _moves(plans: list[_RightPlan], matches: list[list[list]], state: FMultiset,
     name once the enumeration passes an application that the cap cuts off,
     never earlier; the multiset cap counts only applications that fit the
     formula cap.  ``matches`` lists each plan's matches of its rule's left
-    side in state (see _matches), and what a match yields is worked out on
-    its first use and kept in its record (see _Instances)."""
+    side in state (see _matches), and a match's products and first cut are
+    worked out on its first use and kept in its record (see _instances)."""
     room = max_multiset_size - state.size
     for plan, plan_matches in zip(plans, matches):
         grows = plan.growth > room
         for m in plan_matches:
-            _, sigma, consumed, made = m
-            if made is None:
-                made = m[3] = _Instances(plan, sigma, cands, max_formula_size)
-            if made.skip:
-                continue
+            if m[3] is None:
+                m[3] = _instances(plan, m[1], cands, max_formula_size)
+            products, cut = m[3]
             if grows:
-                if made.fits:
+                if products:
                     pruned.add("multiset-size")
-                if made.over:
+                if cut is not None:
                     pruned.add("formula-size")
                 continue
-            if not made.fits:
-                pruned.add("formula-size")
-                continue
-            rest = state - consumed
-            products, cut = made.products, made.cut
+            if products:
+                rest = state - m[2]
             for i, (produced, app) in enumerate(products):
                 if i == cut:
                     pruned.add("formula-size")
@@ -336,64 +328,56 @@ def _moves(plans: list[_RightPlan], matches: list[list[list]], state: FMultiset,
                 pruned.add("formula-size")
 
 
-class _Instances:
-    """One match of a rule's left side, worked out once per search: whether
-    a free right metavariable has no candidate to range over (``skip``);
-    whether every instance with the free metavariables at the smallest
-    candidate fits the formula cap (``fits``), and whether some instance
-    with them at the largest is over it (``over``); and, when it fits, the
-    fitting products with their steps, in _fitting's order, and how many
-    come before the place where the formula cap first cuts one off (``cut``,
-    None when it cuts none)."""
-
-    __slots__ = ("skip", "fits", "over", "products", "cut")
-
-    def __init__(self, plan: _RightPlan, sigma: dict, cands: list[Formula], cap: int):
-        free = sorted(plan.metavars - sigma.keys())
-        self.skip = bool(free and not cands)
-        self.products: list[tuple[FMultiset, RuleJust]] = []
-        self.cut: Optional[int] = None
-        if self.skip:
-            return
-        smallest = formula_size(cands[0]) if cands else 0
-        extras = [formula_size(c) - smallest for c in cands]
-        spread = extras[-1] if cands else 0
-        # per schema: the instance size with every free metavariable at the
-        # smallest candidate, and each free metavariable's count
-        lows, coeffs = [], []
-        for size, occ in plan.shapes:
-            for v, n in occ.items():
-                size += n * ((formula_size(sigma[v]) if v in sigma else smallest) - 1)
-            lows.append(size)
-            coeffs.append([occ.get(v, 0) for v in free])
-        self.fits = max(lows, default=0) <= cap
-        self.over = any(low + sum(co) * spread > cap for low, co in zip(lows, coeffs))
-        if not self.fits:
-            return
-        rule, cuts = plan.rule, set()
-        for values in _fitting(cands, extras, lows, coeffs, len(free), cap, cuts):
-            if cuts and self.cut is None:
-                self.cut = len(self.products)
-            full = dict(sigma)
-            full.update(zip(free, values))
-            self.products.append((FMultiset(substitute(s, full) for s in rule.right),
-                                  RuleJust(rule.name, full)))
-        if cuts and self.cut is None:
-            self.cut = len(self.products)
+def _instances(plan: _RightPlan, sigma: dict, cands: list[Formula],
+               cap: int) -> tuple[list[tuple[FMultiset, RuleJust]], Optional[int]]:
+    """One match of a rule's left side, worked out once per search: the
+    products that fit the formula cap, with their steps, in _fitting's
+    order, and how many come before the place where the cap first cuts one
+    off (None when it cuts none).  A free right metavariable with no
+    candidate to range over gives no products and names no cap, ``([],
+    None)``; an instance with every free metavariable at the smallest
+    candidate over the cap gives ``([], 0)``, since every other instance is
+    at least as large."""
+    free = sorted(plan.metavars - sigma.keys())
+    if free and not cands:
+        return [], None
+    smallest = formula_size(cands[0]) if cands else 0
+    extras = [formula_size(c) - smallest for c in cands]
+    # per schema: the instance size with every free metavariable at the
+    # smallest candidate, and each free metavariable's count
+    lows, coeffs = [], []
+    for size, occ in plan.shapes:
+        for v, n in occ.items():
+            size += n * ((formula_size(sigma[v]) if v in sigma else smallest) - 1)
+        lows.append(size)
+        coeffs.append([occ.get(v, 0) for v in free])
+    if max(lows, default=0) > cap:
+        return [], 0
+    rule, products, cut = plan.rule, [], None
+    for values in _fitting(cands, extras, lows, coeffs, len(free), cap):
+        if values is None:
+            if cut is None:
+                cut = len(products)
+            continue
+        full = dict(sigma)
+        full.update(zip(free, values))
+        products.append((FMultiset(substitute(s, full) for s in rule.right),
+                         RuleJust(rule.name, full)))
+    return products, cut
 
 
 def _fitting(cands: list[Formula], extras: list[int], bounds: list[int],
-             coeffs: list[list[int]], k: int, cap: int, pruned: set,
-             values: tuple[Formula, ...] = ()) -> Iterator[tuple[Formula, ...]]:
+             coeffs: list[list[int]], k: int, cap: int,
+             values: tuple[Formula, ...] = ()) -> Iterator[Optional[tuple[Formula, ...]]]:
     """The k-tuples over cands that extend ``values``, in product order, whose
-    instances all fit the cap; ``extras[j]`` is cands[j]'s size over the
-    smallest candidate's, and ``bounds`` the instance sizes with the
-    metavariables not yet in ``values`` at the smallest candidate.  A value
-    that is over the cap with the later metavariables at the smallest
-    candidate stays over for every later value of its metavariable (cands is
-    sorted by size), so the loop breaks there.  The recursion is the
-    function itself, not a nested closure, which would leave a reference
-    cycle per call."""
+    instances all fit the cap, with None yielded where the cap cuts tuples
+    off; ``extras[j]`` is cands[j]'s size over the smallest candidate's, and
+    ``bounds`` the instance sizes with the metavariables not yet in
+    ``values`` at the smallest candidate.  A value that is over the cap with
+    the later metavariables at the smallest candidate stays over for every
+    later value of its metavariable (cands is sorted by size), so the loop
+    breaks there.  The recursion is the function itself, not a nested
+    closure, which would leave a reference cycle per call."""
     i = len(values)
     if i == k:
         yield values
@@ -402,11 +386,11 @@ def _fitting(cands: list[Formula], extras: list[int], bounds: list[int],
         if extra:
             nb = [b + co[i] * extra for b, co in zip(bounds, coeffs)]
             if max(nb) > cap:
-                pruned.add("formula-size")
+                yield None
                 break
         else:
             nb = bounds  # bounds fit already
-        yield from _fitting(cands, extras, nb, coeffs, k, cap, pruned, values + (c,))
+        yield from _fitting(cands, extras, nb, coeffs, k, cap, values + (c,))
 
 
 # -- symmetrization ------------------------------------------------------------------

@@ -235,3 +235,8 @@ def test_submultisets_agree_with_counter(xs):
     assert {frozenset(s.counts().items()) for s in subs} == expected
     assert all(0 not in s.counts().values() for s in subs)
     assert m.counts() == dict(ref)
+
+
+def test_a_multiset_leaves_equality_with_another_type_to_it():
+    assert bag("a").__eq__(["a"]) is NotImplemented
+    assert bag("a") != ["a"] and EMPTY != ()

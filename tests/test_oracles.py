@@ -125,12 +125,13 @@ def test_a_fresh_oracles_first_memoised_calls_raise_nothing():
     counting, z = _Counting(), relcon.semantics.AbelianOracle("z")
     premises, p = ms("[p, q]"), parse_formula("p")
     assert counting._memo is None and z._memo is None
+    outer = sys.gettrace()  # a coverage tracer, say, runs on afterwards
     sys.settrace(trace)
     try:
         counting.entails(premises, p)
         z.entails(premises, p)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     assert raised == []
     assert set(counting._memo) == {"entails"} and set(z._memo) == {"_side"}
 
@@ -165,3 +166,15 @@ def test_memoised_oracles_define_their_own_entails():
     assert not {"entails", "_side", "_grid"} & zsym_class.__dict__.keys()
     zsym = zsym_class()
     assert isinstance(zsym, SymmetricOracle) and zsym.symmetric and zsym.name == "zsym"
+
+
+def test_only_holds_is_true():
+    assert [bool(v) for v in VERDICTS] == [True, False, False]
+
+
+def test_an_oracle_that_defines_no_entails_raises_on_a_query():
+    class Bare(ConsequenceOracle):
+        name = "bare"
+
+    with pytest.raises(NotImplementedError):
+        Bare().entails(ms("[p]"), parse_formula("p"))

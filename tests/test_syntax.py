@@ -1392,3 +1392,10 @@ def test_deep_schema_prints_without_recursion():
     assert parse_formula(print_schema(chain), schema=True) == chain
     quoted = Imp(Atom("x"), Fusion(Var("y"), numeral(3)))
     assert print_schema(quoted) == "'x' -> y o 3"
+
+
+@pytest.mark.parametrize("text", ["~p", "p -> q", "p o q", "p /\\ q", "p \\/ q"])
+def test_a_compound_formula_leaves_equality_with_another_type_to_it(text):
+    f = parse_formula(text)
+    assert f.__eq__(text) is NotImplemented
+    assert f != text and f != parse_multiset("[" + text + "]")

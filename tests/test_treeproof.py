@@ -1654,3 +1654,8 @@ def test_deduction_transform_and_cut_compose_keep_relevance(seed, fusion, data):
     both = min(kept, verify(sub, system, used, phi))
     out = cut_compose(tree, sub, system, phi)
     assert verify(out, system, premises - FMultiset([phi]) + used, goal) is both
+
+
+def test_a_rule_justification_prints_its_rule_name():
+    assert str(RuleJust("mp", {"p": Atom("a")})) == "rule mp"
+    assert str(RuleJust("mp")) == "rule mp"
