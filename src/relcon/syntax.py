@@ -735,15 +735,11 @@ def unify(a: Formula, b: Formula) -> Optional[dict[str, Formula]]:
     return {name: _resolve(subst[name], subst) for name in subst}
 
 
-def _bound(f: Formula, subst: dict[str, Formula]) -> Formula:
-    """f with its binding chain followed while it is a bound variable."""
+def _occurs(name: str, f: Formula, subst: dict[str, Formula]) -> bool:
+    """Whether the variable ``name`` occurs in f under ``subst``.  Like
+    _unify, it follows a bound variable's binding chain to its end in place."""
     while isinstance(f, Var) and f.name in subst:
         f = subst[f.name]
-    return f
-
-
-def _occurs(name: str, f: Formula, subst: dict[str, Formula]) -> bool:
-    f = _bound(f, subst)
     if f._ground:
         return False
     if isinstance(f, Var):
@@ -755,7 +751,10 @@ def _occurs(name: str, f: Formula, subst: dict[str, Formula]) -> bool:
 
 def _unify(x: Formula, y: Formula, subst: dict[str, Formula]) -> bool:
     """Extend ``subst`` so that it unifies x and y; whether that succeeded."""
-    x, y = _bound(x, subst), _bound(y, subst)
+    while isinstance(x, Var) and x.name in subst:
+        x = subst[x.name]
+    while isinstance(y, Var) and y.name in subst:
+        y = subst[y.name]
     if x._ground and y._ground:
         return x == y
     if isinstance(x, Var):

@@ -489,7 +489,10 @@ def search(system: AxiomaticSystem, premises: FMultiset, goal: Formula,
     bound by unification when its subgoal closes against a premise, an axiom
     or another rule's conclusion.  A use is renamed apart only once its
     conclusion unifies with the goal, and the axiom and rule tables this
-    reads are built once per system, on its first search.  A variable still
+    reads, with each rule's left schemas in canonical order, are built once
+    per system, on its first search.  The unifier gives each metavariable of
+    the use its binding directly, so a subgoal is one substitution, and only
+    the goal variables' bindings are carried on.  A variable still
     open when a proof closes is grounded with the least subformula of the
     premises and goal (by size, then text), worked out the first time a
     variable is met.  The first witness under the canonical branch order is
@@ -555,12 +558,14 @@ _Entry = tuple[NamedRule, list[str], Formula]
 
 class _Tables(NamedTuple):
     """What is worked out once per system: the search's single-conclusion
-    axioms and inference rules as table entries, and, per shape asked of
-    _find_rule, the name of the first rule of that shape, or None when the
-    system has none."""
+    axioms and inference rules as table entries, each rule's left schemas
+    in canonical order by rule name (an axiom's are none), and, per shape
+    asked of _find_rule, the name of the first rule of that shape, or None
+    when the system has none."""
 
     axioms: list[_Entry]
     rules: list[_Entry]
+    lefts: dict[str, tuple[Formula, ...]]
     names: dict[tuple, Optional[str]]
 
 
@@ -577,7 +582,8 @@ def _rule_tables(system: AxiomaticSystem) -> _Tables:
                 (rule, _vars_of(rule), _rename_vars(rule.right)) for rule in rules]
 
         tables = _TABLES[system] = _Tables(
-            entries(system.axioms), entries(system.inference_rules), {})
+            entries(system.axioms), entries(system.inference_rules),
+            {rule.name: tuple(rule.left) for rule in system.rules}, {})
     return tables
 
 
@@ -585,16 +591,19 @@ class _SearchState:
     """Proof search over one system; ``fruitless`` remembers, per ground
     (goal, available premises, exact), the largest budget that found nothing.
 
-    The axiom and rule tables are the system's, built once.  A use is
-    renamed apart only after the goal unifies with the rule's untagged head,
-    so the ``#n`` tags count the uses that unify."""
+    The axiom and rule tables and the rules' left sides are the system's,
+    built once.  A use is renamed apart only after the goal unifies with the
+    rule's untagged head, so the ``#n`` tags count the uses that unify.  The
+    bindings ``theta`` are triangular: a value may name a variable that a
+    later binding binds, and a goal is resolved against them when it is
+    proved."""
 
     def __init__(self, system: AxiomaticSystem, premises: FMultiset, goal: Formula):
         self._premises, self._goal = premises, goal
         self._filler: Optional[Formula] = None
         self.fruitless: dict[tuple, int] = {}
         self._uses = 0
-        self._axioms, self._rules, _ = _rule_tables(system)
+        self._axioms, self._rules, self._lefts, _ = _rule_tables(system)
 
     def _fresh(self, names: list[str]) -> dict[str, Formula]:
         """Each named variable renamed apart from every earlier rule or axiom use."""
@@ -602,25 +611,32 @@ class _SearchState:
         tag = "#" + str(self._uses)
         return {name: Var("\x02" + name + tag) for name in names}
 
-    def _uses_of(self, table: list[_Entry], goal: Formula, room: Optional[int] = None
-                 ) -> Iterator[tuple[NamedRule, dict[str, Formula], dict]]:
-        """Each entry whose head unifies with the goal, renamed apart, with
-        the renaming and the goal's unifier with the renamed conclusion; an
-        entry with more left-side schemas than ``room`` nodes, one per
-        subgoal, is skipped before its head is unified.
+    def _uses_of(self, table: list[_Entry], goal: Formula, theta: dict, room: int
+                 ) -> Iterator[tuple[NamedRule, tuple[Formula, ...], dict[str, Formula], dict]]:
+        """Each entry whose head unifies with the goal, as (rule, left
+        schemas, substitution, bindings); an entry with more left schemas
+        than ``room`` nodes, one per subgoal, is skipped before its head is
+        unified.
 
-        That unifier is the head's, renamed the same way: the renaming is
-        a bijection onto names no goal holds, so unifying again would bind
+        The substitution maps each rule metavariable to its renamed-apart
+        binding under the head's unifier, or else to its fresh variable, so a
+        subgoal is one ``substitute``.  The bindings are ``theta`` and the
+        unifier's on the goal's variables, renamed alike (``theta`` itself,
+        not a copy, when it binds none).  The renaming is a bijection onto
+        names no goal holds, so unifying with the renamed head would bind
         the same variables to the same terms in the same order."""
         for rule, names, head in table:
-            if room is not None and rule.left.size > room:
+            left = self._lefts[rule.name]
+            if len(left) > room:
                 continue
             mgu = unify(goal, head)
-            if mgu is not None:
-                sigma = self._fresh(names)
-                ren = {"\x02" + name: v for name, v in sigma.items()}
-                yield rule, sigma, {ren[k].name if k in ren else k: substitute_partial(f, ren)
-                                    for k, f in mgu.items()}
+            if mgu is None:
+                continue
+            ren = {"\x02" + name: v for name, v in self._fresh(names).items()}
+            sigma = {key[1:]: substitute_partial(mgu[key], ren) if key in mgu else v
+                     for key, v in ren.items()}
+            bound = {k: substitute_partial(f, ren) for k, f in mgu.items() if k not in ren}
+            yield rule, left, sigma, {**theta, **bound} if bound else theta
 
     def _fill(self, _: Var) -> Formula:
         """The least subformula of the premises and goal, by size and then
@@ -631,12 +647,15 @@ class _SearchState:
         return self._filler
 
     def ground(self, tree: ProofTree, theta: dict) -> ProofTree:
-        """The tree under ``theta``, with every variable left open filled."""
+        """The tree under ``theta``, with every variable left open filled; a
+        ground formula, and a premise leaf that is one, come back untouched."""
         # recursive, not the fold: its depth is at most max_nodes, and the fold costs search time
         def fix(f: Formula) -> Formula:
-            return _map_vars(_resolve(f, theta), self._fill)
+            return f if f._ground else _map_vars(_resolve(f, theta), self._fill)
 
         by = tree.by
+        if isinstance(by, PremiseJust) and tree.formula._ground:
+            return tree
         if not isinstance(by, PremiseJust):
             by = type(by)(by.name, {v: fix(f) for v, f in by.subst.items()})
         return ProofTree(fix(tree.formula), by,
@@ -646,56 +665,51 @@ class _SearchState:
               exact: bool) -> Iterator[tuple[ProofTree, FMultiset, dict]]:
         """Proofs of ``goal`` under ``theta`` from part of ``avail``, or from
         all of it when ``exact``, within ``budget`` nodes, each with the
-        premises it uses and the bindings; only a ground goal reads and
-        writes ``fruitless``."""
-        if budget < (_floor(avail.size) if exact else 1):
+        premises it uses and the bindings.  The goal is closed against a
+        premise, an axiom or a rule's conclusion, in that order, binding
+        variables by unification; only a ground goal reads and writes
+        ``fruitless``, which records a goal that yielded nothing."""
+        size = avail.size
+        if budget < (_floor(size) if exact else 1):
             return
         goal = _resolve(goal, theta)
         key = (goal, avail, exact) if goal._ground else None
         if key is not None and self.fruitless.get(key, 0) >= budget:
             return
         yielded = False
-        for result in self._prove_raw(goal, avail, budget, theta, exact):
-            yielded = True
-            yield result
-        if key is not None and not yielded:
-            self.fruitless[key] = budget
-
-    def _prove_raw(self, goal, avail, budget, theta, exact):
-        """Close the goal against a premise, an axiom or a rule's conclusion,
-        in that order, binding variables by unification."""
-        if not exact or avail.size == 1:
+        if not exact or size == 1:
             for f in avail.distinct():
                 mgu = unify(goal, f)
                 if mgu is not None:
-                    yield premise_leaf(f), FMultiset([f]), {**theta, **mgu}
+                    yielded = True
+                    yield premise_leaf(f), _trusted({f: 1}), {**theta, **mgu} if mgu else theta
         if not (exact and avail):
-            for ax, sigma, mgu in self._uses_of(self._axioms, goal):
-                yield axiom_leaf(goal, ax.name, sigma), EMPTY, {**theta, **mgu}
-        if budget < 2:
-            return
-        for rule, sigma, mgu in self._uses_of(self._rules, goal, budget - 1):
-            bound = {**theta, **mgu}
-            # most-constrained (largest) subgoal first fails fastest
-            subgoals = _larger_first(
-                [_resolve(substitute(s, sigma), bound) for s in rule.left], text=_masked)
-            for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1,
-                                                          bound, exact):
-                yield ProofTree(goal, RuleJust(rule.name, sigma), children), used, theta2
+            for ax, _, sigma, bound in self._uses_of(self._axioms, goal, theta, 0):
+                yielded = True
+                yield axiom_leaf(goal, ax.name, sigma), EMPTY, bound
+        if budget >= 2:
+            for rule, left, sigma, bound in self._uses_of(self._rules, goal, theta, budget - 1):
+                # most-constrained (largest) subgoal first fails fastest
+                subgoals = _larger_first([substitute(s, sigma) for s in left], text=_masked)
+                for children, used, theta2 in self._prove_seq(subgoals, avail, budget - 1,
+                                                              bound, exact):
+                    yielded = True
+                    yield ProofTree(goal, RuleJust(rule.name, sigma), children), used, theta2
+        if key is not None and not yielded:
+            self.fruitless[key] = budget
 
     def _prove_seq(self, subgoals: list[Formula], avail: FMultiset, budget: int,
                    theta: dict, exact: bool
                    ) -> Iterator[tuple[tuple[ProofTree, ...], FMultiset, dict]]:
-        """Proofs of the subgoals in turn; when ``exact``, the last uses
-        exactly what the others leave."""
-        if not subgoals:
-            if not (exact and avail):
-                yield (), EMPTY, theta
-            return
+        """Proofs of the subgoals, one or more, in turn; when ``exact``, the
+        last uses exactly what the others leave."""
         head, rest = subgoals[0], subgoals[1:]
+        if not rest:
+            for t1, u1, th1 in self.prove(head, avail, budget, theta, exact):
+                yield (t1,), u1, th1
+            return
         # reserve at least one node per remaining subgoal
-        for t1, u1, th1 in self.prove(head, avail, budget - len(rest), theta,
-                                      exact and not rest):
+        for t1, u1, th1 in self.prove(head, avail, budget - len(rest), theta, False):
             n1 = t1.node_count()
             for ts, u2, th2 in self._prove_seq(rest, avail - u1, budget - n1, th1, exact):
                 yield (t1,) + ts, u1 + u2, th2

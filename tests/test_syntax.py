@@ -42,6 +42,7 @@ from relcon.syntax import (
     MissingBindingError,
     _freeze,
     _larger_first,
+    _resolve,
     _rule_step,
     _walk_nodes,
     alpha_variant,
@@ -840,6 +841,83 @@ def test_unify_agrees_with_the_recursive_reference(a, b, shape, s1, s2):
     # two instances of one schema: often unifiable, through chained bindings
     _assert_same_unifier(_ref_substitute_partial(shape, s1),
                          _ref_substitute_partial(shape, s2))
+
+
+# unify as it stood with a separate dereference, _bound, that _unify and
+# _occurs called on each formula first
+
+
+def _chained_bound(f, subst):
+    while isinstance(f, Var) and f.name in subst:
+        f = subst[f.name]
+    return f
+
+
+def _chained_occurs(name, f, subst):
+    f = _chained_bound(f, subst)
+    if f._ground:
+        return False
+    if isinstance(f, Var):
+        return f.name == name
+    if isinstance(f, Neg):
+        return _chained_occurs(name, f.body, subst)
+    return _chained_occurs(name, f.left, subst) or _chained_occurs(name, f.right, subst)
+
+
+def _chained_unify_into(x, y, subst):
+    x, y = _chained_bound(x, subst), _chained_bound(y, subst)
+    if x._ground and y._ground:
+        return x == y
+    if isinstance(x, Var):
+        if isinstance(y, Var) and y.name == x.name:
+            return True
+        if _chained_occurs(x.name, y, subst):
+            return False
+        subst[x.name] = y
+        return True
+    if isinstance(y, Var):
+        return _chained_unify_into(y, x, subst)
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Neg):
+        return _chained_unify_into(x.body, y.body, subst)
+    return (_chained_unify_into(x.left, y.left, subst)
+            and _chained_unify_into(x.right, y.right, subst))
+
+
+def _chained_unify(a, b):
+    subst = {}
+    if not _chained_unify_into(a, b, subst):
+        return None
+    return {name: _resolve(subst[name], subst) for name in subst}
+
+
+def _unify_terms(depth):
+    leaf = st.sampled_from([Var("X"), Var("Y"), Var("Z"), Atom("a"), Atom("b")])
+    if depth == 0:
+        return leaf
+    sub = _unify_terms(depth - 1)
+    return st.one_of(leaf, st.builds(Imp, sub, sub), st.builds(Fusion, sub, sub))
+
+
+@settings(max_examples=400)
+@given(_unify_terms(3), _unify_terms(3))
+# X is bound to Y and Y to a before X meets b: no unifier
+@example(Imp(Imp(Var("X"), Var("X")), Var("X")), Imp(Imp(Var("Y"), Atom("a")), Atom("b")))
+def test_unify_is_the_chained_unifier_and_idempotent(a, b):
+    got = unify(a, b)
+    assert got == _chained_unify(a, b)
+    if got is not None:
+        assert not any(metavars(f) & got.keys() for f in got.values())
+        assert substitute_partial(a, got) == substitute_partial(b, got)
+
+
+def test_unify_follows_a_binding_chain_to_its_end():
+    X, Y = Var("X"), Var("Y")
+    # X is bound to Y and Y to a before X meets b
+    assert unify(Imp(Imp(X, X), X), Imp(Imp(Y, Atom("a")), Atom("b"))) is None
+    assert unify(Imp(Imp(X, X), X), Imp(Imp(Y, Atom("a")), Atom("a"))) == {
+        "X": Atom("a"), "Y": Atom("a")}
 
 
 @given(st.lists(general, max_size=3), st.lists(general, max_size=2),

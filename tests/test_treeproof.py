@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -394,6 +395,15 @@ def test_search_grounds_an_open_variable_with_the_least_subformula():
     assert tree == ProofTree(goal, RuleJust("r", {"p": Imp(goal, goal)}),
                              (axiom_leaf(Imp(goal, goal), "I", {"p": goal}),))
     assert verify(tree, detour, ms("[]"), goal) >= RelevanceVerdict.RELEVANT
+
+
+def test_search_fills_an_open_variable_by_size_then_text_not_with_the_goal():
+    # lift's premise p -> p is open; a is the least subformula of b -> a
+    bare = parse_system("system Bare\naxiom I : p -> p\nrule k : p, q |- p\n"
+                        "rule lift : p -> p |- q\n")
+    goal, a = parse_formula("b -> a"), Atom("a")
+    assert search(bare, ms("[]"), goal, max_nodes=4) == ProofTree(
+        goal, RuleJust("lift", {"p": a, "q": goal}), (axiom_leaf(Imp(a, a), "I", {"p": a}),))
 
 
 def _enumerate_conclusions(system, premises, max_nodes, instance_values):
@@ -1060,6 +1070,17 @@ def test_search_matches_the_reference_on_every_small_goal(bci):
     assert found > 100
 
 
+def test_search_records_a_fruitless_goal_only_when_it_yielded_nothing():
+    # the k-rooted witness proves a -> b again below itself, from part of the
+    # premises; a fruitless record made for a goal that had yielded proofs
+    # cuts that branch, and the search returns a lift-rooted witness instead
+    bare = parse_system("system Bare\naxiom I : p -> p\nrule k : p, q |- p\n"
+                        "rule lift : p -> p |- q\n")
+    tree = _assert_same_witness(bare, ms("[a, a]"), parse_formula("a -> b"), 7)
+    assert tree.by == RuleJust("k", {"p": parse_formula("a -> b"), "q": Atom("a")})
+    assert tree.node_count() == 6
+
+
 def test_search_below_the_floor_unifies_nothing(bci, monkeypatch):
     # each of n >= 2 premise occurrences labels a leaf of its own, below at
     # least one rule node: no proof has n nodes, and the search does not
@@ -1145,6 +1166,16 @@ def test_search_matches_the_reference_on_open_variables():
         _assert_same_witness(bare, ms(premises), parse_formula(goal), 4)
 
 
+def test_search_renames_a_head_variable_bound_to_another():
+    # the subgoal v -> v meets the head p -> q: the unifier binds p to q, so
+    # both stand for q's fresh variable, which the premise c then binds
+    toy = parse_system("system Toy\naxiom a : p -> q\nrule r : p -> p, p |- 'b'\n")
+    c = Atom("c")
+    tree = _assert_same_witness(toy, ms("[c]"), Atom("b"), 3)
+    assert tree.children[0] == axiom_leaf(Imp(c, c), "a", {"p": c, "q": c})
+    assert verify(tree, toy, ms("[c]"), Atom("b")) is RelevanceVerdict.RELEVANT
+
+
 @pytest.mark.parametrize("premises, goal, expected", FIVE_NODE_WITNESSES)
 def test_search_matches_the_reference_on_the_pinned_witnesses(bcio, premises, goal, expected):
     assert dump_proof(_assert_same_witness(bcio, ms(premises), parse_formula(goal))) == expected
@@ -1168,6 +1199,38 @@ def test_rule_tables_are_built_once_per_system(monkeypatch):
     del system
     gc.collect()
     assert ref() is None
+
+
+# -- first witnesses, pinned -----------------------------------------------------
+
+
+def _first_witnesses(bci, bcio):
+    """search's first witness, as dump_proof text, on 200 seeded one-step
+    goals and 50 two-step goals in BCI and BCIo, and on the 3-link chain at
+    11 nodes and the 4-link chain at 13."""
+    rng = random.Random(12)
+    goals = []
+    for system, fusion in ((bci, False), (bcio, True)):
+        for nodes, count in ((3, 100), (5, 25)):
+            drawn = 0
+            while drawn < count:
+                tree, premises = random_relevant_proof(rng, system, fusion, nodes)
+                if tree.node_count() == nodes:
+                    goals.append((system, premises, tree.formula, nodes))
+                    drawn += 1
+    goals.append((bci, ms("[p->q, q->r, r->s]"), parse_formula("p -> s"), 11))
+    goals.append((bci, ms("[p->q, q->r, r->s, s->t]"), parse_formula("p -> t"), 13))
+    return [dump_proof(search(system, premises, goal, max_nodes))
+            for system, premises, goal, max_nodes in goals]
+
+
+def test_search_first_witnesses_are_pinned(bci, bcio):
+    # the reference differential shares ground, _fresh and the rule tables
+    # with search, so only a pinned text sees a fault in them
+    witnesses = _first_witnesses(bci, bcio)
+    assert len(witnesses) == 252
+    assert hashlib.sha256("\n".join(witnesses).encode()).hexdigest() == (
+        "8afb2296dae7759521c8e8500e7344c86f8d6dca9b73abcf70a0fd9694507dde")
 
 
 # -- the node check that a derivation step's check replaced ----------------------
