@@ -11,15 +11,16 @@ on no instances at all.
 
 How a check runs:
 
-* **Plans, once, at import.**  ``_compile`` turns each statement into a
-  ``LawSpec`` that holds its whole plan as data: each side that is not a
-  lone variable gets a slot of its own, and each variable level lists the
-  sides it computes and the antecedents it tests, each as the item getter
-  of the slots it reads.
+* **Plans, as data, at import.**  ``_compile`` turns each statement into a
+  ``LawSpec`` that holds its plan as plain data: each side that is not a
+  lone variable gets a slot of its own, listed with the variable positions
+  it sums; each variable level lists the sides it computes and the
+  antecedents it tests, a test being the pair of its sides' slots; and the
+  conclusion is the pair of its own.
 * **Pools, per domain.**  A ``SampleDomain`` interns its values once, on
   the first check that asks, into one list that every later check on the
   domain reads and extends: the M, F and N pools are index lists into it,
-  so an instance is a list of ints.  Each value is keyed by itself, a
+  so an instance is a tuple of ints.  Each value is keyed by itself, a
   formula or an ``FMultiset``, so equal values are one index wherever they
   come from: the domain's multisets, a sum of sides (the multiset sum of
   its operands, a formula read as its lone multiset) or a theorem.  So a
@@ -42,15 +43,23 @@ How a check runs:
   asked per pair of indices, as is every query of an oracle without
   ``image``.  Each table is filled on first use, through the oracle's own
   memo.  Nothing the check holds refers back to it.
-* **Pushdown.**  The exhaustive instances are a loop nest in the canonical
-  order, and each antecedent is tested (and each side computed) at the
-  shallowest level that binds it (Selinger et al., *Access Path Selection*,
-  1979).  A FAILS antecedent settles its whole subtree, and an UNKNOWN one
-  is carried down to the leaf.  The instances checked are counted by
-  arithmetic, from the witness's rank in the canonical order, or all of
-  them where there is none.  Sampling walks the same nest, one drawn
-  instance at a time, with the draws taken over index lists as long as the
-  pools.
+* **One loop nest per law.**  On a law's first check its plan becomes
+  the source of one function, ``LawSpec.walk``, compiled and kept: a loop
+  nest in the canonical order, one ``for`` per variable and one local per
+  slot, so an instance is never stored, and each antecedent is tested (and
+  each side computed) at the shallowest level that binds it (Selinger et
+  al., *Access Path Selection*, 1979), as compiled query plans run
+  (Neumann, *Efficiently Compiling Efficient Query Plans for Modern
+  Hardware*, 2011).  A FAILS antecedent settles its whole subtree, and an
+  UNKNOWN one is carried down to the leaf.  The source is built only from
+  the module's own tables, as ``dataclasses`` builds its methods.  The
+  instances checked are counted by arithmetic, from the witness's rank in
+  the canonical order, or all of them where there is none.
+* **Draws.**  Sampling calls the same function once per drawn instance,
+  with pools of one value each.  Each value is drawn inline as
+  ``Random.choice`` draws it, ``getrandbits(n.bit_length())`` until below
+  the pool's length n, so the seeded stream is ``choice``'s without a call
+  per value.
 * **Classes.**  A law's verdict on an instance depends only on the image
   class of each variable's value, since images add (``oracles``).  So a
   check on an oracle with ``image`` whose pools' values all have one walks
@@ -76,8 +85,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .multiset import EMPTY, FMultiset, submultisets
 from .oracles import (
@@ -132,8 +140,8 @@ class _Pool:
     ``values`` holds each value, a formula or an ``FMultiset``, once, and
     ``index`` maps each to its index, so equal values met anywhere, from
     outside or as sums, are one index and one object.  The empty multiset
-    is interned first, at index 0, because an instance's slot for a side
-    "[]" (``LawSpec``) takes 0 for it without interning it.  The M, F and N
+    is interned first, at index 0, because a law's walk reads a side "[]"
+    (``LawSpec``) as 0 without interning it.  The M, F and N
     pools are index lists in the domain's canonical order.  Checks intern
     what they compute into it too, so it grows with them, and it lives as
     long as its domain.
@@ -301,26 +309,98 @@ _SYM_TABLE = (
 _POOLS = ("M", "F", "N", "T")
 
 
-class LawSpec(NamedTuple):
-    """A law compiled to a plan over instance slots.
+@dataclass(frozen=True)
+class LawSpec:
+    """A law's plan over slots, and the one function that runs it.
 
-    An instance holds one slot per variable, in stream order, then one per
-    side that is not a lone variable.  Each level of the plan (one per
-    variable) lists the sides computed before its tests, the tests in
-    statement order, and the sides computed after them.  A side is ``(slot,
-    key)``: ``key`` reads the slots of the variables it sums, a bracket
-    list's formulas one by one and a family's multisets as one tuple.  A
-    test, like the conclusion, is the key of its two sides' slots; a
-    pointwise "Ds |- G" reads the family's and G's.  A side "[]" has no step:
-    its slot keeps the empty multiset's index, 0, from the start.
+    A slot holds one index: one slot per variable, in stream order (a
+    family's holds a tuple of indices), then one per side that is not a lone
+    variable.  ``sides`` lists, per slot past the variables, the positions
+    of the variables that side sums: a bracket list's formulas one by one,
+    and a family's multisets as one.  Each level of the plan (one per
+    variable) lists the side slots computed before its tests, its tests in
+    statement order, and the side slots computed after them.  A test, like
+    the conclusion, is the pair of its two sides' slots; a pointwise "Ds |-
+    G" is the pair of the family's slot and G's.  A side "[]" sums nothing
+    and is never computed: it stands for the empty multiset's index, 0.
     """
 
     name: str
     names: tuple[str, ...]  # the bound variables, in stream order
     kinds: tuple[str, ...]  # per variable: a pool or a family's index
-    slots: int  # the length of an instance
+    sides: tuple[tuple[int, ...], ...]  # per slot past the variables: the positions it sums
     levels: tuple[tuple[tuple, tuple, tuple], ...]  # per variable: early, tests, late
-    conclusion: itemgetter
+    conclusion: tuple[int, int]
+
+    @cached_property
+    def walk(self):
+        """The plan as one function, ``walk(pools, members, table, values)``,
+        made on the law's first check: a loop nest with one ``for`` per
+        variable, over its pool in ``pools``, and one local per slot.  A
+        family's level runs over ``product(members, repeat=|G|)`` where its
+        pool is None.  Each level computes its early sides, tests its
+        antecedents (a FAILS one goes on to the level's next value, an
+        UNKNOWN one sets the level's flag, which the next level starts from)
+        and computes its late sides; the innermost reads the conclusion.
+        Sums and verdicts come from ``table``, looked up first in its dicts.
+        It returns the variables' values at the first violating instance, or
+        None, and whether it met an instance that was UNKNOWN.
+
+        The source holds only names and slot numbers made here from the
+        module's own tables, as ``dataclasses`` builds its methods."""
+        n = len(self.names)
+
+        def local(s: int) -> str:
+            return f"x{s}" if s < n else f"s{s}" if self.sides[s - n] else "0"
+
+        def lookup(pad: str, var: str, get: str, make: str, key: str) -> list[str]:
+            return [f"{pad}{var} = {get}({key})",
+                    f"{pad}if {var} is None:", f"{pad}    {var} = {make}({key})"]
+
+        def side(pad: str, s: int) -> list[str]:
+            read = self.sides[s - n]
+            key = f"x{read[0]}" if len(read) == 1 else f"({', '.join(f'x{p}' for p in read)})"
+            return lookup(pad, f"s{s}", "sget", "add", key)
+
+        def verdict(pad: str, pair: tuple[int, int]) -> list[str]:
+            return lookup(pad, "v", "vget", "ask", f"({local(pair[0])}, {local(pair[1])})")
+
+        lines = ["def walk(pools, members, table, values):",
+                 "    sget, add = table.sums.get, table.sum",
+                 "    vget, ask = table.verdicts.get, table.ask",
+                 "    unknown = False",
+                 "    " + "".join(f"p{k}, " for k in range(n)) + "= pools"]
+        flag = "False"  # the current level's UNKNOWN flag
+        for k, (early, tests, late) in enumerate(self.levels):
+            pad = "    " * (k + 1)
+            if self.kinds[k] in _POOLS:
+                lines.append(f"{pad}for x{k} in p{k}:")
+            else:  # a family: one multiset of the members per element of G
+                at = self.names.index(self.kinds[k])
+                lines.append(f"{pad}for x{k} in (product(members, repeat=values[x{at}].size)"
+                             f" if p{k} is None else p{k}):")
+            pad += "    "
+            for s in early:
+                lines += side(pad, s)
+            if tests:
+                lines.append(f"{pad}u{k} = {flag}")
+                flag = f"u{k}"
+            for pair in tests:
+                lines += verdict(pad, pair)
+                lines += [f"{pad}if v is FAILS:", f"{pad}    continue",
+                          f"{pad}if v is UNKNOWN:", f"{pad}    {flag} = True"]
+            for s in late:
+                lines += side(pad, s)
+        lines += verdict(pad, self.conclusion)
+        lines += [f"{pad}if v is not HOLDS:",
+                  f"{pad}    if v is FAILS{'' if flag == 'False' else f' and not {flag}'}:",
+                  f"{pad}        return ({''.join(f'x{k}, ' for k in range(n))}), unknown",
+                  f"{pad}    unknown = True",
+                  "    return None, unknown"]
+        namespace = {"FAILS": FAILS, "HOLDS": HOLDS, "UNKNOWN": UNKNOWN,
+                     "product": itertools.product}
+        exec(compile("\n".join(lines), f"<law {self.name}>", "exec"), namespace)
+        return namespace["walk"]
 
 
 def _compile(table) -> dict[str, LawSpec]:
@@ -365,12 +445,11 @@ def _compile(table) -> dict[str, LawSpec]:
         plan: list[tuple[list, list, list]] = [([], [], []) for _ in range(n)]
         for at, read in enumerate(sides, n):
             if read:
-                plan[max(read)][0 if at in early else 2].append((at, itemgetter(*read)))
+                plan[max(read)][0 if at in early else 2].append(at)
         for q in tests:
-            plan[level(*q)][1].append(itemgetter(*q))
-        laws[name] = LawSpec(name, tuple(names), tuple(kinds), n + len(sides),
-                             tuple(tuple(map(tuple, steps)) for steps in plan),
-                             itemgetter(*last))
+            plan[level(*q)][1].append(q)
+        laws[name] = LawSpec(name, tuple(names), tuple(kinds), tuple(sides),
+                             tuple(tuple(map(tuple, steps)) for steps in plan), last)
     return laws
 
 
@@ -386,18 +465,17 @@ class _Check:
     """One law over one domain, on the domain's interned values.
 
     Every value the check meets (pool elements, sums, bracket lists) is
-    interned into the domain's ``values``, so an instance is a list of ints:
-    one index per variable (a tuple of them for a family), then one per side
-    that is not a lone variable.  The instances are the canonical loop nest,
-    one level per variable, and each level runs its steps of the law's plan.
-    Sums and verdicts come from the walk's ``_Table``, each filled on first
-    use, so the oracle sees each distinct query, or each distinct pair of
-    images, once per walk, through its own memo, and a query an earlier
-    check on the domain asked reaches the memo as the same objects.  Every
-    exhaustive walk is ``walk_classes``: over one representative per class
-    where the classes fit the cap, and otherwise over every value, each a
-    class of its own.  The check holds its table and the domain's pool,
-    none of which refers back to it.
+    interned into the domain's ``values``, so a slot holds an int: one index
+    per variable (a tuple of them for a family), then one per side that is
+    not a lone variable.  The instances are the law's ``walk``, one loop per
+    variable.  Sums and verdicts come from the walk's ``_Table``, each
+    filled on first use, so the oracle sees each distinct query, or each
+    distinct pair of images, once per walk, through its own memo, and a
+    query an earlier check on the domain asked reaches the memo as the same
+    objects.  Every exhaustive walk is ``walk_classes``: over one
+    representative per class where the classes fit the cap, and otherwise
+    over every value, each a class of its own.  The check holds its table
+    and the domain's pool, none of which refers back to it.
     """
 
     def __init__(self, law: LawSpec, oracle, dom: SampleDomain):
@@ -424,17 +502,6 @@ class _Check:
         """Whether the last walk read one value per class."""
         return self.table.by_class
 
-    def place(self, steps: tuple) -> None:
-        """Compute sides into the instance, each looked up by its operands'
-        indices in the table."""
-        inst, get, add = self.inst, self.table.sums.get, self.table.sum
-        for at, key in steps:
-            x = key(inst)
-            i = get(x)
-            inst[at] = add(x) if i is None else i
-
-    # -- the loop nest --------------------------------------------------------------
-
     def sizes(self, pools: list) -> list[int]:
         """Per fixed variable, the choices of the nest over ``pools``: one
         pool per fixed variable, and for a family, last, the pool its
@@ -449,9 +516,7 @@ class _Check:
     def run(self) -> LawResult:
         law, dom = self.law, self.dom
         pools = self.fixed + [self.multisets] * self.family
-        sizes = self.sizes(pools)
-        count = math.prod(sizes)
-        self.tails = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+        count = math.prod(self.sizes(pools))
         # the cap bounds the class tuples where classes apply, and the
         # instances elsewhere
         classes = self.classes()
@@ -466,35 +531,15 @@ class _Check:
             found = self.walk_classes([{i: pos for pos, i in enumerate(pool)}
                                        for pool in pools], count)
         elif found is None:
-            # one instance per draw, drawn whole before any test, so the
-            # draws follow the pools whatever the verdicts
-            self.start(self.fixed + [None] * self.family, None)
-            rng, found = random.Random(dom.seed), False
-            for _ in range(dom.sample_count):
-                self.drawn = [rng.choice(pool) for pool in self.fixed]
-                if self.family:
-                    size = self.values[self.drawn[self.at]].size
-                    self.drawn.append(tuple(rng.choice(self.multisets)
-                                            for _ in range(size)))
-                self.checked += 1
-                if self.walk(0, False):
-                    found = True
-                    break
-        if found:
+            found = self.sample()
+        inst, checked, unknown = found
+        if inst is not None:
             get = self.values.__getitem__
             witness = {name: get(i) if kind in _POOLS else tuple(map(get, i))
-                       for name, kind, i in zip(law.names, law.kinds, self.inst)}
-            return LawResult(law.name, "counterexample", witness, exhaustive, self.checked)
-        status = "inconclusive" if self.sawunknown or not self.checked else "passed"
-        return LawResult(law.name, status, None, exhaustive, self.checked)
-
-    def start(self, pools: list, members: Optional[list]) -> None:
-        """Set the loop nest up over ``pools``, a family's multisets drawn
-        from ``members``, with nothing checked yet."""
-        self.levels = list(zip(pools, self.law.levels))
-        self.members = members
-        self.inst = [0] * self.law.slots
-        self.checked, self.sawunknown, self.drawn = 0, False, None
+                       for name, kind, i in zip(law.names, law.kinds, inst)}
+            return LawResult(law.name, "counterexample", witness, exhaustive, checked)
+        status = "inconclusive" if unknown or not checked else "passed"
+        return LawResult(law.name, status, None, exhaustive, checked)
 
     def classes(self) -> Optional[list[dict[int, int]]]:
         """Per fixed pool, and last, for a family, the pool its multisets
@@ -532,12 +577,12 @@ class _Check:
             counts[r] = counts.get(r, 0) + k
         return frozenset(counts.items())
 
-    def walk_classes(self, classes: list[dict[int, int]], count: int) -> Optional[bool]:
-        """The exhaustive walk over one representative per class: True at
-        the first violating instance, False when there is none, and None
-        when a class walk's side has no image, which ``run`` then settles
-        without the classes, on a fresh table.  The full walk is this walk
-        over classes of one value each.
+    def walk_classes(self, classes: list[dict[int, int]], count: int) -> Optional[tuple]:
+        """The exhaustive walk over one representative per class: the first
+        violating instance, or None, the instances it stands for, and
+        whether one was UNKNOWN; or None when a class walk's side has no
+        image, which ``run`` then settles without the classes, on a fresh
+        table.  The full walk is this walk over classes of one value each.
 
         A side is a sum of representatives, whose image is that of the sum
         of any values of their classes (the additivity in ``oracles``), so
@@ -563,84 +608,79 @@ class _Check:
         so the check passes, or is inconclusive, as the full walk would.
         """
         members = list(classes[-1]) if self.family else None
-        self.start(classes[:len(self.fixed)] + [None] * self.family, members)
+        pools = classes[:len(self.fixed)] + [None] * self.family
         try:
-            found = self.walk(0, False)
+            inst, unknown = self.law.walk(pools, members, self.table, self.values)
         except _NoImage:
             self.table = _Table(self.oracle, self.pool)
             return None
-        self.checked = 1 + self.rank(classes) if found else count
-        return found
+        return inst, count if inst is None else 1 + self.rank(classes, inst), unknown
 
-    def rank(self, positions: list[dict[int, int]]) -> int:
-        """The instances the full walk meets before the current one, by its
-        mixed radix in the pools, each value's position read in
-        ``positions``.  A choice of G weighs its families, and so does each
-        choice below it down to the family, whose size G binds; a family is
-        a number in base |M|, its first multiset the most significant digit,
-        as ``itertools.product`` runs."""
-        inst, tails, m = self.inst, self.tails, len(self.multisets)
+    def sample(self) -> tuple:
+        """The walk over ``sample_count`` seeded draws, one instance each:
+        the first violating instance, or None, the draws made, and whether
+        one was UNKNOWN."""
+        walk, table, values = self.law.walk, self.table, self.values
+        unknown = False
+        for checked, pools in zip(range(1, self.dom.sample_count + 1), self.draws()):
+            inst, u = walk(pools, None, table, values)
+            unknown = unknown or u
+            if inst is not None:
+                return inst, checked, unknown
+        return None, self.dom.sample_count, unknown
+
+    def draws(self):
+        """Endless seeded draws, each a whole instance as pools of one value
+        each, drawn before any test, so the draws follow the pools whatever
+        the verdicts.  Each value is drawn as ``Random.choice`` draws it,
+        ``r = getrandbits(n.bit_length())`` until ``r < n`` for a pool of
+        n, but inline, with no call per value; a family's multisets come
+        after the fixed variables, one per element of G."""
+        bits = random.Random(self.dom.seed).getrandbits
+        fixed = [(pool, len(pool), len(pool).bit_length()) for pool in self.fixed]
+        family, members, values, at = self.family, self.multisets, self.values, self.at
+        m, mk = len(members), len(members).bit_length()
+        while True:
+            pools = []
+            for pool, n, k in fixed:
+                r = bits(k)
+                while r >= n:
+                    r = bits(k)
+                pools.append((pool[r],))
+            if family:
+                drawn = []
+                for _ in range(values[pools[at][0]].size):
+                    r = bits(mk)
+                    while r >= m:
+                        r = bits(mk)
+                    drawn.append(members[r])
+                pools.append((tuple(drawn),))
+            yield pools
+
+    def rank(self, positions: list[dict[int, int]], inst: tuple) -> int:
+        """The instances the full walk meets before ``inst``, by its mixed
+        radix in the pools, each value's position read in ``positions``.  A
+        choice of G weighs its families, and so does each choice below it
+        down to the family, whose size G binds; a family is a number in base
+        |M|, its first multiset the most significant digit, as
+        ``itertools.product`` runs."""
+        sizes = self.sizes(self.fixed + [self.multisets] * self.family)
+        m = len(self.multisets)
         rank = 0
         for k, pos in enumerate(positions[:len(self.fixed)]):
-            p = pos[inst[k]]
+            p, tail = pos[inst[k]], math.prod(sizes[k + 1:])
             if not self.family or k < self.at:
-                rank += p * tails[k]
+                rank += p * tail
             elif k == self.at:
-                rank += tails[k] * sum(m ** self.values[g].size for g in self.fixed[k][:p])
+                rank += tail * sum(m ** self.values[g].size for g in self.fixed[k][:p])
             else:
-                rank += p * tails[k] * m ** self.values[inst[self.at]].size
+                rank += p * tail * m ** self.values[inst[self.at]].size
         if self.family:
             number = 0
             for i in inst[len(self.fixed)]:
                 number = number * m + positions[-1][i]
             rank += number
         return rank
-
-    def walk(self, k: int, unknown: bool) -> bool:
-        """Run the instances below level k; True at the first violating one.
-
-        A FAILS antecedent settles its whole subtree (vacuously fine), and an
-        UNKNOWN one is carried down: it leaves an instance UNKNOWN unless the
-        conclusion holds.
-        """
-        inst, table = self.inst, self.table
-        get = table.verdicts.get
-        pool, (early, tests, late) = self.levels[k]
-        if self.drawn:
-            pool = (self.drawn[k],)
-        elif pool is None:  # the family: one multiset per element of G
-            pool = itertools.product(self.members, repeat=self.values[inst[self.at]].size)
-        leaf, conclusion = k == len(self.levels) - 1, self.law.conclusion
-        for i in pool:
-            inst[k] = i
-            if early:
-                self.place(early)
-            u = unknown
-            for key in tests:
-                x = key(inst)
-                v = get(x)
-                if v is None:
-                    v = table.ask(x)
-                if v is FAILS:
-                    break
-                if v is UNKNOWN:
-                    u = True
-            else:
-                if late:
-                    self.place(late)
-                if not leaf:
-                    if self.walk(k + 1, u):
-                        return True
-                    continue
-                x = conclusion(inst)
-                v = get(x)
-                if v is None:
-                    v = table.ask(x)
-                if v is FAILS and not u:
-                    return True
-                if v is not HOLDS:
-                    self.sawunknown = True
-        return False
 
 
 def check_law(oracle, law_name: str, dom: SampleDomain) -> LawResult:

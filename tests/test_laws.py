@@ -199,6 +199,18 @@ def test_sampled_draw_sequence(seed, law, checked, witness):
     assert (result.checked, result.witness_str()) == (checked, witness)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_draws_take_the_values_random_choice_takes(seed):
+    # the inline draw keeps Random.choice's stream, so the sampled witnesses
+    # stay put on an interpreter whose choice is written differently
+    for n in range(1, 131):
+        dom = SampleDomain(tuple(map(numeral, range(n))), max_size=0, seed=seed)
+        check = _Check(ASYM_LAWS["Reflexivity"], make_z_oracle(), dom)
+        pool, rng = check.fixed[0], random.Random(seed)
+        drawn = [pools[0][0] for pools in itertools.islice(check.draws(), 12)]
+        assert drawn == [rng.choice(pool) for _ in range(12)], n
+
+
 # -- the whole battery, pinned ---------------------------------------------------
 
 
@@ -409,6 +421,40 @@ _PINNED = {
 }
 
 
+# per check of _PINNED, in law_names order: the distinct queries it asks,
+# and the values its fresh domain holds after it, the domain's own and
+# each distinct sum the check met
+_WORK = {
+    ('z', 'exhaustive'): [(4, 19), (44, 36), (4, 19), (32, 24), (9, 19), (36, 23), (52, 47)],
+    ('p', 'exhaustive'): [(2, 19), (4, 19), (4, 19), (4, 21), (3, 19), (4, 19), (4, 24)],
+    ('ex54', 'exhaustive'): [(4, 5), (16, 5), (22, 8), (2, 5), (4, 5), (10, 7), (2, 5), (2, 5),
+        (28, 8), (16, 5)],
+    ('zsym', 'exhaustive'): [(7, 19), (49, 19), (91, 33), (3, 19), (10, 19), (9, 39), (3, 19),
+        (3, 19), (91, 33), (77, 31)],
+    ('psym', 'exhaustive'): [(4, 19), (16, 19), (16, 22), (16, 22), (12, 25), (12, 25),
+        (9, 22), (4, 19), (16, 22), (16, 20)],
+    ('identity', 'exhaustive'): [(15, 19), (225, 19), (280, 74), (2, 19), (7, 19), (272, 69),
+        (2, 19), (2, 19), (1050, 74), (225, 19)],
+    ('z?', 'exhaustive'): [(4, 19), (193, 74), (10, 19), (65, 28), (13, 19), (175, 57),
+        (456, 118)],
+    ('zsym?', 'exhaustive'): [(15, 19), (225, 19), (1728, 74), (9, 19), (184, 24), (47, 56),
+        (9, 19), (9, 19), (1050, 74), (1005, 71)],
+    ('z', 'sampled'): [(4, 19), (38, 67), (9, 23), (33, 55), (2, 19), (30, 28), (45, 95)],
+    ('p', 'sampled'): [(2, 19), (4, 19), (4, 19), (4, 21), (3, 19), (4, 58), (4, 24)],
+    ('ex54', 'sampled'): [(4, 5), (16, 5), (22, 8), (12, 6), (4, 5), (10, 7), (2, 5), (2, 5),
+        (27, 8), (15, 5)],
+    ('zsym', 'sampled'): [(7, 19), (47, 19), (61, 68), (2, 20), (37, 54), (10, 29), (2, 21),
+        (3, 19), (59, 71), (55, 62)],
+    ('psym', 'sampled'): [(4, 19), (16, 19), (15, 72), (15, 67), (11, 73), (11, 72), (9, 22),
+        (4, 19), (16, 72), (15, 58)],
+    ('identity', 'sampled'): [(15, 19), (127, 19), (132, 26), (3, 20), (139, 71), (120, 64),
+        (1, 20), (2, 19), (138, 25), (32, 19)],
+    ('z?', 'sampled'): [(4, 19), (132, 67), (13, 23), (54, 55), (2, 19), (76, 33), (167, 95)],
+    ('zsym?', 'sampled'): [(15, 19), (181, 19), (250, 70), (17, 23), (60, 54), (12, 29),
+        (2, 21), (9, 19), (280, 72), (198, 62)],
+}
+
+
 @pytest.mark.parametrize("oracle_name, mode", list(_PINNED))
 def test_battery_pinned(oracle_name, mode):
     formulas = (x_domain().formulas if oracle_name == "ex54"
@@ -605,11 +651,17 @@ def test_check_law_asks_each_distinct_query_once(oracle_name, mode):
         kw.update(seed=1, exhaustive_cap=20, sample_count=200)
     oracle = _PIN_ORACLES[oracle_name]()
     spy = _AskedOnceByImage if hasattr(oracle, "image") else _AskedOnce
-    got = []
+    got, work = [], []
     for law in law_names(getattr(oracle, "symmetric", False)):
-        r = check_law(spy(oracle), law, SampleDomain(formulas, **kw))
+        counted, dom = spy(oracle), SampleDomain(formulas, **kw)
+        r = check_law(counted, law, dom)
         got.append((law, r.status, r.exhaustive, r.checked, r.witness_str()))
+        work.append((len(counted.asked), len(dom._pool.values)))
     assert got == _PINNED[oracle_name, mode]
+    # and does no more than it must: a test read below its own level, or a
+    # conclusion read past a FAILS antecedent, keeps every result above but
+    # asks more queries or sums more sides
+    assert work == _WORK[oracle_name, mode]
 
 
 def test_checks_on_one_domain_agree_with_checks_on_fresh_domains():

@@ -594,6 +594,19 @@ def test_equal_hashes_do_not_make_formulas_equal():
     assert a != b and not a == b
 
 
+def test_deep_equality_tells_apart_leaves_whose_hashes_collide():
+    # past the recursive threshold the work list walks down to the leaves,
+    # whose forced collision leaves only their names to tell them apart
+    a, b = Atom("s"), Atom("t")
+    object.__setattr__(b, "_hash", a._hash)
+    left, right = a, b
+    for _ in range(300):
+        left, right = Imp(left, p), Imp(right, p)
+    assert hash(left) == hash(right) and left._size > 256
+    assert left != right and not left == right
+    assert len({left, right}) == 2
+
+
 def test_numerals_share_their_towers():
     for n in (2, 3, 57, 200):
         assert numeral(n) is numeral(n)
